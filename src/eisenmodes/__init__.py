@@ -26,7 +26,7 @@ from .homogeneous import (
 )
 from .laurent import YLaurent
 from .numerics import NumericEnv, bessel_i, bessel_k, residual, series_crosscheck
-from .scalars import Constant, RatPi, zeta_even
+from .scalars import Constant, zeta_even
 from .series import AsymptoticSeries, small_y_series
 from .solver import (
     DegreeWindow,
@@ -57,7 +57,6 @@ __all__ = [
     "Obstruction",
     "Params",
     "Pure",
-    "RatPi",
     "SingleBessel",
     "YLaurent",
     "alpha_decay_scan",

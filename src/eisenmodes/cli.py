@@ -89,6 +89,20 @@ def _build_params(args) -> Params:
     return Params(args.alpha, args.beta, lam, Normalization(args.normalization))
 
 
+def _emit_no_solution(exc: NoSolutionInWindow, cls, args) -> int:
+    doc = {
+        "classification": cls.kind,
+        "error": "no_solution_in_window",
+        "retries": exc.retries,
+        "windows": None if exc.windows is None else {
+            str(c): [w.m, w.M] for c, w in exc.windows.items()
+        },
+        "inconsistent_rows": [str(r) for r in exc.inconsistent_rows[:8]],
+    }
+    _emit(doc, args)
+    return EXIT_NOT_TRIANGULAR if cls.kind == "lambda_not_triangular" else EXIT_NO_SOLUTION
+
+
 def cmd_solve(args) -> int:
     if args.lam is None and args.r is None:
         print(json.dumps({"error": "give --lambda or --r"}), file=sys.stderr)
@@ -107,7 +121,10 @@ def cmd_solve(args) -> int:
 
     if args.n is not None:
         cutoff = args.cutoff or abs(args.n) + 4
-        asm = assemble_mode(params, args.n, cutoff, workers=workers, decay=not args.no_decay)
+        try:
+            asm = assemble_mode(params, args.n, cutoff, workers=workers, decay=not args.no_decay)
+        except NoSolutionInWindow as exc:
+            return _emit_no_solution(exc, cls, args)
         doc = asm.to_json_obj()
         doc["classification"] = cls.kind
         _emit(doc, args)
@@ -132,17 +149,7 @@ def cmd_solve(args) -> int:
         mode = solve_mode(params, args.n1, args.n2, window_override=window_override,
                           widen_cap=args.widen_cap)
     except NoSolutionInWindow as exc:
-        doc = {
-            "classification": cls.kind,
-            "error": "no_solution_in_window",
-            "retries": exc.retries,
-            "windows": None if exc.windows is None else {
-                str(c): [w.m, w.M] for c, w in exc.windows.items()
-            },
-            "inconsistent_rows": [str(r) for r in exc.inconsistent_rows[:8]],
-        }
-        _emit(doc, args)
-        return EXIT_NOT_TRIANGULAR if cls.kind == "lambda_not_triangular" else EXIT_NO_SOLUTION
+        return _emit_no_solution(exc, cls, args)
     doc = mode.to_json_obj()
     doc["classification"] = cls.kind
     if args.format == "latex":

@@ -289,10 +289,6 @@ def eval_hom_normalized(basis: HomBasis, y: float) -> float:
     return eval_hom(basis, y)
 
 
-def _second_derivative_value(expr, y: float, env: NumericEnv) -> float:
-    return eval_expr(differentiate(differentiate(expr)), y, env)
-
-
 def _expr_terms_exact(expr, y: float, env: NumericEnv):
     """Cell contributions of expr(y) as exact Fractions of double inputs.
 

@@ -6,15 +6,14 @@ finite rational combinations of monomials over the symbol set
     pi, gamma (Euler-Mascheroni), log(pi), log(p) for primes p,
     zeta(odd k >= 3), zeta'(m).
 
-``Constant`` is that ring.  ``RatPi`` is the field of rational functions in
-pi with rational coefficients; it is used only as the coefficient field of
-the exact linear solves, whose solutions always embed back into ``Constant``
-as Laurent monomials in pi.
+``Constant`` is that ring.  The exact linear solves of the mode solver need
+no larger field: the mode operators are graded by the power of pi, so their
+systems are eliminated over the plain rationals (``fractions.Fraction``) and
+each solved value maps back to a rational times a monomial of this ring.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -24,8 +23,6 @@ __all__ = [
     "Symbol",
     "SymbolMonomial",
     "Constant",
-    "RatPi",
-    "NotMonomialResult",
     "PI",
     "GAMMA",
     "LN_PI",
@@ -38,8 +35,6 @@ __all__ = [
     "gamma_half_integer",
     "factorize",
     "bernoulli",
-    "ratpi_solve_embed",
-    "ratpi_extract",
 ]
 
 # A symbol is a (kind, arg) pair; arg is None except for parametric kinds.
@@ -81,10 +76,6 @@ def _symbol_from_str(text: str) -> Symbol:
         kind, arg = text[:-1].split("(")
         return (kind, int(arg))
     return (text, None)
-
-
-class NotMonomialResult(ValueError):
-    """A RatPi value did not reduce to a Laurent polynomial in pi."""
 
 
 class SymbolMonomial:
@@ -349,9 +340,6 @@ class Constant:
             terms[mono] = terms.get(mono, Fraction(0)) + Fraction(int(num), int(den))
         return cls(terms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def _coerce_constant(value) -> Constant:
     if isinstance(value, Constant):
@@ -508,177 +496,3 @@ def gamma_half_integer(two_s: int) -> Tuple[Fraction, int]:
         return Fraction(math.factorial(two_s // 2 - 1)), 0
     m = (two_s - 1) // 2
     return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), 1
-
-
-# ---------------------------------------------------------------------------
-# RatPi: rational functions in pi over Q (the elimination field)
-# ---------------------------------------------------------------------------
-
-Poly = Tuple[Fraction, ...]  # dense, low degree first; () is the zero polynomial
-
-
-def _poly_trim(c: list) -> Poly:
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _poly_trim([ (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n) ])
-
-
-def _poly_neg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = rem[i + len(b) - 1] * inv_lead
-        if coeff:
-            quo[i] = coeff
-            for j, y in enumerate(b):
-                rem[i + j] -= coeff * y
-    return _poly_trim(quo), _poly_trim(rem)
-
-
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    inv = 1 / a[-1]
-    return tuple(x * inv for x in a)  # monic
-
-
-class RatPi:
-    """Element of Q(pi): a reduced quotient of polynomials in pi.
-
-    Normalization: gcd(num, den) = 1 and the denominator is monic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = (Fraction(1),)):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        g = _poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _poly_divmod(num, g)
-            den, _ = _poly_divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = tuple(x * inv for x in num)
-            den = tuple(x * inv for x in den)
-        self.num, self.den = num, den
-
-    @classmethod
-    def zero(cls) -> "RatPi":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RatPi":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def from_rational(cls, value) -> "RatPi":
-        v = _as_fraction(value)
-        return cls((v,) if v else ())
-
-    @classmethod
-    def pi_power(cls, k: int, coeff=1) -> "RatPi":
-        c = _as_fraction(coeff)
-        if not c:
-            return cls.zero()
-        if k >= 0:
-            return cls(tuple([Fraction(0)] * k + [c]))
-        return cls((c,), tuple([Fraction(0)] * (-k) + [Fraction(1)]))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, other: "RatPi") -> "RatPi":
-        return RatPi(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den),
-        )
-
-    def __neg__(self) -> "RatPi":
-        return RatPi(_poly_neg(self.num), self.den)
-
-    def __sub__(self, other: "RatPi") -> "RatPi":
-        return self + (-other)
-
-    def __mul__(self, other: "RatPi") -> "RatPi":
-        return RatPi(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
-
-    def __truediv__(self, other: "RatPi") -> "RatPi":
-        if other.is_zero():
-            raise ZeroDivisionError("RatPi division by zero")
-        return RatPi(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPi) and self.num == other.num and self.den == other.den
-
-    def __repr__(self) -> str:
-        def fmt(p: Poly) -> str:
-            if not p:
-                return "0"
-            return " + ".join(f"{c}*pi^{i}" if i else str(c) for i, c in enumerate(p) if c)
-
-        return fmt(self.num) if self.den == (Fraction(1),) else f"({fmt(self.num)})/({fmt(self.den)})"
-
-    def evaluate(self, pi_value: float = math.pi) -> float:
-        def ev(p: Poly) -> float:
-            total = 0.0
-            for c in reversed(p):
-                total = total * pi_value + float(c)
-            return total
-
-        return ev(self.num) / ev(self.den)
-
-
-def ratpi_solve_embed(c: Constant) -> RatPi:
-    """Embed a pi-Laurent Constant into the elimination field."""
-    if not c.is_pi_laurent():
-        raise ValueError(f"constant is not a Laurent polynomial in pi: {c!r}")
-    out = RatPi.zero()
-    for mono, coeff in c.terms().items():
-        out = out + RatPi.pi_power(mono.pi_exponent(), coeff)
-    return out
-
-
-def ratpi_extract(r: RatPi) -> Constant:
-    """Convert back to a Constant; raises NotMonomialResult off the Laurent locus."""
-    nonzero = [(i, c) for i, c in enumerate(r.den) if c]
-    if len(nonzero) != 1:
-        raise NotMonomialResult(f"denominator is not a pi monomial: {r!r}")
-    shift, dcoeff = nonzero[0]
-    out = Constant.zero()
-    for i, c in enumerate(r.num):
-        if c:
-            out = out + Constant.pi_power(i - shift, c / dcoeff)
-    return out

@@ -2,10 +2,17 @@
 
 Matching P(g) (or L(g)) against the reduced source couples ansatz
 coefficients only across nearby y-degrees, so each solve is a small banded
-overdetermined linear system over the field Q(pi).  Systems are eliminated
-exactly (Gauss-Jordan with the fixed pivot order: ascending y-degree, then
-cell-lexicographic); free variables of an underdetermined system are set to
-zero and counted as kernel dimension.
+overdetermined linear system.  Its entries are rational multiples of powers
+of pi, graded by the degree shift: the image of y^k at y^p carries exactly
+pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
+into one over Q with the same zero pattern, and each right-hand side splits
+into directions (non-pi symbol monomial, pi-grade), each with rational
+entries.  Systems are eliminated exactly over Q (Gauss-Jordan; the pivot of
+each column, taken in ascending y-degree then cell order, is the row with the
+fewest entries, ties broken by ascending y-degree then cell); free variables
+of an underdetermined system are set to zero and counted as kernel dimension.
+An operator entry off its grade or outside the band is an invariant violation
+and raises.
 
 Every returned solution is re-verified by applying the operator and
 subtracting the right-hand side; the difference must be the identically
@@ -20,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .bessel import DoubleBessel, HomBasis, Pure, SingleBessel, apply_euler, apply_L, apply_P
 from .laurent import YLaurent
-from .scalars import Constant, RatPi, SymbolMonomial, ratpi_extract, ratpi_solve_embed
+from .scalars import SYM_PI, Constant, SymbolMonomial
 from .sources import Params
 
 __all__ = [
@@ -38,6 +45,7 @@ __all__ = [
 
 MAX_BANDWIDTH = 3
 DEFAULT_WIDEN_CAP = 12
+_PI_POWER = {d: SymbolMonomial({SYM_PI: d}) for d in range(-MAX_BANDWIDTH, MAX_BANDWIDTH + 1)}
 
 
 @dataclass(frozen=True)
@@ -143,39 +151,16 @@ def single_window(r: int, source_powers) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# Symbol-direction decomposition (so elimination stays over Q(pi))
-# ---------------------------------------------------------------------------
-
-
-def _split_directions(table: Dict) -> Dict[SymbolMonomial, Dict]:
-    """Split a cell->YLaurent table by non-pi symbol monomial directions."""
-    out: Dict[SymbolMonomial, Dict] = {}
-    for cell, poly in table.items():
-        for (k, j), const in poly.terms().items():
-            if j != 0:
-                raise ValueError("log-bearing right-hand sides are not supported")
-            for mono, coeff in const.terms().items():
-                pi_e = mono.pi_exponent()
-                rest = SymbolMonomial(
-                    {s: e for s, e in mono.exponents.items() if s != ("pi", None)}
-                )
-                bucket = out.setdefault(rest, {})
-                cur = bucket.get((cell, k), Constant.zero())
-                bucket[(cell, k)] = cur + Constant.pi_power(pi_e, coeff)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Banded elimination over RatPi
+# Banded elimination over Q
 # ---------------------------------------------------------------------------
 
 
 def _gauss_jordan(columns, rhs_rows, col_order, row_order):
-    """Exact multi-RHS Gauss-Jordan.
+    """Exact multi-RHS Gauss-Jordan over the rationals.
 
-    columns: dict col -> dict row -> RatPi (the assembled sparse matrix)
-    rhs_rows: dict row -> list[RatPi] per right-hand-side direction
-    Returns (solution dict col -> list[RatPi], kernel_cols, inconsistent_rows).
+    columns: dict col -> dict row -> Fraction (the assembled sparse matrix)
+    rhs_rows: dict row -> list[Fraction] per right-hand-side direction
+    Returns (solution dict col -> list[Fraction], kernel_cols, inconsistent_rows).
     """
     n_dirs = len(next(iter(rhs_rows.values()))) if rhs_rows else 0
     rows: Dict = {}
@@ -184,7 +169,7 @@ def _gauss_jordan(columns, rhs_rows, col_order, row_order):
             rows.setdefault(row, {})[col] = val
     for row in rhs_rows:
         rows.setdefault(row, {})
-    rhs = {row: list(rhs_rows.get(row, [RatPi.zero()] * n_dirs)) for row in rows}
+    rhs = {row: list(rhs_rows.get(row, [Fraction(0)] * n_dirs)) for row in rows}
 
     pivot_of_col: Dict = {}
     used_rows = set()
@@ -192,39 +177,36 @@ def _gauss_jordan(columns, rhs_rows, col_order, row_order):
     for col in col_order:
         candidates = [
             r for r in row_order
-            if r not in used_rows and col in rows[r] and not rows[r][col].is_zero()
+            if r not in used_rows and rows[r].get(col)
         ]
         if not candidates:
             continue
         pivot_row = min(candidates, key=lambda r: (len(rows[r]), row_rank[r]))
         used_rows.add(pivot_row)
         pivot_of_col[col] = pivot_row
-        inv = RatPi.one() / rows[pivot_row][col]
-        rows[pivot_row] = {c: v * inv for c, v in rows[pivot_row].items() if not v.is_zero()}
+        inv = 1 / rows[pivot_row][col]
+        rows[pivot_row] = {c: v * inv for c, v in rows[pivot_row].items() if v}
         rhs[pivot_row] = [v * inv for v in rhs[pivot_row]]
         prow, prhs = rows[pivot_row], rhs[pivot_row]
         for r in list(rows):
-            if r == pivot_row or col not in rows[r]:
+            if r == pivot_row:
                 continue
             factor = rows[r].get(col)
-            if factor is None or factor.is_zero():
+            if not factor:
                 continue
             row_r = rows[r]
             for c, v in prow.items():
-                nv = row_r.get(c, RatPi.zero()) - factor * v
-                if nv.is_zero():
-                    row_r.pop(c, None)
-                else:
+                nv = row_r.get(c, 0) - factor * v
+                if nv:
                     row_r[c] = nv
+                else:
+                    row_r.pop(c, None)
             rhs[r] = [a - factor * b for a, b in zip(rhs[r], prhs)]
 
     # Leftover rows have entries only in kernel (free) columns; with the
     # free-variables-set-to-zero convention a nonzero rhs there is an
     # inconsistency.
-    inconsistent = [
-        r for r in row_order
-        if r not in used_rows and any(not v.is_zero() for v in rhs[r])
-    ]
+    inconsistent = [r for r in row_order if r not in used_rows and any(rhs[r])]
     kernel_cols = [c for c in col_order if c not in pivot_of_col]
     solution = {}
     for col in col_order:
@@ -235,15 +217,21 @@ def _gauss_jordan(columns, rhs_rows, col_order, row_order):
                 raise AssertionError("elimination left coupled pivots")
             solution[col] = rhs[row]
         else:
-            solution[col] = [RatPi.zero()] * n_dirs
+            solution[col] = [Fraction(0)] * n_dirs
     return solution, kernel_cols, inconsistent
 
 
 def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     """Assemble the banded system for one window set and solve it exactly.
 
-    rhs_expr is a DoubleBessel or SingleBessel whose coefficients may carry
-    non-pi symbols; each symbol direction is solved against the same matrix.
+    The operator is pi-graded: the image of y^k (times a Bessel cell) at
+    y^p is a rational q times pi^(p-k).  Scaling unknown (cell, k) by pi^k
+    and row (cell, p) by pi^-p therefore leaves a rational matrix with the
+    zero pattern of the original, so elimination runs over Q with the same
+    pivots, kernel and inconsistent rows.  Each right-hand-side term
+    c * pi^e * m (m free of pi) at y^p becomes the entry c of direction
+    (m, e - p); a solved value d of that direction at unknown (cell, k)
+    stands for d * pi^(k + e - p) * m.
     """
     lam = params.lam
     if isinstance(rhs_expr, DoubleBessel):
@@ -251,12 +239,10 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
         cells = [(0, 0), (0, 1), (1, 1)] if rhs_expr.merged else [(0, 0), (0, 1), (1, 0), (1, 1)]
         make_unit = lambda cell, k: DoubleBessel(n1, n2, {cell: YLaurent.monomial(k)})
         operator = lambda e: apply_P(lam, e)
-        raise_by = 2
     else:
         cells = [0, 1]
         make_unit = lambda cell, k: SingleBessel(rhs_expr.n, {cell: YLaurent.monomial(k)})
         operator = lambda e: apply_L(lam, e)
-        raise_by = 1
 
     unknowns = sorted(
         ((cell, k) for cell in cells for k in windows[cell].powers()),
@@ -269,22 +255,36 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
         col: Dict = {}
         for ocell, poly in image.table.items():
             for (p, j), const in poly.terms().items():
-                assert j == 0
-                assert abs(p - k) <= MAX_BANDWIDTH, "band profile violated"
-                col[(ocell, p)] = ratpi_solve_embed(const)
+                if j != 0:
+                    raise AssertionError(
+                        f"log term {const!r} at column {(cell, k)}, row {(ocell, p)}")
+                if abs(p - k) > MAX_BANDWIDTH:
+                    raise AssertionError(
+                        f"band profile violated: {const!r} at column {(cell, k)}, row {(ocell, p)}")
+                terms = const.terms()
+                grade = _PI_POWER[p - k]
+                if len(terms) != 1 or grade not in terms:
+                    raise AssertionError(
+                        f"off the pi-grade: {const!r} at column {(cell, k)}, row {(ocell, p)} "
+                        f"is not a rational times pi^{p - k}")
+                col[(ocell, p)] = terms[grade]
                 eq_keys.add((ocell, p))
         columns[(cell, k)] = col
 
-    directions = _split_directions(rhs_expr.table)
-    dir_syms = sorted(directions, key=lambda m: m.sort_key())
-    rhs_rows: Dict = {}
-    for d_idx, sym in enumerate(dir_syms):
-        for (cell, p), const in directions[sym].items():
+    entries: Dict = {}
+    for cell, poly in rhs_expr.table.items():
+        for (p, j), const in poly.terms().items():
+            if j != 0:
+                raise ValueError("log-bearing right-hand sides are not supported")
             eq_keys.add((cell, p))
-            row = rhs_rows.setdefault((cell, p), [RatPi.zero()] * len(dir_syms))
-            row[d_idx] = row[d_idx] + ratpi_solve_embed(const)
-    for key in eq_keys:
-        rhs_rows.setdefault(key, [RatPi.zero()] * len(dir_syms))
+            for mono, coeff in const.terms().items():
+                rest = SymbolMonomial([(s, e) for s, e in mono.items() if s != SYM_PI])
+                entries[(rest, mono.pi_exponent() - p, (cell, p))] = coeff
+    directions = sorted({(m, g) for m, g, _ in entries}, key=lambda d: (d[0].sort_key(), d[1]))
+    dir_index = {d: i for i, d in enumerate(directions)}
+    rhs_rows: Dict = {key: [Fraction(0)] * len(directions) for key in eq_keys}
+    for (m, g, row), coeff in entries.items():
+        rhs_rows[row][dir_index[(m, g)]] = coeff
 
     row_order = sorted(eq_keys, key=lambda e: (e[1], e[0]))
     col_order = unknowns
@@ -298,12 +298,12 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
 
     tables: Dict = {}
     for (cell, k), vals in solution.items():
-        for d_idx, val in enumerate(vals):
-            if val.is_zero():
-                continue
-            coeff = ratpi_extract(val) * Constant({dir_syms[d_idx]: Fraction(1)})
-            poly = tables.get(cell, YLaurent.zero())
-            tables[cell] = poly + YLaurent.monomial(k, coeff)
+        coeff = Constant({
+            rest * SymbolMonomial({SYM_PI: k + g}): val
+            for (rest, g), val in zip(directions, vals) if val
+        })
+        if not coeff.is_zero():
+            tables[cell] = tables.get(cell, YLaurent.zero()) + YLaurent.monomial(k, coeff)
     if isinstance(rhs_expr, DoubleBessel):
         sol = DoubleBessel(rhs_expr.n1, rhs_expr.n2, tables)
         residual = apply_P(lam, sol) - rhs_expr

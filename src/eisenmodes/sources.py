@@ -77,10 +77,6 @@ class Classification:
     kind: str  # solvable | lambda_not_triangular | not_half_integer | outside_conjectured_set
     r: Optional[int] = None
 
-    @property
-    def is_solvable(self) -> bool:
-        return self.kind == "solvable"
-
 
 def classify_params(alpha, beta, lam: int) -> Classification:
     """Solvability classification from the elementary necessary conditions.

@@ -5,6 +5,7 @@ import pytest
 from eisenmodes.cli import (
     EXIT_NO_FIXTURE,
     EXIT_NOT_HALF_INTEGER,
+    EXIT_NO_SOLUTION,
     EXIT_NOT_TRIANGULAR,
     EXIT_OBSTRUCTED,
     EXIT_OK,
@@ -100,3 +101,19 @@ def test_solve_output_bytes_deterministic(capsys):
     code2, out2 = run_cli(capsys, *args)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_assembly_without_solution_reports_exit_code(capsys):
+    # the assembly path maps NoSolutionInWindow like the single-mode path
+    code, out = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "31",
+                        "--n", "1", "--cutoff", "3", "--no-decay")
+    assert code == EXIT_NOT_TRIANGULAR
+    doc = json.loads(out)
+    assert doc["error"] == "no_solution_in_window"
+    assert doc["classification"] == "lambda_not_triangular"
+    assert doc["inconsistent_rows"]
+    # triangular but outside the conjectured set: no solution in the windows
+    code, out = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "20",
+                        "--n", "1", "--cutoff", "2", "--no-decay")
+    assert code == EXIT_NO_SOLUTION
+    assert json.loads(out)["classification"] == "outside_conjectured_set"

@@ -9,16 +9,12 @@ from eisenmodes.scalars import (
     LN_PI,
     PI,
     Constant,
-    NotMonomialResult,
-    RatPi,
     SymbolMonomial,
     bernoulli,
     factorize,
     gamma_half_integer,
     ln_prime,
     log_normalize,
-    ratpi_extract,
-    ratpi_solve_embed,
     zeta_even,
     zeta_odd,
     zeta_prime,
@@ -130,31 +126,6 @@ def test_latex_output():
     c = Constant.pi_power(-4, Fraction(8, 55))
     assert c.latex() == r"\frac{8}{55} \, \frac{1}{\pi^{4}}"
     assert Constant.zero().latex() == "0"
-
-
-def test_ratpi_field_axioms():
-    rng = random.Random(19)
-    for _ in range(30):
-        num = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4)))
-        den = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3)))
-        if not any(num) or not any(den):
-            continue
-        a = RatPi(num, den)
-        if a.is_zero():
-            continue
-        assert a * (RatPi.one() / a) == RatPi.one()
-    with pytest.raises(ZeroDivisionError):
-        RatPi.one() / RatPi.zero()
-
-
-def test_ratpi_embed_extract_round_trip():
-    c = Constant.pi_power(3, 7) + Constant.pi_power(-2, Fraction(3, 5))
-    assert ratpi_extract(ratpi_solve_embed(c)) == c
-    assert ratpi_solve_embed(Constant.zero()).is_zero()
-    with pytest.raises(NotMonomialResult):
-        ratpi_extract(RatPi((Fraction(1),), (Fraction(1), Fraction(1))))  # 1/(1+pi)
-    with pytest.raises(ValueError):
-        ratpi_solve_embed(GAMMA)
 
 
 def test_gamma_half_integer():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from eisenmodes.bessel import Pure, apply_euler, apply_L, apply_P, expr_to_json_obj
+from eisenmodes.bessel import DoubleBessel, Pure, apply_euler, apply_L, apply_P, expr_to_json_obj
 from eisenmodes.laurent import YLaurent
 from eisenmodes.scalars import Constant, zeta_odd
 from eisenmodes.solver import (
+    MAX_BANDWIDTH,
     DegreeWindow,
     NoSolutionInWindow,
     default_window,
@@ -141,11 +142,36 @@ def test_zero_mode_verbatim_and_resonance():
     assert (apply_euler(30, res.particular) - Pure(YLaurent.monomial(r + 1))).is_zero()
 
 
-def test_band_profile_assertion_is_active():
-    # the assembly asserts |output_power - input_power| <= 3 for every entry;
-    # solving anything exercises it
+def test_band_profile_assertion_is_active(monkeypatch):
+    # the assembly checks |output_power - input_power| <= 3, the log-freeness and
+    # the pi-grade of every entry with explicit raises (so they survive python -O);
+    # an operator image that breaks one of them must raise, never return
+    import eisenmodes.solver as solver_mod
+
     p = Params(F(5, 2), F(5, 2), 30)
-    solve_particular_double(p, source_term(p, 1, 2).core)
+    rhs = source_term(p, 1, 2).core
+    solve_particular_double(p, rhs)
+
+    real_apply_P = solver_mod.apply_P
+
+    def perturbed(shift, coeff, log_exp=0):
+        def apply_P(lam, expr):
+            ((cell, poly),) = expr.table.items()  # assembly applies P to unit monomials first
+            k = poly.support()[0]
+            extra = YLaurent.monomial(k + shift, coeff, log_exp=log_exp)
+            return real_apply_P(lam, expr) + DoubleBessel(expr.n1, expr.n2, {cell: extra})
+
+        return apply_P
+
+    for patch, message in [
+        (perturbed(0, Constant.pi_power(1)), "off the pi-grade"),
+        (perturbed(1, zeta_odd(3) * Constant.pi_power(1)), "off the pi-grade"),
+        (perturbed(MAX_BANDWIDTH + 1, Constant.pi_power(MAX_BANDWIDTH + 1)), "band profile"),
+        (perturbed(0, Constant.one(), log_exp=1), "log term"),
+    ]:
+        monkeypatch.setattr(solver_mod, "apply_P", patch)
+        with pytest.raises(AssertionError, match=message):
+            solve_particular_double(p, rhs, widen_cap=0)
 
 
 def test_determinism_bit_identical():
