@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .laurent import DEFAULT_LOG_CAP, YLaurent
+from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import Constant
 
 __all__ = [
@@ -225,7 +225,7 @@ class HomBasis:
 # ---------------------------------------------------------------------------
 
 
-def reduce_k_index(m: int, n: int, log_cap: int = DEFAULT_LOG_CAP) -> Tuple[YLaurent, YLaurent]:
+def reduce_k_index(m: int, n: int) -> Tuple[YLaurent, YLaurent]:
     """Write K_m(2 pi |n| y) = c0(y) K_0 + c1(y) K_1 exactly.
 
     Uses the upward recurrence K_{j+1}(z) = K_{j-1}(z) + (2j/z) K_j(z) with
@@ -236,11 +236,11 @@ def reduce_k_index(m: int, n: int, log_cap: int = DEFAULT_LOG_CAP) -> Tuple[YLau
         raise ValueError("m must be >= 0")
     if n == 0:
         raise ValueError("n must be nonzero")
-    c_prev = (YLaurent.one(log_cap), YLaurent.zero(log_cap))  # K_0
+    c_prev = (YLaurent.one(), YLaurent.zero())  # K_0
     if m == 0:
         return c_prev
-    c_cur = (YLaurent.zero(log_cap), YLaurent.one(log_cap))  # K_1
-    inv_z = YLaurent.monomial(-1, Constant.pi_power(-1, Fraction(1, 2 * abs(n))), log_cap=log_cap)
+    c_cur = (YLaurent.zero(), YLaurent.one())  # K_1
+    inv_z = YLaurent.monomial(-1, Constant.pi_power(-1, Fraction(1, 2 * abs(n))))
     for j in range(1, m):
         factor = inv_z.scale(2 * j)
         c_next = (c_prev[0] + factor * c_cur[0], c_prev[1] + factor * c_cur[1])
@@ -253,14 +253,14 @@ def reduce_k_index(m: int, n: int, log_cap: int = DEFAULT_LOG_CAP) -> Tuple[YLau
 # ---------------------------------------------------------------------------
 
 
-def _bessel_factor_derivative(index: int, c_abs_n: int, log_cap: int):
+def _bessel_factor_derivative(index: int, c_abs_n: int):
     """Derivative contributions of K_index(2 pi c_abs_n y) as (new_index, multiplier)."""
     c = Constant.pi_power(1, 2 * c_abs_n)
     if index == 0:
-        return [(1, YLaurent.monomial(0, -c, log_cap=log_cap))]
+        return [(1, YLaurent.monomial(0, -c))]
     return [
-        (0, YLaurent.monomial(0, -c, log_cap=log_cap)),
-        (1, YLaurent.monomial(-1, -1, log_cap=log_cap)),
+        (0, YLaurent.monomial(0, -c)),
+        (1, YLaurent.monomial(-1, -1)),
     ]
 
 
@@ -280,7 +280,7 @@ def differentiate(expr):
 
         for j, q in expr.table.items():
             add(j, q.diff())
-            for jj, mult in _bessel_factor_derivative(j, abs(expr.n), q.log_cap):
+            for jj, mult in _bessel_factor_derivative(j, abs(expr.n)):
                 add(jj, q * mult)
         return SingleBessel(expr.n, table)
 
@@ -295,9 +295,9 @@ def differentiate(expr):
 
         for (i, j), q in expr.table.items():
             add2((i, j), q.diff())
-            for ii, mult in _bessel_factor_derivative(i, abs(expr.n1), q.log_cap):
+            for ii, mult in _bessel_factor_derivative(i, abs(expr.n1)):
                 add2((ii, j), q * mult)
-            for jj, mult in _bessel_factor_derivative(j, abs(expr.n2), q.log_cap):
+            for jj, mult in _bessel_factor_derivative(j, abs(expr.n2)):
                 add2((i, jj), q * mult)
         return DoubleBessel(expr.n1, expr.n2, table)
 
@@ -307,11 +307,9 @@ def differentiate(expr):
 def _check_log_cap(expr):
     polys = [expr.poly] if isinstance(expr, Pure) else list(expr.table.values())
     for p in polys:
-        if p.max_log() >= p.log_cap and p.has_logs():
-            from .laurent import LogCapExceeded
-
+        if p.max_log() >= LOG_CAP and p.has_logs():
             raise LogCapExceeded(
-                f"operator input carries log(y)^{p.max_log()} at cap {p.log_cap}"
+                f"operator input carries log(y)^{p.max_log()} at cap {LOG_CAP}"
             )
 
 

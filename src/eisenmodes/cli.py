@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -117,12 +116,12 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     params = _build_params(args)
-    workers = args.workers or int(os.environ.get("EISENMODES_WORKERS", "1"))
 
     if args.n is not None:
         cutoff = args.cutoff or abs(args.n) + 4
         try:
-            asm = assemble_mode(params, args.n, cutoff, workers=workers, decay=not args.no_decay)
+            asm = assemble_mode(params, args.n, cutoff, workers=args.workers,
+                                decay=not args.no_decay)
         except NoSolutionInWindow as exc:
             return _emit_no_solution(exc, cls, args)
         doc = asm.to_json_obj()
@@ -319,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=Normalization.PUBLISHED.value)
     p.add_argument("--window", help="degree-window override for all cells, as m:M")
     p.add_argument("--widen-cap", type=int, default=DEFAULT_WIDEN_CAP)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers for assemblies (or EISENMODES_WORKERS)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes for assemblies")
     p.add_argument("--format", choices=["json", "latex"], default="json")
     common(p)
     p.set_defaults(fn=cmd_solve)

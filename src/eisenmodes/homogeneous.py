@@ -16,12 +16,9 @@ reported as obstructed, with the offending leading terms attached.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .bessel import HomBasis, expr_from_json_obj, expr_to_json_obj
 from .divisors import (
@@ -303,11 +300,6 @@ class ModeAssembly:
         }
 
 
-def _solve_mode_task(args):
-    params, n1, n2 = args
-    return solve_mode(params, n1, n2)
-
-
 def assemble_mode(
     params: Params,
     n: int,
@@ -315,26 +307,24 @@ def assemble_mode(
     scan_range: Tuple[int, int] = (10, 200),
     decay: bool = True,
     workers: int = 1,
-    env: NumericEnv = DEFAULT_ENV,
 ) -> ModeAssembly:
     """All (n1, n - n1) sub-modes with |n1| <= cutoff, plus convergence data.
 
     Exact solves run per sub-mode (optionally across a process pool); the
-    decay exponent of alpha_{n1, n-n1} is fitted over the scan range from
-    modes that are each solved exactly, with alpha evaluated in high precision
-    (see _fit_decay), and classified divergent when the log-log slope exceeds
-    -1 + 0.1.
+    decay exponent of alpha_{n1, n-n1} is fitted over the scan range by
+    alpha_decay_scan.
     """
     if cutoff < abs(n) + 1:
         raise ValueError("cutoff must be at least |n| + 1")
-    pairs = [(n1, n - n1) for n1 in range(-cutoff, cutoff + 1)]
-    tasks = [(params, a, b) for a, b in pairs]
+    n1s = range(-cutoff, cutoff + 1)
+    n2s = [n - n1 for n1 in n1s]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            modes = list(pool.map(_solve_mode_task, tasks))
+            modes = list(pool.map(solve_mode, [params] * len(n1s), n1s, n2s))
     else:
-        modes = [_solve_mode_task(t) for t in tasks]
-    modes.sort(key=lambda m: m.n1)
+        modes = [solve_mode(params, a, b) for a, b in zip(n1s, n2s)]
 
     partial = Constant.zero()
     partials = []
@@ -349,33 +339,32 @@ def assemble_mode(
             partial = partial + a
         partials.append(partial)
 
-    decay_report = None
-    if decay:
-        decay_report = _fit_decay(params, n, scan_range, env)
+    decay_report = alpha_decay_scan(params, n, scan_range) if decay else None
     exact_sum = None
     if n == 0 and decay and params.r is not None:
         exact_sum = zero_mode_alpha_sum(params, "RamanujanExact", probe=min(8, cutoff))
     return ModeAssembly(params, n, modes, partials, obstructed, decay_report, exact_sum)
 
 
-def alpha_decay_scan(params: Params, n: int, scan_range=(10, 200), samples: int = 24,
-                     env: NumericEnv = DEFAULT_ENV) -> DecayReport:
-    """Fit the decay exponent of alpha_{n1, n-n1} over |n1| in scan_range."""
-    return _fit_decay(params, n, scan_range, env, samples)
-
-
 def _log_spaced(lo: int, hi: int, count: int) -> List[int]:
-    raw = np.unique(np.round(np.exp(np.linspace(math.log(lo), math.log(hi), count)))).astype(int)
-    return [int(v) for v in raw if lo <= v <= hi]
+    """The distinct integers nearest to `count` log-evenly spaced points of [lo, hi]."""
+    a = math.log(lo)
+    step = (math.log(hi) - a) / max(count - 1, 1)
+    grid = {round(math.exp(a + i * step)) for i in range(count - 1)} | {hi}
+    return sorted(v for v in grid if lo <= v <= hi)
 
 
-def _fit_decay(params: Params, n: int, scan_range, env: NumericEnv,
-               samples: int = 24) -> DecayReport:
-    """Least-squares slope of log|alpha| against log|n1|.
+def alpha_decay_scan(params: Params, n: int, scan_range=(10, 200),
+                     samples: int = 24) -> DecayReport:
+    """Fit the decay exponent of alpha_{n1, n-n1} over |n1| in scan_range.
 
     Near the anti-diagonal the closed forms cancel over tens of digits, so
     each sampled mode is solved exactly and its alpha evaluated in high
-    precision; the sample grid is log-spaced across the scan range.
+    precision; the sample grid is log-spaced across the scan range.  The
+    exponent is minus the least-squares slope of log|alpha| against log|n1|
+    over the upper half of the samples, computed exactly from the float logs
+    and rounded once; the sum is classified divergent when that slope
+    exceeds -1 + 0.1.
     """
     lo, hi = scan_range
     values = []
@@ -397,9 +386,12 @@ def _fit_decay(params: Params, n: int, scan_range, env: NumericEnv,
         return DecayReport(None, "inconclusive", scan_range, len(values))
     values.sort()
     top = values[len(values) // 2:]
-    xs = np.log([v[0] for v in top])
-    ys = np.log([v[1] for v in top])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    xs = [Fraction(math.log(v[0])) for v in top]
+    ys = [Fraction(math.log(v[1])) for v in top]
+    k, sx, sy = len(top), sum(xs), sum(ys)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    sxx = sum(x * x for x in xs)
+    slope = float((k * sxy - sx * sy) / (k * sxx - sx * sx))
     if slope >= -1 + 0.1:
         status = "divergent"
     elif slope <= -1.1:

@@ -7,15 +7,15 @@ from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from .scalars import Constant, Symbol
 
-__all__ = ["YLaurent", "LogCapExceeded", "DEFAULT_LOG_CAP"]
+__all__ = ["YLaurent", "LogCapExceeded", "LOG_CAP"]
 
-DEFAULT_LOG_CAP = 2
+LOG_CAP = 2  # highest log(y) power any expression may carry
 
 TermKey = Tuple[int, int]  # (y_exponent, log_exponent)
 
 
 class LogCapExceeded(ValueError):
-    """A log(y) power exceeded the configured cap."""
+    """A log(y) power exceeded LOG_CAP."""
 
 
 def _coerce(c) -> Constant:
@@ -30,16 +30,15 @@ class YLaurent:
     Immutable by convention: all operations return new objects.
     """
 
-    __slots__ = ("_terms", "log_cap", "_min_y", "_max_y")
+    __slots__ = ("_terms", "_min_y", "_max_y")
 
-    def __init__(self, terms: Mapping[TermKey, Constant] | Iterable[Tuple[TermKey, Constant]] = (),
-                 log_cap: int = DEFAULT_LOG_CAP):
+    def __init__(self, terms: Mapping[TermKey, Constant] | Iterable[Tuple[TermKey, Constant]] = ()):
         cleaned: Dict[TermKey, Constant] = {}
         for (k, j), c in dict(terms).items():
             if j < 0:
                 raise ValueError("negative log exponent")
-            if j > log_cap:
-                raise LogCapExceeded(f"log(y)^{j} exceeds cap {log_cap}")
+            if j > LOG_CAP:
+                raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
             c = _coerce(c)
             if not c.is_zero():
                 prev = cleaned.get((k, j))
@@ -49,7 +48,6 @@ class YLaurent:
                 else:
                     cleaned[(k, j)] = c
         self._terms = cleaned
-        self.log_cap = log_cap
         ys = [k for k, _ in cleaned]
         self._min_y = min(ys) if ys else 0
         self._max_y = max(ys) if ys else 0
@@ -57,17 +55,16 @@ class YLaurent:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, log_cap: int = DEFAULT_LOG_CAP) -> "YLaurent":
-        return cls({}, log_cap)
+    def zero(cls) -> "YLaurent":
+        return cls({})
 
     @classmethod
-    def monomial(cls, y_exp: int, coeff=1, log_exp: int = 0,
-                 log_cap: int = DEFAULT_LOG_CAP) -> "YLaurent":
-        return cls({(y_exp, log_exp): _coerce(coeff)}, log_cap)
+    def monomial(cls, y_exp: int, coeff=1, log_exp: int = 0) -> "YLaurent":
+        return cls({(y_exp, log_exp): _coerce(coeff)})
 
     @classmethod
-    def one(cls, log_cap: int = DEFAULT_LOG_CAP) -> "YLaurent":
-        return cls.monomial(0, 1, log_cap=log_cap)
+    def one(cls) -> "YLaurent":
+        return cls.monomial(0, 1)
 
     # -- inspection ----------------------------------------------------------
 
@@ -109,10 +106,10 @@ class YLaurent:
                 terms.pop(key, None)
             else:
                 terms[key] = val
-        return YLaurent(terms, max(self.log_cap, other.log_cap))
+        return YLaurent(terms)
 
     def __neg__(self) -> "YLaurent":
-        return YLaurent({k: -c for k, c in self._terms.items()}, self.log_cap)
+        return YLaurent({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "YLaurent") -> "YLaurent":
         return self + (-other)
@@ -120,19 +117,18 @@ class YLaurent:
     def scale(self, factor) -> "YLaurent":
         factor = _coerce(factor)
         if factor.is_zero():
-            return YLaurent.zero(self.log_cap)
-        return YLaurent({k: c * factor for k, c in self._terms.items()}, self.log_cap)
+            return YLaurent.zero()
+        return YLaurent({k: c * factor for k, c in self._terms.items()})
 
     def shift(self, y_exp: int) -> "YLaurent":
         """Multiply by y**y_exp."""
-        return YLaurent({(k + y_exp, j): c for (k, j), c in self._terms.items()}, self.log_cap)
+        return YLaurent({(k + y_exp, j): c for (k, j), c in self._terms.items()})
 
     def __mul__(self, other: "YLaurent") -> "YLaurent":
         return self.mul_truncated(other, order=None)
 
     def mul_truncated(self, other: "YLaurent", order: int | None) -> "YLaurent":
         """Product, optionally dropping terms with y exponent >= order."""
-        cap = max(self.log_cap, other.log_cap)
         out: Dict[TermKey, Constant] = {}
         for (k1, j1), c1 in self._terms.items():
             for (k2, j2), c2 in other._terms.items():
@@ -140,13 +136,13 @@ class YLaurent:
                 if order is not None and k >= order:
                     continue
                 j = j1 + j2
-                if j > cap:
-                    raise LogCapExceeded(f"log(y)^{j} exceeds cap {cap}")
+                if j > LOG_CAP:
+                    raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
                 key = (k, j)
                 prod = c1 * c2
                 prev = out.get(key)
                 out[key] = prod if prev is None else prev + prod
-        return YLaurent(out, cap)
+        return YLaurent(out)
 
     def diff(self) -> "YLaurent":
         """d/dy, with d/dy[y^k log^j y] = k y^(k-1) log^j + j y^(k-1) log^(j-1)."""
@@ -170,11 +166,11 @@ class YLaurent:
                     out.pop(key, None)
                 else:
                     out[key] = val
-        return YLaurent(out, self.log_cap)
+        return YLaurent(out)
 
     def truncate(self, order: int) -> "YLaurent":
         """Keep only terms with y exponent < order."""
-        return YLaurent({k: c for k, c in self._terms.items() if k[0] < order}, self.log_cap)
+        return YLaurent({k: c for k, c in self._terms.items() if k[0] < order})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, YLaurent) and self._terms == other._terms
@@ -222,8 +218,5 @@ class YLaurent:
         ]
 
     @classmethod
-    def from_json_obj(cls, obj: list, log_cap: int = DEFAULT_LOG_CAP) -> "YLaurent":
-        return cls(
-            {(e["y"], e["log"]): Constant.from_json_obj(e["coeff"]) for e in obj},
-            log_cap,
-        )
+    def from_json_obj(cls, obj: list) -> "YLaurent":
+        return cls({(e["y"], e["log"]): Constant.from_json_obj(e["coeff"]) for e in obj})

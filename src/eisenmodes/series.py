@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import DoubleBessel, HomBasis, Pure, SingleBessel
-from .laurent import DEFAULT_LOG_CAP, YLaurent
+from .laurent import YLaurent
 from .scalars import GAMMA, LN_PI, Constant, log_normalize
 
 __all__ = [
@@ -68,7 +68,7 @@ def _log_z_half(n: int) -> Constant:
     return LN_PI + log_normalize(abs(n))
 
 
-def k_log_series(j: int, n: int, order: int, log_cap: int = DEFAULT_LOG_CAP) -> YLaurent:
+def k_log_series(j: int, n: int, order: int) -> YLaurent:
     """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1})."""
     if j not in (0, 1):
         raise ValueError("index must be 0 or 1")
@@ -108,7 +108,7 @@ def k_log_series(j: int, n: int, order: int, log_cap: int = DEFAULT_LOG_CAP) -> 
             ) / Fraction(math.factorial(m) * math.factorial(m + 1))
             add((2 * m + 1, 0), -corr)
             m += 1
-    return YLaurent(terms, log_cap).truncate(order)
+    return YLaurent(terms).truncate(order)
 
 
 def hom_norm_leading(r: int, n: int) -> Constant:
@@ -126,7 +126,7 @@ def hom_norm_scale_description(r: int, n: int) -> str:
     )
 
 
-def hom_norm_series(r: int, n: int, order: int, log_cap: int = DEFAULT_LOG_CAP) -> YLaurent:
+def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
     """Series of the normalized decaying basis 2 sqrt|n| sqrt(y) K_{r+1/2}(2 pi |n| y).
 
     The closed form is exp(-2 pi |n| y) * sum_{k=0}^{r} a_k (4 pi |n| y)^{-k}
@@ -145,7 +145,7 @@ def hom_norm_series(r: int, n: int, order: int, log_cap: int = DEFAULT_LOG_CAP) 
             key = (-k + j, 0)
             terms[key] = terms.get(key, Constant.zero()) + c
             j += 1
-    return YLaurent(terms, log_cap).truncate(order)
+    return YLaurent(terms).truncate(order)
 
 
 def small_y_series(expr, order: int) -> AsymptoticSeries:
@@ -166,7 +166,7 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         total = YLaurent.zero()
         for j, q in expr.table.items():
             sub_order = order - q.min_degree()
-            s = k_log_series(j, expr.n, sub_order + 1, q.log_cap)
+            s = k_log_series(j, expr.n, sub_order + 1)
             total = total + q.mul_truncated(s, order)
         return AsymptoticSeries(total, order)
 
@@ -174,8 +174,8 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         total = YLaurent.zero()
         for (i, j), q in expr.table.items():
             sub_order = order - q.min_degree() + 2
-            s1 = k_log_series(i, expr.n1, sub_order, q.log_cap)
-            s2 = k_log_series(j, expr.n2, sub_order, q.log_cap)
+            s1 = k_log_series(i, expr.n1, sub_order)
+            s2 = k_log_series(j, expr.n2, sub_order)
             prod = s1.mul_truncated(s2, order - q.min_degree())
             total = total + q.mul_truncated(prod, order)
         return AsymptoticSeries(total, order)

@@ -168,7 +168,7 @@ def test_apply_euler_examples():
 
 
 def test_log_cap_rejection():
-    p = Pure(YLaurent({(0, 2): Constant.one()}))  # log^2 at the default cap
+    p = Pure(YLaurent({(0, 2): Constant.one()}))  # log^2 at LOG_CAP
     with pytest.raises(LogCapExceeded):
         apply_euler(2, p)
 

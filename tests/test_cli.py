@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eisenmodes
 from eisenmodes.cli import (
     EXIT_NO_FIXTURE,
     EXIT_NOT_HALF_INTEGER,
@@ -101,6 +106,26 @@ def test_solve_output_bytes_deterministic(capsys):
     code2, out2 = run_cli(capsys, *args)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_assembly_bytes_do_not_depend_on_workers(capsys):
+    args = ["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+            "--n", "1", "--cutoff", "3", "--no-decay"]
+    code1, out1 = run_cli(capsys, *args)
+    code2, out2 = run_cli(capsys, *args, "--workers", "2")
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2
+
+
+def test_import_loads_neither_numpy_nor_a_process_pool():
+    src = str(Path(eisenmodes.__file__).resolve().parents[1])
+    probe = ("import sys, eisenmodes; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_assembly_without_solution_reports_exit_code(capsys):

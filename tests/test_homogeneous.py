@@ -7,6 +7,7 @@ import pytest
 from eisenmodes.divisors import sigma
 from eisenmodes.homogeneous import (
     T_MINUS_2_WEIGHTS,
+    _log_spaced,
     alpha_decay_scan,
     assemble_mode,
     choose_alpha,
@@ -140,8 +141,7 @@ def test_assemble_mode_parallel_agrees():
     p = Params(F(3, 2), F(3, 2), 30)
     serial = assemble_mode(p, 1, 2, decay=False, workers=1)
     parallel = assemble_mode(p, 1, 2, decay=False, workers=2)
-    for a, b in zip(serial.modes, parallel.modes):
-        assert a.n1 == b.n1 and a.alpha == b.alpha
+    assert serial.to_json_obj() == parallel.to_json_obj()
 
 
 def test_zero_mode_alpha_sum_exact():
@@ -197,6 +197,18 @@ def test_mode_json_round_trip():
     assert (m2.particular - m.particular).is_zero()
 
 
+def test_log_spaced_grids():
+    assert _log_spaced(10, 200, 16) == [
+        10, 12, 15, 18, 22, 27, 33, 40, 49, 60, 74, 90, 110, 134, 164, 200,
+    ]
+    assert _log_spaced(10, 200, 24) == [
+        10, 11, 13, 15, 17, 19, 22, 25, 28, 32, 37, 42, 48, 54, 62, 71, 80, 92,
+        104, 119, 135, 154, 176, 200,
+    ]
+    assert _log_spaced(10, 60, 8) == [10, 13, 17, 22, 28, 36, 46, 60]
+    assert _log_spaced(10, 40, 6) == [10, 13, 17, 23, 30, 40]
+
+
 def test_decay_scan_statuses():
     p = Params(F(3, 2), F(3, 2), 30)
     rep = alpha_decay_scan(p, 1, (10, 60), samples=8)
@@ -204,6 +216,10 @@ def test_decay_scan_statuses():
     p2 = Params(F(3, 2), F(3, 2), 2)
     rep2 = alpha_decay_scan(p2, 1, (10, 40), samples=6)
     assert rep2.status == "divergent"
+    # the exact least-squares slope of the float logs, rounded once (a 60-digit
+    # mpmath fit of the same samples agrees)
+    assert rep.exponent == pytest.approx(3.9669066973879565, rel=1e-15, abs=0)
+    assert rep2.exponent == pytest.approx(-0.2872071092229791, rel=1e-15, abs=0)
 
 
 def test_high_precision_evaluation_needed_at_large_n():

@@ -19,7 +19,6 @@ def test_construction_normalizes():
 def test_log_cap_enforced():
     with pytest.raises(LogCapExceeded):
         YLaurent({(0, 3): Constant.one()})
-    YLaurent({(0, 3): Constant.one()}, log_cap=3)  # configurable
 
 
 def test_arithmetic_and_degree_tracking():
