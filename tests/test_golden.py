@@ -108,3 +108,115 @@ def test_golden_inconsistent_rows():
     assert [str(r) for r in exc.inconsistent_rows] == [
         "((0, 1), 14)", "((1, 0), 14)", "((0, 0), 15)", "((1, 1), 15)",
     ]
+
+
+# ---------------------------------------------------------------------------
+# CLI documents, floats and small-y series of single- and double-Bessel modes
+# ---------------------------------------------------------------------------
+
+_P30 = ["--alpha", "3/2", "--beta", "3/2", "--lambda", "30"]
+
+CLI_CASES = {
+    "solve-latex-generic": ["solve", *_P30, "--n1", "1", "--n2", "2", "--format", "latex"],
+    "solve-latex-left-zero": ["solve", *_P30, "--n1", "0", "--n2", "2", "--format", "latex"],
+    "solve-latex-anti-diagonal": ["solve", *_P30, "--n1", "-2", "--n2", "2", "--format", "latex"],
+    "solve-latex-zero-mode": ["solve", *_P30, "--n1", "0", "--n2", "0", "--format", "latex"],
+    "table-3/2,3/2,30": ["table", *_P30],
+    "table-3/2,5/2,20": ["table", "--alpha", "3/2", "--beta", "5/2", "--lambda", "20"],
+    "combine-T-2-1-2": ["combine", "--preset", "T-2", "--n1", "1", "--n2", "2"],
+}
+
+# name -> (exit code, sha256 of stdout)
+CLI_GOLDEN = {
+    "solve-latex-generic": (0, "0fe2e4b53884be2004b39bd2b7cf8031a58f4b1458d245b55bf2882ce6be45d8"),
+    "solve-latex-left-zero": (0, "3ac99821fbb7953f8c277349145f087c5fe6e4247b940576adebf999012a83b7"),
+    "solve-latex-anti-diagonal": (0, "a1f4566313e4f30a72fec9d81c22abc4ae54407438b620256137755298605582"),
+    "solve-latex-zero-mode": (0, "e053e932c3c9778174eadea936e34153f825380b3faffd7b66b5378d51e18678"),
+    "table-3/2,3/2,30": (0, "a154593c36dd2a361d64b303ce91db15a5424c18322de0126dde0345e7eb2348"),
+    "table-3/2,5/2,20": (0, "b264d592c0a7ba9888ccc78f718f43555ad9d14d5779ef257877875d30c8801a"),
+    "combine-T-2-1-2": (0, "8e65d8faae2a111deca1f943605563f39d40c86c83b12bcbff5cb5e83151a8e9"),
+}
+
+# (n1, n2) of (3/2,3/2,30) solved to a file and verified
+VERIFY_MODES = {"double": ("1", "2"), "single": ("0", "2")}
+# name -> (exit code, sha256 of the verify document with its input path replaced)
+VERIFY_GOLDEN = {
+    "double": (0, "d355762d38d5cd3cfbf43c8bdec51fb9b38c839d0ac4ef38b3aa72c47892af41"),
+    "single": (0, "fc1b03a68d3acaddb6680568eb5fa8f755688f5bf496174a779a97a6817edf51"),
+}
+
+# (n1, n2) of (3/2,3/2,30)
+FLOAT_MODES = {"double": (1, 2), "single": (0, 2)}
+Y_PIN = 0.7
+SERIES_ORDER = 3
+# name -> (eval_expr and residual at Y_PIN, sha256 of the small-y series of the
+# particular part to SERIES_ORDER, its value at y = 1e-3); exact doubles
+FLOAT_GOLDEN = {
+    "double": (4.869444364256425e-05, 2.3622343779997636e-15,
+               "6dc6c878b365acb58367fd5e91c4d1df2b9fa5bda20c1b4a4d1e9cf978f19b3a",
+               1959979515310.3708),
+    "single": (0.004214470335752731, 2.2583771359465605e-15,
+               "68a4531a0c8a337a7ba3bfd4f9fb566f9b4bcf0232c03b22be9b9f684dded80a",
+               11950683640138.725),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run_cli(capsys, argv):
+    from eisenmodes.cli import main
+
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def cli_digests(capsys):
+    seen = {}
+    for name, argv in CLI_CASES.items():
+        code, out = _run_cli(capsys, argv)
+        seen[name] = (code, _sha(out))
+    return seen
+
+
+def verify_digests(capsys, tmp_path):
+    seen = {}
+    for name, (n1, n2) in VERIFY_MODES.items():
+        path = tmp_path / f"{name}.json"
+        code, _ = _run_cli(capsys, ["solve", *_P30, "--n1", n1, "--n2", n2,
+                                    "--output", str(path)])
+        assert code == 0
+        code, out = _run_cli(capsys, ["verify", "--input", str(path)])
+        seen[name] = (code, _sha(out.replace(json.dumps(str(path)), '"solution.json"')))
+    return seen
+
+
+def float_pins():
+    from eisenmodes.numerics import DEFAULT_ENV, eval_expr, residual
+    from eisenmodes.series import small_y_series
+
+    params = Params(Fraction(3, 2), Fraction(3, 2), 30)
+    seen = {}
+    for name, (n1, n2) in FLOAT_MODES.items():
+        mode = solve_mode(params, n1, n2)
+        series = small_y_series(mode.particular, SERIES_ORDER)
+        seen[name] = (
+            eval_expr(mode.particular, Y_PIN),
+            residual(mode, Y_PIN),
+            _sha(json.dumps(series.terms.to_json_obj(), sort_keys=True)),
+            series.terms.evaluate(DEFAULT_ENV, 1e-3),
+        )
+    return seen
+
+
+def test_golden_cli_documents(capsys):
+    assert cli_digests(capsys) == CLI_GOLDEN
+
+
+def test_golden_verify_documents(capsys, tmp_path):
+    assert verify_digests(capsys, tmp_path) == VERIFY_GOLDEN
+
+
+def test_golden_floats_and_series():
+    assert float_pins() == FLOAT_GOLDEN
