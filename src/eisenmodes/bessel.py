@@ -6,6 +6,9 @@ The three expression kinds mirror the shapes appearing in the mode equations:
 * ``SingleBessel``: sum of p^j(y) K_j(2 pi |n| y),
 * ``Pure``: a plain Laurent-with-log polynomial in y.
 
+The first two are ``BesselProduct``s: one K factor per frequency, so the
+derivative, the mode operator and every evaluator are written once for both.
+
 Operators are built from the factor-wise derivative rules
 
     d/dy K_0(c y) = -c K_1(c y),
@@ -26,6 +29,7 @@ from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import Constant
 
 __all__ = [
+    "BesselProduct",
     "DoubleBessel",
     "SingleBessel",
     "Pure",
@@ -44,8 +48,52 @@ def _clean_table(table):
     return {key: poly for key, poly in table.items() if not poly.is_zero()}
 
 
+class BesselProduct:
+    """Sum over cells of q_cell(y) times a product of K_index(2 pi |n| y) factors.
+
+    A subclass fixes the signed frequencies ``freqs`` (one per factor) and
+    says how a cell names its factors: ``factors(cell)`` gives the
+    (K index, |n|) pairs in factor order, ``replace_index`` swaps the index of
+    one factor, and ``with_table`` builds an expression of the same kind and
+    frequencies.  The mode operator's mass term is 4 pi^2 (sum of freqs)^2.
+    """
+
+    table: Dict
+
+    def cells(self):
+        return sorted(self.table)
+
+    def is_zero(self) -> bool:
+        return not self.table
+
+    def map_cells(self, fn):
+        return self.with_table({c: fn(p) for c, p in self.table.items()})
+
+    def __add__(self, other):
+        if self.freqs != other.freqs:
+            raise ValueError("frequency mismatch")
+        table = dict(self.table)
+        for c, p in other.table.items():
+            table[c] = table[c] + p if c in table else p
+        return self.with_table(table)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, factor):
+        return self.map_cells(lambda p: p.scale(factor))
+
+    def mul_poly(self, poly: YLaurent):
+        return self.map_cells(lambda p: p * poly)
+
+    def degree_window(self) -> Tuple[int, int]:
+        lo = min(p.min_degree() for p in self.table.values())
+        hi = max(p.max_degree() for p in self.table.values())
+        return lo, hi
+
+
 @dataclass(frozen=True)
-class DoubleBessel:
+class DoubleBessel(BesselProduct):
     """Bilinear Bessel expression with fixed nonzero integer frequencies.
 
     When |n1| == |n2| the two Bessel arguments coincide and K0K1 = K1K0;
@@ -73,50 +121,21 @@ class DoubleBessel:
         return abs(self.n1) == abs(self.n2)
 
     @property
-    def sign_product(self) -> int:
-        return 1 if self.n1 * self.n2 > 0 else -1
+    def freqs(self) -> Tuple[int, int]:
+        return self.n1, self.n2
 
-    def cells(self):
-        return sorted(self.table)
+    def factors(self, cell: Cell):
+        return (cell[0], abs(self.n1)), (cell[1], abs(self.n2))
 
-    def is_zero(self) -> bool:
-        return not self.table
+    def replace_index(self, cell: Cell, pos: int, index: int) -> Cell:
+        return (index, cell[1]) if pos == 0 else (cell[0], index)
 
-    def map_cells(self, fn) -> "DoubleBessel":
-        return DoubleBessel(self.n1, self.n2, {c: fn(p) for c, p in self.table.items()})
-
-    def __add__(self, other: "DoubleBessel") -> "DoubleBessel":
-        if (self.n1, self.n2) != (other.n1, other.n2):
-            raise ValueError("frequency mismatch")
-        table = dict(self.table)
-        for c, p in other.table.items():
-            table[c] = table[c] + p if c in table else p
+    def with_table(self, table) -> "DoubleBessel":
         return DoubleBessel(self.n1, self.n2, table)
-
-    def __sub__(self, other: "DoubleBessel") -> "DoubleBessel":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "DoubleBessel":
-        return self.map_cells(lambda p: p.scale(factor))
-
-    def mul_poly(self, poly: YLaurent) -> "DoubleBessel":
-        return self.map_cells(lambda p: p * poly)
-
-    def degree_window(self) -> Tuple[int, int]:
-        lo = min(p.min_degree() for p in self.table.values())
-        hi = max(p.max_degree() for p in self.table.values())
-        return lo, hi
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DoubleBessel)
-            and (self.n1, self.n2) == (other.n1, other.n2)
-            and self.table == other.table
-        )
 
 
 @dataclass(frozen=True)
-class SingleBessel:
+class SingleBessel(BesselProduct):
     """Single-argument Bessel expression p^0(y) K_0 + p^1(y) K_1."""
 
     n: int
@@ -127,39 +146,18 @@ class SingleBessel:
             raise ValueError("SingleBessel requires n != 0")
         object.__setattr__(self, "table", _clean_table(self.table))
 
-    def cells(self):
-        return sorted(self.table)
+    @property
+    def freqs(self) -> Tuple[int]:
+        return (self.n,)
 
-    def is_zero(self) -> bool:
-        return not self.table
+    def factors(self, cell: int):
+        return ((cell, abs(self.n)),)
 
-    def map_cells(self, fn) -> "SingleBessel":
-        return SingleBessel(self.n, {c: fn(p) for c, p in self.table.items()})
+    def replace_index(self, cell: int, pos: int, index: int) -> int:
+        return index
 
-    def __add__(self, other: "SingleBessel") -> "SingleBessel":
-        if self.n != other.n:
-            raise ValueError("frequency mismatch")
-        table = dict(self.table)
-        for c, p in other.table.items():
-            table[c] = table[c] + p if c in table else p
+    def with_table(self, table) -> "SingleBessel":
         return SingleBessel(self.n, table)
-
-    def __sub__(self, other: "SingleBessel") -> "SingleBessel":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "SingleBessel":
-        return self.map_cells(lambda p: p.scale(factor))
-
-    def mul_poly(self, poly: YLaurent) -> "SingleBessel":
-        return self.map_cells(lambda p: p * poly)
-
-    def degree_window(self) -> Tuple[int, int]:
-        lo = min(p.min_degree() for p in self.table.values())
-        hi = max(p.max_degree() for p in self.table.values())
-        return lo, hi
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SingleBessel) and self.n == other.n and self.table == other.table
 
 
 @dataclass(frozen=True)
@@ -268,40 +266,19 @@ def differentiate(expr):
     """Exact d/dy on any expression kind."""
     if isinstance(expr, Pure):
         return Pure(expr.poly.diff())
+    if not isinstance(expr, BesselProduct):
+        raise TypeError(f"cannot differentiate {type(expr).__name__}")
+    table: Dict = {}
 
-    if isinstance(expr, SingleBessel):
-        table: Dict[int, YLaurent] = {}
+    def add(cell, poly):
+        table[cell] = table[cell] + poly if cell in table else poly
 
-        def add(idx, poly):
-            if idx in table:
-                table[idx] = table[idx] + poly
-            else:
-                table[idx] = poly
-
-        for j, q in expr.table.items():
-            add(j, q.diff())
-            for jj, mult in _bessel_factor_derivative(j, abs(expr.n)):
-                add(jj, q * mult)
-        return SingleBessel(expr.n, table)
-
-    if isinstance(expr, DoubleBessel):
-        table: Dict[Cell, YLaurent] = {}
-
-        def add2(cell, poly):
-            if cell in table:
-                table[cell] = table[cell] + poly
-            else:
-                table[cell] = poly
-
-        for (i, j), q in expr.table.items():
-            add2((i, j), q.diff())
-            for ii, mult in _bessel_factor_derivative(i, abs(expr.n1)):
-                add2((ii, j), q * mult)
-            for jj, mult in _bessel_factor_derivative(j, abs(expr.n2)):
-                add2((i, jj), q * mult)
-        return DoubleBessel(expr.n1, expr.n2, table)
-
-    raise TypeError(f"cannot differentiate {type(expr).__name__}")
+    for cell, q in expr.table.items():
+        add(cell, q.diff())
+        for pos, (index, abs_n) in enumerate(expr.factors(cell)):
+            for new_index, mult in _bessel_factor_derivative(index, abs_n):
+                add(expr.replace_index(cell, pos, new_index), q * mult)
+    return expr.with_table(table)
 
 
 def _check_log_cap(expr):
@@ -313,10 +290,13 @@ def _check_log_cap(expr):
             )
 
 
-def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:
-    """P_lam = -4 pi^2 y^2 (|n1| + sgn(n1 n2) |n2|)^2 + y^2 d^2/dy^2 - lam."""
+def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
+    """-4 pi^2 (sum of freqs)^2 y^2 + y^2 d^2/dy^2 - lam on a Bessel product.
+
+    For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2.
+    """
     _check_log_cap(expr)
-    mass = abs(expr.n1) + expr.sign_product * abs(expr.n2)
+    mass = sum(expr.freqs)
     mass_poly = YLaurent.monomial(2, Constant.pi_power(2, -4 * mass * mass))
     d2 = differentiate(differentiate(expr))
     out = d2.mul_poly(YLaurent.monomial(2, 1))
@@ -325,15 +305,14 @@ def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:
     return out
 
 
+def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:
+    """P_lam = -4 pi^2 y^2 (|n1| + sgn(n1 n2) |n2|)^2 + y^2 d^2/dy^2 - lam."""
+    return _mode_operator(lam, expr)
+
+
 def apply_L(lam: int, expr: SingleBessel) -> SingleBessel:
     """L_lam = -4 pi^2 n^2 y^2 + y^2 d^2/dy^2 - lam on single-Bessel expressions."""
-    _check_log_cap(expr)
-    mass_poly = YLaurent.monomial(2, Constant.pi_power(2, -4 * expr.n * expr.n))
-    d2 = differentiate(differentiate(expr))
-    out = d2.mul_poly(YLaurent.monomial(2, 1))
-    out = out + expr.mul_poly(mass_poly)
-    out = out + expr.scale(-lam)
-    return out
+    return _mode_operator(lam, expr)
 
 
 def apply_euler(lam: int, expr: Pure) -> Pure:
@@ -352,22 +331,13 @@ def expr_latex(expr) -> str:
     """LaTeX form grouped by Bessel factors, descending y powers."""
     if isinstance(expr, Pure):
         return expr.poly.latex()
-    if isinstance(expr, SingleBessel):
-        n = abs(expr.n)
-        bits = []
-        for j in expr.cells():
-            bits.append(rf"\left[{expr.table[j].latex()}\right] K_{{{j}}}(2\pi {n} y)")
-        return " + ".join(bits) if bits else "0"
-    if isinstance(expr, DoubleBessel):
-        n1, n2 = abs(expr.n1), abs(expr.n2)
-        bits = []
-        for i, j in expr.cells():
-            bits.append(
-                rf"\left[{expr.table[(i, j)].latex()}\right]"
-                rf" K_{{{i}}}(2\pi {n1} y) K_{{{j}}}(2\pi {n2} y)"
-            )
-        return " + ".join(bits) if bits else "0"
-    raise TypeError(f"cannot emit {type(expr).__name__}")
+    if not isinstance(expr, BesselProduct):
+        raise TypeError(f"cannot emit {type(expr).__name__}")
+    bits = []
+    for cell in expr.cells():
+        ks = "".join(rf" K_{{{i}}}(2\pi {n} y)" for i, n in expr.factors(cell))
+        bits.append(rf"\left[{expr.table[cell].latex()}\right]{ks}")
+    return " + ".join(bits) if bits else "0"
 
 
 def expr_to_json_obj(expr) -> dict:

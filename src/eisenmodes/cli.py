@@ -33,6 +33,7 @@ from .divisors import (
 from .fixtures import (
     FixtureError,
     compare_expressions,
+    fixture_combination,
     fixture_modes,
     fixture_particular,
     load_tables,
@@ -223,22 +224,18 @@ def cmd_combine(args) -> int:
     if args.preset != "T-2":
         print(json.dumps({"error": f"unknown preset {args.preset!r}"}))
         return EXIT_USAGE
+    try:
+        fixture = fixture_combination(args.n1, args.n2)
+    except FixtureError as exc:
+        print(json.dumps({"error": "no_fixture", "preset": args.preset,
+                          "n1": args.n1, "n2": args.n2, "reason": str(exc)}))
+        return EXIT_NO_FIXTURE
     comb = combine(T_MINUS_2_WEIGHTS, args.n1, args.n2, free_constants=["C1"])
     doc = comb.to_json_obj()
     ys = [float(v) for v in args.y.split(",")] if args.y else [0.5, 1.0]
     from .numerics import eval_expr
 
     spot = []
-    sec = load_tables()["combination_T-2"]
-    from .fixtures import _as_constant, _as_ylaurent, _mode_names, eval_table_expr
-    from .bessel import DoubleBessel
-
-    names = _mode_names(n1=args.n1, n2=args.n2)
-    pref = _as_constant(eval_table_expr(sec["prefactor"], names))
-    fixture = DoubleBessel(args.n1, args.n2, {
-        (int(c[0]), int(c[1])): _as_ylaurent(eval_table_expr(e, names)).scale(pref)
-        for c, e in sec["cells"].items()
-    })
     ok = True
     for y in ys:
         ours = eval_expr(comb.table, y)

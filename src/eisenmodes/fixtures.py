@@ -32,6 +32,7 @@ __all__ = [
     "load_tables",
     "family_key",
     "fixture_particular",
+    "fixture_combination",
     "errata_entry",
     "fixture_zero_mode",
     "fixture_modes",
@@ -95,8 +96,6 @@ def _apply_binop(op, a, b):
     if isinstance(op, ast.Sub):
         return a - b
     if isinstance(op, ast.Mult):
-        if lv == 3:
-            return a * b
         return a * b
     if isinstance(op, ast.Div):
         if lv < 3:
@@ -250,6 +249,23 @@ def _cell_expr(alpha, beta, lam, case, cell, expr, apply_errata, used):
     return expr
 
 
+def _cell_key(text: str):
+    """Printed cell names: "0" is a single-Bessel cell, "01" the double-Bessel (0, 1)."""
+    return int(text) if len(text) == 1 else (int(text[0]), int(text[1]))
+
+
+def _section_table(section: dict, names: Dict, cell_text=lambda cell, text: text) -> Dict:
+    """A printed table's cells, each times its prefactor, keyed by cell.
+
+    cell_text(cell, text) may replace the printed text of a cell (errata).
+    """
+    pref = _as_constant(eval_table_expr(section["prefactor"], names))
+    return {
+        _cell_key(c): _as_ylaurent(eval_table_expr(cell_text(c, text), names)).scale(pref)
+        for c, text in section["cells"].items()
+    }
+
+
 def fixture_particular(alpha, beta, lam: int, n1: int, n2: int,
                        apply_errata: bool = True,
                        errata_used: Optional[list] = None):
@@ -265,35 +281,34 @@ def fixture_particular(alpha, beta, lam: int, n1: int, n2: int,
         return fixture_zero_mode(alpha, beta, lam)
     if n1 == 0 or n2 == 0:
         case = "left" if n1 == 0 else "right"
-        section = fam[case]
         n = n2 if n1 == 0 else n1
         names = _mode_names(n=n)
-        pref = _as_constant(eval_table_expr(section["prefactor"], names))
-        table = {
-            int(j): _as_ylaurent(
-                eval_table_expr(
-                    _cell_expr(alpha, beta, lam, case, j, expr, apply_errata, used), names
-                )
-            ).scale(pref)
-            for j, expr in section["cells"].items()
-        }
-        return SingleBessel(n, table)
-    case = "anti_diagonal" if n1 + n2 == 0 else "generic"
-    section = fam[case]
-    names = _mode_names(n1=n1, n2=n2)
-    if n1 + n2 == 0:
-        # the printed anti-diagonal tables are written in terms of n2
-        names = _mode_names(n1=n1, n2=n2, n=n2)
-    pref = _as_constant(eval_table_expr(section["prefactor"], names))
-    table = {
-        (int(c[0]), int(c[1])): _as_ylaurent(
-            eval_table_expr(
-                _cell_expr(alpha, beta, lam, case, c, expr, apply_errata, used), names
-            )
-        ).scale(pref)
-        for c, expr in section["cells"].items()
-    }
-    return DoubleBessel(n1, n2, table)
+    else:
+        case = "anti_diagonal" if n1 + n2 == 0 else "generic"
+        names = _mode_names(n1=n1, n2=n2)
+        if n1 + n2 == 0:
+            # the printed anti-diagonal tables are written in terms of n2
+            names = _mode_names(n1=n1, n2=n2, n=n2)
+
+    def cell_text(cell, text):
+        return _cell_expr(alpha, beta, lam, case, cell, text, apply_errata, used)
+
+    table = _section_table(fam[case], names, cell_text)
+    return SingleBessel(n, table) if n1 == 0 or n2 == 0 else DoubleBessel(n1, n2, table)
+
+
+def fixture_combination(n1: int, n2: int) -> DoubleBessel:
+    """The printed T-2 combination table evaluated at concrete (n1, n2).
+
+    The table is printed for the generic modes only: it divides by n1 + n2
+    and takes divisor sums of n1 and n2, so it needs n1 n2 != 0 and
+    n1 + n2 != 0.
+    """
+    if n1 * n2 == 0 or n1 + n2 == 0:
+        raise FixtureError(
+            f"the T-2 combination table needs n1*n2 != 0 and n1+n2 != 0, got ({n1}, {n2})")
+    section = load_tables()["combination_T-2"]
+    return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2)))
 
 
 def fixture_modes(alpha, beta, lam: int) -> Dict[str, List[Tuple[int, int]]]:

@@ -87,6 +87,14 @@ class ModeSolution:
     def case(self) -> str:
         return self.source.case_tag
 
+    @property
+    def boundary_alpha(self) -> Optional[Constant]:
+        """alpha, or for an obstructed mode the secondary alpha that still
+        cancels the log-free y^{-r} piece."""
+        if self.alpha is not None:
+            return self.alpha
+        return self.obstruction.secondary_alpha if self.obstruction else None
+
     def alpha_convention(self) -> str:
         """The conventional coefficient of sqrt(y) K_{r+1/2} is alpha * 2 sqrt|n|."""
         if self.hom_basis is None or self.hom_basis.kind != "K":
@@ -332,9 +340,7 @@ def assemble_mode(
     for m in modes:
         if m.obstruction is not None:
             obstructed = True
-        a = m.alpha if m.alpha is not None else (
-            m.obstruction.secondary_alpha if m.obstruction else None
-        )
+        a = m.boundary_alpha
         if a is not None and not m.alpha_free:
             partial = partial + a
         partials.append(partial)
@@ -373,10 +379,7 @@ def alpha_decay_scan(params: Params, n: int, scan_range=(10, 200),
             n2 = n - m1
             if m1 == 0 or n2 == 0 or m1 + n2 == 0:
                 continue
-            mode = solve_mode(params, m1, n2)
-            a = mode.alpha if mode.alpha is not None else (
-                mode.obstruction.secondary_alpha if mode.obstruction else None
-            )
+            a = solve_mode(params, m1, n2).boundary_alpha
             if a is None:
                 continue
             val = abs(evaluate_high_precision(a))
@@ -478,10 +481,7 @@ def _recognize_alpha_shape(params: Params, probe: int = 12):
     b = int(2 * params.beta - 1)
     alphas = {}
     for n in range(1, probe + 1):
-        mode = solve_mode(params, -n, n)
-        val = mode.alpha if mode.alpha is not None else (
-            mode.obstruction.secondary_alpha if mode.obstruction else None
-        )
+        val = solve_mode(params, -n, n).boundary_alpha
         if val is None:
             return None
         alphas[n] = val

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
-from .bessel import DoubleBessel, HomBasis, Pure, SingleBessel, differentiate
+from .bessel import BesselProduct, HomBasis, Pure, differentiate
 from .scalars import Symbol
 
 __all__ = [
@@ -254,20 +254,14 @@ def eval_expr(expr, y: float, env: NumericEnv = DEFAULT_ENV) -> float:
     """Numeric value of a Bessel expression at y > 0."""
     if isinstance(expr, Pure):
         return expr.poly.evaluate(env, y)
-    if isinstance(expr, SingleBessel):
-        n = abs(expr.n)
-        return math.fsum(
-            q.evaluate(env, y) * bessel_k(j, 2 * math.pi * n * y)
-            for j, q in expr.table.items()
-        )
-    if isinstance(expr, DoubleBessel):
-        n1, n2 = abs(expr.n1), abs(expr.n2)
-        return math.fsum(
-            q.evaluate(env, y)
-            * bessel_k(i, 2 * math.pi * n1 * y)
-            * bessel_k(j, 2 * math.pi * n2 * y)
-            for (i, j), q in expr.table.items()
-        )
+    if isinstance(expr, BesselProduct):
+        values = []
+        for cell, q in expr.table.items():
+            value = q.evaluate(env, y)
+            for index, n in expr.factors(cell):
+                value *= bessel_k(index, 2 * math.pi * n * y)
+            values.append(value)
+        return math.fsum(values)
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 
@@ -309,20 +303,15 @@ def _expr_terms_exact(expr, y: float, env: NumericEnv):
 
     if isinstance(expr, Pure):
         return poly_terms(expr.poly)
+    if not isinstance(expr, BesselProduct):
+        raise TypeError(f"cannot evaluate {type(expr).__name__}")
     out = []
-    if isinstance(expr, SingleBessel):
-        n = abs(expr.n)
-        for j, q in expr.table.items():
-            kf = _F(bessel_k(j, 2 * math.pi * n * y))
-            out.extend(t * kf for t in poly_terms(q))
-        return out
-    if isinstance(expr, DoubleBessel):
-        n1, n2 = abs(expr.n1), abs(expr.n2)
-        for (i, j), q in expr.table.items():
-            kf = _F(bessel_k(i, 2 * math.pi * n1 * y)) * _F(bessel_k(j, 2 * math.pi * n2 * y))
-            out.extend(t * kf for t in poly_terms(q))
-        return out
-    raise TypeError(f"cannot evaluate {type(expr).__name__}")
+    for cell, q in expr.table.items():
+        kf = _F(1)
+        for index, n in expr.factors(cell):
+            kf *= _F(bessel_k(index, 2 * math.pi * n * y))
+        out.extend(t * kf for t in poly_terms(q))
+    return out
 
 
 def _hom_operator_value(basis: HomBasis, lam: int, nsum: int, y: float) -> float:
@@ -396,12 +385,8 @@ def series_crosscheck(expr, order: int, y_small: float = 1e-3,
     """Compare the exact small-y series against direct evaluation at y_small."""
     from .series import small_y_series
 
-    freqs = []
-    if isinstance(expr, SingleBessel):
-        freqs = [abs(expr.n)]
-    elif isinstance(expr, DoubleBessel):
-        freqs = [abs(expr.n1), abs(expr.n2)]
-    radius_ok = all(2 * math.pi * n * y_small < 0.5 for n in freqs)
+    freqs = expr.freqs if isinstance(expr, BesselProduct) else ()
+    radius_ok = all(2 * math.pi * abs(n) * y_small < 0.5 for n in freqs)
     if not radius_ok:
         return {"status": "inconclusive", "reason": "outside series radius heuristic"}
     s = small_y_series(expr, order)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .bessel import DoubleBessel, HomBasis, Pure, SingleBessel
+from .bessel import BesselProduct, HomBasis, Pure
 from .laurent import YLaurent
 from .scalars import GAMMA, LN_PI, Constant, log_normalize
 
@@ -162,21 +162,15 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
             return AsymptoticSeries(hom_norm_series(expr.r, expr.n, order), order)
         raise ValueError("no exact small-y series for the growing I branch")
 
-    if isinstance(expr, SingleBessel):
+    if isinstance(expr, BesselProduct):
+        # The K_1 series start at 1/y, so each factor is expanded len(freqs)
+        # past reach and only the product is truncated: a factor truncated
+        # first would lose the terms another factor's 1/y shifts below reach.
         total = YLaurent.zero()
-        for j, q in expr.table.items():
-            sub_order = order - q.min_degree()
-            s = k_log_series(j, expr.n, sub_order + 1)
-            total = total + q.mul_truncated(s, order)
-        return AsymptoticSeries(total, order)
-
-    if isinstance(expr, DoubleBessel):
-        total = YLaurent.zero()
-        for (i, j), q in expr.table.items():
-            sub_order = order - q.min_degree() + 2
-            s1 = k_log_series(i, expr.n1, sub_order)
-            s2 = k_log_series(j, expr.n2, sub_order)
-            prod = s1.mul_truncated(s2, order - q.min_degree())
+        for cell, q in expr.table.items():
+            reach = order - q.min_degree()
+            factors = [k_log_series(i, n, reach + len(expr.freqs)) for i, n in expr.factors(cell)]
+            prod = reduce(lambda a, b: a.mul_truncated(b, reach), factors)
             total = total + q.mul_truncated(prod, order)
         return AsymptoticSeries(total, order)
 

@@ -234,24 +234,15 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     stands for d * pi^(k + e - p) * m.
     """
     lam = params.lam
-    if isinstance(rhs_expr, DoubleBessel):
-        n1, n2 = rhs_expr.n1, rhs_expr.n2
-        cells = [(0, 0), (0, 1), (1, 1)] if rhs_expr.merged else [(0, 0), (0, 1), (1, 0), (1, 1)]
-        make_unit = lambda cell, k: DoubleBessel(n1, n2, {cell: YLaurent.monomial(k)})
-        operator = lambda e: apply_P(lam, e)
-    else:
-        cells = [0, 1]
-        make_unit = lambda cell, k: SingleBessel(rhs_expr.n, {cell: YLaurent.monomial(k)})
-        operator = lambda e: apply_L(lam, e)
-
+    operator = apply_P if isinstance(rhs_expr, DoubleBessel) else apply_L
     unknowns = sorted(
-        ((cell, k) for cell in cells for k in windows[cell].powers()),
+        ((cell, k) for cell, window in windows.items() for k in window.powers()),
         key=lambda u: (u[1], u[0]),
     )
     columns: Dict = {}
     eq_keys = set()
     for cell, k in unknowns:
-        image = operator(make_unit(cell, k))
+        image = operator(lam, rhs_expr.with_table({cell: YLaurent.monomial(k)}))
         col: Dict = {}
         for ocell, poly in image.table.items():
             for (p, j), const in poly.terms().items():
@@ -304,13 +295,8 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
         })
         if not coeff.is_zero():
             tables[cell] = tables.get(cell, YLaurent.zero()) + YLaurent.monomial(k, coeff)
-    if isinstance(rhs_expr, DoubleBessel):
-        sol = DoubleBessel(rhs_expr.n1, rhs_expr.n2, tables)
-        residual = apply_P(lam, sol) - rhs_expr
-    else:
-        sol = SingleBessel(rhs_expr.n, tables)
-        residual = apply_L(lam, sol) - rhs_expr
-    if not residual.is_zero():
+    sol = rhs_expr.with_table(tables)
+    if not (operator(lam, sol) - rhs_expr).is_zero():
         raise AssertionError("solver produced a non-exact solution (residual != 0)")
 
     report = SolveReport(
@@ -345,6 +331,16 @@ def widen_and_retry(builder, cap: int = DEFAULT_WIDEN_CAP):
     ) from last
 
 
+def _solve_widening(params: Params, rhs, base: Dict, widen_cap: int, case: str):
+    """Solve on the base windows, widened by one on both sides per retry."""
+
+    def builder(t):
+        windows = {c: w.widen(t) for c, w in base.items()}
+        return _assemble_and_solve(params, rhs, windows, case)
+
+    return widen_and_retry(builder, widen_cap)
+
+
 def solve_particular_double(
     params: Params,
     rhs: DoubleBessel,
@@ -357,12 +353,7 @@ def solve_particular_double(
     base = window_override or default_window(params.alpha, params.beta, params.r_hint, case)
     if rhs.merged:
         base = {c: w for c, w in base.items() if c != (1, 0)}
-
-    def builder(t):
-        windows = {c: w.widen(t) for c, w in base.items()}
-        return _assemble_and_solve(params, rhs, windows, case)
-
-    return widen_and_retry(builder, widen_cap)
+    return _solve_widening(params, rhs, base, widen_cap, case)
 
 
 def solve_particular_single(
@@ -377,12 +368,7 @@ def solve_particular_single(
     for poly in rhs.table.values():
         powers.update(poly.support())
     base = window_override or single_window(params.r_hint, powers)
-
-    def builder(t):
-        windows = {c: w.widen(t) for c, w in base.items()}
-        return _assemble_and_solve(params, rhs, windows, case)
-
-    return widen_and_retry(builder, widen_cap)
+    return _solve_widening(params, rhs, base, widen_cap, case)
 
 
 # ---------------------------------------------------------------------------

@@ -285,20 +285,12 @@ def test_criterion_6_nonexistence_and_obstruction():
 
 def test_criterion_7_t_minus_2_combination():
     """The 1/N^2 combination reproduces the published w tables numerically."""
-    from eisenmodes.bessel import DoubleBessel
-    from eisenmodes.fixtures import _as_constant, _as_ylaurent, _mode_names, eval_table_expr, load_tables
+    from eisenmodes.fixtures import fixture_combination
 
-    sec = load_tables()["combination_T-2"]
     worst = 0.0
     for (n1, n2) in [(1, 1), (1, 2), (2, 1)]:
         comb = combine(T_MINUS_2_WEIGHTS, n1, n2)
-        names = _mode_names(n1=n1, n2=n2)
-        pref = _as_constant(eval_table_expr(sec["prefactor"], names))
-        cells = {
-            (int(c[0]), int(c[1])): _as_ylaurent(eval_table_expr(e, names)).scale(pref)
-            for c, e in sec["cells"].items()
-        }
-        fixture = DoubleBessel(n1, n2, cells)  # merges K0K1/K1K0 at |n1| = |n2|
+        fixture = fixture_combination(n1, n2)  # merges K0K1/K1K0 at |n1| = |n2|
         for y in (0.5, 1.0):
             for cell in ((0, 0), (1, 1), (0, 1)):
                 ours = comb.table.table.get(cell)

@@ -91,6 +91,14 @@ def test_combine_command(capsys):
         assert float(point["relative_error"]) <= 1e-8
 
 
+@pytest.mark.parametrize("n1, n2", [(1, -1), (0, 3)])
+def test_combine_without_table_reports_no_fixture(capsys, n1, n2):
+    # the T-2 table divides by n1 + n2 and takes divisor sums of n1 and n2
+    code, out = run_cli(capsys, "combine", "--preset", "T-2", "--n1", str(n1), "--n2", str(n2))
+    assert code == EXIT_NO_FIXTURE
+    assert json.loads(out)["error"] == "no_fixture"
+
+
 def test_alpha_sum_command(capsys):
     code, out = run_cli(capsys, "alpha-sum", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30")
     assert code == EXIT_OK

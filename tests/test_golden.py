@@ -5,7 +5,10 @@ Each digest is the sha256 of the canonical JSON (sorted keys, no spaces) of
 embedded fixtures.  Family i uses the i-th compared pair of each case (cyclic),
 so merged, same-sign and opposite-sign generic modes all appear.  The
 inconsistent rows of a non-triangular lambda pin the pivot order and the
-inconsistency report as well.  A refactor of the solver must keep every byte.
+inconsistency report as well.  The CLI documents (LaTeX solves, tables, the
+T-2 combination, verify), the numeric evaluators and the small-y series of one
+single- and one double-Bessel mode are pinned too.  A refactor of the solver
+must keep every byte.
 """
 
 import hashlib
