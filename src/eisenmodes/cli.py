@@ -3,7 +3,8 @@
 Subcommands: solve (one mode or a whole Fourier-mode assembly), table
 (compare against the embedded worked-solution tables), sums (divisor
 convolutions), combine (integrated-correlator style combinations), verify
-(numeric residual check of a solution document).
+(numeric residual check of a solution document), alpha-sum (zero-mode
+homogeneous coefficient total).
 
 Exit codes (part of the public contract):
     0   solved / all comparisons equal
@@ -13,7 +14,11 @@ Exit codes (part of the public contract):
     4   no solution within the widened degree windows
     5   mode is obstructed (log-bearing leading term at y^{-r})
     6   no fixture table for the requested parameters
-    64  usage error
+    7   a log(y) power beyond the cap (laurent.LOG_CAP), e.g. in a verify input
+    64  usage error or unreadable input
+
+Every document goes to stdout, or to the --output file; codes 7 and 64 write
+only a {"error": ...} object to stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .fixtures import (
     fixture_combination,
     fixture_modes,
     fixture_particular,
-    load_tables,
 )
 from .homogeneous import (
     T_MINUS_2_WEIGHTS,
@@ -46,8 +50,9 @@ from .homogeneous import (
     solve_mode,
     zero_mode_alpha_sum,
 )
+from .laurent import LogCapExceeded
 from .numerics import DEFAULT_ENV, residual
-from .solver import DEFAULT_WIDEN_CAP, NoSolutionInWindow
+from .solver import DEFAULT_WIDEN_CAP, DegreeWindow, NoSolutionInWindow
 from .sources import Normalization, Params, classify_params
 
 EXIT_OK = 0
@@ -57,7 +62,17 @@ EXIT_NOT_HALF_INTEGER = 3
 EXIT_NO_SOLUTION = 4
 EXIT_OBSTRUCTED = 5
 EXIT_NO_FIXTURE = 6
+EXIT_LOG_CAP = 7
 EXIT_USAGE = 64
+
+# exception -> exit code for failures a command raises; the first matching row
+# wins (LogCapExceeded, FixtureError and json's decode error are ValueErrors).
+# Anything else, such as the solver's AssertionError invariants, is a bug and
+# keeps its traceback.
+ERROR_EXITS = (
+    (LogCapExceeded, EXIT_LOG_CAP),
+    ((ValueError, OSError, KeyError), EXIT_USAGE),
+)
 
 
 def _fmt(x: float) -> str:
@@ -67,29 +82,33 @@ def _fmt(x: float) -> str:
 def _parse_half(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse half-integer {text!r}") from exc
 
 
-def _emit(doc, args) -> None:
+def _parse_r(text: str) -> int:
+    r = int(text)
+    return r * (r + 1)
+
+
+def _parse_window(text: str) -> DegreeWindow:
+    try:
+        m_txt, M_txt = text.split(":")
+        return DegreeWindow(int(m_txt), int(M_txt))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"window {text!r} is not m:M with m <= M") from exc
+
+
+def _emit(doc, output) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as fh:
+    if output:
+        with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _build_params(args) -> Params:
-    lam = args.lam
-    if lam is None:
-        if args.r is None:
-            raise SystemExit(EXIT_USAGE)
-        lam = args.r * (args.r + 1)
-    return Params(args.alpha, args.beta, lam, Normalization(args.normalization))
-
-
-def _emit_no_solution(exc: NoSolutionInWindow, cls, args) -> int:
+def _no_solution(exc: NoSolutionInWindow, cls):
     doc = {
         "classification": cls.kind,
         "error": "no_solution_in_window",
@@ -99,24 +118,16 @@ def _emit_no_solution(exc: NoSolutionInWindow, cls, args) -> int:
         },
         "inconsistent_rows": [str(r) for r in exc.inconsistent_rows[:8]],
     }
-    _emit(doc, args)
-    return EXIT_NOT_TRIANGULAR if cls.kind == "lambda_not_triangular" else EXIT_NO_SOLUTION
+    return doc, EXIT_NOT_TRIANGULAR if cls.kind == "lambda_not_triangular" else EXIT_NO_SOLUTION
 
 
-def cmd_solve(args) -> int:
-    if args.lam is None and args.r is None:
-        print(json.dumps({"error": "give --lambda or --r"}), file=sys.stderr)
-        return EXIT_USAGE
-    cls = classify_params(args.alpha, args.beta,
-                          args.lam if args.lam is not None else args.r * (args.r + 1))
+def cmd_solve(args):
+    cls = classify_params(args.alpha, args.beta, args.lam)
     if cls.kind == "not_half_integer":
-        print(json.dumps({"classification": cls.kind}))
-        return EXIT_NOT_HALF_INTEGER
+        return {"classification": cls.kind}, EXIT_NOT_HALF_INTEGER
     if args.n is None and (args.n1 is None or args.n2 is None):
-        print(json.dumps({"error": "give either --n1 and --n2, or --n with --cutoff"}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    params = _build_params(args)
+        raise ValueError("give either --n1 and --n2, or --n with --cutoff")
+    params = Params(args.alpha, args.beta, args.lam, Normalization(args.normalization))
 
     if args.n is not None:
         cutoff = args.cutoff or abs(args.n) + 4
@@ -124,32 +135,23 @@ def cmd_solve(args) -> int:
             asm = assemble_mode(params, args.n, cutoff, workers=args.workers,
                                 decay=not args.no_decay)
         except NoSolutionInWindow as exc:
-            return _emit_no_solution(exc, cls, args)
+            return _no_solution(exc, cls)
         doc = asm.to_json_obj()
         doc["classification"] = cls.kind
-        _emit(doc, args)
         if cls.kind == "lambda_not_triangular":
-            return EXIT_NOT_TRIANGULAR
-        return EXIT_OBSTRUCTED if asm.obstructed else EXIT_OK
+            return doc, EXIT_NOT_TRIANGULAR
+        return doc, EXIT_OBSTRUCTED if asm.obstructed else EXIT_OK
 
     window_override = None
-    if args.window:
-        from .solver import DegreeWindow
-
-        try:
-            m_txt, M_txt = args.window.split(":")
-            w = DegreeWindow(int(m_txt), int(M_txt))
-        except ValueError:
-            print(json.dumps({"error": f"cannot parse window {args.window!r}; use m:M"}))
-            return EXIT_USAGE
+    if args.window is not None:
         cells = [(0, 0), (0, 1), (1, 0), (1, 1)] if args.n1 and args.n2 else [0, 1]
-        window_override = {c: w for c in cells}
+        window_override = {c: args.window for c in cells}
 
     try:
         mode = solve_mode(params, args.n1, args.n2, window_override=window_override,
                           widen_cap=args.widen_cap)
     except NoSolutionInWindow as exc:
-        return _emit_no_solution(exc, cls, args)
+        return _no_solution(exc, cls)
     doc = mode.to_json_obj()
     doc["classification"] = cls.kind
     if args.format == "latex":
@@ -157,17 +159,15 @@ def cmd_solve(args) -> int:
             "particular": expr_latex(mode.particular),
             "alpha": None if mode.alpha is None else mode.alpha.latex(),
         }
-    _emit(doc, args)
-    return EXIT_OBSTRUCTED if mode.obstruction is not None else EXIT_OK
+    return doc, EXIT_OBSTRUCTED if mode.obstruction is not None else EXIT_OK
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     try:
         cases = fixture_modes(args.alpha, args.beta, args.lam)
     except FixtureError:
-        print(json.dumps({"error": "no_fixture",
-                          "params": f"({args.alpha},{args.beta},{args.lam})"}))
-        return EXIT_NO_FIXTURE
+        return ({"error": "no_fixture", "params": f"({args.alpha},{args.beta},{args.lam})"},
+                EXIT_NO_FIXTURE)
     params = Params(args.alpha, args.beta, args.lam, Normalization.PUBLISHED)
     verdicts = []
     any_mismatch = False
@@ -194,11 +194,11 @@ def cmd_table(args) -> int:
                     "differences": diffs[:6],
                 }
             )
-    _emit({"schema": "eisenmodes/table-comparison/1", "entries": verdicts}, args)
-    return EXIT_MISMATCH if any_mismatch else EXIT_OK
+    doc = {"schema": "eisenmodes/table-comparison/1", "entries": verdicts}
+    return doc, EXIT_MISMATCH if any_mismatch else EXIT_OK
 
 
-def cmd_sums(args) -> int:
+def cmd_sums(args):
     fn = ramanujan_log_convolution if args.log else ramanujan_convolution
     result = fn(args.a, args.b, args.s)
     doc = {
@@ -216,20 +216,15 @@ def cmd_sums(args) -> int:
             args.a, args.b, args.s, args.limit
         )
         doc["partial_sum"] = {"limit": args.limit, "value": _fmt(partial)}
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_combine(args) -> int:
-    if args.preset != "T-2":
-        print(json.dumps({"error": f"unknown preset {args.preset!r}"}))
-        return EXIT_USAGE
+def cmd_combine(args):
     try:
         fixture = fixture_combination(args.n1, args.n2)
     except FixtureError as exc:
-        print(json.dumps({"error": "no_fixture", "preset": args.preset,
-                          "n1": args.n1, "n2": args.n2, "reason": str(exc)}))
-        return EXIT_NO_FIXTURE
+        return ({"error": "no_fixture", "preset": args.preset,
+                 "n1": args.n1, "n2": args.n2, "reason": str(exc)}, EXIT_NO_FIXTURE)
     comb = combine(T_MINUS_2_WEIGHTS, args.n1, args.n2, free_constants=["C1"])
     doc = comb.to_json_obj()
     ys = [float(v) for v in args.y.split(",")] if args.y else [0.5, 1.0]
@@ -245,11 +240,10 @@ def cmd_combine(args) -> int:
         spot.append({"y": y, "value": _fmt(ours), "reference": _fmt(ref),
                      "relative_error": _fmt(rel)})
     doc["spot_check"] = {"points": spot, "verdict": "equal" if ok else "mismatch"}
-    _emit(doc, args)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return doc, EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .numerics import series_crosscheck
 
     with open(args.input) as fh:
@@ -266,26 +260,21 @@ def cmd_verify(args) -> int:
     if series.get("status") == "ok":
         series = {k: (_fmt(v) if isinstance(v, float) else v) for k, v in series.items()}
         ok = ok and float(series["relative_error"]) <= 1e-5
-    _emit(
-        {
-            "schema": "eisenmodes/verification/1",
-            "input": args.input,
-            "y_points": ys,
-            "residuals": residuals,
-            "series_checks": series,
-            "tolerance": _fmt(args.tolerance),
-            "pass": ok,
-        },
-        args,
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    doc = {
+        "schema": "eisenmodes/verification/1",
+        "input": args.input,
+        "y_points": ys,
+        "residuals": residuals,
+        "series_checks": series,
+        "tolerance": _fmt(args.tolerance),
+        "pass": ok,
+    }
+    return doc, EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_alpha_sum(args) -> int:
+def cmd_alpha_sum(args):
     params = Params(args.alpha, args.beta, args.lam, Normalization.PUBLISHED)
-    res = zero_mode_alpha_sum(params, args.method)
-    _emit(res.to_json_obj(), args)
-    return EXIT_OK
+    return zero_mode_alpha_sum(params, args.method).to_json_obj(), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,14 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output", help="write the JSON document to a file")
-
     def params_args(p):
         p.add_argument("--alpha", type=_parse_half, required=True, help='e.g. "3/2"')
         p.add_argument("--beta", type=_parse_half, required=True)
-        p.add_argument("--lambda", dest="lam", type=int, default=None)
-        p.add_argument("--r", type=int, default=None, help="alternative to --lambda: lambda = r(r+1)")
+        lam = p.add_mutually_exclusive_group(required=True)
+        lam.add_argument("--lambda", dest="lam", type=int)
+        lam.add_argument("--r", dest="lam", metavar="R", type=_parse_r,
+                         help="alternative to --lambda: lambda = r(r+1)")
 
     p = sub.add_parser("solve", help="solve one (n1, n2) mode or a full mode assembly")
     params_args(p)
@@ -313,18 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-decay", action="store_true", help="skip the decay-exponent scan")
     p.add_argument("--normalization", choices=[n.value for n in Normalization],
                    default=Normalization.PUBLISHED.value)
-    p.add_argument("--window", help="degree-window override for all cells, as m:M")
+    p.add_argument("--window", type=_parse_window,
+                   help="degree-window override for all cells, as m:M")
     p.add_argument("--widen-cap", type=int, default=DEFAULT_WIDEN_CAP)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes for assemblies")
     p.add_argument("--format", choices=["json", "latex"], default="json")
-    common(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("table", help="compare solver output against the embedded tables")
     params_args(p)
     p.add_argument("--cases", nargs="*", help="restrict to cases (generic, anti_diagonal, ...)")
-    common(p)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("sums", help="divisor convolution sums in closed form")
@@ -333,45 +320,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--log", action="store_true", help="log-weighted variant")
     p.add_argument("--limit", type=int, help="also print a partial sum up to this bound")
-    common(p)
     p.set_defaults(fn=cmd_sums)
 
     p = sub.add_parser("combine", help="weighted combinations of mode solutions")
-    p.add_argument("--preset", default="T-2")
+    p.add_argument("--preset", choices=["T-2"], default="T-2")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--y", help="comma-separated spot-check points (default 0.5,1)")
-    common(p)
     p.set_defaults(fn=cmd_combine)
 
     p = sub.add_parser("verify", help="numeric residual check of a solution document")
     p.add_argument("--input", required=True)
     p.add_argument("--y", default="0.5,1,2", help="comma-separated evaluation points")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("alpha-sum", help="zero-mode homogeneous coefficient total")
     params_args(p)
     p.add_argument("--method", choices=["RamanujanExact", "FormalRamanujan", "NumericPartial"],
                    default="RamanujanExact")
-    common(p)
     p.set_defaults(fn=cmd_alpha_sum)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", help="write the JSON document to a file")
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
-    except (ValueError, FixtureError) as exc:
+        doc, code = args.fn(args)
+        _emit(doc, args.output)
+    except Exception as exc:
+        code = next((c for kinds, c in ERROR_EXITS if isinstance(exc, kinds)), None)
+        if code is None:
+            raise
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -95,18 +95,11 @@ class SymbolMonomial:
             sorted(((s, e) for s, e in items.items() if e != 0), key=lambda kv: _symbol_key(kv[0]))
         )
 
-    @property
-    def exponents(self) -> Dict[Symbol, int]:
-        return dict(self._items)
-
     def items(self):
         return self._items
 
     def is_one(self) -> bool:
         return not self._items
-
-    def is_pi_power(self) -> bool:
-        return all(sym == SYM_PI for sym, _ in self._items)
 
     def pi_exponent(self) -> int:
         for sym, e in self._items:
@@ -207,9 +200,6 @@ class Constant:
         if not self.is_rational():
             raise ValueError(f"not a pure rational: {self!r}")
         return next(iter(self._terms.values()))
-
-    def is_pi_laurent(self) -> bool:
-        return all(m.is_pi_power() for m in self._terms)
 
     def coeff(self, mono: SymbolMonomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))

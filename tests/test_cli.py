@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +8,16 @@ from pathlib import Path
 import pytest
 
 import eisenmodes
+from eisenmodes import cli
 from eisenmodes.cli import (
+    EXIT_LOG_CAP,
     EXIT_NO_FIXTURE,
     EXIT_NOT_HALF_INTEGER,
     EXIT_NO_SOLUTION,
     EXIT_NOT_TRIANGULAR,
     EXIT_OBSTRUCTED,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 
@@ -150,3 +154,109 @@ def test_assembly_without_solution_reports_exit_code(capsys):
                         "--n", "1", "--cutoff", "2", "--no-decay")
     assert code == EXIT_NO_SOLUTION
     assert json.loads(out)["classification"] == "outside_conjectured_set"
+
+
+def run_cli_streams(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["table", "--alpha", "9/2", "--beta", "9/2", "--lambda", "30"], EXIT_NO_FIXTURE),
+    (["solve", "--alpha", "2", "--beta", "3/2", "--lambda", "12", "--n1", "1", "--n2", "2"],
+     EXIT_NOT_HALF_INTEGER),
+    (["combine", "--n1", "1", "--n2", "-1"], EXIT_NO_FIXTURE),
+])
+def test_early_exit_documents_honour_output(tmp_path, capsys, argv, expected):
+    out_file = tmp_path / "doc.json"
+    code, out, _ = run_cli_streams(capsys, *argv, "--output", str(out_file))
+    assert code == expected
+    assert out == ""
+    text = out_file.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--alpha", "3/2", "--beta", "3/2", "--cases", "zero_mode", "anti_diagonal"],
+    ["alpha-sum", "--alpha", "3/2", "--beta", "3/2"],
+])
+def test_r_gives_the_same_document_as_lambda(capsys, argv):
+    code_r, out_r = run_cli(capsys, *argv, "--r", "5")
+    code_lam, out_lam = run_cli(capsys, *argv, "--lambda", "30")
+    assert code_r == code_lam == EXIT_OK
+    assert out_r == out_lam
+
+
+def test_lambda_and_r_together_are_a_usage_error(capsys):
+    code, out, err = run_cli_streams(capsys, "solve", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", "30", "--r", "4", "--n1", "1", "--n2", "2")
+    assert code == EXIT_USAGE
+    assert out == "" and "not allowed" in err
+
+
+def test_window_is_parsed_by_argparse(capsys):
+    base = ["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n1", "1", "--n2", "2"]
+    code, out, _ = run_cli_streams(capsys, *base, "--window=-6:3")
+    assert code == EXIT_OK and json.loads(out)["case"] == "generic"
+    code, out, err = run_cli_streams(capsys, *base, "--window", "3:-6")
+    assert code == EXIT_USAGE
+    assert out == "" and "is not m:M" in err
+
+
+def _solution_doc(tmp_path, capsys):
+    path = tmp_path / "solution.json"
+    code = main(["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+                 "--n1", "1", "--n2", "2", "--output", str(path)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    return json.loads(path.read_text())
+
+
+def _edit_missing_alpha(doc):
+    del doc["params"]["alpha"]
+
+
+def _edit_log_over_cap(doc):
+    doc["particular"]["table"]["00"][0]["log"] = 3
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (None, EXIT_USAGE),                  # OSError: the input file does not exist
+    (_edit_missing_alpha, EXIT_USAGE),   # KeyError
+    (_edit_log_over_cap, EXIT_LOG_CAP),  # LogCapExceeded
+])
+def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected):
+    doc = _solution_doc(tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    if edit is not None:
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+    out_file = tmp_path / "verdict.json"
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad),
+                                     "--output", str(out_file))
+    assert code == expected
+    assert out == "" and not out_file.exists()
+    assert set(json.loads(err)) == {"error"}
+
+
+def test_unwritable_output_maps_to_usage_on_stderr(tmp_path, capsys):
+    code, out, err = run_cli_streams(capsys, "sums", "--a", "2", "--b", "2", "--s", "8",
+                                     "--output", str(tmp_path / "missing" / "doc.json"))
+    assert code == EXIT_USAGE
+    assert out == "" and set(json.loads(err)) == {"error"}
+
+
+def test_value_error_maps_to_usage_on_stderr(capsys):
+    code, out, err = run_cli_streams(capsys, "solve", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", "30")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert json.loads(err) == {"error": "give either --n1 and --n2, or --n with --cutoff"}
+
+
+def test_readme_lists_every_exit_code():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    listed = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", readme.read_text(), re.M)}
+    declared = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert listed == declared
