@@ -21,6 +21,7 @@ differences in the test suite).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -39,6 +40,7 @@ __all__ = [
     "apply_L",
     "apply_euler",
     "differentiate",
+    "unit_column",
 ]
 
 Cell = Tuple[int, int]
@@ -54,11 +56,15 @@ class BesselProduct:
     A subclass fixes the signed frequencies ``freqs`` (one per factor) and
     says how a cell names its factors: ``factors(cell)`` gives the
     (K index, |n|) pairs in factor order, ``replace_index`` swaps the index of
-    one factor, and ``with_table`` builds an expression of the same kind and
-    frequencies.  The mode operator's mass term is 4 pi^2 (sum of freqs)^2.
+    one factor, ``fold`` maps a cell to the one it is stored under, and
+    ``with_table`` builds an expression of the same kind and frequencies.  The
+    mode operator's mass term is 4 pi^2 (sum of freqs)^2.
     """
 
     table: Dict
+
+    def fold(self, cell):
+        return cell
 
     def cells(self):
         return sorted(self.table)
@@ -107,18 +113,18 @@ class DoubleBessel(BesselProduct):
     def __post_init__(self):
         if self.n1 == 0 or self.n2 == 0:
             raise ValueError("DoubleBessel requires n1, n2 != 0")
-        table = _clean_table(self.table)
-        if self.merged:
-            merged: Dict[Cell, YLaurent] = {}
-            for (i, j), poly in table.items():
-                key = (min(i, j), max(i, j))
-                merged[key] = merged[key] + poly if key in merged else poly
-            table = _clean_table(merged)
-        object.__setattr__(self, "table", table)
+        table: Dict[Cell, YLaurent] = {}
+        for cell, poly in self.table.items():
+            key = self.fold(cell)
+            table[key] = table[key] + poly if key in table else poly
+        object.__setattr__(self, "table", _clean_table(table))
 
     @property
     def merged(self) -> bool:
         return abs(self.n1) == abs(self.n2)
+
+    def fold(self, cell: Cell) -> Cell:
+        return (min(cell), max(cell)) if self.merged else cell
 
     @property
     def freqs(self) -> Tuple[int, int]:
@@ -303,6 +309,32 @@ def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
     out = out + expr.mul_poly(mass_poly)
     out = out + expr.scale(-lam)
     return out
+
+
+def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
+    """The mode operator on y^k times the K factors of `cell`, with pi = 1.
+
+    Returns {(cell, p): Fraction}; the exact image carries q * pi^(p-k) at y^p.
+    Each factor has c = 2|n|: K_0' = -c K_1 and K_1' = -c K_0 - K_1/y; the mass
+    term is -4 (sum of freqs)^2 y^2.  `expr` supplies only kind and frequencies.
+    """
+
+    def derivative(terms):
+        out = Counter()
+        for (c, p), q in terms.items():
+            out[c, p - 1] += p * q
+            for pos, (index, abs_n) in enumerate(expr.factors(c)):
+                out[expr.replace_index(c, pos, 1 - index), p] -= 2 * abs_n * q
+                if index == 1:
+                    out[c, p - 1] -= q
+        return out
+
+    cell = expr.fold(cell)
+    mass = sum(expr.freqs)
+    column = Counter({(cell, k + 2): -4 * mass * mass, (cell, k): -lam})
+    for (c, p), q in derivative(derivative({(cell, k): 1})).items():
+        column[expr.fold(c), p + 2] += q
+    return {key: Fraction(q) for key, q in column.items() if q}
 
 
 def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:

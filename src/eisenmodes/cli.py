@@ -18,7 +18,9 @@ Exit codes (part of the public contract):
     64  usage error or unreadable input
 
 Every document goes to stdout, or to the --output file; codes 7 and 64 write
-only a {"error": ...} object to stderr.
+only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
+mode) or --n (a whole mode); a flag that only the other form reads is a usage
+error.
 """
 
 from __future__ import annotations
@@ -75,6 +77,19 @@ ERROR_EXITS = (
 )
 
 
+# solve flags read only by the single-mode path (--n1, --n2) or only by the
+# assembly path (--n); giving one with the other path is a usage error
+SINGLE_MODE_FLAGS = ("n1", "n2", "window", "widen_cap", "format")
+ASSEMBLY_FLAGS = ("cutoff", "no_decay")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they exit 64 with {"error": ...}."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -127,13 +142,17 @@ def cmd_solve(args):
         return {"classification": cls.kind}, EXIT_NOT_HALF_INTEGER
     if args.n is None and (args.n1 is None or args.n2 is None):
         raise ValueError("give either --n1 and --n2, or --n with --cutoff")
+    foreign = SINGLE_MODE_FLAGS if args.n is not None else ASSEMBLY_FLAGS
+    stray = ["--" + dest.replace("_", "-") for dest in foreign if getattr(args, dest) is not None]
+    if stray:
+        raise ValueError(f"{', '.join(stray)} cannot be combined with "
+                         + ("--n" if args.n is not None else "--n1 and --n2"))
     params = Params(args.alpha, args.beta, args.lam, Normalization(args.normalization))
 
     if args.n is not None:
         cutoff = args.cutoff or abs(args.n) + 4
         try:
-            asm = assemble_mode(params, args.n, cutoff, workers=args.workers,
-                                decay=not args.no_decay)
+            asm = assemble_mode(params, args.n, cutoff, decay=not args.no_decay)
         except NoSolutionInWindow as exc:
             return _no_solution(exc, cls)
         doc = asm.to_json_obj()
@@ -148,8 +167,9 @@ def cmd_solve(args):
         window_override = {c: args.window for c in cells}
 
     try:
+        widen_cap = DEFAULT_WIDEN_CAP if args.widen_cap is None else args.widen_cap
         mode = solve_mode(params, args.n1, args.n2, window_override=window_override,
-                          widen_cap=args.widen_cap)
+                          widen_cap=widen_cap)
     except NoSolutionInWindow as exc:
         return _no_solution(exc, cls)
     doc = mode.to_json_obj()
@@ -278,7 +298,7 @@ def cmd_alpha_sum(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="eisenmodes",
         description="Exact Fourier-mode solver for products of non-holomorphic Eisenstein series",
     )
@@ -298,15 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int)
     p.add_argument("--n", type=int, help="assemble the full Fourier mode n (with --cutoff)")
     p.add_argument("--cutoff", type=int)
-    p.add_argument("--no-decay", action="store_true", help="skip the decay-exponent scan")
+    p.add_argument("--no-decay", action="store_true", default=None,
+                   help="skip the decay-exponent scan")
     p.add_argument("--normalization", choices=[n.value for n in Normalization],
                    default=Normalization.PUBLISHED.value)
     p.add_argument("--window", type=_parse_window,
                    help="degree-window override for all cells, as m:M")
-    p.add_argument("--widen-cap", type=int, default=DEFAULT_WIDEN_CAP)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes for assemblies")
-    p.add_argument("--format", choices=["json", "latex"], default="json")
+    p.add_argument("--widen-cap", type=int, help=f"default {DEFAULT_WIDEN_CAP}")
+    p.add_argument("--format", choices=["json", "latex"], help="default json")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("table", help="compare solver output against the embedded tables")
@@ -349,11 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         doc, code = args.fn(args)
         _emit(doc, args.output)
+    except SystemExit:  # --help; usage errors raise ValueError instead
+        return EXIT_OK
     except Exception as exc:
         code = next((c for kinds, c in ERROR_EXITS if isinstance(exc, kinds)), None)
         if code is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .numerics import DEFAULT_ENV, NumericEnv, zeta_num, zeta_prime_num
+from .numerics import DEFAULT_ENV, NumericEnv, zeta_num
 from .scalars import Constant, factorize, sym_zeta_prime, zeta_value
 
 __all__ = [
@@ -141,13 +141,9 @@ def ramanujan_log_convolution(a: int, b: int, s: int, env: NumericEnv = DEFAULT_
         term = base.value * Constant.monomial(sym_zeta_prime(arg)) / zeta_value(arg)
         value = value + term * Fraction(-weight)
         numeric += -weight * base_num * (
-            _zeta_prime_num_any(arg, env) / _zeta_num_any(arg, env)
+            env.value(sym_zeta_prime(arg)) / _zeta_num_any(arg, env)
         )
     return RamanujanSum(value, base.status, numeric)
-
-
-def _zeta_prime_num_any(k: int, env: NumericEnv) -> float:
-    return env.value(sym_zeta_prime(k)) if k <= 1 else zeta_prime_num(k)
 
 
 def convolution_partial_sum(a: int, b: int, s: int, limit: int) -> float:

@@ -308,31 +308,15 @@ class ModeAssembly:
         }
 
 
-def assemble_mode(
-    params: Params,
-    n: int,
-    cutoff: int,
-    scan_range: Tuple[int, int] = (10, 200),
-    decay: bool = True,
-    workers: int = 1,
-) -> ModeAssembly:
+def assemble_mode(params: Params, n: int, cutoff: int, decay: bool = True) -> ModeAssembly:
     """All (n1, n - n1) sub-modes with |n1| <= cutoff, plus convergence data.
 
-    Exact solves run per sub-mode (optionally across a process pool); the
-    decay exponent of alpha_{n1, n-n1} is fitted over the scan range by
-    alpha_decay_scan.
+    Each sub-mode is solved exactly in turn; the decay exponent of
+    alpha_{n1, n-n1} is fitted over |n1| in 10..200 by alpha_decay_scan.
     """
     if cutoff < abs(n) + 1:
         raise ValueError("cutoff must be at least |n| + 1")
-    n1s = range(-cutoff, cutoff + 1)
-    n2s = [n - n1 for n1 in n1s]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            modes = list(pool.map(solve_mode, [params] * len(n1s), n1s, n2s))
-    else:
-        modes = [solve_mode(params, a, b) for a, b in zip(n1s, n2s)]
+    modes = [solve_mode(params, n1, n - n1) for n1 in range(-cutoff, cutoff + 1)]
 
     partial = Constant.zero()
     partials = []
@@ -345,7 +329,7 @@ def assemble_mode(
             partial = partial + a
         partials.append(partial)
 
-    decay_report = alpha_decay_scan(params, n, scan_range) if decay else None
+    decay_report = alpha_decay_scan(params, n) if decay else None
     exact_sum = None
     if n == 0 and decay and params.r is not None:
         exact_sum = zero_mode_alpha_sum(params, "RamanujanExact", probe=min(8, cutoff))
@@ -404,8 +388,8 @@ def alpha_decay_scan(params: Params, n: int, scan_range=(10, 200),
     return DecayReport(-slope, status, scan_range, len(values))
 
 
-def evaluate_high_precision(c: Constant, dps: int = 60) -> float:
-    """Evaluate a Constant with mpmath at `dps` digits, returning a float.
+def evaluate_high_precision(c: Constant) -> float:
+    """Evaluate a Constant with mpmath at 60 digits, returning a float.
 
     Double precision is not enough here: near-anti-diagonal alphas are tiny
     differences of huge terms (the closed forms cancel over ~20 digits
@@ -413,7 +397,7 @@ def evaluate_high_precision(c: Constant, dps: int = 60) -> float:
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(60):
         def value(sym):
             kind, arg = sym
             if kind == "pi":

@@ -5,16 +5,16 @@ coefficients only across nearby y-degrees, so each solve is a small banded
 overdetermined linear system.  Its entries are rational multiples of powers
 of pi, graded by the degree shift: the image of y^k at y^p carries exactly
 pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
-into one over Q with the same zero pattern, and each right-hand side splits
-into directions (non-pi symbol monomial, pi-grade), each with rational
-entries.  Systems are eliminated exactly over Q (Gauss-Jordan; the pivot of
-each column, taken in ascending y-degree then cell order, is the row with the
+into one over Q with the same zero pattern, whose columns are the pi-free
+integer stencil ``bessel.unit_column``; each right-hand side splits into
+directions (non-pi symbol monomial, pi-grade), each with rational entries.
+Systems are eliminated exactly over Q (Gauss-Jordan; the pivot of each
+column, taken in ascending y-degree then cell order, is the row with the
 fewest entries, ties broken by ascending y-degree then cell); free variables
 of an underdetermined system are set to zero and counted as kernel dimension.
-An operator entry off its grade or outside the band is an invariant violation
-and raises.
 
-Every returned solution is re-verified by applying the operator and
+Every returned solution is re-verified by applying the symbolic operator
+(``apply_P`` or ``apply_L``, which shares no code with the stencil) and
 subtracting the right-hand side; the difference must be the identically
 zero expression.
 """
@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .bessel import DoubleBessel, HomBasis, Pure, SingleBessel, apply_euler, apply_L, apply_P
+from .bessel import (
+    DoubleBessel, HomBasis, Pure, SingleBessel, apply_euler, apply_L, apply_P, unit_column,
+)
 from .laurent import YLaurent
 from .scalars import SYM_PI, Constant, SymbolMonomial
 from .sources import Params
@@ -40,12 +42,9 @@ __all__ = [
     "solve_particular_single",
     "solve_zero_mode",
     "widen_and_retry",
-    "MAX_BANDWIDTH",
 ]
 
-MAX_BANDWIDTH = 3
 DEFAULT_WIDEN_CAP = 12
-_PI_POWER = {d: SymbolMonomial({SYM_PI: d}) for d in range(-MAX_BANDWIDTH, MAX_BANDWIDTH + 1)}
 
 
 @dataclass(frozen=True)
@@ -227,40 +226,21 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     The operator is pi-graded: the image of y^k (times a Bessel cell) at
     y^p is a rational q times pi^(p-k).  Scaling unknown (cell, k) by pi^k
     and row (cell, p) by pi^-p therefore leaves a rational matrix with the
-    zero pattern of the original, so elimination runs over Q with the same
+    zero pattern of the original, whose column (cell, k) is the operator
+    with pi = 1 (``unit_column``); elimination runs over Q with the same
     pivots, kernel and inconsistent rows.  Each right-hand-side term
     c * pi^e * m (m free of pi) at y^p becomes the entry c of direction
     (m, e - p); a solved value d of that direction at unknown (cell, k)
-    stands for d * pi^(k + e - p) * m.
+    stands for d * pi^(k + e - p) * m.  The solution is rechecked with the
+    symbolic operator.
     """
     lam = params.lam
-    operator = apply_P if isinstance(rhs_expr, DoubleBessel) else apply_L
     unknowns = sorted(
         ((cell, k) for cell, window in windows.items() for k in window.powers()),
         key=lambda u: (u[1], u[0]),
     )
-    columns: Dict = {}
-    eq_keys = set()
-    for cell, k in unknowns:
-        image = operator(lam, rhs_expr.with_table({cell: YLaurent.monomial(k)}))
-        col: Dict = {}
-        for ocell, poly in image.table.items():
-            for (p, j), const in poly.terms().items():
-                if j != 0:
-                    raise AssertionError(
-                        f"log term {const!r} at column {(cell, k)}, row {(ocell, p)}")
-                if abs(p - k) > MAX_BANDWIDTH:
-                    raise AssertionError(
-                        f"band profile violated: {const!r} at column {(cell, k)}, row {(ocell, p)}")
-                terms = const.terms()
-                grade = _PI_POWER[p - k]
-                if len(terms) != 1 or grade not in terms:
-                    raise AssertionError(
-                        f"off the pi-grade: {const!r} at column {(cell, k)}, row {(ocell, p)} "
-                        f"is not a rational times pi^{p - k}")
-                col[(ocell, p)] = terms[grade]
-                eq_keys.add((ocell, p))
-        columns[(cell, k)] = col
+    columns = {(cell, k): unit_column(lam, rhs_expr, cell, k) for cell, k in unknowns}
+    eq_keys = {row for col in columns.values() for row in col}
 
     entries: Dict = {}
     for cell, poly in rhs_expr.table.items():
@@ -296,6 +276,7 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
         if not coeff.is_zero():
             tables[cell] = tables.get(cell, YLaurent.zero()) + YLaurent.monomial(k, coeff)
     sol = rhs_expr.with_table(tables)
+    operator = apply_P if isinstance(rhs_expr, DoubleBessel) else apply_L
     if not (operator(lam, sol) - rhs_expr).is_zero():
         raise AssertionError("solver produced a non-exact solution (residual != 0)")
 

@@ -16,6 +16,7 @@ from eisenmodes.bessel import (
     expr_latex,
     expr_to_json_obj,
     reduce_k_index,
+    unit_column,
 )
 from eisenmodes.laurent import LogCapExceeded, YLaurent
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, fd_second_derivative
@@ -254,3 +255,35 @@ def test_operator_images_are_pi_graded():
                                 check(lam, SingleBessel(core.n, {cell: YLaurent.monomial(k)}), cell, k)
     assert len(checked) > 1000
     assert not violations, violations[:5]
+
+
+def test_unit_column_matches_symbolic_operator():
+    # The solver assembles its columns from the pi-free stencil; restoring
+    # pi^(p-k) at y^p must give the symbolic apply_P / apply_L image of the
+    # unit monomial, over the whole grid and for every (folded) cell.
+    exprs = [DoubleBessel(n1, n2) for n1, n2 in [(2, 5), (3, -7), (4, 4), (-3, 3), (150, -149)]]
+    exprs += [SingleBessel(2), SingleBessel(-5)]
+    checked = 0
+    mismatches = []
+    for lam in (2, 6, 12, 20, 30):
+        for expr in exprs:
+            if isinstance(expr, DoubleBessel):
+                operator = apply_P
+                cells = sorted({expr.fold((i, j)) for i in (0, 1) for j in (0, 1)})
+            else:
+                operator, cells = apply_L, [0, 1]
+            for cell in cells:
+                for k in range(-8, 6):
+                    image = operator(lam, expr.with_table({cell: YLaurent.monomial(k)}))
+                    expected = {
+                        (ocell, p, j): const
+                        for ocell, poly in image.table.items()
+                        for (p, j), const in poly.terms().items()
+                    }
+                    column = unit_column(lam, expr, cell, k)
+                    got = {(c, p, 0): Constant.pi_power(p - k, q) for (c, p), q in column.items()}
+                    checked += 1
+                    if got != expected:
+                        mismatches.append((lam, expr.freqs, cell, k))
+    assert checked == 1540
+    assert not mismatches, mismatches[:5]

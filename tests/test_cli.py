@@ -120,15 +120,6 @@ def test_solve_output_bytes_deterministic(capsys):
     assert out1 == out2
 
 
-def test_assembly_bytes_do_not_depend_on_workers(capsys):
-    args = ["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
-            "--n", "1", "--cutoff", "3", "--no-decay"]
-    code1, out1 = run_cli(capsys, *args)
-    code2, out2 = run_cli(capsys, *args, "--workers", "2")
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2
-
-
 def test_import_loads_neither_numpy_nor_a_process_pool():
     src = str(Path(eisenmodes.__file__).resolve().parents[1])
     probe = ("import sys, eisenmodes; "
@@ -260,3 +251,22 @@ def test_readme_lists_every_exit_code():
     listed = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", readme.read_text(), re.M)}
     declared = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
     assert listed == declared
+
+
+@pytest.mark.parametrize("modes, extra", [
+    (["--n", "1"], ["--n1", "5", "--n2", "7"]),
+    (["--n1", "1", "--n2", "2"], ["--cutoff", "9"]),
+    (["--n1", "1", "--n2", "2"], ["--no-decay"]),
+    (["--n", "1", "--cutoff", "2"], ["--window", "0:0"]),
+    (["--n", "1", "--cutoff", "2"], ["--widen-cap", "0"]),
+    (["--n", "1", "--cutoff", "2"], ["--format", "latex"]),
+    (["--n", "1", "--cutoff", "2"], ["--workers", "2"]),  # the option no longer exists
+])
+def test_solve_rejects_flags_of_the_other_mode(tmp_path, capsys, modes, extra):
+    out_file = tmp_path / "doc.json"
+    code, out, err = run_cli_streams(capsys, "solve", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", "30", *modes, *extra,
+                                     "--output", str(out_file))
+    assert code == EXIT_USAGE
+    assert out == "" and not out_file.exists()
+    assert extra[0] in json.loads(err)["error"]

@@ -137,13 +137,6 @@ def test_assemble_mode_partial_sums_and_flags():
         assemble_mode(p, 1, 0)
 
 
-def test_assemble_mode_parallel_agrees():
-    p = Params(F(3, 2), F(3, 2), 30)
-    serial = assemble_mode(p, 1, 2, decay=False, workers=1)
-    parallel = assemble_mode(p, 1, 2, decay=False, workers=2)
-    assert serial.to_json_obj() == parallel.to_json_obj()
-
-
 def test_zero_mode_alpha_sum_exact():
     p = Params(F(3, 2), F(3, 2), 30)
     res = zero_mode_alpha_sum(p, "RamanujanExact", probe=8, partial_limits=(100, 10000))

@@ -7,7 +7,6 @@ from eisenmodes.bessel import DoubleBessel, Pure, apply_euler, apply_L, apply_P,
 from eisenmodes.laurent import YLaurent
 from eisenmodes.scalars import Constant, zeta_odd
 from eisenmodes.solver import (
-    MAX_BANDWIDTH,
     DegreeWindow,
     NoSolutionInWindow,
     default_window,
@@ -143,35 +142,35 @@ def test_zero_mode_verbatim_and_resonance():
 
 
 def test_band_profile_assertion_is_active(monkeypatch):
-    # the assembly checks |output_power - input_power| <= 3, the log-freeness and
-    # the pi-grade of every entry with explicit raises (so they survive python -O);
-    # an operator image that breaks one of them must raise, never return
+    # columns come from the pi-free stencil and the exact recheck applies the
+    # symbolic apply_P; they share no code, and a fault in either must make
+    # the recheck raise its explicit AssertionError (so it survives
+    # python -O), never return
     import eisenmodes.solver as solver_mod
 
     p = Params(F(5, 2), F(5, 2), 30)
     rhs = source_term(p, 1, 2).core
-    solve_particular_double(p, rhs)
+    solve_particular_double(p, rhs, widen_cap=0)
+
+    real_unit_column = solver_mod.unit_column
+
+    def scaled_unit_column(lam, expr, cell, k):
+        column = real_unit_column(lam, expr, cell, k)
+        if (cell, k) == ((0, 0), -1):
+            column = {key: 2 * q for key, q in column.items()}
+        return column
 
     real_apply_P = solver_mod.apply_P
 
-    def perturbed(shift, coeff, log_exp=0):
-        def apply_P(lam, expr):
-            ((cell, poly),) = expr.table.items()  # assembly applies P to unit monomials first
-            k = poly.support()[0]
-            extra = YLaurent.monomial(k + shift, coeff, log_exp=log_exp)
-            return real_apply_P(lam, expr) + DoubleBessel(expr.n1, expr.n2, {cell: extra})
+    def perturbed_apply_P(lam, expr):
+        extra = DoubleBessel(expr.n1, expr.n2, {(0, 0): YLaurent.monomial(0, Constant.one())})
+        return real_apply_P(lam, expr) + extra
 
-        return apply_P
-
-    for patch, message in [
-        (perturbed(0, Constant.pi_power(1)), "off the pi-grade"),
-        (perturbed(1, zeta_odd(3) * Constant.pi_power(1)), "off the pi-grade"),
-        (perturbed(MAX_BANDWIDTH + 1, Constant.pi_power(MAX_BANDWIDTH + 1)), "band profile"),
-        (perturbed(0, Constant.one(), log_exp=1), "log term"),
-    ]:
-        monkeypatch.setattr(solver_mod, "apply_P", patch)
-        with pytest.raises(AssertionError, match=message):
-            solve_particular_double(p, rhs, widen_cap=0)
+    for attr, patch in [("unit_column", scaled_unit_column), ("apply_P", perturbed_apply_P)]:
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, attr, patch)
+            with pytest.raises(AssertionError, match="non-exact solution"):
+                solve_particular_double(p, rhs, widen_cap=0)
 
 
 def test_determinism_bit_identical():
