@@ -4,10 +4,12 @@ The three expression kinds mirror the shapes appearing in the mode equations:
 
 * ``DoubleBessel``: sum of q^{i,j}(y) K_i(2 pi |n1| y) K_j(2 pi |n2| y),
 * ``SingleBessel``: sum of p^j(y) K_j(2 pi |n| y),
-* ``Pure``: a plain Laurent-with-log polynomial in y.
+* ``Pure``: a plain Laurent-with-log polynomial in y, the product of no K
+  factors (the zero mode).
 
-The first two are ``BesselProduct``s: one K factor per frequency, so the
-derivative, the mode operator and every evaluator are written once for both.
+All three are ``BesselProduct``s with one K factor per frequency, so the
+derivative, the mode operator and every evaluator are written once for all of
+them; on ``Pure`` the mode operator is the Euler operator y^2 d^2/dy^2 - lam.
 
 Operators are built from the factor-wise derivative rules
 
@@ -167,25 +169,22 @@ class SingleBessel(BesselProduct):
 
 
 @dataclass(frozen=True)
-class Pure:
-    """Bessel-free expression: a Laurent-with-log polynomial."""
+class Pure(BesselProduct):
+    """Bessel-free expression: a Laurent-with-log polynomial, the empty product."""
 
     poly: YLaurent
 
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
+    freqs = ()
 
-    def __add__(self, other: "Pure") -> "Pure":
-        return Pure(self.poly + other.poly)
+    @property
+    def table(self) -> Dict[Tuple[()], YLaurent]:
+        return {} if self.poly.is_zero() else {(): self.poly}
 
-    def __sub__(self, other: "Pure") -> "Pure":
-        return Pure(self.poly - other.poly)
+    def factors(self, cell):
+        return ()
 
-    def scale(self, factor) -> "Pure":
-        return Pure(self.poly.scale(factor))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Pure) and self.poly == other.poly
+    def with_table(self, table) -> "Pure":
+        return Pure(table.get((), YLaurent.zero()))
 
 
 @dataclass(frozen=True)
@@ -270,8 +269,6 @@ def _bessel_factor_derivative(index: int, c_abs_n: int):
 
 def differentiate(expr):
     """Exact d/dy on any expression kind."""
-    if isinstance(expr, Pure):
-        return Pure(expr.poly.diff())
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot differentiate {type(expr).__name__}")
     table: Dict = {}
@@ -288,8 +285,7 @@ def differentiate(expr):
 
 
 def _check_log_cap(expr):
-    polys = [expr.poly] if isinstance(expr, Pure) else list(expr.table.values())
-    for p in polys:
+    for p in expr.table.values():
         if p.max_log() >= LOG_CAP and p.has_logs():
             raise LogCapExceeded(
                 f"operator input carries log(y)^{p.max_log()} at cap {LOG_CAP}"
@@ -299,7 +295,8 @@ def _check_log_cap(expr):
 def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
     """-4 pi^2 (sum of freqs)^2 y^2 + y^2 d^2/dy^2 - lam on a Bessel product.
 
-    For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2.
+    For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2; on
+    ``Pure`` the sum of no frequencies is 0, which leaves the Euler operator.
     """
     _check_log_cap(expr)
     mass = sum(expr.freqs)
@@ -348,10 +345,8 @@ def apply_L(lam: int, expr: SingleBessel) -> SingleBessel:
 
 
 def apply_euler(lam: int, expr: Pure) -> Pure:
-    """(y^2 d^2/dy^2 - lam) on Bessel-free expressions, logs included."""
-    _check_log_cap(expr)
-    d2 = expr.poly.diff().diff()
-    return Pure(d2.shift(2) + expr.poly.scale(-lam))
+    """y^2 d^2/dy^2 - lam on Bessel-free expressions, logs included."""
+    return _mode_operator(lam, expr)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,12 @@ def _parse_r(text: str) -> int:
     return r * (r + 1)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _parse_window(text: str) -> DegreeWindow:
     try:
         m_txt, M_txt = text.split(":")
@@ -240,8 +246,9 @@ def cmd_sums(args):
 
 
 def cmd_combine(args):
+    used = []
     try:
-        fixture = fixture_combination(args.n1, args.n2)
+        fixture = fixture_combination(args.n1, args.n2, errata_used=used)
     except FixtureError as exc:
         return ({"error": "no_fixture", "preset": args.preset,
                  "n1": args.n1, "n2": args.n2, "reason": str(exc)}, EXIT_NO_FIXTURE)
@@ -260,6 +267,10 @@ def cmd_combine(args):
         spot.append({"y": y, "value": _fmt(ours), "reference": _fmt(ref),
                      "relative_error": _fmt(rel)})
     doc["spot_check"] = {"points": spot, "verdict": "equal" if ok else "mismatch"}
+    if used:
+        doc["spot_check"]["errata"] = [f"{c}/{key}: {reason}" for c, key, reason in used]
+        if ok:
+            doc["spot_check"]["verdict"] = "equal_with_erratum"
     return doc, EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -294,7 +305,11 @@ def cmd_verify(args):
 
 def cmd_alpha_sum(args):
     params = Params(args.alpha, args.beta, args.lam, Normalization.PUBLISHED)
-    return zero_mode_alpha_sum(params, args.method).to_json_obj(), EXIT_OK
+    try:
+        total = zero_mode_alpha_sum(params, args.method)
+    except NoSolutionInWindow as exc:
+        return _no_solution(exc, classify_params(args.alpha, args.beta, args.lam))
+    return total.to_json_obj(), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="compare solver output against the embedded tables")
     params_args(p)
-    p.add_argument("--cases", nargs="*", help="restrict to cases (generic, anti_diagonal, ...)")
+    p.add_argument("--cases", nargs="*", help="restrict to these cases",
+                   choices=["zero_mode", "left", "right", "generic", "anti_diagonal"])
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("sums", help="divisor convolution sums in closed form")
@@ -338,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--log", action="store_true", help="log-weighted variant")
-    p.add_argument("--limit", type=int, help="also print a partial sum up to this bound")
+    p.add_argument("--limit", type=_positive_int,
+                   help="also print a partial sum up to this bound")
     p.set_defaults(fn=cmd_sums)
 
     p = sub.add_parser("combine", help="weighted combinations of mode solutions")

@@ -241,12 +241,18 @@ def errata_entry(alpha, beta, lam: int, case: str, cell: str) -> Optional[dict]:
     return load_tables().get("errata", {}).get(key)
 
 
-def _cell_expr(alpha, beta, lam, case, cell, expr, apply_errata, used):
-    entry = errata_entry(alpha, beta, lam, case, cell)
-    if entry is not None and apply_errata:
-        used.append((case, cell, entry["reason"]))
+def _corrected_text(family: str, case: str, apply_errata: bool, used: list):
+    """The text hook of _section_table: an erratum's text replaces the printed one."""
+    errata = load_tables().get("errata", {}) if apply_errata else {}
+
+    def text(key, printed):
+        entry = errata.get(f"{family}|{case}|{key}")
+        if entry is None:
+            return printed
+        used.append((case, key, entry["reason"]))
         return entry["expr"]
-    return expr
+
+    return text
 
 
 def _cell_key(text: str):
@@ -254,15 +260,16 @@ def _cell_key(text: str):
     return int(text) if len(text) == 1 else (int(text[0]), int(text[1]))
 
 
-def _section_table(section: dict, names: Dict, cell_text=lambda cell, text: text) -> Dict:
+def _section_table(section: dict, names: Dict, text=lambda key, printed: printed) -> Dict:
     """A printed table's cells, each times its prefactor, keyed by cell.
 
-    cell_text(cell, text) may replace the printed text of a cell (errata).
+    text(key, printed) may replace the printed text of a cell or of the
+    "prefactor" (errata).
     """
-    pref = _as_constant(eval_table_expr(section["prefactor"], names))
+    pref = _as_constant(eval_table_expr(text("prefactor", section["prefactor"]), names))
     return {
-        _cell_key(c): _as_ylaurent(eval_table_expr(cell_text(c, text), names)).scale(pref)
-        for c, text in section["cells"].items()
+        _cell_key(c): _as_ylaurent(eval_table_expr(text(c, printed), names)).scale(pref)
+        for c, printed in section["cells"].items()
     }
 
 
@@ -290,25 +297,28 @@ def fixture_particular(alpha, beta, lam: int, n1: int, n2: int,
             # the printed anti-diagonal tables are written in terms of n2
             names = _mode_names(n1=n1, n2=n2, n=n2)
 
-    def cell_text(cell, text):
-        return _cell_expr(alpha, beta, lam, case, cell, text, apply_errata, used)
-
-    table = _section_table(fam[case], names, cell_text)
+    text = _corrected_text(family_key(alpha, beta, lam), case, apply_errata, used)
+    table = _section_table(fam[case], names, text)
     return SingleBessel(n, table) if n1 == 0 or n2 == 0 else DoubleBessel(n1, n2, table)
 
 
-def fixture_combination(n1: int, n2: int) -> DoubleBessel:
+def fixture_combination(n1: int, n2: int, errata_used: Optional[list] = None) -> DoubleBessel:
     """The printed T-2 combination table evaluated at concrete (n1, n2).
 
     The table is printed for the generic modes only: it divides by n1 + n2
     and takes divisor sums of n1 and n2, so it needs n1 n2 != 0 and
-    n1 + n2 != 0.
+    n1 + n2 != 0.  Its errata (case "same_sign" or "opposite_sign", by the
+    sign of n1 n2) are applied, and appended to errata_used when given, as in
+    fixture_particular.
     """
     if n1 * n2 == 0 or n1 + n2 == 0:
         raise FixtureError(
             f"the T-2 combination table needs n1*n2 != 0 and n1+n2 != 0, got ({n1}, {n2})")
+    used = errata_used if errata_used is not None else []
+    case = "same_sign" if n1 * n2 > 0 else "opposite_sign"
+    text = _corrected_text("combination_T-2", case, True, used)
     section = load_tables()["combination_T-2"]
-    return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2)))
+    return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2), text))
 
 
 def fixture_modes(alpha, beta, lam: int) -> Dict[str, List[Tuple[int, int]]]:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
-from .bessel import BesselProduct, HomBasis, Pure, differentiate
+from .bessel import BesselProduct, HomBasis, differentiate
 from .scalars import Symbol
 
 __all__ = [
@@ -252,8 +252,6 @@ def bessel_i(nu, x: float) -> float:
 
 def eval_expr(expr, y: float, env: NumericEnv = DEFAULT_ENV) -> float:
     """Numeric value of a Bessel expression at y > 0."""
-    if isinstance(expr, Pure):
-        return expr.poly.evaluate(env, y)
     if isinstance(expr, BesselProduct):
         values = []
         for cell, q in expr.table.items():
@@ -301,8 +299,6 @@ def _expr_terms_exact(expr, y: float, env: NumericEnv):
             _F(c.evaluate(env)) * y_f**k * ln_f**j for (k, j), c in q.terms().items()
         ]
 
-    if isinstance(expr, Pure):
-        return poly_terms(expr.poly)
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot evaluate {type(expr).__name__}")
     out = []
@@ -346,7 +342,7 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     """Relative operator residual |LHS - RHS| / max(|RHS at 1|, tiny) for a mode.
 
     ``mode`` is a ModeSolution-like object exposing params (with lam), n1, n2,
-    particular, source (BesselExpr/Pure), hom basis and alpha.  The second
+    particular, source (a SourceTerm or an expression), hom basis and alpha.  The second
     derivative is applied through the exact factor-derivative rules and then
     evaluated numerically.
     """
@@ -385,8 +381,7 @@ def series_crosscheck(expr, order: int, y_small: float = 1e-3,
     """Compare the exact small-y series against direct evaluation at y_small."""
     from .series import small_y_series
 
-    freqs = expr.freqs if isinstance(expr, BesselProduct) else ()
-    radius_ok = all(2 * math.pi * abs(n) * y_small < 0.5 for n in freqs)
+    radius_ok = all(2 * math.pi * abs(n) * y_small < 0.5 for n in expr.freqs)
     if not radius_ok:
         return {"status": "inconclusive", "reason": "outside series radius heuristic"}
     s = small_y_series(expr, order)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .bessel import BesselProduct, HomBasis, Pure
+from .bessel import BesselProduct, HomBasis
 from .laurent import YLaurent
 from .scalars import GAMMA, LN_PI, Constant, log_normalize
 
@@ -150,9 +150,6 @@ def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
 
 def small_y_series(expr, order: int) -> AsymptoticSeries:
     """Exact expansion of an expression (or hom basis element) as y -> 0."""
-    if isinstance(expr, Pure):
-        return AsymptoticSeries(expr.poly, order)
-
     if isinstance(expr, HomBasis):
         if expr.kind == "power_neg":
             return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
@@ -166,11 +163,14 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         # The K_1 series start at 1/y, so each factor is expanded len(freqs)
         # past reach and only the product is truncated: a factor truncated
         # first would lose the terms another factor's 1/y shifts below reach.
+        # Seeding reduce with one would truncate the first factor that way, so
+        # only the product of no factors (Pure) is one.
         total = YLaurent.zero()
         for cell, q in expr.table.items():
             reach = order - q.min_degree()
             factors = [k_log_series(i, n, reach + len(expr.freqs)) for i, n in expr.factors(cell)]
-            prod = reduce(lambda a, b: a.mul_truncated(b, reach), factors)
+            prod = (reduce(lambda a, b: a.mul_truncated(b, reach), factors) if factors
+                    else YLaurent.one())
             total = total + q.mul_truncated(prod, order)
         return AsymptoticSeries(total, order)
 

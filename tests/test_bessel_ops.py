@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eisenmodes.bessel import (
+    BesselProduct,
     DoubleBessel,
     HomBasis,
     Pure,
@@ -166,6 +167,35 @@ def test_apply_euler_examples():
 
     fd = y * y * fd_second_derivative(f, y, h=1e-4) - 2 * f(y)
     assert abs(out.poly.evaluate(ENV, y) - fd) < 1e-8
+
+
+def _euler_closed_form(lam, m):
+    """The Euler operator written out on the polynomial, as a reference."""
+    return Pure(m.diff().diff().shift(2) - m.scale(lam))
+
+
+@pytest.mark.parametrize("lam", [2, 6, 12, 20, 30, 31])
+def test_apply_euler_is_the_mode_operator_with_no_factors(lam):
+    coeff = Constant.pi_power(3, Fraction(-5, 7))
+    inputs = [YLaurent.monomial(k, coeff, log_exp=j) for k in range(-8, 9) for j in (0, 1)]
+    inputs.append(sum(inputs, YLaurent.zero()))
+    inputs.append(YLaurent.zero())
+    for m in inputs:
+        out = apply_euler(lam, Pure(m))
+        assert out == _euler_closed_form(lam, m), (lam, m)
+    with pytest.raises(LogCapExceeded):
+        apply_euler(lam, Pure(YLaurent.monomial(3, coeff, log_exp=2)))
+
+
+def test_pure_is_the_empty_bessel_product():
+    m = YLaurent.monomial(-2, 3) + YLaurent.monomial(1, 1, log_exp=1)
+    p = Pure(m)
+    assert isinstance(p, BesselProduct)
+    assert p.freqs == () and p.factors(()) == ()
+    assert p.table == {(): m} and Pure(YLaurent.zero()).table == {}
+    assert p.with_table({}) == Pure(YLaurent.zero()) and p.map_cells(lambda q: q) == p
+    assert (p + p - p.scale(2)).is_zero() and p.degree_window() == (-2, 1)
+    assert eval_expr(p, 0.7, ENV) == m.evaluate(ENV, 0.7)
 
 
 def test_log_cap_rejection():

@@ -95,6 +95,18 @@ def test_combine_command(capsys):
         assert float(point["relative_error"]) <= 1e-8
 
 
+def test_combine_at_opposite_signs_applies_the_sign_erratum(capsys):
+    # the printed table's overall sign is wrong at n1 n2 < 0
+    code, out = run_cli(capsys, "combine", "--preset", "T-2", "--n1", "2", "--n2", "-3")
+    assert code == EXIT_OK
+    check = json.loads(out)["spot_check"]
+    assert check["verdict"] == "equal_with_erratum"
+    assert [e.split(":")[0] for e in check["errata"]] == ["opposite_sign/prefactor"]
+    assert "test_t_minus_2_table_satisfies_operator_identity" in check["errata"][0]
+    for point in check["points"]:
+        assert float(point["relative_error"]) <= 1e-8
+
+
 @pytest.mark.parametrize("n1, n2", [(1, -1), (0, 3)])
 def test_combine_without_table_reports_no_fixture(capsys, n1, n2):
     # the T-2 table divides by n1 + n2 and takes divisor sums of n1 and n2
@@ -109,6 +121,34 @@ def test_alpha_sum_command(capsys):
     doc = json.loads(out)
     assert doc["status"] == "exact"
     assert doc["value"] == [{"coeff": "52/146923875", "monomial": {"pi": 8}}]
+
+
+@pytest.mark.parametrize("lam, expected, classification", [
+    ("31", EXIT_NOT_TRIANGULAR, "lambda_not_triangular"),
+    ("20", EXIT_NO_SOLUTION, "outside_conjectured_set"),  # parity-violating
+])
+def test_alpha_sum_without_solution_reports_exit_code(capsys, lam, expected, classification):
+    # exit 1 is kept for mismatches; the zero-mode sum's failed solves map like solve's
+    code, out, err = run_cli_streams(capsys, "alpha-sum", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", lam)
+    assert code == expected
+    doc = json.loads(out)
+    assert doc["error"] == "no_solution_in_window"
+    assert doc["classification"] == classification
+    assert doc["inconsistent_rows"] and err == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sums", "--a", "2", "--b", "2", "--s", "8", "--limit", "-5"], "--limit"),
+    (["sums", "--a", "2", "--b", "2", "--s", "8", "--limit", "0"], "--limit"),
+    # an unknown case used to compare nothing and still exit 0
+    (["table", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+      "--cases", "generic", "foo"], "--cases"),
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli_streams(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and flag in json.loads(err)["error"]
 
 
 def test_solve_output_bytes_deterministic(capsys):

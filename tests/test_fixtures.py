@@ -2,20 +2,26 @@ from fractions import Fraction
 
 import pytest
 
+from eisenmodes.bessel import DoubleBessel, apply_P
 from eisenmodes.fixtures import (
     FixtureError,
     _base_names,
     _mode_names,
+    _section_table,
     compare_expressions,
     errata_entry,
     eval_table_expr,
+    fixture_combination,
     fixture_modes,
     fixture_particular,
     fixture_zero_mode,
     list_families,
+    load_tables,
 )
 from eisenmodes.laurent import YLaurent
+from eisenmodes.homogeneous import T_MINUS_2_WEIGHTS
 from eisenmodes.scalars import Constant, zeta_odd
+from eisenmodes.sources import source_term
 
 F = Fraction
 
@@ -76,3 +82,46 @@ def test_fixture_modes_listing():
 def test_unknown_family_raises():
     with pytest.raises(FixtureError):
         fixture_particular(F(9, 2), F(9, 2), 30, 1, 2)
+
+
+T2_PAIRS = [(1, 2), (2, 1), (2, 3), (2, -3), (-2, 3), (3, -1), (1, -4)]
+
+
+def _printed_t_minus_2(n1, n2):
+    """The T-2 table exactly as printed, no errata."""
+    section = load_tables()["combination_T-2"]
+    return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2)))
+
+
+@pytest.mark.parametrize("n1, n2", T2_PAIRS)
+def test_t_minus_2_table_satisfies_operator_identity(n1, n2):
+    """P_42(T2 - c2 t20) = c1 s42 exactly, from printed tables and apply_P only.
+
+    T2 = c1 g42 + c2 g20 with g the (5/2,3/2,lam) correlator modes, so P_42
+    removes g42 and leaves its source.  t20 is the printed (3/2,5/2,20) table
+    at (n2, n1), transposed, times 2/3 (published c = 6, correlator c = 4).
+    The printed T2 satisfies the identity at same signs and only its negative
+    does at opposite signs: the opposite_sign erratum of combination_T-2.
+    """
+    (c1, p42), (c2, _) = T_MINUS_2_WEIGHTS
+    t = fixture_particular(F(3, 2), F(5, 2), 20, n2, n1)
+    t20 = DoubleBessel(n1, n2, {(j, i): q for (i, j), q in t.table.items()}).scale(F(2, 3))
+    rhs = source_term(p42, n1, n2).full().scale(c1)
+
+    def holds(t2):
+        return (apply_P(42, t2 - t20.scale(c2)) - rhs).is_zero()
+
+    printed = _printed_t_minus_2(n1, n2)
+    sign = 1 if n1 * n2 > 0 else -1
+    assert holds(printed.scale(sign))
+    assert not holds(printed.scale(-sign))
+
+
+@pytest.mark.parametrize("n1, n2", T2_PAIRS)
+def test_t_minus_2_erratum_negates_opposite_signs_only(n1, n2):
+    used = []
+    corrected = fixture_combination(n1, n2, errata_used=used)
+    sign = 1 if n1 * n2 > 0 else -1
+    assert corrected == _printed_t_minus_2(n1, n2).scale(sign)
+    expected = [] if sign > 0 else [("opposite_sign", "prefactor")]
+    assert [(case, key) for case, key, _ in used] == expected
