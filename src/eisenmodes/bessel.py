@@ -311,7 +311,7 @@ def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
 def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
     """The mode operator on y^k times the K factors of `cell`, with pi = 1.
 
-    Returns {(cell, p): Fraction}; the exact image carries q * pi^(p-k) at y^p.
+    Returns {(cell, p): int}; the exact image carries q * pi^(p-k) at y^p.
     Each factor has c = 2|n|: K_0' = -c K_1 and K_1' = -c K_0 - K_1/y; the mass
     term is -4 (sum of freqs)^2 y^2.  `expr` supplies only kind and frequencies.
     """
@@ -331,7 +331,7 @@ def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
     column = Counter({(cell, k + 2): -4 * mass * mass, (cell, k): -lam})
     for (c, p), q in derivative(derivative({(cell, k): 1})).items():
         column[expr.fold(c), p + 2] += q
-    return {key: Fraction(q) for key, q in column.items() if q}
+    return {key: q for key, q in column.items() if q}
 
 
 def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:

@@ -304,11 +304,14 @@ def cmd_verify(args):
 
 
 def cmd_alpha_sum(args):
+    cls = classify_params(args.alpha, args.beta, args.lam)
+    if cls.kind == "not_half_integer":
+        return {"classification": cls.kind}, EXIT_NOT_HALF_INTEGER
     params = Params(args.alpha, args.beta, args.lam, Normalization.PUBLISHED)
     try:
         total = zero_mode_alpha_sum(params, args.method)
     except NoSolutionInWindow as exc:
-        return _no_solution(exc, classify_params(args.alpha, args.beta, args.lam))
+        return _no_solution(exc, cls)
     return total.to_json_obj(), EXIT_OK
 
 

@@ -52,11 +52,22 @@ class YLaurent:
         self._min_y = min(ys) if ys else 0
         self._max_y = max(ys) if ys else 0
 
+    @classmethod
+    def _trusted(cls, terms: Dict[TermKey, Constant]) -> "YLaurent":
+        """Wrap a dict that is already normal: keys within the log cap, no zero
+        coefficient.  Operations on normal operands build their results this
+        way; each drops the zeros it creates itself."""
+        obj = object.__new__(cls)
+        obj._terms = terms
+        obj._min_y = min(terms)[0] if terms else 0
+        obj._max_y = max(terms)[0] if terms else 0
+        return obj
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "YLaurent":
-        return cls({})
+        return cls._trusted({})
 
     @classmethod
     def monomial(cls, y_exp: int, coeff=1, log_exp: int = 0) -> "YLaurent":
@@ -101,28 +112,32 @@ class YLaurent:
         terms = dict(self._terms)
         for key, c in other._terms.items():
             prev = terms.get(key)
-            val = c if prev is None else prev + c
-            if val.is_zero():
-                terms.pop(key, None)
+            if prev is None:
+                terms[key] = c
             else:
-                terms[key] = val
-        return YLaurent(terms)
+                val = prev + c
+                if val.is_zero():
+                    del terms[key]
+                else:
+                    terms[key] = val
+        return YLaurent._trusted(terms)
 
     def __neg__(self) -> "YLaurent":
-        return YLaurent({k: -c for k, c in self._terms.items()})
+        return YLaurent._trusted({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "YLaurent") -> "YLaurent":
         return self + (-other)
 
     def scale(self, factor) -> "YLaurent":
-        factor = _coerce(factor)
-        if factor.is_zero():
-            return YLaurent.zero()
-        return YLaurent({k: c * factor for k, c in self._terms.items()})
+        """Multiply by an int, Fraction or Constant; the constants form an
+        integral domain, so a nonzero factor leaves no coefficient zero."""
+        if factor == 0:
+            return YLaurent._trusted({})
+        return YLaurent._trusted({k: c * factor for k, c in self._terms.items()})
 
     def shift(self, y_exp: int) -> "YLaurent":
         """Multiply by y**y_exp."""
-        return YLaurent({(k + y_exp, j): c for (k, j), c in self._terms.items()})
+        return YLaurent._trusted({(k + y_exp, j): c for (k, j), c in self._terms.items()})
 
     def __mul__(self, other: "YLaurent") -> "YLaurent":
         return self.mul_truncated(other, order=None)
@@ -142,7 +157,7 @@ class YLaurent:
                 prod = c1 * c2
                 prev = out.get(key)
                 out[key] = prod if prev is None else prev + prod
-        return YLaurent(out)
+        return YLaurent._trusted({key: c for key, c in out.items() if not c.is_zero()})
 
     def diff(self) -> "YLaurent":
         """d/dy, with d/dy[y^k log^j y] = k y^(k-1) log^j + j y^(k-1) log^(j-1)."""
@@ -166,11 +181,11 @@ class YLaurent:
                     out.pop(key, None)
                 else:
                     out[key] = val
-        return YLaurent(out)
+        return YLaurent._trusted(out)
 
     def truncate(self, order: int) -> "YLaurent":
         """Keep only terms with y exponent < order."""
-        return YLaurent({k: c for k, c in self._terms.items() if k[0] < order})
+        return YLaurent._trusted({k: c for k, c in self._terms.items() if k[0] < order})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, YLaurent) and self._terms == other._terms

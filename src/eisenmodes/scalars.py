@@ -8,8 +8,11 @@ finite rational combinations of monomials over the symbol set
 
 ``Constant`` is that ring.  The exact linear solves of the mode solver need
 no larger field: the mode operators are graded by the power of pi, so their
-systems are eliminated over the plain rationals (``fractions.Fraction``) and
-each solved value maps back to a rational times a monomial of this ring.
+systems are eliminated over the plain rationals and each solved value maps
+back to a rational times a monomial of this ring.
+
+Constructors validate and normalise their input; ring operations on normal
+operands build their results without a second pass (``Constant._trusted``).
 """
 
 from __future__ import annotations
@@ -108,6 +111,10 @@ class SymbolMonomial:
         return 0
 
     def __mul__(self, other: "SymbolMonomial") -> "SymbolMonomial":
+        if not other._items:
+            return self
+        if not self._items:
+            return other
         exps = dict(self._items)
         for sym, e in other._items:
             exps[sym] = exps.get(sym, 0) + e
@@ -161,11 +168,22 @@ class Constant:
                     cleaned[mono] = cleaned.get(mono, Fraction(0)) + c
         self._terms = {m: c for m, c in cleaned.items() if c}
 
+    @classmethod
+    def _trusted(cls, terms: Dict[SymbolMonomial, Fraction]) -> "Constant":
+        """Wrap a dict that is already normal: Fraction coefficients, none zero.
+
+        Ring operations on normal operands build their results this way; each
+        drops the zeros it creates itself.
+        """
+        obj = object.__new__(cls)
+        obj._terms = terms
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Constant":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "Constant":
@@ -212,16 +230,23 @@ class Constant:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Constant":
-        other = _coerce_constant(other)
         terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Constant(terms)
+        for m, c in _coerce_constant(other)._terms.items():
+            prev = terms.get(m)
+            if prev is None:
+                terms[m] = c
+            else:
+                val = prev + c
+                if val:
+                    terms[m] = val
+                else:
+                    del terms[m]
+        return Constant._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Constant":
-        return Constant({m: -c for m, c in self._terms.items()})
+        return Constant._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Constant":
         return self + (-_coerce_constant(other))
@@ -230,24 +255,31 @@ class Constant:
         return _coerce_constant(other) + (-self)
 
     def __mul__(self, other) -> "Constant":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Constant._trusted({})
+            return Constant._trusted({m: c * other for m, c in self._terms.items()})
         other = _coerce_constant(other)
+        if len(other._terms) == 1:
+            # Distinct monomials times one monomial stay distinct.
+            (m2, c2), = other._terms.items()
+            return Constant._trusted({m1 * m2: c1 * c2 for m1, c1 in self._terms.items()})
         out: Dict[SymbolMonomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = m1 * m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Constant(out)
+                prev = out.get(m)
+                out[m] = c1 * c2 if prev is None else prev + c1 * c2
+        return Constant._trusted({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Constant":
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1, 1) / _as_fraction(other)
-            return Constant({m: c * inv for m, c in self._terms.items()})
-        other = _coerce_constant(other)
-        mono, coeff = other.single_term()
+            return self * (Fraction(1) / other)
+        mono, coeff = _coerce_constant(other).single_term()
         inv_mono = mono.inverse()
-        return Constant({m * inv_mono: c / coeff for m, c in self._terms.items()})
+        return Constant._trusted({m * inv_mono: c / coeff for m, c in self._terms.items()})
 
     def __rtruediv__(self, other) -> "Constant":
         return _coerce_constant(other) / self
@@ -255,7 +287,7 @@ class Constant:
     def __pow__(self, k: int) -> "Constant":
         if k < 0:
             mono, coeff = self.single_term()
-            return Constant({mono ** k: coeff ** k})
+            return Constant._trusted({mono ** k: coeff ** k})
         out = Constant.one()
         base = self
         n = k

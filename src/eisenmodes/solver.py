@@ -8,10 +8,14 @@ pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
 into one over Q with the same zero pattern, whose columns are the pi-free
 integer stencil ``bessel.unit_column``; each right-hand side splits into
 directions (non-pi symbol monomial, pi-grade), each with rational entries.
-Systems are eliminated exactly over Q (Gauss-Jordan; the pivot of each
-column, taken in ascending y-degree then cell order, is the row with the
-fewest entries, ties broken by ascending y-degree then cell); free variables
-of an underdetermined system are set to zero and counted as kernel dimension.
+Systems are eliminated exactly over Q by fraction-free Gauss-Jordan on Python
+ints (each direction scaled to integers, rows kept as integer multiples of
+their rational counterparts, one Fraction per solved entry at the end).  The
+pivot of each column, taken in ascending y-degree then cell order, is the row
+with the fewest entries, ties broken by ascending y-degree then cell; row
+scaling keeps zero patterns, so these are the pivots elimination over
+Fractions would choose.  Free variables of an underdetermined system are set
+to zero and counted as kernel dimension.
 
 Every returned solution is re-verified by applying the symbolic operator
 (``apply_P`` or ``apply_L``, which shares no code with the stencil) and
@@ -21,6 +25,7 @@ zero expression.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -131,10 +136,8 @@ def default_window(alpha, beta, r: int, case: str = "generic") -> Dict:
         if key != (alpha, beta):
             base = {(i, j): base[(j, i)] for (i, j) in base}
     else:
-        import math as _math
-
         m = -r + 1
-        M = _math.ceil(alpha + beta) - 1
+        M = math.ceil(alpha + beta) - 1
         base = {c: (m, M) for c in ((0, 0), (0, 1), (1, 0), (1, 1))}
     if case == "anti_diagonal":
         base = {c: (mm, r + 2) for c, (mm, _) in base.items()}
@@ -150,25 +153,41 @@ def single_window(r: int, source_powers) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# Banded elimination over Q
+# Banded elimination over Q, fraction-free
 # ---------------------------------------------------------------------------
 
 
 def _gauss_jordan(columns, rhs_rows, col_order, row_order):
-    """Exact multi-RHS Gauss-Jordan over the rationals.
+    """Exact multi-RHS Gauss-Jordan over the rationals, run on integers.
 
-    columns: dict col -> dict row -> Fraction (the assembled sparse matrix)
+    columns: dict col -> dict row -> int (the assembled sparse matrix)
     rhs_rows: dict row -> list[Fraction] per right-hand-side direction
     Returns (solution dict col -> list[Fraction], kernel_cols, inconsistent_rows).
+
+    Each direction is scaled to integers by the lcm of its denominators.  A
+    row is updated as a*row - b*pivot_row with a, b = pivot/g, factor/g
+    (g = gcd(pivot, factor)) and then divided, with its right-hand side, by
+    the gcd of its entries.  Every row stays a nonzero multiple of the row
+    that elimination over Q with a normalised pivot row would hold, so the
+    zero patterns, and with them the pivots, the kernel columns and the
+    inconsistent rows, are the same; each solved entry is one Fraction
+    x / (pivot * scale) at the end.
     """
     n_dirs = len(next(iter(rhs_rows.values()))) if rhs_rows else 0
+    scales = [1] * n_dirs
+    for vals in rhs_rows.values():
+        for d, v in enumerate(vals):
+            if v:
+                scales[d] = math.lcm(scales[d], v.denominator)
     rows: Dict = {}
     for col, entries in columns.items():
         for row, val in entries.items():
             rows.setdefault(row, {})[col] = val
     for row in rhs_rows:
         rows.setdefault(row, {})
-    rhs = {row: list(rhs_rows.get(row, [Fraction(0)] * n_dirs)) for row in rows}
+    rhs = {row: [0] * n_dirs for row in rows}
+    for row, vals in rhs_rows.items():
+        rhs[row] = [v.numerator * (s // v.denominator) for v, s in zip(vals, scales)]
 
     pivot_of_col: Dict = {}
     used_rows = set()
@@ -183,24 +202,32 @@ def _gauss_jordan(columns, rhs_rows, col_order, row_order):
         pivot_row = min(candidates, key=lambda r: (len(rows[r]), row_rank[r]))
         used_rows.add(pivot_row)
         pivot_of_col[col] = pivot_row
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = {c: v * inv for c, v in rows[pivot_row].items() if v}
-        rhs[pivot_row] = [v * inv for v in rhs[pivot_row]]
         prow, prhs = rows[pivot_row], rhs[pivot_row]
-        for r in list(rows):
+        pivot = prow[col]
+        for r, row_r in rows.items():
             if r == pivot_row:
                 continue
-            factor = rows[r].get(col)
+            factor = row_r.get(col)
             if not factor:
                 continue
-            row_r = rows[r]
+            g = math.gcd(pivot, factor)
+            a, b = pivot // g, factor // g
+            if a != 1:
+                for c in row_r:
+                    row_r[c] *= a
             for c, v in prow.items():
-                nv = row_r.get(c, 0) - factor * v
+                nv = row_r.get(c, 0) - b * v
                 if nv:
                     row_r[c] = nv
                 else:
-                    row_r.pop(c, None)
-            rhs[r] = [a - factor * b for a, b in zip(rhs[r], prhs)]
+                    del row_r[c]
+            rhs_r = [a * x - b * y for x, y in zip(rhs[r], prhs)]
+            content = math.gcd(*row_r.values(), *rhs_r)
+            if content > 1:
+                for c in row_r:
+                    row_r[c] //= content
+                rhs_r = [x // content for x in rhs_r]
+            rhs[r] = rhs_r
 
     # Leftover rows have entries only in kernel (free) columns; with the
     # free-variables-set-to-zero convention a nonzero rhs there is an
@@ -214,7 +241,8 @@ def _gauss_jordan(columns, rhs_rows, col_order, row_order):
             extra = [c for c in rows[row] if c != col and c not in kernel_cols]
             if extra:
                 raise AssertionError("elimination left coupled pivots")
-            solution[col] = rhs[row]
+            pivot = rows[row][col]
+            solution[col] = [Fraction(x, pivot * s) for x, s in zip(rhs[row], scales)]
         else:
             solution[col] = [Fraction(0)] * n_dirs
     return solution, kernel_cols, inconsistent

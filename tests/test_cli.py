@@ -138,6 +138,15 @@ def test_alpha_sum_without_solution_reports_exit_code(capsys, lam, expected, cla
     assert doc["inconsistent_rows"] and err == ""
 
 
+def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
+    # as solve does, and as the exit-code table says: a document, not a usage error
+    code, out, err = run_cli_streams(capsys, "alpha-sum", "--alpha", "2", "--beta", "3/2",
+                                     "--lambda", "30")
+    assert code == EXIT_NOT_HALF_INTEGER
+    assert json.loads(out) == {"classification": "not_half_integer"}
+    assert err == ""
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["sums", "--a", "2", "--b", "2", "--s", "8", "--limit", "-5"], "--limit"),
     (["sums", "--a", "2", "--b", "2", "--s", "8", "--limit", "0"], "--limit"),

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -79,6 +80,17 @@ def test_log_normalize_additivity():
         assert log_normalize(a * b) == log_normalize(a) + log_normalize(b)
 
 
+def assert_normal(c):
+    """c is what the public constructor makes of its own terms: Fraction
+    coefficients, none zero, and a byte-stable JSON round trip."""
+    terms = c.terms()
+    assert all(type(q) is Fraction and q for q in terms.values()), c
+    assert all(e for m in terms for _, e in m.items()), c
+    assert Constant(terms) == c
+    text = json.dumps(c.to_json_obj())
+    assert json.dumps(Constant.from_json_obj(c.to_json_obj()).to_json_obj()) == text
+
+
 def test_ring_axioms_random():
     rng = random.Random(11)
     for _ in range(30):
@@ -87,6 +99,15 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert (a - a).is_zero()
+        mono = Constant.pi_power(rng.randint(-3, 3), Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        results = [
+            a + b, (a + b) + c, a + (b + c), a - b, (a + b) - b, a - a, -a, 3 - a,
+            a * b, b * a, a * (b + c), a * b + a * c, a * mono, mono * a,
+            a * 3, 3 * a, a * Fraction(-2, 7), a * 0, a / 5, a / Fraction(3, 4), a / mono,
+            a ** 2, mono ** -2,
+        ]
+        for r in results:
+            assert_normal(r)
 
 
 def test_numeric_faithfulness():

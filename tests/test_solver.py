@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from eisenmodes.laurent import YLaurent
 from eisenmodes.scalars import Constant, zeta_odd
 from eisenmodes.solver import (
     DegreeWindow,
+    _gauss_jordan,
     NoSolutionInWindow,
     default_window,
     single_window,
@@ -197,3 +199,112 @@ def test_parity_violating_params_have_no_ansatz_solution():
     assert classify_params(p.alpha, p.beta, 20).kind == "outside_conjectured_set"
     with pytest.raises(NoSolutionInWindow):
         solve_particular_double(p, source_term(p, 1, 2).core, widen_cap=4)
+
+
+def _fraction_gauss_jordan(columns, rhs_rows, col_order, row_order):
+    """Reference elimination over Fractions with a normalised pivot row; the
+    same pivot rule as the solver's fraction-free one."""
+    n_dirs = len(next(iter(rhs_rows.values()))) if rhs_rows else 0
+    rows = {}
+    for col, entries in columns.items():
+        for row, val in entries.items():
+            rows.setdefault(row, {})[col] = Fraction(val)
+    for row in rhs_rows:
+        rows.setdefault(row, {})
+    rhs = {row: list(rhs_rows.get(row, [Fraction(0)] * n_dirs)) for row in rows}
+    pivot_of_col, used_rows = {}, set()
+    row_rank = {r: i for i, r in enumerate(row_order)}
+    for col in col_order:
+        candidates = [r for r in row_order if r not in used_rows and rows[r].get(col)]
+        if not candidates:
+            continue
+        pivot_row = min(candidates, key=lambda r: (len(rows[r]), row_rank[r]))
+        used_rows.add(pivot_row)
+        pivot_of_col[col] = pivot_row
+        inv = 1 / rows[pivot_row][col]
+        rows[pivot_row] = {c: v * inv for c, v in rows[pivot_row].items() if v}
+        rhs[pivot_row] = [v * inv for v in rhs[pivot_row]]
+        prow, prhs = rows[pivot_row], rhs[pivot_row]
+        for r in list(rows):
+            factor = rows[r].get(col) if r != pivot_row else None
+            if not factor:
+                continue
+            for c, v in prow.items():
+                nv = rows[r].get(c, 0) - factor * v
+                if nv:
+                    rows[r][c] = nv
+                else:
+                    rows[r].pop(c, None)
+            rhs[r] = [a - factor * b for a, b in zip(rhs[r], prhs)]
+    inconsistent = [r for r in row_order if r not in used_rows and any(rhs[r])]
+    kernel_cols = [c for c in col_order if c not in pivot_of_col]
+    solution = {
+        col: rhs[pivot_of_col[col]] if col in pivot_of_col else [Fraction(0)] * n_dirs
+        for col in col_order
+    }
+    return solution, kernel_cols, inconsistent
+
+
+def _random_banded_system(rng, kind):
+    """Integer banded columns and fractional multi-direction right-hand sides.
+
+    kind "full": consistent, full column rank; "deficient": consistent with
+    columns that repeat multiples of earlier ones; "inconsistent": random
+    right-hand sides on an overdetermined system.
+    """
+    n_cols = rng.randint(3, 14)
+    n_rows = n_cols + rng.randint(0, 5)
+    band = rng.randint(1, 4)
+    columns = {}
+    for j in range(n_cols):
+        lo = min(j, n_rows - 1)
+        columns[j] = {
+            i: rng.choice([v for v in range(-12, 13) if v] + [0] * 3)
+            for i in range(lo, min(n_rows, lo + band + 1))
+        }
+        columns[j][lo] = columns[j][lo] or rng.choice([-3, -1, 1, 2, 7])
+        if kind == "deficient" and j and rng.random() < 0.4:
+            src = rng.randrange(j)
+            mult = rng.choice([-2, -1, 1, 3])
+            columns[j] = {i: mult * v for i, v in columns[src].items()}
+        columns[j] = {i: v for i, v in columns[j].items() if v}
+    n_dirs = rng.randint(1, 4)
+
+    def frac():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 36))
+
+    if kind == "inconsistent":
+        rhs = {i: [frac() for _ in range(n_dirs)] for i in range(n_rows)}
+    else:
+        xs = [{j: frac() for j in range(n_cols)} for _ in range(n_dirs)]
+        rhs = {i: [Fraction(0)] * n_dirs for i in range(n_rows)}
+        for d, x in enumerate(xs):
+            for j, col in columns.items():
+                for i, v in col.items():
+                    rhs[i][d] += v * x[j]
+    col_order = list(range(n_cols))
+    row_order = list(range(n_rows))
+    rng.shuffle(row_order)
+    return columns, rhs, col_order, row_order
+
+
+def test_fraction_free_elimination_matches_fraction_reference():
+    # same pivots, same kernel columns, same inconsistent rows and the same
+    # solved values as elimination over Fractions
+    rng = random.Random(20240)
+    seen = {"full": 0, "deficient": 0, "inconsistent": 0}
+    for trial in range(300):
+        kind = ("full", "deficient", "inconsistent")[trial % 3]
+        columns, rhs, col_order, row_order = _random_banded_system(rng, kind)
+        got = _gauss_jordan(columns, rhs, col_order, row_order)
+        want = _fraction_gauss_jordan(columns, rhs, col_order, row_order)
+        assert got == want, (kind, trial)
+        assert all(type(v) is Fraction for vals in got[0].values() for v in vals)
+        _, kernel_cols, inconsistent = got
+        if kind == "full" and not kernel_cols and not inconsistent:
+            seen["full"] += 1
+        if kind == "deficient" and kernel_cols and not inconsistent:
+            seen["deficient"] += 1
+        if kind == "inconsistent" and inconsistent:
+            seen["inconsistent"] += 1
+    assert min(seen.values()) >= 50, seen
