@@ -17,7 +17,7 @@ n1, n2 = 1, 2
 
 print(f"solving {params.describe()} at (n1, n2) = ({n1}, {n2})")
 src = source_term(params, n1, n2)
-print("\nsource prefactor:", src.prefactor.combined())
+print("\nsource prefactor:", src.prefactor)
 print("source core (reduced to the K0/K1 basis):")
 for cell, poly in sorted(src.core.table.items()):
     print("  K%d K%d :" % cell, poly)

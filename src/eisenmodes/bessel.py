@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
-from .scalars import Constant
+from .scalars import PI, Constant
 
 __all__ = [
     "BesselProduct",
@@ -90,9 +90,6 @@ class BesselProduct:
 
     def scale(self, factor):
         return self.map_cells(lambda p: p.scale(factor))
-
-    def mul_poly(self, poly: YLaurent):
-        return self.map_cells(lambda p: p * poly)
 
     def degree_window(self) -> Tuple[int, int]:
         lo = min(p.min_degree() for p in self.table.values())
@@ -256,17 +253,6 @@ def reduce_k_index(m: int, n: int) -> Tuple[YLaurent, YLaurent]:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_factor_derivative(index: int, c_abs_n: int):
-    """Derivative contributions of K_index(2 pi c_abs_n y) as (new_index, multiplier)."""
-    c = Constant.pi_power(1, 2 * c_abs_n)
-    if index == 0:
-        return [(1, YLaurent.monomial(0, -c))]
-    return [
-        (0, YLaurent.monomial(0, -c)),
-        (1, YLaurent.monomial(-1, -1)),
-    ]
-
-
 def differentiate(expr):
     """Exact d/dy on any expression kind."""
     if not isinstance(expr, BesselProduct):
@@ -279,8 +265,9 @@ def differentiate(expr):
     for cell, q in expr.table.items():
         add(cell, q.diff())
         for pos, (index, abs_n) in enumerate(expr.factors(cell)):
-            for new_index, mult in _bessel_factor_derivative(index, abs_n):
-                add(expr.replace_index(cell, pos, new_index), q * mult)
+            add(expr.replace_index(cell, pos, 1 - index), q.scale(PI * (-2 * abs_n)))
+            if index == 1:
+                add(cell, -q.shift(-1))
     return expr.with_table(table)
 
 
@@ -300,12 +287,9 @@ def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
     """
     _check_log_cap(expr)
     mass = sum(expr.freqs)
-    mass_poly = YLaurent.monomial(2, Constant.pi_power(2, -4 * mass * mass))
     d2 = differentiate(differentiate(expr))
-    out = d2.mul_poly(YLaurent.monomial(2, 1))
-    out = out + expr.mul_poly(mass_poly)
-    out = out + expr.scale(-lam)
-    return out
+    out = (d2 - expr.scale(PI * PI * (4 * mass * mass))).map_cells(lambda p: p.shift(2))
+    return out - expr.scale(lam)
 
 
 def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:

@@ -102,7 +102,7 @@ def _parse_half(text: str) -> Fraction:
 
 
 def _parse_r(text: str) -> int:
-    r = int(text)
+    r = _positive_int(text)
     return r * (r + 1)
 
 

@@ -234,7 +234,7 @@ def solve_mode(
         zm = solve_zero_mode(params, src.core)
         hom = zm.free_basis[0]
         return ModeSolution(
-            params, 0, 0, src, zm.particular, hom, None, None,
+            params, 0, 0, src, zm.particular.scale(src.prefactor), hom, None, None,
             "alpha_0,0 is a free constant; zero_mode_alpha_sum chooses it",
             None, alpha_free=True,
         )
@@ -247,7 +247,7 @@ def solve_mode(
         core_sol, report = solve_particular_double(
             params, src.core, window_override, widen_cap, case=src.case_tag
         )
-    particular = core_sol.scale(src.prefactor.combined())
+    particular = core_sol.scale(src.prefactor)
 
     alpha = basis = obstruction = None
     note = ""

@@ -10,7 +10,10 @@ where the effective constant depends on the chosen normalization:
   combinations,
 * unit       : c_eff = 1.
 
-Fourier coefficients of E_s enter through
+The source of mode (n1, n2) is therefore the product of two Fourier
+coefficients of Eisenstein series,
+
+    s_{n1,n2}(y) = c_eff zeta(2a) zeta(2b) a_{n1,a}(y) a_{n2,b}(y),
 
     a_{0,s}(y) = y^s + sqrt(pi) Gamma(s - 1/2) zeta(2s-1)
                  / (Gamma(s) zeta(2s)) * y^{1-s},
@@ -18,7 +21,9 @@ Fourier coefficients of E_s enter through
                  sigma_{1-2s}(|n|) sqrt(y) K_{s-1/2}(2 pi |n| y),
 
 with every Gamma(half-integer) expanded so only integer powers of pi
-survive in the assembled prefactors.
+survive in the assembled prefactors.  ``_fourier_factor`` is the one encoding
+of zeta(2s) a_{n,s}: ``source_term`` multiplies two of them, and
+``eisenstein_coeff``/``eisenstein_zero_coeff`` divide one by zeta(2s).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .bessel import DoubleBessel, Pure, SingleBessel, reduce_k_index
+from .bessel import BesselProduct, DoubleBessel, Pure, SingleBessel, reduce_k_index
 from .divisors import sigma
 from .laurent import YLaurent
 from .scalars import Constant, zeta_value, gamma_half_integer
@@ -37,7 +42,6 @@ from .scalars import Constant, zeta_value, gamma_half_integer
 __all__ = [
     "Normalization",
     "Params",
-    "Prefactor",
     "SourceTerm",
     "Classification",
     "classify_params",
@@ -125,7 +129,7 @@ class Params:
         r = self.r
         if r is not None:
             return r
-        return max(1, (math.isqrt(4 * self.lam + 1) - 1) // 2)
+        return max(1, (math.isqrt(max(0, 4 * self.lam + 1)) - 1) // 2)
 
     def c_eff(self) -> Fraction:
         if self.normalization is Normalization.PUBLISHED:
@@ -162,6 +166,29 @@ def _pi_half_product(rational: Fraction, half_pi_exponent: int) -> Constant:
     return Constant.pi_power(half_pi_exponent // 2, rational)
 
 
+def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, BesselProduct]:
+    """zeta(2s) a_{n,s}(y) / sqrt(y) as (prefactor, expression).
+
+    n = 0: (1, Pure(zeta(2s) y^{s-1/2} + sqrt(pi) Gamma(s-1/2) zeta(2s-1)
+    / Gamma(s) y^{1/2-s})); n != 0: (2 pi^s |n|^{s-1/2} sigma_{1-2s}(|n|)
+    / Gamma(s), K_{s-1/2}(2 pi |n| y) in the K0/K1 basis).  The only encoding
+    of the Eisenstein coefficients: every source term is built from it.
+    """
+    s = Fraction(s)
+    if s <= 1:
+        raise ValueError("requires s > 1 (absolute convergence)")
+    two_s = int(2 * s)
+    m = int(s - Fraction(1, 2))  # K index and |n| exponent; integral for half-integer s
+    g, g_sqrtpi = gamma_half_integer(two_s)
+    if n == 0:
+        g_num, g_num_sqrtpi = gamma_half_integer(two_s - 1)
+        a_s = _pi_half_product(g_num / g, 1 + g_num_sqrtpi - g_sqrtpi) * zeta_value(two_s - 1)
+        poly = YLaurent({(m, 0): zeta_value(two_s), (-m, 0): a_s})
+        return Constant.one(), Pure(poly)
+    pref = _pi_half_product(2 * abs(n) ** m * sigma(1 - two_s, abs(n)) / g, two_s - g_sqrtpi)
+    return pref, SingleBessel(n, dict(enumerate(reduce_k_index(m, n))))
+
+
 def eisenstein_zero_coeff(s: Fraction) -> List[Tuple[Fraction, Constant]]:
     """a_{0,s} as [(power, coefficient)] = [(s, 1), (1-s, A_s)].
 
@@ -170,13 +197,9 @@ def eisenstein_zero_coeff(s: Fraction) -> List[Tuple[Fraction, Constant]]:
     integer power of pi times zeta(2s-1) / zeta(2s).
     """
     s = Fraction(s)
-    if s <= 1:
-        raise ValueError("requires s > 1 (absolute convergence)")
-    g_num, g_num_sqrtpi = gamma_half_integer(int(2 * (s - Fraction(1, 2))))
-    g_den, g_den_sqrtpi = gamma_half_integer(int(2 * s))
-    const = _pi_half_product(g_num / g_den, 1 + g_num_sqrtpi - g_den_sqrtpi)
-    a_s = const * zeta_value(int(2 * s - 1)) / zeta_value(int(2 * s))
-    return [(s, Constant.one()), (1 - s, a_s)]
+    _, expr = _fourier_factor(s, 0)
+    m, z = int(s - Fraction(1, 2)), zeta_value(int(2 * s))
+    return [(s, expr.poly.coeff(m) / z), (1 - s, expr.poly.coeff(-m) / z)]
 
 
 def eisenstein_coeff(s: Fraction, n: int):
@@ -184,18 +207,10 @@ def eisenstein_coeff(s: Fraction, n: int):
     (prefactor, bessel_index_times_two) describing
     prefactor * sqrt(y) K_{s-1/2}(2 pi |n| y) for n != 0."""
     s = Fraction(s)
-    if s <= 1:
-        raise ValueError("requires s > 1 (absolute convergence)")
     if n == 0:
         return eisenstein_zero_coeff(s)
-    two_s = int(2 * s)
-    g, g_sqrtpi = gamma_half_integer(two_s)
-    pref = _pi_half_product(Fraction(2) / g, two_s - g_sqrtpi)
-    m = int(s - Fraction(1, 2))  # |n| exponent; integral for half-integer s
-    pref = pref * Constant.from_rational(
-        Fraction(abs(n)) ** m * sigma(1 - two_s, abs(n))
-    ) / zeta_value(two_s)
-    return pref, two_s - 1  # K index = s - 1/2, stored doubled
+    pref, _ = _fourier_factor(s, n)
+    return pref / zeta_value(int(2 * s)), int(2 * s) - 1  # K index = s - 1/2, stored doubled
 
 
 # ---------------------------------------------------------------------------
@@ -204,120 +219,42 @@ def eisenstein_coeff(s: Fraction, n: int):
 
 
 @dataclass(frozen=True)
-class Prefactor:
-    """Scalar prefactor split into provenance pieces.
-
-    constant_part: pi powers, zeta values, gammas and the like;
-    divisor_part: product of the sigma values; power_part: the integer
-    |n1|^{alpha-1/2} |n2|^{beta-1/2} contribution.
-    """
-
-    constant_part: Constant
-    divisor_part: Fraction = Fraction(1)
-    power_part: int = 1
-
-    def combined(self) -> Constant:
-        return self.constant_part * Constant.from_rational(self.divisor_part * self.power_part)
-
-
-@dataclass(frozen=True)
 class SourceTerm:
-    """One s_{n1,n2}: prefactor times a reduced K0/K1-basis core expression."""
+    """One s_{n1,n2}: a prefactor times a reduced K0/K1-basis core expression."""
 
     params: Params
     n1: int
     n2: int
-    prefactor: Prefactor
-    core: object  # DoubleBessel | SingleBessel | Pure
+    prefactor: Constant
+    core: BesselProduct  # DoubleBessel | SingleBessel | Pure
     case_tag: str  # both_zero | left_zero | right_zero | generic | anti_diagonal
 
     def full(self):
         """The complete source expression with the prefactor folded in."""
-        return self.core.scale(self.prefactor.combined())
+        return self.core.scale(self.prefactor)
 
 
-def _bessel_weight_pair(p: Params, outer: Fraction) -> List[Tuple[int, Constant]]:
-    """Powers/weights of the polynomial factor multiplying K_{other-1/2}.
-
-    For the mode with the `outer` Eisenstein index supplying its zeroth
-    coefficient: [(outer+1/2, zeta(2*outer)), (3/2-outer, sqrt(pi)
-    Gamma(outer-1/2) zeta(2*outer-1) / Gamma(outer))], all integer powers.
-    """
-    two_o = int(2 * outer)
-    g_num, g_num_s = gamma_half_integer(two_o - 1)
-    g_den, g_den_s = gamma_half_integer(two_o)
-    a_const = _pi_half_product(g_num / g_den, 1 + g_num_s - g_den_s) * zeta_value(two_o - 1)
-    return [
-        (int(outer + Fraction(1, 2)), zeta_value(two_o)),
-        (int(Fraction(3, 2) - outer), a_const),
-    ]
-
-
-def _single_prefactor(p: Params, inner: Fraction, n: int) -> Prefactor:
-    """2 c_eff pi^inner |n|^{inner-1/2} sigma_{1-2*inner}(|n|) / Gamma(inner)."""
-    two_i = int(2 * inner)
-    g, g_s = gamma_half_integer(two_i)
-    const = _pi_half_product(2 * p.c_eff() / g, two_i - g_s)
-    m = int(inner - Fraction(1, 2))
-    return Prefactor(const, sigma(1 - two_i, abs(n)), abs(n) ** m)
+def _case_tag(n1: int, n2: int) -> str:
+    if n1 == 0:
+        return "both_zero" if n2 == 0 else "left_zero"
+    if n2 == 0:
+        return "right_zero"
+    return "anti_diagonal" if n1 + n2 == 0 else "generic"
 
 
 def source_term(p: Params, n1: int, n2: int) -> SourceTerm:
-    """Exact s_{n1,n2} with the Bessel part reduced to the K0/K1 basis."""
-    alpha, beta = p.alpha, p.beta
-    c_eff = p.c_eff()
-
-    if n1 == 0 and n2 == 0:
-        za, zb = zeta_value(int(2 * alpha)), zeta_value(int(2 * beta))
-        a0 = eisenstein_zero_coeff(alpha)
-        b0 = eisenstein_zero_coeff(beta)
-        terms = {}
-        for pa, ca in a0:
-            for pb, cb in b0:
-                k = pa + pb
-                if k.denominator != 1:
-                    raise AssertionError("zero-mode powers must be integers")
-                key = (int(k), 0)
-                add = ca * cb * za * zb * Fraction(c_eff)
-                terms[key] = terms.get(key, Constant.zero()) + add
-        poly = YLaurent(terms)
-        return SourceTerm(p, 0, 0, Prefactor(Constant.one()), Pure(poly), "both_zero")
-
-    if n1 == 0 or n2 == 0:
-        if n1 == 0:
-            outer, inner, n, tag = alpha, beta, n2, "left_zero"
-        else:
-            outer, inner, n, tag = beta, alpha, n1, "right_zero"
-        pref = _single_prefactor(p, inner, n)
-        k_index = int(inner - Fraction(1, 2))
-        c0, c1 = reduce_k_index(k_index, n)
-        table = {0: YLaurent.zero(), 1: YLaurent.zero()}
-        for power, weight in _bessel_weight_pair(p, outer):
-            mono = YLaurent.monomial(power, weight)
-            table[0] = table[0] + mono * c0
-            table[1] = table[1] + mono * c1
-        return SourceTerm(p, n1, n2, pref, SingleBessel(n, table), tag)
-
-    # n1 n2 != 0: the bilinear case (anti-diagonal included)
-    two_a, two_b = int(2 * alpha), int(2 * beta)
-    ga, ga_s = gamma_half_integer(two_a)
-    gb, gb_s = gamma_half_integer(two_b)
-    const = _pi_half_product(4 * c_eff / (ga * gb), two_a + two_b - ga_s - gb_s)
-    m_a = int(alpha - Fraction(1, 2))
-    m_b = int(beta - Fraction(1, 2))
-    pref = Prefactor(
-        const,
-        sigma(1 - two_a, abs(n1)) * sigma(1 - two_b, abs(n2)),
-        abs(n1) ** m_a * abs(n2) ** m_b,
-    )
-    c0a, c1a = reduce_k_index(int(alpha - Fraction(1, 2)), n1)
-    c0b, c1b = reduce_k_index(int(beta - Fraction(1, 2)), n2)
-    y1 = YLaurent.monomial(1)
-    table = {
-        (0, 0): y1 * c0a * c0b,
-        (0, 1): y1 * c0a * c1b,
-        (1, 0): y1 * c1a * c0b,
-        (1, 1): y1 * c1a * c1b,
-    }
-    tag = "anti_diagonal" if n1 + n2 == 0 else "generic"
-    return SourceTerm(p, n1, n2, pref, DoubleBessel(n1, n2, table), tag)
+    """Exact s_{n1,n2} = c_eff zeta(2a) zeta(2b) a_{n1,a}(y) a_{n2,b}(y), with
+    the Bessel part reduced to the K0/K1 basis."""
+    pref_a, left = _fourier_factor(p.alpha, n1)
+    pref_b, right = _fourier_factor(p.beta, n2)
+    if isinstance(left, Pure):
+        core = right.map_cells(lambda q: (left.poly * q).shift(1))
+    elif isinstance(right, Pure):
+        core = left.map_cells(lambda q: (q * right.poly).shift(1))
+    else:
+        core = DoubleBessel(n1, n2, {
+            (i, j): (q_i * q_j).shift(1)
+            for i, q_i in left.table.items() for j, q_j in right.table.items()
+        })
+    prefactor = pref_a * pref_b * p.c_eff()
+    return SourceTerm(p, n1, n2, prefactor, core, _case_tag(n1, n2))

@@ -87,7 +87,7 @@ def test_criterion_2_exact_residual():
             st = source_term(p, n1, n2)
             m = solve_mode(p, n1, n2)
             if n1 == 0 and n2 == 0:
-                res = apply_euler(p.lam, m.particular) - st.core
+                res = apply_euler(p.lam, m.particular) - st.full()
             elif n1 == 0 or n2 == 0:
                 res = apply_L(p.lam, m.particular) - st.full()
             else:
@@ -100,7 +100,7 @@ def test_criterion_2_exact_residual():
         st = source_term(p, n1, n2)
         m = solve_mode(p, n1, n2)
         if n1 == 0 and n2 == 0:
-            res = apply_euler(12, m.particular) - st.core
+            res = apply_euler(12, m.particular) - st.full()
         elif n1 == 0 or n2 == 0:
             res = apply_L(12, m.particular) - st.full()
         else:

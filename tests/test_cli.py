@@ -125,6 +125,7 @@ def test_alpha_sum_command(capsys):
 
 @pytest.mark.parametrize("lam, expected, classification", [
     ("31", EXIT_NOT_TRIANGULAR, "lambda_not_triangular"),
+    ("-5", EXIT_NOT_TRIANGULAR, "lambda_not_triangular"),  # no r(r+1) is negative
     ("20", EXIT_NO_SOLUTION, "outside_conjectured_set"),  # parity-violating
 ])
 def test_alpha_sum_without_solution_reports_exit_code(capsys, lam, expected, classification):
@@ -153,6 +154,9 @@ def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
     # an unknown case used to compare nothing and still exit 0
     (["table", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
       "--cases", "generic", "foo"], "--cases"),
+    # a non-positive r used to stand for lambda = r(r+1) all the same
+    (["solve", "--alpha", "3/2", "--beta", "5/2", "--r", "-3", "--n1", "1", "--n2", "2"], "--r"),
+    (["solve", "--alpha", "3/2", "--beta", "5/2", "--r", "0", "--n1", "1", "--n2", "2"], "--r"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli_streams(capsys, *argv)
@@ -226,6 +230,15 @@ def test_r_gives_the_same_document_as_lambda(capsys, argv):
     code_lam, out_lam = run_cli(capsys, *argv, "--lambda", "30")
     assert code_r == code_lam == EXIT_OK
     assert out_r == out_lam
+
+
+def test_negative_lambda_is_not_triangular(capsys):
+    # as lambda = 10 is; the window guess once took the square root of 4 lambda + 1
+    code, out, err = run_cli_streams(capsys, "solve", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", "-5", "--n1", "1", "--n2", "2")
+    assert code == EXIT_NOT_TRIANGULAR
+    assert json.loads(out)["classification"] == "lambda_not_triangular"
+    assert err == ""
 
 
 def test_lambda_and_r_together_are_a_usage_error(capsys):

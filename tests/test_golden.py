@@ -7,8 +7,9 @@ so merged, same-sign and opposite-sign generic modes all appear.  The
 inconsistent rows of a non-triangular lambda pin the pivot order and the
 inconsistency report as well.  The CLI documents (LaTeX solves, tables, the
 T-2 combination, verify), the numeric evaluators and the small-y series of one
-single- and one double-Bessel mode are pinned too.  A refactor of the solver
-must keep every byte.
+single- and one double-Bessel mode are pinned too, and so is every source term
+of eight modes over all sixteen weight pairs up to 9/2.  A refactor of the
+solver must keep every byte.
 """
 
 import hashlib
@@ -17,10 +18,11 @@ from fractions import Fraction
 
 import pytest
 
+from eisenmodes.bessel import expr_to_json_obj
 from eisenmodes.fixtures import fixture_modes, list_families
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.solver import NoSolutionInWindow
-from eisenmodes.sources import Params
+from eisenmodes.sources import Normalization, Params, source_term
 
 GOLDEN = {
     ('3/2,3/2,2', 'anti_diagonal', -1, 1): 'd4402e01c54029aa5b0867a98c92774a7fabd35e9bfa2ec1b06cb37b163e08a7',
@@ -111,6 +113,159 @@ def test_golden_inconsistent_rows():
     assert [str(r) for r in exc.inconsistent_rows] == [
         "((0, 1), 14)", "((1, 0), 14)", "((0, 0), 15)", "((1, 1), 15)",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Source terms of every weight pair up to 9/2
+# ---------------------------------------------------------------------------
+
+SOURCE_WEIGHTS = [Fraction(w, 2) for w in (3, 5, 7, 9)]
+# one mode per case tag, plus merged, opposite-sign and large frequencies
+SOURCE_MODES = [(0, 0), (0, 5), (7, 0), (3, 4), (2, -7), (5, 5), (-6, 6), (150, -149)]
+# (alpha,beta, n1, n2) -> sha256 of [case_tag, full source] at lambda = 30, unit normalization
+SOURCE_GOLDEN = {
+    ('3/2,3/2', 0, 0): 'bfba870e4aae07a0a94d5167a4d6f00cde7890a6a7e3ba754ad91495679b488f',
+    ('3/2,3/2', 0, 5): '776cfe187eec164ae8168b9c8d4c58ba9e68d9dc8e7fe05588c2e1e7b5b88bf4',
+    ('3/2,3/2', 7, 0): '81f54a77bf320ba7d400f62c40b7502fd6c75c23ecd639ef588596faa9c6bf22',
+    ('3/2,3/2', 3, 4): '8d75875e292fa183a848eb4c422f520b5ea5116c0fc7d64a5c381e36a9e09438',
+    ('3/2,3/2', 2, -7): '761ac9fb56dfa5fc24cf8a0cf9301c4d8fe84e4c98d03cbc97c02e9eb6855c63',
+    ('3/2,3/2', 5, 5): 'b8e96a989902520d9d50c82ed408d57bf4050a376c65047efece4d24b9fbeab8',
+    ('3/2,3/2', -6, 6): '6c1b87d52ea82a1e34247ca5ca510a429a55264f2ce7c6ff88ad58421b1a5ccf',
+    ('3/2,3/2', 150, -149): '0728566ef9369193646f8277cc33511d7160d018e32692d9f466090566d2b821',
+    ('3/2,5/2', 0, 0): 'a78fa6d717b2e9c817b007e5b531ce063b7a154dd9e6c9993cc607b01f745ede',
+    ('3/2,5/2', 0, 5): '58fb2111fb4ee648e59d0149ed341be4c9877a2ed3acead6ac4af9d22489216e',
+    ('3/2,5/2', 7, 0): '6478dc20982ac7d5465bd9342a1560d06b949abdf06123d0d081ab1d626625fd',
+    ('3/2,5/2', 3, 4): 'fd67771e2ef4cad989e91f6d8655d1805aacc14cb7dd77003174e62324229ef4',
+    ('3/2,5/2', 2, -7): '26f02fed77960eae4a1f3fda2fc40a31dc59c3adb2a1d5b620e8a88ef71ed3b5',
+    ('3/2,5/2', 5, 5): '88a175b3effd23bbc9ef5a9c259355e0d1c1c9814ef50ead3f84a34d0eb16a99',
+    ('3/2,5/2', -6, 6): 'f830a602a490fbd9e8aece684d48bd469767987415b6431a1274b1d7e79a8966',
+    ('3/2,5/2', 150, -149): 'c8860b0b07fad56c1c8e0ccf639df21bbfa05a0c4368c5e4d2f060e9847a234d',
+    ('3/2,7/2', 0, 0): 'b916b50c934574867fabfce52553983b54d936fbb0d5655db642f3acd3f4bfc7',
+    ('3/2,7/2', 0, 5): '1f679a8923851829ca63dbd568513f488a4eb94356123c4cb9c5eeaddf5c0432',
+    ('3/2,7/2', 7, 0): 'd6cbe90c1d0c5609facd30e3762a690778d6ce0e42171d9f625646ac66e1de3d',
+    ('3/2,7/2', 3, 4): '3cab14105777ebd8bb26c765e6447ef54ce837e439fe10ab0c5fc3cb0d4d77bf',
+    ('3/2,7/2', 2, -7): '2cf054e000efb2d0e3025c461cbb9d28ecac7dcbf8ccfb297a2250a1cb3af599',
+    ('3/2,7/2', 5, 5): '9cf575d69217dea95a753d7eb1e7769469130116e5e201332d7e48b1298f20c7',
+    ('3/2,7/2', -6, 6): '48b466961ffd1fa3c5db3f86115d63c38b320a3bc48c7f8af1316db8fb18b2c3',
+    ('3/2,7/2', 150, -149): '72d955a36e7f071a320623d96ccfc11a6305f7dcb0d6772ae338edfca71ab524',
+    ('3/2,9/2', 0, 0): '65076d10c1754af8e7ad6b971f40fcb731402c59d60775d2716467328eb4493b',
+    ('3/2,9/2', 0, 5): '01b5eff4d2f50adebd203da254a0953da7f22d9fdd1e89508ee81d30a64cf43c',
+    ('3/2,9/2', 7, 0): '4eaa14d73baf75b9b98b8a496f3984ccac1e0db9a5ff01cdddfbeabf29df4a02',
+    ('3/2,9/2', 3, 4): 'fa78fc65bda6646351acc0b9ec25860b12e95dfe56ffc21d03f27714a4d22048',
+    ('3/2,9/2', 2, -7): '18c2d30863c336a8cae07b22d0489bd95c4b5bb4606547d24888d10f3debda5e',
+    ('3/2,9/2', 5, 5): '59b20f0080d8219bf9aa6e732de310373dbe3dab5ab3d78530a1acf3bed92c30',
+    ('3/2,9/2', -6, 6): '71c496b0a062c264b4be96f11f94f0272acaf252f858cd7dcb3162a9cc52e881',
+    ('3/2,9/2', 150, -149): 'ae87ab928f112865ccecdfa0404d7ef6dd8fa23851372d708aca273fbe14661a',
+    ('5/2,3/2', 0, 0): 'a78fa6d717b2e9c817b007e5b531ce063b7a154dd9e6c9993cc607b01f745ede',
+    ('5/2,3/2', 0, 5): '3b243bbee4b7b0ded099635854376c8ed84959aa29d05fd376ad4e8b21c6d742',
+    ('5/2,3/2', 7, 0): 'ab6da371e33c71f05db9aa2cc26d64cd5a50f7803bc1e695bb69ca28c6dd5fb1',
+    ('5/2,3/2', 3, 4): '508c3e15376c4476548ab83b59069d81305539c1e89c37dfffa6e6a20cd0d7c8',
+    ('5/2,3/2', 2, -7): 'a9b751c8f06e955e3075a33fcbddd9731bae56693bea8faaa3d2864bb3c4b04c',
+    ('5/2,3/2', 5, 5): '88a175b3effd23bbc9ef5a9c259355e0d1c1c9814ef50ead3f84a34d0eb16a99',
+    ('5/2,3/2', -6, 6): 'f830a602a490fbd9e8aece684d48bd469767987415b6431a1274b1d7e79a8966',
+    ('5/2,3/2', 150, -149): '6944a811d07fa426765a51dc3632a7a59ddb91e31e9efe8ae21ac1f70ae6b20d',
+    ('5/2,5/2', 0, 0): '277a40e39513907a6871f08e99a36cd1f5e7a965a657163d93c48865695885b9',
+    ('5/2,5/2', 0, 5): '19ae2ab98e1ef61fd35594dc309daad467814a6e67fcf21001a5ac76bb27eb90',
+    ('5/2,5/2', 7, 0): 'eea3f0d8d1cbb964cbcb1166d7e316db5fc999f4389a383eacaee2f266703e70',
+    ('5/2,5/2', 3, 4): '29a6af9c96fef6c5768ba0c76132f0149b4a7c2475e8a028ed188c5f938245cf',
+    ('5/2,5/2', 2, -7): '187bdbd53d82ff746e7d593a53218869611859a8f26a889a4cd22af6bfab4b15',
+    ('5/2,5/2', 5, 5): '1fd46bcd94a04db7941e4f812e7a0739ffeb193ca47d2b5c8146b0e7565d408a',
+    ('5/2,5/2', -6, 6): '2b36e19d8627477cc4defb7c4495456aa78ea5811c37ba74047ca00352aae834',
+    ('5/2,5/2', 150, -149): '63e37eaca3eb35ff08ee3bc6d409746189b2871130df94ce43c024c8ffae74f9',
+    ('5/2,7/2', 0, 0): 'e0178b05be6e4b08f3a7260193a0c584b29949ef213744c7f8de9c7e67bb1c22',
+    ('5/2,7/2', 0, 5): 'ad669071ee41e24a883eb8924f6831a32f2bc806b2250baf3f5c7339b5d4fbac',
+    ('5/2,7/2', 7, 0): '72dcb9d6eb155cb9fd5793c404752ed5641a8e10c9afbbc228d8e1e7b5bf5fee',
+    ('5/2,7/2', 3, 4): 'd266c9b7cd9302f1e17a03d17a6ea794ee6f06c3c35df7dd43b31c0d3dd5edac',
+    ('5/2,7/2', 2, -7): 'ffdf1dabd2aedd52ec18ab2277815aed0addfa8fafbd256940ae2a4f0c84b460',
+    ('5/2,7/2', 5, 5): 'f3eb54eb374da2235549ec6bf6f430ad38b26cd50c4562b8932a4f8455bb65c0',
+    ('5/2,7/2', -6, 6): 'f6dd00125f1461c3f82cf6cd0bd66f287c7db1317f56cab82f735470378602f4',
+    ('5/2,7/2', 150, -149): '653971af5d7487966ed40c174093f6df33cd7d1c3532b7df8283f6ad356e9037',
+    ('5/2,9/2', 0, 0): 'def8ac92c6970f1ed3049bb847c36faebd425ee43491e59de6981482d01326b5',
+    ('5/2,9/2', 0, 5): '366a44e9ce1f6f2934a14576c25936a3676e2a72293fefb689c4ee860838d07c',
+    ('5/2,9/2', 7, 0): 'e7407247c3b4f7c29f03db236455a976f70cb08c98a989b67cc517ab14ebec47',
+    ('5/2,9/2', 3, 4): '27741ac9465a04ccb5ff3331d6d2d5a04e1fd08f66a8591cefbb6899fb280a6a',
+    ('5/2,9/2', 2, -7): '37adfe2c2e22dfc02b4c56a84728992616df7181ebb4024b9cbb46ea8fdd797f',
+    ('5/2,9/2', 5, 5): '312bcde8962eee45a38db902802626c327e0847e98e2c870a7b54415e4fd0b71',
+    ('5/2,9/2', -6, 6): '416704225aa28727f578b94f87d31e6377b835da1c93415c8b327207f7077c4a',
+    ('5/2,9/2', 150, -149): '2f5e39cead137fe76d328a608bea231f00a6a84368168e0c510520c667cc90ef',
+    ('7/2,3/2', 0, 0): 'b916b50c934574867fabfce52553983b54d936fbb0d5655db642f3acd3f4bfc7',
+    ('7/2,3/2', 0, 5): '056ed25983b0d86cafd133520725525df63cdf784e4191f4e69d993a058bd3bb',
+    ('7/2,3/2', 7, 0): '08ebc81ed007357c06e79502abf0d9bbf8c5d35822d68ead74d270b992559bc4',
+    ('7/2,3/2', 3, 4): 'b135ee42d3f59e7034a2e2d891dd940fa883586ba7b9c9120b283e70b49713ae',
+    ('7/2,3/2', 2, -7): '89496723d4d49c39556985581180e3fc64e38988840295eb115c18fb9ca570d0',
+    ('7/2,3/2', 5, 5): '9cf575d69217dea95a753d7eb1e7769469130116e5e201332d7e48b1298f20c7',
+    ('7/2,3/2', -6, 6): '48b466961ffd1fa3c5db3f86115d63c38b320a3bc48c7f8af1316db8fb18b2c3',
+    ('7/2,3/2', 150, -149): 'd7f6b0e22eadcd92105cdb16dc78224c871a317927b37f5c8ae293bcb24a4c7f',
+    ('7/2,5/2', 0, 0): 'e0178b05be6e4b08f3a7260193a0c584b29949ef213744c7f8de9c7e67bb1c22',
+    ('7/2,5/2', 0, 5): 'd0175bcfffa974e71028706e42aadbe2199c372a882f62e6dea969fb74a2a0b8',
+    ('7/2,5/2', 7, 0): '6fe94967d80872a59e72d1e0456c4b0adda3e9f3dfeb73cb460672ae0e740edc',
+    ('7/2,5/2', 3, 4): '9d0a1b36d8d3c5a6e66924115156e72846a86f85b5a7eb93653a841b6cbcde6b',
+    ('7/2,5/2', 2, -7): '289841eea6583c75a308e2b5ffc3db036dac3976f57e464d35b63db3093832ce',
+    ('7/2,5/2', 5, 5): 'f3eb54eb374da2235549ec6bf6f430ad38b26cd50c4562b8932a4f8455bb65c0',
+    ('7/2,5/2', -6, 6): 'f6dd00125f1461c3f82cf6cd0bd66f287c7db1317f56cab82f735470378602f4',
+    ('7/2,5/2', 150, -149): '9e2462d9df7cd41869820fe8734dd3e79ea5294c576c0989fbd8f960536dd0b2',
+    ('7/2,7/2', 0, 0): '2e2701d145b2164cd9effb6a5230e62ef1ce320c6e67ee0bb5035f871de91229',
+    ('7/2,7/2', 0, 5): '20d75abe4c8138637ace1cd146f72d6d16355073b09b819c66cac7582360a7d1',
+    ('7/2,7/2', 7, 0): '9573ad80fc935a2640da09838e7678b8f41d830a39fb200808a179073834696a',
+    ('7/2,7/2', 3, 4): 'dac8ae6218a75016ca790aabfcc80104e8b6d832476a483959fc7a964a7f5f8b',
+    ('7/2,7/2', 2, -7): '00c6d1cab30fedf4a6a710fa876cabc8afdad56c6ad407329148a08fe975cc69',
+    ('7/2,7/2', 5, 5): '1c5b5a69567b94a9a1a750b984f1a6f3c6ea6d1b796d6cf28006951c87e337a9',
+    ('7/2,7/2', -6, 6): 'c2f7e2d807a0d3077b0e8dc0983adf0fe5ba0654597679dc9866af582992494e',
+    ('7/2,7/2', 150, -149): '3d06573ebf9d996494117e2cc98ef1caabbc67df3e38841c5a4f04c4957a5afa',
+    ('7/2,9/2', 0, 0): 'aa94342670410ee3d0025872aa3583ad24e74881836c313dc41275c5b7aaa3f3',
+    ('7/2,9/2', 0, 5): '0d3be1d0590fb1a809f5d29d34d9290d8f8510044db0839cb7f6c4c3d8133e76',
+    ('7/2,9/2', 7, 0): '757879857c26205166d9a25bc34884472c13f90be2a366fa3d8ac138020a2573',
+    ('7/2,9/2', 3, 4): '563818f97c486d39e50821b6f761dc272b73f9b33fa01fa643351cb848d7afa2',
+    ('7/2,9/2', 2, -7): 'e8d2b326aea1132cf9c509c50e886474a21f58cdaff0ca76165756e1b1b4fc20',
+    ('7/2,9/2', 5, 5): '27d6db800c81ae59f6605b3a12a192041025468525856f78cdb63d16e7451352',
+    ('7/2,9/2', -6, 6): '39991f0faa9f19dc27376b763b593356df26e1c52b24daa16936fb5f0b33eeed',
+    ('7/2,9/2', 150, -149): 'ec2ad67b8368e9f53b003b0f279e19cddab6f1e5eacfc97efad1a9c3663fc500',
+    ('9/2,3/2', 0, 0): '65076d10c1754af8e7ad6b971f40fcb731402c59d60775d2716467328eb4493b',
+    ('9/2,3/2', 0, 5): 'fe9a3cd252b43a33acb70dcc4b5457053bbc1d1e7cef939520ab4e6837092c6b',
+    ('9/2,3/2', 7, 0): '5277d20c331164c936961ca9e7f0428cfc2e96892341b5c7d5a61f0c92bb348d',
+    ('9/2,3/2', 3, 4): 'f3bca9499849e5c0f0cfb91b8d099c4f79b3b96884171f1be5adfde654afe453',
+    ('9/2,3/2', 2, -7): '16f9dc36762960bc16bf4323a2c2e9bf958aed3e12f2416e94583aca6f198a75',
+    ('9/2,3/2', 5, 5): '59b20f0080d8219bf9aa6e732de310373dbe3dab5ab3d78530a1acf3bed92c30',
+    ('9/2,3/2', -6, 6): '71c496b0a062c264b4be96f11f94f0272acaf252f858cd7dcb3162a9cc52e881',
+    ('9/2,3/2', 150, -149): '8e4d49f3813edcafa148184fe41d09c560c9a92db31c920b204c30b70babc5b0',
+    ('9/2,5/2', 0, 0): 'def8ac92c6970f1ed3049bb847c36faebd425ee43491e59de6981482d01326b5',
+    ('9/2,5/2', 0, 5): '168a5d468b727504548ec3b62baec955daae3d257474d7c2c909e3bfe4173317',
+    ('9/2,5/2', 7, 0): '4df5214f740d89ddd948d718e35f30c24fa61807e4a49ca732db83f5d8b3fb3a',
+    ('9/2,5/2', 3, 4): '9f7c85d72c902570d6e8c23e809185fd079e799d9ef82030d6cb4e3a2fa21b82',
+    ('9/2,5/2', 2, -7): '0e184565dce37f2c5e59f7eb828558dcd4bc7ee8125743bd8cd50a8ccb9be184',
+    ('9/2,5/2', 5, 5): '312bcde8962eee45a38db902802626c327e0847e98e2c870a7b54415e4fd0b71',
+    ('9/2,5/2', -6, 6): '416704225aa28727f578b94f87d31e6377b835da1c93415c8b327207f7077c4a',
+    ('9/2,5/2', 150, -149): '0a4b49688922e8770cb23ebe4bf9d5900190152462079d081f389ff8cb801e31',
+    ('9/2,7/2', 0, 0): 'aa94342670410ee3d0025872aa3583ad24e74881836c313dc41275c5b7aaa3f3',
+    ('9/2,7/2', 0, 5): '106786e4e70b30dcac5b3044054f5650c6f2db015ed88dbf1d1f5b03f54ffd8d',
+    ('9/2,7/2', 7, 0): '83cfb9121d8b2a24dbc9fe0f91791000f94607b8d52eb18e33f60aa7fcf35fbd',
+    ('9/2,7/2', 3, 4): 'b4723688270cdb37d8d348b0386b2ae218b2254081965928386c7871559ae3b7',
+    ('9/2,7/2', 2, -7): 'e3b61fdbee48dfcc29ac096ed932e4d615d20900491dcfe40348bd53e0b70bf6',
+    ('9/2,7/2', 5, 5): '27d6db800c81ae59f6605b3a12a192041025468525856f78cdb63d16e7451352',
+    ('9/2,7/2', -6, 6): '39991f0faa9f19dc27376b763b593356df26e1c52b24daa16936fb5f0b33eeed',
+    ('9/2,7/2', 150, -149): '046f8c7f4c3a581016fd07b202b73f267e4050443adf55ea2fffd8a7437398a9',
+    ('9/2,9/2', 0, 0): 'a82db042a3870535df69bb451812f9ff47dec7c5c15bb0f1c3aa6d518ef7fa84',
+    ('9/2,9/2', 0, 5): '37808952e851c271459a583babdd95970d1251e2d55e1f95106ce1b67a1006bb',
+    ('9/2,9/2', 7, 0): 'bdac993c01ad754c30bbd63fcaf395cac69847c46b740ad62b13a65cc7d386f7',
+    ('9/2,9/2', 3, 4): 'c43046dae165a826e4708b182b7b776d327bab33a1e2302076e292260f05a172',
+    ('9/2,9/2', 2, -7): '0cdad1cf7f944341f69df8cd278c21a51f18306d8d2aab45df1ac7e6dbb311c3',
+    ('9/2,9/2', 5, 5): '10a2749f56359249e795700b99694f188878640b445eff79f550354a3a0726af',
+    ('9/2,9/2', -6, 6): 'ccd558102d596f61ae8f6a2568fcbb4b3557a6dce054ac170ebdd385a46356f6',
+    ('9/2,9/2', 150, -149): 'b87c601412149818988a2d9f70042700ed977928382622d22675b35b01d18f14',
+}
+
+
+def test_golden_source_terms():
+    seen = {}
+    for a in SOURCE_WEIGHTS:
+        for b in SOURCE_WEIGHTS:
+            params = Params(a, b, 30, Normalization.UNIT)
+            for n1, n2 in SOURCE_MODES:
+                st = source_term(params, n1, n2)
+                seen[(f"{a},{b}", n1, n2)] = _digest([st.case_tag, expr_to_json_obj(st.full())])
+    assert seen.keys() == SOURCE_GOLDEN.keys()
+    changed = [k for k in SOURCE_GOLDEN if seen[k] != SOURCE_GOLDEN[k]]
+    assert not changed, f"source_term bytes changed for {changed}"
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_anti_diagonal_direct_solve():
 
 def test_zero_mode_verbatim_and_resonance():
     p = Params(F(3, 2), F(3, 2), 30)
-    zm = solve_zero_mode(p, source_term(p, 0, 0).core)
+    zm = solve_zero_mode(p, source_term(p, 0, 0).full())
     z3 = zeta_odd(3)
     assert zm.particular.poly.coeff(3) == z3 * z3 * F(105, 630)
     assert zm.particular.poly.coeff(-1) == Constant.pi_power(4, F(10, 630))

@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from eisenmodes.divisors import sigma
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr
 from eisenmodes.scalars import Constant, zeta_odd
 from eisenmodes.sources import (
+    PUBLISHED_C_TABLE,
     Classification,
     Normalization,
     Params,
@@ -87,7 +91,7 @@ def test_generic_source_prefactor_and_core():
     st = source_term(p, 1, 2)
     assert st.case_tag == "generic"
     # -64 pi^2 sigma_2(1) sigma_2(2) / |1*2| = -160 pi^2
-    assert st.prefactor.combined() == Constant.pi_power(2, -160)
+    assert st.prefactor == Constant.pi_power(2, -160)
     from eisenmodes.laurent import YLaurent
 
     assert st.core.table == {(1, 1): YLaurent.monomial(1)}
@@ -98,7 +102,7 @@ def test_zero_mode_source():
     p = Params(F(3, 2), F(3, 2), 30)
     st = source_term(p, 0, 0)
     z3 = zeta_odd(3)
-    poly = st.core.poly
+    poly = st.full().poly
     assert poly.coeff(3) == Constant.from_rational(-4) * z3 * z3
     assert poly.coeff(1) == Constant.pi_power(2, F(-8, 3)) * z3
     assert poly.coeff(-1) == Constant.pi_power(4, F(-4, 9))
@@ -135,7 +139,7 @@ def test_symmetry_under_weight_swap():
     p2 = Params(F(7, 2), F(3, 2), 30)
     s1 = source_term(p1, 2, 3)
     s2 = source_term(p2, 3, 2)
-    assert s1.prefactor.combined() == s2.prefactor.combined()
+    assert s1.prefactor == s2.prefactor
     for (i, j), q in s1.core.table.items():
         assert s2.core.table[(j, i)] == q
 
@@ -147,6 +151,59 @@ def test_no_residual_sqrt_pi():
         p = Params(a, b, lam)
         for n1, n2 in ((0, 0), (0, 2), (2, 0), (1, 2), (1, -1)):
             st = source_term(p, n1, n2)
-            for mono in st.prefactor.combined().terms():
+            for mono in st.prefactor.terms():
                 for sym, _ in mono.items():
                     assert sym[0] in ("pi",)
+
+
+# ---------------------------------------------------------------------------
+# Property: every source term is c_eff zeta(2a) zeta(2b) a_{n1,a} a_{n2,b}
+# ---------------------------------------------------------------------------
+
+WEIGHTS = [F(3, 2), F(5, 2), F(7, 2), F(9, 2)]
+
+
+def _mp_sigma(k: int, n: int):
+    return mp.fsum(mp.mpf(d) ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def _mp_fourier_coeff(s: Fraction, n: int, y):
+    """a_{n,s}(y) of E_s from its definition, at the current mpmath precision."""
+    two_s = int(2 * s)
+    s = mp.mpf(two_s) / 2
+    if n == 0:
+        return y ** s + (mp.sqrt(mp.pi) * mp.gamma(s - 0.5) * mp.zeta(two_s - 1)
+                         / (mp.gamma(s) * mp.zeta(two_s)) * y ** (1 - s))
+    return (2 * mp.pi ** s / (mp.gamma(s) * mp.zeta(two_s)) * mp.mpf(abs(n)) ** (s - 0.5)
+            * _mp_sigma(1 - two_s, abs(n)) * mp.sqrt(y)
+            * mp.besselk(s - 0.5, 2 * mp.pi * abs(n) * y))
+
+
+@hst.composite
+def _source_cases(draw):
+    alpha = draw(hst.sampled_from(WEIGHTS))
+    beta = draw(hst.sampled_from(WEIGHTS))
+    norms = [Normalization.UNIT, Normalization.CORRELATOR]
+    if (alpha, beta) in PUBLISHED_C_TABLE or (beta, alpha) in PUBLISHED_C_TABLE:
+        norms.append(Normalization.PUBLISHED)
+    p = Params(alpha, beta, 30, draw(hst.sampled_from(norms)))
+    # zero and -n1 are drawn as often as a sign, so every case tag is reached
+    negative, positive = hst.integers(-300, -1), hst.integers(1, 300)
+    n1 = draw(hst.one_of(negative, positive, hst.just(0)))
+    n2 = draw(hst.one_of(negative, positive, hst.just(0), hst.just(-n1)))
+    # the largest Bessel argument 2 pi max(|n1|, |n2|) y lies in [0.5, 2]
+    t = draw(hst.floats(0.5, 2.0))
+    return p, n1, n2, t / (2 * math.pi * max(abs(n1), abs(n2), 1))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_source_cases())
+def test_source_term_is_product_of_fourier_coefficients(case):
+    p, n1, n2, y = case
+    ours = eval_expr(source_term(p, n1, n2).full(), y, ENV)
+    with mp.workdps(30):
+        ym = mp.mpf(y)
+        c_eff = mp.mpf(p.c_eff().numerator) / p.c_eff().denominator
+        direct = (c_eff * mp.zeta(int(2 * p.alpha)) * mp.zeta(int(2 * p.beta))
+                  * _mp_fourier_coeff(p.alpha, n1, ym) * _mp_fourier_coeff(p.beta, n2, ym))
+        assert abs((ours - direct) / direct) < 1e-10, (p.describe(), n1, n2, y)
