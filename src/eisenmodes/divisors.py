@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .numerics import DEFAULT_ENV, NumericEnv, zeta_num
+from .numerics import DEFAULT_ENV, NumericEnv
 from .scalars import Constant, factorize, sym_zeta_prime, zeta_value
 
 __all__ = [
@@ -98,12 +98,6 @@ def _has_pole(a: int, b: int, s: int) -> bool:
     return any(arg == 1 for arg in (s, s - a, s - b, s - a - b, 2 * s - a - b))
 
 
-def _zeta_num_any(k: int, env: NumericEnv) -> float:
-    if k > 1:
-        return zeta_num(k)
-    return float(zeta_value(k).evaluate(env))
-
-
 def ramanujan_convolution(a: int, b: int, s: int, env: NumericEnv = DEFAULT_ENV) -> RamanujanSum:
     """sum_{n != 0} sigma_a sigma_b / |n|^s = 2 z(s)z(s-a)z(s-b)z(s-a-b)/z(2s-a-b).
 
@@ -135,15 +129,10 @@ def ramanujan_log_convolution(a: int, b: int, s: int, env: NumericEnv = DEFAULT_
     if base.closed_form is None:
         return base
     value = Constant.zero()
-    numeric = 0.0
-    base_num = base.numeric
     for arg, weight in ((s, 1), (s - a, 1), (s - b, 1), (s - a - b, 1), (2 * s - a - b, -2)):
         term = base.value * Constant.monomial(sym_zeta_prime(arg)) / zeta_value(arg)
         value = value + term * Fraction(-weight)
-        numeric += -weight * base_num * (
-            env.value(sym_zeta_prime(arg)) / _zeta_num_any(arg, env)
-        )
-    return RamanujanSum(value, base.status, numeric)
+    return RamanujanSum(value, base.status, value.evaluate(env))
 
 
 def convolution_partial_sum(a: int, b: int, s: int, limit: int) -> float:

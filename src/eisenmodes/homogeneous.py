@@ -27,7 +27,7 @@ from .divisors import (
     sigma,
     sigma_float_table,
 )
-from .numerics import DEFAULT_ENV, NumericEnv
+from .numerics import DEFAULT_ENV, NumericEnv, symbol_value
 from .scalars import Constant, log_normalize, sym_ln_prime
 from .series import hom_norm_leading, hom_norm_scale_description, small_y_series
 from .solver import (
@@ -398,27 +398,11 @@ def evaluate_high_precision(c: Constant) -> float:
     import mpmath as mp
 
     with mp.workdps(60):
-        def value(sym):
-            kind, arg = sym
-            if kind == "pi":
-                return mp.pi
-            if kind == "gamma":
-                return mp.euler
-            if kind == "ln_pi":
-                return mp.log(mp.pi)
-            if kind == "ln_prime":
-                return mp.log(arg)
-            if kind == "zeta":
-                return mp.zeta(arg)
-            if kind == "zeta_prime":
-                return mp.zeta(arg, derivative=1)
-            raise ValueError(f"unassigned symbol {sym}")
-
         total = mp.mpf(0)
         for mono, coeff in c.terms().items():
             v = mp.mpf(coeff.numerator) / coeff.denominator
             for sym, e in mono.items():
-                v *= value(sym) ** e
+                v *= symbol_value(sym) ** e
             total += v
         return float(total)
 
@@ -512,14 +496,15 @@ def zero_mode_alpha_sum(
     convergent = base.status == "convergent"
     partial_sums: Dict[int, float] = {}
     A_num, B_num = A.evaluate(env), B.evaluate(env)
-    for limit in partial_limits:
-        ta = sigma_float_table(a, limit)
-        tb = ta if a == b else sigma_float_table(b, limit)
-        total = 0.0
-        for n in range(1, limit + 1):
-            w = A_num + (B_num * math.log(n) if has_log else 0.0)
-            total += 2.0 * ta[n] * tb[n] * w / float(n) ** s
-        partial_sums[limit] = total
+    top = max(partial_limits)
+    ta = sigma_float_table(a, top)
+    tb = ta if a == b else sigma_float_table(b, top)
+    total = 0.0
+    for n in range(1, top + 1):
+        w = A_num + (B_num * math.log(n) if has_log else 0.0)
+        total += 2.0 * ta[n] * tb[n] * w / float(n) ** s
+        if n in partial_limits:
+            partial_sums[n] = total
 
     if method == "NumericPartial":
         return ZeroModeSumResult(

@@ -1,8 +1,11 @@
 """Independent floating-point oracle for the exact solver.
 
-Everything here is double precision and self-contained: modified Bessel
-functions, zeta values via Euler-Maclaurin, expression evaluation, and the
-operator-residual check used to validate solved modes numerically.
+This module is the only place that maps a scalar symbol (pi, gamma, log pi,
+log p, zeta(k), zeta'(k)) to a number: ``symbol_value`` takes it from
+mpmath, and ``NumericEnv`` rounds the 60-digit value once to a correctly
+rounded double.  The modified Bessel functions stay hand-written in double
+precision, because mpmath's ``besselk`` costs milliseconds a call and the
+operator-residual check evaluates them for every solved mode it validates.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from .scalars import Symbol
 __all__ = [
     "NumericEnv",
     "DEFAULT_ENV",
-    "zeta_num",
-    "zeta_prime_num",
+    "symbol_value",
     "bessel_k",
     "bessel_i",
     "eval_expr",
@@ -34,92 +36,53 @@ EULER_GAMMA = 0.5772156649015328606
 
 
 # ---------------------------------------------------------------------------
-# zeta and zeta' by Euler-Maclaurin
+# Scalar symbol values
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_2K = [
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
-]
 
+def symbol_value(sym: Symbol):
+    """The mpmath value of one scalar symbol at the caller's working precision.
 
-def zeta_num(s: float, cutoff: int = 24) -> float:
-    """Riemann zeta for real s > 1, accurate to ~1e-15."""
-    if s <= 1:
-        raise ValueError("zeta_num requires s > 1")
-    n = cutoff
-    total = sum(k ** (-s) for k in range(1, n))
-    total += 0.5 * n ** (-s) + n ** (1 - s) / (s - 1)
-    # correction terms B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * n^{-s-2k+1}
-    rising = 1.0
-    fact = 1.0
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-        rising *= (s + 2 * k - 3) * (s + 2 * k - 2) if k > 1 else s
-        fact *= (2 * k) * (2 * k - 1)
-        total += b2k / fact * rising * n ** (-s - 2 * k + 1)
-    return total
+    mpmath is imported here, not at module level, so that importing the
+    package stays cheap.
+    """
+    import mpmath as mp
 
-
-def zeta_prime_num(s: float, cutoff: int = 24) -> float:
-    """d/ds zeta(s) for real s > 1 (term-wise Euler-Maclaurin derivative)."""
-    if s <= 1:
-        raise ValueError("zeta_prime_num requires s > 1")
-    n = cutoff
-    ln_n = math.log(n)
-    total = -sum(math.log(k) * k ** (-s) for k in range(2, n))
-    total += -0.5 * ln_n * n ** (-s)
-    total += n ** (1 - s) * (-ln_n / (s - 1) - 1 / (s - 1) ** 2)
-    rising = 1.0
-    dlog = 0.0  # derivative of log(rising)
-    fact = 1.0
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-        if k == 1:
-            rising = s
-            dlog = 1 / s
-        else:
-            for j in (s + 2 * k - 3, s + 2 * k - 2):
-                rising *= j
-                dlog += 1 / j
-        fact *= (2 * k) * (2 * k - 1)
-        total += b2k / fact * rising * (dlog - ln_n) * n ** (-s - 2 * k + 1)
-    return total
+    kind, arg = sym
+    if kind == "pi":
+        return +mp.pi
+    if kind == "gamma":
+        return +mp.euler
+    if kind == "ln_pi":
+        return mp.log(mp.pi)
+    if kind == "ln_prime":
+        return mp.log(arg)
+    if kind in ("zeta", "zeta_prime"):
+        # mp.zeta(1, derivative=1) returns +inf instead of raising
+        if arg == 1:
+            raise ValueError(f"{kind}(1) is at the pole of zeta")
+        return mp.zeta(arg, derivative=int(kind == "zeta_prime"))
+    raise ValueError(f"unassigned symbol {sym}")
 
 
 @dataclass
 class NumericEnv:
-    """Assignments for every scalar symbol, with high-accuracy defaults."""
+    """Double-precision values of the scalar symbols, cached per symbol.
 
-    overrides: Dict[Symbol, float] = field(default_factory=dict)
+    Each value is the 60-digit mpmath value rounded once to a double.
+    """
+
     _cache: Dict[Symbol, float] = field(default_factory=dict, repr=False)
 
     def value(self, sym: Symbol) -> float:
-        if sym in self.overrides:
-            return self.overrides[sym]
         if sym not in self._cache:
-            self._cache[sym] = self._compute(sym)
+            import mpmath as mp
+
+            with mp.workdps(60):
+                self._cache[sym] = float(symbol_value(sym))
         return self._cache[sym]
 
     __call__ = value
-
-    @staticmethod
-    def _compute(sym: Symbol) -> float:
-        kind, arg = sym
-        if kind == "pi":
-            return math.pi
-        if kind == "gamma":
-            return EULER_GAMMA
-        if kind == "ln_pi":
-            return math.log(math.pi)
-        if kind == "ln_prime":
-            return math.log(arg)
-        if kind == "zeta":
-            return zeta_num(arg)
-        if kind == "zeta_prime":
-            if arg == 0:
-                return -0.5 * math.log(2 * math.pi)
-            if arg <= 1:
-                raise ValueError(f"no numeric default for zeta'({arg})")
-            return zeta_prime_num(arg)
-        raise ValueError(f"unassigned symbol {sym}")
 
 
 DEFAULT_ENV = NumericEnv()

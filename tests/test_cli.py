@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import eisenmodes
@@ -65,6 +66,19 @@ def test_sums_command(capsys):
     assert doc["closed_form"] == [{"coeff": "143/58769550", "monomial": {"pi": 12}}]
     assert doc["status"] == "convergent"
     assert float(doc["partial_sum"]["value"]) == pytest.approx(float(doc["numeric"]), rel=1e-4)
+
+
+def test_sums_log_in_formal_region(capsys):
+    # zeta'(-3) appears in the continued closed form; it has a numeric value
+    code, out = run_cli(capsys, "sums", "--a", "3", "--b", "3", "--s", "3", "--log")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["status"] == "formal"
+    with mp.workdps(40):
+        ratio = lambda s: (2 * mp.zeta(s) * mp.zeta(s - 3) ** 2 * mp.zeta(s - 6)
+                           / mp.zeta(2 * s - 6))
+        ref = -mp.diff(ratio, 3)
+    assert float(doc["numeric"]) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_table_command(capsys):
@@ -173,11 +187,12 @@ def test_solve_output_bytes_deterministic(capsys):
     assert out1 == out2
 
 
-def test_import_loads_neither_numpy_nor_a_process_pool():
+def test_import_loads_no_numpy_mpmath_or_process_pool():
+    # mpmath is imported on the first symbol value, outside the package import
     src = str(Path(eisenmodes.__file__).resolve().parents[1])
-    probe = ("import sys, eisenmodes; "
+    probe = ("import sys, eisenmodes, eisenmodes.fixtures; "
              "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('numpy', 'concurrent')))")
+             "if m.split('.')[0] in ('numpy', 'mpmath', 'concurrent')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout

@@ -300,7 +300,7 @@ VERIFY_MODES = {"double": ("1", "2"), "single": ("0", "2")}
 # name -> (exit code, sha256 of the verify document with its input path replaced)
 VERIFY_GOLDEN = {
     "double": (0, "d355762d38d5cd3cfbf43c8bdec51fb9b38c839d0ac4ef38b3aa72c47892af41"),
-    "single": (0, "fc1b03a68d3acaddb6680568eb5fa8f755688f5bf496174a779a97a6817edf51"),
+    "single": (0, "9b2cd156d03eef97e837bc273bce734e8c70a3bc05c62c7516cbf8b9533617e4"),
 }
 
 # (n1, n2) of (3/2,3/2,30)
@@ -313,9 +313,9 @@ FLOAT_GOLDEN = {
     "double": (4.869444364256425e-05, 2.3622343779997636e-15,
                "6dc6c878b365acb58367fd5e91c4d1df2b9fa5bda20c1b4a4d1e9cf978f19b3a",
                1959979515310.3708),
-    "single": (0.004214470335752731, 2.2583771359465605e-15,
+    "single": (0.004214470335752736, 3.364605727307143e-15,
                "68a4531a0c8a337a7ba3bfd4f9fb566f9b4bcf0232c03b22be9b9f684dded80a",
-               11950683640138.725),
+               11950683640138.742),
 }
 
 

@@ -17,8 +17,6 @@ from eisenmodes.numerics import (
     homogeneous_residual,
     residual,
     series_crosscheck,
-    zeta_num,
-    zeta_prime_num,
 )
 from eisenmodes.scalars import Constant
 from eisenmodes.sources import Params
@@ -75,16 +73,26 @@ def test_wronskian():
             assert abs(w + 1 / x) * x < 1e-11
 
 
-def test_zeta_numerics():
-    for s in (2, 3, 5, 8, 12):
-        assert abs(zeta_num(s) - float(mp.zeta(s))) < 1e-14
-        assert abs(zeta_prime_num(s) - float(mp.zeta(s, derivative=1))) < 5e-14
+def test_symbol_values_are_correctly_rounded():
+    primes = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
+    syms = [("pi", None), ("gamma", None), ("ln_pi", None)]
+    syms += [("ln_prime", p) for p in primes]
+    syms += [("zeta", k) for k in range(3, 42, 2)]
+    syms += [("zeta_prime", m) for m in range(-10, 21) if m != 1]
+    refs = {"pi": lambda _: mp.pi, "gamma": lambda _: mp.euler,
+            "ln_pi": lambda _: mp.log(mp.pi), "ln_prime": mp.log,
+            "zeta": mp.zeta, "zeta_prime": lambda m: mp.zeta(m, derivative=1)}
+    env = NumericEnv()
+    with mp.workdps(50):
+        for kind, arg in syms:
+            got = env.value((kind, arg))
+            assert abs(mp.mpf(got) - refs[kind](arg)) <= mp.mpf(math.ulp(got)) / 2, (kind, arg)
+    with pytest.raises(ValueError):
+        env.value(("zeta_prime", 1))
 
 
 def test_env_defaults_and_overrides():
     assert abs(ENV(("zeta_prime", 0)) + 0.5 * math.log(2 * math.pi)) < 1e-14
-    env = NumericEnv(overrides={("zeta", 3): 1.0})
-    assert env(("zeta", 3)) == 1.0
     with pytest.raises(ValueError):
         ENV(("unknown", None))
 
