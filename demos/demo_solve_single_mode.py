@@ -30,7 +30,7 @@ for cell, poly in sorted(mode.particular.table.items()):
 
 print("\nhomogeneous basis:", mode.hom_basis.describe())
 print("alpha (normalized basis):", mode.alpha)
-print(mode.alpha_convention())
+print(mode.alpha_normalization)
 
 print("\nLaTeX form of the particular part:")
 print(expr_latex(mode.particular)[:400], "...")

@@ -186,38 +186,31 @@ class Pure(BesselProduct):
 
 @dataclass(frozen=True)
 class HomBasis:
-    """Homogeneous-solution basis element for a mode.
+    """The decaying homogeneous solution of a mode, the one alpha multiplies.
 
-    kind "K"        : sqrt(y) K_{r+1/2}(2 pi |n| y)        (decaying branch)
-    kind "I"        : sqrt(y) I_{r+1/2}(2 pi |n| y)        (growing, excluded)
-    kind "power_neg": y^{-r}                               (anti-diagonal / zero mode)
-    kind "power_pos": y^{r+1}                              (growing, excluded)
+    kind "K"        : sqrt(y) K_{r+1/2}(2 pi |n| y), n = n1 + n2 != 0
+    kind "power_neg": y^{-r}                       (anti-diagonal / zero mode)
 
-    ``excluded`` marks the branches ruled out by the o(e^y) / o(y^{r+1})
-    growth contract; their coefficients are identically zero by fiat.
+    The growing solutions sqrt(y) I_{r+1/2} and y^{r+1} break the o(e^y) /
+    o(y^{r+1}) growth contract, so no mode carries them.
     """
 
     kind: str
     r: int
     n: int = 0
-    excluded: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("K", "I", "power_neg", "power_pos"):
+        if self.kind not in ("K", "power_neg"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
-        if self.kind in ("K", "I") and self.n == 0:
+        if self.kind == "K" and self.n == 0:
             raise ValueError("Bessel basis requires n != 0")
 
     def describe(self) -> str:
         if self.kind == "K":
             return f"sqrt(y)*K_{{{self.r}+1/2}}(2*pi*{abs(self.n)}*y)"
-        if self.kind == "I":
-            return f"sqrt(y)*I_{{{self.r}+1/2}}(2*pi*{abs(self.n)}*y)"
-        if self.kind == "power_neg":
-            return f"y^-{self.r}"
-        return f"y^{self.r + 1}"
+        return f"y^-{self.r}"
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def cmd_solve(args):
     params = Params(args.alpha, args.beta, args.lam, Normalization(args.normalization))
 
     if args.n is not None:
-        cutoff = args.cutoff or abs(args.n) + 4
+        cutoff = abs(args.n) + 4 if args.cutoff is None else args.cutoff
         try:
             asm = assemble_mode(params, args.n, cutoff, decay=not args.no_decay)
         except NoSolutionInWindow as exc:

@@ -29,7 +29,7 @@ from .divisors import (
 )
 from .numerics import DEFAULT_ENV, NumericEnv, symbol_value
 from .scalars import Constant, log_normalize, sym_ln_prime
-from .series import hom_norm_leading, hom_norm_scale_description, small_y_series
+from .series import hom_norm_scale_description, small_y_series
 from .solver import (
     DEFAULT_WIDEN_CAP,
     SolveReport,
@@ -80,10 +80,6 @@ class ModeSolution:
     alpha_free: bool = False  # zero mode: alpha is a free constant (policy-chosen)
 
     @property
-    def boundary_order_achieved(self) -> bool:
-        return self.obstruction is None
-
-    @property
     def case(self) -> str:
         return self.source.case_tag
 
@@ -94,12 +90,6 @@ class ModeSolution:
         if self.alpha is not None:
             return self.alpha
         return self.obstruction.secondary_alpha if self.obstruction else None
-
-    def alpha_convention(self) -> str:
-        """The conventional coefficient of sqrt(y) K_{r+1/2} is alpha * 2 sqrt|n|."""
-        if self.hom_basis is None or self.hom_basis.kind != "K":
-            return "alpha multiplies the basis element directly"
-        return f"conventional coefficient = alpha * 2*sqrt({abs(self.hom_basis.n)})"
 
     def to_json_obj(self) -> dict:
         return {
@@ -185,6 +175,8 @@ def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
 def choose_alpha(particular, r: int, n1: int, n2: int):
     """Unique alpha cancelling the y^{-r} (log-free) coefficient.
 
+    The basis element is the decaying one, y^{-r} when n1 + n2 = 0, and alpha
+    is minus the particular part's y^{-r} coefficient over the element's own.
     Returns (alpha, basis, None) on success or (None, basis, Obstruction) when
     the small-y series carries y^{-k} with k > r, or log(y)-bearing y^{-r}
     terms; in that case the log-free y^{-r} piece is still cancelled and the
@@ -197,11 +189,7 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     for (k, j), coeff in series.terms.items_sorted():
         if k < -r or (k == -r and j >= 1):
             bad.append((k, j, coeff))
-    target = series.coeff(-r, 0)
-    if nsum != 0:
-        alpha_value = Constant.zero() - target / hom_norm_leading(r, nsum)
-    else:
-        alpha_value = Constant.zero() - target
+    alpha_value = -series.coeff(-r, 0) / small_y_series(basis, -r + 1).coeff(-r)
     if bad:
         bad.sort(key=lambda t: (t[0], -t[1]))
         obs = Obstruction(
@@ -232,9 +220,8 @@ def solve_mode(
 
     if n1 == 0 and n2 == 0:
         zm = solve_zero_mode(params, src.core)
-        hom = zm.free_basis[0]
         return ModeSolution(
-            params, 0, 0, src, zm.particular.scale(src.prefactor), hom, None, None,
+            params, 0, 0, src, zm.particular.scale(src.prefactor), zm.free_basis, None, None,
             "alpha_0,0 is a free constant; zero_mode_alpha_sum chooses it",
             None, alpha_free=True,
         )
@@ -441,35 +428,27 @@ class ZeroModeSumResult:
 def _recognize_alpha_shape(params: Params, probe: int = 12):
     """Recognize alpha_{-n,n} = sigma_a sigma_b / n^s * (A + B log n) exactly.
 
-    a = 2 alpha - 1 and b = 2 beta - 1; s is found by exact constancy over the
-    probe range, and the whole decomposition is re-verified on every probe
-    value.  Returns (a, b, s, A, B, alphas) or None.
+    a = 2 alpha - 1, b = 2 beta - 1 and s = r + alpha + beta; A is the n = 1
+    value of d_n = alpha_{-n,n} n^s / (sigma_a(n) sigma_b(n)) and B = (d_2 - A)
+    / log 2.  The decomposition is verified on every probe value.  Returns
+    {a, b, s, A, B, alphas} or None when a probe mode has no alpha or the
+    decomposition fails.
     """
-    a = int(2 * params.alpha - 1)
-    b = int(2 * params.beta - 1)
     alphas = {}
     for n in range(1, probe + 1):
         val = solve_mode(params, -n, n).boundary_alpha
         if val is None:
             return None
         alphas[n] = val
-    for s in range(0, 41):
-        d = {
-            n: alphas[n] * Fraction(n) ** s / (sigma(a, n) * sigma(b, n))
-            for n in alphas
-        }
-        A = d[1]
-        try:
-            diff2 = d[2] - A
-            B = Constant.zero() if diff2.is_zero() else diff2 / Constant.monomial(
-                sym_ln_prime(2)
-            )
-        except ValueError:
-            continue
-        ok = all(d[n] == A + B * log_normalize(n) for n in alphas)
-        if ok:
-            return {"a": a, "b": b, "s": s, "A": A, "B": B, "alphas": alphas}
-    return None
+    a = int(2 * params.alpha - 1)
+    b = int(2 * params.beta - 1)
+    s = int(params.r + params.alpha + params.beta)
+    d = {n: alphas[n] * Fraction(n) ** s / (sigma(a, n) * sigma(b, n)) for n in alphas}
+    A = d[1]
+    B = (d[2] - A) / Constant.monomial(sym_ln_prime(2))
+    if any(d[n] != A + B * log_normalize(n) for n in alphas):
+        return None
+    return {"a": a, "b": b, "s": s, "A": A, "B": B, "alphas": alphas}
 
 
 def zero_mode_alpha_sum(

@@ -6,6 +6,9 @@ mpmath, and ``NumericEnv`` rounds the 60-digit value once to a correctly
 rounded double.  The modified Bessel functions stay hand-written in double
 precision, because mpmath's ``besselk`` costs milliseconds a call and the
 operator-residual check evaluates them for every solved mode it validates.
+The homogeneous evaluators take only the decaying element a mode carries,
+``HomBasis`` kind "K" or "power_neg"; ``bessel_i`` is kept as the reference
+for the Wronskian check of ``bessel_k``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "bessel_k",
     "bessel_i",
     "eval_expr",
-    "eval_hom",
     "eval_hom_normalized",
     "residual",
     "homogeneous_residual",
@@ -226,22 +228,12 @@ def eval_expr(expr, y: float, env: NumericEnv = DEFAULT_ENV) -> float:
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 
-def eval_hom(basis: HomBasis, y: float) -> float:
-    """Numeric value of a homogeneous basis element (conventional, unscaled form)."""
+def eval_hom_normalized(basis: HomBasis, y: float) -> float:
+    """The scaled decaying element 2 sqrt|n| sqrt(y) K_{r+1/2}(2 pi |n| y), or y^{-r}."""
     if basis.kind == "power_neg":
         return y ** (-basis.r)
-    if basis.kind == "power_pos":
-        return y ** (basis.r + 1)
     z = 2 * math.pi * abs(basis.n) * y
-    fn = bessel_k if basis.kind == "K" else bessel_i
-    return math.sqrt(y) * fn(basis.r + 0.5, z)
-
-
-def eval_hom_normalized(basis: HomBasis, y: float) -> float:
-    """The scaled decaying element 2 sqrt|n| sqrt(y) K_{r+1/2}; power kinds unscaled."""
-    if basis.kind == "K":
-        return 2 * math.sqrt(abs(basis.n)) * eval_hom(basis, y)
-    return eval_hom(basis, y)
+    return 2 * math.sqrt(abs(basis.n)) * (math.sqrt(y) * bessel_k(basis.r + 0.5, z))
 
 
 def _expr_terms_exact(expr, y: float, env: NumericEnv):
@@ -279,20 +271,18 @@ def _hom_operator_value(basis: HomBasis, lam: int, nsum: int, y: float) -> float
     Uses K_nu'(z) = -(K_{nu-1} + K_{nu+1})/2 on the half-integer closed forms;
     the result should vanish to rounding for a true homogeneous solution.
     """
-    if basis.kind in ("power_neg", "power_pos"):
-        k = -basis.r if basis.kind == "power_neg" else basis.r + 1
+    if basis.kind == "power_neg":
+        k = -basis.r
         return (k * (k - 1) - lam) * y**k - 4 * math.pi**2 * nsum**2 * y ** (k + 2)
     c = 2 * math.pi * abs(basis.n)
     nu = basis.r + 0.5
-    fn = bessel_k if basis.kind == "K" else bessel_i
-    sgn = -1.0 if basis.kind == "K" else 1.0
-    f = fn(nu, c * y)
-    fm = fn(nu - 1, c * y)
-    fp = fn(nu + 1, c * y)
-    d1 = sgn * 0.5 * (fm + fp)  # d/dz of K (resp. I)
+    f = bessel_k(nu, c * y)
+    fm = bessel_k(nu - 1, c * y)
+    fp = bessel_k(nu + 1, c * y)
+    d1 = -0.5 * (fm + fp)  # K_nu'(z)
     # second z-derivative from the recurrence applied twice; K_{-nu} = K_{nu}
-    fmm = fn(abs(nu - 2), c * y) if basis.kind == "K" else fn(nu - 2, c * y)
-    fpp = fn(nu + 2, c * y)
+    fmm = bessel_k(abs(nu - 2), c * y)
+    fpp = bessel_k(nu + 2, c * y)
     d2 = 0.25 * (fmm + 2 * f + fpp)
     g = math.sqrt(y) * f
     g1 = 0.5 / math.sqrt(y) * f + math.sqrt(y) * c * d1

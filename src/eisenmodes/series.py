@@ -26,7 +26,6 @@ __all__ = [
     "AsymptoticSeries",
     "k_log_series",
     "hom_norm_series",
-    "hom_norm_leading",
     "hom_norm_scale_description",
     "small_y_series",
 ]
@@ -111,13 +110,6 @@ def k_log_series(j: int, n: int, order: int) -> YLaurent:
     return YLaurent(terms).truncate(order)
 
 
-def hom_norm_leading(r: int, n: int) -> Constant:
-    """Leading (y^{-r}) coefficient of the normalized decaying basis element."""
-    return Constant.pi_power(
-        -r, Fraction(math.factorial(2 * r), math.factorial(r) * (4 * abs(n)) ** r)
-    )
-
-
 def hom_norm_scale_description(r: int, n: int) -> str:
     """How the normalized basis relates to sqrt(y) K_{r+1/2}(2 pi |n| y)."""
     return (
@@ -131,11 +123,12 @@ def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
 
     The closed form is exp(-2 pi |n| y) * sum_{k=0}^{r} a_k (4 pi |n| y)^{-k}
     with a_k = (r+k)!/(k!(r-k)!); all series coefficients are rational pi
-    monomials (no logs).
+    monomials (no logs).  Term k starts at y^{-k}, so only k > -order reach
+    below the truncation order.
     """
     N = abs(n)
     terms = {}
-    for k in range(r + 1):
+    for k in range(max(0, 1 - order), r + 1):
         a_k = Fraction(math.factorial(r + k), math.factorial(k) * math.factorial(r - k))
         pref = Constant.pi_power(-k, a_k / Fraction(4 * N) ** k)
         # multiply by exp(-2 pi N y) expansion
@@ -151,13 +144,9 @@ def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
 def small_y_series(expr, order: int) -> AsymptoticSeries:
     """Exact expansion of an expression (or hom basis element) as y -> 0."""
     if isinstance(expr, HomBasis):
-        if expr.kind == "power_neg":
-            return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
-        if expr.kind == "power_pos":
-            return AsymptoticSeries(YLaurent.monomial(expr.r + 1), order)
         if expr.kind == "K":
             return AsymptoticSeries(hom_norm_series(expr.r, expr.n, order), order)
-        raise ValueError("no exact small-y series for the growing I branch")
+        return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
 
     if isinstance(expr, BesselProduct):
         # The K_1 series start at 1/y, so each factor is expanded len(freqs)

@@ -323,6 +323,8 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
 def widen_and_retry(builder, cap: int = DEFAULT_WIDEN_CAP):
     """Run builder(t) for t = 0, 1, ..., cap until it stops raising
     NoSolutionInWindow; each retry widens every window by one on both sides."""
+    if cap < 0:
+        raise ValueError(f"widen_cap must be >= 0, got {cap}")
     last: Optional[NoSolutionInWindow] = None
     for t in range(cap + 1):
         try:
@@ -388,15 +390,8 @@ def solve_particular_single(
 @dataclass
 class ZeroModeResult:
     particular: Pure
-    free_basis: Tuple[Optional[HomBasis], Optional[HomBasis]]
+    free_basis: Optional[HomBasis]  # y^{-r}; None when lam is not triangular
     resonant_powers: List[int]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "particular": self.particular.poly.to_json_obj(),
-            "free_basis": [b.describe() for b in self.free_basis if b is not None],
-            "resonant_powers": self.resonant_powers,
-        }
 
 
 def solve_zero_mode(params: Params, source: Pure) -> ZeroModeResult:
@@ -429,10 +424,5 @@ def solve_zero_mode(params: Params, source: Pure) -> ZeroModeResult:
     check = apply_euler(lam, particular) - source
     if not check.is_zero():
         raise AssertionError("zero-mode particular failed its defining equation")
-    r = params.r
-    free = (
-        (HomBasis("power_neg", r), HomBasis("power_pos", r, excluded=True))
-        if r is not None
-        else (None, None)
-    )
+    free = None if params.r is None else HomBasis("power_neg", params.r)
     return ZeroModeResult(particular, free, sorted(resonant))

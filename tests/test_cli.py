@@ -171,6 +171,12 @@ def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
     # a non-positive r used to stand for lambda = r(r+1) all the same
     (["solve", "--alpha", "3/2", "--beta", "5/2", "--r", "-3", "--n1", "1", "--n2", "2"], "--r"),
     (["solve", "--alpha", "3/2", "--beta", "5/2", "--r", "0", "--n1", "1", "--n2", "2"], "--r"),
+    # a negative widening cap ran no attempt and died with a traceback, exit 1
+    (["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n1", "1", "--n2", "2",
+      "--widen-cap", "-1"], "widen_cap"),
+    # --cutoff 0 was silently replaced by the default |n| + 4
+    (["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n", "1",
+      "--cutoff", "0", "--no-decay"], "cutoff"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli_streams(capsys, *argv)

@@ -378,3 +378,33 @@ def test_golden_verify_documents(capsys, tmp_path):
 
 def test_golden_floats_and_series():
     assert float_pins() == FLOAT_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# Zero-mode alpha sums
+# ---------------------------------------------------------------------------
+
+# family -> sha256 of the canonical JSON of zero_mode_alpha_sum(params).to_json_obj()
+ALPHA_SUM_GOLDEN = {
+    "3/2,3/2,2": "dc9d2fa408400d3bf26601cd70ca670e2066d6070074632852654272adeddc9e",
+    "3/2,3/2,30": "41547d6c494fa4ae14169aae340c147a936f8c80b9e1bcba4bc3f91f61b2b233",
+    "3/2,3/2,56": "bbe92bddce4eb466c342752d71d74d68aa28ab9d934a6c0f39d2687fc37f612a",
+    "3/2,5/2,20": "9ed2db1d67159f48e03aac2c654598102ba9a06ba3d8906ddadc6fef29e381c7",
+    "3/2,5/2,6": "08281ae214541414805387b8dc874558aa4fa8d3f302047cdc58c67a28e33a2d",
+    "3/2,7/2,12": "22072393a68bb2e53f71183b033b60cdb6217d0bb405e590af717a1d1d2167de",
+    "3/2,7/2,30": "f886e451e17f039777997f38f1f32264b5ff3658603d194152b80ac1c79f33c1",
+    "5/2,5/2,12": "a025c6bfcd61e1da91443ff9a2a710fb3cf4952a018478c1bcf5121331e34d1f",
+    "5/2,5/2,2": "adfc10e4a960a54cf5d610ea1eb982a0f3c6b22927bf0d010b8a1285a19c579a",
+    "5/2,5/2,30": "fa11a3daf4e1c4e9b6ba6169b331fa02ae9c957c661e689258cbc8e88df58cee",
+}
+
+
+def test_golden_alpha_sum_documents():
+    from eisenmodes.homogeneous import zero_mode_alpha_sum
+
+    seen = {}
+    for key in list_families():
+        a, b, lam = key.split(",")
+        params = Params(Fraction(a), Fraction(b), int(lam))
+        seen[key] = _digest(zero_mode_alpha_sum(params).to_json_obj())
+    assert seen == ALPHA_SUM_GOLDEN

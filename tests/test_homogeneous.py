@@ -35,7 +35,7 @@ def test_anti_diagonal_alpha_closed_form():
         )
         assert m.alpha == expected
         assert m.hom_basis.kind == "power_neg"
-        assert m.boundary_order_achieved
+        assert m.obstruction is None
 
 
 def test_alpha_zero_when_already_decaying():
@@ -270,6 +270,22 @@ def test_mixed_weight_alpha_sum_recognition():
     assert res.value == Constant.pi_power(8, F(11, 637875))
     m = solve_mode(p, -2, 2)
     assert m.alpha == res.shape["A"] * F(sigma(2, 2) * sigma(4, 2)) / F(2) ** 8
+
+
+def test_alpha_sum_exponent_is_r_plus_weights():
+    # families beyond the worked tables: a recognised shape has s = r + alpha + beta,
+    # and the families whose alphas fit no sigma_a sigma_b / n^s (A + B log n) stay
+    # unrecognised
+    for a, b, r in [(F(5, 2), F(7, 2), 2), (F(3, 2), F(9, 2), 4),
+                    (F(7, 2), F(7, 2), 3), (F(9, 2), F(9, 2), 5)]:
+        p = Params(a, b, r * (r + 1), Normalization.UNIT)
+        res = zero_mode_alpha_sum(p, "RamanujanExact", partial_limits=(100,))
+        assert res.status != "unrecognized", (a, b, r)
+        assert res.shape["s"] == r + a + b, (a, b, r)
+    for a, b, r in [(F(3, 2), F(7, 2), 1), (F(3, 2), F(9, 2), 2), (F(5, 2), F(9, 2), 1)]:
+        p = Params(a, b, r * (r + 1), Normalization.UNIT)
+        res = zero_mode_alpha_sum(p, "RamanujanExact", partial_limits=(100,))
+        assert res.status == "unrecognized" and res.shape is None, (a, b, r)
 
 
 def test_exotic_weight_pairs_solve_and_classify_boundary():
