@@ -6,7 +6,10 @@ the factor 2 relative to one-sided sums, matching
     sum_{n != 0} sigma_a(|n|) sigma_b(|n|) / |n|^s
         = 2 zeta(s) zeta(s-a) zeta(s-b) zeta(s-a-b) / zeta(2s-a-b)
 
-and its s-derivative for the log-weighted variant.
+and its s-derivative for the log-weighted variant.  Outside the convergence
+region the closed forms are analytic continuations.  Where a zeta argument
+hits the pole at 1, or the denominator hits a trivial zero of zeta, no closed
+form is returned (see :class:`RamanujanSum`).
 """
 
 from __future__ import annotations
@@ -14,25 +17,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
-from .numerics import DEFAULT_ENV, NumericEnv
+from .numerics import DEFAULT_ENV
 from .scalars import Constant, factorize, sym_zeta_prime, zeta_value
 
 __all__ = [
     "sigma",
     "sigma_float_table",
     "RamanujanSum",
-    "PoleEncountered",
     "ramanujan_convolution",
     "ramanujan_log_convolution",
     "convolution_partial_sum",
     "log_convolution_partial_sum",
 ]
-
-
-class PoleEncountered(ValueError):
-    """A zeta argument landed on the pole at 1."""
 
 
 @lru_cache(maxsize=None)
@@ -66,73 +65,62 @@ def sigma_float_table(z: int, limit: int) -> list:
 
 @dataclass(frozen=True)
 class RamanujanSum:
-    """Closed form of a divisor convolution sum plus its status.
+    """Closed form of a divisor convolution sum, its status and its value.
 
     status is "convergent" inside the region s, s-a, s-b, s-a-b > 1 and
-    "formal" when the closed form is an analytic continuation only.  A
-    formal case whose continuation hits the zeta pole carries no value;
-    asking for it raises :class:`PoleEncountered`.  (Poles cannot occur
-    inside the convergence region.)
+    "formal" when the closed form is an analytic continuation only.
+    closed_form is None at the singular points, which lie outside that region:
+    numeric is then inf where a zeta argument is 1, or where the denominator
+    zeta(2s-a-b) is a trivial zero and no numerator zeta vanishes; it is nan
+    where a numerator zero meets a zero denominator (a 0/0 limit that is not
+    evaluated).
     """
 
     closed_form: Constant | None
     status: str
     numeric: float
 
-    @property
-    def value(self) -> Constant:
-        if self.closed_form is None:
-            raise PoleEncountered("closed form hits the zeta pole at 1")
-        return self.closed_form
 
-    @property
-    def is_formal(self) -> bool:
-        return self.status == "formal"
+def _trivial_zero(k: int) -> bool:
+    return k < 0 and k % 2 == 0
 
 
-def _in_convergence_region(a: int, b: int, s: int) -> bool:
-    return s > 1 and s - a > 1 and s - b > 1 and s - a - b > 1
-
-
-def _has_pole(a: int, b: int, s: int) -> bool:
-    return any(arg == 1 for arg in (s, s - a, s - b, s - a - b, 2 * s - a - b))
-
-
-def ramanujan_convolution(a: int, b: int, s: int, env: NumericEnv = DEFAULT_ENV) -> RamanujanSum:
+def ramanujan_convolution(a: int, b: int, s: int) -> RamanujanSum:
     """sum_{n != 0} sigma_a sigma_b / |n|^s = 2 z(s)z(s-a)z(s-b)z(s-a-b)/z(2s-a-b).
 
     Even zeta arguments normalize to pi powers; odd arguments >= 3 stay
     symbolic (the denominator then appears with exponent -1).
     """
-    status = "convergent" if _in_convergence_region(a, b, s) else "formal"
-    if _has_pole(a, b, s):
-        return RamanujanSum(None, status, math.inf)
-    value = (
-        Constant.from_rational(2)
-        * zeta_value(s)
-        * zeta_value(s - a)
-        * zeta_value(s - b)
-        * zeta_value(s - a - b)
-        / zeta_value(2 * s - a - b)
-    )
-    return RamanujanSum(value, status, value.evaluate(env))
+    return _zeta_closed_form(a, b, s, log=False)
 
 
-def ramanujan_log_convolution(a: int, b: int, s: int, env: NumericEnv = DEFAULT_ENV) -> RamanujanSum:
-    """sum_{n != 0} sigma_a sigma_b log|n| / |n|^s = -2 d/ds [zeta ratio].
+def ramanujan_log_convolution(a: int, b: int, s: int) -> RamanujanSum:
+    """sum_{n != 0} sigma_a sigma_b log|n| / |n|^s = -d/ds [2 N(s) / D(s)].
 
-    The derivative is expanded through logarithmic derivatives, leaving
-    zeta'(k) symbols (with numeric evaluation hooks) next to exact zeta
-    factors.
+    N is the product of the four numerator zetas and D = zeta(2s-a-b).  The
+    product rule gives (2 N/D * 2 zeta'(2s-a-b) - 2 N') / D, where each term
+    of N' replaces one numerator zeta by a zeta'(k) symbol (with a numeric
+    evaluation hook).  No numerator zeta is divided out, so a trivial zero
+    among them is a value like any other.
     """
-    base = ramanujan_convolution(a, b, s, env)
-    if base.closed_form is None:
-        return base
-    value = Constant.zero()
-    for arg, weight in ((s, 1), (s - a, 1), (s - b, 1), (s - a - b, 1), (2 * s - a - b, -2)):
-        term = base.value * Constant.monomial(sym_zeta_prime(arg)) / zeta_value(arg)
-        value = value + term * Fraction(-weight)
-    return RamanujanSum(value, base.status, value.evaluate(env))
+    return _zeta_closed_form(a, b, s, log=True)
+
+
+def _zeta_closed_form(a: int, b: int, s: int, log: bool) -> RamanujanSum:
+    numer, denom = (s, s - a, s - b, s - a - b), 2 * s - a - b
+    status = "convergent" if min(numer) > 1 else "formal"
+    if 1 in numer or denom == 1:
+        return RamanujanSum(None, status, math.inf)
+    if _trivial_zero(denom):
+        return RamanujanSum(None, status, math.nan if any(map(_trivial_zero, numer)) else math.inf)
+    zetas = [zeta_value(k) for k in numer]
+    den = zeta_value(denom)
+    value = reduce(mul, zetas, Constant.from_rational(2)) / den
+    if log:
+        d_numer = sum((reduce(mul, zetas[:i] + zetas[i + 1:], Constant.monomial(sym_zeta_prime(k)))
+                       for i, k in enumerate(numer)), Constant.zero())
+        value = (value * Constant.monomial(sym_zeta_prime(denom), coeff=2) - d_numer * 2) / den
+    return RamanujanSum(value, status, value.evaluate(DEFAULT_ENV))
 
 
 def convolution_partial_sum(a: int, b: int, s: int, limit: int) -> float:

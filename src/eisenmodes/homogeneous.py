@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bessel import HomBasis, expr_from_json_obj, expr_to_json_obj
@@ -27,7 +29,7 @@ from .divisors import (
     sigma,
     sigma_float_table,
 )
-from .numerics import DEFAULT_ENV, NumericEnv, symbol_value
+from .numerics import DEFAULT_ENV, symbol_value
 from .scalars import Constant, log_normalize, sym_ln_prime
 from .series import hom_norm_scale_description, small_y_series
 from .solver import (
@@ -219,12 +221,11 @@ def solve_mode(
     r = params.r
 
     if n1 == 0 and n2 == 0:
-        zm = solve_zero_mode(params, src.core)
-        return ModeSolution(
-            params, 0, 0, src, zm.particular.scale(src.prefactor), zm.free_basis, None, None,
-            "alpha_0,0 is a free constant; zero_mode_alpha_sum chooses it",
-            None, alpha_free=True,
-        )
+        basis = None if r is None else HomBasis("power_neg", r)
+        particular = solve_zero_mode(params, src.core).scale(src.prefactor)
+        return ModeSolution(params, 0, 0, src, particular, basis, None, None,
+                            "alpha_0,0 is a free constant; zero_mode_alpha_sum chooses it",
+                            None, alpha_free=True)
 
     if n1 == 0 or n2 == 0:
         core_sol, report = solve_particular_single(
@@ -416,7 +417,7 @@ class ZeroModeSumResult:
             "shape": None if self.shape is None else {
                 "a": self.shape["a"], "b": self.shape["b"], "s": self.shape["s"],
                 "coefficient": self.shape["A"].to_json_obj(),
-                "log_coefficient": None if self.shape["B"] is None else self.shape["B"].to_json_obj(),
+                "log_coefficient": self.shape["B"].to_json_obj(),
             },
             "value": None if self.value is None else self.value.to_json_obj(),
             "numeric": self.numeric,
@@ -431,89 +432,74 @@ def _recognize_alpha_shape(params: Params, probe: int = 12):
     a = 2 alpha - 1, b = 2 beta - 1 and s = r + alpha + beta; A is the n = 1
     value of d_n = alpha_{-n,n} n^s / (sigma_a(n) sigma_b(n)) and B = (d_2 - A)
     / log 2.  The decomposition is verified on every probe value.  Returns
-    {a, b, s, A, B, alphas} or None when a probe mode has no alpha or the
-    decomposition fails.
+    {a, b, s, A, B} or None when fewer than two probes are asked for, a probe
+    mode has no alpha or the decomposition fails.
     """
-    alphas = {}
+    if probe < 2:
+        return None
+    alphas = []
     for n in range(1, probe + 1):
         val = solve_mode(params, -n, n).boundary_alpha
         if val is None:
             return None
-        alphas[n] = val
-    a = int(2 * params.alpha - 1)
-    b = int(2 * params.beta - 1)
+        alphas.append(val)
+    a, b = int(2 * params.alpha - 1), int(2 * params.beta - 1)
     s = int(params.r + params.alpha + params.beta)
-    d = {n: alphas[n] * Fraction(n) ** s / (sigma(a, n) * sigma(b, n)) for n in alphas}
-    A = d[1]
-    B = (d[2] - A) / Constant.monomial(sym_ln_prime(2))
-    if any(d[n] != A + B * log_normalize(n) for n in alphas):
+    d = [v * Fraction(n) ** s / (sigma(a, n) * sigma(b, n)) for n, v in enumerate(alphas, 1)]
+    A = d[0]
+    B = (d[1] - A) / Constant.monomial(sym_ln_prime(2))
+    if any(dn != A + B * log_normalize(n) for n, dn in enumerate(d, 1)):
         return None
-    return {"a": a, "b": b, "s": s, "A": A, "B": B, "alphas": alphas}
+    return {"a": a, "b": b, "s": s, "A": A, "B": B}
+
+
+# |n| bounds at which zero_mode_alpha_sum reports the partial sums of the shape
+PARTIAL_LIMITS = (100, 1000, 10000)
 
 
 def zero_mode_alpha_sum(
-    params: Params,
-    method: str = "RamanujanExact",
-    probe: int = 12,
-    partial_limits: Sequence[int] = (100, 1000, 10000),
-    env: NumericEnv = DEFAULT_ENV,
+    params: Params, method: str = "RamanujanExact", probe: int = 12
 ) -> ZeroModeSumResult:
     """Total of alpha_{-n,n} over n != 0 via the divisor convolution identities.
 
     method: RamanujanExact (requires convergence), FormalRamanujan (analytic
     continuation, clearly labeled), NumericPartial (partial sums of the
-    recognized shape).  alpha00_choice is the negative of the total, making
-    the homogeneous contributions sum to zero.
+    recognized shape).  The total is A times the plain convolution plus, when
+    B != 0, B times the log-weighted one.  alpha00_choice is the negative of
+    the total, making the homogeneous contributions sum to zero.
     """
     shape = _recognize_alpha_shape(params, probe)
     if shape is None:
         return ZeroModeSumResult(method, "unrecognized", None, None, None, {}, None)
     a, b, s, A, B = shape["a"], shape["b"], shape["s"], shape["A"], shape["B"]
     has_log = not B.is_zero()
+    sums = [(A, ramanujan_convolution(a, b, s))]
+    if has_log:
+        sums.append((B, ramanujan_log_convolution(a, b, s)))
+    status = "exact" if sums[0][1].status == "convergent" else "formal"
 
-    base = ramanujan_convolution(a, b, s, env)
-    convergent = base.status == "convergent"
-    partial_sums: Dict[int, float] = {}
-    A_num, B_num = A.evaluate(env), B.evaluate(env)
-    top = max(partial_limits)
+    A_num, B_num = A.evaluate(DEFAULT_ENV), B.evaluate(DEFAULT_ENV)
+    top = PARTIAL_LIMITS[-1]
     ta = sigma_float_table(a, top)
     tb = ta if a == b else sigma_float_table(b, top)
+    partial_sums: Dict[int, float] = {}
     total = 0.0
     for n in range(1, top + 1):
         w = A_num + (B_num * math.log(n) if has_log else 0.0)
         total += 2.0 * ta[n] * tb[n] * w / float(n) ** s
-        if n in partial_limits:
+        if n in PARTIAL_LIMITS:
             partial_sums[n] = total
 
     if method == "NumericPartial":
-        return ZeroModeSumResult(
-            method, "exact" if convergent else "divergent", shape_doc(shape),
-            None, partial_sums[max(partial_limits)], partial_sums, None,
-        )
-
-    if not convergent and method != "FormalRamanujan":
-        return ZeroModeSumResult(
-            method, "divergent", shape_doc(shape), None, None, partial_sums, None
-        )
-
-    value = A * base.value if base.closed_form is not None else None
-    numeric = A_num * base.numeric if base.closed_form is not None else None
-    if has_log:
-        logpart = ramanujan_log_convolution(a, b, s, env)
-        if logpart.closed_form is None or value is None:
-            return ZeroModeSumResult(
-                method, "formal", shape_doc(shape), None, None, partial_sums, None
-            )
-        value = value + B * logpart.value
-        numeric = numeric + B_num * logpart.numeric
-    status = "exact" if convergent else "formal"
-    alpha00 = None if value is None else Constant.zero() - value
-    return ZeroModeSumResult(method, status, shape_doc(shape), value, numeric,
-                             partial_sums, alpha00)
-
-
-def shape_doc(shape: dict) -> dict:
-    return {k: shape[k] for k in ("a", "b", "s", "A", "B")}
+        return ZeroModeSumResult(method, "exact" if status == "exact" else "divergent",
+                                 shape, None, total, partial_sums, None)
+    if status != "exact" and method != "FormalRamanujan":
+        return ZeroModeSumResult(method, "divergent", shape, None, None, partial_sums, None)
+    if any(conv.closed_form is None for _, conv in sums):
+        return ZeroModeSumResult(method, status, shape, None, None, partial_sums, None)
+    value = reduce(add, (coeff * conv.closed_form for coeff, conv in sums))
+    numeric = reduce(add, (coeff.evaluate(DEFAULT_ENV) * conv.numeric for coeff, conv in sums))
+    return ZeroModeSumResult(method, status, shape, value, numeric, partial_sums, -value)
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,7 @@ def homogeneous_residual(basis: HomBasis, lam: int, nsum: int, y: float) -> floa
     return abs(val) / max(ref, 1e-300)
 
 
-def series_crosscheck(expr, order: int, y_small: float = 1e-3,
-                      env: NumericEnv = DEFAULT_ENV) -> dict:
+def series_crosscheck(expr, order: int, y_small: float = 1e-3) -> dict:
     """Compare the exact small-y series against direct evaluation at y_small."""
     from .series import small_y_series
 
@@ -338,8 +337,8 @@ def series_crosscheck(expr, order: int, y_small: float = 1e-3,
     if not radius_ok:
         return {"status": "inconclusive", "reason": "outside series radius heuristic"}
     s = small_y_series(expr, order)
-    approx = s.terms.evaluate(env, y_small)
-    direct = eval_expr(expr, y_small, env)
+    approx = s.terms.evaluate(DEFAULT_ENV, y_small)
+    direct = eval_expr(expr, y_small)
     denom = max(abs(direct), 1e-300)
     return {
         "status": "ok",

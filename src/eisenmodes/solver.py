@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .bessel import (
-    DoubleBessel, HomBasis, Pure, SingleBessel, apply_euler, apply_L, apply_P, unit_column,
+    DoubleBessel, Pure, SingleBessel, apply_euler, apply_L, apply_P, unit_column,
 )
 from .laurent import YLaurent
 from .scalars import SYM_PI, Constant, SymbolMonomial
@@ -41,7 +41,6 @@ __all__ = [
     "DegreeWindow",
     "NoSolutionInWindow",
     "SolveReport",
-    "ZeroModeResult",
     "default_window",
     "solve_particular_double",
     "solve_particular_single",
@@ -387,14 +386,7 @@ def solve_particular_single(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ZeroModeResult:
-    particular: Pure
-    free_basis: Optional[HomBasis]  # y^{-r}; None when lam is not triangular
-    resonant_powers: List[int]
-
-
-def solve_zero_mode(params: Params, source: Pure) -> ZeroModeResult:
+def solve_zero_mode(params: Params, source: Pure) -> Pure:
     """Particular solution of (y^2 d^2 - lam) g = source for a power-log source.
 
     Non-resonant powers y^k map to y^k / (k(k-1) - lam).  At resonance
@@ -404,11 +396,12 @@ def solve_zero_mode(params: Params, source: Pure) -> ZeroModeResult:
 
     is used; it is the epsilon -> 0 limit of y^{k+eps}/((k+eps)(k+eps-1)-lam)
     minus its homogeneous pole, and matches the worked solutions verbatim.
-    The homogeneous degrees themselves are never added to the particular part.
+    The resonant powers are thus exactly the y^k log y terms of the result.
+    The homogeneous degrees themselves are never added to the particular part;
+    the free element y^{-r} is attached by ``homogeneous.solve_mode``.
     """
     lam = params.lam
     out = YLaurent.zero()
-    resonant = []
     for (k, j), coeff in source.poly.terms().items():
         if j != 0:
             raise ValueError("zero-mode sources are log-free")
@@ -416,7 +409,6 @@ def solve_zero_mode(params: Params, source: Pure) -> ZeroModeResult:
         if denom != 0:
             out = out + YLaurent.monomial(k, coeff * Fraction(1, denom))
         else:
-            resonant.append(k)
             w = 2 * k - 1
             out = out + YLaurent.monomial(k, coeff * Fraction(1, w), log_exp=1)
             out = out + YLaurent.monomial(k, coeff * Fraction(-1, w * w))
@@ -424,5 +416,4 @@ def solve_zero_mode(params: Params, source: Pure) -> ZeroModeResult:
     check = apply_euler(lam, particular) - source
     if not check.is_zero():
         raise AssertionError("zero-mode particular failed its defining equation")
-    free = None if params.r is None else HomBasis("power_neg", params.r)
-    return ZeroModeResult(particular, free, sorted(resonant))
+    return particular

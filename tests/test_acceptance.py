@@ -135,14 +135,14 @@ def test_criterion_4_homogeneous_coefficients():
         m = solve_mode(p30, -n2, n2)
         expected = Constant.pi_power(-4, F(8, 55) * F(sigma(2, n2)) ** 2 / F(n2) ** 8)
         assert m.alpha == expected, n2
-    res30 = zero_mode_alpha_sum(p30, "RamanujanExact", probe=10, partial_limits=(10000,))
+    res30 = zero_mode_alpha_sum(p30, "RamanujanExact", probe=10)
     assert res30.status == "exact"
     assert res30.value == Constant.pi_power(8, F(52, 146923875))
     assert res30.value == zeta_even(8) * F(104, 31095)
     rel = abs(res30.partial_sums[10000] - res30.numeric) / abs(res30.numeric)
     assert rel < 1e-6
     p56 = Params(F(3, 2), F(3, 2), 56)
-    res56 = zero_mode_alpha_sum(p56, "RamanujanExact", probe=8, partial_limits=(10000,))
+    res56 = zero_mode_alpha_sum(p56, "RamanujanExact", probe=8)
     # The published lambda=56 total is printed as 7072 pi^16/1695787498125; the
     # rational part is confirmed exactly, but the per-mode alphas
     # 32 sigma_2(n)^2/(175 pi^6 n^10) force the power pi^10

@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import eisenmodes
 from eisenmodes import cli
@@ -21,6 +26,10 @@ from eisenmodes.cli import (
     EXIT_USAGE,
     main,
 )
+from eisenmodes.bessel import DoubleBessel, SingleBessel, apply_euler, apply_L, apply_P
+from eisenmodes.divisors import convolution_partial_sum, log_convolution_partial_sum
+from eisenmodes.homogeneous import mode_solution_from_json_obj
+from eisenmodes.sources import classify_params
 
 
 def run_cli(capsys, *argv):
@@ -353,3 +362,86 @@ def test_solve_rejects_flags_of_the_other_mode(tmp_path, capsys, modes, extra):
     assert code == EXIT_USAGE
     assert out == "" and not out_file.exists()
     assert extra[0] in json.loads(err)["error"]
+
+
+def test_zero_mode_assembly_with_one_probe_is_unrecognized(capsys):
+    # cutoff 1 leaves one anti-diagonal probe, too few to fit A + B log n
+    code, out = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+                        "--n", "0", "--cutoff", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["exact_alpha_sum"]["status"] == "unrecognized"
+
+
+@pytest.mark.parametrize("argv, closed", [
+    # zeta(-2) = 0 in the numerator: the log-weighted sum is its derivative term alone
+    (["sums", "--a", "4", "--b", "2", "--s", "4", "--log"], True),
+    # zeta(-2) in the denominator and zeta(-2), zeta(-6) in the numerator: a 0/0 limit
+    (["sums", "--a", "6", "--b", "4", "--s", "4"], False),
+    # shape sigma_4 sigma_4 / n^6 (A + B log n): zeta(-2) in the numerator
+    (["alpha-sum", "--alpha", "5/2", "--beta", "5/2", "--lambda", "2",
+      "--method", "FormalRamanujan"], True),
+])
+def test_trivial_zeros_of_zeta_give_documents(capsys, argv, closed):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["status"] == "formal"
+    value = doc["closed_form"] if argv[0] == "sums" else doc["value"]
+    assert (value is not None) == closed
+
+
+def _main_doc(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _zeta_ratio(a, b):
+    return lambda s: (2 * mp.zeta(s) * mp.zeta(s - a) * mp.zeta(s - b) * mp.zeta(s - a - b)
+                      / mp.zeta(2 * s - a - b))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hst.integers(-2, 8), hst.integers(-2, 8), hst.integers(-6, 13), hst.booleans())
+def test_sums_agree_with_partial_sums_and_mpmath(a, b, s, log):
+    limit = 2000
+    flag = ["--log"] if log else []
+    code, out = _main_doc(["sums", "--a", str(a), "--b", str(b), "--s", str(s), *flag,
+                           "--limit", str(limit)])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    value = float(doc["numeric"])
+    if doc["status"] == "convergent":
+        # the tail past N is below 4 times the last doubling's increment on the
+        # whole grid (at most 1.9 times, for sum d(n)^2 log n / n^2)
+        full = float(doc["partial_sum"]["value"])
+        partial = log_convolution_partial_sum if log else convolution_partial_sum
+        half = partial(a, b, s, limit // 2)
+        assert abs(value - full) <= 4 * abs(full - half) + 1e-12 * abs(value), doc
+    trivial_zeros = [k for k in (s, s - a, s - b, s - a - b) if k < 0 and k % 2 == 0]
+    if log and len(trivial_zeros) == 1 and doc["closed_form"] is not None:
+        with mp.workdps(30):
+            ref = -mp.diff(_zeta_ratio(a, b), s)
+        assert value == pytest.approx(float(ref), rel=1e-12), doc
+
+
+SOLVABLE_FAMILIES = [
+    (Fraction(a, 2), Fraction(b, 2), r)
+    for a in (3, 5, 7, 9) for b in (3, 5, 7, 9) for r in range(1, 9)
+    if classify_params(Fraction(a, 2), Fraction(b, 2), r * (r + 1)).kind == "solvable"
+]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hst.sampled_from(SOLVABLE_FAMILIES), hst.integers(-300, 300), hst.integers(-300, 300))
+def test_solve_contract_on_solvable_families(family, n1, n2):
+    alpha, beta, r = family
+    code, out = _main_doc(["solve", "--alpha", str(alpha), "--beta", str(beta), "--r", str(r),
+                           "--n1", str(n1), "--n2", str(n2), "--normalization", "unit"])
+    assert code in (EXIT_OK, EXIT_OBSTRUCTED)
+    # re-read the document and check it with the symbolic operator
+    mode = mode_solution_from_json_obj(json.loads(out))
+    part, lam = mode.particular, mode.params.lam
+    apply = {DoubleBessel: apply_P, SingleBessel: apply_L}.get(type(part), apply_euler)
+    assert (apply(lam, part) - mode.source.full()).is_zero()

@@ -8,8 +8,10 @@ inconsistent rows of a non-triangular lambda pin the pivot order and the
 inconsistency report as well.  The CLI documents (LaTeX solves, tables, the
 T-2 combination, verify), the numeric evaluators and the small-y series of one
 single- and one double-Bessel mode are pinned too, and so is every source term
-of eight modes over all sixteen weight pairs up to 9/2.  A refactor of the
-solver must keep every byte.
+of eight modes over all sixteen weight pairs up to 9/2.  The zero-mode path
+is pinned from the alpha sums of every method to the assembled n = 0 mode and
+the sums documents at convergent, formal, pole and trivial-zero points.  A
+refactor of the solver must keep every byte.
 """
 
 import hashlib
@@ -408,3 +410,130 @@ def test_golden_alpha_sum_documents():
         params = Params(Fraction(a), Fraction(b), int(lam))
         seen[key] = _digest(zero_mode_alpha_sum(params).to_json_obj())
     assert seen == ALPHA_SUM_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# Every alpha-sum method, the zero-mode assembly and the divisor sums
+# ---------------------------------------------------------------------------
+#
+# Pins marked * are of inputs that raised ValueError while the convolutions
+# divided by a trivial zero of zeta; they were captured from the code that
+# handles those zeros.  Every other pin was captured before the zero-mode path
+# was reduced to one record per step.
+
+# (family, normalization, method) -> sha256 of the canonical JSON of
+# zero_mode_alpha_sum(params, method).to_json_obj(); the unit families have a
+# log n part in their alpha shape
+ALPHA_SUM_METHOD_GOLDEN = {
+    ('3/2,3/2,2', 'published', 'FormalRamanujan'): '49edadb683432aaa4363c1e5086b5464585eae9f46468ddb3acf4adebbe9c2ee',
+    ('3/2,3/2,2', 'published', 'NumericPartial'): 'f48026d1c977d8e2887c00f893d57c07f244bf78dbc28d66171a9ba3eb70ba22',
+    ('3/2,3/2,30', 'published', 'FormalRamanujan'): '8230374a6264af63910faa43cfa64267510ac7caca46633185be028866f5c670',
+    ('3/2,3/2,30', 'published', 'NumericPartial'): '60bcb38d7c4db8c495fd629559fda43fb8a8a08bd10036a01eaf1ab183f61b41',
+    ('3/2,3/2,56', 'published', 'FormalRamanujan'): '4672f5261e18e70b2d6443be9a5e281f486e316f0d51f5fa7516b7c57a7066ac',
+    ('3/2,3/2,56', 'published', 'NumericPartial'): '0aea480077d2904ade8fb58de5df42027dd825aebd9bd066f2b97d31b5b8f26e',
+    ('3/2,5/2,20', 'published', 'FormalRamanujan'): '2e297c87d2b423a1d570f871ac2d662c0d5126f8034958c0aee905eb732fbef9',
+    ('3/2,5/2,20', 'published', 'NumericPartial'): '8109e9d97d11d8e1b7e4637bab5c125386a7edc0e9900ce7e2e755c86fbb81d7',
+    ('3/2,5/2,6', 'published', 'FormalRamanujan'): '59f4f50a95021ae413173d407ca594b12a135aca321604f8199a60e3514a3f47',
+    ('3/2,5/2,6', 'published', 'NumericPartial'): '6256aaa00bf17bf91d044d5ad329782b5cde8ef25e1c11476bbb6d01836ee13d',
+    ('3/2,7/2,12', 'published', 'FormalRamanujan'): '681ffb156b75149c3de365e2aff8854fb9d7e02b52e4b1270c10baeae9862521',
+    ('3/2,7/2,12', 'published', 'NumericPartial'): 'a777fc79882d51279a5850cb3d4b628a3d9f2dab601b1e86d5cbd14d24c28f05',
+    ('3/2,7/2,30', 'published', 'FormalRamanujan'): '00125c12c8aad702cf82a378f42b8ed2a57cce513c10948eb4d0dc91390c0642',
+    ('3/2,7/2,30', 'published', 'NumericPartial'): 'b013177e139e5d8a8c2ffd79bed4c6abfcb980cb6473684e63d7d0eb52c1d789',
+    ('5/2,5/2,12', 'published', 'FormalRamanujan'): 'd75cd46aa6251d3cf100cad140070b153f8fff178fcf76f178dc73ceb1b0fef6',
+    ('5/2,5/2,12', 'published', 'NumericPartial'): 'e42fee718a4d5dcb4a1c270e2e4b981b4e408d992a35db73420d2fe37a5ddb62',
+    ('5/2,5/2,2', 'published', 'FormalRamanujan'): '4c9787bdcaea88ab052ba129e8678012a1debbb3a4baaf946980a581ebcc9f52',  # *
+    ('5/2,5/2,2', 'published', 'NumericPartial'): '39ec1c76d8f37e169f37a75da130279ea26ac67559c33cde702b3732e59280a1',
+    ('5/2,5/2,30', 'published', 'FormalRamanujan'): '78a891f8f09f34d84c9777405ae67f6d716282779da8f919e610dda3024a6bd7',
+    ('5/2,5/2,30', 'published', 'NumericPartial'): '46ceb244f6f1a27f0126076f3f0e6c64d449c51742f3c717f12001baab55e1c9',
+    ('5/2,7/2,6', 'unit', 'RamanujanExact'): '1eb7a8ca39dce9b423e56506d7d0aa014b6f3beef818e74ec67449f1988c7904',
+    ('5/2,7/2,6', 'unit', 'FormalRamanujan'): '5042396e764ef21b81679f3098af33a3938142b80149bfcea0b1c90f6b874a94',  # *
+    ('5/2,7/2,6', 'unit', 'NumericPartial'): '9b9b778da8214b6109d88e4e68f3952bb0abd081971be45a549f1cd51d8ecb52',
+    ('7/2,9/2,6', 'unit', 'RamanujanExact'): '510b30d20de8bc418bb6f18e8fede3dd0950c5d1d0f02712172bee5a50039565',
+    ('7/2,9/2,6', 'unit', 'FormalRamanujan'): 'e0e8890eee07c7f70ba5b52cdea204c629203a16a96714d91489f1712375b86c',  # *
+    ('7/2,9/2,6', 'unit', 'NumericPartial'): 'fc8f51e9ce3a01654d04242a56d599a1179d90b2f3dd5703a8e000b208c948cb',
+}
+
+# (a, b, s) of the pinned sums documents: convergent, formal, at a zeta pole
+# (2,2,5 and 1,3,4) and at trivial zeros of zeta (the last four)
+SUMS_POINTS = [(2, 2, 8), (0, 0, 4), (2, 4, 8), (2, 2, 4), (1, 3, 4), (2, 2, 5), (0, 0, 2),
+               (4, 2, 4), (6, 4, 4), (4, 4, 6), (6, 2, 6)]
+ZERO_MODE_FAMILIES = [("3/2", "3/2", "30"), ("3/2", "5/2", "20"), ("5/2", "5/2", "2")]
+
+# name -> (exit code, sha256 of stdout)
+ZERO_MODE_CLI_GOLDEN = {
+    'solve-n0-3/2,3/2,30': (0, 'c94933a98b6b59f2c5dad12edab2958204d140b068f0a4107f3374404de1a7bf'),
+    'solve-n0-3/2,5/2,20': (0, '7c517b62307ecf81e4dc04b94484a38dde88243f209dbd4b75052fff86b566e0'),
+    'solve-n0-5/2,5/2,2': (5, 'dba1087aaee90b86d233eb602747a1245bacc55dea18a958b15f4d1538097597'),
+    'sums-2,2,8': (0, '2f2e8dfac8d43a3db3243920a1b2872619f8b495d55b8831c77d18cc505ac960'),
+    'sums-2,2,8-limit': (0, 'a0c41947a58dfe22ec33c4c1e3fa435b4649ffce87ce16cfe4e716a10fd7bd62'),
+    'sums-2,2,8-log': (0, '7d8ee201697565fb6c6f5e434814b7e54789c2838d45178626b5a2969c814f23'),
+    'sums-2,2,8-log-limit': (0, '702d11e2de848a4e9eb6059470210c73276667e3c5167967ea29920b10389009'),
+    'sums-0,0,4': (0, '0783b2a18f6464033aebc7dc6ecb27ed0f3e4c6f645e1e41b5c9ae780cb67d20'),
+    'sums-0,0,4-limit': (0, 'dcac2efba4f75a31922c030fa0ed87baa1e4a82e048221bb5db89d5876a3ae89'),
+    'sums-0,0,4-log': (0, '8b05165e54e6e28eaf0cf8800204dfac098995d606f6c14253f3207be4cf3eb7'),
+    'sums-0,0,4-log-limit': (0, 'bc0f8f75e389665738fb86627e09fff237a3dd3d81d95975d9fee3dd5314b80d'),
+    'sums-2,4,8': (0, 'cc3e7f8157369a733db83c96bbbfec4204114ff637cff4030c472af9bb127bcb'),
+    'sums-2,4,8-limit': (0, '04b97dd63b1f1fef26cfdf8ac429b06227ceb7ebe3b30939d13ddb4ffb282219'),
+    'sums-2,4,8-log': (0, '70bcb55771866f510fccb0ad39ba8754cef65f9d3f032511ed91ff68dbabd589'),
+    'sums-2,4,8-log-limit': (0, '11e7f663e429f0d0996424c45e46adaad9766df5e6c790c785a86a347ecb5b73'),
+    'sums-2,2,4': (0, 'd815f1bcf249277d0d72622b6ff6899b1c43660705440f23aaa3d1f05b0dae55'),
+    'sums-2,2,4-limit': (0, '525612c4048261fe38b71f34dfa0c124897a1b9bcf22bea07719f4911045e0dc'),
+    'sums-2,2,4-log': (0, '2338d686bfbd4790a55e55534e30916585857ac78df548e6bf124dec1ba1436b'),
+    'sums-2,2,4-log-limit': (0, 'a031cb5aa133d83ff54f9ed1af63ec81cd236f4b11ee03fa3f69b6af07d34a7a'),
+    'sums-1,3,4': (0, '784e6ff512dec4c08ecf28290f41242267fc966044436a9aef87be09562d4a81'),
+    'sums-1,3,4-limit': (0, '47c67db9883615680e1356cf9846e9f2a8223d6226a8f5d5d500d5eb70992621'),
+    'sums-1,3,4-log': (0, 'a7cf8311d50104b4c24df494e88a7bc010c83cbcfddcef22733c9fddf0fb181a'),
+    'sums-1,3,4-log-limit': (0, '8ee696d8779e2d8bbc21e090890b639cfb5f6efa662bef4e88f4f41d1994e088'),
+    'sums-2,2,5': (0, '5e8742a2bf1a862654eef7013e1def33952dbedb96c9a7c6b46801f59f3594e9'),
+    'sums-2,2,5-limit': (0, 'dc1763264d648eb6526da7231f1591e66c8cd97ed35d445664c63e69cdc05592'),
+    'sums-2,2,5-log': (0, '362d485cf2db9d4a283fc5c27d09545192d44d8fbee76da1bf1363ba61926110'),
+    'sums-2,2,5-log-limit': (0, '217ed204e11f27503ba9699df54ea5aa1cf3b88ecc6fbf730114894e22adf407'),
+    'sums-0,0,2': (0, 'd6b5251e761dcda5e813c837f853c3d08f0ed124bc2db23e22c42df854d7fb95'),
+    'sums-0,0,2-limit': (0, 'bb6a31652616f437fa60192aa241555ad0e3986c002466e9b72999883b2b2bb4'),
+    'sums-0,0,2-log': (0, 'e644f79a82281671ecd0a69695226c83c02da1dfe96283f1b2f14adfac766a97'),
+    'sums-0,0,2-log-limit': (0, 'e0e58f9a867119f48cc8547e22b3b2a9e5dbd02ef11de1ad224f9ba2ef859763'),
+    'sums-4,2,4': (0, 'f2b4d1e8ec251c7fe15c37ecc412f7ff7841113377ac20e75dc3e7638f85a1c0'),
+    'sums-4,2,4-limit': (0, '8d9d30a49e2331b3dac7a04ead9eb0ace410a8b149106768e6240804e29a4a37'),
+    'sums-4,2,4-log': (0, '77657a1add2ef8fadc77756877cf939b3e0d06af56532b1bf63f99238adb2d8e'),  # *
+    'sums-4,2,4-log-limit': (0, '8d012fea0749412aed9850f41afb2a3ca8b921a118a889a526dcf7abfee8d1d5'),  # *
+    'sums-6,4,4': (0, '6568fd1cfaa14b52222811cfd743df39cb046c33317018f2a38ce2707693ecf1'),  # *
+    'sums-6,4,4-limit': (0, '6fcf53edc8244f561ad5fae158f98b680bdf14880a8a6d7ed570ec6f157643ad'),  # *
+    'sums-6,4,4-log': (0, '724cd254ab657fb7a928c85990e6a372163131500d57f21c2eb92963fa35cbde'),  # *
+    'sums-6,4,4-log-limit': (0, 'c66ee319313c1fff5c5a7fce9b7219819728348df52cf4385c9ab7b537c45c66'),  # *
+    'sums-4,4,6': (0, '833e41c677fd360f740fe2b3612f2d1830d5e8073f1d1070bf0abdacf29198c8'),
+    'sums-4,4,6-limit': (0, 'dcd7ac22c6c91a5d9193997894fb69bffd8cceb16b07772675cb8f8f01ac25e4'),
+    'sums-4,4,6-log': (0, 'f9bf2304c3bdf2bdc6e23ad511555d3869e75ff6d068b75508d46b53b3243321'),  # *
+    'sums-4,4,6-log-limit': (0, 'b105c10388007dd5306fe252a45f1ce835d8d5be92fdba8329a18df056108ebc'),  # *
+    'sums-6,2,6': (0, '3478514f1b55a50d158eedb4037571179b0d126600051bb7453eab3bc21422b7'),
+    'sums-6,2,6-limit': (0, 'de84ec99effe8444dba8b1e75314735a125e6f7da27c8ffabbf044cff556bc8c'),
+    'sums-6,2,6-log': (0, '1f36d192bd9850cff8fef85508a8a17006e7044273af6d1c12892ac9636f8e0a'),  # *
+    'sums-6,2,6-log-limit': (0, 'f21faf052c92fc21aef1c8410b4f1d1a2d46c31c9cf5d3095b94ff364a054728'),  # *
+}
+
+
+def test_golden_alpha_sum_methods():
+    from eisenmodes.homogeneous import zero_mode_alpha_sum
+
+    seen = {}
+    for key, norm, method in ALPHA_SUM_METHOD_GOLDEN:
+        a, b, lam = key.split(",")
+        params = Params(Fraction(a), Fraction(b), int(lam), Normalization(norm))
+        seen[key, norm, method] = _digest(zero_mode_alpha_sum(params, method).to_json_obj())
+    assert seen == ALPHA_SUM_METHOD_GOLDEN
+
+
+def test_golden_zero_mode_and_sums_documents(capsys):
+    cases = {}
+    for a, b, lam in ZERO_MODE_FAMILIES:
+        cases[f"solve-n0-{a},{b},{lam}"] = ["solve", "--alpha", a, "--beta", b, "--lambda", lam,
+                                           "--n", "0", "--cutoff", "8"]
+    for a, b, s in SUMS_POINTS:
+        for log in ([], ["--log"]):
+            for limit in ([], ["--limit", "100"]):
+                name = f"sums-{a},{b},{s}" + "-log" * bool(log) + "-limit" * bool(limit)
+                cases[name] = ["sums", "--a", str(a), "--b", str(b), "--s", str(s), *log, *limit]
+    seen = {}
+    for name, argv in cases.items():
+        code, out = _run_cli(capsys, argv)
+        seen[name] = (code, _sha(out))
+    assert seen == ZERO_MODE_CLI_GOLDEN

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eisenmodes.bessel import DoubleBessel, Pure, apply_euler, apply_L, apply_P, expr_to_json_obj
+from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
 from eisenmodes.scalars import Constant, zeta_odd
 from eisenmodes.solver import (
@@ -130,17 +131,17 @@ def test_zero_mode_verbatim_and_resonance():
     p = Params(F(3, 2), F(3, 2), 30)
     zm = solve_zero_mode(p, source_term(p, 0, 0).full())
     z3 = zeta_odd(3)
-    assert zm.particular.poly.coeff(3) == z3 * z3 * F(105, 630)
-    assert zm.particular.poly.coeff(-1) == Constant.pi_power(4, F(10, 630))
-    assert zm.resonant_powers == []
-    assert zm.free_basis.kind == "power_neg"
+    assert zm.poly.coeff(3) == z3 * z3 * F(105, 630)
+    assert zm.poly.coeff(-1) == Constant.pi_power(4, F(10, 630))
+    assert all(j == 0 for _, j in zm.poly.terms())  # no resonant power
+    assert solve_mode(p, 0, 0).hom_basis.kind == "power_neg"
 
     # resonant case: source y^{r+1} produces y^{r+1} log(y)/(2r+1)
     r = 5
     res = solve_zero_mode(p, Pure(YLaurent.monomial(r + 1)))
-    assert res.resonant_powers == [r + 1]
-    assert res.particular.poly.coeff(r + 1, 1) == Constant.from_rational(F(1, 2 * r + 1))
-    assert (apply_euler(30, res.particular) - Pure(YLaurent.monomial(r + 1))).is_zero()
+    assert [k for k, j in res.poly.terms() if j == 1] == [r + 1]
+    assert res.poly.coeff(r + 1, 1) == Constant.from_rational(F(1, 2 * r + 1))
+    assert (apply_euler(30, res) - Pure(YLaurent.monomial(r + 1))).is_zero()
 
 
 def test_band_profile_assertion_is_active(monkeypatch):
