@@ -31,7 +31,6 @@ from .series import AsymptoticSeries, small_y_series
 from .solver import (
     DegreeWindow,
     NoSolutionInWindow,
-    default_window,
     solve_particular_double,
     solve_particular_single,
     solve_zero_mode,
@@ -69,7 +68,6 @@ __all__ = [
     "choose_alpha",
     "classify_params",
     "combine",
-    "default_window",
     "eisenstein_coeff",
     "ramanujan_convolution",
     "ramanujan_log_convolution",

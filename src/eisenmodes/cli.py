@@ -53,7 +53,7 @@ from .homogeneous import (
     zero_mode_alpha_sum,
 )
 from .laurent import LogCapExceeded
-from .numerics import DEFAULT_ENV, residual
+from .numerics import DEFAULT_ENV, eval_expr, residual, series_crosscheck
 from .solver import DEFAULT_WIDEN_CAP, DegreeWindow, NoSolutionInWindow
 from .sources import Normalization, Params, classify_params
 
@@ -167,14 +167,9 @@ def cmd_solve(args):
             return doc, EXIT_NOT_TRIANGULAR
         return doc, EXIT_OBSTRUCTED if asm.obstructed else EXIT_OK
 
-    window_override = None
-    if args.window is not None:
-        cells = [(0, 0), (0, 1), (1, 0), (1, 1)] if args.n1 and args.n2 else [0, 1]
-        window_override = {c: args.window for c in cells}
-
     try:
         widen_cap = DEFAULT_WIDEN_CAP if args.widen_cap is None else args.widen_cap
-        mode = solve_mode(params, args.n1, args.n2, window_override=window_override,
+        mode = solve_mode(params, args.n1, args.n2, window_override=args.window,
                           widen_cap=widen_cap)
     except NoSolutionInWindow as exc:
         return _no_solution(exc, cls)
@@ -255,8 +250,6 @@ def cmd_combine(args):
     comb = combine(T_MINUS_2_WEIGHTS, args.n1, args.n2, free_constants=["C1"])
     doc = comb.to_json_obj()
     ys = [float(v) for v in args.y.split(",")] if args.y else [0.5, 1.0]
-    from .numerics import eval_expr
-
     spot = []
     ok = True
     for y in ys:
@@ -275,8 +268,6 @@ def cmd_combine(args):
 
 
 def cmd_verify(args):
-    from .numerics import series_crosscheck
-
     with open(args.input) as fh:
         doc = json.load(fh)
     mode = mode_solution_from_json_obj(doc)

@@ -34,6 +34,7 @@ from .scalars import Constant, log_normalize, sym_ln_prime
 from .series import hom_norm_scale_description, small_y_series
 from .solver import (
     DEFAULT_WIDEN_CAP,
+    DegreeWindow,
     SolveReport,
     solve_particular_double,
     solve_particular_single,
@@ -213,7 +214,7 @@ def solve_mode(
     params: Params,
     n1: int,
     n2: int,
-    window_override: Optional[Dict] = None,
+    window_override: Optional[DegreeWindow] = None,
     widen_cap: int = DEFAULT_WIDEN_CAP,
 ) -> ModeSolution:
     """Solve one (n1, n2) sub-mode: particular part plus boundary matching."""
@@ -320,7 +321,10 @@ def assemble_mode(params: Params, n: int, cutoff: int, decay: bool = True) -> Mo
     decay_report = alpha_decay_scan(params, n) if decay else None
     exact_sum = None
     if n == 0 and decay and params.r is not None:
-        exact_sum = zero_mode_alpha_sum(params, "RamanujanExact", probe=min(8, cutoff))
+        # the modes (-k, k) are already solved: sum their alphas, not new solves
+        by_n1 = {m.n1: m.boundary_alpha for m in modes}
+        alphas = [by_n1[-k] for k in range(1, min(8, cutoff) + 1)]
+        exact_sum = _alpha_sum(params, "RamanujanExact", alphas)
     return ModeAssembly(params, n, modes, partials, obstructed, decay_report, exact_sum)
 
 
@@ -426,23 +430,17 @@ class ZeroModeSumResult:
         }
 
 
-def _recognize_alpha_shape(params: Params, probe: int = 12):
+def _recognize_alpha_shape(params: Params, alphas: List[Optional[Constant]]):
     """Recognize alpha_{-n,n} = sigma_a sigma_b / n^s * (A + B log n) exactly.
 
-    a = 2 alpha - 1, b = 2 beta - 1 and s = r + alpha + beta; A is the n = 1
-    value of d_n = alpha_{-n,n} n^s / (sigma_a(n) sigma_b(n)) and B = (d_2 - A)
-    / log 2.  The decomposition is verified on every probe value.  Returns
-    {a, b, s, A, B} or None when fewer than two probes are asked for, a probe
-    mode has no alpha or the decomposition fails.
+    alphas[n-1] is alpha_{-n,n}; a = 2 alpha - 1, b = 2 beta - 1 and s = r +
+    alpha + beta; A is the n = 1 value of d_n = alpha_{-n,n} n^s / (sigma_a(n)
+    sigma_b(n)) and B = (d_2 - A) / log 2, verified on every alpha.  Returns
+    {a, b, s, A, B} or None with fewer than two alphas, a None among them or a
+    failed decomposition.
     """
-    if probe < 2:
+    if len(alphas) < 2 or any(v is None for v in alphas):
         return None
-    alphas = []
-    for n in range(1, probe + 1):
-        val = solve_mode(params, -n, n).boundary_alpha
-        if val is None:
-            return None
-        alphas.append(val)
     a, b = int(2 * params.alpha - 1), int(2 * params.beta - 1)
     s = int(params.r + params.alpha + params.beta)
     d = [v * Fraction(n) ** s / (sigma(a, n) * sigma(b, n)) for n, v in enumerate(alphas, 1)]
@@ -466,9 +464,21 @@ def zero_mode_alpha_sum(
     continuation, clearly labeled), NumericPartial (partial sums of the
     recognized shape).  The total is A times the plain convolution plus, when
     B != 0, B times the log-weighted one.  alpha00_choice is the negative of
-    the total, making the homogeneous contributions sum to zero.
+    the total, making the homogeneous contributions sum to zero.  The shape is
+    recognised from the anti-diagonal modes n = 1..probe.
     """
-    shape = _recognize_alpha_shape(params, probe)
+    alphas = []
+    if probe >= 2:
+        for n in range(1, probe + 1):
+            alphas.append(solve_mode(params, -n, n).boundary_alpha)
+            if alphas[-1] is None:  # lambda is not triangular
+                break
+    return _alpha_sum(params, method, alphas)
+
+
+def _alpha_sum(params: Params, method: str, alphas) -> ZeroModeSumResult:
+    """zero_mode_alpha_sum from the alphas of the modes (-n, n), n = 1, 2, ..."""
+    shape = _recognize_alpha_shape(params, alphas)
     if shape is None:
         return ZeroModeSumResult(method, "unrecognized", None, None, None, {}, None)
     a, b, s, A, B = shape["a"], shape["b"], shape["s"], shape["A"], shape["B"]

@@ -295,7 +295,7 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     """Relative operator residual |LHS - RHS| / max(|RHS at 1|, tiny) for a mode.
 
     ``mode`` is a ModeSolution-like object exposing params (with lam), n1, n2,
-    particular, source (a SourceTerm or an expression), hom basis and alpha.  The second
+    particular, source (a SourceTerm), hom basis and alpha.  The second
     derivative is applied through the exact factor-derivative rules and then
     evaluated numerically.
     """
@@ -312,7 +312,7 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     if mode.alpha is not None and mode.hom_basis is not None:
         alpha_num = mode.alpha.evaluate(env)
         terms.append(_F(alpha_num) * _F(_hom_operator_value(mode.hom_basis, lam, nsum, y)))
-    source = mode.source.full() if hasattr(mode.source, "full") else mode.source
+    source = mode.source.full()
     rhs_terms = _expr_terms_exact(source, y, env)
     rhs = float(sum(rhs_terms))
     if scale is None:

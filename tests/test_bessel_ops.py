@@ -242,14 +242,15 @@ def test_hom_basis_validation():
 def test_operator_images_are_pi_graded():
     # The exact solver eliminates over Q because the image of y^k (times a
     # Bessel cell) at y^p is always rational * pi^(p-k).  Check that over every
-    # unit-monomial column of the default windows, independently of the solver.
+    # unit-monomial column of the windows derived from the sources, both parity
+    # classes included, independently of the solver.
     from eisenmodes.scalars import SYM_PI, SymbolMonomial
-    from eisenmodes.solver import default_window, single_window
+    from eisenmodes.solver import _source_window
     from eisenmodes.sources import Normalization, Params, source_term
 
     weights = [Fraction(w, 2) for w in (3, 5, 7, 9)]
-    double_pairs = [(2, 5), (3, -7), (4, 4), (-3, 3)]  # same sign, opposite, merged, anti-diag
-    single_pairs = [(0, 2), (5, 0)]
+    # same sign, opposite, merged, anti-diagonal, then single-Bessel
+    pairs = [(2, 5), (3, -7), (4, 4), (-3, 3), (0, 2), (5, 0)]
     checked = set()
     violations = []
 
@@ -260,29 +261,22 @@ def test_operator_images_are_pi_graded():
                 if j != 0 or const.terms().keys() != {SymbolMonomial({SYM_PI: p - k})}:
                     violations.append((lam, cell, k, ocell, p, const))
 
-    for r in range(1, 7):
+    for r in range(1, 9):
         lam = r * (r + 1)
         for a in weights:
             for b in weights:
                 if a > b:
                     continue
                 params = Params(a, b, lam, Normalization.UNIT)
-                for n1, n2 in double_pairs:
-                    case = "anti_diagonal" if n1 + n2 == 0 else "generic"
-                    for cell, w in default_window(a, b, r, case).items():
-                        for k in w.powers():
-                            if (lam, n1, n2, cell, k) not in checked:
-                                checked.add((lam, n1, n2, cell, k))
-                                unit = DoubleBessel(n1, n2, {cell: YLaurent.monomial(k)})
-                                check(lam, unit, cell, k)
-                for n1, n2 in single_pairs:
+                for n1, n2 in pairs:
                     core = source_term(params, n1, n2).core
-                    powers = {k for poly in core.table.values() for k in poly.support()}
-                    for cell, w in single_window(r, powers).items():
-                        for k in w.powers():
-                            if (lam, core.n, cell, k) not in checked:
-                                checked.add((lam, core.n, cell, k))
-                                check(lam, SingleBessel(core.n, {cell: YLaurent.monomial(k)}), cell, k)
+                    cells = (0, 1) if isinstance(core, SingleBessel) else {
+                        core.fold((i, j)) for i in (0, 1) for j in (0, 1)}
+                    for cell in cells:
+                        for k in _source_window(r, core).powers():
+                            if (lam, core.freqs, cell, k) not in checked:
+                                checked.add((lam, core.freqs, cell, k))
+                                check(lam, core.with_table({cell: YLaurent.monomial(k)}), cell, k)
     assert len(checked) > 1000
     assert not violations, violations[:5]
 

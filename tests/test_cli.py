@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ import eisenmodes
 from eisenmodes import cli
 from eisenmodes.cli import (
     EXIT_LOG_CAP,
+    EXIT_MISMATCH,
     EXIT_NO_FIXTURE,
     EXIT_NOT_HALF_INTEGER,
     EXIT_NO_SOLUTION,
@@ -445,3 +447,55 @@ def test_solve_contract_on_solvable_families(family, n1, n2):
     part, lam = mode.particular, mode.params.lam
     apply = {DoubleBessel: apply_P, SingleBessel: apply_L}.get(type(part), apply_euler)
     assert (apply(lam, part) - mode.source.full()).is_zero()
+
+
+WEIGHTS = [Fraction(w, 2) for w in (3, 5, 7, 9)]
+# triangular lambda = r(r+1), r <= 8, outside classify_params' solvable set
+OUTSIDE_FAMILIES = [
+    (a, b, r * (r + 1)) for a in WEIGHTS for b in WEIGHTS for r in range(1, 9)
+    if classify_params(a, b, r * (r + 1)).kind == "outside_conjectured_set"
+]
+NOT_TRIANGULAR = [lam for lam in range(2, 81) if lam not in {r * (r + 1) for r in range(1, 9)}]
+NO_SOLUTION_KEYS = {"classification", "error", "retries", "windows", "inconsistent_rows"}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hst.one_of(hst.sampled_from(OUTSIDE_FAMILIES),
+                  hst.tuples(hst.sampled_from(WEIGHTS), hst.sampled_from(WEIGHTS),
+                             hst.sampled_from(NOT_TRIANGULAR))),
+       hst.integers(-300, 300), hst.integers(-300, 300),
+       hst.sampled_from([None, 0, 1, 2, 3]))
+def test_solve_contract_beyond_the_solvable_families(family, n1, n2, widen_cap):
+    # most draws have no solution; a failed solve tries widen_cap + 1 windows,
+    # so small caps keep the property within its time budget
+    alpha, beta, lam = family
+    kind = classify_params(alpha, beta, lam).kind
+    cap = [] if widen_cap is None else ["--widen-cap", str(widen_cap)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "solution.json")
+        code, _ = _main_doc(["solve", "--alpha", str(alpha), "--beta", str(beta),
+                             "--lambda", str(lam), "--n1", str(n1), "--n2", str(n2),
+                             "--normalization", "unit", *cap, "--output", path])
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert code in (EXIT_OK, EXIT_NOT_TRIANGULAR, EXIT_NO_SOLUTION, EXIT_OBSTRUCTED)
+        assert doc["classification"] == kind
+        if code in (EXIT_NOT_TRIANGULAR, EXIT_NO_SOLUTION):
+            assert doc.keys() == NO_SOLUTION_KEYS and doc["error"] == "no_solution_in_window"
+            assert (code == EXIT_NOT_TRIANGULAR) == (kind == "lambda_not_triangular")
+            assert doc["retries"] == (12 if widen_cap is None else widen_cap)
+            assert doc["inconsistent_rows"]
+            return
+        # a solution of a family outside the solvable set verifies, byte-stably
+        verdicts = [_main_doc(["verify", "--input", path]) for _ in range(2)]
+        assert verdicts[0] == verdicts[1]
+        code, out = verdicts[0]
+        verdict = json.loads(out)
+        assert all(float(r["relative_residual"]) <= 1e-9 for r in verdict["residuals"]), out
+        # verify's order-3 series check at y = 1e-3 is trusted up to
+        # 2 pi |n| y = 0.5, but at small r its truncation error passes 1e-5
+        # from |n| near 30 on: there it reports a mismatch on an exact solution
+        series = verdict["series_checks"]
+        misread = series["status"] == "ok" and float(series["relative_error"]) > 1e-5
+        assert code == (EXIT_MISMATCH if misread else EXIT_OK), out
+        assert not misread or max(abs(n1), abs(n2)) >= 20, out

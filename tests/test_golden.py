@@ -27,55 +27,55 @@ from eisenmodes.solver import NoSolutionInWindow
 from eisenmodes.sources import Normalization, Params, source_term
 
 GOLDEN = {
-    ('3/2,3/2,2', 'anti_diagonal', -1, 1): 'd4402e01c54029aa5b0867a98c92774a7fabd35e9bfa2ec1b06cb37b163e08a7',
-    ('3/2,3/2,2', 'generic', 1, 1): '0bd8886398f52910cfae5ffe591e75f88e09c9520c1b6ec21c3aaf54f4096058',
-    ('3/2,3/2,2', 'left', 0, 1): '5b6621a2d0303e7f2f8ca2b2f7e708059ac7e93b52989744de109420da629d6b',
-    ('3/2,3/2,2', 'right', 1, 0): '323b58904202017ee504d2e0a6c0e5c52c60087304aabe8cef4cf48cd71fc8a1',
+    ('3/2,3/2,2', 'anti_diagonal', -1, 1): '88b39c538958ab7043bc5b75f667f9993ddd4790f60314c4d3c34c519a5f42ef',
+    ('3/2,3/2,2', 'generic', 1, 1): '4a0aa05471195d246228a07ebfbe86876dfaea3563fe59240166be29d14ab92d',
+    ('3/2,3/2,2', 'left', 0, 1): '3c00cc2464d3bf55cfa1fab1be9159bc5792da2183c45678de34a696321a2cd6',
+    ('3/2,3/2,2', 'right', 1, 0): '85149f16ec2286ca4660f68418f9ccba2fe301e4a4e0a08b8ce86e7f1b28ea41',
     ('3/2,3/2,2', 'zero_mode', 0, 0): '7a3640d5f12b6dff674115d8329a59e7fe91de32121f3af2c8e03436a2b3bd6d',
-    ('3/2,3/2,30', 'anti_diagonal', -2, 2): '04f27fe371b715f83ec0b344679a722ee38287d8c7dd83410c10ec5bb028f611',
-    ('3/2,3/2,30', 'generic', 1, 2): '00058e9cc6d116c060aee18622f5a53121a47df7cf38e7edf5fc081e43cf7760',
-    ('3/2,3/2,30', 'left', 0, 2): '5fcb27f052deef9e23855b65973bb86722edb86f800a0270269778a29908ca51',
-    ('3/2,3/2,30', 'right', 2, 0): '9d91e62e122040f131a2f6deaa93844998e723088a980a59ef4e71bc5b9c8299',
+    ('3/2,3/2,30', 'anti_diagonal', -2, 2): '8ec6393881e8f98d420ab0106c759f9ee4f322e726dac89a69b3f903729cc03c',
+    ('3/2,3/2,30', 'generic', 1, 2): 'fa2b5d959076b5deee61ff63208cba18a21609f7dfa06e40149d4f1be38007c7',
+    ('3/2,3/2,30', 'left', 0, 2): 'd4121145b1c52bbd1b9e5019c7df8e5cf728f3b9e06411a904ba9fc59c72ba0f',
+    ('3/2,3/2,30', 'right', 2, 0): 'ee4ac2a8508b8216b009ad39da6afcdd8867dd946c1e2bcb0bfe6466c2d55063',
     ('3/2,3/2,30', 'zero_mode', 0, 0): '5c14307f06f8130a2203202a0097b50a02a805c74232637282c581f3bb03974c',
-    ('3/2,3/2,56', 'anti_diagonal', -3, 3): 'ac6df4fad975b91c90dbe44ba8e04e5ca6c855f4c112ecc5354c1c37ee16c474',
-    ('3/2,3/2,56', 'generic', 2, 1): '87ecc5afbaee6e52bb77798597d966151df6992b40e8dfe7d3f3c9c452c78c71',
-    ('3/2,3/2,56', 'left', 0, 3): 'e682dd3e167477aaf5a23437c3cc0acf4cc872dc218573a31b8dc25c72b168f6',
-    ('3/2,3/2,56', 'right', 3, 0): '3f52f7c9ecadd58a1d7a055a1a2fe97179efef4f806ee7819a52cc4a148149d3',
+    ('3/2,3/2,56', 'anti_diagonal', -3, 3): '5d5ff9eb791c4978d3529749055c2b818e1370e2381e3ef8d942d87976eb6744',
+    ('3/2,3/2,56', 'generic', 2, 1): '982e815a85541fa75317e42e281efa679a7f5a2b0e24f331c3dd28fccfb80eea',
+    ('3/2,3/2,56', 'left', 0, 3): 'a163ae69eb01cb42c6382a03325b3d6a1a28ed92578470598c60511a98acb6b6',
+    ('3/2,3/2,56', 'right', 3, 0): '0a3149f4d710cf0c4448c4c86f35eb9bc33f1908e6aaa04921b6a5cfedfa3fd2',
     ('3/2,3/2,56', 'zero_mode', 0, 0): 'fa83c4c151da07511292c192b411d4058744f91510fe4e8f31886bbb4474757e',
-    ('3/2,5/2,20', 'anti_diagonal', 1, -1): '84a3cfeb93528e2324a73424e48482684a7900d929f33b4d61fcfcfcf1c4f29d',
-    ('3/2,5/2,20', 'generic', 2, 3): 'd3b9f22c0eb89487b77ee3567c21d4d4c7cb25c507ca75f45a933b13195c2734',
-    ('3/2,5/2,20', 'left', 0, 1): '4e61ecc4456fdc62f062f98d91d0d8af0ea7d8d1058158b5f714e5db504e18dc',
-    ('3/2,5/2,20', 'right', 1, 0): 'f57a713b20ca44fe0c13ef25763d65b4af7caf56e49b2242152a1d2aa9ee96c9',
+    ('3/2,5/2,20', 'anti_diagonal', 1, -1): '98183178d70a43cc41f3ab5ecaf9811faa4d53048c85d3fc8ff3d68d3f0483f5',
+    ('3/2,5/2,20', 'generic', 2, 3): '3d36eccde32f2054ad65496dee200b5cdca34ea4e72491d92bce0459851fd9e3',
+    ('3/2,5/2,20', 'left', 0, 1): 'd28e7a8d931f46f92b15fabe0ad311c3fe62a769702d615bafca84b13be20296',
+    ('3/2,5/2,20', 'right', 1, 0): '6302d7a0813dc394bc964a7ea14317e0322142e19c303e683f78526b6793f2d9',
     ('3/2,5/2,20', 'zero_mode', 0, 0): '499d269a9dec6b7b2fa901e0432711844c912328bc22ebb70a5f44cdada6ecad',
-    ('3/2,5/2,6', 'anti_diagonal', -1, 1): '397ed3fe4bdd7974d1d68a7bd44f2f393e71bf0488a6580614c111fdfcf930ff',
-    ('3/2,5/2,6', 'generic', 1, -3): '611f9004008aee157d01f44c718299efb39cb71d4e69adbe30227c48bf400b98',
-    ('3/2,5/2,6', 'left', 0, 2): '2ed56f6b4f21bd49f85f51e94bde3f8148c5cd4c11fdd77ec46cb7cc9a605e43',
-    ('3/2,5/2,6', 'right', 2, 0): '1a370623cbc9b8c5178330cb9141735e3a727d9bdf04f59ceb95d993b91ef7c1',
+    ('3/2,5/2,6', 'anti_diagonal', -1, 1): '9b2e2f34b3089681b299133c1befaadd102f8d92d2336454ff13f1034b3cb10f',
+    ('3/2,5/2,6', 'generic', 1, -3): '092cf9f39295880cbb5d552c2ec9874e1aaa66c5b8a843ba1c95b1fc4b7a499a',
+    ('3/2,5/2,6', 'left', 0, 2): '32da39f2d2fe44c60d2c795cca5525230048ea137d4d1f260eb77c1bd99077e1',
+    ('3/2,5/2,6', 'right', 2, 0): 'c829f0733a7885f17db431685872476c4c5831a4ad3e1f1dbbd793785a8093ad',
     ('3/2,5/2,6', 'zero_mode', 0, 0): '8ced6372a546965eebcbf67ebbfbd69ca52a942caadf33c9dbd4ebc2b3c28cee',
-    ('3/2,7/2,12', 'anti_diagonal', -2, 2): '27d874430c13cf2b2cef02e76b51ec3f0ffc35b882bc3f3d3c20820597973fdb',
-    ('3/2,7/2,12', 'generic', 3, -1): 'd1de617c75790ff5f0ea4f6a1860bc260d9cead297f7712f26cfca5e863a05bb',
-    ('3/2,7/2,12', 'left', 0, 3): '85b52d887c42b8bd060aa2bca6ba75a2854cd97a183044607c476690856eeca8',
-    ('3/2,7/2,12', 'right', 3, 0): '019f656ab65ed605c52f7046401ca37cf8b1c4ce02d2ffa7f92f4c0af4ad5561',
+    ('3/2,7/2,12', 'anti_diagonal', -2, 2): 'cda3c909769f52fdf9ea92d70ad65316bc4244f93f751f108c10474271a25306',
+    ('3/2,7/2,12', 'generic', 3, -1): '9ddd873fcdfcabba734a561a6169757b4a1750d6c381edc03466bac86baef429',
+    ('3/2,7/2,12', 'left', 0, 3): 'd7e0a87c144dc974d0e12a4af88956b30842d46a952552b4b9659d6a9eaa4f89',
+    ('3/2,7/2,12', 'right', 3, 0): '947fdc74337f6bed98c6068fa360acc04ae8144304d00f007b21cdca8c305e6c',
     ('3/2,7/2,12', 'zero_mode', 0, 0): '97908a9e39c6becc08dc4f375215863e67a4064ffc8d571fd51bb99168431d7d',
-    ('3/2,7/2,30', 'anti_diagonal', -3, 3): '06586d1a110131d8dbc3fa238711cd62858921b7bad4a169ba6a0135c8ddd344',
-    ('3/2,7/2,30', 'generic', 1, 1): 'ebf17d350bc28acdc011a0ae223b71aedbd40792e23210c74de6b624d23aca9f',
-    ('3/2,7/2,30', 'left', 0, 1): '7e039be0efae5c1863faa6b2818652699b13f1c74dfd40a5f2f91edc852eeacd',
-    ('3/2,7/2,30', 'right', 1, 0): 'af3c28d0490790a4738722bfd638f9176412851c4738e225d683c770ae42d9da',
+    ('3/2,7/2,30', 'anti_diagonal', -3, 3): 'a2f8201bf0b8aa9335b280bf2a8e9f6275ea88ab6bf7d235be24842d4b7821df',
+    ('3/2,7/2,30', 'generic', 1, 1): 'f29c0463916e6b300091e1119f37124ca347a9f48b6d4bed5442a0723f2102a7',
+    ('3/2,7/2,30', 'left', 0, 1): 'c6a2d01518bdcce91114d2f9818d8354bc670156085c9d344dead18614f40291',
+    ('3/2,7/2,30', 'right', 1, 0): '8b096bffb9809264bcc39723caa1336db09dd46543748d109267a60a32e92979',
     ('3/2,7/2,30', 'zero_mode', 0, 0): '0aa4317d9add9336c172e6f7218b2eb5b2c747576597eb45b2772e12e780226f',
-    ('5/2,5/2,12', 'anti_diagonal', 1, -1): '29f09e0f65eec872f9f77d4690e6f3537caba9ead3b71a81719672593ce907b8',
-    ('5/2,5/2,12', 'generic', 1, 2): 'd8bd28cd4c26a79200b40af0da3ea4d9964de31dd17cce0de8367889e4951858',
-    ('5/2,5/2,12', 'left', 0, 2): '914498d397457c38c7ec6daa03ddea8cd84c9182a7fa109be65ba096ae433f59',
-    ('5/2,5/2,12', 'right', 2, 0): '5b8232a656208630f450c5a7528de6ae33618dd7e4fda64db32b82a3b7f42b6a',
+    ('5/2,5/2,12', 'anti_diagonal', 1, -1): '0613fee32455d7be2c647b4419e047bf316e7f8a3bd434796214c5bdd0ce83e1',
+    ('5/2,5/2,12', 'generic', 1, 2): '6cf3d1eff65b3e8c54e9962bf9b434e0fad387289766ca70865a8d9b19f74c45',
+    ('5/2,5/2,12', 'left', 0, 2): '3d67ea8032c5f7692341c781de9d42080cdaaf405990e7be7686c9ee0e406307',
+    ('5/2,5/2,12', 'right', 2, 0): 'e77baafe7052dbd4bbecaa9f44fb95d450d602d3d99452abaa7d8f55a2cea373',
     ('5/2,5/2,12', 'zero_mode', 0, 0): '87f36d78aa7ce15c11e86f1df3198959d5c50213ea3e8b452c7fd08343e5344c',
-    ('5/2,5/2,2', 'anti_diagonal', -1, 1): 'f5566a454200c24eeee73f1f1d40f7c1b3b5f99b2318a440d3b00d9c301bca53',
-    ('5/2,5/2,2', 'generic', 2, 1): '19e4513ab2697b7047a2eeff59fd387d1a8cc8f1c4daeca57972d096cbd38f20',
-    ('5/2,5/2,2', 'left', 0, 3): '8b1241e0829a852a7a0fdfca64ff2e044b543d2fb2d8fd4448f933b2ce0b5fb5',
-    ('5/2,5/2,2', 'right', 3, 0): 'b80818c8f9246501d12aef8c8146c996e0692e6b4fc6fb710d28a06b06baf759',
+    ('5/2,5/2,2', 'anti_diagonal', -1, 1): '1476338bda5df7b892744bea1cf2399fcaaee6bb9e7846fab8961a81e84a1d44',
+    ('5/2,5/2,2', 'generic', 2, 1): '706d9d33f7ee1a74333861876947036684179790361f251ada2ab5fe54b13b97',
+    ('5/2,5/2,2', 'left', 0, 3): '446da22fe9d3b48b0b3671a59ecb3a58ca7e94c3cda0c90401a46098b4cdc0fa',
+    ('5/2,5/2,2', 'right', 3, 0): 'f5cfc2c6329c5e6e5bc1c7796bab71393415663e73e1722c1ce6e907f1ecc1cb',
     ('5/2,5/2,2', 'zero_mode', 0, 0): '8317a187bdccdc66388a15e834119c46493f06fcd8fddfea5784d231be5d7b32',
-    ('5/2,5/2,30', 'anti_diagonal', -2, 2): 'd15e474816ebd6f094f6af26f5703b299fec08745ad055acc3af0e16b2bdfed3',
-    ('5/2,5/2,30', 'generic', 2, 3): '115275bb84050bbb55d376466fc86b308387b6c88c9c22a1b238d1f5af7620ea',
-    ('5/2,5/2,30', 'left', 0, 1): 'b00d29ad4d274d93aae702a43775c7305e26b4c4a7bcd42ce1e8d6318ab6cd86',
-    ('5/2,5/2,30', 'right', 1, 0): '935e4b24f3084a1cf19b6fc90953bf1223ecf9069730751ffb1bcddad8a1cb2e',
+    ('5/2,5/2,30', 'anti_diagonal', -2, 2): 'f4808ed62032061ed7825f22a55a181eafe8f5eea176e55eaabc16cc2ab49df7',
+    ('5/2,5/2,30', 'generic', 2, 3): '53e19314299cc59132dd65d10463b0485dd8fc230f5ffaa1592c975153dfa48e',
+    ('5/2,5/2,30', 'left', 0, 1): 'ec1ba454fbaa7a974e46703c91cd4a837a4447887eed25da3d2b5196d363ff99',
+    ('5/2,5/2,30', 'right', 1, 0): 'fdbd7f8f21132bfd200e58d28767abf075f9a1ac172e86878dee4d25c57ca738',
     ('5/2,5/2,30', 'zero_mode', 0, 0): '1855af569c82cfb9db61d49af26408b1ce8fc8d1ead3677177f317bb8dac3146',
 }
 
@@ -110,7 +110,7 @@ def test_golden_inconsistent_rows():
     exc = info.value
     assert exc.retries == 12
     assert {str(c): (w.m, w.M) for c, w in exc.windows.items()} == {
-        "(0, 0)": (-15, 13), "(0, 1)": (-16, 12), "(1, 0)": (-16, 12), "(1, 1)": (-15, 13),
+        "(0, 0)": (-16, 13), "(0, 1)": (-16, 13), "(1, 0)": (-16, 13), "(1, 1)": (-16, 13),
     }
     assert [str(r) for r in exc.inconsistent_rows] == [
         "((0, 1), 14)", "((1, 0), 14)", "((0, 0), 15)", "((1, 1), 15)",
@@ -288,9 +288,9 @@ CLI_CASES = {
 
 # name -> (exit code, sha256 of stdout)
 CLI_GOLDEN = {
-    "solve-latex-generic": (0, "0fe2e4b53884be2004b39bd2b7cf8031a58f4b1458d245b55bf2882ce6be45d8"),
-    "solve-latex-left-zero": (0, "3ac99821fbb7953f8c277349145f087c5fe6e4247b940576adebf999012a83b7"),
-    "solve-latex-anti-diagonal": (0, "a1f4566313e4f30a72fec9d81c22abc4ae54407438b620256137755298605582"),
+    "solve-latex-generic": (0, "f7eb3eb68c4116464fbefde88d870d7829b8e6221202bb2607a8598c1ad2d714"),
+    "solve-latex-left-zero": (0, "92900c233b4e85382855ab7161c6470fa61857a44845603d4c6529a4e88daf98"),
+    "solve-latex-anti-diagonal": (0, "75998902d4e428aafcd4ce0a50e0ba00e6546125e18daa0bc52004e712a637be"),
     "solve-latex-zero-mode": (0, "e053e932c3c9778174eadea936e34153f825380b3faffd7b66b5378d51e18678"),
     "table-3/2,3/2,30": (0, "a154593c36dd2a361d64b303ce91db15a5424c18322de0126dde0345e7eb2348"),
     "table-3/2,5/2,20": (0, "b264d592c0a7ba9888ccc78f718f43555ad9d14d5779ef257877875d30c8801a"),
@@ -461,9 +461,9 @@ ZERO_MODE_FAMILIES = [("3/2", "3/2", "30"), ("3/2", "5/2", "20"), ("5/2", "5/2",
 
 # name -> (exit code, sha256 of stdout)
 ZERO_MODE_CLI_GOLDEN = {
-    'solve-n0-3/2,3/2,30': (0, 'c94933a98b6b59f2c5dad12edab2958204d140b068f0a4107f3374404de1a7bf'),
-    'solve-n0-3/2,5/2,20': (0, '7c517b62307ecf81e4dc04b94484a38dde88243f209dbd4b75052fff86b566e0'),
-    'solve-n0-5/2,5/2,2': (5, 'dba1087aaee90b86d233eb602747a1245bacc55dea18a958b15f4d1538097597'),
+    'solve-n0-3/2,3/2,30': (0, '861173585a8d31a61dd156eee0488b561e294cd363959ff701684d98b2b2edcd'),
+    'solve-n0-3/2,5/2,20': (0, 'df2562694f416820595763fc32ab92032ed6bec85831564bc3c9a81efbd31cbd'),
+    'solve-n0-5/2,5/2,2': (5, '2b9480319dad9761593a6380e0ade3fa768de83c0307e7ba1d67a0335ac4d2f2'),
     'sums-2,2,8': (0, '2f2e8dfac8d43a3db3243920a1b2872619f8b495d55b8831c77d18cc505ac960'),
     'sums-2,2,8-limit': (0, 'a0c41947a58dfe22ec33c4c1e3fa435b4649ffce87ce16cfe4e716a10fd7bd62'),
     'sums-2,2,8-log': (0, '7d8ee201697565fb6c6f5e434814b7e54789c2838d45178626b5a2969c814f23'),

@@ -307,3 +307,23 @@ def test_exotic_weight_pairs_solve_and_classify_boundary():
         assert residual(m, 1.0, ENV) < 1e-9
         assert (m.obstruction is not None) == expect_obstructed, (a, b, lam)
         assert (m.obstruction is not None) == (p.r <= a + b - 2)
+
+
+def test_zero_mode_assembly_solves_each_mode_once(monkeypatch):
+    # the alpha sum of an n = 0 assembly reads the anti-diagonal alphas of the
+    # assembly itself: 17 solves for the 17 modes (n1, -n1), |n1| <= 8
+    import eisenmodes.homogeneous as hom
+
+    calls = []
+    inner = hom.solve_mode
+
+    def counted(params, n1, n2, *args, **kwargs):
+        calls.append((n1, n2))
+        return inner(params, n1, n2, *args, **kwargs)
+
+    monkeypatch.setattr(hom, "solve_mode", counted)
+    asm = assemble_mode(Params(F(3, 2), F(3, 2), 30), 0, 8, decay=True)
+    assert sorted(calls) == [(n1, -n1) for n1 in range(-8, 9)]
+    assert asm.exact_alpha_sum.status == "exact"
+    probed = zero_mode_alpha_sum(Params(F(3, 2), F(3, 2), 30), "RamanujanExact", probe=8)
+    assert asm.exact_alpha_sum.to_json_obj() == probed.to_json_obj()

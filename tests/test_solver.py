@@ -10,33 +10,94 @@ from eisenmodes.laurent import YLaurent
 from eisenmodes.scalars import Constant, zeta_odd
 from eisenmodes.solver import (
     DegreeWindow,
+    _ansatz_unknowns,
     _gauss_jordan,
     NoSolutionInWindow,
-    default_window,
-    single_window,
     solve_particular_double,
     solve_particular_single,
     solve_zero_mode,
     widen_and_retry,
 )
-from eisenmodes.sources import Params, source_term
+from eisenmodes.sources import Normalization, Params, classify_params, source_term
 
 F = Fraction
 
 
-def test_default_windows_match_published_table():
-    w = default_window(F(3, 2), F(3, 2), 5)
-    assert (w[(0, 0)].m, w[(0, 0)].M) == (-3, 1)
-    assert (w[(0, 1)].m, w[(0, 1)].M) == (-4, 0)
-    w = default_window(F(5, 2), F(5, 2), 5)
-    assert w[(1, 1)].m == min(-4, -1) == -4
-    w = default_window(F(3, 2), F(5, 2), 4)
-    assert w[(0, 1)].M == 1
-    # transposed pair shares the table; heuristic pair falls back
-    wt = default_window(F(5, 2), F(3, 2), 4)
-    assert (wt[(1, 0)].m, wt[(1, 0)].M) == (w[(0, 1)].m, w[(0, 1)].M)
-    wh = default_window(F(5, 2), F(7, 2), 5)
-    assert wh[(0, 0)].m == -4 and wh[(0, 0)].M == 5  # ceil(alpha+beta) - 1
+# The windows once published for the four tabulated weight pairs, cell ->
+# (m, M) as a function of r; transposed pairs share them.  Anti-diagonal modes
+# kept the lower edges and raised every upper edge to r + 2.
+PUBLISHED_WINDOWS = {
+    (F(3, 2), F(3, 2)): lambda r: {
+        (0, 0): (-r + 2, 1), (0, 1): (-r + 1, 0), (1, 0): (-r + 1, 0), (1, 1): (-r + 2, 1)},
+    (F(3, 2), F(5, 2)): lambda r: {
+        (0, 0): (-r + 2, 0), (0, 1): (-r + 1, 1), (1, 0): (-r + 1, 1), (1, 1): (-r + 2, 0)},
+    (F(5, 2), F(5, 2)): lambda r: {
+        (0, 0): (-r + 2, 1), (0, 1): (-r + 1, 0), (1, 0): (-r + 1, 0),
+        (1, 1): (min(-r + 1, -1), 1)},
+    (F(3, 2), F(7, 2)): lambda r: {
+        (0, 0): (-r + 2, 1), (0, 1): (-r + 1, 0), (1, 0): (-r + 1, 0), (1, 1): (-r + 2, 1)},
+}
+
+
+def _published_unknowns(a, b, r, core):
+    """The published windows' unknowns in the parity class of the source's terms."""
+    if (a, b) in PUBLISHED_WINDOWS:
+        table = PUBLISHED_WINDOWS[a, b](r)
+    else:
+        table = {(i, j): w for (j, i), w in PUBLISHED_WINDOWS[b, a](r).items()}
+    if core.n1 + core.n2 == 0:
+        table = {c: (m, r + 2) for c, (m, _) in table.items()}
+    (parity,) = {(p + sum(c)) % 2 for c, poly in core.table.items() for p in poly.support()}
+    return {(core.fold(c), k) for c, (m, M) in table.items()
+            for k in range(m, max(m, M) + 1) if (k + sum(c)) % 2 == parity}
+
+
+def test_derived_windows_continue_the_published_table():
+    # same-sign, opposite-sign, merged and anti-diagonal modes of every
+    # solvable r <= 8, both weight orders
+    gained = {}
+    for a, b in list(PUBLISHED_WINDOWS) + [(b, a) for a, b in PUBLISHED_WINDOWS if a != b]:
+        for r in range(1, 9):
+            if classify_params(a, b, r * (r + 1)).kind != "solvable":
+                continue
+            p = Params(a, b, r * (r + 1))
+            for n1, n2 in ((1, 2), (2, -3), (1, 1), (-2, 2)):
+                core = source_term(p, n1, n2).core
+                _, rep = solve_particular_double(p, core)
+                derived = set(_ansatz_unknowns(core, rep.windows))
+                old = _published_unknowns(a, b, r, core)
+                assert old <= derived, (a, b, r, n1, n2)
+                if derived != old:
+                    gained[a, b, r, n1, n2] = sorted(derived - old)
+    # only (5/2, 5/2, r = 1) gains an unknown, y^-1 in cell (0, 0)
+    assert gained == {(F(5, 2), F(5, 2), 1, n1, n2): [((0, 0), -1)]
+                      for n1, n2 in ((1, 2), (2, -3), (1, 1), (-2, 2))}
+
+
+SOLVABLE_FAMILIES = [
+    (F(a, 2), F(b, 2), r) for a in (3, 5, 7, 9) for b in (3, 5, 7, 9) for r in range(1, 9)
+    if classify_params(F(a, 2), F(b, 2), r * (r + 1)).kind == "solvable"
+]
+
+
+def test_derived_windows_solve_every_solvable_family_without_retries():
+    # one mode per Bessel case tag: left_zero, right_zero, generic, anti_diagonal
+    for a, b, r in SOLVABLE_FAMILIES:
+        p = Params(a, b, r * (r + 1), Normalization.UNIT)
+        for n1, n2 in ((0, 3), (4, 0), (2, -5), (-3, 3)):
+            core = source_term(p, n1, n2).core
+            solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
+            _, rep = solve(p, core)
+            assert rep.retries == 0 and rep.kernel_dim == 0, (a, b, r, n1, n2)
+
+
+def test_source_spanning_both_parity_classes_breaks_an_invariant():
+    # y^0 K0K0 and y^1 K0K0 lie in different classes; no source term can
+    # carry both, because the mode operator keeps p + i + j mod 2
+    p = Params(F(3, 2), F(3, 2), 30)
+    rhs = DoubleBessel(1, 2, {(0, 0): YLaurent.monomial(0) + YLaurent.monomial(1)})
+    with pytest.raises(AssertionError, match="parity classes"):
+        solve_particular_double(p, rhs)
 
 
 def test_window_validation():
@@ -183,12 +244,6 @@ def test_determinism_bit_identical():
     assert json.dumps(expr_to_json_obj(a), sort_keys=True) == json.dumps(
         expr_to_json_obj(b), sort_keys=True
     )
-
-
-def test_single_window_derivation():
-    w = single_window(5, {0, 2})
-    assert (w[0].m, w[0].M) == (-3, 1)
-    assert (w[1].m, w[1].M) == (-4, 1)
 
 
 def test_parity_violating_params_have_no_ansatz_solution():
