@@ -34,7 +34,6 @@ from .solver import (
     solve_particular_double,
     solve_particular_single,
     solve_zero_mode,
-    widen_and_retry,
 )
 from .sources import Classification, Normalization, Params, classify_params, eisenstein_coeff, source_term
 
@@ -81,7 +80,6 @@ __all__ = [
     "solve_particular_single",
     "solve_zero_mode",
     "source_term",
-    "widen_and_retry",
     "zeta_even",
     "zero_mode_alpha_sum",
 ]

@@ -11,7 +11,8 @@ Exit codes (part of the public contract):
     1   verification or comparison mismatch
     2   lambda is not of the form r(r+1) (no solution in the ansatz class)
     3   alpha or beta is not a half-integer
-    4   no solution within the widened degree windows
+    4   no solution within the derived degree windows, widened
+        solver.WIDEN_CAP times
     5   mode is obstructed (log-bearing leading term at y^{-r})
     6   no fixture table for the requested parameters
     7   a log(y) power beyond the cap (laurent.LOG_CAP), e.g. in a verify input
@@ -20,7 +21,8 @@ Exit codes (part of the public contract):
 Every document goes to stdout, or to the --output file; codes 7 and 64 write
 only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
 mode) or --n (a whole mode); a flag that only the other form reads is a usage
-error.
+error.  The degree windows are derived from the source (see solver); no flag
+sets or widens them.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .homogeneous import (
 )
 from .laurent import LogCapExceeded
 from .numerics import DEFAULT_ENV, eval_expr, residual, series_crosscheck
-from .solver import DEFAULT_WIDEN_CAP, DegreeWindow, NoSolutionInWindow
+from .solver import NoSolutionInWindow
 from .sources import Normalization, Params, classify_params
 
 EXIT_OK = 0
@@ -79,7 +81,7 @@ ERROR_EXITS = (
 
 # solve flags read only by the single-mode path (--n1, --n2) or only by the
 # assembly path (--n); giving one with the other path is a usage error
-SINGLE_MODE_FLAGS = ("n1", "n2", "window", "widen_cap", "format")
+SINGLE_MODE_FLAGS = ("n1", "n2", "format")
 ASSEMBLY_FLAGS = ("cutoff", "no_decay")
 
 
@@ -110,14 +112,6 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
-
-
-def _parse_window(text: str) -> DegreeWindow:
-    try:
-        m_txt, M_txt = text.split(":")
-        return DegreeWindow(int(m_txt), int(M_txt))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"window {text!r} is not m:M with m <= M") from exc
 
 
 def _emit(doc, output) -> None:
@@ -168,9 +162,7 @@ def cmd_solve(args):
         return doc, EXIT_OBSTRUCTED if asm.obstructed else EXIT_OK
 
     try:
-        widen_cap = DEFAULT_WIDEN_CAP if args.widen_cap is None else args.widen_cap
-        mode = solve_mode(params, args.n1, args.n2, window_override=args.window,
-                          widen_cap=widen_cap)
+        mode = solve_mode(params, args.n1, args.n2)
     except NoSolutionInWindow as exc:
         return _no_solution(exc, cls)
     doc = mode.to_json_obj()
@@ -331,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the decay-exponent scan")
     p.add_argument("--normalization", choices=[n.value for n in Normalization],
                    default=Normalization.PUBLISHED.value)
-    p.add_argument("--window", type=_parse_window,
-                   help="degree-window override for all cells, as m:M")
-    p.add_argument("--widen-cap", type=int, help=f"default {DEFAULT_WIDEN_CAP}")
     p.add_argument("--format", choices=["json", "latex"], help="default json")
     p.set_defaults(fn=cmd_solve)
 

@@ -7,9 +7,11 @@ the factor 2 relative to one-sided sums, matching
         = 2 zeta(s) zeta(s-a) zeta(s-b) zeta(s-a-b) / zeta(2s-a-b)
 
 and its s-derivative for the log-weighted variant.  Outside the convergence
-region the closed forms are analytic continuations.  Where a zeta argument
-hits the pole at 1, or the denominator hits a trivial zero of zeta, no closed
-form is returned (see :class:`RamanujanSum`).
+region the closed forms are analytic continuations.  Where the denominator
+zeta(2s-a-b) hits its pole at 1 the reciprocal has a simple zero, so the sum
+is 0 and its log-weighted variant is -4 times the numerator product.  Where a
+numerator zeta hits the pole, or the denominator hits a trivial zero of zeta,
+no closed form is returned (see :class:`RamanujanSum`).
 """
 
 from __future__ import annotations
@@ -69,11 +71,14 @@ class RamanujanSum:
 
     status is "convergent" inside the region s, s-a, s-b, s-a-b > 1 and
     "formal" when the closed form is an analytic continuation only.
+    Where 2s-a-b = 1 and no numerator argument is 1, 1/zeta(2s-a-b) has a
+    simple zero with derivative 2 in s: the plain sum is exactly 0 and the
+    log-weighted one is -4 zeta(s) zeta(s-a) zeta(s-b) zeta(s-a-b).
     closed_form is None at the singular points, which lie outside that region:
-    numeric is then inf where a zeta argument is 1, or where the denominator
-    zeta(2s-a-b) is a trivial zero and no numerator zeta vanishes; it is nan
-    where a numerator zero meets a zero denominator (a 0/0 limit that is not
-    evaluated).
+    numeric is then inf where a numerator zeta argument is 1, or where the
+    denominator zeta(2s-a-b) is a trivial zero and no numerator zeta vanishes;
+    it is nan where a numerator zero meets a zero denominator (a 0/0 limit
+    that is not evaluated).
     """
 
     closed_form: Constant | None
@@ -109,11 +114,14 @@ def ramanujan_log_convolution(a: int, b: int, s: int) -> RamanujanSum:
 def _zeta_closed_form(a: int, b: int, s: int, log: bool) -> RamanujanSum:
     numer, denom = (s, s - a, s - b, s - a - b), 2 * s - a - b
     status = "convergent" if min(numer) > 1 else "formal"
-    if 1 in numer or denom == 1:
+    if 1 in numer:
         return RamanujanSum(None, status, math.inf)
     if _trivial_zero(denom):
         return RamanujanSum(None, status, math.nan if any(map(_trivial_zero, numer)) else math.inf)
     zetas = [zeta_value(k) for k in numer]
+    if denom == 1:  # 1/zeta(2s-a-b) = 2(s - s0) + O((s - s0)^2)
+        value = reduce(mul, zetas, Constant.from_rational(-4)) if log else Constant.zero()
+        return RamanujanSum(value, status, value.evaluate(DEFAULT_ENV))
     den = zeta_value(denom)
     value = reduce(mul, zetas, Constant.from_rational(2)) / den
     if log:

@@ -33,8 +33,6 @@ from .numerics import DEFAULT_ENV, symbol_value
 from .scalars import Constant, log_normalize, sym_ln_prime
 from .series import hom_norm_scale_description, small_y_series
 from .solver import (
-    DEFAULT_WIDEN_CAP,
-    DegreeWindow,
     SolveReport,
     solve_particular_double,
     solve_particular_single,
@@ -210,13 +208,7 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
 # ---------------------------------------------------------------------------
 
 
-def solve_mode(
-    params: Params,
-    n1: int,
-    n2: int,
-    window_override: Optional[DegreeWindow] = None,
-    widen_cap: int = DEFAULT_WIDEN_CAP,
-) -> ModeSolution:
+def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
     """Solve one (n1, n2) sub-mode: particular part plus boundary matching."""
     src = source_term(params, n1, n2)
     r = params.r
@@ -229,13 +221,9 @@ def solve_mode(
                             None, alpha_free=True)
 
     if n1 == 0 or n2 == 0:
-        core_sol, report = solve_particular_single(
-            params, src.core, window_override, widen_cap, case=src.case_tag
-        )
+        core_sol, report = solve_particular_single(params, src.core, case=src.case_tag)
     else:
-        core_sol, report = solve_particular_double(
-            params, src.core, window_override, widen_cap, case=src.case_tag
-        )
+        core_sol, report = solve_particular_double(params, src.core, case=src.case_tag)
     particular = core_sol.scale(src.prefactor)
 
     alpha = basis = obstruction = None

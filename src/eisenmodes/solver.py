@@ -23,6 +23,10 @@ r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
 single-Bessel one.  The operator keeps the parity of p + i + j at y^p K_i K_j
 (p + i at y^p K_i) and every source lies in one such class, so only the
 unknowns of the source's class are solved for; the others could only be zero.
+The window is derived, never configured.  An inconsistent system is retried
+with every window widened by one on both sides, WIDEN_CAP times at most; no
+solvable family needs a retry, so a failure reports the derived window
+widened WIDEN_CAP times.
 
 Every returned solution is re-verified by applying the symbolic operator
 (``apply_P`` or ``apply_L``, which shares no code with the stencil) and
@@ -54,17 +58,13 @@ __all__ = [
     "widen_and_retry",
 ]
 
-DEFAULT_WIDEN_CAP = 12
+WIDEN_CAP = 12
 
 
 @dataclass(frozen=True)
 class DegreeWindow:
     m: int
     M: int
-
-    def __post_init__(self):
-        if self.m > self.M:
-            raise ValueError("window requires m <= M")
 
     def widen(self, t: int) -> "DegreeWindow":
         return DegreeWindow(self.m - t, self.M + t)
@@ -318,13 +318,11 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     return sol, report
 
 
-def widen_and_retry(builder, cap: int = DEFAULT_WIDEN_CAP):
-    """Run builder(t) for t = 0, 1, ..., cap until it stops raising
+def widen_and_retry(builder):
+    """Run builder(t) for t = 0, 1, ..., WIDEN_CAP until it stops raising
     NoSolutionInWindow; each retry widens every window by one on both sides."""
-    if cap < 0:
-        raise ValueError(f"widen_cap must be >= 0, got {cap}")
     last: Optional[NoSolutionInWindow] = None
-    for t in range(cap + 1):
+    for t in range(WIDEN_CAP + 1):
         try:
             result, report = builder(t)
             report.retries = t
@@ -333,47 +331,38 @@ def widen_and_retry(builder, cap: int = DEFAULT_WIDEN_CAP):
             exc.retries = t
             last = exc
     raise NoSolutionInWindow(
-        f"no solution after {cap} widenings: {last}",
+        f"no solution after {WIDEN_CAP} widenings: {last}",
         windows=last.windows,
         inconsistent_rows=last.inconsistent_rows,
-        retries=cap,
+        retries=WIDEN_CAP,
     ) from last
 
 
-def _solve_widening(params: Params, rhs, cells, window: Optional[DegreeWindow],
-                    widen_cap: int, case: str):
-    """Solve with one window for every cell (the source's unless overridden),
-    widened by one on both sides per retry."""
-    base = window or _source_window(params.r_hint, rhs)
+def _solve_widening(params: Params, rhs, cells, case: str):
+    """Solve with the source's window for every cell, widened by one on both
+    sides per retry."""
+    base = _source_window(params.r_hint, rhs)
 
     def builder(t):
         return _assemble_and_solve(params, rhs, {c: base.widen(t) for c in cells}, case)
 
-    return widen_and_retry(builder, widen_cap)
+    return widen_and_retry(builder)
 
 
 def solve_particular_double(
-    params: Params,
-    rhs: DoubleBessel,
-    window_override: Optional[DegreeWindow] = None,
-    widen_cap: int = DEFAULT_WIDEN_CAP,
-    case: Optional[str] = None,
+    params: Params, rhs: DoubleBessel, case: Optional[str] = None
 ) -> Tuple[DoubleBessel, SolveReport]:
     """Solve P_lam(g) = rhs exactly for the bilinear ansatz g."""
     case = case or ("anti_diagonal" if rhs.n1 + rhs.n2 == 0 else "generic")
     cells = sorted({rhs.fold((i, j)) for i in (0, 1) for j in (0, 1)})
-    return _solve_widening(params, rhs, cells, window_override, widen_cap, case)
+    return _solve_widening(params, rhs, cells, case)
 
 
 def solve_particular_single(
-    params: Params,
-    rhs: SingleBessel,
-    window_override: Optional[DegreeWindow] = None,
-    widen_cap: int = DEFAULT_WIDEN_CAP,
-    case: str = "single",
+    params: Params, rhs: SingleBessel, case: str = "single"
 ) -> Tuple[SingleBessel, SolveReport]:
     """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g."""
-    return _solve_widening(params, rhs, (0, 1), window_override, widen_cap, case)
+    return _solve_widening(params, rhs, (0, 1), case)
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def test_criterion_6_nonexistence_and_obstruction():
         p = Params(F(3, 2), F(3, 2), lam)
         assert classify_params(p.alpha, p.beta, lam).kind == "lambda_not_triangular"
         with pytest.raises(NoSolutionInWindow) as info:
-            solve_particular_double(p, source_term(p, 1, 2).core, widen_cap=12)
+            solve_particular_double(p, source_term(p, 1, 2).core)
         assert info.value.retries == 12
         assert info.value.inconsistent_rows
         details.append(f"lambda={lam} inconsistent after 12 widenings")

@@ -62,7 +62,7 @@ def test_solve_and_verify_round_trip(tmp_path, capsys):
 
 def test_exit_codes():
     assert main(["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "10",
-                 "--n1", "1", "--n2", "2", "--widen-cap", "2", "--output", "/dev/null"]) == EXIT_NOT_TRIANGULAR
+                 "--n1", "1", "--n2", "2", "--output", "/dev/null"]) == EXIT_NOT_TRIANGULAR
     assert main(["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "2",
                  "--n1", "1", "--n2", "-1", "--output", "/dev/null"]) == EXIT_OBSTRUCTED
     assert main(["solve", "--alpha", "2", "--beta", "3/2", "--lambda", "12",
@@ -182,9 +182,10 @@ def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
     # a non-positive r used to stand for lambda = r(r+1) all the same
     (["solve", "--alpha", "3/2", "--beta", "5/2", "--r", "-3", "--n1", "1", "--n2", "2"], "--r"),
     (["solve", "--alpha", "3/2", "--beta", "5/2", "--r", "0", "--n1", "1", "--n2", "2"], "--r"),
-    # a negative widening cap ran no attempt and died with a traceback, exit 1
+    # a negative widening cap ran no attempt and died with a traceback, exit 1;
+    # the cap is no longer an option at all
     (["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n1", "1", "--n2", "2",
-      "--widen-cap", "-1"], "widen_cap"),
+      "--widen-cap", "-1"], "--widen-cap"),
     # --cutoff 0 was silently replaced by the default |n| + 4
     (["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n", "1",
       "--cutoff", "0", "--no-decay"], "cutoff"),
@@ -280,13 +281,23 @@ def test_lambda_and_r_together_are_a_usage_error(capsys):
     assert out == "" and "not allowed" in err
 
 
-def test_window_is_parsed_by_argparse(capsys):
-    base = ["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n1", "1", "--n2", "2"]
-    code, out, _ = run_cli_streams(capsys, *base, "--window=-6:3")
-    assert code == EXIT_OK and json.loads(out)["case"] == "generic"
-    code, out, err = run_cli_streams(capsys, *base, "--window", "3:-6")
+@pytest.mark.parametrize("modes, extra", [
+    (["--n1", "1", "--n2", "2"], ["--window", "0:0"]),
+    (["--n1", "1", "--n2", "2"], ["--widen-cap", "0"]),
+    # the zero mode has no window, and used to ignore both flags silently
+    (["--n1", "0", "--n2", "0"], ["--window", "5:5", "--widen-cap", "0"]),
+])
+def test_window_flags_are_unknown(tmp_path, capsys, modes, extra):
+    # the degree windows are derived from the source; no flag sets or widens them
+    out_file = tmp_path / "doc.json"
+    code, out, err = run_cli_streams(capsys, "solve", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", "30", *modes, *extra,
+                                     "--output", str(out_file))
     assert code == EXIT_USAGE
-    assert out == "" and "is not m:M" in err
+    assert out == "" and not out_file.exists()
+    error = json.loads(err)
+    assert set(error) == {"error"}
+    assert all(flag in error["error"] for flag in extra if flag.startswith("--"))
 
 
 def _solution_doc(tmp_path, capsys):
@@ -463,19 +474,16 @@ NO_SOLUTION_KEYS = {"classification", "error", "retries", "windows", "inconsiste
 @given(hst.one_of(hst.sampled_from(OUTSIDE_FAMILIES),
                   hst.tuples(hst.sampled_from(WEIGHTS), hst.sampled_from(WEIGHTS),
                              hst.sampled_from(NOT_TRIANGULAR))),
-       hst.integers(-300, 300), hst.integers(-300, 300),
-       hst.sampled_from([None, 0, 1, 2, 3]))
-def test_solve_contract_beyond_the_solvable_families(family, n1, n2, widen_cap):
-    # most draws have no solution; a failed solve tries widen_cap + 1 windows,
-    # so small caps keep the property within its time budget
+       hst.integers(-300, 300), hst.integers(-300, 300))
+def test_solve_contract_beyond_the_solvable_families(family, n1, n2):
+    # most draws have no solution; a failed solve tries all 13 windows
     alpha, beta, lam = family
     kind = classify_params(alpha, beta, lam).kind
-    cap = [] if widen_cap is None else ["--widen-cap", str(widen_cap)]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "solution.json")
         code, _ = _main_doc(["solve", "--alpha", str(alpha), "--beta", str(beta),
                              "--lambda", str(lam), "--n1", str(n1), "--n2", str(n2),
-                             "--normalization", "unit", *cap, "--output", path])
+                             "--normalization", "unit", "--output", path])
         with open(path) as fh:
             doc = json.load(fh)
         assert code in (EXIT_OK, EXIT_NOT_TRIANGULAR, EXIT_NO_SOLUTION, EXIT_OBSTRUCTED)
@@ -483,7 +491,7 @@ def test_solve_contract_beyond_the_solvable_families(family, n1, n2, widen_cap):
         if code in (EXIT_NOT_TRIANGULAR, EXIT_NO_SOLUTION):
             assert doc.keys() == NO_SOLUTION_KEYS and doc["error"] == "no_solution_in_window"
             assert (code == EXIT_NOT_TRIANGULAR) == (kind == "lambda_not_triangular")
-            assert doc["retries"] == (12 if widen_cap is None else widen_cap)
+            assert doc["retries"] == 12
             assert doc["inconsistent_rows"]
             return
         # a solution of a family outside the solvable set verifies, byte-stably

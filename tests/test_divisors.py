@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from eisenmodes.divisors import (
@@ -93,3 +94,31 @@ def test_formal_flags_and_poles():
     r = ramanujan_convolution(2, 2, 4)
     assert r.status == "formal"
     assert r.closed_form == Constant.pi_power(4, Fraction(-1, 36))
+
+
+# 2s - a - b = 1 with no numerator argument equal to 1, a, b in [-2, 8] and
+# s in [-6, 13]: 1/zeta(2s-a-b) has a simple zero there, not a pole
+DENOMINATOR_POLES = [
+    (a, b, s) for a in range(-2, 9) for b in range(-2, 9) for s in range(-6, 14)
+    if 2 * s - a - b == 1 and 1 not in (s, s - a, s - b, s - a - b)
+]
+
+
+def test_denominator_pole_is_a_zero_of_the_sum():
+    assert len(DENOMINATOR_POLES) == 34
+    for a, b, s in DENOMINATOR_POLES:
+        plain, log = ramanujan_convolution(a, b, s), ramanujan_log_convolution(a, b, s)
+        assert plain.status == log.status == "formal"
+        assert plain.closed_form.is_zero() and plain.numeric == 0.0
+        with mp.workdps(40):
+            numer = mp.zeta(s) * mp.zeta(s - a) * mp.zeta(s - b) * mp.zeta(s - a - b)
+
+            def ratio(x):
+                return (2 * mp.zeta(x) * mp.zeta(x - a) * mp.zeta(x - b) * mp.zeta(x - a - b)
+                        / mp.zeta(2 * x - a - b))
+
+            assert abs(ratio(s + mp.mpf("1e-20"))) <= 1e-18 * max(1, abs(numer))
+            ref = -mp.diff(ratio, s)
+        assert float(ref) == pytest.approx(float(-4 * numer), rel=1e-12, abs=1e-80)
+        assert log.numeric == pytest.approx(float(ref), rel=1e-12, abs=1e-80), (a, b, s)
+        assert (log.numeric == 0.0) == (numer == 0)

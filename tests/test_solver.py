@@ -11,7 +11,9 @@ from eisenmodes.scalars import Constant, zeta_odd
 from eisenmodes.solver import (
     DegreeWindow,
     _ansatz_unknowns,
+    _assemble_and_solve,
     _gauss_jordan,
+    _source_window,
     NoSolutionInWindow,
     solve_particular_double,
     solve_particular_single,
@@ -91,6 +93,38 @@ def test_derived_windows_solve_every_solvable_family_without_retries():
             assert rep.retries == 0 and rep.kernel_dim == 0, (a, b, r, n1, n2)
 
 
+def _json(expr):
+    return json.dumps(expr_to_json_obj(expr), sort_keys=True)
+
+
+def test_derived_window_is_complete():
+    # widening every cell's derived window by 6 changes no particular, and
+    # widening it by 30 rescues none of the failing modes below: a window
+    # override or a larger widening cap would select nothing new
+    rng = random.Random(6)
+    for a, b, r in SOLVABLE_FAMILIES:
+        p = Params(a, b, r * (r + 1), Normalization.UNIT)
+        m, k = rng.randint(1, 12), rng.randint(1, 12)
+        for n1, n2 in ((0, m), (k, 0), (m, -m - k), (-k, k)):
+            core = source_term(p, n1, n2).core
+            solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
+            sol, rep = solve(p, core)
+            assert rep.retries == 0
+            wide, wide_rep = _assemble_and_solve(
+                p, core, {c: w.widen(6) for c, w in rep.windows.items()}, rep.case)
+            assert wide_rep.kernel_dim == 0, (a, b, r, n1, n2)
+            assert _json(wide) == _json(sol), (a, b, r, n1, n2)
+    for a, b, lam, n1, n2 in [(F(3, 2), F(3, 2), 31, -3, 4), (F(3, 2), F(3, 2), 20, 1, 2),
+                              (F(3, 2), F(7, 2), 2, 1, 2), (F(3, 2), F(9, 2), 6, 1, 2),
+                              (F(5, 2), F(9, 2), 2, 1, 2)]:
+        p = Params(a, b, lam, Normalization.UNIT)
+        core = source_term(p, n1, n2).core
+        wide = _source_window(p.r_hint, core).widen(30)
+        cells = {core.fold((i, j)) for i in (0, 1) for j in (0, 1)}
+        with pytest.raises(NoSolutionInWindow):
+            _assemble_and_solve(p, core, {c: wide for c in cells}, "generic")
+
+
 def test_source_spanning_both_parity_classes_breaks_an_invariant():
     # y^0 K0K0 and y^1 K0K0 lie in different classes; no source term can
     # carry both, because the mode operator keeps p + i + j mod 2
@@ -101,8 +135,6 @@ def test_source_spanning_both_parity_classes_breaks_an_invariant():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        DegreeWindow(2, 1)
     w = DegreeWindow(-1, 1).widen(2)
     assert (w.m, w.M) == (-3, 3)
 
@@ -141,8 +173,8 @@ def test_gmv_case_solves_exactly():
 def test_non_triangular_lambda_has_no_solution():
     p = Params(F(3, 2), F(3, 2), 10)
     with pytest.raises(NoSolutionInWindow) as info:
-        solve_particular_double(p, source_term(p, 1, 2).core, widen_cap=3)
-    assert info.value.retries == 3
+        solve_particular_double(p, source_term(p, 1, 2).core)
+    assert info.value.retries == 12
     assert info.value.inconsistent_rows  # diagnosis is recorded
 
 
@@ -157,7 +189,7 @@ def test_widen_and_retry_counts():
 
         return "ok", SolveReport("generic", {}, 0, 0, 0, 0, {})
 
-    result, report = widen_and_retry(builder, cap=5)
+    result, report = widen_and_retry(builder)
     assert result == "ok" and report.retries == 2 and calls == [0, 1, 2]
 
 
@@ -214,7 +246,7 @@ def test_band_profile_assertion_is_active(monkeypatch):
 
     p = Params(F(5, 2), F(5, 2), 30)
     rhs = source_term(p, 1, 2).core
-    solve_particular_double(p, rhs, widen_cap=0)
+    solve_particular_double(p, rhs)
 
     real_unit_column = solver_mod.unit_column
 
@@ -234,7 +266,7 @@ def test_band_profile_assertion_is_active(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(solver_mod, attr, patch)
             with pytest.raises(AssertionError, match="non-exact solution"):
-                solve_particular_double(p, rhs, widen_cap=0)
+                solve_particular_double(p, rhs)
 
 
 def test_determinism_bit_identical():
@@ -254,7 +286,7 @@ def test_parity_violating_params_have_no_ansatz_solution():
     p = Params(F(3, 2), F(3, 2), 20)
     assert classify_params(p.alpha, p.beta, 20).kind == "outside_conjectured_set"
     with pytest.raises(NoSolutionInWindow):
-        solve_particular_double(p, source_term(p, 1, 2).core, widen_cap=4)
+        solve_particular_double(p, source_term(p, 1, 2).core)
 
 
 def _fraction_gauss_jordan(columns, rhs_rows, col_order, row_order):
