@@ -1,6 +1,6 @@
 """Weighted combinations of mode solutions (integrated-correlator style).
 
-The preset combination
+The T-2 combination
 
     C_1 + 14175/(704 pi^4) E(6, 5/2, 3/2) - 1215/(88 pi^4) E(4, 5/2, 3/2)
 

@@ -27,9 +27,8 @@ params = Params(Fraction(3, 2), Fraction(3, 2), 30)
 res = zero_mode_alpha_sum(params, "RamanujanExact")
 print("recognized shape: sigma_%d sigma_%d / n^%d with coefficient %r" % (
     res.shape["a"], res.shape["b"], res.shape["s"], res.shape["A"]))
-print("exact total:", res.value)
+print("exact total (the zero mode's y^-r coefficient):", res.value)
 print("partial sums:", {k: f"{v:.12g}" for k, v in res.partial_sums.items()})
-print("alpha_{0,0} choice (vanishing total):", res.alpha00_choice)
 
 print("\n--- a divergent case handled formally (lambda = 2) ---")
 p2 = Params(Fraction(3, 2), Fraction(3, 2), 2)

@@ -25,7 +25,7 @@ from .homogeneous import (
     zero_mode_alpha_sum,
 )
 from .laurent import YLaurent
-from .numerics import NumericEnv, bessel_i, bessel_k, residual, series_crosscheck
+from .numerics import NumericEnv, bessel_k, residual, series_crosscheck
 from .scalars import Constant, zeta_even
 from .series import AsymptoticSeries, small_y_series
 from .solver import (
@@ -35,7 +35,7 @@ from .solver import (
     solve_particular_single,
     solve_zero_mode,
 )
-from .sources import Classification, Normalization, Params, classify_params, eisenstein_coeff, source_term
+from .sources import Classification, Normalization, Params, classify_params, source_term
 
 __version__ = "0.1.0"
 
@@ -62,12 +62,10 @@ __all__ = [
     "apply_P",
     "apply_euler",
     "assemble_mode",
-    "bessel_i",
     "bessel_k",
     "choose_alpha",
     "classify_params",
     "combine",
-    "eisenstein_coeff",
     "ramanujan_convolution",
     "ramanujan_log_convolution",
     "reduce_k_index",

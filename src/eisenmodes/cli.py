@@ -22,13 +22,16 @@ Every document goes to stdout, or to the --output file; codes 7 and 64 write
 only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
 mode) or --n (a whole mode); a flag that only the other form reads is a usage
 error.  The degree windows are derived from the source (see solver); no flag
-sets or widens them.
+sets or widens them.  The --y points of `verify` and `combine` are finite
+positive floats, and a point at which a double overflows is a usage error.
+`verify` passes a relative residual up to a fixed 1e-9.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -79,6 +82,9 @@ ERROR_EXITS = (
 )
 
 
+# relative operator residual that verify accepts; never widened
+_RESIDUAL_TOLERANCE = 1e-9
+
 # solve flags read only by the single-mode path (--n1, --n2) or only by the
 # assembly path (--n); giving one with the other path is a usage error
 SINGLE_MODE_FLAGS = ("n1", "n2", "format")
@@ -112,6 +118,24 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
+
+
+def _positive_floats(text: str) -> list:
+    try:
+        ys = [float(v) for v in text.split(",")]
+        if all(0 < y < math.inf for y in ys):
+            return ys
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a list of finite positive numbers")
+
+
+def _at_point(y: float, fn, *args):
+    """fn(*args) for the point y, with a double overflow reported against --y."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        raise ValueError(f"--y {y!r} overflows a double: {exc}") from exc
 
 
 def _emit(doc, output) -> None:
@@ -237,16 +261,15 @@ def cmd_combine(args):
     try:
         fixture = fixture_combination(args.n1, args.n2, errata_used=used)
     except FixtureError as exc:
-        return ({"error": "no_fixture", "preset": args.preset,
-                 "n1": args.n1, "n2": args.n2, "reason": str(exc)}, EXIT_NO_FIXTURE)
+        return ({"error": "no_fixture", "n1": args.n1, "n2": args.n2, "reason": str(exc)},
+                EXIT_NO_FIXTURE)
     comb = combine(T_MINUS_2_WEIGHTS, args.n1, args.n2, free_constants=["C1"])
     doc = comb.to_json_obj()
-    ys = [float(v) for v in args.y.split(",")] if args.y else [0.5, 1.0]
     spot = []
     ok = True
-    for y in ys:
-        ours = eval_expr(comb.table, y)
-        ref = eval_expr(fixture, y)
+    for y in args.y:
+        ours = _at_point(y, eval_expr, comb.table, y)
+        ref = _at_point(y, eval_expr, fixture, y)
         rel = abs(ours - ref) / max(abs(ref), 1e-300)
         ok = ok and rel <= 1e-8
         spot.append({"y": y, "value": _fmt(ours), "reference": _fmt(ref),
@@ -263,13 +286,12 @@ def cmd_verify(args):
     with open(args.input) as fh:
         doc = json.load(fh)
     mode = mode_solution_from_json_obj(doc)
-    ys = [float(v) for v in args.y.split(",")]
     residuals = []
     ok = True
-    for y in ys:
-        r = residual(mode, y, DEFAULT_ENV)
+    for y in args.y:
+        r = _at_point(y, residual, mode, y, DEFAULT_ENV)
         residuals.append({"y": y, "relative_residual": _fmt(r)})
-        ok = ok and r <= args.tolerance
+        ok = ok and r <= _RESIDUAL_TOLERANCE
     series = series_crosscheck(mode.particular, order=3)
     if series.get("status") == "ok":
         series = {k: (_fmt(v) if isinstance(v, float) else v) for k, v in series.items()}
@@ -277,10 +299,10 @@ def cmd_verify(args):
     doc = {
         "schema": "eisenmodes/verification/1",
         "input": args.input,
-        "y_points": ys,
+        "y_points": args.y,
         "residuals": residuals,
         "series_checks": series,
-        "tolerance": _fmt(args.tolerance),
+        "tolerance": _fmt(_RESIDUAL_TOLERANCE),
         "pass": ok,
     }
     return doc, EXIT_OK if ok else EXIT_MISMATCH
@@ -342,21 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sums)
 
     p = sub.add_parser("combine", help="weighted combinations of mode solutions")
-    p.add_argument("--preset", choices=["T-2"], default="T-2")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--y", help="comma-separated spot-check points (default 0.5,1)")
+    p.add_argument("--y", type=_positive_floats, default="0.5,1",
+                   help="comma-separated spot-check points")
     p.set_defaults(fn=cmd_combine)
 
     p = sub.add_parser("verify", help="numeric residual check of a solution document")
     p.add_argument("--input", required=True)
-    p.add_argument("--y", default="0.5,1,2", help="comma-separated evaluation points")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--y", type=_positive_floats, default="0.5,1,2",
+                   help="comma-separated evaluation points")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("alpha-sum", help="zero-mode homogeneous coefficient total")
     params_args(p)
-    p.add_argument("--method", choices=["RamanujanExact", "FormalRamanujan", "NumericPartial"],
+    p.add_argument("--method", choices=["RamanujanExact", "FormalRamanujan"],
                    default="RamanujanExact")
     p.set_defaults(fn=cmd_alpha_sum)
 

@@ -33,7 +33,6 @@ __all__ = [
     "family_key",
     "fixture_particular",
     "fixture_combination",
-    "errata_entry",
     "fixture_zero_mode",
     "fixture_modes",
     "compare_expressions",
@@ -236,14 +235,9 @@ def fixture_zero_mode(alpha, beta, lam: int) -> Pure:
     return Pure(poly)
 
 
-def errata_entry(alpha, beta, lam: int, case: str, cell: str) -> Optional[dict]:
-    key = f"{family_key(alpha, beta, lam)}|{case}|{cell}"
-    return load_tables().get("errata", {}).get(key)
-
-
-def _corrected_text(family: str, case: str, apply_errata: bool, used: list):
+def _corrected_text(family: str, case: str, used: list):
     """The text hook of _section_table: an erratum's text replaces the printed one."""
-    errata = load_tables().get("errata", {}) if apply_errata else {}
+    errata = load_tables().get("errata", {})
 
     def text(key, printed):
         entry = errata.get(f"{family}|{case}|{key}")
@@ -274,13 +268,11 @@ def _section_table(section: dict, names: Dict, text=lambda key, printed: printed
 
 
 def fixture_particular(alpha, beta, lam: int, n1: int, n2: int,
-                       apply_errata: bool = True,
                        errata_used: Optional[list] = None):
     """The printed particular solution evaluated at concrete (n1, n2).
 
-    With apply_errata (the default) the handful of documented table typos
-    are replaced by their corrected entries; the list of applied errata is
-    appended to errata_used when given.
+    The handful of documented table typos are replaced by their corrected
+    entries; the list of applied errata is appended to errata_used when given.
     """
     fam = _family(alpha, beta, lam)
     used = errata_used if errata_used is not None else []
@@ -297,7 +289,7 @@ def fixture_particular(alpha, beta, lam: int, n1: int, n2: int,
             # the printed anti-diagonal tables are written in terms of n2
             names = _mode_names(n1=n1, n2=n2, n=n2)
 
-    text = _corrected_text(family_key(alpha, beta, lam), case, apply_errata, used)
+    text = _corrected_text(family_key(alpha, beta, lam), case, used)
     table = _section_table(fam[case], names, text)
     return SingleBessel(n, table) if n1 == 0 or n2 == 0 else DoubleBessel(n1, n2, table)
 
@@ -316,7 +308,7 @@ def fixture_combination(n1: int, n2: int, errata_used: Optional[list] = None) ->
             f"the T-2 combination table needs n1*n2 != 0 and n1+n2 != 0, got ({n1}, {n2})")
     used = errata_used if errata_used is not None else []
     case = "same_sign" if n1 * n2 > 0 else "opposite_sign"
-    text = _corrected_text("combination_T-2", case, True, used)
+    text = _corrected_text("combination_T-2", case, used)
     section = load_tables()["combination_T-2"]
     return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2), text))
 

@@ -78,7 +78,7 @@ class ModeSolution:
     obstruction: Optional[Obstruction]
     alpha_normalization: str
     report: Optional[SolveReport]
-    alpha_free: bool = False  # zero mode: alpha is a free constant (policy-chosen)
+    alpha_free: bool = False  # zero mode: alpha is a free constant
 
     @property
     def case(self) -> str:
@@ -217,8 +217,7 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
         basis = None if r is None else HomBasis("power_neg", r)
         particular = solve_zero_mode(params, src.core).scale(src.prefactor)
         return ModeSolution(params, 0, 0, src, particular, basis, None, None,
-                            "alpha_0,0 is a free constant; zero_mode_alpha_sum chooses it",
-                            None, alpha_free=True)
+                            "alpha_0,0 is a free constant", None, alpha_free=True)
 
     if n1 == 0 or n2 == 0:
         core_sol, report = solve_particular_single(params, src.core, case=src.case_tag)
@@ -400,7 +399,6 @@ class ZeroModeSumResult:
     value: Optional[Constant]
     numeric: Optional[float]
     partial_sums: Dict[int, float]
-    alpha00_choice: Optional[Constant]
 
     def to_json_obj(self) -> dict:
         return {
@@ -414,7 +412,6 @@ class ZeroModeSumResult:
             "value": None if self.value is None else self.value.to_json_obj(),
             "numeric": self.numeric,
             "partial_sums": self.partial_sums,
-            "alpha00_choice": None if self.alpha00_choice is None else self.alpha00_choice.to_json_obj(),
         }
 
 
@@ -448,13 +445,19 @@ def zero_mode_alpha_sum(
 ) -> ZeroModeSumResult:
     """Total of alpha_{-n,n} over n != 0 via the divisor convolution identities.
 
-    method: RamanujanExact (requires convergence), FormalRamanujan (analytic
-    continuation, clearly labeled), NumericPartial (partial sums of the
-    recognized shape).  The total is A times the plain convolution plus, when
-    B != 0, B times the log-weighted one.  alpha00_choice is the negative of
-    the total, making the homogeneous contributions sum to zero.  The shape is
+    method: RamanujanExact (requires convergence) or FormalRamanujan (analytic
+    continuation, clearly labeled).  The total is A times the plain
+    convolution plus, when B != 0, B times the log-weighted one; partial_sums
+    holds the shape's partial sums at PARTIAL_LIMITS.  The shape is
     recognised from the anti-diagonal modes n = 1..probe.
+
+    An exact value is the y^{-r} coefficient of the zero mode itself: with
+    alpha_{0,0} = 0 the particular parts of all modes plus value * y^{-r}
+    form an SL(2,Z)-invariant expansion (tests/test_homogeneous.py,
+    test_expansion_is_modular).
     """
+    if method not in ("RamanujanExact", "FormalRamanujan"):
+        raise ValueError(f"unknown alpha-sum method {method!r}")
     alphas = []
     if probe >= 2:
         for n in range(1, probe + 1):
@@ -468,7 +471,7 @@ def _alpha_sum(params: Params, method: str, alphas) -> ZeroModeSumResult:
     """zero_mode_alpha_sum from the alphas of the modes (-n, n), n = 1, 2, ..."""
     shape = _recognize_alpha_shape(params, alphas)
     if shape is None:
-        return ZeroModeSumResult(method, "unrecognized", None, None, None, {}, None)
+        return ZeroModeSumResult(method, "unrecognized", None, None, None, {})
     a, b, s, A, B = shape["a"], shape["b"], shape["s"], shape["A"], shape["B"]
     has_log = not B.is_zero()
     sums = [(A, ramanujan_convolution(a, b, s))]
@@ -488,16 +491,13 @@ def _alpha_sum(params: Params, method: str, alphas) -> ZeroModeSumResult:
         if n in PARTIAL_LIMITS:
             partial_sums[n] = total
 
-    if method == "NumericPartial":
-        return ZeroModeSumResult(method, "exact" if status == "exact" else "divergent",
-                                 shape, None, total, partial_sums, None)
     if status != "exact" and method != "FormalRamanujan":
-        return ZeroModeSumResult(method, "divergent", shape, None, None, partial_sums, None)
+        return ZeroModeSumResult(method, "divergent", shape, None, None, partial_sums)
     if any(conv.closed_form is None for _, conv in sums):
-        return ZeroModeSumResult(method, status, shape, None, None, partial_sums, None)
+        return ZeroModeSumResult(method, status, shape, None, None, partial_sums)
     value = reduce(add, (coeff * conv.closed_form for coeff, conv in sums))
     numeric = reduce(add, (coeff.evaluate(DEFAULT_ENV) * conv.numeric for coeff, conv in sums))
-    return ZeroModeSumResult(method, status, shape, value, numeric, partial_sums, -value)
+    return ZeroModeSumResult(method, status, shape, value, numeric, partial_sums)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,14 @@ rounded double.  The modified Bessel functions stay hand-written in double
 precision, because mpmath's ``besselk`` costs milliseconds a call and the
 operator-residual check evaluates them for every solved mode it validates.
 The homogeneous evaluators take only the decaying element a mode carries,
-``HomBasis`` kind "K" or "power_neg"; ``bessel_i`` is kept as the reference
-for the Wronskian check of ``bessel_k``.
+``HomBasis`` kind "K" or "power_neg".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Dict
 
 from .bessel import BesselProduct, HomBasis, differentiate
 from .scalars import Symbol
@@ -25,13 +24,10 @@ __all__ = [
     "DEFAULT_ENV",
     "symbol_value",
     "bessel_k",
-    "bessel_i",
     "eval_expr",
     "eval_hom_normalized",
     "residual",
-    "homogeneous_residual",
     "series_crosscheck",
-    "fd_second_derivative",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -192,24 +188,6 @@ def bessel_k(nu, x: float) -> float:
     return math.sqrt(math.pi / (2 * x)) * math.exp(-x) * total
 
 
-def bessel_i(nu, x: float) -> float:
-    """Modified Bessel I_nu(x) by its ascending series (adequate for x <= ~60)."""
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    nu = float(nu)
-    term = (x / 2) ** nu / math.gamma(nu + 1)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= (x * x / 4) / (k * (k + nu))
-        total += term
-        if term < 1e-18 * total:
-            return total
-        if k > 500:
-            raise RuntimeError("I_nu series did not converge")
-
-
 # ---------------------------------------------------------------------------
 # Expression evaluation
 # ---------------------------------------------------------------------------
@@ -322,13 +300,6 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     return abs(float(diff)) / scale
 
 
-def homogeneous_residual(basis: HomBasis, lam: int, nsum: int, y: float) -> float:
-    """|operator applied to the basis element| relative to its magnitude."""
-    val = _hom_operator_value(basis, lam, nsum, y)
-    ref = abs(eval_hom_normalized(basis, y)) * max(lam, 1)
-    return abs(val) / max(ref, 1e-300)
-
-
 def series_crosscheck(expr, order: int, y_small: float = 1e-3) -> dict:
     """Compare the exact small-y series against direct evaluation at y_small."""
     from .series import small_y_series
@@ -346,15 +317,3 @@ def series_crosscheck(expr, order: int, y_small: float = 1e-3) -> dict:
         "direct": direct,
         "relative_error": abs(approx - direct) / denom,
     }
-
-
-def fd_second_derivative(f: Callable[[float], float], y: float, h: float = 1e-4) -> float:
-    """Central second difference (5-point, O(h^4) stencil).
-
-    The default step balances truncation against rounding noise amplified by
-    h^-2; for exponentially small integrands h = 1e-5 is already
-    rounding-dominated in double precision.
-    """
-    return (
-        -f(y + 2 * h) + 16 * f(y + h) - 30 * f(y) + 16 * f(y - h) - f(y - 2 * h)
-    ) / (12 * h * h)

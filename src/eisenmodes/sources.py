@@ -22,8 +22,7 @@ coefficients of Eisenstein series,
 
 with every Gamma(half-integer) expanded so only integer powers of pi
 survive in the assembled prefactors.  ``_fourier_factor`` is the one encoding
-of zeta(2s) a_{n,s}: ``source_term`` multiplies two of them, and
-``eisenstein_coeff``/``eisenstein_zero_coeff`` divide one by zeta(2s).
+of zeta(2s) a_{n,s}, and ``source_term`` multiplies two of them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .bessel import BesselProduct, DoubleBessel, Pure, SingleBessel, reduce_k_index
 from .divisors import sigma
@@ -45,8 +44,6 @@ __all__ = [
     "SourceTerm",
     "Classification",
     "classify_params",
-    "eisenstein_coeff",
-    "eisenstein_zero_coeff",
     "source_term",
     "PUBLISHED_C_TABLE",
 ]
@@ -147,9 +144,6 @@ class Params:
             return Fraction(-4)
         return Fraction(1)
 
-    def with_normalization(self, normalization: Normalization) -> "Params":
-        return Params(self.alpha, self.beta, self.lam, normalization)
-
     def describe(self) -> str:
         return f"(alpha={self.alpha}, beta={self.beta}, lambda={self.lam}, {self.normalization.value})"
 
@@ -187,30 +181,6 @@ def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, BesselProduct]:
         return Constant.one(), Pure(poly)
     pref = _pi_half_product(2 * abs(n) ** m * sigma(1 - two_s, abs(n)) / g, two_s - g_sqrtpi)
     return pref, SingleBessel(n, dict(enumerate(reduce_k_index(m, n))))
-
-
-def eisenstein_zero_coeff(s: Fraction) -> List[Tuple[Fraction, Constant]]:
-    """a_{0,s} as [(power, coefficient)] = [(s, 1), (1-s, A_s)].
-
-    A_s = sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)) with the
-    Gamma values expanded exactly; for half-integer s > 1 this leaves an
-    integer power of pi times zeta(2s-1) / zeta(2s).
-    """
-    s = Fraction(s)
-    _, expr = _fourier_factor(s, 0)
-    m, z = int(s - Fraction(1, 2)), zeta_value(int(2 * s))
-    return [(s, expr.poly.coeff(m) / z), (1 - s, expr.poly.coeff(-m) / z)]
-
-
-def eisenstein_coeff(s: Fraction, n: int):
-    """Fourier coefficient a_{n,s}: the zero-mode power pair for n = 0, or
-    (prefactor, bessel_index_times_two) describing
-    prefactor * sqrt(y) K_{s-1/2}(2 pi |n| y) for n != 0."""
-    s = Fraction(s)
-    if n == 0:
-        return eisenstein_zero_coeff(s)
-    pref, _ = _fourier_factor(s, n)
-    return pref / zeta_value(int(2 * s)), int(2 * s) - 1  # K index = s - 1/2, stored doubled
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_table_reports_errata(capsys):
 
 
 def test_combine_command(capsys):
-    code, out = run_cli(capsys, "combine", "--preset", "T-2", "--n1", "1", "--n2", "2")
+    code, out = run_cli(capsys, "combine", "--n1", "1", "--n2", "2")
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["spot_check"]["verdict"] == "equal"
@@ -122,7 +122,7 @@ def test_combine_command(capsys):
 
 def test_combine_at_opposite_signs_applies_the_sign_erratum(capsys):
     # the printed table's overall sign is wrong at n1 n2 < 0
-    code, out = run_cli(capsys, "combine", "--preset", "T-2", "--n1", "2", "--n2", "-3")
+    code, out = run_cli(capsys, "combine", "--n1", "2", "--n2", "-3")
     assert code == EXIT_OK
     check = json.loads(out)["spot_check"]
     assert check["verdict"] == "equal_with_erratum"
@@ -135,7 +135,7 @@ def test_combine_at_opposite_signs_applies_the_sign_erratum(capsys):
 @pytest.mark.parametrize("n1, n2", [(1, -1), (0, 3)])
 def test_combine_without_table_reports_no_fixture(capsys, n1, n2):
     # the T-2 table divides by n1 + n2 and takes divisor sums of n1 and n2
-    code, out = run_cli(capsys, "combine", "--preset", "T-2", "--n1", str(n1), "--n2", str(n2))
+    code, out = run_cli(capsys, "combine", "--n1", str(n1), "--n2", str(n2))
     assert code == EXIT_NO_FIXTURE
     assert json.loads(out)["error"] == "no_fixture"
 
@@ -189,9 +189,31 @@ def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
     # --cutoff 0 was silently replaced by the default |n| + 4
     (["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n", "1",
       "--cutoff", "0", "--no-decay"], "cutoff"),
+    # options that could take one value only, or repeated another one's result
+    (["combine", "--preset", "T-2", "--n1", "1", "--n2", "2"], "--preset"),
+    (["alpha-sum", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+      "--method", "NumericPartial"], "--method"),
+    # spot-check points that overflowed with a traceback, printed "y": Infinity
+    # and exited 1 as a mismatch, or failed with a message naming no flag
+    *[(["combine", "--n1", "1", "--n2", "2", "--y", y], "--y")
+      for y in ("inf", "1e-300", "0", "-1", "nan")],
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli_streams(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and flag in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--tolerance", "1e-9"], "--tolerance"),
+    *[(["--y", y], "--y") for y in ("inf", "1e-300", "0", "-1", "nan", "0.5,2,1e-300")],
+])
+def test_verify_rejects_removed_and_out_of_range_arguments(tmp_path, capsys, argv, flag):
+    path = tmp_path / "solution.json"
+    code, _ = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+                      "--n1", "1", "--n2", "2", "--output", str(path))
+    assert code == EXIT_OK
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(path), *argv)
     assert code == EXIT_USAGE
     assert out == "" and flag in json.loads(err)["error"]
 

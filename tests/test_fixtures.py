@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from eisenmodes import fixtures
 from eisenmodes.bessel import DoubleBessel, apply_P
 from eisenmodes.fixtures import (
     FixtureError,
@@ -9,8 +10,8 @@ from eisenmodes.fixtures import (
     _mode_names,
     _section_table,
     compare_expressions,
-    errata_entry,
     eval_table_expr,
+    family_key,
     fixture_combination,
     fixture_modes,
     fixture_particular,
@@ -62,14 +63,17 @@ def test_zero_mode_fixture_values():
     assert z2.poly.coeff(-1, 1) == Constant.pi_power(4, F(48, 9 * 36))
 
 
-def test_errata_lookup_and_flagging():
-    assert errata_entry(F(3, 2), F(3, 2), 56, "left", "1") is not None
-    assert errata_entry(F(3, 2), F(3, 2), 30, "left", "1") is None
+def test_errata_lookup_and_flagging(monkeypatch):
+    errata = load_tables()["errata"]
+    assert f"{family_key(F(3, 2), F(3, 2), 56)}|left|1" in errata
+    assert f"{family_key(F(3, 2), F(3, 2), 30)}|left|1" not in errata
     used = []
     fixture_particular(F(3, 2), F(3, 2), 56, 0, 2, errata_used=used)
     assert used and used[0][0] == "left"
-    verbatim = fixture_particular(F(3, 2), F(3, 2), 56, 0, 2, apply_errata=False)
     corrected = fixture_particular(F(3, 2), F(3, 2), 56, 0, 2)
+    verbatim_tables = {**load_tables(), "errata": {}}
+    monkeypatch.setattr(fixtures, "load_tables", lambda: verbatim_tables)
+    verbatim = fixture_particular(F(3, 2), F(3, 2), 56, 0, 2)
     assert compare_expressions(verbatim, corrected)  # they genuinely differ
 
 

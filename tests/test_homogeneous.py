@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -142,7 +143,6 @@ def test_zero_mode_alpha_sum_exact():
     res = zero_mode_alpha_sum(p, "RamanujanExact", probe=8)
     assert res.status == "exact"
     assert res.value == Constant.pi_power(8, F(52, 146923875))
-    assert res.alpha00_choice == Constant.pi_power(8, F(-52, 146923875))
     assert res.shape["a"] == 2 and res.shape["b"] == 2 and res.shape["s"] == 8
     assert abs(res.partial_sums[10000] - res.numeric) / abs(res.numeric) < 1e-6
 
@@ -154,14 +154,45 @@ def test_zero_mode_alpha_sum_formal_for_lambda2():
     assert res.status == "divergent"
     formal = zero_mode_alpha_sum(p, "FormalRamanujan", probe=6)
     assert formal.status == "formal"
-    assert formal.value is not None and formal.alpha00_choice is not None
+    assert formal.value is not None
+    with pytest.raises(ValueError):  # the partial sums are in every document
+        zero_mode_alpha_sum(p, "NumericPartial")
 
 
-def test_zero_mode_alpha_sum_numeric_partial():
-    p = Params(F(3, 2), F(3, 2), 30)
-    res = zero_mode_alpha_sum(p, "NumericPartial", probe=6)
-    assert res.status == "exact"
-    assert abs(res.numeric - 52 * math.pi**8 / 146923875) < 1e-4
+# points z = x + iy with y and Im(-1/z) near 1, where double precision holds
+MODULAR_POINTS = ((0.1, 0.995), (0.3, 0.955), (0.45, 0.9), (-0.25, 0.97))
+
+
+def test_expansion_is_modular():
+    # (3/2,3/2,12) is the D^6R^4 equation; the y^-3 coefficient of its zero
+    # mode is (4/27) zeta(6) = 4 pi^6/25515 (Green, Miller and Vanhove,
+    # arXiv:1404.2192), the alpha-sum total itself: alpha_{0,0} = 0.  Weight
+    # 2r + 2 = 8 has no cusp form, so the modes n != 0 carry no homogeneous
+    # term, and f(x + iy) = sum_n f_n(y) e^{2 pi i n x} needs no fitted
+    # constant.  f_{-n} = f_n, as the mode (-n1, -n2) has the particular of
+    # (n1, n2); the modes beyond |n1| = 12 or n = 5 are below e^-100 at y ~ 1.
+    p = Params(F(3, 2), F(3, 2), 12)
+    total = zero_mode_alpha_sum(p)
+    assert total.status == "exact"
+    assert total.value == Constant.pi_power(6, F(4, 25515))
+    parts = {n: [solve_mode(p, n1, n - n1).particular for n1 in range(-12, 13)]
+             for n in range(6)}
+
+    def f(x, y, c):
+        modes = (math.fsum(eval_expr(q, y, ENV) for q in qs) * math.cos(2 * math.pi * n * x)
+                 * (1 if n == 0 else 2) for n, qs in parts.items())
+        return c * y**-3 + math.fsum(modes)
+
+    def gap(c):
+        worst = 0.0
+        for x, y in MODULAR_POINTS:
+            d = x * x + y * y
+            here, there = f(x, y, c), f(-x / d, y / d, c)
+            worst = max(worst, abs(here - there) / abs(here))
+        return worst
+
+    assert gap(total.numeric) <= 1e-11
+    assert gap(0.0) >= 1e-4  # alpha_{0,0} = -total leaves no y^-3 term
 
 
 def test_combine_identity_and_normalization_guard():
@@ -171,7 +202,8 @@ def test_combine_identity_and_normalization_guard():
     assert (comb.table - direct.particular).is_zero()
     assert comb.hom_parts[0][0] == direct.alpha
     with pytest.raises(ValueError):
-        combine([(Constant.one(), p.with_normalization(Normalization.PUBLISHED))], 1, 2)
+        combine([(Constant.one(), dataclasses.replace(p, normalization=Normalization.PUBLISHED))],
+                1, 2)
 
 
 def test_t_minus_2_has_two_bessel_indices():

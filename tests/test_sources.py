@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,8 +16,6 @@ from eisenmodes.sources import (
     Normalization,
     Params,
     classify_params,
-    eisenstein_coeff,
-    eisenstein_zero_coeff,
     source_term,
 )
 
@@ -47,43 +46,15 @@ def test_params_validation():
 def test_normalization_constants():
     pc = Params(F(3, 2), F(5, 2), 20, Normalization.PUBLISHED)
     assert pc.c_eff() == -6
-    assert pc.with_normalization(Normalization.CORRELATOR).c_eff() == -4
+    correlator = dataclasses.replace(pc, normalization=Normalization.CORRELATOR)
+    assert correlator.c_eff() == -4
     # converting published to correlator multiplies by 2/3 for this pair
-    assert pc.with_normalization(Normalization.CORRELATOR).c_eff() / pc.c_eff() == F(2, 3)
+    assert correlator.c_eff() / pc.c_eff() == F(2, 3)
     # swapped-order lookup works
     assert Params(F(5, 2), F(3, 2), 20).c_eff() == -6
     with pytest.raises(ValueError):
         Params(F(5, 2), F(7, 2), 30).c_eff()
     assert Params(F(5, 2), F(7, 2), 30, Normalization.UNIT).c_eff() == 1
-
-
-def test_eisenstein_zero_coefficient():
-    pairs = eisenstein_zero_coeff(F(3, 2))
-    assert pairs[0] == (F(3, 2), Constant.one())
-    power, coeff = pairs[1]
-    assert power == F(-1, 2)
-    assert coeff == Constant.pi_power(2, F(1, 3)) / zeta_odd(3)  # 2 zeta(2)/zeta(3)
-    with pytest.raises(ValueError):
-        eisenstein_zero_coeff(F(1, 2))
-
-
-def test_eisenstein_nonzero_coefficient():
-    pref, twice = eisenstein_coeff(F(3, 2), 2)
-    assert twice == 2  # K_1
-    assert pref == Constant.pi_power(1, 10) / zeta_odd(3)  # 4 pi/z3 * 2 * sigma_{-2}(2)
-    # sigma_{-4}(2) = 17/16 enters the 5/2 coefficient
-    pref5, twice5 = eisenstein_coeff(F(5, 2), 2)
-    assert twice5 == 4
-    assert sigma(-4, 2) == F(17, 16)
-    # numeric check of a_{n,s} against its definition
-    y = 0.6
-    val = pref.evaluate(ENV) * math.sqrt(y) * bessel_k(1, 4 * math.pi * y)
-    z3 = 1.2020569031595943
-    direct = (
-        2 * math.pi**1.5 / (math.gamma(1.5) * z3) * 2 ** 1 * float(sigma(-2, 2))
-        * math.sqrt(y) * bessel_k(1, 4 * math.pi * y)
-    )
-    assert abs(val - direct) / abs(direct) < 1e-13
 
 
 def test_generic_source_prefactor_and_core():
