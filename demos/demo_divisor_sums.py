@@ -12,11 +12,17 @@ together with its s-derivative for log-weighted variants.
 from fractions import Fraction
 
 from eisenmodes import Params, ramanujan_convolution, zero_mode_alpha_sum
-from eisenmodes.divisors import convolution_partial_sum, ramanujan_log_convolution
+from eisenmodes.divisors import (
+    convolution_partial_sums,
+    ramanujan_log_convolution,
+    sigma_float_table,
+)
 
 r = ramanujan_convolution(2, 2, 8)
 print("sum sigma_2(n)^2/|n|^8 =", r.closed_form, f"= {r.numeric:.15g}")
-print("partial sum to N=1e5   =", f"{convolution_partial_sum(2, 2, 8, 100000):.15g}")
+sigma_2 = sigma_float_table(2, 100000)
+partial = convolution_partial_sums(sigma_2, sigma_2, 8, (1.0, 0.0), (100000,))[100000]
+print("partial sum to N=1e5   =", f"{partial:.15g}")
 
 rl = ramanujan_log_convolution(2, 2, 8)
 print("\nlog-weighted variant   =", f"{rl.numeric:.15g}")

@@ -37,10 +37,10 @@ from fractions import Fraction
 
 from .bessel import expr_latex
 from .divisors import (
-    convolution_partial_sum,
-    log_convolution_partial_sum,
+    convolution_partial_sums,
     ramanujan_convolution,
     ramanujan_log_convolution,
+    sigma_float_table,
 )
 from .fixtures import (
     FixtureError,
@@ -236,8 +236,7 @@ def cmd_table(args):
 
 
 def cmd_sums(args):
-    fn = ramanujan_log_convolution if args.log else ramanujan_convolution
-    result = fn(args.a, args.b, args.s)
+    result = (ramanujan_log_convolution if args.log else ramanujan_convolution)(args.a, args.b, args.s)
     doc = {
         "a": args.a,
         "b": args.b,
@@ -249,10 +248,10 @@ def cmd_sums(args):
         "numeric": _fmt(result.numeric),
     }
     if args.limit:
-        partial = (log_convolution_partial_sum if args.log else convolution_partial_sum)(
-            args.a, args.b, args.s, args.limit
-        )
-        doc["partial_sum"] = {"limit": args.limit, "value": _fmt(partial)}
+        tables = {z: sigma_float_table(z, args.limit) for z in {args.a, args.b}}
+        weight = (0.0, 1.0) if args.log else (1.0, 0.0)
+        partial = convolution_partial_sums(tables[args.a], tables[args.b], args.s, weight, (args.limit,))
+        doc["partial_sum"] = {"limit": args.limit, "value": _fmt(partial[args.limit])}
     return doc, EXIT_OK
 
 

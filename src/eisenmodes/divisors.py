@@ -7,11 +7,11 @@ the factor 2 relative to one-sided sums, matching
         = 2 zeta(s) zeta(s-a) zeta(s-b) zeta(s-a-b) / zeta(2s-a-b)
 
 and its s-derivative for the log-weighted variant.  Outside the convergence
-region the closed forms are analytic continuations.  Where the denominator
-zeta(2s-a-b) hits its pole at 1 the reciprocal has a simple zero, so the sum
-is 0 and its log-weighted variant is -4 times the numerator product.  Where a
-numerator zeta hits the pole, or the denominator hits a trivial zero of zeta,
-no closed form is returned (see :class:`RamanujanSum`).
+region the closed forms are analytic continuations.  At a point where a zeta
+factor is singular (its argument is 1 or a trivial zero) the value is the
+limit read off the leading Laurent term of each factor; where that limit is
+infinite, or the log-weighted one needs a second derivative of a factor, no
+closed form is returned (see :class:`RamanujanSum`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .numerics import DEFAULT_ENV
-from .scalars import Constant, factorize, sym_zeta_prime, zeta_value
+from .scalars import Constant, factorize, zeta_prime, zeta_value
 
 __all__ = [
     "sigma",
@@ -31,8 +31,7 @@ __all__ = [
     "RamanujanSum",
     "ramanujan_convolution",
     "ramanujan_log_convolution",
-    "convolution_partial_sum",
-    "log_convolution_partial_sum",
+    "convolution_partial_sums",
 ]
 
 
@@ -70,24 +69,15 @@ class RamanujanSum:
     """Closed form of a divisor convolution sum, its status and its value.
 
     status is "convergent" inside the region s, s-a, s-b, s-a-b > 1 and
-    "formal" when the closed form is an analytic continuation only.
-    Where 2s-a-b = 1 and no numerator argument is 1, 1/zeta(2s-a-b) has a
-    simple zero with derivative 2 in s: the plain sum is exactly 0 and the
-    log-weighted one is -4 zeta(s) zeta(s-a) zeta(s-b) zeta(s-a-b).
-    closed_form is None at the singular points, which lie outside that region:
-    numeric is then inf where a numerator zeta argument is 1, or where the
-    denominator zeta(2s-a-b) is a trivial zero and no numerator zeta vanishes;
-    it is nan where a numerator zero meets a zero denominator (a 0/0 limit
-    that is not evaluated).
+    "formal" when the closed form is an analytic continuation (or its limit).
+    closed_form is None where the sum has a pole (numeric inf), and where a
+    log-weighted sum would need zeta'' or Euler's gamma of a singular factor
+    (numeric nan).
     """
 
     closed_form: Constant | None
     status: str
     numeric: float
-
-
-def _trivial_zero(k: int) -> bool:
-    return k < 0 and k % 2 == 0
 
 
 def ramanujan_convolution(a: int, b: int, s: int) -> RamanujanSum:
@@ -100,48 +90,63 @@ def ramanujan_convolution(a: int, b: int, s: int) -> RamanujanSum:
 
 
 def ramanujan_log_convolution(a: int, b: int, s: int) -> RamanujanSum:
-    """sum_{n != 0} sigma_a sigma_b log|n| / |n|^s = -d/ds [2 N(s) / D(s)].
-
-    N is the product of the four numerator zetas and D = zeta(2s-a-b).  The
-    product rule gives (2 N/D * 2 zeta'(2s-a-b) - 2 N') / D, where each term
-    of N' replaces one numerator zeta by a zeta'(k) symbol (with a numeric
-    evaluation hook).  No numerator zeta is divided out, so a trivial zero
-    among them is a value like any other.
-    """
+    """sum_{n != 0} sigma_a sigma_b log|n| / |n|^s = -d/ds of the plain sum."""
     return _zeta_closed_form(a, b, s, log=True)
 
 
+def _leading_term(k: int, slope: int):
+    """(o, c) with zeta(k + slope * eps) = c eps^o + O(eps^(o + 1))."""
+    if k == 1:
+        return -1, Constant.from_rational(Fraction(1, slope))
+    if k < 0 and k % 2 == 0:
+        return 1, zeta_prime(k) * slope
+    return 0, zeta_value(k)
+
+
 def _zeta_closed_form(a: int, b: int, s: int, log: bool) -> RamanujanSum:
+    """The sum from F(s + eps) = L eps^m + O(eps^(m + 1)), F = 2 N / D.
+
+    N is the product of the four numerator zetas and D = zeta(2s-a-b); m and L
+    come from the five factors' leading terms.  The plain sum F(s) is L at
+    m = 0 and 0 at m > 0.  The log-weighted -F'(s) is -L at m = 1, 0 at m >= 2
+    and, at m = 0 with five regular factors, the product rule (2 F zeta'(2s-a-b)
+    - 2 N') / D, where each term of N' replaces one numerator zeta by zeta'(k).
+    """
     numer, denom = (s, s - a, s - b, s - a - b), 2 * s - a - b
     status = "convergent" if min(numer) > 1 else "formal"
-    if 1 in numer:
+    orders, cs = zip(*(_leading_term(k, 1) for k in numer))
+    d_order, d_c = _leading_term(denom, 2)
+    m = sum(orders) - d_order
+    if m < 0:
         return RamanujanSum(None, status, math.inf)
-    if _trivial_zero(denom):
-        return RamanujanSum(None, status, math.nan if any(map(_trivial_zero, numer)) else math.inf)
-    zetas = [zeta_value(k) for k in numer]
-    if denom == 1:  # 1/zeta(2s-a-b) = 2(s - s0) + O((s - s0)^2)
-        value = reduce(mul, zetas, Constant.from_rational(-4)) if log else Constant.zero()
-        return RamanujanSum(value, status, value.evaluate(DEFAULT_ENV))
-    den = zeta_value(denom)
-    value = reduce(mul, zetas, Constant.from_rational(2)) / den
-    if log:
-        d_numer = sum((reduce(mul, zetas[:i] + zetas[i + 1:], Constant.monomial(sym_zeta_prime(k)))
-                       for i, k in enumerate(numer)), Constant.zero())
-        value = (value * Constant.monomial(sym_zeta_prime(denom), coeff=2) - d_numer * 2) / den
+    lead = reduce(mul, cs, Constant.from_rational(2)) / d_c
+    if m > int(log):
+        value = Constant.zero()
+    elif m == 1:
+        value = -lead
+    elif not log:
+        value = lead
+    elif any(orders) or d_order:
+        return RamanujanSum(None, status, math.nan)
+    else:
+        d_numer = sum(reduce(mul, cs[:i] + cs[i + 1:], zeta_prime(k)) for i, k in enumerate(numer))
+        value = (lead * zeta_prime(denom) * 2 - d_numer * 2) / d_c
     return RamanujanSum(value, status, value.evaluate(DEFAULT_ENV))
 
 
-def convolution_partial_sum(a: int, b: int, s: int, limit: int) -> float:
-    """Two-sided partial sum of sigma_a sigma_b / |n|^s up to |n| = limit."""
-    ta = sigma_float_table(a, limit)
-    tb = ta if a == b else sigma_float_table(b, limit)
-    return 2.0 * sum(ta[n] * tb[n] / float(n) ** s for n in range(1, limit + 1))
+def convolution_partial_sums(sigma_a: list, sigma_b: list, s: int, weight, limits) -> dict:
+    """Two-sided partial sums of sigma_a sigma_b (A + B log n) / n^s, n <= limit.
 
-
-def log_convolution_partial_sum(a: int, b: int, s: int, limit: int) -> float:
-    """Two-sided partial sum of sigma_a sigma_b log|n| / |n|^s up to limit."""
-    ta = sigma_float_table(a, limit)
-    tb = ta if a == b else sigma_float_table(b, limit)
-    return 2.0 * sum(
-        ta[n] * tb[n] * math.log(n) / float(n) ** s for n in range(2, limit + 1)
-    )
+    sigma_a and sigma_b are :func:`sigma_float_table` lists reaching
+    max(limits); weight is the float pair (A, B).  Returns {limit: sum}; the
+    factor 2 of the two sides is applied to each reported sum, which rounds
+    exactly as applying it to every term would.
+    """
+    A, B = weight
+    out = {}
+    total = 0.0
+    for n in range(1, max(limits) + 1):
+        total += sigma_a[n] * sigma_b[n] * (A + B * math.log(n)) / float(n) ** s
+        if n in limits:
+            out[n] = 2.0 * total
+    return out

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bessel import HomBasis, expr_from_json_obj, expr_to_json_obj
 from .divisors import (
+    convolution_partial_sums,
     ramanujan_convolution,
     ramanujan_log_convolution,
     sigma,
@@ -473,24 +474,15 @@ def _alpha_sum(params: Params, method: str, alphas) -> ZeroModeSumResult:
     if shape is None:
         return ZeroModeSumResult(method, "unrecognized", None, None, None, {})
     a, b, s, A, B = shape["a"], shape["b"], shape["s"], shape["A"], shape["B"]
-    has_log = not B.is_zero()
     sums = [(A, ramanujan_convolution(a, b, s))]
-    if has_log:
+    if not B.is_zero():
         sums.append((B, ramanujan_log_convolution(a, b, s)))
     status = "exact" if sums[0][1].status == "convergent" else "formal"
 
-    A_num, B_num = A.evaluate(DEFAULT_ENV), B.evaluate(DEFAULT_ENV)
-    top = PARTIAL_LIMITS[-1]
-    ta = sigma_float_table(a, top)
-    tb = ta if a == b else sigma_float_table(b, top)
-    partial_sums: Dict[int, float] = {}
-    total = 0.0
-    for n in range(1, top + 1):
-        w = A_num + (B_num * math.log(n) if has_log else 0.0)
-        total += 2.0 * ta[n] * tb[n] * w / float(n) ** s
-        if n in PARTIAL_LIMITS:
-            partial_sums[n] = total
-
+    ta = sigma_float_table(a, PARTIAL_LIMITS[-1])
+    tb = ta if a == b else sigma_float_table(b, PARTIAL_LIMITS[-1])
+    weight = (A.evaluate(DEFAULT_ENV), B.evaluate(DEFAULT_ENV))
+    partial_sums = convolution_partial_sums(ta, tb, s, weight, PARTIAL_LIMITS)
     if status != "exact" and method != "FormalRamanujan":
         return ZeroModeSumResult(method, "divergent", shape, None, None, partial_sums)
     if any(conv.closed_form is None for _, conv in sums):

@@ -289,7 +289,10 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     terms.extend(t * (-lam - mass) for t in _expr_terms_exact(part, y, env))
     if mode.alpha is not None and mode.hom_basis is not None:
         alpha_num = mode.alpha.evaluate(env)
-        terms.append(_F(alpha_num) * _F(_hom_operator_value(mode.hom_basis, lam, nsum, y)))
+        hom = _hom_operator_value(mode.hom_basis, lam, nsum, y)
+        if not math.isfinite(hom):  # e.g. y * y = inf times K = 0
+            raise OverflowError(f"the homogeneous term is {hom!r}")
+        terms.append(_F(alpha_num) * _F(hom))
     source = mode.source.full()
     rhs_terms = _expr_terms_exact(source, y, env)
     rhs = float(sum(rhs_terms))

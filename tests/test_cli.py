@@ -29,7 +29,7 @@ from eisenmodes.cli import (
     main,
 )
 from eisenmodes.bessel import DoubleBessel, SingleBessel, apply_euler, apply_L, apply_P
-from eisenmodes.divisors import convolution_partial_sum, log_convolution_partial_sum
+from eisenmodes.divisors import convolution_partial_sums, sigma_float_table
 from eisenmodes.homogeneous import mode_solution_from_json_obj
 from eisenmodes.sources import classify_params
 
@@ -206,7 +206,7 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
 
 @pytest.mark.parametrize("argv, flag", [
     (["--tolerance", "1e-9"], "--tolerance"),
-    *[(["--y", y], "--y") for y in ("inf", "1e-300", "0", "-1", "nan", "0.5,2,1e-300")],
+    *[(["--y", y], "--y") for y in ("inf", "1e-300", "0", "-1", "nan", "0.5,2,1e-300", "1e300")],
 ])
 def test_verify_rejects_removed_and_out_of_range_arguments(tmp_path, capsys, argv, flag):
     path = tmp_path / "solution.json"
@@ -216,6 +216,17 @@ def test_verify_rejects_removed_and_out_of_range_arguments(tmp_path, capsys, arg
     code, out, err = run_cli_streams(capsys, "verify", "--input", str(path), *argv)
     assert code == EXIT_USAGE
     assert out == "" and flag in json.loads(err)["error"]
+
+
+def test_verify_names_y_where_a_single_bessel_mode_overflows(tmp_path, capsys):
+    # y * y = inf times K(4 pi y) = 0 in the homogeneous term
+    path = tmp_path / "solution.json"
+    code, _ = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+                      "--n1", "0", "--n2", "2", "--output", str(path))
+    assert code == EXIT_OK
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(path), "--y", "1e300")
+    assert code == EXIT_USAGE
+    assert out == "" and "--y 1e+300 overflows a double" in json.loads(err)["error"]
 
 
 def test_solve_output_bytes_deterministic(capsys):
@@ -410,11 +421,15 @@ def test_zero_mode_assembly_with_one_probe_is_unrecognized(capsys):
 @pytest.mark.parametrize("argv, closed", [
     # zeta(-2) = 0 in the numerator: the log-weighted sum is its derivative term alone
     (["sums", "--a", "4", "--b", "2", "--s", "4", "--log"], True),
-    # zeta(-2) in the denominator and zeta(-2), zeta(-6) in the numerator: a 0/0 limit
-    (["sums", "--a", "6", "--b", "4", "--s", "4"], False),
+    # zeta(1) zeta(-2) in the numerator: the sum is finite, but its s-derivative
+    # needs zeta''(-2)
+    (["sums", "--a", "3", "--b", "5", "--s", "6", "--log"], False),
     # shape sigma_4 sigma_4 / n^6 (A + B log n): zeta(-2) in the numerator
     (["alpha-sum", "--alpha", "5/2", "--beta", "5/2", "--lambda", "2",
       "--method", "FormalRamanujan"], True),
+    # zeta(-2) in the denominator and zeta(-2), zeta(-6) in the numerator: the
+    # 0/0 limit is a simple zero
+    (["sums", "--a", "6", "--b", "4", "--s", "4"], True),
 ])
 def test_trivial_zeros_of_zeta_give_documents(capsys, argv, closed):
     code, out = run_cli(capsys, *argv)
@@ -451,8 +466,9 @@ def test_sums_agree_with_partial_sums_and_mpmath(a, b, s, log):
         # the tail past N is below 4 times the last doubling's increment on the
         # whole grid (at most 1.9 times, for sum d(n)^2 log n / n^2)
         full = float(doc["partial_sum"]["value"])
-        partial = log_convolution_partial_sum if log else convolution_partial_sum
-        half = partial(a, b, s, limit // 2)
+        tables = sigma_float_table(a, limit // 2), sigma_float_table(b, limit // 2)
+        weight = (0.0, 1.0) if log else (1.0, 0.0)
+        half = convolution_partial_sums(*tables, s, weight, (limit // 2,))[limit // 2]
         assert abs(value - full) <= 4 * abs(full - half) + 1e-12 * abs(value), doc
     trivial_zeros = [k for k in (s, s - a, s - b, s - a - b) if k < 0 and k % 2 == 0]
     if log and len(trivial_zeros) == 1 and doc["closed_form"] is not None:

@@ -6,13 +6,23 @@ import mpmath as mp
 import pytest
 
 from eisenmodes.divisors import (
-    convolution_partial_sum,
-    log_convolution_partial_sum,
+    convolution_partial_sums,
     ramanujan_convolution,
     ramanujan_log_convolution,
     sigma,
+    sigma_float_table,
 )
-from eisenmodes.scalars import Constant
+from eisenmodes.numerics import DEFAULT_ENV
+from eisenmodes.scalars import Constant, zeta_odd, zeta_prime
+
+PLAIN, LOG = (1.0, 0.0), (0.0, 1.0)
+
+
+def partial_sum(a, b, s, weight, limit):
+    """Two-sided partial sum of sigma_a sigma_b (A + B log n) / n^s up to limit."""
+    ta = sigma_float_table(a, limit)
+    tb = ta if a == b else sigma_float_table(b, limit)
+    return convolution_partial_sums(ta, tb, s, weight, (limit,))[limit]
 
 
 def test_sigma_examples():
@@ -60,7 +70,7 @@ def test_two_sided_convention():
 
 def test_partial_sum_oracles():
     r = ramanujan_convolution(0, 0, 4)
-    ps = convolution_partial_sum(0, 0, 4, 100000)
+    ps = partial_sum(0, 0, 4, PLAIN, 100000)
     assert abs(r.numeric - ps) / r.numeric < 1e-6
     rng = random.Random(29)
     checked = 0
@@ -72,14 +82,14 @@ def test_partial_sum_oracles():
         if (s % 2) or ((s - a) % 2) or ((s - b) % 2) or ((s - a - b) % 2):
             continue  # keep all zeta arguments even so the value is a pi power
         r = ramanujan_convolution(a, b, s)
-        ps = convolution_partial_sum(a, b, s, 100000)
+        ps = partial_sum(a, b, s, PLAIN, 100000)
         assert abs(r.numeric - ps) / abs(r.numeric) < 1e-6, (a, b, s)
         checked += 1
 
 
 def test_log_convolution():
     rl = ramanujan_log_convolution(2, 2, 8)
-    psl = log_convolution_partial_sum(2, 2, 8, 100000)
+    psl = partial_sum(2, 2, 8, LOG, 100000)
     assert abs(rl.numeric - psl) / abs(rl.numeric) < 1e-6
     # symmetric in a <-> b
     assert (ramanujan_log_convolution(2, 0, 8).closed_form
@@ -122,3 +132,73 @@ def test_denominator_pole_is_a_zero_of_the_sum():
         assert float(ref) == pytest.approx(float(-4 * numer), rel=1e-12, abs=1e-80)
         assert log.numeric == pytest.approx(float(ref), rel=1e-12, abs=1e-80), (a, b, s)
         assert (log.numeric == 0.0) == (numer == 0)
+
+
+def _order(k):
+    """Order of the leading term of zeta at k: -1 at the pole, +1 at a trivial zero."""
+    return -1 if k == 1 else int(k < 0 and k % 2 == 0)
+
+
+GRID = [(a, b, s) for a in range(-2, 9) for b in range(-2, 9) for s in range(-6, 14)]
+
+
+def _ratio_limit(a, b, s, log):
+    """mpmath's F(s + eps), or -F'(s + eps), at 30 digits with eps = 1e-15."""
+    def ratio(x):
+        return (2 * mp.zeta(x) * mp.zeta(x - a) * mp.zeta(x - b) * mp.zeta(x - a - b)
+                / mp.zeta(2 * x - a - b))
+
+    with mp.workdps(30):
+        x = s + mp.mpf("1e-15")
+        return float(-mp.diff(ratio, x) if log else ratio(x))
+
+
+def test_closed_form_is_the_leading_laurent_term():
+    # F = 2 zeta(s) zeta(s-a) zeta(s-b) zeta(s-a-b) / zeta(2s-a-b) vanishes to
+    # order m at s; there is no closed form only at a pole (m < 0) and where
+    # -F' at m = 0 would need zeta'' or gamma of a singular factor
+    none, singular = {"inf": 0, "nan": 0}, {False: [], True: []}
+    for a, b, s in GRID:
+        numer, denom = (s, s - a, s - b, s - a - b), 2 * s - a - b
+        orders = [_order(k) for k in numer] + [_order(denom)]
+        m = sum(orders[:4]) - orders[4]
+        for log, fn in ((False, ramanujan_convolution), (True, ramanujan_log_convolution)):
+            r = fn(a, b, s)
+            assert r.status == ("convergent" if min(numer) > 1 else "formal")
+            if m < 0:
+                assert r.closed_form is None and r.numeric == math.inf, (a, b, s, log)
+                none["inf"] += 1
+            elif log and m == 0 and any(orders):
+                assert r.closed_form is None and math.isnan(r.numeric), (a, b, s, log)
+                none["nan"] += 1
+            else:
+                assert r.numeric == r.closed_form.evaluate(DEFAULT_ENV), (a, b, s, log)
+                assert r.closed_form.is_zero() == (m > log), (a, b, s, log)
+                if any(orders):
+                    singular[log].append((a, b, s))
+    assert none == {"inf": 776, "nan": 142}
+    rng = random.Random(31)
+    for log in (False, True):
+        for a, b, s in rng.sample(singular[log], 40):
+            r = (ramanujan_log_convolution if log else ramanujan_convolution)(a, b, s)
+            ref = _ratio_limit(a, b, s, log)
+            if r.numeric == 0.0:
+                assert abs(ref) <= 1e-13, (a, b, s, log, ref)
+            else:
+                assert r.numeric == pytest.approx(ref, rel=1e-10), (a, b, s, log)
+
+
+def test_limits_at_zero_over_zero_and_pole_times_zero():
+    # zeta(-2) zeta(-6) / zeta(-2) at s = 4, a = 6, b = 4: a simple zero
+    plain, log = ramanujan_convolution(6, 4, 4), ramanujan_log_convolution(6, 4, 4)
+    assert plain.closed_form.is_zero() and plain.numeric == 0.0
+    assert log.closed_form == Constant.pi_power(4, Fraction(1, 180)) * zeta_prime(-6)
+    assert log.numeric == pytest.approx(-0.0031927231971635, rel=1e-14)
+    assert log.numeric == pytest.approx(_ratio_limit(6, 4, 4, True), rel=1e-10)
+    # zeta(1) zeta(-2) at s = 6, a = 3, b = 5: finite, but -F' needs zeta''(-2)
+    plain, log = ramanujan_convolution(3, 5, 6), ramanujan_log_convolution(3, 5, 6)
+    assert plain.closed_form == (Constant.pi_power(2, Fraction(4, 21)) * zeta_odd(3)
+                                 * zeta_prime(-2))
+    assert plain.numeric == pytest.approx(-0.0688067046873159, rel=1e-14)
+    assert plain.numeric == pytest.approx(_ratio_limit(3, 5, 6, False), rel=1e-10)
+    assert log.closed_form is None and math.isnan(log.numeric)

@@ -163,36 +163,43 @@ def test_zero_mode_alpha_sum_formal_for_lambda2():
 MODULAR_POINTS = ((0.1, 0.995), (0.3, 0.955), (0.45, 0.9), (-0.25, 0.97))
 
 
+# no-cusp families (weight 2r + 2 in 4, 6, 8, 10, 14) and their exact totals
+MODULAR_FAMILIES = (
+    (Params(F(3, 2), F(3, 2), 12), Constant.pi_power(6, F(4, 25515))),
+    (Params(F(3, 2), F(5, 2), 42), Constant.pi_power(10, F(4, 66976875))),
+)
+
+
 def test_expansion_is_modular():
     # (3/2,3/2,12) is the D^6R^4 equation; the y^-3 coefficient of its zero
     # mode is (4/27) zeta(6) = 4 pi^6/25515 (Green, Miller and Vanhove,
-    # arXiv:1404.2192), the alpha-sum total itself: alpha_{0,0} = 0.  Weight
-    # 2r + 2 = 8 has no cusp form, so the modes n != 0 carry no homogeneous
-    # term, and f(x + iy) = sum_n f_n(y) e^{2 pi i n x} needs no fitted
-    # constant.  f_{-n} = f_n, as the mode (-n1, -n2) has the particular of
-    # (n1, n2); the modes beyond |n1| = 12 or n = 5 are below e^-100 at y ~ 1.
-    p = Params(F(3, 2), F(3, 2), 12)
-    total = zero_mode_alpha_sum(p)
-    assert total.status == "exact"
-    assert total.value == Constant.pi_power(6, F(4, 25515))
-    parts = {n: [solve_mode(p, n1, n - n1).particular for n1 in range(-12, 13)]
-             for n in range(6)}
+    # arXiv:1404.2192), the alpha-sum total itself: alpha_{0,0} = 0.  The
+    # weights 2r + 2 = 8 and 14 have no cusp form, so the modes n != 0 carry
+    # no homogeneous term, and f(x + iy) = sum_n f_n(y) e^{2 pi i n x} needs no
+    # fitted constant.  f_{-n} = f_n, as the mode (-n1, -n2) has the particular
+    # of (n1, n2); the modes beyond |n1| = 12 or n = 5 are below e^-100 at y ~ 1.
+    for p, exact in MODULAR_FAMILIES:
+        total = zero_mode_alpha_sum(p)
+        assert total.status == "exact"
+        assert total.value == exact
+        parts = {n: [solve_mode(p, n1, n - n1).particular for n1 in range(-12, 13)]
+                 for n in range(6)}
 
-    def f(x, y, c):
-        modes = (math.fsum(eval_expr(q, y, ENV) for q in qs) * math.cos(2 * math.pi * n * x)
-                 * (1 if n == 0 else 2) for n, qs in parts.items())
-        return c * y**-3 + math.fsum(modes)
+        def f(x, y, c):
+            modes = (math.fsum(eval_expr(q, y, ENV) for q in qs) * math.cos(2 * math.pi * n * x)
+                     * (1 if n == 0 else 2) for n, qs in parts.items())
+            return c * y**-p.r + math.fsum(modes)
 
-    def gap(c):
-        worst = 0.0
-        for x, y in MODULAR_POINTS:
-            d = x * x + y * y
-            here, there = f(x, y, c), f(-x / d, y / d, c)
-            worst = max(worst, abs(here - there) / abs(here))
-        return worst
+        def gap(c):
+            worst = 0.0
+            for x, y in MODULAR_POINTS:
+                d = x * x + y * y
+                here, there = f(x, y, c), f(-x / d, y / d, c)
+                worst = max(worst, abs(here - there) / abs(here))
+            return worst
 
-    assert gap(total.numeric) <= 1e-11
-    assert gap(0.0) >= 1e-4  # alpha_{0,0} = -total leaves no y^-3 term
+        assert gap(total.numeric) <= 1e-11, (p, gap(total.numeric))
+        assert gap(0.0) >= 1e-4, p  # alpha_{0,0} = -total leaves no y^-r term
 
 
 def test_combine_identity_and_normalization_guard():
