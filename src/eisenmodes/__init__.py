@@ -25,7 +25,7 @@ from .homogeneous import (
     zero_mode_alpha_sum,
 )
 from .laurent import YLaurent
-from .numerics import NumericEnv, bessel_k, residual, series_crosscheck
+from .numerics import NumericEnv, bessel_k, residual
 from .scalars import Constant, zeta_even
 from .series import AsymptoticSeries, small_y_series
 from .solver import (
@@ -70,7 +70,6 @@ __all__ = [
     "ramanujan_log_convolution",
     "reduce_k_index",
     "residual",
-    "series_crosscheck",
     "sigma",
     "small_y_series",
     "solve_mode",

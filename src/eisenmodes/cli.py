@@ -3,8 +3,8 @@
 Subcommands: solve (one mode or a whole Fourier-mode assembly), table
 (compare against the embedded worked-solution tables), sums (divisor
 convolutions), combine (integrated-correlator style combinations), verify
-(numeric residual check of a solution document), alpha-sum (zero-mode
-homogeneous coefficient total).
+(numeric residual and boundary check of a solution document), alpha-sum
+(zero-mode homogeneous coefficient total).
 
 Exit codes (part of the public contract):
     0   solved / all comparisons equal
@@ -24,7 +24,9 @@ mode) or --n (a whole mode); a flag that only the other form reads is a usage
 error.  The degree windows are derived from the source (see solver); no flag
 sets or widens them.  The --y points of `verify` and `combine` are finite
 positive floats, and a point at which a double overflows is a usage error.
-`verify` passes a relative residual up to a fixed 1e-9.
+`verify` passes a relative residual up to a fixed 1e-9, and checks the
+document's alpha, or its obstruction terms, against homogeneous.choose_alpha
+run on the document's own particular part.
 """
 
 from __future__ import annotations
@@ -52,13 +54,14 @@ from .fixtures import (
 from .homogeneous import (
     T_MINUS_2_WEIGHTS,
     assemble_mode,
+    choose_alpha,
     combine,
     mode_solution_from_json_obj,
     solve_mode,
     zero_mode_alpha_sum,
 )
 from .laurent import LogCapExceeded
-from .numerics import DEFAULT_ENV, eval_expr, residual, series_crosscheck
+from .numerics import DEFAULT_ENV, eval_expr, residual
 from .solver import NoSolutionInWindow
 from .sources import Normalization, Params, classify_params
 
@@ -281,6 +284,28 @@ def cmd_combine(args):
     return doc, EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _boundary(mode) -> dict:
+    """The document's boundary data against choose_alpha on its own particular.
+
+    status: ok (alpha is the recomputed one), obstructed (the reported terms
+    are exactly what no alpha cancels), mismatch, free (the zero mode) or
+    no_basis (lambda is not triangular).  A mismatch lists the recomputed
+    alpha, or the first 6 recomputed obstruction terms.
+    """
+    r = mode.params.r
+    if mode.alpha_free:
+        return {"status": "free"}
+    if r is None:
+        return {"status": "no_basis"}
+    alpha, _, obstruction = choose_alpha(mode.particular, r, mode.n1, mode.n2)
+    expected = (alpha, None if obstruction is None else obstruction.leading)
+    if (mode.alpha, None if mode.obstruction is None else mode.obstruction.leading) == expected:
+        return {"status": "ok" if obstruction is None else "obstructed"}
+    if obstruction is None:
+        return {"status": "mismatch", "alpha": alpha.to_json_obj()}
+    return {"status": "mismatch", "leading": obstruction.to_json_obj()["leading"][:6]}
+
+
 def cmd_verify(args):
     with open(args.input) as fh:
         doc = json.load(fh)
@@ -291,16 +316,14 @@ def cmd_verify(args):
         r = _at_point(y, residual, mode, y, DEFAULT_ENV)
         residuals.append({"y": y, "relative_residual": _fmt(r)})
         ok = ok and r <= _RESIDUAL_TOLERANCE
-    series = series_crosscheck(mode.particular, order=3)
-    if series.get("status") == "ok":
-        series = {k: (_fmt(v) if isinstance(v, float) else v) for k, v in series.items()}
-        ok = ok and float(series["relative_error"]) <= 1e-5
+    boundary = _boundary(mode)
+    ok = ok and boundary["status"] != "mismatch"
     doc = {
-        "schema": "eisenmodes/verification/1",
+        "schema": "eisenmodes/verification/2",
         "input": args.input,
         "y_points": args.y,
         "residuals": residuals,
-        "series_checks": series,
+        "boundary": boundary,
         "tolerance": _fmt(_RESIDUAL_TOLERANCE),
         "pass": ok,
     }
@@ -369,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated spot-check points")
     p.set_defaults(fn=cmd_combine)
 
-    p = sub.add_parser("verify", help="numeric residual check of a solution document")
+    p = sub.add_parser("verify", help="residual and boundary check of a solution document")
     p.add_argument("--input", required=True)
     p.add_argument("--y", type=_positive_floats, default="0.5,1,2",
                    help="comma-separated evaluation points")

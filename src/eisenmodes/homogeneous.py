@@ -66,24 +66,49 @@ class Obstruction:
     secondary_alpha: Optional[Constant]  # still cancels the log-free y^{-r} piece
     message: str
 
+    def to_json_obj(self) -> dict:
+        return {
+            "message": self.message,
+            "leading": [{"y": k, "log": j, "coeff": c.to_json_obj()} for k, j, c in self.leading],
+        }
+
 
 @dataclass
 class ModeSolution:
+    """One solved (n1, n2) mode.  The homogeneous basis, whether alpha is free
+    and the note on alpha's normalization follow from (params, n1, n2)."""
+
     params: Params
     n1: int
     n2: int
     source: SourceTerm
     particular: object  # prefactor-folded BesselExpr / Pure
-    hom_basis: Optional[HomBasis]
     alpha: Optional[Constant]
     obstruction: Optional[Obstruction]
-    alpha_normalization: str
     report: Optional[SolveReport]
-    alpha_free: bool = False  # zero mode: alpha is a free constant
 
     @property
     def case(self) -> str:
         return self.source.case_tag
+
+    @property
+    def alpha_free(self) -> bool:
+        """The zero mode: alpha is a free constant."""
+        return self.n1 == 0 and self.n2 == 0
+
+    @property
+    def hom_basis(self) -> Optional[HomBasis]:
+        r = self.params.r
+        return None if r is None else _decaying_basis(r, self.n1 + self.n2)
+
+    @property
+    def alpha_normalization(self) -> str:
+        r, nsum = self.params.r, self.n1 + self.n2
+        if self.alpha_free:
+            return "alpha_0,0 is a free constant"
+        if r is None:
+            return ""
+        return hom_norm_scale_description(r, nsum) if nsum != 0 else f"alpha multiplies y^-{r}"
 
     @property
     def boundary_alpha(self) -> Optional[Constant]:
@@ -118,15 +143,7 @@ class ModeSolution:
             "alpha": None if self.alpha is None else self.alpha.to_json_obj(),
             "alpha_free": self.alpha_free,
             "alpha_normalization": self.alpha_normalization,
-            "obstruction": None
-            if self.obstruction is None
-            else {
-                "message": self.obstruction.message,
-                "leading": [
-                    {"y": k, "log": j, "coeff": c.to_json_obj()}
-                    for k, j, c in self.obstruction.leading
-                ],
-            },
+            "obstruction": None if self.obstruction is None else self.obstruction.to_json_obj(),
             "report": None if self.report is None else self.report.to_json_obj(),
         }
 
@@ -138,11 +155,6 @@ def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
         obj["params"]["lambda"],
         Normalization(obj["params"]["normalization"]),
     )
-    src = source_term(p, obj["n1"], obj["n2"])
-    hom = None
-    if obj["hom_basis"] is not None:
-        hb = obj["hom_basis"]
-        hom = HomBasis(hb["kind"], hb["r"], hb["n"])
     alpha = None if obj["alpha"] is None else Constant.from_json_obj(obj["alpha"])
     obstruction = None
     if obj["obstruction"] is not None:
@@ -154,19 +166,8 @@ def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
             None,
             obj["obstruction"]["message"],
         )
-    return ModeSolution(
-        p,
-        obj["n1"],
-        obj["n2"],
-        src,
-        expr_from_json_obj(obj["particular"]),
-        hom,
-        alpha,
-        obstruction,
-        obj.get("alpha_normalization", ""),
-        None,
-        obj.get("alpha_free", False),
-    )
+    return ModeSolution(p, obj["n1"], obj["n2"], source_term(p, obj["n1"], obj["n2"]),
+                        expr_from_json_obj(obj["particular"]), alpha, obstruction, None)
 
 
 # ---------------------------------------------------------------------------
@@ -174,34 +175,36 @@ def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
 # ---------------------------------------------------------------------------
 
 
+def _decaying_basis(r: int, nsum: int) -> HomBasis:
+    """The decaying homogeneous element of mode n1 + n2 = nsum: y^{-r} when nsum = 0."""
+    return HomBasis("K", r, nsum) if nsum != 0 else HomBasis("power_neg", r)
+
+
 def choose_alpha(particular, r: int, n1: int, n2: int):
     """Unique alpha cancelling the y^{-r} (log-free) coefficient.
 
-    The basis element is the decaying one, y^{-r} when n1 + n2 = 0, and alpha
-    is minus the particular part's y^{-r} coefficient over the element's own.
-    Returns (alpha, basis, None) on success or (None, basis, Obstruction) when
-    the small-y series carries y^{-k} with k > r, or log(y)-bearing y^{-r}
-    terms; in that case the log-free y^{-r} piece is still cancelled and the
-    corresponding coefficient is attached as secondary_alpha.
+    alpha is minus the particular part's y^{-r} coefficient over the decaying
+    element's own.  Whatever the small-y series of particular + alpha * basis
+    keeps below y^{-r+1} (y^{-k} with k > r, or log(y)-bearing y^{-r} terms)
+    no alpha can cancel.  Returns (alpha, basis, None) when nothing is left,
+    or (None, basis, Obstruction) listing what is left, with alpha attached as
+    its secondary_alpha.
     """
-    nsum = n1 + n2
-    basis = HomBasis("K", r, nsum) if nsum != 0 else HomBasis("power_neg", r)
+    basis = _decaying_basis(r, n1 + n2)
     series = small_y_series(particular, -r + 1)
-    bad = []
-    for (k, j), coeff in series.terms.items_sorted():
-        if k < -r or (k == -r and j >= 1):
-            bad.append((k, j, coeff))
-    alpha_value = -series.coeff(-r, 0) / small_y_series(basis, -r + 1).coeff(-r)
-    if bad:
-        bad.sort(key=lambda t: (t[0], -t[1]))
-        obs = Obstruction(
-            tuple(bad),
-            alpha_value,
-            f"cannot reach o(y^-{r}): offending terms at "
-            + ", ".join(f"y^{k} log^{j}" for k, j, _ in bad),
-        )
-        return None, basis, obs
-    return alpha_value, basis, None
+    element = small_y_series(basis, -r + 1)
+    alpha = -series.coeff(-r, 0) / element.coeff(-r)
+    left = (series + element.scale(alpha)).terms.items_sorted()
+    if not left:
+        return alpha, basis, None
+    bad = sorted(((k, j, c) for (k, j), c in left), key=lambda t: (t[0], -t[1]))
+    obs = Obstruction(
+        tuple(bad),
+        alpha,
+        f"cannot reach o(y^-{r}): offending terms at "
+        + ", ".join(f"y^{k} log^{j}" for k, j, _ in bad),
+    )
+    return None, basis, obs
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +218,8 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
     r = params.r
 
     if n1 == 0 and n2 == 0:
-        basis = None if r is None else HomBasis("power_neg", r)
         particular = solve_zero_mode(params, src.core).scale(src.prefactor)
-        return ModeSolution(params, 0, 0, src, particular, basis, None, None,
-                            "alpha_0,0 is a free constant", None, alpha_free=True)
+        return ModeSolution(params, 0, 0, src, particular, None, None, None)
 
     if n1 == 0 or n2 == 0:
         core_sol, report = solve_particular_single(params, src.core, case=src.case_tag)
@@ -226,18 +227,10 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
         core_sol, report = solve_particular_double(params, src.core, case=src.case_tag)
     particular = core_sol.scale(src.prefactor)
 
-    alpha = basis = obstruction = None
-    note = ""
+    alpha = obstruction = None
     if r is not None:
-        alpha, basis, obstruction = choose_alpha(particular, r, n1, n2)
-        note = (
-            hom_norm_scale_description(r, n1 + n2)
-            if n1 + n2 != 0
-            else f"alpha multiplies y^-{r}"
-        )
-    return ModeSolution(
-        params, n1, n2, src, particular, basis, alpha, obstruction, note, report
-    )
+        alpha, _, obstruction = choose_alpha(particular, r, n1, n2)
+    return ModeSolution(params, n1, n2, src, particular, alpha, obstruction, report)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ log p, zeta(k), zeta'(k)) to a number: ``symbol_value`` takes it from
 mpmath, and ``NumericEnv`` rounds the 60-digit value once to a correctly
 rounded double.  The modified Bessel functions stay hand-written in double
 precision, because mpmath's ``besselk`` costs milliseconds a call and the
-operator-residual check evaluates them for every solved mode it validates.
-The homogeneous evaluators take only the decaying element a mode carries,
-``HomBasis`` kind "K" or "power_neg".
+operator-residual check evaluates them for every solved mode it validates;
+their small-argument series takes gamma from the same table.  The
+homogeneous evaluators take only the decaying element a mode carries,
+``HomBasis`` kind "K" or "power_neg".  The boundary condition is exact and
+has no numeric check here: ``homogeneous.choose_alpha`` states it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from .bessel import BesselProduct, HomBasis, differentiate
-from .scalars import Symbol
+from .scalars import SYM_GAMMA, Symbol
 
 __all__ = [
     "NumericEnv",
@@ -27,10 +29,7 @@ __all__ = [
     "eval_expr",
     "eval_hom_normalized",
     "residual",
-    "series_crosscheck",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,7 @@ DEFAULT_ENV = NumericEnv()
 def _k01_series(x: float):
     """Power-series K_0, K_1 for small x (used below x = 0.5; no cancellation there)."""
     u = x * x / 4
-    lg = math.log(x / 2) + EULER_GAMMA
+    lg = math.log(x / 2) + DEFAULT_ENV.value(SYM_GAMMA)
     i0 = term = 1.0
     k0 = 0.0
     h = 0.0
@@ -302,21 +301,3 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     diff = sum(terms) - sum(rhs_terms)
     return abs(float(diff)) / scale
 
-
-def series_crosscheck(expr, order: int, y_small: float = 1e-3) -> dict:
-    """Compare the exact small-y series against direct evaluation at y_small."""
-    from .series import small_y_series
-
-    radius_ok = all(2 * math.pi * abs(n) * y_small < 0.5 for n in expr.freqs)
-    if not radius_ok:
-        return {"status": "inconclusive", "reason": "outside series radius heuristic"}
-    s = small_y_series(expr, order)
-    approx = s.terms.evaluate(DEFAULT_ENV, y_small)
-    direct = eval_expr(expr, y_small)
-    denom = max(abs(direct), 1e-300)
-    return {
-        "status": "ok",
-        "series": approx,
-        "direct": direct,
-        "relative_error": abs(approx - direct) / denom,
-    }

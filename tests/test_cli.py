@@ -333,12 +333,15 @@ def test_window_flags_are_unknown(tmp_path, capsys, modes, extra):
     assert all(flag in error["error"] for flag in extra if flag.startswith("--"))
 
 
-def _solution_doc(tmp_path, capsys):
+def _solution_doc(tmp_path, capsys, family=("3/2", "3/2", "30"), n1=1, n2=2,
+                  normalization="published", expected=EXIT_OK):
     path = tmp_path / "solution.json"
-    code = main(["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
-                 "--n1", "1", "--n2", "2", "--output", str(path)])
+    alpha, beta, lam = family
+    code = main(["solve", "--alpha", alpha, "--beta", beta, "--lambda", lam,
+                 "--n1", str(n1), "--n2", str(n2), "--normalization", normalization,
+                 "--output", str(path)])
     capsys.readouterr()
-    assert code == EXIT_OK
+    assert code == expected
     return json.loads(path.read_text())
 
 
@@ -367,6 +370,66 @@ def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected)
     assert code == expected
     assert out == "" and not out_file.exists()
     assert set(json.loads(err)) == {"error"}
+
+
+def _verdict(tmp_path, capsys, doc):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", "--input", str(path))
+    return code, json.loads(out)
+
+
+def _integer(value):
+    return [{"monomial": {}, "coeff": f"{value}/1"}]
+
+
+def _alpha_set_to(value):
+    def edit(doc):
+        doc["alpha"] = _integer(value)
+    return edit
+
+
+def _obstruction_dropped(doc):
+    doc["obstruction"] = None
+    doc["alpha"] = _integer(1)
+
+
+def _leading_changed(doc):
+    doc["obstruction"]["leading"][0]["coeff"] = _integer(1)
+
+
+@pytest.mark.parametrize("family, n1, n2, normalization, edit, key", [
+    (("3/2", "3/2", "30"), 1, 2, "published", _alpha_set_to(1000), "alpha"),
+    # P(y^-r) is exactly 0 on the anti-diagonal
+    (("3/2", "3/2", "30"), -1, 1, "published", _alpha_set_to(7), "alpha"),
+    (("3/2", "7/2", "12"), 1, 2, "unit", _obstruction_dropped, "leading"),
+    (("5/2", "5/2", "2"), 1, 2, "unit", _obstruction_dropped, "leading"),
+    (("5/2", "5/2", "2"), 1, 2, "unit", _leading_changed, "leading"),
+])
+def test_verify_rejects_wrong_boundary_data(tmp_path, capsys, family, n1, n2,
+                                            normalization, edit, key):
+    # the operator annihilates the homogeneous element, so only the boundary
+    # rule sees a wrong alpha or obstruction
+    expected = EXIT_OK if key == "alpha" else EXIT_OBSTRUCTED
+    doc = _solution_doc(tmp_path, capsys, family, n1, n2, normalization, expected)
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_OK and verdict["boundary"]["status"] in ("ok", "obstructed")
+    tampered = json.loads(json.dumps(doc))
+    edit(tampered)
+    code, verdict = _verdict(tmp_path, capsys, tampered)
+    assert all(float(r["relative_residual"]) <= 1e-9 for r in verdict["residuals"])
+    assert code == EXIT_MISMATCH and verdict["pass"] is False
+    recomputed = doc["alpha"] if key == "alpha" else doc["obstruction"]["leading"][:6]
+    assert verdict["boundary"] == {"status": "mismatch", key: recomputed}
+
+
+def test_verify_accepts_an_obstructed_mode_at_large_frequencies(tmp_path, capsys):
+    # the numeric series self-check this replaced read this exact solution
+    # as a mismatch (relative error 1.2e-5)
+    doc = _solution_doc(tmp_path, capsys, ("3/2", "9/2", "2"), 30, 30, "unit", EXIT_OBSTRUCTED)
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_OK and verdict["pass"] is True
+    assert verdict["boundary"] == {"status": "obstructed"}
 
 
 def test_unwritable_output_maps_to_usage_on_stderr(tmp_path, capsys):
@@ -538,10 +601,4 @@ def test_solve_contract_beyond_the_solvable_families(family, n1, n2):
         code, out = verdicts[0]
         verdict = json.loads(out)
         assert all(float(r["relative_residual"]) <= 1e-9 for r in verdict["residuals"]), out
-        # verify's order-3 series check at y = 1e-3 is trusted up to
-        # 2 pi |n| y = 0.5, but at small r its truncation error passes 1e-5
-        # from |n| near 30 on: there it reports a mismatch on an exact solution
-        series = verdict["series_checks"]
-        misread = series["status"] == "ok" and float(series["relative_error"]) > 1e-5
-        assert code == (EXIT_MISMATCH if misread else EXIT_OK), out
-        assert not misread or max(abs(n1), abs(n2)) >= 20, out
+        assert code == EXIT_OK, out

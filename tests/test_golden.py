@@ -301,8 +301,8 @@ CLI_GOLDEN = {
 VERIFY_MODES = {"double": ("1", "2"), "single": ("0", "2")}
 # name -> (exit code, sha256 of the verify document with its input path replaced)
 VERIFY_GOLDEN = {
-    "double": (0, "d355762d38d5cd3cfbf43c8bdec51fb9b38c839d0ac4ef38b3aa72c47892af41"),
-    "single": (0, "9b2cd156d03eef97e837bc273bce734e8c70a3bc05c62c7516cbf8b9533617e4"),
+    "double": (0, "70c8c39e87051f608a2b2cbf5cf81e3c14f18678569fe4c4cf065ca54c0605be"),
+    "single": (0, "c7e8aa49f9cf9d6bbff06ad6cbbb970ca577595ffef24d89a6bba97fe7834bd2"),
 }
 
 # (n1, n2) of (3/2,3/2,30)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel, differentiate
+from eisenmodes.bessel import DoubleBessel, HomBasis, SingleBessel, differentiate
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
-from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, residual, series_crosscheck
+from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, residual
 from eisenmodes.scalars import Constant
 from eisenmodes.sources import Params
 from test_bessel_ops import fd_second_derivative, homogeneous_residual
@@ -137,18 +137,3 @@ def test_residual_detects_corruption():
     m.particular = DoubleBessel(1, 2, table)
     assert residual(m, 1.0, ENV) >= 1e-3
 
-
-def test_series_crosscheck_reports():
-    e = DoubleBessel(1, 2, {(1, 1): YLaurent.monomial(1)})
-    report = series_crosscheck(e, order=3)
-    assert report["status"] == "ok"
-    assert report["relative_error"] <= 1e-5
-    s = SingleBessel(1, {1: YLaurent.monomial(-1, Constant.pi_power(-1, 2))})
-    report = series_crosscheck(s, order=2, y_small=1e-3)
-    assert report["relative_error"] <= 1e-6
-    # radius heuristic: 2 pi n y >= 0.5 is inconclusive
-    report = series_crosscheck(e, order=3, y_small=0.2)
-    assert report["status"] == "inconclusive"
-    # pure polynomial series is exact
-    report = series_crosscheck(Pure(YLaurent.monomial(2, 3)), order=5)
-    assert report["relative_error"] < 1e-15
