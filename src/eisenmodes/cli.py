@@ -334,7 +334,7 @@ def cmd_alpha_sum(args):
     cls = classify_params(args.alpha, args.beta, args.lam)
     if cls.kind == "not_half_integer":
         return {"classification": cls.kind}, EXIT_NOT_HALF_INTEGER
-    params = Params(args.alpha, args.beta, args.lam, Normalization.PUBLISHED)
+    params = Params(args.alpha, args.beta, args.lam, Normalization(args.normalization))
     try:
         total = zero_mode_alpha_sum(params, args.method)
     except NoSolutionInWindow as exc:
@@ -365,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int)
     p.add_argument("--no-decay", action="store_true", default=None,
                    help="skip the decay-exponent scan")
-    p.add_argument("--normalization", choices=[n.value for n in Normalization],
-                   default=Normalization.PUBLISHED.value)
     p.add_argument("--format", choices=["json", "latex"], help="default json")
     p.set_defaults(fn=cmd_solve)
 
@@ -404,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="RamanujanExact")
     p.set_defaults(fn=cmd_alpha_sum)
 
+    for name in ("solve", "alpha-sum"):
+        sub.choices[name].add_argument("--normalization", default=Normalization.PUBLISHED.value,
+                                       choices=[n.value for n in Normalization])
     for p in sub.choices.values():
         p.add_argument("--output", help="write the JSON document to a file")
     return top

@@ -9,6 +9,13 @@ K_0 and K_1 use the standard small-argument expansions
 with z = 2 pi |n| y, so log(z/2) = log(y) + log(pi) + log|n| lands in the
 scalar ring (log|n| normalized to prime logarithms).  Half-integer-index
 homogeneous elements use the finite exponential-polynomial closed form.
+
+``k_log_series`` and ``hom_norm_series`` are memoized for the life of the
+process: the sub-modes of one assembly share their frequencies, so the same
+(index, |n|, order) series is asked for again and again.  That is safe because
+both are pure functions of ints and their ``YLaurent`` results are immutable
+(every operation returns a new object).  The cache grows by one entry per
+distinct argument triple a process touches.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ def _log_z_half(n: int) -> Constant:
     return LN_PI + log_normalize(abs(n))
 
 
+@lru_cache(maxsize=None)
 def k_log_series(j: int, n: int, order: int) -> YLaurent:
     """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1})."""
     if j not in (0, 1):
@@ -118,6 +126,7 @@ def hom_norm_scale_description(r: int, n: int) -> str:
     )
 
 
+@lru_cache(maxsize=None)
 def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
     """Series of the normalized decaying basis 2 sqrt|n| sqrt(y) K_{r+1/2}(2 pi |n| y).
 

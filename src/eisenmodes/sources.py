@@ -23,6 +23,11 @@ coefficients of Eisenstein series,
 with every Gamma(half-integer) expanded so only integer powers of pi
 survive in the assembled prefactors.  ``_fourier_factor`` is the one encoding
 of zeta(2s) a_{n,s}, and ``source_term`` multiplies two of them.
+
+``_fourier_factor`` is memoized for the life of the process, since the modes
+of one assembly reuse each (s, n): it is a pure function of a Fraction and an
+int, and its (Constant, SingleBessel | Pure) result is immutable by convention
+(``source_term`` builds new cells from it and never writes into its table).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .bessel import BesselProduct, DoubleBessel, Pure, SingleBessel, reduce_k_index
@@ -160,6 +166,7 @@ def _pi_half_product(rational: Fraction, half_pi_exponent: int) -> Constant:
     return Constant.pi_power(half_pi_exponent // 2, rational)
 
 
+@lru_cache(maxsize=None)
 def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, BesselProduct]:
     """zeta(2s) a_{n,s}(y) / sqrt(y) as (prefactor, expression).
 

@@ -30,8 +30,8 @@ from eisenmodes.cli import (
 )
 from eisenmodes.bessel import DoubleBessel, SingleBessel, apply_euler, apply_L, apply_P
 from eisenmodes.divisors import convolution_partial_sums, sigma_float_table
-from eisenmodes.homogeneous import mode_solution_from_json_obj
-from eisenmodes.sources import classify_params
+from eisenmodes.homogeneous import mode_solution_from_json_obj, zero_mode_alpha_sum
+from eisenmodes.sources import Normalization, Params, classify_params
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +162,21 @@ def test_alpha_sum_without_solution_reports_exit_code(capsys, lam, expected, cla
     assert doc["error"] == "no_solution_in_window"
     assert doc["classification"] == classification
     assert doc["inconsistent_rows"] and err == ""
+
+
+def test_alpha_sum_takes_the_normalization_of_solve(capsys):
+    # (9/2, 9/2) has no published c-constant: the default call advises another
+    # normalization, which --normalization then gives
+    code, out, err = run_cli_streams(capsys, "alpha-sum", "--alpha", "9/2", "--beta", "9/2",
+                                     "--lambda", "30")
+    assert code == EXIT_USAGE and out == ""
+    assert json.loads(err) == {"error": "no published c-constant for (alpha, beta) = (9/2, 9/2);"
+                                        " use the correlator or unit normalization"}
+    code, out = run_cli(capsys, "alpha-sum", "--alpha", "9/2", "--beta", "9/2", "--lambda", "30",
+                        "--normalization", "unit")
+    assert code == EXIT_OK
+    expected = zero_mode_alpha_sum(Params(Fraction(9, 2), Fraction(9, 2), 30, Normalization.UNIT))
+    assert json.loads(out)["status"] == expected.status == "divergent"
 
 
 def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):

@@ -26,6 +26,18 @@ def test_k_series_numeric_agreement():
             assert abs(approx - direct) / direct < 1e-12
 
 
+def test_cached_series_equal_uncached():
+    # memoized kernels hand back the very series the plain function builds
+    for j in (0, 1):
+        for n in set(range(-5, 6)) - {0}:
+            for order in range(-2, 7):
+                assert k_log_series(j, n, order) == k_log_series.__wrapped__(j, n, order)
+    for r in range(1, 9):
+        for n in (1, 2, 5):
+            for order in range(-r, 7):
+                assert hom_norm_series(r, n, order) == hom_norm_series.__wrapped__(r, n, order)
+
+
 def test_hom_leading_coefficients_match_tables():
     # sqrt(y) K_{11/2}(2 pi y): leading 945/(64 pi^5) y^-5; normalized basis doubles it
     assert hom_norm_series(5, 1, -3).coeff(-5) == Constant.pi_power(-5, Fraction(945, 32))

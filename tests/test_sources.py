@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from eisenmodes.bessel import expr_to_json_obj
 from eisenmodes.divisors import sigma
+from eisenmodes.homogeneous import solve_mode
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr
 from eisenmodes.scalars import Constant, zeta_odd
+from eisenmodes.series import hom_norm_series, k_log_series
 from eisenmodes.sources import (
     PUBLISHED_C_TABLE,
     Classification,
     Normalization,
     Params,
+    _fourier_factor,
     classify_params,
     source_term,
 )
@@ -67,6 +72,32 @@ def test_generic_source_prefactor_and_core():
 
     assert st.core.table == {(1, 1): YLaurent.monomial(1)}
     assert source_term(p, 2, -2).case_tag == "anti_diagonal"
+
+
+def _fourier_factor_json(factor, s, n):
+    pref, expr = factor(s, n)
+    return json.dumps([pref.to_json_obj(), expr_to_json_obj(expr)], sort_keys=True)
+
+
+def test_cached_fourier_factor_equals_uncached():
+    for s in (F(3, 2), F(5, 2)):
+        for n in range(-3, 4):
+            assert _fourier_factor(s, n) == _fourier_factor.__wrapped__(s, n)
+
+
+def test_cold_and_warm_solves_agree():
+    # a solve on empty kernel caches and one on full caches give the same
+    # document, and no solve writes into a cached table
+    p = Params(F(3, 2), F(3, 2), 30)
+    modes = ((5, -4), (-4, 5))
+    for kernel in (k_log_series, hom_norm_series, _fourier_factor):
+        kernel.cache_clear()
+    cold, warm = ([json.dumps(solve_mode(p, n1, n2).to_json_obj(), sort_keys=True)
+                   for n1, n2 in modes] for _ in range(2))
+    assert cold == warm
+    for n in (5, -4):
+        assert (_fourier_factor_json(_fourier_factor, F(3, 2), n)
+                == _fourier_factor_json(_fourier_factor.__wrapped__, F(3, 2), n))
 
 
 def test_zero_mode_source():
