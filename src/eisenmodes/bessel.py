@@ -14,22 +14,32 @@ them; on ``Pure`` the mode operator is the Euler operator y^2 d^2/dy^2 - lam.
 Operators are built from the factor-wise derivative rules
 
     d/dy K_0(c y) = -c K_1(c y),
-    d/dy K_1(c y) = -c K_0(c y) - K_1(c y) / y,
+    d/dy K_1(c y) = -c K_0(c y) - K_1(c y) / y,     c = 2 pi |n|,
 
 rather than transcribed recurrence tables, so degree bookkeeping and sign
 conventions follow mechanically (and are cross-checked against finite
-differences in the test suite).
+differences in the test suite).  ``differentiate`` and the mode operators run
+as one integer kernel: the expression is flattened once into a map
+(cell, y power, log power, symbol monomial) -> int, every coefficient scaled
+by the lcm of their denominators; the rules act on that map with ints only,
+the pi of c going into the monomial and -2|n| into the int, and merged cells
+fold as they are written.  The result is rebuilt as one expression of the
+input's kind, each coefficient divided by that denominator once.  The kernel
+keeps pi, zeta, log and log(y) symbolic; ``unit_column``, the solver's pi = 1
+stencil, is a separate piece of code.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
-from .scalars import PI, Constant
+from .scalars import SYM_PI, Constant, SymbolMonomial
 
 __all__ = [
     "BesselProduct",
@@ -246,22 +256,82 @@ def reduce_k_index(m: int, n: int) -> Tuple[YLaurent, YLaurent]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _times_pi(mono: SymbolMonomial, e: int) -> SymbolMonomial:
+    """mono * pi^e; the operators meet a handful of monomials per process."""
+    return mono * SymbolMonomial({SYM_PI: e})
+
+
+def _flatten(expr):
+    """The terms of `expr` as {(cell, k, j, monomial): int} and their common
+    denominator den: each int is the rational coefficient of monomial *
+    y^k log^j y at `cell`, times den, the lcm of all the denominators."""
+    rows = [
+        (cell, k, j, mono, c)
+        for cell, poly in expr.table.items()
+        for (k, j), const in poly.terms().items()
+        for mono, c in const.terms().items()
+    ]
+    den = math.lcm(*{c.denominator for *_, c in rows})
+    terms = {(cell, k, j, mono): c.numerator * (den // c.denominator) for cell, k, j, mono, c in rows}
+    return terms, den
+
+
+def _factor_moves(expr, cell):
+    """What d/dy does to the K factors of `cell`: the number of K_1 factors,
+    each giving -K_1/y, and per factor the folded cell with that factor's
+    index flipped, with its int coefficient -2|n| (the pi of c = 2 pi |n|
+    goes into the monomial)."""
+    factors = expr.factors(cell)
+    return sum(index for index, _ in factors), tuple(
+        (expr.fold(expr.replace_index(cell, pos, 1 - index)), -2 * abs_n)
+        for pos, (index, abs_n) in enumerate(factors)
+    )
+
+
+def _derivative(expr, terms):
+    """d/dy on a flat term map, in ints: y^k log^j y -> k y^(k-1) log^j y +
+    j y^(k-1) log^(j-1) y, K_0' = -c K_1 and K_1' = -c K_0 - K_1/y."""
+    out: Dict = {}
+    moves: Dict = {}
+    for (cell, k, j, mono), q in terms.items():
+        move = moves.get(cell)
+        if move is None:
+            move = moves[cell] = _factor_moves(expr, cell)
+        ones, targets = move
+        if k != ones:
+            key = (cell, k - 1, j, mono)
+            out[key] = out.get(key, 0) + (k - ones) * q
+        if j:
+            key = (cell, k - 1, j - 1, mono)
+            out[key] = out.get(key, 0) + j * q
+        if targets:
+            mono_pi = _times_pi(mono, 1)
+            for target, c in targets:
+                key = (target, k, j, mono_pi)
+                out[key] = out.get(key, 0) + c * q
+    return out
+
+
+def _rebuild(expr, terms, den: int, shift: int = 0):
+    """The expression of `expr`'s kind with the flat terms over den, every
+    y power raised by `shift`; zero terms are dropped."""
+    tables: Dict = {}
+    for (cell, k, j, mono), q in terms.items():
+        if q:
+            tables.setdefault(cell, {}).setdefault((k + shift, j), {})[mono] = Fraction(q, den)
+    return expr.with_table({
+        cell: YLaurent._trusted({kj: Constant._trusted(c) for kj, c in polys.items()})
+        for cell, polys in tables.items()
+    })
+
+
 def differentiate(expr):
     """Exact d/dy on any expression kind."""
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot differentiate {type(expr).__name__}")
-    table: Dict = {}
-
-    def add(cell, poly):
-        table[cell] = table[cell] + poly if cell in table else poly
-
-    for cell, q in expr.table.items():
-        add(cell, q.diff())
-        for pos, (index, abs_n) in enumerate(expr.factors(cell)):
-            add(expr.replace_index(cell, pos, 1 - index), q.scale(PI * (-2 * abs_n)))
-            if index == 1:
-                add(cell, -q.shift(-1))
-    return expr.with_table(table)
+    terms, den = _flatten(expr)
+    return _rebuild(expr, _derivative(expr, terms), den)
 
 
 def _check_log_cap(expr):
@@ -277,12 +347,19 @@ def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
 
     For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2; on
     ``Pure`` the sum of no frequencies is 0, which leaves the Euler operator.
+    The terms are collected at y^(p-2) and raised by y^2 once, on rebuilding.
     """
     _check_log_cap(expr)
+    terms, den = _flatten(expr)
+    out = _derivative(expr, _derivative(expr, terms))
     mass = sum(expr.freqs)
-    d2 = differentiate(differentiate(expr))
-    out = (d2 - expr.scale(PI * PI * (4 * mass * mass))).map_cells(lambda p: p.shift(2))
-    return out - expr.scale(lam)
+    for (cell, k, j, mono), q in terms.items():
+        if mass:
+            key = (cell, k, j, _times_pi(mono, 2))
+            out[key] = out.get(key, 0) - 4 * mass * mass * q
+        key = (cell, k - 2, j, mono)
+        out[key] = out.get(key, 0) - lam * q
+    return _rebuild(expr, out, den, shift=2)
 
 
 def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:

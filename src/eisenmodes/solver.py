@@ -29,9 +29,11 @@ solvable family needs a retry, so a failure reports the derived window
 widened WIDEN_CAP times.
 
 Every returned solution is re-verified by applying the symbolic operator
-(``apply_P`` or ``apply_L``, which shares no code with the stencil) and
-subtracting the right-hand side; the difference must be the identically
-zero expression.
+(``apply_P`` or ``apply_L``) and subtracting the right-hand side; the
+difference must be the identically zero expression.  The operator shares no
+code with the stencil: it keeps pi and every other symbol in the coefficients
+and takes no pi grading or rescaling from the solve, so a fault in the stencil,
+the rescaling or the elimination shows as a non-zero difference.
 """
 
 from __future__ import annotations

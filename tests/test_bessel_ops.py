@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from eisenmodes.bessel import (
     BesselProduct,
@@ -10,16 +12,18 @@ from eisenmodes.bessel import (
     HomBasis,
     Pure,
     SingleBessel,
+    _check_log_cap,
     apply_euler,
     apply_L,
     apply_P,
+    differentiate,
     expr_from_json_obj,
     expr_latex,
     expr_to_json_obj,
     reduce_k_index,
     unit_column,
 )
-from eisenmodes.laurent import LogCapExceeded, YLaurent
+from eisenmodes.laurent import LOG_CAP, LogCapExceeded, YLaurent
 from eisenmodes.numerics import (
     NumericEnv,
     _hom_operator_value,
@@ -27,7 +31,7 @@ from eisenmodes.numerics import (
     eval_expr,
     eval_hom_normalized,
 )
-from eisenmodes.scalars import Constant
+from eisenmodes.scalars import GAMMA, LN_PI, PI, Constant, ln_prime, zeta_odd, zeta_prime
 
 ENV = NumericEnv()
 
@@ -192,6 +196,80 @@ def test_apply_euler_examples():
 
     fd = y * y * fd_second_derivative(f, y, h=1e-4) - 2 * f(y)
     assert abs(out.poly.evaluate(ENV, y) - fd) < 1e-8
+
+
+# The two-pass operator the integer kernel replaced, kept as its oracle.
+
+
+def _reference_differentiate(expr):
+    """Exact d/dy on any expression kind."""
+    if not isinstance(expr, BesselProduct):
+        raise TypeError(f"cannot differentiate {type(expr).__name__}")
+    table = {}
+
+    def add(cell, poly):
+        table[cell] = table[cell] + poly if cell in table else poly
+
+    for cell, q in expr.table.items():
+        add(cell, q.diff())
+        for pos, (index, abs_n) in enumerate(expr.factors(cell)):
+            add(expr.replace_index(cell, pos, 1 - index), q.scale(PI * (-2 * abs_n)))
+            if index == 1:
+                add(cell, -q.shift(-1))
+    return expr.with_table(table)
+
+
+def _reference_mode_operator(lam, expr):
+    """-4 pi^2 (sum of freqs)^2 y^2 + y^2 d^2/dy^2 - lam on a Bessel product.
+
+    For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2; on
+    ``Pure`` the sum of no frequencies is 0, which leaves the Euler operator.
+    """
+    _check_log_cap(expr)
+    mass = sum(expr.freqs)
+    d2 = _reference_differentiate(_reference_differentiate(expr))
+    out = (d2 - expr.scale(PI * PI * (4 * mass * mass))).map_cells(lambda p: p.shift(2))
+    return out - expr.scale(lam)
+
+
+# same sign, opposite sign, merged |n1| = |n2|, anti-diagonal, large
+# frequencies, single-Bessel and Bessel-free
+KERNEL_SHAPES = [
+    DoubleBessel(2, 5), DoubleBessel(-1, -3), DoubleBessel(3, -7), DoubleBessel(4, 4),
+    DoubleBessel(-6, -6), DoubleBessel(-3, 3), DoubleBessel(150, -149),
+    SingleBessel(1), SingleBessel(-4), Pure(YLaurent.zero()),
+]
+KERNEL_MONOMIALS = [
+    Constant.one(), PI, PI**-3, PI**6, zeta_odd(3), zeta_odd(3) * PI**2, zeta_odd(5) ** -1,
+    ln_prime(2), ln_prime(3) * zeta_odd(3), zeta_prime(2), zeta_prime(-1) * PI**-1, LN_PI, GAMMA,
+]
+_OPERATOR = {DoubleBessel: apply_P, SingleBessel: apply_L, Pure: apply_euler}
+_denominators = hst.one_of(hst.integers(0, 200).map(lambda e: 2**e), hst.integers(1, 2**200))
+_constants = hst.lists(
+    hst.tuples(hst.sampled_from(KERNEL_MONOMIALS), hst.integers(-2**70, 2**70), _denominators),
+    min_size=1, max_size=4,
+).map(lambda ts: sum((m * Fraction(a, b) for m, a, b in ts), Constant.zero()))
+
+
+_polys = hst.dictionaries(
+    hst.tuples(hst.integers(-7, 7), hst.integers(0, LOG_CAP)), _constants, max_size=4,
+).map(YLaurent)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda e: f"{type(e).__name__}{e.freqs}")
+@given(table=hst.dictionaries(hst.integers(0, 3), _polys, min_size=1), lam=hst.integers(0, 72))
+def test_operators_match_the_two_pass_reference(shape, table, lam):
+    # exact equality with the two-pass code on every expression kind, with
+    # many-monomial coefficients over denominators up to 2^200; d/dy takes
+    # log powers up to LOG_CAP, the mode operators the terms below it
+    cells = {DoubleBessel: [(0, 0), (0, 1), (1, 0), (1, 1)], SingleBessel: [0, 1], Pure: [()]}
+    cells = cells[type(shape)]
+    expr = shape.with_table({cells[i % len(cells)]: p for i, p in table.items()})
+    assert differentiate(expr) == _reference_differentiate(expr)
+    expr = expr.map_cells(
+        lambda p: YLaurent({kj: c for kj, c in p.terms().items() if kj[1] < LOG_CAP}))
+    assert _OPERATOR[type(shape)](lam, expr) == _reference_mode_operator(lam, expr)
 
 
 def _euler_closed_form(lam, m):

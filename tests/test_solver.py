@@ -269,6 +269,54 @@ def test_band_profile_assertion_is_active(monkeypatch):
                 solve_particular_double(p, rhs)
 
 
+def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
+    # The exact recheck works over one common denominator per expression; a
+    # solved coefficient moved by 2^-200, at any unknown, must still make it
+    # raise its explicit AssertionError (pytest.raises, so python -O runs
+    # this test too), in a double-Bessel, a single-Bessel and a zero-mode
+    # solve.
+    import eisenmodes.solver as solver_mod
+
+    tiny = F(1, 2**200)
+    real_gauss_jordan = solver_mod._gauss_jordan
+    p = Params(F(3, 2), F(3, 2), 30)
+    for n1, n2 in ((1, 2), (0, 3)):
+        rhs = source_term(p, n1, n2).core
+        solve = solve_particular_double if n1 else solve_particular_single
+        unknowns = []
+
+        def recorded(columns, rhs_rows, col_order, row_order):
+            unknowns.extend(col_order)
+            return real_gauss_jordan(columns, rhs_rows, col_order, row_order)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_gauss_jordan", recorded)
+            solve(p, rhs)
+        if not unknowns:
+            raise AssertionError(f"no unknowns recorded at {(n1, n2)}")
+        for target in unknowns:
+
+            def moved(*args, target=target):
+                solution, kernel_cols, inconsistent = real_gauss_jordan(*args)
+                solution[target] = [solution[target][0] + tiny] + solution[target][1:]
+                return solution, kernel_cols, inconsistent
+
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "_gauss_jordan", moved)
+                with pytest.raises(AssertionError, match="non-exact solution"):
+                    solve(p, rhs)
+
+    source = source_term(p, 0, 0).full()
+    particular = solve_zero_mode(p, source)
+    for (k, j), const in particular.poly.terms().items():
+        for mono in const.terms():
+            shift = YLaurent.monomial(k, Constant({mono: tiny}), log_exp=j)
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "Pure", lambda poly, shift=shift: Pure(poly + shift))
+                with pytest.raises(AssertionError, match="failed its defining equation"):
+                    solve_zero_mode(p, source)
+
+
 def test_determinism_bit_identical():
     p = Params(F(3, 2), F(7, 2), 30)
     a, _ = solve_particular_double(p, source_term(p, 1, 2).core)
