@@ -23,10 +23,12 @@ only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
 mode) or --n (a whole mode); a flag that only the other form reads is a usage
 error.  The degree windows are derived from the source (see solver); no flag
 sets or widens them.  The --y points of `verify` and `combine` are finite
-positive floats, and a point at which a double overflows is a usage error.
-`verify` passes a relative residual up to a fixed 1e-9, and checks the
-document's alpha, or its obstruction terms, against homogeneous.choose_alpha
-run on the document's own particular part.
+positive floats, and a point at which a double overflows is a usage error;
+for `verify` that is any point whose square y*y is not a finite double.
+`verify` passes a relative residual of the particular part,
+P(particular) - source, up to a fixed 1e-9, and checks the document's alpha,
+or its obstruction terms, against homogeneous.choose_alpha run on the
+document's own particular part.
 """
 
 from __future__ import annotations

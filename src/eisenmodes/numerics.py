@@ -6,10 +6,12 @@ mpmath, and ``NumericEnv`` rounds the 60-digit value once to a correctly
 rounded double.  The modified Bessel functions stay hand-written in double
 precision, because mpmath's ``besselk`` costs milliseconds a call and the
 operator-residual check evaluates them for every solved mode it validates;
-their small-argument series takes gamma from the same table.  The
-homogeneous evaluators take only the decaying element a mode carries,
-``HomBasis`` kind "K" or "power_neg".  The boundary condition is exact and
-has no numeric check here: ``homogeneous.choose_alpha`` states it.
+their small-argument series takes gamma from the same table.
+``eval_hom_normalized`` evaluates the decaying element a mode carries,
+``HomBasis`` kind "K" or "power_neg".  The operator residual checks only
+that P(particular) = source: P annihilates the homogeneous element exactly
+for every alpha, and the boundary condition that fixes alpha is exact and
+has no numeric check here (``homogeneous.choose_alpha`` states it).
 """
 
 from __future__ import annotations
@@ -242,42 +244,22 @@ def _expr_terms_exact(expr, y: float, env: NumericEnv):
     return out
 
 
-def _hom_operator_value(basis: HomBasis, lam: int, nsum: int, y: float) -> float:
-    """(y^2 d^2 - lam - 4 pi^2 nsum^2 y^2) applied to the scaled basis element.
-
-    Uses K_nu'(z) = -(K_{nu-1} + K_{nu+1})/2 on the half-integer closed forms;
-    the result should vanish to rounding for a true homogeneous solution.
-    """
-    if basis.kind == "power_neg":
-        k = -basis.r
-        return (k * (k - 1) - lam) * y**k - 4 * math.pi**2 * nsum**2 * y ** (k + 2)
-    c = 2 * math.pi * abs(basis.n)
-    nu = basis.r + 0.5
-    f = bessel_k(nu, c * y)
-    fm = bessel_k(nu - 1, c * y)
-    fp = bessel_k(nu + 1, c * y)
-    d1 = -0.5 * (fm + fp)  # K_nu'(z)
-    # second z-derivative from the recurrence applied twice; K_{-nu} = K_{nu}
-    fmm = bessel_k(abs(nu - 2), c * y)
-    fpp = bessel_k(nu + 2, c * y)
-    d2 = 0.25 * (fmm + 2 * f + fpp)
-    g = math.sqrt(y) * f
-    g1 = 0.5 / math.sqrt(y) * f + math.sqrt(y) * c * d1
-    g2 = -0.25 * y ** (-1.5) * f + c * d1 / math.sqrt(y) + math.sqrt(y) * c * c * d2
-    scale = 2 * math.sqrt(abs(basis.n))
-    return scale * (y * y * g2 - lam * g - 4 * math.pi**2 * nsum**2 * y * y * g)
-
-
 def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None = None) -> float:
-    """Relative operator residual |LHS - RHS| / max(|RHS at 1|, tiny) for a mode.
+    """Relative residual |P(particular) - source| / scale of a mode at y.
 
     ``mode`` is a ModeSolution-like object exposing params (with lam), n1, n2,
-    particular, source (a SourceTerm), hom basis and alpha.  The second
-    derivative is applied through the exact factor-derivative rules and then
-    evaluated numerically.
+    particular and source (a SourceTerm).  The scale defaults to
+    max(|source(y)|, |source(1)|, 1e-300); the value at 1 guards zeros of the
+    source.  The second derivative is applied through the exact
+    factor-derivative rules and then evaluated numerically.  The homogeneous
+    part alpha * h is not evaluated: P(h) = 0 is an exact identity for every
+    alpha, and alpha is checked exactly by ``homogeneous.choose_alpha``.  A
+    point where y * y is not a finite double raises ``OverflowError``.
     """
     from fractions import Fraction as _F
 
+    if not math.isfinite(y * y):
+        raise OverflowError(f"y * y = {y * y!r} is not a finite double")
     lam = mode.params.lam
     nsum = mode.n1 + mode.n2
     part = mode.particular
@@ -286,18 +268,10 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     terms = [t * y_f * y_f for t in _expr_terms_exact(
         differentiate(differentiate(part)), y, env)]
     terms.extend(t * (-lam - mass) for t in _expr_terms_exact(part, y, env))
-    if mode.alpha is not None and mode.hom_basis is not None:
-        alpha_num = mode.alpha.evaluate(env)
-        hom = _hom_operator_value(mode.hom_basis, lam, nsum, y)
-        if not math.isfinite(hom):  # e.g. y * y = inf times K = 0
-            raise OverflowError(f"the homogeneous term is {hom!r}")
-        terms.append(_F(alpha_num) * _F(hom))
     source = mode.source.full()
     rhs_terms = _expr_terms_exact(source, y, env)
     rhs = float(sum(rhs_terms))
     if scale is None:
-        # |RHS(y)| with the |RHS(1)| floor guarding zeros of the source
         scale = max(abs(rhs), abs(eval_expr(source, 1.0, env)), 1e-300)
     diff = sum(terms) - sum(rhs_terms)
     return abs(float(diff)) / scale
-

@@ -26,10 +26,8 @@ from eisenmodes.bessel import (
 from eisenmodes.laurent import LOG_CAP, LogCapExceeded, YLaurent
 from eisenmodes.numerics import (
     NumericEnv,
-    _hom_operator_value,
     bessel_k,
     eval_expr,
-    eval_hom_normalized,
 )
 from eisenmodes.scalars import GAMMA, LN_PI, PI, Constant, ln_prime, zeta_odd, zeta_prime
 
@@ -46,13 +44,6 @@ def fd_second_derivative(f, y: float, h: float = 1e-4) -> float:
     return (
         -f(y + 2 * h) + 16 * f(y + h) - 30 * f(y) + 16 * f(y - h) - f(y - 2 * h)
     ) / (12 * h * h)
-
-
-def homogeneous_residual(basis: HomBasis, lam: int, nsum: int, y: float) -> float:
-    """|operator applied to the basis element| relative to its magnitude."""
-    val = _hom_operator_value(basis, lam, nsum, y)
-    ref = abs(eval_hom_normalized(basis, y)) * max(lam, 1)
-    return abs(val) / max(ref, 1e-300)
 
 
 def rand_double(rng, n1, n2, log_free=True):
@@ -313,13 +304,6 @@ def test_merged_table_folds_cells():
     assert e.table[(0, 1)] == YLaurent.monomial(0, 3)
     out = apply_P(30, e)
     assert (1, 0) not in out.table
-
-
-def test_annihilation_of_homogeneous_element():
-    for r, (n1, n2) in ((3, (1, 1)), (4, (1, 2)), (5, (2, 3)), (7, (1, 1))):
-        basis = HomBasis("K", r, n1 + n2)
-        for y in (0.4, 1.1, 2.5):
-            assert homogeneous_residual(basis, r * (r + 1), n1 + n2, y) <= 1e-8
 
 
 def test_expr_json_round_trip_and_latex():

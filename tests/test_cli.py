@@ -234,7 +234,7 @@ def test_verify_rejects_removed_and_out_of_range_arguments(tmp_path, capsys, arg
 
 
 def test_verify_names_y_where_a_single_bessel_mode_overflows(tmp_path, capsys):
-    # y * y = inf times K(4 pi y) = 0 in the homogeneous term
+    # y * y = inf: the residual rejects a point whose square overflows
     path = tmp_path / "solution.json"
     code, _ = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
                       "--n1", "0", "--n2", "2", "--output", str(path))
@@ -423,16 +423,18 @@ def _leading_changed(doc):
 ])
 def test_verify_rejects_wrong_boundary_data(tmp_path, capsys, family, n1, n2,
                                             normalization, edit, key):
-    # the operator annihilates the homogeneous element, so only the boundary
-    # rule sees a wrong alpha or obstruction
+    # the operator annihilates the homogeneous element, so the residual reads
+    # only the particular part and only the boundary rule sees a wrong alpha
+    # or obstruction
     expected = EXIT_OK if key == "alpha" else EXIT_OBSTRUCTED
     doc = _solution_doc(tmp_path, capsys, family, n1, n2, normalization, expected)
     code, verdict = _verdict(tmp_path, capsys, doc)
     assert code == EXIT_OK and verdict["boundary"]["status"] in ("ok", "obstructed")
+    residuals = verdict["residuals"]
     tampered = json.loads(json.dumps(doc))
     edit(tampered)
     code, verdict = _verdict(tmp_path, capsys, tampered)
-    assert all(float(r["relative_residual"]) <= 1e-9 for r in verdict["residuals"])
+    assert verdict["residuals"] == residuals
     assert code == EXIT_MISMATCH and verdict["pass"] is False
     recomputed = doc["alpha"] if key == "alpha" else doc["obstruction"]["leading"][:6]
     assert verdict["boundary"] == {"status": "mismatch", key: recomputed}
@@ -445,6 +447,23 @@ def test_verify_accepts_an_obstructed_mode_at_large_frequencies(tmp_path, capsys
     code, verdict = _verdict(tmp_path, capsys, doc)
     assert code == EXIT_OK and verdict["pass"] is True
     assert verdict["boundary"] == {"status": "obstructed"}
+
+
+@pytest.mark.parametrize("family, n1, n2, y", [
+    # the rounding noise of alpha * P(h), once added to the residual, read
+    # 6.2e-2 at y = 1 and 3.4e111 at y = 0.5 on these exact solutions
+    (("3/2", "9/2", "42"), 2, -76, 1.0),
+    (("5/2", "3/2", "20"), 112, -46, 0.5),
+])
+def test_verify_accepts_exact_solutions_at_large_frequencies(tmp_path, capsys, family, n1, n2, y):
+    doc = _solution_doc(tmp_path, capsys, family, n1, n2, "unit")
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_OK and verdict["pass"] is True
+    assert verdict["boundary"] == {"status": "ok"}
+    residuals = {r["y"]: float(r["relative_residual"]) for r in verdict["residuals"]}
+    assert max(residuals.values()) <= 1e-9
+    # a residual that checks something, not one whose terms all underflowed
+    assert residuals[y] > 0
 
 
 def test_unwritable_output_maps_to_usage_on_stderr(tmp_path, capsys):

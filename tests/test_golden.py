@@ -301,7 +301,7 @@ CLI_GOLDEN = {
 VERIFY_MODES = {"double": ("1", "2"), "single": ("0", "2")}
 # name -> (exit code, sha256 of the verify document with its input path replaced)
 VERIFY_GOLDEN = {
-    "double": (0, "70c8c39e87051f608a2b2cbf5cf81e3c14f18678569fe4c4cf065ca54c0605be"),
+    "double": (0, "00bf0ecc5522cb634c4900c5c2b263ba9441c67b464e12e97bbb8a78136db471"),
     "single": (0, "c7e8aa49f9cf9d6bbff06ad6cbbb970ca577595ffef24d89a6bba97fe7834bd2"),
 }
 
@@ -312,10 +312,10 @@ SERIES_ORDER = 3
 # name -> (eval_expr and residual at Y_PIN, sha256 of the small-y series of the
 # particular part to SERIES_ORDER, its value at y = 1e-3); exact doubles
 FLOAT_GOLDEN = {
-    "double": (4.869444364256425e-05, 2.3622343779997636e-15,
+    "double": (4.869444364256425e-05, 7.754823337015195e-16,
                "6dc6c878b365acb58367fd5e91c4d1df2b9fa5bda20c1b4a4d1e9cf978f19b3a",
                1959979515310.3708),
-    "single": (0.004214470335752736, 3.364605727307143e-15,
+    "single": (0.004214470335752736, 9.67277065217906e-16,
                "68a4531a0c8a337a7ba3bfd4f9fb566f9b4bcf0232c03b22be9b9f684dded80a",
                11950683640138.742),
 }

@@ -5,13 +5,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from eisenmodes.bessel import DoubleBessel, HomBasis, SingleBessel, differentiate
+from eisenmodes.bessel import DoubleBessel, SingleBessel, differentiate
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, residual
 from eisenmodes.scalars import Constant
 from eisenmodes.sources import Params
-from test_bessel_ops import fd_second_derivative, homogeneous_residual
+from test_bessel_ops import fd_second_derivative
 
 ENV = NumericEnv()
 F = Fraction
@@ -125,8 +125,6 @@ def test_residual_fixture_and_homogeneous():
     m = solve_mode(p, 1, 2)
     for y in (0.5, 1.0, 2.0):
         assert residual(m, y, ENV) <= 1e-9
-    # homogeneous-only: operator annihilates the basis element
-    assert homogeneous_residual(HomBasis("K", 5, 3), 30, 3, 1.0) <= 1e-10
 
 
 def test_residual_detects_corruption():

@@ -53,6 +53,22 @@ def test_hom_series_numeric():
         assert abs(s.evaluate(ENV, y) - direct) / abs(direct) < 1e-10
 
 
+def test_homogeneous_elements_are_annihilated_exactly():
+    # y^2 h'' - r(r+1) h - 4 pi^2 n^2 y^2 h vanishes below y^N on the series
+    # choose_alpha matches; the mass term of the dropped tail starts at y^N
+    for r in range(1, 13):
+        lam = r * (r + 1)
+        for n in (1, -1, 2, 7, 300):
+            for order in (1, 4, 8):
+                h = hom_norm_series(r, n, order)
+                mass = h.shift(2).scale(Constant.pi_power(2, 4 * n * n))
+                image = h.diff().diff().shift(2) - h.scale(lam) - mass
+                assert image.truncate(order).is_zero(), (r, n, order)
+        # the anti-diagonal element y^-r carries no mass term
+        power = YLaurent.monomial(-r)
+        assert (power.diff().diff().shift(2) - power.scale(lam)).is_zero()
+
+
 def test_k0_squared_series_has_log_squared():
     e = DoubleBessel(1, 1, {(0, 0): YLaurent.one()})
     s = small_y_series(e, 1)
