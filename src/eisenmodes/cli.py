@@ -90,6 +90,8 @@ ERROR_EXITS = (
 # relative operator residual that verify accepts; never widened
 _RESIDUAL_TOLERANCE = 1e-9
 
+SIEVE_LIMIT_MAX = 10**7  # largest `sums --limit`; the sieve takes seconds at 10^6
+
 # solve flags read only by the single-mode path (--n1, --n2) or only by the
 # assembly path (--n); giving one with the other path is a usage error
 SINGLE_MODE_FLAGS = ("n1", "n2", "format")
@@ -122,6 +124,12 @@ def _parse_r(text: str) -> int:
 def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _sieve_limit(text: str) -> int:
+    if _positive_int(text) > SIEVE_LIMIT_MAX:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds the sieve bound {SIEVE_LIMIT_MAX}")
     return int(text)
 
 
@@ -299,7 +307,7 @@ def _boundary(mode) -> dict:
         return {"status": "free"}
     if r is None:
         return {"status": "no_basis"}
-    alpha, _, obstruction = choose_alpha(mode.particular, r, mode.n1, mode.n2)
+    alpha, obstruction = choose_alpha(mode.particular, r, mode.n1, mode.n2)
     expected = (alpha, None if obstruction is None else obstruction.leading)
     if (mode.alpha, None if mode.obstruction is None else mode.obstruction.leading) == expected:
         return {"status": "ok" if obstruction is None else "obstructed"}
@@ -381,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--log", action="store_true", help="log-weighted variant")
-    p.add_argument("--limit", type=_positive_int,
-                   help="also print a partial sum up to this bound")
+    p.add_argument("--limit", type=_sieve_limit,
+                   help=f"also print a partial sum up to this bound (at most {SIEVE_LIMIT_MAX})")
     p.set_defaults(fn=cmd_sums)
 
     p = sub.add_parser("combine", help="weighted combinations of mode solutions")

@@ -186,9 +186,9 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     alpha is minus the particular part's y^{-r} coefficient over the decaying
     element's own.  Whatever the small-y series of particular + alpha * basis
     keeps below y^{-r+1} (y^{-k} with k > r, or log(y)-bearing y^{-r} terms)
-    no alpha can cancel.  Returns (alpha, basis, None) when nothing is left,
-    or (None, basis, Obstruction) listing what is left, with alpha attached as
-    its secondary_alpha.
+    no alpha can cancel.  Returns (alpha, None) when nothing is left, or
+    (None, Obstruction) listing what is left, with alpha attached as its
+    secondary_alpha; ``ModeSolution.hom_basis`` gives the decaying element.
     """
     basis = _decaying_basis(r, n1 + n2)
     series = small_y_series(particular, -r + 1)
@@ -196,7 +196,7 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     alpha = -series.coeff(-r, 0) / element.coeff(-r)
     left = (series + element.scale(alpha)).terms.items_sorted()
     if not left:
-        return alpha, basis, None
+        return alpha, None
     bad = sorted(((k, j, c) for (k, j), c in left), key=lambda t: (t[0], -t[1]))
     obs = Obstruction(
         tuple(bad),
@@ -204,7 +204,7 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
         f"cannot reach o(y^-{r}): offending terms at "
         + ", ".join(f"y^{k} log^{j}" for k, j, _ in bad),
     )
-    return None, basis, obs
+    return None, obs
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
 
     alpha = obstruction = None
     if r is not None:
-        alpha, _, obstruction = choose_alpha(particular, r, n1, n2)
+        alpha, obstruction = choose_alpha(particular, r, n1, n2)
     return ModeSolution(params, n1, n2, src, particular, alpha, obstruction, report)
 
 

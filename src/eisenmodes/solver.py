@@ -8,14 +8,15 @@ pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
 into one over Q with the same zero pattern, whose columns are the pi-free
 integer stencil ``bessel.unit_column``; each right-hand side splits into
 directions (non-pi symbol monomial, pi-grade), each with rational entries.
-Systems are eliminated exactly over Q by fraction-free Gauss-Jordan on Python
-ints (each direction scaled to integers, rows kept as integer multiples of
-their rational counterparts, one Fraction per solved entry at the end).  The
-pivot of each column, taken in ascending y-degree then cell order, is the row
-with the fewest entries, ties broken by ascending y-degree then cell; row
-scaling keeps zero patterns, so these are the pivots elimination over
-Fractions would choose.  Free variables of an underdetermined system are set
-to zero and counted as kernel dimension.
+Systems are solved exactly over Q by fraction-free forward elimination on
+Python ints (each direction scaled to integers, rows kept as integer multiples
+of their rational counterparts), then back-substitution in Fractions.  The
+pivot of each column, taken in ascending y-degree then cell order, is the
+unused row with the fewest entries, ties broken by ascending y-degree then
+cell.  Row scaling keeps zero patterns, and the pivot rows that Gauss-Jordan
+would go on reducing are never candidates again, so these are the pivots
+elimination over Fractions would choose.  Free variables of an
+underdetermined system are set to zero and counted as kernel dimension.
 
 Every cell of a mode gets one window from the source's y-powers [lo, hi] and
 r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
@@ -159,59 +160,50 @@ def _ansatz_unknowns(rhs, windows: Dict):
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jordan(columns, rhs_rows, col_order, row_order):
-    """Exact multi-RHS Gauss-Jordan over the rationals, run on integers.
+def _eliminate(columns, rhs_rows, col_order, row_order):
+    """Exact multi-RHS elimination over the rationals, run on integers.
 
     columns: dict col -> dict row -> int (the assembled sparse matrix)
     rhs_rows: dict row -> list[Fraction] per right-hand-side direction
     Returns (solution dict col -> list[Fraction], kernel_cols, inconsistent_rows).
 
-    Each direction is scaled to integers by the lcm of its denominators.  A
-    row is updated as a*row - b*pivot_row with a, b = pivot/g, factor/g
-    (g = gcd(pivot, factor)) and then divided, with its right-hand side, by
-    the gcd of its entries.  Every row stays a nonzero multiple of the row
-    that elimination over Q with a normalised pivot row would hold, so the
-    zero patterns, and with them the pivots, the kernel columns and the
-    inconsistent rows, are the same; each solved entry is one Fraction
-    x / (pivot * scale) at the end.
+    Each direction is scaled to integers by the lcm of its denominators.  The
+    pivot of each column is the shortest unused row, ties broken by row_order.
+    Only the other unused rows with an entry there are updated, as
+    a*row - b*pivot_row with a, b = pivot/g, factor/g (g = gcd(pivot, factor)),
+    then divided with their right-hand side by the gcd of their entries; a
+    pivot row is never written again.  An unused row gets the update that
+    Gauss-Jordan over Q would give it, up to a nonzero factor, and only pivot
+    rows are reduced further there, so the pivots, kernel columns and
+    inconsistent rows are the same.  A pivot row's other entries lie in later
+    columns: back-substitution in reverse col_order, kernel columns at 0,
+    gives x = (rhs/scale - sum(row[c] * x_c)) / pivot.
     """
-    n_dirs = len(next(iter(rhs_rows.values()))) if rhs_rows else 0
-    scales = [1] * n_dirs
-    for vals in rhs_rows.values():
-        for d, v in enumerate(vals):
-            if v:
-                scales[d] = math.lcm(scales[d], v.denominator)
-    rows: Dict = {}
+    scales = [math.lcm(*(v.denominator for v in d)) for d in zip(*rhs_rows.values())]
+    n_dirs = len(scales)
+    rows: Dict = {row: {} for row in rhs_rows}
     for col, entries in columns.items():
         for row, val in entries.items():
             rows.setdefault(row, {})[col] = val
-    for row in rhs_rows:
-        rows.setdefault(row, {})
     rhs = {row: [0] * n_dirs for row in rows}
     for row, vals in rhs_rows.items():
         rhs[row] = [v.numerator * (s // v.denominator) for v, s in zip(vals, scales)]
 
     pivot_of_col: Dict = {}
-    used_rows = set()
-    row_rank = {r: i for i, r in enumerate(row_order)}
+    unused = list(row_order)
     for col in col_order:
-        candidates = [
-            r for r in row_order
-            if r not in used_rows and rows[r].get(col)
-        ]
+        candidates = [r for r in unused if col in rows[r]]
         if not candidates:
             continue
-        pivot_row = min(candidates, key=lambda r: (len(rows[r]), row_rank[r]))
-        used_rows.add(pivot_row)
+        pivot_row = min(candidates, key=lambda r: len(rows[r]))
+        unused.remove(pivot_row)
         pivot_of_col[col] = pivot_row
         prow, prhs = rows[pivot_row], rhs[pivot_row]
         pivot = prow[col]
-        for r, row_r in rows.items():
-            if r == pivot_row:
-                continue
-            factor = row_r.get(col)
-            if not factor:
-                continue
+        candidates.remove(pivot_row)
+        for r in candidates:
+            row_r = rows[r]
+            factor = row_r[col]
             g = math.gcd(pivot, factor)
             a, b = pivot // g, factor // g
             if a != 1:
@@ -231,23 +223,19 @@ def _gauss_jordan(columns, rhs_rows, col_order, row_order):
                 rhs_r = [x // content for x in rhs_r]
             rhs[r] = rhs_r
 
-    # Leftover rows have entries only in kernel (free) columns; with the
-    # free-variables-set-to-zero convention a nonzero rhs there is an
-    # inconsistency.
-    inconsistent = [r for r in row_order if r not in used_rows and any(rhs[r])]
+    # Leftover rows have entries only in kernel columns, which are set to 0,
+    # so a nonzero rhs there is an inconsistency.
+    inconsistent = [r for r in unused if any(rhs[r])]
     kernel_cols = [c for c in col_order if c not in pivot_of_col]
-    solution = {}
-    for col in col_order:
-        if col in pivot_of_col:
-            row = pivot_of_col[col]
-            extra = [c for c in rows[row] if c != col and c not in kernel_cols]
-            if extra:
-                raise AssertionError("elimination left coupled pivots")
-            pivot = rows[row][col]
-            solution[col] = [Fraction(x, pivot * s) for x, s in zip(rhs[row], scales)]
-        else:
-            solution[col] = [Fraction(0)] * n_dirs
-    return solution, kernel_cols, inconsistent
+    solved = {c: [Fraction(0)] * n_dirs for c in kernel_cols}
+    for col, row in reversed(pivot_of_col.items()):
+        pivot = rows[row][col]
+        others = [(v, solved[c]) for c, v in rows[row].items() if c != col]
+        solved[col] = [
+            (Fraction(x, s) - sum(v * xs[d] for v, xs in others)) / pivot
+            for d, (x, s) in enumerate(zip(rhs[row], scales))
+        ]
+    return {c: solved[c] for c in col_order}, kernel_cols, inconsistent
 
 
 def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
@@ -257,12 +245,15 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     y^p is a rational q times pi^(p-k).  Scaling unknown (cell, k) by pi^k
     and row (cell, p) by pi^-p therefore leaves a rational matrix with the
     zero pattern of the original, whose column (cell, k) is the operator
-    with pi = 1 (``unit_column``); elimination runs over Q with the same
-    pivots, kernel and inconsistent rows.  Each right-hand-side term
-    c * pi^e * m (m free of pi) at y^p becomes the entry c of direction
-    (m, e - p); a solved value d of that direction at unknown (cell, k)
-    stands for d * pi^(k + e - p) * m.  The solution is rechecked with the
-    symbolic operator.
+    with pi = 1 (``unit_column``).  Forward elimination over Q picks the
+    pivots, kernel and inconsistent rows that Gauss-Jordan over Fractions
+    would find on the pi-graded system: scaling keeps zero patterns, and the
+    rows Gauss-Jordan reduces further are pivot rows, never candidates again.
+    Back-substitution solves the pivot columns with the kernel at zero.  Each
+    right-hand-side term c * pi^e * m (m free of pi) at y^p becomes the entry
+    c of direction (m, e - p); a solved value d of that direction at unknown
+    (cell, k) stands for d * pi^(k + e - p) * m.  The solution is rechecked
+    with the symbolic operator.
     """
     lam = params.lam
     unknowns = _ansatz_unknowns(rhs_expr, windows)
@@ -286,7 +277,7 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
 
     row_order = sorted(eq_keys, key=lambda e: (e[1], e[0]))
     col_order = unknowns
-    solution, kernel_cols, inconsistent = _gauss_jordan(columns, rhs_rows, col_order, row_order)
+    solution, kernel_cols, inconsistent = _eliminate(columns, rhs_rows, col_order, row_order)
     if inconsistent:
         raise NoSolutionInWindow(
             f"inconsistent rows at {inconsistent[:6]} (case {case}, lambda={lam})",

@@ -212,6 +212,8 @@ def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
     # and exited 1 as a mismatch, or failed with a message naming no flag
     *[(["combine", "--n1", "1", "--n2", "2", "--y", y], "--y")
       for y in ("inf", "1e-300", "0", "-1", "nan")],
+    # a limit past the sieve bound overflowed with a traceback, exit 1
+    (["sums", "--a", "3", "--b", "5", "--s", "12", "--limit", "10000000000000000000"], "--limit"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli_streams(capsys, *argv)

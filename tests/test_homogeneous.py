@@ -45,7 +45,7 @@ def test_alpha_zero_when_already_decaying():
     from eisenmodes.laurent import YLaurent
 
     expr = DoubleBessel(1, 2, {(1, 1): YLaurent.monomial(6)})
-    alpha, basis, obs = choose_alpha(expr, 5, 1, 2)
+    alpha, obs = choose_alpha(expr, 5, 1, 2)
     assert obs is None and alpha.is_zero()
 
 

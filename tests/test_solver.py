@@ -12,7 +12,7 @@ from eisenmodes.solver import (
     DegreeWindow,
     _ansatz_unknowns,
     _assemble_and_solve,
-    _gauss_jordan,
+    _eliminate,
     _source_window,
     NoSolutionInWindow,
     solve_particular_double,
@@ -278,7 +278,7 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
     import eisenmodes.solver as solver_mod
 
     tiny = F(1, 2**200)
-    real_gauss_jordan = solver_mod._gauss_jordan
+    real_eliminate = solver_mod._eliminate
     p = Params(F(3, 2), F(3, 2), 30)
     for n1, n2 in ((1, 2), (0, 3)):
         rhs = source_term(p, n1, n2).core
@@ -287,22 +287,22 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
 
         def recorded(columns, rhs_rows, col_order, row_order):
             unknowns.extend(col_order)
-            return real_gauss_jordan(columns, rhs_rows, col_order, row_order)
+            return real_eliminate(columns, rhs_rows, col_order, row_order)
 
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_gauss_jordan", recorded)
+            m.setattr(solver_mod, "_eliminate", recorded)
             solve(p, rhs)
         if not unknowns:
             raise AssertionError(f"no unknowns recorded at {(n1, n2)}")
         for target in unknowns:
 
             def moved(*args, target=target):
-                solution, kernel_cols, inconsistent = real_gauss_jordan(*args)
+                solution, kernel_cols, inconsistent = real_eliminate(*args)
                 solution[target] = [solution[target][0] + tiny] + solution[target][1:]
                 return solution, kernel_cols, inconsistent
 
             with monkeypatch.context() as m:
-                m.setattr(solver_mod, "_gauss_jordan", moved)
+                m.setattr(solver_mod, "_eliminate", moved)
                 with pytest.raises(AssertionError, match="non-exact solution"):
                     solve(p, rhs)
 
@@ -432,7 +432,7 @@ def test_fraction_free_elimination_matches_fraction_reference():
     for trial in range(300):
         kind = ("full", "deficient", "inconsistent")[trial % 3]
         columns, rhs, col_order, row_order = _random_banded_system(rng, kind)
-        got = _gauss_jordan(columns, rhs, col_order, row_order)
+        got = _eliminate(columns, rhs, col_order, row_order)
         want = _fraction_gauss_jordan(columns, rhs, col_order, row_order)
         assert got == want, (kind, trial)
         assert all(type(v) is Fraction for vals in got[0].values() for v in vals)
@@ -444,3 +444,30 @@ def test_fraction_free_elimination_matches_fraction_reference():
         if kind == "inconsistent" and inconsistent:
             seen["inconsistent"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
+    # every system of generic, large-frequency, single-Bessel, merged and
+    # anti-diagonal solves, and all 13 windows of two failing solves: the same
+    # solution, kernel and inconsistent rows as elimination over Fractions
+    import eisenmodes.solver as solver_mod
+
+    systems = []
+    real_eliminate = solver_mod._eliminate
+
+    def recorded(*args):
+        systems.append(args)
+        return real_eliminate(*args)
+
+    monkeypatch.setattr(solver_mod, "_eliminate", recorded)
+    p = Params(F(3, 2), F(3, 2), 30)
+    for n1, n2 in ((1, 2), (-37, 38), (0, 3), (4, 4), (-5, 5)):
+        solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
+        solve(p, source_term(p, n1, n2).core)
+    for lam, n1, n2 in ((20, 1, 2), (31, -3, 4)):
+        p = Params(F(3, 2), F(3, 2), lam, Normalization.UNIT)
+        with pytest.raises(NoSolutionInWindow):
+            solve_particular_double(p, source_term(p, n1, n2).core)
+    assert len(systems) == 5 + 2 * 13
+    for args in systems:
+        assert real_eliminate(*args) == _fraction_gauss_jordan(*args)
