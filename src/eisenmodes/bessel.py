@@ -32,7 +32,6 @@ stencil, is a separate piece of code.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -366,25 +365,32 @@ def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
     """The mode operator on y^k times the K factors of `cell`, with pi = 1.
 
     Returns {(cell, p): int}; the exact image carries q * pi^(p-k) at y^p.
-    Each factor has c = 2|n|: K_0' = -c K_1 and K_1' = -c K_0 - K_1/y; the mass
-    term is -4 (sum of freqs)^2 y^2.  `expr` supplies only kind and frequencies.
+    Each factor m has index i_m and c_m = 2|n_m|; with sigma the sum of the
+    indices and s the sum of the signed frequencies, K_0' = -c K_1 and
+    K_1' = -c K_0 - K_1/y give the closed form
+
+        (k - sigma)(k - sigma - 1) - lam               at (cell, k),
+        -c_m (2(k - sigma) - (1 - 2 i_m))              at (cell, factor m flipped, k + 1),
+        sum of c_m^2 - 4 s^2                           at (cell, k + 2),
+        2 c_1 c_2                                      at (cell, both flipped, k + 2),
+
+    the last for two factors only.  Targets are folded, entries landing on
+    one cell add up, and zeros are dropped.  `expr` supplies only kind and
+    frequencies.
     """
-
-    def derivative(terms):
-        out = Counter()
-        for (c, p), q in terms.items():
-            out[c, p - 1] += p * q
-            for pos, (index, abs_n) in enumerate(expr.factors(c)):
-                out[expr.replace_index(c, pos, 1 - index), p] -= 2 * abs_n * q
-                if index == 1:
-                    out[c, p - 1] -= q
-        return out
-
     cell = expr.fold(cell)
+    factors = expr.factors(cell)
     mass = sum(expr.freqs)
-    column = Counter({(cell, k + 2): -4 * mass * mass, (cell, k): -lam})
-    for (c, p), q in derivative(derivative({(cell, k): 1})).items():
-        column[expr.fold(c), p + 2] += q
+    d = k - sum(index for index, _ in factors)
+    column = {(cell, k): d * (d - 1) - lam}
+    column[cell, k + 2] = sum(4 * abs_n * abs_n for _, abs_n in factors) - 4 * mass * mass
+    for pos, (index, abs_n) in enumerate(factors):
+        key = (expr.fold(expr.replace_index(cell, pos, 1 - index)), k + 1)
+        column[key] = column.get(key, 0) - 2 * abs_n * (2 * d - 1 + 2 * index)
+    if len(factors) == 2:
+        (i1, abs_n1), (i2, abs_n2) = factors
+        key = (expr.fold((1 - i1, 1 - i2)), k + 2)
+        column[key] = column.get(key, 0) + 8 * abs_n1 * abs_n2
     return {key: q for key, q in column.items() if q}
 
 

@@ -319,7 +319,10 @@ def _boundary(mode) -> dict:
 def cmd_verify(args):
     with open(args.input) as fh:
         doc = json.load(fh)
-    mode = mode_solution_from_json_obj(doc)
+    try:
+        mode = mode_solution_from_json_obj(doc)
+    except TypeError as exc:  # a value of the wrong JSON type is bad input, not a mismatch
+        raise ValueError(f"malformed solution document: {exc}") from exc
     residuals = []
     ok = True
     for y in args.y:

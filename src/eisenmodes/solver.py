@@ -8,15 +8,17 @@ pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
 into one over Q with the same zero pattern, whose columns are the pi-free
 integer stencil ``bessel.unit_column``; each right-hand side splits into
 directions (non-pi symbol monomial, pi-grade), each with rational entries.
-Systems are solved exactly over Q by fraction-free forward elimination on
-Python ints (each direction scaled to integers, rows kept as integer multiples
-of their rational counterparts), then back-substitution in Fractions.  The
-pivot of each column, taken in ascending y-degree then cell order, is the
-unused row with the fewest entries, ties broken by ascending y-degree then
-cell.  Row scaling keeps zero patterns, and the pivot rows that Gauss-Jordan
-would go on reducing are never candidates again, so these are the pivots
-elimination over Fractions would choose.  Free variables of an
-underdetermined system are set to zero and counted as kernel dimension.
+Systems are solved exactly over Q in Python ints from the stencil to the
+solved values: fraction-free forward elimination (each direction scaled to
+integers, rows kept as integer multiples of their rational counterparts), then
+back-substitution over one running denominator per direction, with one
+Fraction made per solved value at the end.  The pivot of each column, taken
+in ascending y-degree then cell order, is the unused row with the fewest
+entries, ties broken by ascending y-degree then cell.  Row scaling keeps zero
+patterns, and the pivot rows that Gauss-Jordan would go on reducing are never
+candidates again, so these are the pivots elimination over Fractions would
+choose.  Free variables of an underdetermined system are set to zero and
+counted as kernel dimension.
 
 Every cell of a mode gets one window from the source's y-powers [lo, hi] and
 r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
@@ -45,7 +47,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .bessel import (
-    DoubleBessel, Pure, SingleBessel, apply_euler, apply_L, apply_P, unit_column,
+    DoubleBessel, Pure, SingleBessel, _times_pi, apply_euler, apply_L, apply_P, unit_column,
 )
 from .laurent import YLaurent
 from .scalars import SYM_PI, Constant, SymbolMonomial
@@ -177,7 +179,12 @@ def _eliminate(columns, rhs_rows, col_order, row_order):
     rows are reduced further there, so the pivots, kernel columns and
     inconsistent rows are the same.  A pivot row's other entries lie in later
     columns: back-substitution in reverse col_order, kernel columns at 0,
-    gives x = (rhs/scale - sum(row[c] * x_c)) / pivot.
+    gives x = (rhs/scale - sum(row[c] * x_c)) / pivot.  It runs in ints per
+    direction, every x_c = num_c / den over one running denominator that
+    starts at the direction's scale: t = rhs * (den/scale) - sum(row[c] *
+    num_c), and where m = |pivot| / gcd(t, pivot) is not 1, every numerator,
+    den and t are multiplied by m, so that num = t / pivot is exact.  Each
+    solved value becomes one Fraction(num, den) at the end.
     """
     scales = [math.lcm(*(v.denominator for v in d)) for d in zip(*rhs_rows.values())]
     n_dirs = len(scales)
@@ -227,15 +234,23 @@ def _eliminate(columns, rhs_rows, col_order, row_order):
     # so a nonzero rhs there is an inconsistency.
     inconsistent = [r for r in unused if any(rhs[r])]
     kernel_cols = [c for c in col_order if c not in pivot_of_col]
-    solved = {c: [Fraction(0)] * n_dirs for c in kernel_cols}
-    for col, row in reversed(pivot_of_col.items()):
-        pivot = rows[row][col]
-        others = [(v, solved[c]) for c, v in rows[row].items() if c != col]
-        solved[col] = [
-            (Fraction(x, s) - sum(v * xs[d] for v, xs in others)) / pivot
-            for d, (x, s) in enumerate(zip(rhs[row], scales))
-        ]
-    return {c: solved[c] for c in col_order}, kernel_cols, inconsistent
+    solved = {c: [] for c in col_order}
+    for d, scale in enumerate(scales):
+        den, num = scale, dict.fromkeys(kernel_cols, 0)
+        for col, row in reversed(pivot_of_col.items()):
+            prow = rows[row]
+            pivot = prow[col]
+            t = rhs[row][d] * (den // scale) - sum(v * num[c] for c, v in prow.items() if c != col)
+            m = abs(pivot) // math.gcd(t, pivot)
+            if m != 1:
+                for c in num:
+                    num[c] *= m
+                den *= m
+                t *= m
+            num[col] = t // pivot
+        for c in col_order:
+            solved[c].append(Fraction(num[c], den))
+    return solved, kernel_cols, inconsistent
 
 
 def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
@@ -252,8 +267,9 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     Back-substitution solves the pivot columns with the kernel at zero.  Each
     right-hand-side term c * pi^e * m (m free of pi) at y^p becomes the entry
     c of direction (m, e - p); a solved value d of that direction at unknown
-    (cell, k) stands for d * pi^(k + e - p) * m.  The solution is rechecked
-    with the symbolic operator.
+    (cell, k) stands for d * pi^(k + e - p) * m.  The solution's tables are
+    built once from these terms, grouped by cell, and rechecked with the
+    symbolic operator.
     """
     lam = params.lam
     unknowns = _ansatz_unknowns(rhs_expr, windows)
@@ -285,15 +301,12 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
             inconsistent_rows=inconsistent,
         )
 
-    tables: Dict = {}
+    terms: Dict = {}
     for (cell, k), vals in solution.items():
-        coeff = Constant({
-            rest * SymbolMonomial({SYM_PI: k + g}): val
-            for (rest, g), val in zip(directions, vals) if val
-        })
-        if not coeff.is_zero():
-            tables[cell] = tables.get(cell, YLaurent.zero()) + YLaurent.monomial(k, coeff)
-    sol = rhs_expr.with_table(tables)
+        coeff = {_times_pi(rest, k + g): val for (rest, g), val in zip(directions, vals) if val}
+        if coeff:
+            terms.setdefault(cell, {})[k, 0] = Constant._trusted(coeff)
+    sol = rhs_expr.with_table({cell: YLaurent._trusted(t) for cell, t in terms.items()})
     operator = apply_P if isinstance(rhs_expr, DoubleBessel) else apply_L
     if not (operator(lam, sol) - rhs_expr).is_zero():
         raise AssertionError("solver produced a non-exact solution (residual != 0)")

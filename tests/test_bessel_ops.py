@@ -396,3 +396,37 @@ def test_unit_column_matches_symbolic_operator():
                         mismatches.append((lam, expr.freqs, cell, k))
     assert checked == 1540
     assert not mismatches, mismatches[:5]
+
+
+_signed_freq = hst.integers(1, 300).flatmap(lambda n: hst.sampled_from([n, -n]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    r=hst.integers(1, 8),
+    n1=_signed_freq,
+    n2=_signed_freq,
+    shape=hst.sampled_from(["double", "merged", "single"]),
+)
+def test_unit_column_closed_form_is_the_symbolic_operator(r, n1, n2, shape):
+    # the closed-form stencil with pi^(p-k) restored at y^p is the apply_P /
+    # apply_L image of y^k times the cell, on every (folded) cell and k in
+    # [-12, 12], merged (|n1| = |n2|) and single-Bessel modes included
+    lam = r * (r + 1)
+    if shape == "single":
+        expr, operator, cells = SingleBessel(n1), apply_L, [0, 1]
+    else:
+        expr = DoubleBessel(n1, n2 if shape == "double" else (abs(n1) if n2 > 0 else -abs(n1)))
+        operator = apply_P
+        cells = sorted({expr.fold((i, j)) for i in (0, 1) for j in (0, 1)})
+    for cell in cells:
+        for k in range(-12, 13):
+            image = operator(lam, expr.with_table({cell: YLaurent.monomial(k)}))
+            expected = {
+                (ocell, p, j): const
+                for ocell, poly in image.table.items()
+                for (p, j), const in poly.terms().items()
+            }
+            column = unit_column(lam, expr, cell, k)
+            got = {(c, p, 0): Constant.pi_power(p - k, q) for (c, p), q in column.items()}
+            assert got == expected, (cell, k)

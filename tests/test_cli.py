@@ -389,6 +389,23 @@ def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected)
     assert set(json.loads(err)) == {"error"}
 
 
+@pytest.mark.parametrize("shape", [
+    lambda doc: [],
+    lambda doc: None,
+    lambda doc: {**doc, "particular": 5},
+    lambda doc: {**doc, "n1": "1"},
+], ids=["list", "null", "particular_int", "n1_string"])
+def test_verify_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, shape):
+    # valid JSON of the wrong shape raises TypeError while the document is
+    # read; that is bad input (exit 64), never a mismatch (exit 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(shape(_solution_doc(tmp_path, capsys))))
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert set(json.loads(err)) == {"error"}
+
+
 def _verdict(tmp_path, capsys, doc):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))

@@ -471,3 +471,31 @@ def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
     assert len(systems) == 5 + 2 * 13
     for args in systems:
         assert real_eliminate(*args) == _fraction_gauss_jordan(*args)
+
+
+def test_elimination_matches_fraction_reference_on_the_largest_coefficients(monkeypatch):
+    # sweep-shaped solves at r = 8 with a 9/2 weight and |n1|, |n2| in
+    # 250..300 (UNIT): the solved values carry the largest numerators and
+    # denominators of any workload, where the one running denominator per
+    # direction of the back-substitution grows most
+    import eisenmodes.solver as solver_mod
+
+    systems = []
+    real_eliminate = solver_mod._eliminate
+
+    def recorded(*args):
+        systems.append(args)
+        return real_eliminate(*args)
+
+    monkeypatch.setattr(solver_mod, "_eliminate", recorded)
+    for alpha, beta, n1, n2 in ((F(7, 2), F(9, 2), 257, 283), (F(3, 2), F(9, 2), 283, 257),
+                                (F(9, 2), F(3, 2), -251, -299)):
+        p = Params(alpha, beta, 72, Normalization.UNIT)
+        solve_particular_double(p, source_term(p, n1, n2).core)
+    assert len(systems) == 3
+    for args in systems:
+        got = real_eliminate(*args)
+        assert got == _fraction_gauss_jordan(*args)
+        bits = max(max(v.numerator.bit_length(), v.denominator.bit_length())
+                   for vals in got[0].values() for v in vals)
+        assert bits > 150
