@@ -450,6 +450,8 @@ def expr_from_json_obj(obj: dict):
     kind = obj["kind"]
     if kind == "pure":
         return Pure(YLaurent.from_json_obj(obj["poly"]))
+    if kind in ("single", "double") and not isinstance(obj["table"], dict):
+        raise TypeError(f"the table of a {kind} expression must be an object")
     if kind == "single":
         return SingleBessel(
             obj["n"], {int(j): YLaurent.from_json_obj(p) for j, p in obj["table"].items()}

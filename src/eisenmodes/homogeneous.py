@@ -16,7 +16,7 @@ reported as obstructed, with the offending leading terms attached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -148,11 +148,18 @@ class ModeSolution:
         }
 
 
+def _json_int(value) -> int:
+    """A JSON integer as read; any other JSON value is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
     p = Params(
         Fraction(obj["params"]["alpha"]),
         Fraction(obj["params"]["beta"]),
-        obj["params"]["lambda"],
+        _json_int(obj["params"]["lambda"]),
         Normalization(obj["params"]["normalization"]),
     )
     alpha = None if obj["alpha"] is None else Constant.from_json_obj(obj["alpha"])
@@ -166,7 +173,8 @@ def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
             None,
             obj["obstruction"]["message"],
         )
-    return ModeSolution(p, obj["n1"], obj["n2"], source_term(p, obj["n1"], obj["n2"]),
+    n1, n2 = _json_int(obj["n1"]), _json_int(obj["n2"])
+    return ModeSolution(p, n1, n2, source_term(p, n1, n2),
                         expr_from_json_obj(obj["particular"]), alpha, obstruction, None)
 
 
@@ -238,12 +246,21 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
 # ---------------------------------------------------------------------------
 
 
+# |n1| range and sample count of the decay scan, in alpha_decay_scan and assemble_mode
+DECAY_SCAN_RANGE = (10, 200)
+DECAY_SAMPLES = 24
+
+
 @dataclass
 class DecayReport:
+    """The fitted decay of alpha_{n1, n-n1}; `modes` holds the scanned modes,
+    in scan order, and is not written to JSON."""
+
     exponent: Optional[float]
     status: str  # convergent | divergent | inconclusive
     scan_range: Tuple[int, int]
     samples: int
+    modes: List[ModeSolution] = field(repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -281,12 +298,15 @@ class ModeAssembly:
 def assemble_mode(params: Params, n: int, cutoff: int, decay: bool = True) -> ModeAssembly:
     """All (n1, n - n1) sub-modes with |n1| <= cutoff, plus convergence data.
 
-    Each sub-mode is solved exactly in turn; the decay exponent of
-    alpha_{n1, n-n1} is fitted over |n1| in 10..200 by alpha_decay_scan.
+    Each distinct mode is solved once: first the sub-modes in n1 order, then
+    the decay scan's modes (|n1| in DECAY_SCAN_RANGE) not among them, in scan
+    order.  The decay exponent is fitted over the scan's modes, and at n = 0
+    the exact alpha sum reads alpha_{-k,k} from the sub-modes.
     """
     if cutoff < abs(n) + 1:
         raise ValueError("cutoff must be at least |n| + 1")
-    modes = [solve_mode(params, n1, n - n1) for n1 in range(-cutoff, cutoff + 1)]
+    solved = {n1: solve_mode(params, n1, n - n1) for n1 in range(-cutoff, cutoff + 1)}
+    modes = list(solved.values())
 
     partial = Constant.zero()
     partials = []
@@ -299,13 +319,16 @@ def assemble_mode(params: Params, n: int, cutoff: int, decay: bool = True) -> Mo
             partial = partial + a
         partials.append(partial)
 
-    decay_report = alpha_decay_scan(params, n) if decay else None
-    exact_sum = None
-    if n == 0 and decay and params.r is not None:
-        # the modes (-k, k) are already solved: sum their alphas, not new solves
-        by_n1 = {m.n1: m.boundary_alpha for m in modes}
-        alphas = [by_n1[-k] for k in range(1, min(8, cutoff) + 1)]
-        exact_sum = _alpha_sum(params, "RamanujanExact", alphas)
+    decay_report = exact_sum = None
+    if decay:
+        scan = _scan_n1(n, DECAY_SCAN_RANGE, DECAY_SAMPLES)
+        for n1 in scan:
+            if n1 not in solved:
+                solved[n1] = solve_mode(params, n1, n - n1)
+        decay_report = _fit_decay([solved[n1] for n1 in scan], DECAY_SCAN_RANGE)
+        if n == 0 and params.r is not None:
+            alphas = [solved[-k].boundary_alpha for k in range(1, min(8, cutoff) + 1)]
+            exact_sum = _alpha_sum(params, "RamanujanExact", alphas)
     return ModeAssembly(params, n, modes, partials, obstructed, decay_report, exact_sum)
 
 
@@ -317,33 +340,45 @@ def _log_spaced(lo: int, hi: int, count: int) -> List[int]:
     return sorted(v for v in grid if lo <= v <= hi)
 
 
-def alpha_decay_scan(params: Params, n: int, scan_range=(10, 200),
-                     samples: int = 24) -> DecayReport:
+def _scan_n1(n: int, scan_range: Tuple[int, int], samples: int) -> List[int]:
+    """The n1 the decay scan samples: +v then -v for each log-spaced |n1| = v,
+    skipping n2 = 0, and none at n = 0 (no decaying element to fit)."""
+    if n == 0:
+        return []
+    return [m1 for v in _log_spaced(*scan_range, samples) for m1 in (v, -v) if m1 != n]
+
+
+def alpha_decay_scan(params: Params, n: int, scan_range=DECAY_SCAN_RANGE,
+                     samples: int = DECAY_SAMPLES) -> DecayReport:
     """Fit the decay exponent of alpha_{n1, n-n1} over |n1| in scan_range.
 
-    Near the anti-diagonal the closed forms cancel over tens of digits, so
-    each sampled mode is solved exactly and its alpha evaluated in high
-    precision; the sample grid is log-spaced across the scan range.  The
-    exponent is minus the least-squares slope of log|alpha| against log|n1|
-    over the upper half of the samples, computed exactly from the float logs
-    and rounded once; the sum is classified divergent when that slope
-    exceeds -1 + 0.1.
+    Solves each sampled mode (see _scan_n1) once, in scan order, and fits
+    them with _fit_decay; assemble_mode fits the same modes without solving
+    its own sub-modes again.
     """
-    lo, hi = scan_range
+    modes = [solve_mode(params, n1, n - n1) for n1 in _scan_n1(n, scan_range, samples)]
+    return _fit_decay(modes, scan_range)
+
+
+def _fit_decay(modes: List[ModeSolution], scan_range: Tuple[int, int]) -> DecayReport:
+    """The decay exponent of alpha over solved modes; solves nothing.
+
+    Near the anti-diagonal the closed forms cancel over tens of digits, so
+    each alpha is evaluated in high precision.  The exponent is minus the
+    least-squares slope of log|alpha| against log|n1| over the upper half of
+    the samples, computed exactly from the float logs and rounded once; the
+    sum is classified divergent when that slope exceeds -1 + 0.1.
+    """
     values = []
-    for n1 in _log_spaced(lo, hi, samples):
-        for m1 in (n1, -n1):
-            n2 = n - m1
-            if m1 == 0 or n2 == 0 or m1 + n2 == 0:
-                continue
-            a = solve_mode(params, m1, n2).boundary_alpha
-            if a is None:
-                continue
-            val = abs(evaluate_high_precision(a))
-            if val > 0:
-                values.append((abs(m1), val))
+    for m in modes:
+        a = m.boundary_alpha
+        if a is None:
+            continue
+        val = abs(evaluate_high_precision(a))
+        if val > 0:
+            values.append((abs(m.n1), val))
     if len(values) < 8:
-        return DecayReport(None, "inconclusive", scan_range, len(values))
+        return DecayReport(None, "inconclusive", scan_range, len(values), modes)
     values.sort()
     top = values[len(values) // 2:]
     xs = [Fraction(math.log(v[0])) for v in top]
@@ -358,7 +393,7 @@ def alpha_decay_scan(params: Params, n: int, scan_range=(10, 200),
         status = "convergent"
     else:
         status = "inconclusive"
-    return DecayReport(-slope, status, scan_range, len(values))
+    return DecayReport(-slope, status, scan_range, len(values), modes)
 
 
 def evaluate_high_precision(c: Constant) -> float:

@@ -219,8 +219,8 @@ def test_criterion_5_decay_exponents():
     For each family the fitted exponent must lie within DECAY_MARGIN of the
     exponent k of the generic table (4, 6, 2, 2, 2) and the mode sum must be
     classified convergent.  k is tied to the paper, not to the solver: at the
-    two largest scan points, with both signs, the solved particular part
-    equals the printed table exactly and the solver's alpha equals the small-y
+    two largest scan points, with both signs, the scan's own solved particular
+    part equals the printed table exactly and the solver's alpha equals the small-y
     limit of the printed table (to 1e-12 relative).
 
     The thresholds from the prose O-statements are an erratum: the closed
@@ -235,8 +235,9 @@ def test_criterion_5_decay_exponents():
         p = _params(key)
         rep = alpha_decay_scan(p, 1, DECAY_SCAN, samples=DECAY_SAMPLES)
         results.append((key, k, prose, rep))
+        scanned = {m.n1: m for m in rep.modes}
         for m1 in (sign * n1 for n1 in pins for sign in (1, -1)):
-            mode = solve_mode(p, m1, 1 - m1)
+            mode = scanned[m1]
             printed = fixture_particular(p.alpha, p.beta, p.lam, m1, 1 - m1)
             diffs = compare_expressions(mode.particular, printed)
             assert not diffs, (key, m1, diffs[:4])

@@ -394,7 +394,11 @@ def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected)
     lambda doc: None,
     lambda doc: {**doc, "particular": 5},
     lambda doc: {**doc, "n1": "1"},
-], ids=["list", "null", "particular_int", "n1_string"])
+    lambda doc: {**doc, "params": {**doc["params"], "lambda": "30"}},
+    lambda doc: {**doc, "params": {**doc["params"], "lambda": 30.0}},
+    lambda doc: {**doc, "particular": {**doc["particular"], "table": []}},
+], ids=["list", "null", "particular_int", "n1_string", "lambda_string", "lambda_float",
+        "table_list"])
 def test_verify_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, shape):
     # valid JSON of the wrong shape raises TypeError while the document is
     # read; that is bad input (exit 64), never a mismatch (exit 1)

@@ -348,9 +348,8 @@ def test_exotic_weight_pairs_solve_and_classify_boundary():
         assert (m.obstruction is not None) == (p.r <= a + b - 2)
 
 
-def test_zero_mode_assembly_solves_each_mode_once(monkeypatch):
-    # the alpha sum of an n = 0 assembly reads the anti-diagonal alphas of the
-    # assembly itself: 17 solves for the 17 modes (n1, -n1), |n1| <= 8
+def _count_solves(monkeypatch):
+    """The (n1, n2) of every homogeneous.solve_mode call from here on."""
     import eisenmodes.homogeneous as hom
 
     calls = []
@@ -361,8 +360,32 @@ def test_zero_mode_assembly_solves_each_mode_once(monkeypatch):
         return inner(params, n1, n2, *args, **kwargs)
 
     monkeypatch.setattr(hom, "solve_mode", counted)
+    return calls
+
+
+def test_zero_mode_assembly_solves_each_mode_once(monkeypatch):
+    # the alpha sum of an n = 0 assembly reads the anti-diagonal alphas of the
+    # assembly itself: 17 solves for the 17 modes (n1, -n1), |n1| <= 8
+    calls = _count_solves(monkeypatch)
     asm = assemble_mode(Params(F(3, 2), F(3, 2), 30), 0, 8, decay=True)
     assert sorted(calls) == [(n1, -n1) for n1 in range(-8, 9)]
     assert asm.exact_alpha_sum.status == "exact"
     probed = zero_mode_alpha_sum(Params(F(3, 2), F(3, 2), 30), "RamanujanExact", probe=8)
     assert asm.exact_alpha_sum.to_json_obj() == probed.to_json_obj()
+
+
+def test_assembly_with_decay_scan_solves_each_mode_once(monkeypatch):
+    # the 25 sub-modes |n1| <= 12 in n1 order, then the 44 scan modes
+    # |n1| in 10..200 not among them in scan order: 69 solves, none twice
+    p = Params(F(3, 2), F(3, 2), 30)
+    calls = _count_solves(monkeypatch)
+    asm = assemble_mode(p, 1, 12, decay=True)
+    scan = [(m1, 1 - m1) for v in _log_spaced(10, 200, 24) for m1 in (v, -v)]
+    own = [(n1, 1 - n1) for n1 in range(-12, 13)]
+    assert calls == own + [pair for pair in scan if pair not in own]
+    assert len(calls) == len(set(calls)) == 69
+    assert [(m.n1, m.n2) for m in asm.decay.modes] == scan
+    monkeypatch.undo()
+    rep = alpha_decay_scan(p, 1)
+    assert (asm.decay.exponent, asm.decay.status, asm.decay.samples) == (
+        rep.exponent, rep.status, rep.samples)
