@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
-from .scalars import SYM_PI, Constant, SymbolMonomial
+from .scalars import SYM_PI, Constant, SymbolMonomial, _json_int
 
 __all__ = [
     "BesselProduct",
@@ -454,12 +454,13 @@ def expr_from_json_obj(obj: dict):
         raise TypeError(f"the table of a {kind} expression must be an object")
     if kind == "single":
         return SingleBessel(
-            obj["n"], {int(j): YLaurent.from_json_obj(p) for j, p in obj["table"].items()}
+            _json_int(obj["n"]),
+            {int(j): YLaurent.from_json_obj(p) for j, p in obj["table"].items()},
         )
     if kind == "double":
         return DoubleBessel(
-            obj["n1"],
-            obj["n2"],
+            _json_int(obj["n1"]),
+            _json_int(obj["n2"]),
             {(int(c[0]), int(c[1])): YLaurent.from_json_obj(p) for c, p in obj["table"].items()},
         )
     raise ValueError(f"unknown expression kind {kind!r}")

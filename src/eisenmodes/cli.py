@@ -3,12 +3,14 @@
 Subcommands: solve (one mode or a whole Fourier-mode assembly), table
 (compare against the embedded worked-solution tables), sums (divisor
 convolutions), combine (integrated-correlator style combinations), verify
-(numeric residual and boundary check of a solution document), alpha-sum
+(exact operator and boundary check of a solution document), alpha-sum
 (zero-mode homogeneous coefficient total).
 
 Exit codes (part of the public contract):
     0   solved / all comparisons equal
-    1   verification or comparison mismatch
+    1   verification or comparison mismatch: P(particular) - source is not
+        exactly zero, the boundary data differ from choose_alpha's, or a
+        computed table differs exactly from the printed one
     2   lambda is not of the form r(r+1) (no solution in the ansatz class)
     3   alpha or beta is not a half-integer
     4   no solution within the derived degree windows, widened
@@ -16,26 +18,25 @@ Exit codes (part of the public contract):
     5   mode is obstructed (log-bearing leading term at y^{-r})
     6   no fixture table for the requested parameters
     7   a log(y) power beyond the cap (laurent.LOG_CAP), e.g. in a verify input
-    64  usage error or unreadable input
+    64  usage error or unreadable input, including a document value of the
+        wrong JSON type
 
 Every document goes to stdout, or to the --output file; codes 7 and 64 write
 only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
 mode) or --n (a whole mode); a flag that only the other form reads is a usage
 error.  The degree windows are derived from the source (see solver); no flag
-sets or widens them.  The --y points of `verify` and `combine` are finite
-positive floats, and a point at which a double overflows is a usage error;
-for `verify` that is any point whose square y*y is not a finite double.
-`verify` passes a relative residual of the particular part,
-P(particular) - source, up to a fixed 1e-9, and checks the document's alpha,
-or its obstruction terms, against homogeneous.choose_alpha run on the
-document's own particular part.
+sets or widens them.  `verify` applies the mode operator of the particular
+part's kind (solver.operator_image) and compares the image exactly with the
+source rebuilt from the document's params and (n1, n2); it checks the
+document's alpha, or its obstruction terms, against homogeneous.choose_alpha
+run on the document's own particular part.  `table` and `combine` compare the
+computed expressions exactly with the printed ones (fixtures.compare_expressions).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -63,8 +64,7 @@ from .homogeneous import (
     zero_mode_alpha_sum,
 )
 from .laurent import LogCapExceeded
-from .numerics import DEFAULT_ENV, eval_expr, residual
-from .solver import NoSolutionInWindow
+from .solver import NoSolutionInWindow, operator_image
 from .sources import Normalization, Params, classify_params
 
 EXIT_OK = 0
@@ -86,9 +86,6 @@ ERROR_EXITS = (
     ((ValueError, OSError, KeyError), EXIT_USAGE),
 )
 
-
-# relative operator residual that verify accepts; never widened
-_RESIDUAL_TOLERANCE = 1e-9
 
 SIEVE_LIMIT_MAX = 10**7  # largest `sums --limit`; the sieve takes seconds at 10^6
 
@@ -133,24 +130,6 @@ def _sieve_limit(text: str) -> int:
     return int(text)
 
 
-def _positive_floats(text: str) -> list:
-    try:
-        ys = [float(v) for v in text.split(",")]
-        if all(0 < y < math.inf for y in ys):
-            return ys
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a list of finite positive numbers")
-
-
-def _at_point(y: float, fn, *args):
-    """fn(*args) for the point y, with a double overflow reported against --y."""
-    try:
-        return fn(*args)
-    except OverflowError as exc:
-        raise ValueError(f"--y {y!r} overflows a double: {exc}") from exc
-
-
 def _emit(doc, output) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if output:
@@ -158,6 +137,18 @@ def _emit(doc, output) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _comparison(computed, printed, used) -> dict:
+    """computed against printed, exactly: the verdict equal, equal_with_erratum
+    (printed needed the errata in `used`) or mismatch, with the first 6
+    differences."""
+    diffs = compare_expressions(computed, printed)
+    return {
+        "verdict": "mismatch" if diffs else "equal_with_erratum" if used else "equal",
+        "errata": [f"{c}/{cell}: {reason}" for c, cell, reason in used],
+        "differences": diffs[:6],
+    }
 
 
 def _no_solution(exc: NoSolutionInWindow, cls):
@@ -220,7 +211,6 @@ def cmd_table(args):
                 EXIT_NO_FIXTURE)
     params = Params(args.alpha, args.beta, args.lam, Normalization.PUBLISHED)
     verdicts = []
-    any_mismatch = False
     for case, pairs in cases.items():
         if args.cases and case not in args.cases:
             continue
@@ -229,23 +219,10 @@ def cmd_table(args):
             printed = fixture_particular(args.alpha, args.beta, args.lam, n1, n2,
                                          errata_used=used)
             mode = solve_mode(params, n1, n2)
-            diffs = compare_expressions(mode.particular, printed)
-            verdict = "equal" if not diffs else "mismatch"
-            if verdict == "equal" and used:
-                verdict = "equal_with_erratum"
-            any_mismatch = any_mismatch or bool(diffs)
-            verdicts.append(
-                {
-                    "case": case,
-                    "n1": n1,
-                    "n2": n2,
-                    "verdict": verdict,
-                    "errata": [f"{c}/{cell}: {reason}" for c, cell, reason in used],
-                    "differences": diffs[:6],
-                }
-            )
+            verdicts.append({"case": case, "n1": n1, "n2": n2,
+                             **_comparison(mode.particular, printed, used)})
     doc = {"schema": "eisenmodes/table-comparison/1", "entries": verdicts}
-    return doc, EXIT_MISMATCH if any_mismatch else EXIT_OK
+    return doc, EXIT_MISMATCH if any(v["verdict"] == "mismatch" for v in verdicts) else EXIT_OK
 
 
 def cmd_sums(args):
@@ -277,21 +254,8 @@ def cmd_combine(args):
                 EXIT_NO_FIXTURE)
     comb = combine(T_MINUS_2_WEIGHTS, args.n1, args.n2, free_constants=["C1"])
     doc = comb.to_json_obj()
-    spot = []
-    ok = True
-    for y in args.y:
-        ours = _at_point(y, eval_expr, comb.table, y)
-        ref = _at_point(y, eval_expr, fixture, y)
-        rel = abs(ours - ref) / max(abs(ref), 1e-300)
-        ok = ok and rel <= 1e-8
-        spot.append({"y": y, "value": _fmt(ours), "reference": _fmt(ref),
-                     "relative_error": _fmt(rel)})
-    doc["spot_check"] = {"points": spot, "verdict": "equal" if ok else "mismatch"}
-    if used:
-        doc["spot_check"]["errata"] = [f"{c}/{key}: {reason}" for c, key, reason in used]
-        if ok:
-            doc["spot_check"]["verdict"] = "equal_with_erratum"
-    return doc, EXIT_OK if ok else EXIT_MISMATCH
+    doc["comparison"] = _comparison(comb.table, fixture, used)
+    return doc, EXIT_MISMATCH if doc["comparison"]["verdict"] == "mismatch" else EXIT_OK
 
 
 def _boundary(mode) -> dict:
@@ -323,21 +287,18 @@ def cmd_verify(args):
         mode = mode_solution_from_json_obj(doc)
     except TypeError as exc:  # a value of the wrong JSON type is bad input, not a mismatch
         raise ValueError(f"malformed solution document: {exc}") from exc
-    residuals = []
-    ok = True
-    for y in args.y:
-        r = _at_point(y, residual, mode, y, DEFAULT_ENV)
-        residuals.append({"y": y, "relative_residual": _fmt(r)})
-        ok = ok and r <= _RESIDUAL_TOLERANCE
+    diffs = compare_expressions(operator_image(mode.params.lam, mode.particular),
+                                mode.source.full())
+    operator = {"status": "mismatch" if diffs else "exact-zero"}
+    if diffs:
+        operator["differences"] = diffs[:6]
     boundary = _boundary(mode)
-    ok = ok and boundary["status"] != "mismatch"
+    ok = not diffs and boundary["status"] != "mismatch"
     doc = {
-        "schema": "eisenmodes/verification/2",
+        "schema": "eisenmodes/verification/3",
         "input": args.input,
-        "y_points": args.y,
-        "residuals": residuals,
+        "operator": operator,
         "boundary": boundary,
-        "tolerance": _fmt(_RESIDUAL_TOLERANCE),
         "pass": ok,
     }
     return doc, EXIT_OK if ok else EXIT_MISMATCH
@@ -396,17 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"also print a partial sum up to this bound (at most {SIEVE_LIMIT_MAX})")
     p.set_defaults(fn=cmd_sums)
 
-    p = sub.add_parser("combine", help="weighted combinations of mode solutions")
+    p = sub.add_parser("combine", help="the T-2 combination against its printed table")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--y", type=_positive_floats, default="0.5,1",
-                   help="comma-separated spot-check points")
     p.set_defaults(fn=cmd_combine)
 
-    p = sub.add_parser("verify", help="residual and boundary check of a solution document")
+    p = sub.add_parser("verify", help="exact operator and boundary check of a solution document")
     p.add_argument("--input", required=True)
-    p.add_argument("--y", type=_positive_floats, default="0.5,1,2",
-                   help="comma-separated evaluation points")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("alpha-sum", help="zero-mode homogeneous coefficient total")

@@ -331,15 +331,18 @@ def fixture_modes(alpha, beta, lam: int) -> Dict[str, List[Tuple[int, int]]]:
 
 
 def compare_expressions(computed, printed) -> List[str]:
-    """Cell-by-cell exact comparison; returns human-readable differences."""
+    """Cell-by-cell exact comparison; returns human-readable differences.
+
+    Expressions of different kinds or frequencies differ as a whole."""
     diffs: List[str] = []
     if isinstance(computed, Pure) and isinstance(printed, Pure):
         delta = computed.poly - printed.poly
         for (k, j), c in delta.items_sorted():
             diffs.append(f"y^{k} log^{j}: difference {c!r}")
         return diffs
-    if type(computed) is not type(printed):
-        return [f"kind mismatch: {type(computed).__name__} vs {type(printed).__name__}"]
+    if type(computed) is not type(printed) or computed.freqs != printed.freqs:
+        return [f"kind mismatch: {type(computed).__name__}{computed.freqs} vs "
+                f"{type(printed).__name__}{printed.freqs}"]
     keys = set(computed.table) | set(printed.table)
     zero = YLaurent.zero()
     for cell in sorted(keys):

@@ -31,7 +31,7 @@ from .divisors import (
     sigma_float_table,
 )
 from .numerics import DEFAULT_ENV, symbol_value
-from .scalars import Constant, log_normalize, sym_ln_prime
+from .scalars import Constant, _json_int, log_normalize, sym_ln_prime
 from .series import hom_norm_scale_description, small_y_series
 from .solver import (
     SolveReport,
@@ -148,13 +148,6 @@ class ModeSolution:
         }
 
 
-def _json_int(value) -> int:
-    """A JSON integer as read; any other JSON value is a TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
     p = Params(
         Fraction(obj["params"]["alpha"]),
@@ -167,7 +160,7 @@ def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
     if obj["obstruction"] is not None:
         obstruction = Obstruction(
             tuple(
-                (e["y"], e["log"], Constant.from_json_obj(e["coeff"]))
+                (_json_int(e["y"]), _json_int(e["log"]), Constant.from_json_obj(e["coeff"]))
                 for e in obj["obstruction"]["leading"]
             ),
             None,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .scalars import Constant, Symbol
+from .scalars import Constant, Symbol, _json_int
 
 __all__ = ["YLaurent", "LogCapExceeded", "LOG_CAP"]
 
@@ -234,4 +234,5 @@ class YLaurent:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "YLaurent":
-        return cls({(e["y"], e["log"]): Constant.from_json_obj(e["coeff"]) for e in obj})
+        return cls({(_json_int(e["y"]), _json_int(e["log"])): Constant.from_json_obj(e["coeff"])
+                    for e in obj})

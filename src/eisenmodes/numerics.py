@@ -8,10 +8,26 @@ precision, because mpmath's ``besselk`` costs milliseconds a call and the
 operator-residual check evaluates them for every solved mode it validates;
 their small-argument series takes gamma from the same table.
 ``eval_hom_normalized`` evaluates the decaying element a mode carries,
-``HomBasis`` kind "K" or "power_neg".  The operator residual checks only
-that P(particular) = source: P annihilates the homogeneous element exactly
+``HomBasis`` kind "K" or "power_neg".  The operator residual evaluates
+P(particular) - source only: P annihilates the homogeneous element exactly
 for every alpha, and the boundary condition that fixes alpha is exact and
 has no numeric check here (``homogeneous.choose_alpha`` states it).
+
+What the residual sees is narrower than its name.  Its terms take the second
+derivative through the same factor-derivative rules as the symbolic operator,
+and within each (cell, y-power) group they share one product of Bessel
+values, which factors out.  So the residual sees errors in the coefficients,
+blurred by rounding, and nothing of the Bessel values or of the derivative
+rules: with ``bessel_k`` returning 0.7(1+x) K_0 and 1.5(1+x) K_1 in place of
+K_0 and K_1, the (3/2,3/2,30) mode (1, 2) still reads 8.8e-15, 2.3e-17 and
+1.2e-15 at y = 0.05, 0.5 and 1 (1.2e-14, 1.8e-16 and 2.1e-15 with the true
+values).  Where every term underflows it reads 0: in the unit-normalized
+(3/2,3/2,30) mode (200, -37), one particular coefficient multiplied by
+1 + 1e-6 reads 0 at y = 0.5, 1 and 2.  Where the terms cancel it reads
+rounding noise: the exact unit-normalized (7/2,7/2,56) mode (-117, 100) reads
+3.6e-5 at y = 0.5.  The exact check of a solution is the symbolic operator
+(``solver.operator_image``); the residual stays a numeric oracle for tests
+and benchmarks.
 """
 
 from __future__ import annotations
@@ -255,6 +271,12 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     part alpha * h is not evaluated: P(h) = 0 is an exact identity for every
     alpha, and alpha is checked exactly by ``homogeneous.choose_alpha``.  A
     point where y * y is not a finite double raises ``OverflowError``.
+
+    The Bessel values factor out of each (cell, y-power) group of terms, so
+    the result sees coefficient errors, blurred by rounding, but not wrong
+    Bessel values or derivative rules (the module docstring gives the
+    measurement).  It reads 0 where every term underflows, and rounding noise
+    where the terms cancel.
     """
     from fractions import Fraction as _F
 

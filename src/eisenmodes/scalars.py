@@ -18,6 +18,7 @@ operands build their results without a second pass (``Constant._trusted``).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Mapping, Tuple
@@ -74,11 +75,22 @@ def _symbol_str(sym: Symbol) -> str:
     return kind if arg is None else f"{kind}({arg})"
 
 
+_SYMBOL_TEXT = re.compile(r"(pi|gamma|ln_pi)|(ln_prime|zeta|zeta_prime)\((-?[0-9]+)\)")
+
+
 def _symbol_from_str(text: str) -> Symbol:
-    if "(" in text:
-        kind, arg = text[:-1].split("(")
-        return (kind, int(arg))
-    return (text, None)
+    """The symbol _symbol_str writes as text; any other text is a ValueError."""
+    match = _SYMBOL_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"unknown symbol {text!r}")
+    return (match[1], None) if match[1] else (match[2], int(match[3]))
+
+
+def _json_int(value) -> int:
+    """A JSON integer as read; any other JSON value is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 class SymbolMonomial:
@@ -208,16 +220,6 @@ class Constant:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(m.is_one() for m in self._terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"not a pure rational: {self!r}")
-        return next(iter(self._terms.values()))
 
     def coeff(self, mono: SymbolMonomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
@@ -355,10 +357,18 @@ class Constant:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "Constant":
+        """Read ``to_json_obj``'s list.  A value of the wrong JSON type is a
+        TypeError; an unknown symbol or a coefficient that is not "p/q" with
+        q != 0 is a ValueError."""
         terms: Dict[SymbolMonomial, Fraction] = {}
         for entry in obj:
-            mono = SymbolMonomial({_symbol_from_str(k): e for k, e in entry["monomial"].items()})
-            num, den = entry["coeff"].split("/")
+            monomial, coeff = entry["monomial"], entry["coeff"]
+            if type(monomial) is not dict or type(coeff) is not str:
+                raise TypeError(f"expected a monomial object and a coefficient string: {entry!r}")
+            mono = SymbolMonomial({_symbol_from_str(k): _json_int(e) for k, e in monomial.items()})
+            num, den = coeff.split("/")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in coefficient {coeff!r}")
             terms[mono] = terms.get(mono, Fraction(0)) + Fraction(int(num), int(den))
         return cls(terms)
 

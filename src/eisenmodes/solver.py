@@ -31,8 +31,8 @@ with every window widened by one on both sides, WIDEN_CAP times at most; no
 solvable family needs a retry, so a failure reports the derived window
 widened WIDEN_CAP times.
 
-Every returned solution is re-verified by applying the symbolic operator
-(``apply_P`` or ``apply_L``) and subtracting the right-hand side; the
+Every returned solution is re-verified by applying the symbolic operator of
+its kind (``operator_image``) and subtracting the right-hand side; the
 difference must be the identically zero expression.  The operator shares no
 code with the stencil: it keeps pi and every other symbol in the coefficients
 and takes no pi grading or rescaling from the solve, so a fault in the stencil,
@@ -59,6 +59,7 @@ __all__ = [
     "SolveReport",
     "solve_particular_double",
     "solve_particular_single",
+    "operator_image",
     "solve_zero_mode",
     "widen_and_retry",
 ]
@@ -109,6 +110,16 @@ class SolveReport:
             "support": {str(c): list(s) for c, s in self.support.items()},
             "residual_check": "exact-zero",  # the recheck raises on any other outcome
         }
+
+
+def operator_image(lam: int, expr):
+    """The image of expr under the mode operator of its kind: ``apply_P`` for
+    a DoubleBessel, ``apply_L`` for a SingleBessel, ``apply_euler`` for a Pure."""
+    if isinstance(expr, DoubleBessel):
+        return apply_P(lam, expr)
+    if isinstance(expr, SingleBessel):
+        return apply_L(lam, expr)
+    return apply_euler(lam, expr)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +318,7 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
         if coeff:
             terms.setdefault(cell, {})[k, 0] = Constant._trusted(coeff)
     sol = rhs_expr.with_table({cell: YLaurent._trusted(t) for cell, t in terms.items()})
-    operator = apply_P if isinstance(rhs_expr, DoubleBessel) else apply_L
-    if not (operator(lam, sol) - rhs_expr).is_zero():
+    if not (operator_image(lam, sol) - rhs_expr).is_zero():
         raise AssertionError("solver produced a non-exact solution (residual != 0)")
 
     report = SolveReport(
@@ -402,7 +412,6 @@ def solve_zero_mode(params: Params, source: Pure) -> Pure:
             out = out + YLaurent.monomial(k, coeff * Fraction(1, w), log_exp=1)
             out = out + YLaurent.monomial(k, coeff * Fraction(-1, w * w))
     particular = Pure(out)
-    check = apply_euler(lam, particular) - source
-    if not check.is_zero():
+    if not (operator_image(lam, particular) - source).is_zero():
         raise AssertionError("zero-mode particular failed its defining equation")
     return particular

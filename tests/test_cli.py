@@ -50,13 +50,15 @@ def test_solve_and_verify_round_trip(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["case"] == "generic"
     assert doc["report"]["kernel_dim"] == 0
-    code, out = run_cli(capsys, "verify", "--input", str(out_file), "--y", "0.5,1,2")
+    code, out = run_cli(capsys, "verify", "--input", str(out_file))
     assert code == EXIT_OK
     verdict = json.loads(out)
     assert verdict["pass"] is True
-    assert len(verdict["residuals"]) == 3
+    assert verdict["operator"] == {"status": "exact-zero"}
+    assert verdict["schema"] == "eisenmodes/verification/3"
+    assert not {"residuals", "y_points", "tolerance"} & set(verdict)
     # verdicts are reproducible from the serialized document alone
-    code2, out2 = run_cli(capsys, "verify", "--input", str(out_file), "--y", "0.5,1,2")
+    code2, out2 = run_cli(capsys, "verify", "--input", str(out_file))
     assert out2 == out
 
 
@@ -115,21 +117,30 @@ def test_combine_command(capsys):
     code, out = run_cli(capsys, "combine", "--n1", "1", "--n2", "2")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["spot_check"]["verdict"] == "equal"
-    for point in doc["spot_check"]["points"]:
-        assert float(point["relative_error"]) <= 1e-8
+    assert doc["comparison"] == {"verdict": "equal", "errata": [], "differences": []}
+    assert "spot_check" not in doc
 
 
 def test_combine_at_opposite_signs_applies_the_sign_erratum(capsys):
     # the printed table's overall sign is wrong at n1 n2 < 0
     code, out = run_cli(capsys, "combine", "--n1", "2", "--n2", "-3")
     assert code == EXIT_OK
-    check = json.loads(out)["spot_check"]
+    check = json.loads(out)["comparison"]
     assert check["verdict"] == "equal_with_erratum"
     assert [e.split(":")[0] for e in check["errata"]] == ["opposite_sign/prefactor"]
     assert "test_t_minus_2_table_satisfies_operator_identity" in check["errata"][0]
-    for point in check["points"]:
-        assert float(point["relative_error"]) <= 1e-8
+    assert check["differences"] == []
+
+
+def test_combine_reports_a_changed_weight_as_a_mismatch(capsys, monkeypatch):
+    # the comparison is exact, so any change of a weight shows
+    (coeff, params), *rest = cli.T_MINUS_2_WEIGHTS
+    monkeypatch.setattr(cli, "T_MINUS_2_WEIGHTS", [(coeff * 2, params), *rest])
+    code, out = run_cli(capsys, "combine", "--n1", "1", "--n2", "2")
+    assert code == EXIT_MISMATCH
+    check = json.loads(out)["comparison"]
+    assert check["verdict"] == "mismatch" and check["errata"] == []
+    assert 0 < len(check["differences"]) <= 6
 
 
 @pytest.mark.parametrize("n1, n2", [(1, -1), (0, 3)])
@@ -208,8 +219,9 @@ def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
     (["combine", "--preset", "T-2", "--n1", "1", "--n2", "2"], "--preset"),
     (["alpha-sum", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
       "--method", "NumericPartial"], "--method"),
-    # spot-check points that overflowed with a traceback, printed "y": Infinity
-    # and exited 1 as a mismatch, or failed with a message naming no flag
+    # the spot check's points, gone with the double-precision check they fed;
+    # these values once overflowed with a traceback, printed "y": Infinity and
+    # exited 1 as a mismatch, or failed with a message naming no flag
     *[(["combine", "--n1", "1", "--n2", "2", "--y", y], "--y")
       for y in ("inf", "1e-300", "0", "-1", "nan")],
     # a limit past the sieve bound overflowed with a traceback, exit 1
@@ -222,6 +234,7 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv, flag", [
+    # both went with the double-precision residual; the check is exact
     (["--tolerance", "1e-9"], "--tolerance"),
     *[(["--y", y], "--y") for y in ("inf", "1e-300", "0", "-1", "nan", "0.5,2,1e-300", "1e300")],
 ])
@@ -233,17 +246,6 @@ def test_verify_rejects_removed_and_out_of_range_arguments(tmp_path, capsys, arg
     code, out, err = run_cli_streams(capsys, "verify", "--input", str(path), *argv)
     assert code == EXIT_USAGE
     assert out == "" and flag in json.loads(err)["error"]
-
-
-def test_verify_names_y_where_a_single_bessel_mode_overflows(tmp_path, capsys):
-    # y * y = inf: the residual rejects a point whose square overflows
-    path = tmp_path / "solution.json"
-    code, _ = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
-                      "--n1", "0", "--n2", "2", "--output", str(path))
-    assert code == EXIT_OK
-    code, out, err = run_cli_streams(capsys, "verify", "--input", str(path), "--y", "1e300")
-    assert code == EXIT_USAGE
-    assert out == "" and "--y 1e+300 overflows a double" in json.loads(err)["error"]
 
 
 def test_solve_output_bytes_deterministic(capsys):
@@ -397,8 +399,15 @@ def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected)
     lambda doc: {**doc, "params": {**doc["params"], "lambda": "30"}},
     lambda doc: {**doc, "params": {**doc["params"], "lambda": 30.0}},
     lambda doc: {**doc, "particular": {**doc["particular"], "table": []}},
+    lambda doc: {**doc, "alpha": [{"monomial": {}, "coeff": 5}]},
+    lambda doc: {**doc, "alpha": [{"monomial": [], "coeff": "1/1"}]},
+    lambda doc: _first_term_with(doc, coeff="1/0"),
+    lambda doc: _first_term_with(doc, y=1.5),
+    lambda doc: {**doc, "alpha": [{"monomial": {"pi": 0.5}, "coeff": "1/1"}]},
+    lambda doc: {**doc, "particular": {**doc["particular"], "n2": 2.0}},
 ], ids=["list", "null", "particular_int", "n1_string", "lambda_string", "lambda_float",
-        "table_list"])
+        "table_list", "coeff_int", "monomial_list", "coeff_zero_denominator", "y_float",
+        "exponent_float", "particular_n2_float"])
 def test_verify_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, shape):
     # valid JSON of the wrong shape raises TypeError while the document is
     # read; that is bad input (exit 64), never a mismatch (exit 1)
@@ -408,6 +417,17 @@ def test_verify_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, shape):
     assert code == EXIT_USAGE
     assert out == ""
     assert set(json.loads(err)) == {"error"}
+
+
+def _first_term_with(doc, **fields):
+    """doc with the first term of its particular part's first cell edited."""
+    doc = json.loads(json.dumps(doc))
+    table = doc["particular"]["table"]
+    term = table[min(table)][0]
+    if "coeff" in fields:
+        term["coeff"][0]["coeff"] = fields.pop("coeff")
+    term.update(fields)
+    return doc
 
 
 def _verdict(tmp_path, capsys, doc):
@@ -446,18 +466,17 @@ def _leading_changed(doc):
 ])
 def test_verify_rejects_wrong_boundary_data(tmp_path, capsys, family, n1, n2,
                                             normalization, edit, key):
-    # the operator annihilates the homogeneous element, so the residual reads
-    # only the particular part and only the boundary rule sees a wrong alpha
-    # or obstruction
+    # the operator check reads only the particular part, so only the boundary
+    # rule sees a wrong alpha or obstruction
     expected = EXIT_OK if key == "alpha" else EXIT_OBSTRUCTED
     doc = _solution_doc(tmp_path, capsys, family, n1, n2, normalization, expected)
     code, verdict = _verdict(tmp_path, capsys, doc)
     assert code == EXIT_OK and verdict["boundary"]["status"] in ("ok", "obstructed")
-    residuals = verdict["residuals"]
+    assert verdict["operator"] == {"status": "exact-zero"}
     tampered = json.loads(json.dumps(doc))
     edit(tampered)
     code, verdict = _verdict(tmp_path, capsys, tampered)
-    assert verdict["residuals"] == residuals
+    assert verdict["operator"] == {"status": "exact-zero"}
     assert code == EXIT_MISMATCH and verdict["pass"] is False
     recomputed = doc["alpha"] if key == "alpha" else doc["obstruction"]["leading"][:6]
     assert verdict["boundary"] == {"status": "mismatch", key: recomputed}
@@ -472,21 +491,58 @@ def test_verify_accepts_an_obstructed_mode_at_large_frequencies(tmp_path, capsys
     assert verdict["boundary"] == {"status": "obstructed"}
 
 
-@pytest.mark.parametrize("family, n1, n2, y", [
-    # the rounding noise of alpha * P(h), once added to the residual, read
-    # 6.2e-2 at y = 1 and 3.4e111 at y = 0.5 on these exact solutions
-    (("3/2", "9/2", "42"), 2, -76, 1.0),
-    (("5/2", "3/2", "20"), 112, -46, 0.5),
+@pytest.mark.parametrize("family, n1, n2", [
+    # the double-precision residual that the exact check replaced read these
+    # exact solutions as mismatches: the rounding noise of alpha * P(h) read
+    # 6.2e-2 at y = 1 and 3.4e111 at y = 0.5 on the first two, and cancelling
+    # terms read 2.9e-8 and 3.6e-5 at y = 0.5 on the last two
+    (("3/2", "9/2", "42"), 2, -76),
+    (("5/2", "3/2", "20"), 112, -46),
+    (("5/2", "3/2", "42"), 65, -45),
+    (("7/2", "7/2", "56"), -117, 100),
 ])
-def test_verify_accepts_exact_solutions_at_large_frequencies(tmp_path, capsys, family, n1, n2, y):
+def test_verify_accepts_exact_solutions_at_large_frequencies(tmp_path, capsys, family, n1, n2):
     doc = _solution_doc(tmp_path, capsys, family, n1, n2, "unit")
     code, verdict = _verdict(tmp_path, capsys, doc)
     assert code == EXIT_OK and verdict["pass"] is True
+    assert verdict["operator"] == {"status": "exact-zero"}
     assert verdict["boundary"] == {"status": "ok"}
-    residuals = {r["y"]: float(r["relative_residual"]) for r in verdict["residuals"]}
-    assert max(residuals.values()) <= 1e-9
-    # a residual that checks something, not one whose terms all underflowed
-    assert residuals[y] > 0
+
+
+@pytest.mark.parametrize("n1, n2, boundary", [(0, 0, "free"), (0, 5, "ok")])
+def test_verify_accepts_the_zero_mode_and_a_single_bessel_mode(tmp_path, capsys, n1, n2,
+                                                               boundary):
+    doc = _solution_doc(tmp_path, capsys, n1=n1, n2=n2)
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_OK and verdict["pass"] is True
+    assert verdict["operator"] == {"status": "exact-zero"}
+    assert verdict["boundary"] == {"status": boundary}
+
+
+def test_verify_rejects_a_coefficient_moved_by_a_millionth(tmp_path, capsys):
+    # this mode underflows at y = 0.5, 1 and 2 (its source is 2.1e-320 at
+    # y = 0.5), so the double-precision residual read 0 there and passed it
+    doc = _solution_doc(tmp_path, capsys, ("3/2", "3/2", "30"), 200, -37, "unit")
+    table = doc["particular"]["table"]
+    coeff = table[min(table)][0]["coeff"][0]
+    moved = Fraction(coeff["coeff"]) * (1 + Fraction(1, 10**6))
+    coeff["coeff"] = f"{moved.numerator}/{moved.denominator}"
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_MISMATCH and verdict["pass"] is False
+    assert verdict["operator"]["status"] == "mismatch"
+    assert 0 < len(verdict["operator"]["differences"]) <= 6
+
+
+def test_verify_rejects_a_particular_of_other_frequencies(tmp_path, capsys):
+    # the source is rebuilt from (n1, n2) = (1, 2); the particular solves (1, 3)
+    doc = _solution_doc(tmp_path, capsys)
+    doc["particular"]["n2"] = 3
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_MISMATCH and verdict["pass"] is False
+    assert verdict["operator"] == {
+        "status": "mismatch",
+        "differences": ["kind mismatch: DoubleBessel(1, 3) vs DoubleBessel(1, 2)"],
+    }
 
 
 def test_unwritable_output_maps_to_usage_on_stderr(tmp_path, capsys):
@@ -656,6 +712,5 @@ def test_solve_contract_beyond_the_solvable_families(family, n1, n2):
         verdicts = [_main_doc(["verify", "--input", path]) for _ in range(2)]
         assert verdicts[0] == verdicts[1]
         code, out = verdicts[0]
-        verdict = json.loads(out)
-        assert all(float(r["relative_residual"]) <= 1e-9 for r in verdict["residuals"]), out
+        assert json.loads(out)["operator"] == {"status": "exact-zero"}, out
         assert code == EXIT_OK, out
