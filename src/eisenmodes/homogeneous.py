@@ -82,7 +82,7 @@ class ModeSolution:
     n1: int
     n2: int
     source: SourceTerm
-    particular: object  # prefactor-folded BesselExpr / Pure
+    particular: object  # BesselExpr / Pure solved against the full source
     alpha: Optional[Constant]
     obstruction: Optional[Obstruction]
     report: Optional[SolveReport]
@@ -148,10 +148,21 @@ class ModeSolution:
         }
 
 
+def _json_weight(value) -> Fraction:
+    """A weight as ``to_json_obj`` writes it, the string str(Fraction); a
+    non-string is a TypeError and any other string a ValueError ("3/0" too,
+    caught before Fraction would divide by zero)."""
+    if type(value) is not str:
+        raise TypeError(f"expected a weight string, got {value!r}")
+    if "/0" in value or str(Fraction(value)) != value:
+        raise ValueError(f"weight {value!r} is not written as str(Fraction) writes it")
+    return Fraction(value)
+
+
 def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
     p = Params(
-        Fraction(obj["params"]["alpha"]),
-        Fraction(obj["params"]["beta"]),
+        _json_weight(obj["params"]["alpha"]),
+        _json_weight(obj["params"]["beta"]),
         _json_int(obj["params"]["lambda"]),
         Normalization(obj["params"]["normalization"]),
     )
@@ -219,14 +230,13 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
     r = params.r
 
     if n1 == 0 and n2 == 0:
-        particular = solve_zero_mode(params, src.core).scale(src.prefactor)
+        particular = solve_zero_mode(params, src.full())
         return ModeSolution(params, 0, 0, src, particular, None, None, None)
 
     if n1 == 0 or n2 == 0:
-        core_sol, report = solve_particular_single(params, src.core, case=src.case_tag)
+        particular, report = solve_particular_single(params, src.full(), case=src.case_tag)
     else:
-        core_sol, report = solve_particular_double(params, src.core, case=src.case_tag)
-    particular = core_sol.scale(src.prefactor)
+        particular, report = solve_particular_double(params, src.full(), case=src.case_tag)
 
     alpha = obstruction = None
     if r is not None:

@@ -27,10 +27,11 @@ def _coerce(c) -> Constant:
 class YLaurent:
     """Sparse map (y_exponent, log_exponent) -> Constant.
 
-    Immutable by convention: all operations return new objects.
+    Immutable by convention: all operations return new objects.  No zero
+    coefficient is stored, so a == b exactly when (a - b).is_zero().
     """
 
-    __slots__ = ("_terms", "_min_y", "_max_y")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[TermKey, Constant] | Iterable[Tuple[TermKey, Constant]] = ()):
         cleaned: Dict[TermKey, Constant] = {}
@@ -41,16 +42,8 @@ class YLaurent:
                 raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
             c = _coerce(c)
             if not c.is_zero():
-                prev = cleaned.get((k, j))
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    cleaned.pop((k, j), None)
-                else:
-                    cleaned[(k, j)] = c
+                cleaned[(k, j)] = c
         self._terms = cleaned
-        ys = [k for k, _ in cleaned]
-        self._min_y = min(ys) if ys else 0
-        self._max_y = max(ys) if ys else 0
 
     @classmethod
     def _trusted(cls, terms: Dict[TermKey, Constant]) -> "YLaurent":
@@ -59,8 +52,6 @@ class YLaurent:
         way; each drops the zeros it creates itself."""
         obj = object.__new__(cls)
         obj._terms = terms
-        obj._min_y = min(terms)[0] if terms else 0
-        obj._max_y = max(terms)[0] if terms else 0
         return obj
 
     # -- constructors -------------------------------------------------------
@@ -89,10 +80,10 @@ class YLaurent:
         return not self._terms
 
     def min_degree(self) -> int:
-        return self._min_y
+        return min(self._terms)[0] if self._terms else 0
 
     def max_degree(self) -> int:
-        return self._max_y
+        return max(self._terms)[0] if self._terms else 0
 
     def max_log(self) -> int:
         return max((j for _, j in self._terms), default=0)
@@ -234,5 +225,9 @@ class YLaurent:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "YLaurent":
-        return cls({(_json_int(e["y"]), _json_int(e["log"])): Constant.from_json_obj(e["coeff"])
-                    for e in obj})
+        """Read ``to_json_obj``'s list; a repeated (y, log) term is a ValueError."""
+        terms = {(_json_int(e["y"]), _json_int(e["log"])): Constant.from_json_obj(e["coeff"])
+                 for e in obj}
+        if len(terms) != len(obj):
+            raise ValueError("repeated (y, log) term")
+        return cls(terms)

@@ -93,66 +93,57 @@ def _json_int(value) -> int:
     return value
 
 
-class SymbolMonomial:
+class SymbolMonomial(tuple):
     """Product of symbol powers, e.g. pi^-4 * zeta(3)^2 * ln_prime(2).
 
     Exponents are nonzero integers; pi and zeta exponents may be negative
     (negative zeta powers arise from Eisenstein zeroth coefficients and
-    Ramanujan denominators).  Keys are stored in the fixed canonical order
-    pi < gamma < ln_pi < ln_prime(p asc) < zeta(asc) < zeta_prime(asc).
+    Ramanujan denominators).  The monomial is the tuple of its (symbol,
+    exponent) pairs in the fixed canonical order pi < gamma < ln_pi <
+    ln_prime(p asc) < zeta(asc) < zeta_prime(asc), so it compares and hashes
+    as that tuple; the empty tuple is 1.  JSON and repr order by ``sort_key``.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
-    def __init__(self, exponents: Mapping[Symbol, int] | Iterable[Tuple[Symbol, int]] = ()):
-        items = dict(exponents)
-        self._items = tuple(
-            sorted(((s, e) for s, e in items.items() if e != 0), key=lambda kv: _symbol_key(kv[0]))
-        )
+    def __new__(cls, exponents: Mapping[Symbol, int] | Iterable[Tuple[Symbol, int]] = ()):
+        pairs = ((s, e) for s, e in dict(exponents).items() if e != 0)
+        return super().__new__(cls, sorted(pairs, key=lambda kv: _symbol_key(kv[0])))
 
     def items(self):
-        return self._items
+        return self
 
     def is_one(self) -> bool:
-        return not self._items
+        return not self
 
     def pi_exponent(self) -> int:
-        for sym, e in self._items:
-            if sym == SYM_PI:
-                return e
-        return 0
+        return self[0][1] if self and self[0][0] == SYM_PI else 0
 
     def __mul__(self, other: "SymbolMonomial") -> "SymbolMonomial":
-        if not other._items:
+        if not other:
             return self
-        if not self._items:
+        if not self:
             return other
-        exps = dict(self._items)
-        for sym, e in other._items:
+        exps = dict(self)
+        for sym, e in other:
             exps[sym] = exps.get(sym, 0) + e
         return SymbolMonomial(exps)
 
     def __pow__(self, k: int) -> "SymbolMonomial":
-        return SymbolMonomial({s: e * k for s, e in self._items})
+        return SymbolMonomial({s: e * k for s, e in self})
 
     def inverse(self) -> "SymbolMonomial":
         return self ** -1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolMonomial) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
     def __repr__(self) -> str:
-        if not self._items:
+        if not self:
             return "1"
         return "*".join(
-            _symbol_str(s) + (f"^{e}" if e != 1 else "") for s, e in self._items
+            _symbol_str(s) + (f"^{e}" if e != 1 else "") for s, e in self
         )
 
     def sort_key(self):
-        return tuple((_symbol_key(s), e) for s, e in self._items)
+        return tuple((_symbol_key(s), e) for s, e in self)
 
 
 _ONE_MONOMIAL = SymbolMonomial()
@@ -172,13 +163,8 @@ class Constant:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[SymbolMonomial, Fraction] | None = None):
-        cleaned: Dict[SymbolMonomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = _as_fraction(coeff)
-                if c:
-                    cleaned[mono] = cleaned.get(mono, Fraction(0)) + c
-        self._terms = {m: c for m, c in cleaned.items() if c}
+        coeffs = {m: _as_fraction(c) for m, c in terms.items()} if terms else {}
+        self._terms = {m: c for m, c in coeffs.items() if c}
 
     @classmethod
     def _trusted(cls, terms: Dict[SymbolMonomial, Fraction]) -> "Constant":

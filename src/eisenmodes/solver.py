@@ -1,6 +1,6 @@
 """Exact undetermined-coefficient solves for the mode equations.
 
-Matching P(g) (or L(g)) against the reduced source couples ansatz
+Matching P(g) (or L(g)) against the full source couples ansatz
 coefficients only across nearby y-degrees, so each solve is a small banded
 overdetermined linear system.  Its entries are rational multiples of powers
 of pi, graded by the degree shift: the image of y^k at y^p carries exactly
@@ -32,11 +32,11 @@ solvable family needs a retry, so a failure reports the derived window
 widened WIDEN_CAP times.
 
 Every returned solution is re-verified by applying the symbolic operator of
-its kind (``operator_image``) and subtracting the right-hand side; the
-difference must be the identically zero expression.  The operator shares no
-code with the stencil: it keeps pi and every other symbol in the coefficients
-and takes no pi grading or rescaling from the solve, so a fault in the stencil,
-the rescaling or the elimination shows as a non-zero difference.
+its kind (``operator_image``): the image must equal the right-hand side, and
+canonical forms make that equality exact.  The operator shares no code with
+the stencil: it keeps pi and every other symbol in the coefficients and takes
+no pi grading or rescaling from the solve, so a fault in the stencil, the
+rescaling or the elimination shows as an image unequal to the right-hand side.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     right-hand-side term c * pi^e * m (m free of pi) at y^p becomes the entry
     c of direction (m, e - p); a solved value d of that direction at unknown
     (cell, k) stands for d * pi^(k + e - p) * m.  The solution's tables are
-    built once from these terms, grouped by cell, and rechecked with the
-    symbolic operator.
+    built once from these terms, grouped by cell, and its image under the
+    symbolic operator must equal the right-hand side.
     """
     lam = params.lam
     unknowns = _ansatz_unknowns(rhs_expr, windows)
@@ -318,7 +318,7 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
         if coeff:
             terms.setdefault(cell, {})[k, 0] = Constant._trusted(coeff)
     sol = rhs_expr.with_table({cell: YLaurent._trusted(t) for cell, t in terms.items()})
-    if not (operator_image(lam, sol) - rhs_expr).is_zero():
+    if operator_image(lam, sol) != rhs_expr:
         raise AssertionError("solver produced a non-exact solution (residual != 0)")
 
     report = SolveReport(
@@ -412,6 +412,6 @@ def solve_zero_mode(params: Params, source: Pure) -> Pure:
             out = out + YLaurent.monomial(k, coeff * Fraction(1, w), log_exp=1)
             out = out + YLaurent.monomial(k, coeff * Fraction(-1, w * w))
     particular = Pure(out)
-    if not (operator_image(lam, particular) - source).is_zero():
+    if operator_image(lam, particular) != source:
         raise AssertionError("zero-mode particular failed its defining equation")
     return particular

@@ -29,7 +29,9 @@ from eisenmodes.numerics import (
     bessel_k,
     eval_expr,
 )
-from eisenmodes.scalars import GAMMA, LN_PI, PI, Constant, ln_prime, zeta_odd, zeta_prime
+from eisenmodes.scalars import (
+    GAMMA, LN_PI, PI, SYM_PI, Constant, SymbolMonomial, _symbol_key, ln_prime, zeta_odd, zeta_prime,
+)
 
 ENV = NumericEnv()
 
@@ -261,6 +263,61 @@ def test_operators_match_the_two_pass_reference(shape, table, lam):
     expr = expr.map_cells(
         lambda p: YLaurent({kj: c for kj, c in p.terms().items() if kj[1] < LOG_CAP}))
     assert _OPERATOR[type(shape)](lam, expr) == _reference_mode_operator(lam, expr)
+
+
+_KERNEL_SYMBOLS = sorted({s for c in KERNEL_MONOMIALS for m in c.terms() for s, _ in m.items()},
+                         key=_symbol_key)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda e: f"{type(e).__name__}{e.freqs}")
+@given(
+    table=hst.dictionaries(hst.integers(0, 3), _polys),
+    other=hst.dictionaries(hst.integers(0, 3), _polys),
+    how=hst.sampled_from(["drawn", "rebuilt", "transposed"]),
+    zero_cell=hst.integers(0, 3),
+    exponents=hst.permutations(_KERNEL_SYMBOLS).flatmap(
+        lambda syms: hst.lists(hst.integers(-3, 3), min_size=len(syms), max_size=len(syms))
+        .map(lambda es: list(zip(syms, es)))),
+)
+def test_canonical_forms_compare_equal_exactly_when_the_difference_is_zero(
+        shape, table, other, how, zero_cell, exponents):
+    # the solver's rechecks test image == rhs: that is as strong as
+    # (image - rhs).is_zero() because every expression is stored in one form
+    # (merged cells folded, no zero cell or coefficient, monomials sorted)
+    cells = {DoubleBessel: [(0, 0), (0, 1), (1, 0), (1, 1)], SingleBessel: [0, 1], Pure: [()]}
+    cells = cells[type(shape)]
+    a_table = {cells[i % len(cells)]: p for i, p in table.items()}
+    a = shape.with_table(a_table)
+    o = shape.with_table({cells[i % len(cells)]: p for i, p in other.items()})
+    if how == "drawn":
+        b = o
+    elif how == "rebuilt":
+        b = (a - o) + o
+    else:  # (0, 1) <-> (1, 0): the same expression where |n1| = |n2|, else another
+        flip = {DoubleBessel: lambda c: c[::-1], SingleBessel: lambda c: 1 - c, Pure: lambda c: c}
+        b_table = {flip[type(shape)](c): p for c, p in a_table.items()}
+        b_table.setdefault(cells[zero_cell % len(cells)], YLaurent.zero())
+        b = shape.with_table(b_table)
+    assert (a == b) == (a - b).is_zero() == (b - a).is_zero()
+    if how == "rebuilt" or (how == "transposed" and getattr(shape, "merged", False)):
+        assert a == b  # the same expression, built another way
+    zero = cells[zero_cell % len(cells)]
+    if zero not in a_table:
+        assert a.with_table({**a_table, zero: YLaurent.zero()}) == a
+
+    # a monomial is its sorted pairs, whatever order and zero exponents it is built from
+    nonzero = sorted(((s, e) for s, e in exponents if e), key=lambda se: _symbol_key(se[0]))
+    built = [SymbolMonomial(exponents), SymbolMonomial(dict(exponents)),
+             SymbolMonomial(reversed(exponents)), SymbolMonomial(nonzero)]
+    text = "*".join((k if x is None else f"{k}({x})") + (f"^{e}" if e != 1 else "")
+                    for (k, x), e in nonzero) or "1"
+    for m in built:
+        assert m == built[0] and hash(m) == hash(tuple(nonzero))
+        assert m.sort_key() == tuple((_symbol_key(s), e) for s, e in nonzero)
+        assert m.pi_exponent() == dict(exponents).get(SYM_PI, 0)
+        assert repr(m) == text and m.is_one() == (not nonzero)
+    assert Constant({built[0]: 1}) == Constant({built[2]: 1})
 
 
 def _euler_closed_form(lam, m):

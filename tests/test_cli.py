@@ -405,12 +405,19 @@ def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected)
     lambda doc: _first_term_with(doc, y=1.5),
     lambda doc: {**doc, "alpha": [{"monomial": {"pi": 0.5}, "coeff": "1/1"}]},
     lambda doc: {**doc, "particular": {**doc["particular"], "n2": 2.0}},
+    lambda doc: _first_term_split(doc),
+    lambda doc: {**doc, "params": {**doc["params"], "alpha": 1.5}},
+    lambda doc: {**doc, "params": {**doc["params"], "alpha": " 3/2 "}},
+    lambda doc: {**doc, "params": {**doc["params"], "alpha": "3/0"}},
 ], ids=["list", "null", "particular_int", "n1_string", "lambda_string", "lambda_float",
         "table_list", "coeff_int", "monomial_list", "coeff_zero_denominator", "y_float",
-        "exponent_float", "particular_n2_float"])
+        "exponent_float", "particular_n2_float", "split_term", "alpha_float", "alpha_padded",
+        "alpha_zero_denominator"])
 def test_verify_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, shape):
     # valid JSON of the wrong shape raises TypeError while the document is
-    # read; that is bad input (exit 64), never a mismatch (exit 1)
+    # read, and a repeated (y, log) term or a weight not written as
+    # str(Fraction) raises ValueError; that is bad input (exit 64), never a
+    # mismatch (exit 1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(shape(_solution_doc(tmp_path, capsys))))
     code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
@@ -427,6 +434,19 @@ def _first_term_with(doc, **fields):
     if "coeff" in fields:
         term["coeff"][0]["coeff"] = fields.pop("coeff")
     term.update(fields)
+    return doc
+
+
+def _first_term_split(doc):
+    """doc with the first term of its particular part split into two terms
+    of the same (y, log), each with half the coefficient."""
+    doc = json.loads(json.dumps(doc))
+    table = doc["particular"]["table"]
+    terms = table[min(table)]
+    for entry in terms[0]["coeff"]:
+        half = Fraction(entry["coeff"]) / 2
+        entry["coeff"] = f"{half.numerator}/{half.denominator}"
+    terms.insert(0, json.loads(json.dumps(terms[0])))
     return doc
 
 
