@@ -32,7 +32,7 @@ from .divisors import (
 )
 from .numerics import DEFAULT_ENV, symbol_value
 from .scalars import Constant, _json_int, log_normalize, sym_ln_prime
-from .series import hom_norm_scale_description, small_y_series
+from .series import flat_small_y_series, hom_norm_scale_description, small_y_series
 from .solver import (
     SolveReport,
     solve_particular_double,
@@ -201,15 +201,24 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     no alpha can cancel.  Returns (alpha, None) when nothing is left, or
     (None, Obstruction) listing what is left, with alpha attached as its
     secondary_alpha; ``ModeSolution.hom_basis`` gives the decaying element.
+
+    The particular part's series is formed in ints (``flat_small_y_series``)
+    and its Constants are built once, from the terms below y^{-r+1}; the
+    element's series there is its y^{-r} term alone, which alpha cancels.
+    ``small_y_series``, which multiplies Constant series, is the independent
+    route that the tests and the benchmark's boundary recheck compare with.
     """
-    basis = _decaying_basis(r, n1 + n2)
-    series = small_y_series(particular, -r + 1)
-    element = small_y_series(basis, -r + 1)
-    alpha = -series.coeff(-r, 0) / element.coeff(-r)
-    left = (series + element.scale(alpha)).terms.items_sorted()
+    terms, den = flat_small_y_series(particular, -r + 1)
+    polys = {}
+    for (k, j, mono), q in terms.items():
+        if q:
+            polys.setdefault((k, j), {})[mono] = Fraction(q, den)
+    left = {kj: Constant._trusted(coeffs) for kj, coeffs in polys.items()}
+    element = small_y_series(_decaying_basis(r, n1 + n2), -r + 1).coeff(-r)
+    alpha = -left.pop((-r, 0), Constant.zero()) / element
     if not left:
         return alpha, None
-    bad = sorted(((k, j, c) for (k, j), c in left), key=lambda t: (t[0], -t[1]))
+    bad = sorted(((k, j, c) for (k, j), c in left.items()), key=lambda t: (t[0], -t[1]))
     obs = Obstruction(
         tuple(bad),
         alpha,

@@ -10,12 +10,20 @@ with z = 2 pi |n| y, so log(z/2) = log(y) + log(pi) + log|n| lands in the
 scalar ring (log|n| normalized to prime logarithms).  Half-integer-index
 homogeneous elements use the finite exponential-polynomial closed form.
 
-``k_log_series`` and ``hom_norm_series`` are memoized for the life of the
-process: the sub-modes of one assembly share their frequencies, so the same
-(index, |n|, order) series is asked for again and again.  That is safe because
-both are pure functions of ints and their ``YLaurent`` results are immutable
-(every operation returns a new object).  The cache grows by one entry per
-distinct argument triple a process touches.
+``k_log_series``, ``hom_norm_series`` and ``k_flat_series`` are memoized for
+the life of the process: the sub-modes of one assembly share their
+frequencies, so the same (index, |n|, order) series is asked for again and
+again.  That is safe because all three are pure functions of ints and their
+results are never written to (``YLaurent`` operations return new objects, and
+the term maps of ``k_flat_series`` are read-only views).  Each
+cache grows by one entry per distinct argument triple a process touches;
+``k_flat_series`` holds the K_0/K_1 series of ``k_log_series`` as one
+{(y_exp, log_exp, monomial): int} map and its denominator, written from the
+closed form without Constant arithmetic.
+
+``flat_small_y_series`` is ``small_y_series`` on a Bessel product in ints,
+the route ``homogeneous.choose_alpha`` takes; ``small_y_series`` multiplies
+the Constant series of ``k_log_series`` and stays the independent check of it.
 """
 
 from __future__ import annotations
@@ -24,14 +32,29 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import itemgetter
+from types import MappingProxyType
 
-from .bessel import BesselProduct, HomBasis
-from .laurent import YLaurent
-from .scalars import GAMMA, LN_PI, Constant, log_normalize
+from .bessel import BesselProduct, HomBasis, _flatten, _times_pi
+from .laurent import LOG_CAP, LogCapExceeded, YLaurent
+from .scalars import (
+    GAMMA,
+    LN_PI,
+    SYM_GAMMA,
+    SYM_LN_PI,
+    SYM_PI,
+    Constant,
+    SymbolMonomial,
+    factorize,
+    log_normalize,
+    sym_ln_prime,
+)
 
 __all__ = [
     "AsymptoticSeries",
     "k_log_series",
+    "k_flat_series",
+    "flat_small_y_series",
     "hom_norm_series",
     "hom_norm_scale_description",
     "small_y_series",
@@ -116,6 +139,136 @@ def k_log_series(j: int, n: int, order: int) -> YLaurent:
             add((2 * m + 1, 0), -corr)
             m += 1
     return YLaurent(terms).truncate(order)
+
+
+_ONE = SymbolMonomial()
+_GAMMA = SymbolMonomial({SYM_GAMMA: 1})
+_LN_PI = SymbolMonomial({SYM_LN_PI: 1})
+_y_exp = itemgetter(0)
+
+
+@lru_cache(maxsize=None)
+def k_flat_series(j: int, n: int, order: int):
+    """``k_log_series(j, n, order)`` as ({(y_exp, log_exp, monomial): int}, den).
+
+    Written straight from the closed form, with no Constant arithmetic: with
+    N = |n| and l = log(pi) + gamma + sum e_p log(p) over N = prod p^e_p,
+
+        K_0: y^{2m} pi^{2m} N^{2m} / (m!)^2 * (-log y - l + H_m),
+        K_1: y^{-1} / (2 pi N)
+             + y^{2m+1} pi^{2m+1} N^{2m+1} / (m! (m+1)!)
+               * (log y + l - (H_m + H_{m+1}) / 2),
+
+    for y exponents below order, in increasing y exponent.  Each int is its
+    coefficient times den, the lcm of the coefficients' denominators, as
+    ``bessel._flatten`` writes them; the cached map is read-only.
+    """
+    if j not in (0, 1):
+        raise ValueError("index must be 0 or 1")
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    N = abs(n)
+    logs = [(_GAMMA, 1), (_LN_PI, 1)] + [(SymbolMonomial({sym_ln_prime(p): 1}), e)
+                                         for p, e in factorize(N)]
+    count = max(0, (order - j + 1) // 2)  # the m with 2m + j < order
+    top = max(count - 1, 0)
+    # den = (top!)^2 L for K_0 and 2N top! (top+1)! L for K_1, with L the lcm
+    # of 1..top+j, so that L H_m is an int; reduced by the gcd at the end
+    lcm = math.lcm(*range(1, top + j + 1))
+    f0, f1 = math.factorial(top), math.factorial(top + j)
+    den = f0 * f1 * lcm * (2 * N if j else 1)
+    terms = {}
+    if j == 1 and order > -1:
+        terms[-1, 0, _times_pi(_ONE, -1)] = f0 * f1 * lcm
+    harmonic = 0  # L H_m
+    for m in range(count):
+        k = 2 * m + j
+        pi_k = _times_pi(_ONE, k)
+        base = N**k * (f0 // math.factorial(m)) * (f1 // math.factorial(m + j))
+        if j == 0:
+            harmonic += lcm // m if m else 0
+            a, h = -base * lcm, base * harmonic
+        else:
+            a, h = 2 * N * base * lcm, -N * base * (2 * harmonic + lcm // (m + 1))
+            harmonic += lcm // (m + 1)
+        terms[k, 1, pi_k] = a
+        for log, e in logs:
+            terms[k, 0, _times_pi(log, k)] = e * a
+        if h:
+            terms[k, 0, pi_k] = h
+    g = math.gcd(den, *terms.values())
+    return MappingProxyType({key: c // g for key, c in terms.items()}), den // g
+
+
+def _split_pi(mono: SymbolMonomial):
+    """(pi exponent, the rest of the monomial as a tuple of (symbol, exponent))."""
+    e = mono.pi_exponent()
+    return e, mono[1:] if e else mono
+
+
+@lru_cache(maxsize=None)
+def _rest_product(ra, rb) -> SymbolMonomial:
+    """The product of two pi-free monomial rests, memoized like
+    ``bessel._times_pi``: 300 sweep modes and a decay assembly meet about a
+    hundred pairs."""
+    return SymbolMonomial(ra) * SymbolMonomial(rb)
+
+
+def _mul_flat(a, b, order: int):
+    """The product of two flat term lists [(k, j, pi exponent, rest, int)], b
+    in increasing k, without the terms at y^order and above."""
+    out = {}
+    for ka, ja, ea, ra, ca in a:
+        for kb, jb, eb, rb, cb in b:
+            k = ka + kb
+            if k >= order:
+                break
+            j = ja + jb
+            if j > LOG_CAP:
+                raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
+            rest = rb if not ra else ra if not rb else _rest_product(ra, rb)
+            key = (k, j, ea + eb, rest)
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def flat_small_y_series(expr: BesselProduct, order: int):
+    """``small_y_series(expr, order)`` in ints: ({(y_exp, log_exp, monomial): int}, den).
+
+    The expression is flattened once; per cell the K factors come from
+    ``k_flat_series`` and are multiplied as in ``small_y_series``: the first
+    factor is not truncated, since the terms it has past reach are the ones
+    another factor's 1/y shifts below it.  The cells are summed over one
+    denominator.
+    Monomials are multiplied as a pi exponent and the rest, so only the rests
+    (gamma, log pi, the prime logs, zeta values) meet SymbolMonomial products.
+    A sum that cancels is kept as a 0.
+    """
+    terms, den_q = _flatten(expr)
+    cells = {}
+    for (cell, k, j, mono), q in terms.items():
+        cells.setdefault(cell, []).append((k, j, *_split_pi(mono), q))
+    products = []
+    for cell, qs in cells.items():
+        reach = order - min(k for k, *_ in qs)
+        factors, den = [], 1
+        for index, abs_n in expr.factors(cell):
+            flat, den_f = k_flat_series(index, abs_n, reach + len(expr.freqs))
+            factors.append([(k, j, *_split_pi(mono), c) for (k, j, mono), c in flat.items()])
+            den *= den_f
+        prod = factors[0] if factors else [(0, 0, 0, _ONE, 1)]
+        for factor in factors[1:]:
+            prod = sorted(((*key, c) for key, c in _mul_flat(prod, factor, reach).items()),
+                          key=_y_exp)
+        products.append((_mul_flat(qs, prod, order), den))
+    den_k = math.lcm(*(den for _, den in products))
+    total = {}
+    for prod, den in products:
+        scale = den_k // den
+        for key, c in prod.items():
+            total[key] = total.get(key, 0) + c * scale
+    return {(k, j, SymbolMonomial(((SYM_PI, e), *rest))): c
+            for (k, j, e, rest), c in total.items()}, den_q * den_k
 
 
 def hom_norm_scale_description(r: int, n: int) -> str:

@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hst
 
+from eisenmodes.bessel import HomBasis
 from eisenmodes.divisors import sigma
 from eisenmodes.homogeneous import (
     T_MINUS_2_WEIGHTS,
@@ -18,8 +21,10 @@ from eisenmodes.homogeneous import (
     solve_mode,
     zero_mode_alpha_sum,
 )
+from eisenmodes.laurent import LogCapExceeded, YLaurent
 from eisenmodes.numerics import NumericEnv, eval_expr, eval_hom_normalized
-from eisenmodes.scalars import GAMMA, LN_PI, Constant, log_normalize
+from eisenmodes.scalars import GAMMA, LN_PI, PI, Constant, ln_prime, log_normalize, zeta_odd
+from eisenmodes.solver import NoSolutionInWindow
 from eisenmodes.series import hom_norm_series, small_y_series
 from eisenmodes.sources import Normalization, Params
 
@@ -47,6 +52,99 @@ def test_alpha_zero_when_already_decaying():
     expr = DoubleBessel(1, 2, {(1, 1): YLaurent.monomial(6)})
     alpha, obs = choose_alpha(expr, 5, 1, 2)
     assert obs is None and alpha.is_zero()
+
+
+def _reference_choose_alpha(particular, r, n1, n2):
+    """choose_alpha on the Constant series: small_y_series of the particular
+    part and of the decaying element, alpha * element added, and whatever is
+    left below y^{-r+1} sorted into (leading, secondary alpha, message)."""
+    basis = HomBasis("K", r, n1 + n2) if n1 + n2 else HomBasis("power_neg", r)
+    series = small_y_series(particular, -r + 1)
+    element = small_y_series(basis, -r + 1)
+    alpha = -series.coeff(-r, 0) / element.coeff(-r)
+    left = (series + element.scale(alpha)).terms.items_sorted()
+    if not left:
+        return alpha, None
+    bad = tuple(sorted(((k, j, c) for (k, j), c in left), key=lambda t: (t[0], -t[1])))
+    message = f"cannot reach o(y^-{r}): offending terms at " + ", ".join(
+        f"y^{k} log^{j}" for k, j, _ in bad)
+    return None, (bad, alpha, message)
+
+
+UNIT = Normalization.UNIT
+BOUNDARY_FAMILIES = [
+    # worked-table families
+    Params(F(3, 2), F(3, 2), 30), Params(F(3, 2), F(5, 2), 20), Params(F(5, 2), F(5, 2), 12),
+    Params(F(3, 2), F(7, 2), 30),
+    # sweep-range families up to r = 8, the last three with the largest coefficients
+    Params(F(5, 2), F(7, 2), 42, UNIT), Params(F(9, 2), F(9, 2), 56, UNIT),
+    Params(F(7, 2), F(9, 2), 72, UNIT), Params(F(3, 2), F(9, 2), 72, UNIT),
+    Params(F(9, 2), F(3, 2), 72, UNIT),
+    # obstructed at lambda = 2 (r = 1); the last two are outside the solvable set,
+    # and their generic modes, among others, have no solution in the ansatz
+    Params(F(5, 2), F(5, 2), 2, UNIT), Params(F(3, 2), F(9, 2), 2, UNIT),
+    Params(F(3, 2), F(7, 2), 2, UNIT),
+]
+BOUNDARY_MONOMIALS = [Constant.one(), PI**2, PI**-3, zeta_odd(3), GAMMA, LN_PI, ln_prime(2),
+                      ln_prime(3) * PI]
+
+
+@hst.composite
+def _boundary_cases(draw):
+    """(params, n1, n2): a generic mode, n1 = 0, n2 = 0, anti-diagonal or merged."""
+    params = draw(hst.sampled_from(BOUNDARY_FAMILIES))
+    n = draw(hst.integers(1, 300)) * draw(hst.sampled_from((1, -1)))
+    kind = draw(hst.sampled_from(("generic", "n1_zero", "n2_zero", "anti_diagonal", "merged")))
+    if kind == "generic":
+        m = draw(hst.integers(1, 299))
+        return params, n, (m + (m >= abs(n))) * draw(hst.sampled_from((1, -1)))
+    return params, *{"n1_zero": (0, n), "n2_zero": (n, 0), "anti_diagonal": (-n, n),
+                     "merged": (n, n)}[kind]
+
+
+_extra_terms = hst.one_of(hst.just({}), hst.dictionaries(
+    hst.tuples(hst.integers(0, 3), hst.integers(-3, 3), hst.integers(0, 1)),
+    hst.tuples(hst.sampled_from(BOUNDARY_MONOMIALS), hst.integers(-10**6, 10**6),
+               hst.integers(1, 10**4)),
+    max_size=4,
+))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_boundary_cases(), extra=_extra_terms)
+@example(case=(Params(F(3, 2), F(3, 2), 30), -40, 41), extra={})
+@example(case=(Params(F(7, 2), F(9, 2), 72, UNIT), 257, 283), extra={})
+@example(case=(Params(F(3, 2), F(9, 2), 72, UNIT), 283, 257), extra={})
+@example(case=(Params(F(9, 2), F(3, 2), 72, UNIT), -251, -299), extra={})
+def test_choose_alpha_matches_the_constant_series_reference(case, extra):
+    # the integer route gives the alpha, leading terms, secondary alpha and
+    # message of the Constant series, on solved particular parts of every
+    # mode kind and on the same parts plus drawn terms around y^{-r} (cell,
+    # y^{-r+k} log^j, coefficient); both raise past the log cap.  (-40, 41)
+    # of (3/2, 3/2, 30) is wrong when the first K factor is truncated
+    params, n1, n2 = case
+    try:
+        particular = solve_mode(params, n1, n2).particular
+    except NoSolutionInWindow:
+        assume(False)
+    r = params.r
+    cells = sorted(particular.table)
+    added = {}
+    for (cell, k, j), (mono, num, den) in extra.items():
+        key = cells[cell % len(cells)]
+        added[key] = added.get(key, YLaurent.zero()) + YLaurent.monomial(
+            -r + k, mono * F(num, den), log_exp=j)
+    particular = particular + particular.with_table(added)
+    try:
+        expected = _reference_choose_alpha(particular, r, n1, n2)
+    except LogCapExceeded:
+        with pytest.raises(LogCapExceeded):
+            choose_alpha(particular, r, n1, n2)
+        return
+    alpha, obstruction = choose_alpha(particular, r, n1, n2)
+    got = None if obstruction is None else (
+        obstruction.leading, obstruction.secondary_alpha, obstruction.message)
+    assert (alpha, got) == expected
 
 
 def test_series_cancellation_and_behavioral_bound():

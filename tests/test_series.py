@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel
+from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel, _flatten
 from eisenmodes.laurent import YLaurent
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, eval_hom_normalized
 from eisenmodes.scalars import Constant
 from eisenmodes.series import (
     AsymptoticSeries,
     hom_norm_series,
+    k_flat_series,
     k_log_series,
     small_y_series,
 )
@@ -32,10 +33,32 @@ def test_cached_series_equal_uncached():
         for n in set(range(-5, 6)) - {0}:
             for order in range(-2, 7):
                 assert k_log_series(j, n, order) == k_log_series.__wrapped__(j, n, order)
+                assert k_flat_series(j, n, order) == k_flat_series.__wrapped__(j, n, order)
     for r in range(1, 9):
         for n in (1, 2, 5):
             for order in range(-r, 7):
                 assert hom_norm_series(r, n, order) == hom_norm_series.__wrapped__(r, n, order)
+
+
+def _flat(poly):
+    """A YLaurent as {(y_exp, log_exp, monomial): int} over the lcm of its denominators."""
+    terms, den = _flatten(Pure(poly))
+    return {(k, j, mono): q for (_, k, j, mono), q in terms.items()}, den
+
+
+def test_flat_k_series_equals_the_flattened_constant_series():
+    # the closed form written in ints is k_log_series term for term, over the
+    # same denominator, in increasing y exponent; the sign of n does not matter
+    for j in (0, 1):
+        for n in (*range(1, 13), 30, 97, 200, 300):
+            for order in range(-2, 15):
+                terms, den = k_flat_series.__wrapped__(j, n, order)
+                assert (terms, den) == _flat(k_log_series.__wrapped__(j, n, order)), (j, n, order)
+                assert [k for k, _, _ in terms] == sorted(k for k, _, _ in terms)
+            assert k_flat_series.__wrapped__(j, -n, 14) == (terms, den)
+    for j, n in ((2, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            k_flat_series(j, n, 3)
 
 
 def test_hom_leading_coefficients_match_tables():

@@ -13,7 +13,7 @@ from eisenmodes.divisors import sigma
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr
 from eisenmodes.scalars import Constant, zeta_odd
-from eisenmodes.series import hom_norm_series, k_log_series
+from eisenmodes.series import hom_norm_series, k_flat_series, k_log_series
 from eisenmodes.sources import (
     PUBLISHED_C_TABLE,
     Classification,
@@ -90,7 +90,7 @@ def test_cold_and_warm_solves_agree():
     # document, and no solve writes into a cached table
     p = Params(F(3, 2), F(3, 2), 30)
     modes = ((5, -4), (-4, 5))
-    for kernel in (k_log_series, hom_norm_series, _fourier_factor):
+    for kernel in (k_log_series, k_flat_series, hom_norm_series, _fourier_factor):
         kernel.cache_clear()
     cold, warm = ([json.dumps(solve_mode(p, n1, n2).to_json_obj(), sort_keys=True)
                    for n1, n2 in modes] for _ in range(2))
