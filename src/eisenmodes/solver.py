@@ -9,16 +9,29 @@ into one over Q with the same zero pattern, whose columns are the pi-free
 integer stencil ``bessel.unit_column``; each right-hand side splits into
 directions (non-pi symbol monomial, pi-grade), each with rational entries.
 Systems are solved exactly over Q in Python ints from the stencil to the
-solved values: fraction-free forward elimination (each direction scaled to
-integers, rows kept as integer multiples of their rational counterparts), then
-back-substitution over one running denominator per direction, with one
-Fraction made per solved value at the end.  The pivot of each column, taken
-in ascending y-degree then cell order, is the unused row with the fewest
+solved values, with one Fraction made per solved value at the end.
+
+The stencil is banded: row (cell, k) meets only the unknowns of degrees k,
+k - 1 and k - 2, and at degree k only its own unknown, with the diagonal
+d(d - 1) - lam (d = k minus the cell's index sum).  So one ascending pass in
+(degree, cell) order fixes each unknown from its own row (``_recurrence``).
+Where the diagonal is zero (a resonance, d = -r or r + 1) the unknown becomes
+a free parameter and its row a constraint, as are the rows above the window
+and any source row no unknown reaches; a small fraction-free solve of the
+constraints then fixes the parameters.  Where it does, the system has full
+column rank and is consistent, so its solution is unique and no kernel or
+inconsistent row exists.  Where the constraints are rank-deficient or
+inconsistent, forward elimination solves the system instead (``_eliminate``):
+fraction-free (each direction scaled to integers, rows kept as integer
+multiples of their rational counterparts), then back-substitution over one
+running denominator per direction.  Its pivot of each column, taken in
+ascending y-degree then cell order, is the unused row with the fewest
 entries, ties broken by ascending y-degree then cell.  Row scaling keeps zero
 patterns, and the pivot rows that Gauss-Jordan would go on reducing are never
 candidates again, so these are the pivots elimination over Fractions would
-choose.  Free variables of an underdetermined system are set to zero and
-counted as kernel dimension.
+choose; they fix which rows an inconsistent system reports.  Free variables
+of an underdetermined system are set to zero and counted as kernel
+dimension.
 
 Every cell of a mode gets one window from the source's y-powers [lo, hi] and
 r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
@@ -36,7 +49,8 @@ its kind (``operator_image``): the image must equal the right-hand side, and
 canonical forms make that equality exact.  The operator shares no code with
 the stencil: it keeps pi and every other symbol in the coefficients and takes
 no pi grading or rescaling from the solve, so a fault in the stencil, the
-rescaling or the elimination shows as an image unequal to the right-hand side.
+rescaling, the recurrence or the elimination shows as an image unequal to the
+right-hand side.
 """
 
 from __future__ import annotations
@@ -161,11 +175,11 @@ def _ansatz_unknowns(rhs, windows: Dict):
     """The unknowns (cell, k) of the windows in the source's parity class,
     in ascending y-degree then cell order."""
     parity = _parity_class(rhs)
-    return sorted(
-        ((cell, k) for cell, window in windows.items() for k in window.powers()
-         if (k + _cell_parity(rhs, cell)) % 2 == parity),
-        key=lambda u: (u[1], u[0]),
-    )
+    unknowns = []
+    for cell, window in windows.items():
+        first = window.m + (window.m + _cell_parity(rhs, cell) + parity) % 2
+        unknowns.extend((cell, k) for k in range(first, window.M + 1, 2))
+    return sorted(unknowns, key=lambda u: (u[1], u[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +278,132 @@ def _eliminate(columns, rhs_rows, col_order, row_order):
     return solved, kernel_cols, inconsistent
 
 
+def _recurrence(columns, rhs_rows, col_order, row_order):
+    """Solve a mode system in one ascending pass over its unknowns, exactly.
+
+    Same arguments and result as ``_eliminate`` (row_order lists every row),
+    or None where this pass cannot settle the system.  Unknown u, in
+    col_order, is fixed by its own row u when that row has a nonzero diagonal
+    and its other entries lie in earlier columns only (in a mode system, at
+    degrees k - 1 and k - 2): x_u = (rhs_u - sum(A[u, c] * x_c)) / A[u, u].
+    Where the diagonal is zero (a resonance) x_u becomes a free parameter t_j
+    and row u a constraint, like every row that fixes no unknown.  Every x is
+    carried as an affine function of the parameters: one integer component
+    per right-hand-side direction (scaled to integers as in ``_eliminate``)
+    and one per parameter, each over one running denominator, multiplied up
+    where a pivot does not divide.  The constraints then form a small integer
+    system in the parameters whose solutions and kernel are those of the
+    whole system, solved by fraction-free Gauss-Jordan.  Where it has full
+    column rank and is consistent in every direction, so is the whole
+    system: its solution is unique and equals ``_eliminate``'s, with no
+    kernel and no inconsistent row.  Otherwise (a rank-deficient or
+    inconsistent system, or a row that reaches a later column) the result is
+    None.
+    """
+    index = {col: u for u, col in enumerate(col_order)}
+    rows: Dict = {}
+    for col, entries in columns.items():
+        u = index[col]
+        for row, val in entries.items():
+            rows.setdefault(row, []).append((u, val))
+    scales = [math.lcm(*(v.denominator for v in d)) for d in zip(*rhs_rows.values())]
+    rhs = {row: [v.numerator * (s // v.denominator) for v, s in zip(vals, scales)]
+           for row, vals in rhs_rows.items()}
+    zero = [0] * len(scales)
+
+    # a step is (u, pivot, its row, its rhs); the row keeps its diagonal,
+    # read while x_u is still 0
+    steps, params, solved_rows = [], [], set()
+    for u, col in enumerate(col_order):
+        pivot = columns[col].get(col)
+        if not pivot:
+            params.append((u, len(steps)))
+        elif max(rows[col])[0] > u:
+            return None
+        else:
+            steps.append((u, pivot, rows[col], rhs.get(col, zero)))
+            solved_rows.add(col)
+
+    def ascend(num, d, start=0):
+        """Numerators of one component over f times its scale, and f."""
+        f = 1
+        for u, pivot, row, b in steps[start:]:
+            t = b[d] * f if d is not None else 0
+            for c, v in row:
+                t -= v * num[c]
+            m = abs(pivot) // math.gcd(t, pivot)
+            if m != 1:
+                num = [x * m for x in num]
+                f *= m
+                t *= m
+            num[u] = t // pivot
+        return num, f
+
+    n = len(col_order)
+    directions = [ascend([0] * n, d) for d in range(len(scales))]
+    weights = []
+    for u, start in params:
+        num = [0] * n
+        num[u] = 1
+        weights.append(ascend(num, None, start)[0])
+
+    g, h = [], []
+    for row in row_order:
+        if row in solved_rows:
+            continue
+        entries = rows.get(row, ())
+        g.append([sum(v * w[c] for c, v in entries) for w in weights])
+        b = rhs.get(row, zero)
+        h.append([b[d] * f - sum(v * num[c] for c, v in entries)
+                  for d, (num, f) in enumerate(directions)])
+    values = _fix_parameters(g, h, len(weights), len(directions))
+    if values is None:
+        return None
+
+    # parameter j is t_j = s_j * f_j / (f * scale), with f_j the running
+    # denominator of its weights w_j, so x = (num + sum(w_j * s_j)) /
+    # (f * scale) in each direction
+    columns_of_values = []
+    for (num, f), scale, s in zip(directions, scales, values):
+        lcm = math.lcm(*(q.denominator for q in s))
+        num = [x * lcm for x in num]
+        for q, w in zip(s, weights):
+            a = q.numerator * (lcm // q.denominator)
+            num = [x + a * y for x, y in zip(num, w)]
+        den = lcm * f * scale
+        columns_of_values.append([Fraction(x, den) for x in num])
+    solution = {col: [vals[u] for vals in columns_of_values] for u, col in enumerate(col_order)}
+    return solution, [], []
+
+
+def _fix_parameters(g, h, n_params, n_dirs):
+    """The unique s with g s = h, one column of h per direction, as Fractions
+    per direction; None unless g has full column rank and every direction is
+    consistent.  Fraction-free Gauss-Jordan on the rows [g | h]."""
+    rows = [gr + hr for gr, hr in zip(g, h)]
+    for j in range(n_params):
+        i = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if i is None:
+            return None
+        rows[i], rows[j] = rows[j], rows[i]
+        pivot = rows[j]
+        for i, row in enumerate(rows):
+            if i != j and row[j]:
+                a, b = pivot[j], row[j]
+                rows[i] = [a * x - b * y for x, y in zip(row, pivot)]
+    if any(any(row[n_params:]) for row in rows[n_params:]):
+        return None
+    return [[Fraction(rows[j][n_params + d], rows[j][j]) for j in range(n_params)]
+            for d in range(n_dirs)]
+
+
+def _solve_system(columns, rhs_rows, col_order, row_order):
+    """The recurrence's solution where it settles the system, else
+    ``_eliminate``'s (kernel columns and inconsistent rows included)."""
+    return (_recurrence(columns, rhs_rows, col_order, row_order)
+            or _eliminate(columns, rhs_rows, col_order, row_order))
+
+
 def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     """Assemble the banded system for one window set and solve it exactly.
 
@@ -271,7 +411,11 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     y^p is a rational q times pi^(p-k).  Scaling unknown (cell, k) by pi^k
     and row (cell, p) by pi^-p therefore leaves a rational matrix with the
     zero pattern of the original, whose column (cell, k) is the operator
-    with pi = 1 (``unit_column``).  Forward elimination over Q picks the
+    with pi = 1 (``unit_column``).  ``_solve_system`` solves it: the
+    ascending recurrence, its resonant unknowns parameters fixed by the
+    constraint rows, settles exactly the consistent systems of full column
+    rank, whose unique solution is the one any elimination finds.  On the
+    others (a failing window) forward elimination over Q picks the
     pivots, kernel and inconsistent rows that Gauss-Jordan over Fractions
     would find on the pi-graded system: scaling keeps zero patterns, and the
     rows Gauss-Jordan reduces further are pivot rows, never candidates again.
@@ -298,13 +442,13 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
                 entries[(rest, mono.pi_exponent() - p, (cell, p))] = coeff
     directions = sorted({(m, g) for m, g, _ in entries}, key=lambda d: (d[0].sort_key(), d[1]))
     dir_index = {d: i for i, d in enumerate(directions)}
-    rhs_rows: Dict = {key: [Fraction(0)] * len(directions) for key in eq_keys}
+    rhs_rows: Dict = {}  # the source rows; every other row's rhs is zero
     for (m, g, row), coeff in entries.items():
-        rhs_rows[row][dir_index[(m, g)]] = coeff
+        rhs_rows.setdefault(row, [Fraction(0)] * len(directions))[dir_index[(m, g)]] = coeff
 
     row_order = sorted(eq_keys, key=lambda e: (e[1], e[0]))
     col_order = unknowns
-    solution, kernel_cols, inconsistent = _eliminate(columns, rhs_rows, col_order, row_order)
+    solution, kernel_cols, inconsistent = _solve_system(columns, rhs_rows, col_order, row_order)
     if inconsistent:
         raise NoSolutionInWindow(
             f"inconsistent rows at {inconsistent[:6]} (case {case}, lambda={lam})",

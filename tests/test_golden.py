@@ -4,8 +4,8 @@ Each digest is the sha256 of the canonical JSON (sorted keys, no spaces) of
 ``solve_mode(...).to_json_obj()`` for one mode per (family, case tag) of the
 embedded fixtures.  Family i uses the i-th compared pair of each case (cyclic),
 so merged, same-sign and opposite-sign generic modes all appear.  The
-inconsistent rows of a non-triangular lambda pin the pivot order and the
-inconsistency report as well.  The CLI documents (LaTeX solves, tables, the
+inconsistent rows of a non-triangular lambda and of a triangular one outside
+the solvable set pin the pivot order and the inconsistency report as well.  The CLI documents (LaTeX solves, tables, the
 T-2 combination, verify), the numeric evaluators and the small-y series of one
 single- and one double-Bessel mode are pinned too, and so is every source term
 of eight modes over all sixteen weight pairs up to 9/2.  The zero-mode path
@@ -114,6 +114,22 @@ def test_golden_inconsistent_rows():
     }
     assert [str(r) for r in exc.inconsistent_rows] == [
         "((0, 1), 14)", "((1, 0), 14)", "((0, 0), 15)", "((1, 1), 15)",
+    ]
+
+
+def test_golden_inconsistent_rows_of_a_resonant_family():
+    # lambda = 20 is triangular but outside the solvable set: the recurrence
+    # cannot settle any window, and the rows of the elimination it falls back
+    # on are pinned; the first two lie mid-window and follow its pivot rule
+    with pytest.raises(NoSolutionInWindow) as info:
+        solve_mode(Params(Fraction(3, 2), Fraction(3, 2), 20), 1, 2)
+    exc = info.value
+    assert exc.retries == 12
+    assert {str(c): (w.m, w.M) for c, w in exc.windows.items()} == {
+        "(0, 0)": (-15, 13), "(0, 1)": (-15, 13), "(1, 0)": (-15, 13), "(1, 1)": (-15, 13),
+    }
+    assert [str(r) for r in exc.inconsistent_rows] == [
+        "((0, 0), 5)", "((1, 0), 6)", "((0, 0), 15)", "((1, 1), 15)",
     ]
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from eisenmodes.bessel import DoubleBessel, Pure, apply_euler, apply_L, apply_P, expr_to_json_obj
 from eisenmodes.homogeneous import solve_mode
@@ -13,6 +15,7 @@ from eisenmodes.solver import (
     _ansatz_unknowns,
     _assemble_and_solve,
     _eliminate,
+    _solve_system,
     _source_window,
     NoSolutionInWindow,
     solve_particular_double,
@@ -271,14 +274,14 @@ def test_band_profile_assertion_is_active(monkeypatch):
 
 def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
     # The exact recheck works over one common denominator per expression; a
-    # solved coefficient moved by 2^-200, at any unknown, must still make it
-    # raise its explicit AssertionError (pytest.raises, so python -O runs
-    # this test too), in a double-Bessel, a single-Bessel and a zero-mode
-    # solve.
+    # solved coefficient moved by 2^-200, at any unknown the recurrence
+    # settles, must still make it raise its explicit AssertionError
+    # (pytest.raises, so python -O runs this test too), in a double-Bessel, a
+    # single-Bessel and a zero-mode solve.
     import eisenmodes.solver as solver_mod
 
     tiny = F(1, 2**200)
-    real_eliminate = solver_mod._eliminate
+    real_recurrence = solver_mod._recurrence
     p = Params(F(3, 2), F(3, 2), 30)
     for n1, n2 in ((1, 2), (0, 3)):
         rhs = source_term(p, n1, n2).core
@@ -286,23 +289,25 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
         unknowns = []
 
         def recorded(columns, rhs_rows, col_order, row_order):
-            unknowns.extend(col_order)
-            return real_eliminate(columns, rhs_rows, col_order, row_order)
+            solved = real_recurrence(columns, rhs_rows, col_order, row_order)
+            if solved is not None:
+                unknowns.extend(col_order)
+            return solved
 
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_eliminate", recorded)
+            m.setattr(solver_mod, "_recurrence", recorded)
             solve(p, rhs)
         if not unknowns:
             raise AssertionError(f"no unknowns recorded at {(n1, n2)}")
         for target in unknowns:
 
             def moved(*args, target=target):
-                solution, kernel_cols, inconsistent = real_eliminate(*args)
+                solution, kernel_cols, inconsistent = real_recurrence(*args)
                 solution[target] = [solution[target][0] + tiny] + solution[target][1:]
                 return solution, kernel_cols, inconsistent
 
             with monkeypatch.context() as m:
-                m.setattr(solver_mod, "_eliminate", moved)
+                m.setattr(solver_mod, "_recurrence", moved)
                 with pytest.raises(AssertionError, match="non-exact solution"):
                     solve(p, rhs)
 
@@ -449,17 +454,19 @@ def test_fraction_free_elimination_matches_fraction_reference():
 def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
     # every system of generic, large-frequency, single-Bessel, merged and
     # anti-diagonal solves, and all 13 windows of two failing solves: the same
-    # solution, kernel and inconsistent rows as elimination over Fractions
+    # solution, kernel and inconsistent rows as elimination over Fractions.
+    # The recurrence settles every solvable system (no kernel, no
+    # inconsistent row); every failing window falls back to _eliminate.
     import eisenmodes.solver as solver_mod
 
     systems = []
-    real_eliminate = solver_mod._eliminate
+    real_solve = solver_mod._solve_system
 
     def recorded(*args):
         systems.append(args)
-        return real_eliminate(*args)
+        return real_solve(*args)
 
-    monkeypatch.setattr(solver_mod, "_eliminate", recorded)
+    monkeypatch.setattr(solver_mod, "_solve_system", recorded)
     p = Params(F(3, 2), F(3, 2), 30)
     for n1, n2 in ((1, 2), (-37, 38), (0, 3), (4, 4), (-5, 5)):
         solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
@@ -469,33 +476,92 @@ def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
         with pytest.raises(NoSolutionInWindow):
             solve_particular_double(p, source_term(p, n1, n2).core)
     assert len(systems) == 5 + 2 * 13
-    for args in systems:
-        assert real_eliminate(*args) == _fraction_gauss_jordan(*args)
+    for i, args in enumerate(systems):
+        want = _fraction_gauss_jordan(*args)
+        assert real_solve(*args) == want
+        if i < 5:
+            assert want[1:] == ([], [])
+            assert solver_mod._recurrence(*args) == want
+        else:
+            assert want[2]
+            assert solver_mod._recurrence(*args) is None
+            assert _eliminate(*args) == want
 
 
 def test_elimination_matches_fraction_reference_on_the_largest_coefficients(monkeypatch):
     # sweep-shaped solves at r = 8 with a 9/2 weight and |n1|, |n2| in
     # 250..300 (UNIT): the solved values carry the largest numerators and
     # denominators of any workload, where the one running denominator per
-    # direction of the back-substitution grows most
+    # component of the recurrence grows most; the recurrence settles each
     import eisenmodes.solver as solver_mod
 
     systems = []
-    real_eliminate = solver_mod._eliminate
+    real_solve = solver_mod._solve_system
 
     def recorded(*args):
         systems.append(args)
-        return real_eliminate(*args)
+        return real_solve(*args)
 
-    monkeypatch.setattr(solver_mod, "_eliminate", recorded)
+    monkeypatch.setattr(solver_mod, "_solve_system", recorded)
     for alpha, beta, n1, n2 in ((F(7, 2), F(9, 2), 257, 283), (F(3, 2), F(9, 2), 283, 257),
                                 (F(9, 2), F(3, 2), -251, -299)):
         p = Params(alpha, beta, 72, Normalization.UNIT)
         solve_particular_double(p, source_term(p, n1, n2).core)
     assert len(systems) == 3
     for args in systems:
-        got = real_eliminate(*args)
+        got = solver_mod._recurrence(*args)
         assert got == _fraction_gauss_jordan(*args)
+        assert got[1:] == ([], [])
         bits = max(max(v.numerator.bit_length(), v.denominator.bit_length())
                    for vals in got[0].values() for v in vals)
         assert bits > 150
+
+
+@hst.composite
+def _mode_shaped_systems(draw):
+    """Banded systems shaped like mode systems: 1-2 cells per degree, column
+    (cell, k) with entries at degree k (its diagonal) and at every cell of
+    degrees k + 1 and k + 2, two degrees of rows above the unknowns, zero
+    diagonals at resonant unknowns.  Right-hand sides: consistent (A x),
+    inconsistent (A x moved at one row, often a resonant one) or consistent
+    on a rank-deficient matrix (one column zeroed or a multiple of an
+    earlier one)."""
+    top = draw(hst.integers(2, 6))
+    cells = [draw(hst.sampled_from([(0,), (1,), (0, 1)])) for _ in range(top + 2)]
+    rows = [(c, k) for k in range(top + 2) for c in cells[k]]
+    unknowns = [(c, k) for c, k in rows if k < top]
+    resonant = draw(hst.sets(hst.sampled_from(unknowns), max_size=3))
+    columns = {}
+    for c, k in unknowns:
+        targets = [(c2, k + shift) for shift in (1, 2) for c2 in cells[k + shift]]
+        values = draw(hst.lists(hst.integers(-9, 9), min_size=len(targets) + 1,
+                                max_size=len(targets) + 1))
+        diagonal = 0 if (c, k) in resonant else values.pop() or 1
+        columns[c, k] = {(c, k): diagonal, **dict(zip(targets, values))}
+    kind = draw(hst.sampled_from(["consistent", "inconsistent", "deficient"]))
+    if kind == "deficient":
+        u = draw(hst.integers(1, len(unknowns) - 1))
+        v = draw(hst.integers(0, u - 1))
+        mult = draw(hst.sampled_from([0, -2, 1, 3]))
+        columns[unknowns[u]] = {row: mult * q for row, q in columns[unknowns[v]].items()}
+    columns = {col: {row: q for row, q in column.items() if q} for col, column in columns.items()}
+    n_dirs = draw(hst.integers(1, 2))
+    value = hst.fractions(-20, 20, max_denominator=12)
+    rhs = {row: [F(0)] * n_dirs for row in rows}
+    for d in range(n_dirs):
+        xs = draw(hst.lists(value, min_size=len(unknowns), max_size=len(unknowns)))
+        for column, x in zip(columns.values(), xs):
+            for row, q in column.items():
+                rhs[row][d] += q * x
+    if kind == "inconsistent":
+        row = draw(hst.sampled_from(sorted(resonant) if resonant and draw(hst.booleans()) else rows))
+        rhs[row][0] += draw(value.filter(bool))
+    return columns, rhs, unknowns, rows
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_mode_shaped_systems())
+def test_solve_route_matches_fraction_reference_on_mode_shaped_systems(system):
+    # the recurrence where it settles the system, _eliminate elsewhere: the
+    # same solution, kernel and inconsistent rows as elimination over Fractions
+    assert _solve_system(*system) == _fraction_gauss_jordan(*system)
