@@ -10,7 +10,7 @@ solves, the uniquely matched homogeneous coefficients, divisor-sum identities
 for their totals, and an independent floating-point verifier.
 """
 
-from .bessel import DoubleBessel, HomBasis, Pure, SingleBessel, apply_euler, apply_L, apply_P, reduce_k_index
+from .bessel import DoubleBessel, HomBasis, Pure, SingleBessel, apply_euler, apply_L, apply_P, k_index_table
 from .divisors import ramanujan_convolution, ramanujan_log_convolution, sigma
 from .homogeneous import (
     Combination,
@@ -66,9 +66,9 @@ __all__ = [
     "choose_alpha",
     "classify_params",
     "combine",
+    "k_index_table",
     "ramanujan_convolution",
     "ramanujan_log_convolution",
-    "reduce_k_index",
     "residual",
     "sigma",
     "small_y_series",

@@ -46,7 +46,7 @@ __all__ = [
     "SingleBessel",
     "Pure",
     "HomBasis",
-    "reduce_k_index",
+    "k_index_table",
     "apply_P",
     "apply_L",
     "apply_euler",
@@ -227,27 +227,18 @@ class HomBasis:
 # ---------------------------------------------------------------------------
 
 
-def reduce_k_index(m: int, n: int) -> Tuple[YLaurent, YLaurent]:
-    """Write K_m(2 pi |n| y) = c0(y) K_0 + c1(y) K_1 exactly.
-
-    Uses the upward recurrence K_{j+1}(z) = K_{j-1}(z) + (2j/z) K_j(z) with
-    z = 2 pi |n| y; the coefficients are Laurent polynomials with nonpositive
-    powers of y and no logs.
-    """
+@lru_cache(maxsize=None)
+def k_index_table(m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The ints a[i][k], k = 0 .. max(m - 1, 0), with K_m(z) = sum_k z^-k
+    (a[0][k] K_0(z) + a[1][k] K_1(z)), from the memoized upward recurrence
+    K_{j+1}(z) = K_{j-1}(z) + (2j/z) K_j(z)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    c_prev = (YLaurent.one(), YLaurent.zero())  # K_0
-    if m == 0:
-        return c_prev
-    c_cur = (YLaurent.zero(), YLaurent.one())  # K_1
-    inv_z = YLaurent.monomial(-1, Constant.pi_power(-1, Fraction(1, 2 * abs(n))))
-    for j in range(1, m):
-        factor = inv_z.scale(2 * j)
-        c_next = (c_prev[0] + factor * c_cur[0], c_prev[1] + factor * c_cur[1])
-        c_prev, c_cur = c_cur, c_next
-    return c_cur
+    if m < 2:
+        return (1 - m,), (m,)
+    # a_m[i][k] = a_{m-2}[i][k] + 2(m - 1) a_{m-1}[i][k - 1]
+    return tuple(tuple(a + 2 * (m - 1) * b for a, b in zip(p + (0,) * (m - len(p)), (0,) + c))
+                 for p, c in zip(k_index_table(m - 2), k_index_table(m - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +250,14 @@ def reduce_k_index(m: int, n: int) -> Tuple[YLaurent, YLaurent]:
 def _times_pi(mono: SymbolMonomial, e: int) -> SymbolMonomial:
     """mono * pi^e; the operators meet a handful of monomials per process."""
     return mono * SymbolMonomial({SYM_PI: e})
+
+
+@lru_cache(maxsize=None)
+def _split_pi(mono: SymbolMonomial) -> Tuple[int, SymbolMonomial]:
+    """(pi exponent, the rest as a ``SymbolMonomial``; a slice is a plain
+    tuple, whose ``*`` repeats it), the inverse of ``_times_pi``."""
+    e = mono.pi_exponent()
+    return e, SymbolMonomial(mono[1:]) if e else mono
 
 
 def _flatten(expr):

@@ -36,7 +36,6 @@ __all__ = [
     "zeta_even",
     "zeta_value",
     "log_normalize",
-    "gamma_half_integer",
     "factorize",
     "bernoulli",
 ]
@@ -500,17 +499,3 @@ def log_normalize(m: int) -> Constant:
     for p, e in factorize(m):
         out = out + Constant.monomial(sym_ln_prime(p), coeff=e)
     return out
-
-
-def gamma_half_integer(two_s: int) -> Tuple[Fraction, int]:
-    """Gamma(two_s / 2) as (rational, sqrt_pi_power) with power in {0, 1}.
-
-    Integer arguments give factorials; half-integers use
-    Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi).  Requires two_s >= 1.
-    """
-    if two_s < 1:
-        raise ValueError("argument must be >= 1/2")
-    if two_s % 2 == 0:
-        return Fraction(math.factorial(two_s // 2 - 1)), 0
-    m = (two_s - 1) // 2
-    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), 1

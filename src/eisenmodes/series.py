@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 from operator import itemgetter
 from types import MappingProxyType
 
-from .bessel import BesselProduct, HomBasis, _flatten, _times_pi
+from .bessel import BesselProduct, HomBasis, _flatten, _split_pi, _times_pi
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import (
     GAMMA,
@@ -200,18 +200,12 @@ def k_flat_series(j: int, n: int, order: int):
     return MappingProxyType({key: c // g for key, c in terms.items()}), den // g
 
 
-def _split_pi(mono: SymbolMonomial):
-    """(pi exponent, the rest of the monomial as a tuple of (symbol, exponent))."""
-    e = mono.pi_exponent()
-    return e, mono[1:] if e else mono
-
-
 @lru_cache(maxsize=None)
 def _rest_product(ra, rb) -> SymbolMonomial:
     """The product of two pi-free monomial rests, memoized like
     ``bessel._times_pi``: 300 sweep modes and a decay assembly meet about a
     hundred pairs."""
-    return SymbolMonomial(ra) * SymbolMonomial(rb)
+    return ra * rb
 
 
 def _mul_flat(a, b, order: int):

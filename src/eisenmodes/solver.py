@@ -42,7 +42,7 @@ unknowns of the source's class are solved for; the others could only be zero.
 The window is derived, never configured.  An inconsistent system is retried
 with every window widened by one on both sides, WIDEN_CAP times at most; no
 solvable family needs a retry, so a failure reports the derived window
-widened WIDEN_CAP times.
+widened WIDEN_CAP times; widened windows skip the recurrence.
 
 Every returned solution is re-verified by applying the symbolic operator of
 its kind (``operator_image``): the image must equal the right-hand side, and
@@ -61,10 +61,11 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .bessel import (
-    DoubleBessel, Pure, SingleBessel, _times_pi, apply_euler, apply_L, apply_P, unit_column,
+    DoubleBessel, Pure, SingleBessel, _split_pi, _times_pi, apply_euler, apply_L, apply_P,
+    unit_column,
 )
 from .laurent import YLaurent
-from .scalars import SYM_PI, Constant, SymbolMonomial
+from .scalars import Constant
 from .sources import Params
 
 __all__ = [
@@ -415,10 +416,11 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     ascending recurrence, its resonant unknowns parameters fixed by the
     constraint rows, settles exactly the consistent systems of full column
     rank, whose unique solution is the one any elimination finds.  On the
-    others (a failing window) forward elimination over Q picks the
-    pivots, kernel and inconsistent rows that Gauss-Jordan over Fractions
-    would find on the pi-graded system: scaling keeps zero patterns, and the
-    rows Gauss-Jordan reduces further are pivot rows, never candidates again.
+    others (a failing window), and on every widened window, forward
+    elimination over Q picks the pivots, kernel and inconsistent rows that
+    Gauss-Jordan over Fractions would find on the pi-graded system: scaling
+    keeps zero patterns, and the rows Gauss-Jordan reduces further are pivot
+    rows, never candidates again.
     Back-substitution solves the pivot columns with the kernel at zero.  Each
     right-hand-side term c * pi^e * m (m free of pi) at y^p becomes the entry
     c of direction (m, e - p); a solved value d of that direction at unknown
@@ -438,8 +440,8 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
                 raise ValueError("log-bearing right-hand sides are not supported")
             eq_keys.add((cell, p))
             for mono, coeff in const.terms().items():
-                rest = SymbolMonomial([(s, e) for s, e in mono.items() if s != SYM_PI])
-                entries[(rest, mono.pi_exponent() - p, (cell, p))] = coeff
+                e, rest = _split_pi(mono)
+                entries[(rest, e - p, (cell, p))] = coeff
     directions = sorted({(m, g) for m, g, _ in entries}, key=lambda d: (d[0].sort_key(), d[1]))
     dir_index = {d: i for i, d in enumerate(directions)}
     rhs_rows: Dict = {}  # the source rows; every other row's rhs is zero
@@ -448,7 +450,9 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
 
     row_order = sorted(eq_keys, key=lambda e: (e[1], e[0]))
     col_order = unknowns
-    solution, kernel_cols, inconsistent = _solve_system(columns, rhs_rows, col_order, row_order)
+    derived = set(windows.values()) == {_source_window(params.r_hint, rhs_expr)}
+    solve = _solve_system if derived else _eliminate
+    solution, kernel_cols, inconsistent = solve(columns, rhs_rows, col_order, row_order)
     if inconsistent:
         raise NoSolutionInWindow(
             f"inconsistent rows at {inconsistent[:6]} (case {case}, lambda={lam})",

@@ -21,13 +21,13 @@ coefficients of Eisenstein series,
                  sigma_{1-2s}(|n|) sqrt(y) K_{s-1/2}(2 pi |n| y),
 
 with every Gamma(half-integer) expanded so only integer powers of pi
-survive in the assembled prefactors.  ``_fourier_factor`` is the one encoding
-of zeta(2s) a_{n,s}, and ``source_term`` multiplies two of them.
-
+survive.  ``_fourier_factor`` is the one encoding of zeta(2s) a_{n,s}: a
+read-only flat map (K index, y power, pi exponent, rest) -> int over one
+denominator, the K_{s-1/2} reduced to K_0/K_1 by the integer table
+``bessel.k_index_table``.  ``source_term`` multiplies two of them in ints and
+builds the full source once; ``SourceTerm.prefactor`` and ``core`` split it.
 ``_fourier_factor`` is memoized for the life of the process, since the modes
-of one assembly reuse each (s, n): it is a pure function of a Fraction and an
-int, and its (Constant, SingleBessel | Pure) result is immutable by convention
-(``source_term`` builds new cells from it and never writes into its table).
+of one assembly reuse each (s, n); its maps are ``MappingProxyType`` views.
 """
 
 from __future__ import annotations
@@ -37,12 +37,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
-from .bessel import BesselProduct, DoubleBessel, Pure, SingleBessel, reduce_k_index
+from .bessel import (
+    BesselProduct, DoubleBessel, Pure, SingleBessel, _rebuild, _split_pi, _times_pi, k_index_table,
+)
 from .divisors import sigma
 from .laurent import YLaurent
-from .scalars import Constant, zeta_value, gamma_half_integer
+from .scalars import Constant, SymbolMonomial, zeta_value
 
 __all__ = [
     "Normalization",
@@ -159,35 +162,38 @@ class Params:
 # ---------------------------------------------------------------------------
 
 
-def _pi_half_product(rational: Fraction, half_pi_exponent: int) -> Constant:
-    """rational * pi^{half_pi_exponent / 2}; the half exponent must be even."""
-    if half_pi_exponent % 2 != 0:
-        raise ValueError("a residual sqrt(pi) survived; prefactor assembly is inconsistent")
-    return Constant.pi_power(half_pi_exponent // 2, rational)
-
-
 @lru_cache(maxsize=None)
-def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, BesselProduct]:
-    """zeta(2s) a_{n,s}(y) / sqrt(y) as (prefactor, expression).
+def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, Mapping, int]:
+    """zeta(2s) a_{n,s}(y) / sqrt(y), s = m + 1/2, as (prefactor, terms, den).
 
-    n = 0: (1, Pure(zeta(2s) y^{s-1/2} + sqrt(pi) Gamma(s-1/2) zeta(2s-1)
-    / Gamma(s) y^{1/2-s})); n != 0: (2 pi^s |n|^{s-1/2} sigma_{1-2s}(|n|)
-    / Gamma(s), K_{s-1/2}(2 pi |n| y) in the K0/K1 basis).  The only encoding
-    of the Eisenstein coefficients: every source term is built from it.
+    terms is a read-only map {(K index, y power, pi exponent, rest): int},
+    rest the pi-free part of the monomial and each int its coefficient times
+    den.  With Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!) and N = |n|:
+    n = 0: prefactor 1 and zeta(2m+1) y^m + (m-1)! 4^m m! / (2m)! zeta(2m)
+    y^{-m}, K index () (no K factor);
+    n != 0: prefactor P pi^m = 2 4^m m! sigma_{2m}(N) / ((2m)! N^m) pi^m
+    times K_m(2 pi N y) = sum_k (2 pi N y)^{-k} (a[0][k] K_0 + a[1][k] K_1)
+    (``k_index_table``): P a[i][k] / (2N)^k at (i, -k, m - k, 1).
     """
-    s = Fraction(s)
-    if s <= 1:
-        raise ValueError("requires s > 1 (absolute convergence)")
-    two_s = int(2 * s)
-    m = int(s - Fraction(1, 2))  # K index and |n| exponent; integral for half-integer s
-    g, g_sqrtpi = gamma_half_integer(two_s)
+    if s.denominator != 2 or s <= 1:
+        raise ValueError("requires a half-integer s > 1 (absolute convergence)")
+    m = s.numerator // 2  # K index and |n| exponent
+    gamma_ratio = 4**m * math.factorial(m)  # sqrt(pi) (2m)! / Gamma(s)
     if n == 0:
-        g_num, g_num_sqrtpi = gamma_half_integer(two_s - 1)
-        a_s = _pi_half_product(g_num / g, 1 + g_num_sqrtpi - g_sqrtpi) * zeta_value(two_s - 1)
-        poly = YLaurent({(m, 0): zeta_value(two_s), (-m, 0): a_s})
-        return Constant.one(), Pure(poly)
-    pref = _pi_half_product(2 * abs(n) ** m * sigma(1 - two_s, abs(n)) / g, two_s - g_sqrtpi)
-    return pref, SingleBessel(n, dict(enumerate(reduce_k_index(m, n))))
+        a_s = zeta_value(2 * m) * Fraction(math.factorial(m - 1) * gamma_ratio, math.factorial(2 * m))
+        coeffs = {((), k, *_split_pi(mono)): c
+                  for k, const in ((m, zeta_value(2 * m + 1)), (-m, a_s))
+                  for mono, c in const.terms().items()}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        return Constant.one(), MappingProxyType(terms), den
+    N = abs(n)
+    num, den = 2 * gamma_ratio * sigma(2 * m, N).numerator, math.factorial(2 * m) * N**m
+    table = k_index_table(m)
+    top = len(table[0]) - 1
+    terms = {(i, -k, m - k, SymbolMonomial()): num * a * (2 * N) ** (top - k)
+             for i, row in enumerate(table) for k, a in enumerate(row) if a}
+    return Constant.pi_power(m, Fraction(num, den)), MappingProxyType(terms), den * (2 * N) ** top
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +203,28 @@ def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, BesselProduct]:
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """One s_{n1,n2}: a prefactor times a reduced K0/K1-basis core expression."""
+    """One s_{n1,n2}: the full source expression, built once by ``source_term``."""
 
     params: Params
     n1: int
     n2: int
-    prefactor: Constant
-    core: BesselProduct  # DoubleBessel | SingleBessel | Pure
+    expr: BesselProduct  # DoubleBessel | SingleBessel | Pure, prefactor folded in
     case_tag: str  # both_zero | left_zero | right_zero | generic | anti_diagonal
 
     def full(self):
         """The complete source expression with the prefactor folded in."""
-        return self.core.scale(self.prefactor)
+        return self.expr
+
+    @property
+    def prefactor(self) -> Constant:
+        """c_eff times the two factors' prefactors: a rational times a pi power."""
+        p = self.params
+        return p.c_eff() * _fourier_factor(p.alpha, self.n1)[0] * _fourier_factor(p.beta, self.n2)[0]
+
+    @property
+    def core(self) -> BesselProduct:
+        """The source over its prefactor, the paper's printed normalization."""
+        return self.expr.scale(1 / self.prefactor)
 
 
 def _case_tag(n1: int, n2: int) -> str:
@@ -220,18 +236,20 @@ def _case_tag(n1: int, n2: int) -> str:
 
 
 def source_term(p: Params, n1: int, n2: int) -> SourceTerm:
-    """Exact s_{n1,n2} = c_eff zeta(2a) zeta(2b) a_{n1,a}(y) a_{n2,b}(y), with
-    the Bessel part reduced to the K0/K1 basis."""
-    pref_a, left = _fourier_factor(p.alpha, n1)
-    pref_b, right = _fourier_factor(p.beta, n2)
-    if isinstance(left, Pure):
-        core = right.map_cells(lambda q: (left.poly * q).shift(1))
-    elif isinstance(right, Pure):
-        core = left.map_cells(lambda q: (q * right.poly).shift(1))
-    else:
-        core = DoubleBessel(n1, n2, {
-            (i, j): (q_i * q_j).shift(1)
-            for i, q_i in left.table.items() for j, q_j in right.table.items()
-        })
-    prefactor = pref_a * pref_b * p.c_eff()
-    return SourceTerm(p, n1, n2, prefactor, core, _case_tag(n1, n2))
+    """Exact s_{n1,n2} = c_eff zeta(2a) zeta(2b) a_{n1,a}(y) a_{n2,b}(y) in the
+    K0/K1 basis: y times the product of the two Fourier factors, in ints.  A
+    term pair lands on the cell of its K indices (``DoubleBessel`` folds merged
+    cells); c_eff and the denominators are divided in once per coefficient."""
+    _, left, den_a = _fourier_factor(p.alpha, n1)
+    _, right, den_b = _fourier_factor(p.beta, n2)
+    kind = (DoubleBessel(n1, n2) if n1 and n2 else SingleBessel(n1 or n2) if n1 or n2
+            else Pure(YLaurent.zero()))
+    c = p.c_eff()
+    flat: Dict = {}
+    for (i, ka, ea, ra), ca in left.items():
+        for (j, kb, eb, rb), cb in right.items():
+            cell = j if i == () else i if j == () else (i, j)
+            key = (cell, ka + kb, 0, _times_pi(ra * rb, ea + eb))
+            flat[key] = flat.get(key, 0) + c.numerator * ca * cb
+    expr = _rebuild(kind, flat, c.denominator * den_a * den_b, shift=1)
+    return SourceTerm(p, n1, n2, expr, _case_tag(n1, n2))

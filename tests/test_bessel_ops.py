@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -20,7 +21,7 @@ from eisenmodes.bessel import (
     expr_from_json_obj,
     expr_latex,
     expr_to_json_obj,
-    reduce_k_index,
+    k_index_table,
     unit_column,
 )
 from eisenmodes.laurent import LOG_CAP, LogCapExceeded, YLaurent
@@ -63,33 +64,38 @@ def rand_double(rng, n1, n2, log_free=True):
 
 # -- index reduction ---------------------------------------------------------
 
+def _k_from_table(m: int, z, k0, k1):
+    """sum_k z^-k (a[0][k] k0 + a[1][k] k1) from ``k_index_table``, in mpmath."""
+    a0, a1 = k_index_table(m)
+    return mp.fsum(z ** -k * (c0 * k0 + c1 * k1) for k, (c0, c1) in enumerate(zip(a0, a1)))
+
+
 def test_reduce_identity_pairs():
-    c0, c1 = reduce_k_index(0, 5)
-    assert c0 == YLaurent.one() and c1.is_zero()
-    c0, c1 = reduce_k_index(1, 5)
-    assert c0.is_zero() and c1 == YLaurent.one()
+    assert k_index_table(0) == ((1,), (0,))
+    assert k_index_table(1) == ((0,), (1,))
 
 
 def test_reduce_k2_and_k3():
-    # K_2(z) = K_0 + 2 K_1 / z with z = 2 pi |n| y
-    c0, c1 = reduce_k_index(2, 1)
-    assert c0 == YLaurent.one()
-    assert c1 == YLaurent.monomial(-1, Constant.pi_power(-1, 1))
-    # K_3 = 2/(pi n y) K_0 + (1 + 2/(pi^2 n^2 y^2)) K_1  at n = 1
-    c0, c1 = reduce_k_index(3, 1)
-    assert c0 == YLaurent.monomial(-1, Constant.pi_power(-1, 2))
-    assert c1 == YLaurent.one() + YLaurent.monomial(-2, Constant.pi_power(-2, 2))
-    assert not c0.has_logs() and c0.max_degree() <= 0
+    # K_2(z) = K_0 + 2 K_1 / z and K_3(z) = 4/z K_0 + (1 + 8/z^2) K_1
+    assert k_index_table(2) == ((1, 0), (0, 2))
+    assert k_index_table(3) == ((0, 4, 0), (1, 0, 8))
 
 
 def test_reduce_numeric_identity():
     for m in range(7):
         for z in (0.5, 2.0, 10.0):
-            n = 1
-            y = z / (2 * math.pi * n)
-            c0, c1 = reduce_k_index(m, n)
-            approx = c0.evaluate(ENV, y) * bessel_k(0, z) + c1.evaluate(ENV, y) * bessel_k(1, z)
+            approx = float(_k_from_table(m, mp.mpf(z), bessel_k(0, z), bessel_k(1, z)))
             assert abs(approx - bessel_k(m, z)) / bessel_k(m, z) <= 1e-12
+
+
+def test_k_index_table_against_mpmath_at_40_digits():
+    # independent of the recurrence: mpmath's besselk at 40 digits, m <= 12
+    with mp.workdps(40):
+        for z in (mp.mpf("0.3"), mp.mpf(1), mp.mpf("4.5"), mp.mpf(9)):
+            k0, k1 = mp.besselk(0, z), mp.besselk(1, z)
+            for m in range(13):
+                want = mp.besselk(m, z)
+                assert abs(_k_from_table(m, z, k0, k1) - want) <= mp.mpf(10) ** -36 * want, (m, z)
 
 
 # -- operators ---------------------------------------------------------------

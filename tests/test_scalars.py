@@ -13,7 +13,6 @@ from eisenmodes.scalars import (
     SymbolMonomial,
     bernoulli,
     factorize,
-    gamma_half_integer,
     ln_prime,
     log_normalize,
     zeta_even,
@@ -147,13 +146,6 @@ def test_latex_output():
     c = Constant.pi_power(-4, Fraction(8, 55))
     assert c.latex() == r"\frac{8}{55} \, \frac{1}{\pi^{4}}"
     assert Constant.zero().latex() == "0"
-
-
-def test_gamma_half_integer():
-    assert gamma_half_integer(2) == (Fraction(1), 0)  # Gamma(1)
-    assert gamma_half_integer(3) == (Fraction(1, 2), 1)  # Gamma(3/2) = sqrt(pi)/2
-    assert gamma_half_integer(5) == (Fraction(3, 4), 1)  # Gamma(5/2)
-    assert gamma_half_integer(7) == (Fraction(15, 8), 1)  # Gamma(7/2)
 
 
 def test_bernoulli_and_factorize():

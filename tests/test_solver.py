@@ -456,17 +456,25 @@ def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
     # anti-diagonal solves, and all 13 windows of two failing solves: the same
     # solution, kernel and inconsistent rows as elimination over Fractions.
     # The recurrence settles every solvable system (no kernel, no
-    # inconsistent row); every failing window falls back to _eliminate.
+    # inconsistent row); the failing derived window falls back to
+    # _eliminate, and the 12 widened windows go to _eliminate directly.
     import eisenmodes.solver as solver_mod
 
-    systems = []
-    real_solve = solver_mod._solve_system
+    systems, recurrence_calls = [], []
+    real_solve, real_eliminate = solver_mod._solve_system, solver_mod._eliminate
 
     def recorded(*args):
         systems.append(args)
+        recurrence_calls.append(args)
         return real_solve(*args)
 
+    def eliminated(*args):
+        if not any(args[0] is seen[0] for seen in systems):
+            systems.append(args)
+        return real_eliminate(*args)
+
     monkeypatch.setattr(solver_mod, "_solve_system", recorded)
+    monkeypatch.setattr(solver_mod, "_eliminate", eliminated)
     p = Params(F(3, 2), F(3, 2), 30)
     for n1, n2 in ((1, 2), (-37, 38), (0, 3), (4, 4), (-5, 5)):
         solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
@@ -476,6 +484,7 @@ def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
         with pytest.raises(NoSolutionInWindow):
             solve_particular_double(p, source_term(p, n1, n2).core)
     assert len(systems) == 5 + 2 * 13
+    assert len(recurrence_calls) == 5 + 2
     for i, args in enumerate(systems):
         want = _fraction_gauss_jordan(*args)
         assert real_solve(*args) == want

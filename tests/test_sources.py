@@ -2,17 +2,19 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from typing import Tuple
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from eisenmodes.bessel import expr_to_json_obj
+from eisenmodes.bessel import DoubleBessel, Pure, SingleBessel, k_index_table
 from eisenmodes.divisors import sigma
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr
-from eisenmodes.scalars import Constant, zeta_odd
+from eisenmodes.laurent import YLaurent
+from eisenmodes.scalars import Constant, zeta_odd, zeta_value
 from eisenmodes.series import hom_norm_series, k_flat_series, k_log_series
 from eisenmodes.sources import (
     PUBLISHED_C_TABLE,
@@ -75,29 +77,39 @@ def test_generic_source_prefactor_and_core():
 
 
 def _fourier_factor_json(factor, s, n):
-    pref, expr = factor(s, n)
-    return json.dumps([pref.to_json_obj(), expr_to_json_obj(expr)], sort_keys=True)
+    pref, terms, den = factor(s, n)
+    return json.dumps([pref.to_json_obj(), repr(sorted(terms.items(), key=repr)), den])
 
 
 def test_cached_fourier_factor_equals_uncached():
-    for s in (F(3, 2), F(5, 2)):
+    for s in (F(3, 2), F(5, 2), F(15, 2)):
         for n in range(-3, 4):
             assert _fourier_factor(s, n) == _fourier_factor.__wrapped__(s, n)
+
+
+def test_cached_fourier_factor_is_read_only():
+    _, terms, _ = _fourier_factor(F(7, 2), 3)
+    key = next(iter(terms))
+    with pytest.raises(TypeError):
+        terms[key] = 0
+    with pytest.raises(TypeError):
+        del terms[key]
+    assert _fourier_factor(F(7, 2), 3) == _fourier_factor.__wrapped__(F(7, 2), 3)
 
 
 def test_cold_and_warm_solves_agree():
     # a solve on empty kernel caches and one on full caches give the same
     # document, and no solve writes into a cached table
-    p = Params(F(3, 2), F(3, 2), 30)
-    modes = ((5, -4), (-4, 5))
-    for kernel in (k_log_series, k_flat_series, hom_norm_series, _fourier_factor):
+    p = Params(F(3, 2), F(7, 2), 30)
+    modes = ((5, -4), (-4, 5), (0, 4), (5, 0), (4, 4), (0, 0))
+    for kernel in (k_log_series, k_flat_series, hom_norm_series, _fourier_factor, k_index_table):
         kernel.cache_clear()
     cold, warm = ([json.dumps(solve_mode(p, n1, n2).to_json_obj(), sort_keys=True)
                    for n1, n2 in modes] for _ in range(2))
     assert cold == warm
-    for n in (5, -4):
-        assert (_fourier_factor_json(_fourier_factor, F(3, 2), n)
-                == _fourier_factor_json(_fourier_factor.__wrapped__, F(3, 2), n))
+    for s, n in ((F(3, 2), 5), (F(3, 2), 0), (F(7, 2), -4), (F(7, 2), 0)):
+        assert (_fourier_factor_json(_fourier_factor, s, n)
+                == _fourier_factor_json(_fourier_factor.__wrapped__, s, n))
 
 
 def test_zero_mode_source():
@@ -209,3 +221,149 @@ def test_source_term_is_product_of_fourier_coefficients(case):
         direct = (c_eff * mp.zeta(int(2 * p.alpha)) * mp.zeta(int(2 * p.beta))
                   * _mp_fourier_coeff(p.alpha, n1, ym) * _mp_fourier_coeff(p.beta, n2, ym))
         assert abs((ours - direct) / direct) < 1e-10, (p.describe(), n1, n2, y)
+
+
+# ---------------------------------------------------------------------------
+# Property: source_term equals the Constant-built reference it replaced
+# ---------------------------------------------------------------------------
+
+
+def gamma_half_integer(two_s: int) -> Tuple[Fraction, int]:
+    """Gamma(two_s / 2) as (rational, sqrt_pi_power) with power in {0, 1}.
+
+    Integer arguments give factorials; half-integers use
+    Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi).  Requires two_s >= 1.
+    """
+    if two_s < 1:
+        raise ValueError("argument must be >= 1/2")
+    if two_s % 2 == 0:
+        return Fraction(math.factorial(two_s // 2 - 1)), 0
+    m = (two_s - 1) // 2
+    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), 1
+
+
+def test_reference_gamma_half_integer():
+    assert gamma_half_integer(2) == (Fraction(1), 0)  # Gamma(1)
+    assert gamma_half_integer(3) == (Fraction(1, 2), 1)  # Gamma(3/2) = sqrt(pi)/2
+    assert gamma_half_integer(5) == (Fraction(3, 4), 1)  # Gamma(5/2)
+    assert gamma_half_integer(7) == (Fraction(15, 8), 1)  # Gamma(7/2)
+
+
+def _reference_pi_half_product(rational: Fraction, half_pi_exponent: int) -> Constant:
+    """rational * pi^{half_pi_exponent / 2}; the half exponent must be even."""
+    if half_pi_exponent % 2 != 0:
+        raise ValueError("a residual sqrt(pi) survived; prefactor assembly is inconsistent")
+    return Constant.pi_power(half_pi_exponent // 2, rational)
+
+
+def _reference_reduce_k_index(m: int, n: int):
+    """Write K_m(2 pi |n| y) = c0(y) K_0 + c1(y) K_1 exactly.
+
+    Uses the upward recurrence K_{j+1}(z) = K_{j-1}(z) + (2j/z) K_j(z) with
+    z = 2 pi |n| y; the coefficients are Laurent polynomials with nonpositive
+    powers of y and no logs.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    c_prev = (YLaurent.one(), YLaurent.zero())  # K_0
+    if m == 0:
+        return c_prev
+    c_cur = (YLaurent.zero(), YLaurent.one())  # K_1
+    inv_z = YLaurent.monomial(-1, Constant.pi_power(-1, Fraction(1, 2 * abs(n))))
+    for j in range(1, m):
+        factor = inv_z.scale(2 * j)
+        c_next = (c_prev[0] + factor * c_cur[0], c_prev[1] + factor * c_cur[1])
+        c_prev, c_cur = c_cur, c_next
+    return c_cur
+
+
+def _reference_fourier_factor(s: Fraction, n: int):
+    """zeta(2s) a_{n,s}(y) / sqrt(y) as (prefactor, expression).
+
+    n = 0: (1, Pure(zeta(2s) y^{s-1/2} + sqrt(pi) Gamma(s-1/2) zeta(2s-1)
+    / Gamma(s) y^{1/2-s})); n != 0: (2 pi^s |n|^{s-1/2} sigma_{1-2s}(|n|)
+    / Gamma(s), K_{s-1/2}(2 pi |n| y) in the K0/K1 basis), built with
+    Constant and YLaurent arithmetic, apart from the integer path under test.
+    """
+    s = Fraction(s)
+    if s <= 1:
+        raise ValueError("requires s > 1 (absolute convergence)")
+    two_s = int(2 * s)
+    m = int(s - Fraction(1, 2))  # K index and |n| exponent; integral for half-integer s
+    g, g_sqrtpi = gamma_half_integer(two_s)
+    if n == 0:
+        g_num, g_num_sqrtpi = gamma_half_integer(two_s - 1)
+        a_s = _reference_pi_half_product(g_num / g, 1 + g_num_sqrtpi - g_sqrtpi) * zeta_value(two_s - 1)
+        poly = YLaurent({(m, 0): zeta_value(two_s), (-m, 0): a_s})
+        return Constant.one(), Pure(poly)
+    pref = _reference_pi_half_product(2 * abs(n) ** m * sigma(1 - two_s, abs(n)) / g, two_s - g_sqrtpi)
+    return pref, SingleBessel(n, dict(enumerate(_reference_reduce_k_index(m, n))))
+
+
+def _reference_source_term(p: Params, n1: int, n2: int):
+    """Exact s_{n1,n2} = c_eff zeta(2a) zeta(2b) a_{n1,a}(y) a_{n2,b}(y), with
+    the Bessel part reduced to the K0/K1 basis, as (prefactor, core)."""
+    pref_a, left = _reference_fourier_factor(p.alpha, n1)
+    pref_b, right = _reference_fourier_factor(p.beta, n2)
+    if isinstance(left, Pure):
+        core = right.map_cells(lambda q: (left.poly * q).shift(1))
+    elif isinstance(right, Pure):
+        core = left.map_cells(lambda q: (q * right.poly).shift(1))
+    else:
+        core = DoubleBessel(n1, n2, {
+            (i, j): (q_i * q_j).shift(1)
+            for i, q_i in left.table.items() for j, q_j in right.table.items()
+        })
+    prefactor = pref_a * pref_b * p.c_eff()
+    return prefactor, core
+
+
+REFERENCE_WEIGHTS = [F(k, 2) for k in range(3, 16, 2)]  # 3/2 .. 15/2: K_0 .. K_7
+
+
+@hst.composite
+def _reference_cases(draw):
+    alpha = draw(hst.sampled_from(REFERENCE_WEIGHTS))
+    beta = draw(hst.sampled_from(REFERENCE_WEIGHTS))
+    norms = [Normalization.UNIT, Normalization.CORRELATOR]
+    if (alpha, beta) in PUBLISHED_C_TABLE or (beta, alpha) in PUBLISHED_C_TABLE:
+        norms.append(Normalization.PUBLISHED)
+    n1 = draw(hst.one_of(hst.integers(-300, -1), hst.integers(1, 300), hst.just(0)))
+    # -n1 (anti-diagonal) and n1 (merged) as often as a free draw or 0
+    n2 = draw(hst.one_of(hst.integers(-300, 300), hst.just(0), hst.just(-n1), hst.just(n1)))
+    return Params(alpha, beta, 30, draw(hst.sampled_from(norms))), n1, n2
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_reference_cases())
+def test_source_term_equals_constant_built_reference(case):
+    p, n1, n2 = case
+    st = source_term(p, n1, n2)
+    prefactor, core = _reference_source_term(p, n1, n2)
+    assert st.prefactor == prefactor
+    assert st.core == core
+    assert st.full() == core.scale(prefactor)
+    assert type(st.full()) is type(core)
+    if n1 and abs(n1) == abs(n2):
+        assert (1, 0) not in st.full().table  # merged cells are folded
+
+
+def test_source_term_equals_reference_on_a_fixed_grid():
+    # a floor under the drawn cases: every weight against the smallest and
+    # the largest, both normalizations without a table, every case tag,
+    # merged modes of both signs and |n| = 300, and one published merged mode
+    seen = set()
+    for a in REFERENCE_WEIGHTS:
+        for b in (F(3, 2), F(15, 2)):
+            for norm in (Normalization.UNIT, Normalization.CORRELATOR):
+                for n1, n2 in ((0, 0), (0, 7), (300, 0), (3, 4), (5, -5), (-6, -6), (2, -300)):
+                    p = Params(a, b, 30, norm)
+                    st = source_term(p, n1, n2)
+                    prefactor, core = _reference_source_term(p, n1, n2)
+                    assert (st.prefactor, st.core) == (prefactor, core)
+                    seen.add(st.case_tag)
+    p = Params(F(3, 2), F(7, 2), 30, Normalization.PUBLISHED)
+    assert source_term(p, 4, 4).core == _reference_source_term(p, 4, 4)[1]
+    assert seen == {"both_zero", "left_zero", "right_zero", "generic", "anti_diagonal"}
