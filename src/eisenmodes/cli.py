@@ -9,8 +9,9 @@ convolutions), combine (integrated-correlator style combinations), verify
 Exit codes (part of the public contract):
     0   solved / all comparisons equal
     1   verification or comparison mismatch: P(particular) - source is not
-        exactly zero, the boundary data differ from choose_alpha's, or a
-        computed table differs exactly from the printed one
+        exactly zero, the boundary data differ from the ones recomputed
+        from the Constant series, or a computed table differs exactly from
+        the printed one
     2   lambda is not of the form r(r+1) (no solution in the ansatz class)
     3   alpha or beta is not a half-integer
     4   no solution within the derived degree windows, widened
@@ -28,8 +29,10 @@ error.  The degree windows are derived from the source (see solver); no flag
 sets or widens them.  `verify` applies the mode operator of the particular
 part's kind (solver.operator_image) and compares the image exactly with the
 source rebuilt from the document's params and (n1, n2); it checks the
-document's alpha, or its obstruction terms, against homogeneous.choose_alpha
-run on the document's own particular part.  `table` and `combine` compare the
+document's alpha, or its obstruction terms, against
+homogeneous.boundary_reference on the document's own particular part: the
+Constant small-y series, a route that shares no arithmetic with the
+choose_alpha that solve runs.  `table` and `combine` compare the
 computed expressions exactly with the printed ones (fixtures.compare_expressions).
 """
 
@@ -57,7 +60,7 @@ from .fixtures import (
 from .homogeneous import (
     T_MINUS_2_WEIGHTS,
     assemble_mode,
-    choose_alpha,
+    boundary_reference,
     combine,
     mode_solution_from_json_obj,
     solve_mode,
@@ -259,7 +262,7 @@ def cmd_combine(args):
 
 
 def _boundary(mode) -> dict:
-    """The document's boundary data against choose_alpha on its own particular.
+    """The document's boundary data against the Constant series of its own particular.
 
     status: ok (alpha is the recomputed one), obstructed (the reported terms
     are exactly what no alpha cancels), mismatch, free (the zero mode) or
@@ -271,7 +274,7 @@ def _boundary(mode) -> dict:
         return {"status": "free"}
     if r is None:
         return {"status": "no_basis"}
-    alpha, obstruction = choose_alpha(mode.particular, r, mode.n1, mode.n2)
+    alpha, obstruction = boundary_reference(mode.particular, r, mode.n1, mode.n2)
     expected = (alpha, None if obstruction is None else obstruction.leading)
     if (mode.alpha, None if mode.obstruction is None else mode.obstruction.leading) == expected:
         return {"status": "ok" if obstruction is None else "obstructed"}

@@ -22,7 +22,7 @@ from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bessel import HomBasis, expr_from_json_obj, expr_to_json_obj
+from .bessel import HomBasis, _times_pi, expr_from_json_obj, expr_to_json_obj
 from .divisors import (
     convolution_partial_sums,
     ramanujan_convolution,
@@ -48,6 +48,7 @@ __all__ = [
     "ModeAssembly",
     "ZeroModeSumResult",
     "choose_alpha",
+    "boundary_reference",
     "solve_mode",
     "assemble_mode",
     "alpha_decay_scan",
@@ -192,6 +193,32 @@ def _decaying_basis(r: int, nsum: int) -> HomBasis:
     return HomBasis("K", r, nsum) if nsum != 0 else HomBasis("power_neg", r)
 
 
+def _element_leading(r: int, nsum: int) -> Tuple[int, int, int]:
+    """The decaying element's y^{-r} coefficient as (num, den, e), num/den pi^e.
+
+    Its other terms start at y^{-k}, k < r, so this is the k = r term of the
+    closed form alone: (2r)!/(r! (4|nsum|)^r) pi^{-r}, and 1 for y^{-r}.
+    """
+    if nsum == 0:
+        return 1, 1, 0
+    return math.factorial(2 * r), math.factorial(r) * (4 * abs(nsum)) ** r, -r
+
+
+def _boundary_result(alpha: Constant, left: Dict[Tuple[int, int], Constant], r: int):
+    """(alpha, None) when no term is left below y^{-r+1}, else (None,
+    Obstruction) with the left terms in increasing y, higher log first."""
+    if not left:
+        return alpha, None
+    bad = sorted(((k, j, c) for (k, j), c in left.items()), key=lambda t: (t[0], -t[1]))
+    obs = Obstruction(
+        tuple(bad),
+        alpha,
+        f"cannot reach o(y^-{r}): offending terms at "
+        + ", ".join(f"y^{k} log^{j}" for k, j, _ in bad),
+    )
+    return None, obs
+
+
 def choose_alpha(particular, r: int, n1: int, n2: int):
     """Unique alpha cancelling the y^{-r} (log-free) coefficient.
 
@@ -203,29 +230,39 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     secondary_alpha; ``ModeSolution.hom_basis`` gives the decaying element.
 
     The particular part's series is formed in ints (``flat_small_y_series``)
-    and its Constants are built once, from the terms below y^{-r+1}; the
-    element's series there is its y^{-r} term alone, which alpha cancels.
-    ``small_y_series``, which multiplies Constant series, is the independent
-    route that the tests and the benchmark's boundary recheck compare with.
+    from the terms that reach below y^{-r+1}.  The element's series there is
+    its y^{-r} term alone, (2r)!/(r! (4|n1 + n2|)^r) pi^{-r} in closed form
+    (1 for y^{-r} when n1 + n2 = 0): alpha's ints are scaled by its inverse
+    and its pi exponent raised by r, and every Constant is built once.
+    ``boundary_reference``, which adds the Constant series of both, is the
+    independent route that ``verify`` and the tests compare with.
     """
     terms, den = flat_small_y_series(particular, -r + 1)
-    polys = {}
-    for (k, j, mono), q in terms.items():
-        if q:
-            polys.setdefault((k, j), {})[mono] = Fraction(q, den)
+    num, div, e_el = _element_leading(r, n1 + n2)
+    alpha, polys = {}, {}
+    for (k, j, e, rest), q in terms.items():
+        if not q:
+            continue
+        if k == -r and j == 0:
+            alpha[_times_pi(rest, e - e_el)] = Fraction(-q * div, den * num)
+        else:
+            polys.setdefault((k, j), {})[_times_pi(rest, e)] = Fraction(q, den)
     left = {kj: Constant._trusted(coeffs) for kj, coeffs in polys.items()}
-    element = small_y_series(_decaying_basis(r, n1 + n2), -r + 1).coeff(-r)
-    alpha = -left.pop((-r, 0), Constant.zero()) / element
-    if not left:
-        return alpha, None
-    bad = sorted(((k, j, c) for (k, j), c in left.items()), key=lambda t: (t[0], -t[1]))
-    obs = Obstruction(
-        tuple(bad),
-        alpha,
-        f"cannot reach o(y^-{r}): offending terms at "
-        + ", ".join(f"y^{k} log^{j}" for k, j, _ in bad),
-    )
-    return None, obs
+    return _boundary_result(Constant._trusted(alpha), left, r)
+
+
+def boundary_reference(particular, r: int, n1: int, n2: int):
+    """``choose_alpha`` from the Constant series, sharing none of its arithmetic.
+
+    alpha is minus the y^{-r} coefficient of ``small_y_series`` of the
+    particular part over that of the decaying element's series; the terms of
+    particular + alpha * element left below y^{-r+1} are the obstruction.
+    ``verify`` checks a document's boundary data with it.
+    """
+    series = small_y_series(particular, -r + 1)
+    element = small_y_series(_decaying_basis(r, n1 + n2), -r + 1)
+    alpha = -series.coeff(-r, 0) / element.coeff(-r)
+    return _boundary_result(alpha, (series + element.scale(alpha)).terms.terms(), r)
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,8 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     source.  The second derivative is applied through the exact
     factor-derivative rules and then evaluated numerically.  The homogeneous
     part alpha * h is not evaluated: P(h) = 0 is an exact identity for every
-    alpha, and alpha is checked exactly by ``homogeneous.choose_alpha``.  A
+    alpha, and alpha is fixed exactly by ``homogeneous.choose_alpha`` and
+    checked by ``homogeneous.boundary_reference``.  A
     point where y * y is not a finite double raises ``OverflowError``.
 
     The Bessel values factor out of each (cell, y-power) group of terms, so

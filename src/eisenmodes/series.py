@@ -15,15 +15,19 @@ the life of the process: the sub-modes of one assembly share their
 frequencies, so the same (index, |n|, order) series is asked for again and
 again.  That is safe because all three are pure functions of ints and their
 results are never written to (``YLaurent`` operations return new objects, and
-the term maps of ``k_flat_series`` are read-only views).  Each
-cache grows by one entry per distinct argument triple a process touches;
-``k_flat_series`` holds the K_0/K_1 series of ``k_log_series`` as one
-{(y_exp, log_exp, monomial): int} map and its denominator, written from the
-closed form without Constant arithmetic.
+``k_flat_series`` returns tuples).  Each cache grows by one entry per distinct
+argument triple a process touches.  ``k_flat_series`` holds the K_0/K_1
+series of ``k_log_series`` written from the closed form without Constant
+arithmetic, already in the split form its products read: a tuple of
+(y_exp, log_exp, pi exponent, pi-free rest, int) in increasing y_exp, and one
+denominator.
 
 ``flat_small_y_series`` is ``small_y_series`` on a Bessel product in ints,
-the route ``homogeneous.choose_alpha`` takes; ``small_y_series`` multiplies
-the Constant series of ``k_log_series`` and stays the independent check of it.
+the route ``homogeneous.choose_alpha`` takes.  It flattens only the terms
+that can reach below the order: K_0 starts at y^0 and K_1 at y^-1, so a term
+y^k of a cell with `ones` K_1 factors is kept when k - ones < order.
+``small_y_series`` multiplies the Constant series of ``k_log_series`` over
+every term and stays the independent check of it.
 """
 
 from __future__ import annotations
@@ -33,16 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import itemgetter
-from types import MappingProxyType
 
-from .bessel import BesselProduct, HomBasis, _flatten, _split_pi, _times_pi
+from .bessel import BesselProduct, HomBasis, _split_pi
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import (
     GAMMA,
     LN_PI,
     SYM_GAMMA,
     SYM_LN_PI,
-    SYM_PI,
     Constant,
     SymbolMonomial,
     factorize,
@@ -149,7 +151,7 @@ _y_exp = itemgetter(0)
 
 @lru_cache(maxsize=None)
 def k_flat_series(j: int, n: int, order: int):
-    """``k_log_series(j, n, order)`` as ({(y_exp, log_exp, monomial): int}, den).
+    """``k_log_series(j, n, order)`` as ((y_exp, log_exp, pi exponent, rest, int), ...), den.
 
     Written straight from the closed form, with no Constant arithmetic: with
     N = |n| and l = log(pi) + gamma + sum e_p log(p) over N = prod p^e_p,
@@ -159,9 +161,10 @@ def k_flat_series(j: int, n: int, order: int):
              + y^{2m+1} pi^{2m+1} N^{2m+1} / (m! (m+1)!)
                * (log y + l - (H_m + H_{m+1}) / 2),
 
-    for y exponents below order, in increasing y exponent.  Each int is its
-    coefficient times den, the lcm of the coefficients' denominators, as
-    ``bessel._flatten`` writes them; the cached map is read-only.
+    for y exponents below order, in increasing y exponent.  Each term's
+    monomial is split as ``_mul_flat`` reads it, a pi exponent and the pi-free
+    rest; each int is its coefficient times den, the lcm of the coefficients'
+    denominators, as ``bessel._flatten`` writes them.
     """
     if j not in (0, 1):
         raise ValueError("index must be 0 or 1")
@@ -177,13 +180,12 @@ def k_flat_series(j: int, n: int, order: int):
     lcm = math.lcm(*range(1, top + j + 1))
     f0, f1 = math.factorial(top), math.factorial(top + j)
     den = f0 * f1 * lcm * (2 * N if j else 1)
-    terms = {}
+    terms = []
     if j == 1 and order > -1:
-        terms[-1, 0, _times_pi(_ONE, -1)] = f0 * f1 * lcm
+        terms.append((-1, 0, -1, _ONE, f0 * f1 * lcm))
     harmonic = 0  # L H_m
     for m in range(count):
         k = 2 * m + j
-        pi_k = _times_pi(_ONE, k)
         base = N**k * (f0 // math.factorial(m)) * (f1 // math.factorial(m + j))
         if j == 0:
             harmonic += lcm // m if m else 0
@@ -191,13 +193,12 @@ def k_flat_series(j: int, n: int, order: int):
         else:
             a, h = 2 * N * base * lcm, -N * base * (2 * harmonic + lcm // (m + 1))
             harmonic += lcm // (m + 1)
-        terms[k, 1, pi_k] = a
-        for log, e in logs:
-            terms[k, 0, _times_pi(log, k)] = e * a
+        terms.append((k, 1, k, _ONE, a))
+        terms.extend((k, 0, k, log, e * a) for log, e in logs)
         if h:
-            terms[k, 0, pi_k] = h
-    g = math.gcd(den, *terms.values())
-    return MappingProxyType({key: c // g for key, c in terms.items()}), den // g
+            terms.append((k, 0, k, _ONE, h))
+    g = math.gcd(den, *(c for *_, c in terms))
+    return tuple((*key, c // g) for *key, c in terms), den // g
 
 
 @lru_cache(maxsize=None)
@@ -227,33 +228,40 @@ def _mul_flat(a, b, order: int):
 
 
 def flat_small_y_series(expr: BesselProduct, order: int):
-    """``small_y_series(expr, order)`` in ints: ({(y_exp, log_exp, monomial): int}, den).
+    """``small_y_series(expr, order)`` in ints: ({(y_exp, log_exp, pi exponent, rest): int}, den).
 
-    The expression is flattened once; per cell the K factors come from
-    ``k_flat_series`` and are multiplied as in ``small_y_series``: the first
-    factor is not truncated, since the terms it has past reach are the ones
-    another factor's 1/y shifts below it.  The cells are summed over one
-    denominator.
-    Monomials are multiplied as a pi exponent and the rest, so only the rests
-    (gamma, log pi, the prime logs, zeta values) meet SymbolMonomial products.
-    A sum that cancels is kept as a 0.
+    K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell with `ones`
+    K_1 factors reaches no lower than y^(k - ones): only the terms with
+    k - ones < order are flattened, and reach is taken from those.  Per cell
+    the K factors come from ``k_flat_series`` and are multiplied as in
+    ``small_y_series``, each through y^(reach + the number of other factors)
+    and only the products truncated at reach: every other factor reaches
+    down by at most 1/y, which shifts those terms below reach.  The cells are
+    summed over one denominator.  Monomials stay split as a pi
+    exponent and the pi-free rest (``bessel._times_pi(rest, e)`` joins them),
+    so only the rests (gamma, log pi, the prime logs, zeta values) meet
+    SymbolMonomial products.  A sum that cancels is kept as a 0.
     """
-    terms, den_q = _flatten(expr)
-    cells = {}
-    for (cell, k, j, mono), q in terms.items():
-        cells.setdefault(cell, []).append((k, j, *_split_pi(mono), q))
+    cells = []
+    for cell, poly in expr.table.items():
+        factors = expr.factors(cell)
+        ones = sum(index for index, _ in factors)
+        rows = [(k, j, mono, c) for (k, j), const in poly.terms().items() if k - ones < order
+                for mono, c in const.terms().items()]
+        if rows:
+            cells.append((factors, rows))
+    den_q = math.lcm(*{c.denominator for _, rows in cells for *_, c in rows})
     products = []
-    for cell, qs in cells.items():
-        reach = order - min(k for k, *_ in qs)
-        factors, den = [], 1
-        for index, abs_n in expr.factors(cell):
-            flat, den_f = k_flat_series(index, abs_n, reach + len(expr.freqs))
-            factors.append([(k, j, *_split_pi(mono), c) for (k, j, mono), c in flat.items()])
+    for factors, rows in cells:
+        qs = [(k, j, *_split_pi(mono), c.numerator * (den_q // c.denominator))
+              for k, j, mono, c in rows]
+        reach = order - min(k for k, *_ in rows)
+        prod, den = [(0, 0, 0, _ONE, 1)], 1
+        for pos, (index, abs_n) in enumerate(factors):
+            flat, den_f = k_flat_series(index, abs_n, reach + len(factors) - 1)
+            prod = flat if pos == 0 else sorted(
+                ((*key, c) for key, c in _mul_flat(prod, flat, reach).items()), key=_y_exp)
             den *= den_f
-        prod = factors[0] if factors else [(0, 0, 0, _ONE, 1)]
-        for factor in factors[1:]:
-            prod = sorted(((*key, c) for key, c in _mul_flat(prod, factor, reach).items()),
-                          key=_y_exp)
         products.append((_mul_flat(qs, prod, order), den))
     den_k = math.lcm(*(den for _, den in products))
     total = {}
@@ -261,8 +269,7 @@ def flat_small_y_series(expr: BesselProduct, order: int):
         scale = den_k // den
         for key, c in prod.items():
             total[key] = total.get(key, 0) + c * scale
-    return {(k, j, SymbolMonomial(((SYM_PI, e), *rest))): c
-            for (k, j, e, rest), c in total.items()}, den_q * den_k
+    return total, den_q * den_k
 
 
 def hom_norm_scale_description(r: int, n: int) -> str:

@@ -11,9 +11,11 @@ from eisenmodes.bessel import HomBasis
 from eisenmodes.divisors import sigma
 from eisenmodes.homogeneous import (
     T_MINUS_2_WEIGHTS,
+    _element_leading,
     _log_spaced,
     alpha_decay_scan,
     assemble_mode,
+    boundary_reference,
     choose_alpha,
     combine,
     evaluate_high_precision,
@@ -52,23 +54,6 @@ def test_alpha_zero_when_already_decaying():
     expr = DoubleBessel(1, 2, {(1, 1): YLaurent.monomial(6)})
     alpha, obs = choose_alpha(expr, 5, 1, 2)
     assert obs is None and alpha.is_zero()
-
-
-def _reference_choose_alpha(particular, r, n1, n2):
-    """choose_alpha on the Constant series: small_y_series of the particular
-    part and of the decaying element, alpha * element added, and whatever is
-    left below y^{-r+1} sorted into (leading, secondary alpha, message)."""
-    basis = HomBasis("K", r, n1 + n2) if n1 + n2 else HomBasis("power_neg", r)
-    series = small_y_series(particular, -r + 1)
-    element = small_y_series(basis, -r + 1)
-    alpha = -series.coeff(-r, 0) / element.coeff(-r)
-    left = (series + element.scale(alpha)).terms.items_sorted()
-    if not left:
-        return alpha, None
-    bad = tuple(sorted(((k, j, c) for (k, j), c in left), key=lambda t: (t[0], -t[1])))
-    message = f"cannot reach o(y^-{r}): offending terms at " + ", ".join(
-        f"y^{k} log^{j}" for k, j, _ in bad)
-    return None, (bad, alpha, message)
 
 
 UNIT = Normalization.UNIT
@@ -116,12 +101,19 @@ _extra_terms = hst.one_of(hst.just({}), hst.dictionaries(
 @example(case=(Params(F(7, 2), F(9, 2), 72, UNIT), 257, 283), extra={})
 @example(case=(Params(F(3, 2), F(9, 2), 72, UNIT), 283, 257), extra={})
 @example(case=(Params(F(9, 2), F(3, 2), 72, UNIT), -251, -299), extra={})
+@example(case=(Params(F(3, 2), F(3, 2), 30), -40, 41), extra={(3, 2, 0): (PI, 3, 7)})
+@example(case=(Params(F(3, 2), F(3, 2), 30), -40, 41), extra={(3, 3, 1): (GAMMA, 5, 1)})
+@example(case=(Params(F(9, 2), F(9, 2), 2, UNIT), -142, 58), extra={})
 def test_choose_alpha_matches_the_constant_series_reference(case, extra):
     # the integer route gives the alpha, leading terms, secondary alpha and
-    # message of the Constant series, on solved particular parts of every
-    # mode kind and on the same parts plus drawn terms around y^{-r} (cell,
-    # y^{-r+k} log^j, coefficient); both raise past the log cap.  (-40, 41)
-    # of (3/2, 3/2, 30) is wrong when the first K factor is truncated
+    # message of the Constant series (boundary_reference), on solved
+    # particular parts of every mode kind and on the same parts plus drawn
+    # terms around y^{-r} (cell, y^{-r+k} log^j, coefficient); both raise
+    # past the log cap.  (-40, 41) of (3/2, 3/2, 30) is wrong when the first
+    # K factor is truncated.  At the edge of the integer route's filter, a
+    # (1,1)-cell term at y^{-r+2} reaches y^{-r} through K_1 K_1's y^-2 and
+    # one at y^{-r+3} reaches no lower than y^{-r+1}; (9/2, 9/2, r = 1) at
+    # (-142, 58) is obstructed down to y^-7, reach 5 below y^{-r+1}
     params, n1, n2 = case
     try:
         particular = solve_mode(params, n1, n2).particular
@@ -136,15 +128,24 @@ def test_choose_alpha_matches_the_constant_series_reference(case, extra):
             -r + k, mono * F(num, den), log_exp=j)
     particular = particular + particular.with_table(added)
     try:
-        expected = _reference_choose_alpha(particular, r, n1, n2)
+        expected = boundary_reference(particular, r, n1, n2)
     except LogCapExceeded:
         with pytest.raises(LogCapExceeded):
             choose_alpha(particular, r, n1, n2)
         return
-    alpha, obstruction = choose_alpha(particular, r, n1, n2)
-    got = None if obstruction is None else (
-        obstruction.leading, obstruction.secondary_alpha, obstruction.message)
-    assert (alpha, got) == expected
+    assert choose_alpha(particular, r, n1, n2) == expected
+
+
+def test_closed_form_element_coefficient_is_the_series_one():
+    # the y^{-r} coefficient choose_alpha divides by, (2r)!/(r! (4|n|)^r)
+    # pi^{-r}, is the one small_y_series reads off the decaying element
+    for r in range(1, 13):
+        for n in (1, -1, 2, 7, 300):
+            num, den, e = _element_leading(r, n)
+            series = small_y_series(HomBasis("K", r, n), -r + 1)
+            assert Constant.pi_power(e, F(num, den)) == series.coeff(-r), (r, n)
+        assert _element_leading(r, 0) == (1, 1, 0)
+        assert small_y_series(HomBasis("power_neg", r), -r + 1).coeff(-r) == Constant.one()
 
 
 def test_series_cancellation_and_behavioral_bound():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel, _flatten
+from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel, _flatten, _times_pi
 from eisenmodes.laurent import YLaurent
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, eval_hom_normalized
 from eisenmodes.scalars import Constant
@@ -48,13 +48,17 @@ def _flat(poly):
 
 def test_flat_k_series_equals_the_flattened_constant_series():
     # the closed form written in ints is k_log_series term for term, over the
-    # same denominator, in increasing y exponent; the sign of n does not matter
+    # same denominator, in increasing y exponent, each monomial split into its
+    # pi exponent and a pi-free rest; the sign of n does not matter
     for j in (0, 1):
         for n in (*range(1, 13), 30, 97, 200, 300):
             for order in range(-2, 15):
                 terms, den = k_flat_series.__wrapped__(j, n, order)
-                assert (terms, den) == _flat(k_log_series.__wrapped__(j, n, order)), (j, n, order)
-                assert [k for k, _, _ in terms] == sorted(k for k, _, _ in terms)
+                joined = {(k, lg, _times_pi(rest, e)): c for k, lg, e, rest, c in terms}
+                assert len(joined) == len(terms)
+                assert (joined, den) == _flat(k_log_series.__wrapped__(j, n, order)), (j, n, order)
+                assert all(rest.pi_exponent() == 0 for *_, rest, _ in terms)
+                assert [k for k, *_ in terms] == sorted(k for k, *_ in terms)
             assert k_flat_series.__wrapped__(j, -n, 14) == (terms, den)
     for j, n in ((2, 1), (0, 0)):
         with pytest.raises(ValueError):
