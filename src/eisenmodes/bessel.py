@@ -19,12 +19,15 @@ Operators are built from the factor-wise derivative rules
 rather than transcribed recurrence tables, so degree bookkeeping and sign
 conventions follow mechanically (and are cross-checked against finite
 differences in the test suite).  ``differentiate`` and the mode operators run
-as one integer kernel: the expression is flattened once into a map
-(cell, y power, log power, symbol monomial) -> int, every coefficient scaled
-by the lcm of their denominators; the rules act on that map with ints only,
-the pi of c going into the monomial and -2|n| into the int, and merged cells
-fold as they are written.  The result is rebuilt as one expression of the
-input's kind, each coefficient divided by that denominator once.  The kernel
+as one integer kernel on the flat value of an expression (``FlatExpr``): the
+map (cell, y power, log power, pi exponent, pi-free rest) -> int over one
+denominator, the lcm of the coefficients' denominators.  The rules act on
+that map with ints only: the pi of c = 2 pi |n| adds 1 to the pi exponent and
+-2|n| goes into the int, and merged cells fold as they are written.  The
+result is rebuilt as one expression of the input's kind (``_rebuild``, the
+one place where pi exponent and rest become a monomial again), each
+coefficient divided by that denominator once.  The same kernel
+(``_operator_terms``) is the solver's exact recheck on its flat solution.  It
 keeps pi, zeta, log and log(y) symbolic; ``unit_column``, the solver's pi = 1
 stencil, is a separate piece of code.
 """
@@ -35,7 +38,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import SYM_PI, Constant, SymbolMonomial, _json_int
@@ -46,6 +50,7 @@ __all__ = [
     "SingleBessel",
     "Pure",
     "HomBasis",
+    "FlatExpr",
     "k_index_table",
     "apply_P",
     "apply_L",
@@ -260,18 +265,48 @@ def _split_pi(mono: SymbolMonomial) -> Tuple[int, SymbolMonomial]:
     return e, SymbolMonomial(mono[1:]) if e else mono
 
 
+@dataclass(frozen=True)
+class FlatExpr:
+    """An expression as one flat value: {(cell, k, j, e, rest): q} over den.
+
+    Each int q is the rational coefficient of pi^e rest y^k log^j y at
+    `cell`, times den; rest is the pi-free part of the monomial.  `shape` is
+    an expression of the same kind and frequencies; only its kind, ``fold``,
+    ``factors`` and ``freqs`` are read.  ``source_term``, the solver and
+    ``homogeneous.choose_alpha`` hand this value on; ``expr`` builds the
+    expression from it.
+    """
+
+    shape: BesselProduct
+    terms: Mapping
+    den: int
+
+    @classmethod
+    def of(cls, value) -> "FlatExpr":
+        """`value` itself when it is flat, else the expression flattened."""
+        if isinstance(value, FlatExpr):
+            return value
+        terms, den = _flatten(value)
+        return cls(value, MappingProxyType(terms), den)
+
+    def expr(self) -> BesselProduct:
+        """The expression, each coefficient divided by den once."""
+        return _rebuild(self.shape, self.terms, self.den)
+
+
 def _flatten(expr):
-    """The terms of `expr` as {(cell, k, j, monomial): int} and their common
-    denominator den: each int is the rational coefficient of monomial *
+    """The terms of `expr` as {(cell, k, j, e, rest): int} and their common
+    denominator den: each int is the rational coefficient of pi^e rest *
     y^k log^j y at `cell`, times den, the lcm of all the denominators."""
     rows = [
-        (cell, k, j, mono, c)
+        (cell, k, j, *_split_pi(mono), c)
         for cell, poly in expr.table.items()
         for (k, j), const in poly.terms().items()
         for mono, c in const.terms().items()
     ]
     den = math.lcm(*{c.denominator for *_, c in rows})
-    terms = {(cell, k, j, mono): c.numerator * (den // c.denominator) for cell, k, j, mono, c in rows}
+    terms = {(cell, k, j, e, rest): c.numerator * (den // c.denominator)
+             for cell, k, j, e, rest, c in rows}
     return terms, den
 
 
@@ -279,7 +314,7 @@ def _factor_moves(expr, cell):
     """What d/dy does to the K factors of `cell`: the number of K_1 factors,
     each giving -K_1/y, and per factor the folded cell with that factor's
     index flipped, with its int coefficient -2|n| (the pi of c = 2 pi |n|
-    goes into the monomial)."""
+    goes into the pi exponent)."""
     factors = expr.factors(cell)
     return sum(index for index, _ in factors), tuple(
         (expr.fold(expr.replace_index(cell, pos, 1 - index)), -2 * abs_n)
@@ -292,22 +327,20 @@ def _derivative(expr, terms):
     j y^(k-1) log^(j-1) y, K_0' = -c K_1 and K_1' = -c K_0 - K_1/y."""
     out: Dict = {}
     moves: Dict = {}
-    for (cell, k, j, mono), q in terms.items():
+    for (cell, k, j, e, rest), q in terms.items():
         move = moves.get(cell)
         if move is None:
             move = moves[cell] = _factor_moves(expr, cell)
         ones, targets = move
         if k != ones:
-            key = (cell, k - 1, j, mono)
+            key = (cell, k - 1, j, e, rest)
             out[key] = out.get(key, 0) + (k - ones) * q
         if j:
-            key = (cell, k - 1, j - 1, mono)
+            key = (cell, k - 1, j - 1, e, rest)
             out[key] = out.get(key, 0) + j * q
-        if targets:
-            mono_pi = _times_pi(mono, 1)
-            for target, c in targets:
-                key = (target, k, j, mono_pi)
-                out[key] = out.get(key, 0) + c * q
+        for target, c in targets:
+            key = (target, k, j, e + 1, rest)
+            out[key] = out.get(key, 0) + c * q
     return out
 
 
@@ -315,9 +348,10 @@ def _rebuild(expr, terms, den: int, shift: int = 0):
     """The expression of `expr`'s kind with the flat terms over den, every
     y power raised by `shift`; zero terms are dropped."""
     tables: Dict = {}
-    for (cell, k, j, mono), q in terms.items():
+    for (cell, k, j, e, rest), q in terms.items():
         if q:
-            tables.setdefault(cell, {}).setdefault((k + shift, j), {})[mono] = Fraction(q, den)
+            poly = tables.setdefault(cell, {}).setdefault((k + shift, j), {})
+            poly[_times_pi(rest, e)] = Fraction(q, den)
     return expr.with_table({
         cell: YLaurent._trusted({kj: Constant._trusted(c) for kj, c in polys.items()})
         for cell, polys in tables.items()
@@ -340,24 +374,32 @@ def _check_log_cap(expr):
             )
 
 
-def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
-    """-4 pi^2 (sum of freqs)^2 y^2 + y^2 d^2/dy^2 - lam on a Bessel product.
+def _operator_terms(lam: int, expr, terms) -> Dict:
+    """-4 pi^2 (sum of freqs)^2 y^2 + y^2 d^2/dy^2 - lam on a flat term map,
+    in ints, the image's y^p term collected under key y power p - 2.
 
     For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2; on
     ``Pure`` the sum of no frequencies is 0, which leaves the Euler operator.
-    The terms are collected at y^(p-2) and raised by y^2 once, on rebuilding.
+    `expr` supplies kind and frequencies only.  This is the kernel of
+    ``apply_P``, ``apply_L`` and ``apply_euler`` and of the solver's recheck.
     """
+    out = _derivative(expr, _derivative(expr, terms))
+    mass = 4 * sum(expr.freqs) ** 2
+    for (cell, k, j, e, rest), q in terms.items():
+        if mass:
+            key = (cell, k, j, e + 2, rest)
+            out[key] = out.get(key, 0) - mass * q
+        key = (cell, k - 2, j, e, rest)
+        out[key] = out.get(key, 0) - lam * q
+    return out
+
+
+def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
+    """The mode operator of `expr`'s kind (``_operator_terms``), the terms
+    raised by y^2 once, on rebuilding."""
     _check_log_cap(expr)
     terms, den = _flatten(expr)
-    out = _derivative(expr, _derivative(expr, terms))
-    mass = sum(expr.freqs)
-    for (cell, k, j, mono), q in terms.items():
-        if mass:
-            key = (cell, k, j, _times_pi(mono, 2))
-            out[key] = out.get(key, 0) - 4 * mass * mass * q
-        key = (cell, k - 2, j, mono)
-        out[key] = out.get(key, 0) - lam * q
-    return _rebuild(expr, out, den, shift=2)
+    return _rebuild(expr, _operator_terms(lam, expr, terms), den, shift=2)
 
 
 def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:

@@ -22,7 +22,7 @@ from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bessel import HomBasis, _times_pi, expr_from_json_obj, expr_to_json_obj
+from .bessel import FlatExpr, HomBasis, _times_pi, expr_from_json_obj, expr_to_json_obj
 from .divisors import (
     convolution_partial_sums,
     ramanujan_convolution,
@@ -220,7 +220,8 @@ def _boundary_result(alpha: Constant, left: Dict[Tuple[int, int], Constant], r: 
 
 
 def choose_alpha(particular, r: int, n1: int, n2: int):
-    """Unique alpha cancelling the y^{-r} (log-free) coefficient.
+    """Unique alpha cancelling the y^{-r} (log-free) coefficient of a
+    particular part, given flat (``FlatExpr``) or as an expression.
 
     alpha is minus the particular part's y^{-r} coefficient over the decaying
     element's own.  Whatever the small-y series of particular + alpha * basis
@@ -230,14 +231,15 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     secondary_alpha; ``ModeSolution.hom_basis`` gives the decaying element.
 
     The particular part's series is formed in ints (``flat_small_y_series``)
-    from the terms that reach below y^{-r+1}.  The element's series there is
+    from its flat terms that reach below y^{-r+1}; ``solve_mode`` passes the
+    flat solution the solver's recheck checked.  The element's series there is
     its y^{-r} term alone, (2r)!/(r! (4|n1 + n2|)^r) pi^{-r} in closed form
     (1 for y^{-r} when n1 + n2 = 0): alpha's ints are scaled by its inverse
     and its pi exponent raised by r, and every Constant is built once.
     ``boundary_reference``, which adds the Constant series of both, is the
     independent route that ``verify`` and the tests compare with.
     """
-    terms, den = flat_small_y_series(particular, -r + 1)
+    terms, den = flat_small_y_series(FlatExpr.of(particular), -r + 1)
     num, div, e_el = _element_leading(r, n1 + n2)
     alpha, polys = {}, {}
     for (k, j, e, rest), q in terms.items():
@@ -279,14 +281,13 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
         particular = solve_zero_mode(params, src.full())
         return ModeSolution(params, 0, 0, src, particular, None, None, None)
 
-    if n1 == 0 or n2 == 0:
-        particular, report = solve_particular_single(params, src.full(), case=src.case_tag)
-    else:
-        particular, report = solve_particular_double(params, src.full(), case=src.case_tag)
+    solve = solve_particular_single if n1 == 0 or n2 == 0 else solve_particular_double
+    particular, report = solve(params, src.flat(), case=src.case_tag)
+    checked, report.checked = report.checked, None
 
     alpha = obstruction = None
     if r is not None:
-        alpha, obstruction = choose_alpha(particular, r, n1, n2)
+        alpha, obstruction = choose_alpha(checked, r, n1, n2)
     return ModeSolution(params, n1, n2, src, particular, alpha, obstruction, report)
 
 

@@ -22,12 +22,14 @@ arithmetic, already in the split form its products read: a tuple of
 (y_exp, log_exp, pi exponent, pi-free rest, int) in increasing y_exp, and one
 denominator.
 
-``flat_small_y_series`` is ``small_y_series`` on a Bessel product in ints,
-the route ``homogeneous.choose_alpha`` takes.  It flattens only the terms
+``flat_small_y_series`` is ``small_y_series`` in ints on the flat value of a
+Bessel product (``bessel.FlatExpr``, key (cell, y power, log power, pi
+exponent, rest)), the route ``homogeneous.choose_alpha`` takes with the flat
+solution the solver checked; it reads no Constant.  It keeps only the terms
 that can reach below the order: K_0 starts at y^0 and K_1 at y^-1, so a term
 y^k of a cell with `ones` K_1 factors is kept when k - ones < order.
 ``small_y_series`` multiplies the Constant series of ``k_log_series`` over
-every term and stays the independent check of it.
+every term of an expression and stays the independent check of it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import itemgetter
 
-from .bessel import BesselProduct, HomBasis, _split_pi
+from .bessel import BesselProduct, FlatExpr, HomBasis
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import (
     GAMMA,
@@ -227,12 +229,13 @@ def _mul_flat(a, b, order: int):
     return out
 
 
-def flat_small_y_series(expr: BesselProduct, order: int):
-    """``small_y_series(expr, order)`` in ints: ({(y_exp, log_exp, pi exponent, rest): int}, den).
+def flat_small_y_series(flat: FlatExpr, order: int):
+    """``small_y_series`` of a flat value in ints, as
+    ({(y_exp, log_exp, pi exponent, rest): int}, den).
 
     K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell with `ones`
     K_1 factors reaches no lower than y^(k - ones): only the terms with
-    k - ones < order are flattened, and reach is taken from those.  Per cell
+    k - ones < order are read, and reach is taken from those.  Per cell
     the K factors come from ``k_flat_series`` and are multiplied as in
     ``small_y_series``, each through y^(reach + the number of other factors)
     and only the products truncated at reach: every other factor reaches
@@ -242,25 +245,25 @@ def flat_small_y_series(expr: BesselProduct, order: int):
     so only the rests (gamma, log pi, the prime logs, zeta values) meet
     SymbolMonomial products.  A sum that cancels is kept as a 0.
     """
-    cells = []
-    for cell, poly in expr.table.items():
-        factors = expr.factors(cell)
-        ones = sum(index for index, _ in factors)
-        rows = [(k, j, mono, c) for (k, j), const in poly.terms().items() if k - ones < order
-                for mono, c in const.terms().items()]
-        if rows:
-            cells.append((factors, rows))
-    den_q = math.lcm(*{c.denominator for _, rows in cells for *_, c in rows})
+    shape = flat.shape
+    cells = {}  # cell -> (its K factors, how many are K_1, its terms kept), in table order
+    for (cell, k, j, e, rest), q in flat.terms.items():
+        entry = cells.get(cell)
+        if entry is None:
+            factors = shape.factors(cell)
+            entry = cells[cell] = (factors, sum(index for index, _ in factors), [])
+        if q and k - entry[1] < order:
+            entry[2].append((k, j, e, rest, q))
     products = []
-    for factors, rows in cells:
-        qs = [(k, j, *_split_pi(mono), c.numerator * (den_q // c.denominator))
-              for k, j, mono, c in rows]
-        reach = order - min(k for k, *_ in rows)
+    for factors, _, qs in cells.values():
+        if not qs:
+            continue
+        reach = order - min(k for k, *_ in qs)
         prod, den = [(0, 0, 0, _ONE, 1)], 1
         for pos, (index, abs_n) in enumerate(factors):
-            flat, den_f = k_flat_series(index, abs_n, reach + len(factors) - 1)
-            prod = flat if pos == 0 else sorted(
-                ((*key, c) for key, c in _mul_flat(prod, flat, reach).items()), key=_y_exp)
+            series, den_f = k_flat_series(index, abs_n, reach + len(factors) - 1)
+            prod = series if pos == 0 else sorted(
+                ((*key, c) for key, c in _mul_flat(prod, series, reach).items()), key=_y_exp)
             den *= den_f
         products.append((_mul_flat(qs, prod, order), den))
     den_k = math.lcm(*(den for _, den in products))
@@ -269,7 +272,7 @@ def flat_small_y_series(expr: BesselProduct, order: int):
         scale = den_k // den
         for key, c in prod.items():
             total[key] = total.get(key, 0) + c * scale
-    return total, den_q * den_k
+    return total, flat.den * den_k
 
 
 def hom_norm_scale_description(r: int, n: int) -> str:

@@ -6,10 +6,15 @@ overdetermined linear system.  Its entries are rational multiples of powers
 of pi, graded by the degree shift: the image of y^k at y^p carries exactly
 pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
 into one over Q with the same zero pattern, whose columns are the pi-free
-integer stencil ``bessel.unit_column``; each right-hand side splits into
-directions (non-pi symbol monomial, pi-grade), each with rational entries.
-Systems are solved exactly over Q in Python ints from the stencil to the
-solved values, with one Fraction made per solved value at the end.
+integer stencil ``bessel.unit_column``.  The right-hand side is the
+source's flat value (``bessel.FlatExpr``, {(cell, y power, log power, pi
+exponent, pi-free rest): int} over one denominator), read as it is: each
+term splits into a direction (rest, pi exponent minus y power), each
+direction an int column over one scale.  Systems are solved exactly over Q
+in Python ints from the stencil to the solved values, which stay
+(numerators, denominator) per direction; the solution is one flat value over
+the lcm of those denominators, and no Fraction is made until the particular
+expression is built from it once, after the recheck.
 
 The stencil is banded: row (cell, k) meets only the unknowns of degrees k,
 k - 1 and k - 2, and at degree k only its own unknown, with the diagonal
@@ -44,11 +49,13 @@ with every window widened by one on both sides, WIDEN_CAP times at most; no
 solvable family needs a retry, so a failure reports the derived window
 widened WIDEN_CAP times; widened windows skip the recurrence.
 
-Every returned solution is re-verified by applying the symbolic operator of
-its kind (``operator_image``): the image must equal the right-hand side, and
-canonical forms make that equality exact.  The operator shares no code with
-the stencil: it keeps pi and every other symbol in the coefficients and takes
-no pi grading or rescaling from the solve, so a fault in the stencil, the
+Every returned solution is re-verified (``_recheck``) by applying the
+integer kernel of the symbolic operator of its kind (``bessel._operator_terms``,
+the one ``apply_P``, ``apply_L`` and ``operator_image`` run) to the flat
+solution: the image must equal the flat source, compared exactly by
+cross-multiplying the two denominators.  The kernel shares no code with the
+stencil: it keeps pi and every other symbol in its keys and takes no pi
+grading or rescaling from the solve, so a fault in the stencil, the
 rescaling, the recurrence or the elimination shows as an image unequal to the
 right-hand side.
 """
@@ -56,16 +63,16 @@ right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 from .bessel import (
-    DoubleBessel, Pure, SingleBessel, _split_pi, _times_pi, apply_euler, apply_L, apply_P,
+    DoubleBessel, FlatExpr, Pure, SingleBessel, _operator_terms, apply_euler, apply_L, apply_P,
     unit_column,
 )
 from .laurent import YLaurent
-from .scalars import Constant
 from .sources import Params
 
 __all__ = [
@@ -113,6 +120,9 @@ class SolveReport:
     num_unknowns: int
     num_equations: int
     support: Dict
+    # the flat solution the recheck checked; ``homogeneous.solve_mode`` hands
+    # it to ``choose_alpha`` and clears it, so that a held mode keeps no flat map
+    checked: Optional[FlatExpr] = field(default=None, repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -147,38 +157,37 @@ def _cell_parity(expr, cell) -> int:
     return sum(index for index, _ in expr.factors(cell)) % 2
 
 
-def _parity_class(rhs) -> int:
-    """The common parity of p + parity(cell) over the terms y^p of the source.
+def _parity_class(rhs: FlatExpr) -> int:
+    """The common parity of p + parity(cell) over the terms y^p of the flat source.
 
     The mode operator keeps that parity, so a source spanning both classes
     breaks an invariant of the operator, not an input condition.
     """
-    classes = {
-        (p + _cell_parity(rhs, cell)) % 2
-        for cell, poly in rhs.table.items() for p in poly.support()
-    }
+    classes = {(p + _cell_parity(rhs.shape, cell)) % 2
+               for (cell, p, *_), q in rhs.terms.items() if q}
     if len(classes) != 1:
         raise AssertionError(f"source spans parity classes {sorted(classes)}")
     return classes.pop()
 
 
-def _source_window(r: int, rhs) -> DegreeWindow:
-    """The ansatz window every cell gets, from the source's y-powers [lo, hi]."""
-    lo, hi = rhs.degree_window()
-    if isinstance(rhs, SingleBessel):
+def _source_window(r: int, rhs: FlatExpr) -> DegreeWindow:
+    """The ansatz window every cell gets, from the flat source's y-powers [lo, hi]."""
+    powers = [p for (_, p, *_), q in rhs.terms.items() if q]
+    lo, hi = min(powers), max(powers)
+    if isinstance(rhs.shape, SingleBessel):
         return DegreeWindow(min(-r, lo - 1), hi - 1)
-    if sum(rhs.freqs) == 0:  # anti-diagonal: no mass term, the particular reaches y^(r+2)
+    if sum(rhs.shape.freqs) == 0:  # anti-diagonal: no mass term, the particular reaches y^(r+2)
         return DegreeWindow(min(-r + 1, lo), r + 2)
     return DegreeWindow(min(-r + 1, lo), hi)
 
 
-def _ansatz_unknowns(rhs, windows: Dict):
-    """The unknowns (cell, k) of the windows in the source's parity class,
-    in ascending y-degree then cell order."""
+def _ansatz_unknowns(rhs: FlatExpr, windows: Dict):
+    """The unknowns (cell, k) of the windows in the flat source's parity
+    class, in ascending y-degree then cell order."""
     parity = _parity_class(rhs)
     unknowns = []
     for cell, window in windows.items():
-        first = window.m + (window.m + _cell_parity(rhs, cell) + parity) % 2
+        first = window.m + (window.m + _cell_parity(rhs.shape, cell) + parity) % 2
         unknowns.extend((cell, k) for k in range(first, window.M + 1, 2))
     return sorted(unknowns, key=lambda u: (u[1], u[0]))
 
@@ -188,15 +197,16 @@ def _ansatz_unknowns(rhs, windows: Dict):
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(columns, rhs_rows, col_order, row_order):
+def _eliminate(columns, rhs_rows, scales, col_order, row_order):
     """Exact multi-RHS elimination over the rationals, run on integers.
 
     columns: dict col -> dict row -> int (the assembled sparse matrix)
-    rhs_rows: dict row -> list[Fraction] per right-hand-side direction
-    Returns (solution dict col -> list[Fraction], kernel_cols, inconsistent_rows).
+    rhs_rows: dict row -> list[int], one int per right-hand-side direction d,
+    standing for int / scales[d]
+    Returns (solution, kernel_cols, inconsistent_rows), the solution one
+    (numerators in col_order, denominator) per direction.
 
-    Each direction is scaled to integers by the lcm of its denominators.  The
-    pivot of each column is the shortest unused row, ties broken by row_order.
+    The pivot of each column is the shortest unused row, ties broken by row_order.
     Only the other unused rows with an entry there are updated, as
     a*row - b*pivot_row with a, b = pivot/g, factor/g (g = gcd(pivot, factor)),
     then divided with their right-hand side by the gcd of their entries; a
@@ -209,18 +219,14 @@ def _eliminate(columns, rhs_rows, col_order, row_order):
     direction, every x_c = num_c / den over one running denominator that
     starts at the direction's scale: t = rhs * (den/scale) - sum(row[c] *
     num_c), and where m = |pivot| / gcd(t, pivot) is not 1, every numerator,
-    den and t are multiplied by m, so that num = t / pivot is exact.  Each
-    solved value becomes one Fraction(num, den) at the end.
+    den and t are multiplied by m, so that num = t / pivot is exact.
     """
-    scales = [math.lcm(*(v.denominator for v in d)) for d in zip(*rhs_rows.values())]
     n_dirs = len(scales)
     rows: Dict = {row: {} for row in rhs_rows}
     for col, entries in columns.items():
         for row, val in entries.items():
             rows.setdefault(row, {})[col] = val
-    rhs = {row: [0] * n_dirs for row in rows}
-    for row, vals in rhs_rows.items():
-        rhs[row] = [v.numerator * (s // v.denominator) for v, s in zip(vals, scales)]
+    rhs = {row: rhs_rows.get(row, [0] * n_dirs) for row in rows}
 
     pivot_of_col: Dict = {}
     unused = list(row_order)
@@ -260,7 +266,7 @@ def _eliminate(columns, rhs_rows, col_order, row_order):
     # so a nonzero rhs there is an inconsistency.
     inconsistent = [r for r in unused if any(rhs[r])]
     kernel_cols = [c for c in col_order if c not in pivot_of_col]
-    solved = {c: [] for c in col_order}
+    solution = []
     for d, scale in enumerate(scales):
         den, num = scale, dict.fromkeys(kernel_cols, 0)
         for col, row in reversed(pivot_of_col.items()):
@@ -274,12 +280,11 @@ def _eliminate(columns, rhs_rows, col_order, row_order):
                 den *= m
                 t *= m
             num[col] = t // pivot
-        for c in col_order:
-            solved[c].append(Fraction(num[c], den))
-    return solved, kernel_cols, inconsistent
+        solution.append(([num[c] for c in col_order], den))
+    return solution, kernel_cols, inconsistent
 
 
-def _recurrence(columns, rhs_rows, col_order, row_order):
+def _recurrence(columns, rhs_rows, scales, col_order, row_order):
     """Solve a mode system in one ascending pass over its unknowns, exactly.
 
     Same arguments and result as ``_eliminate`` (row_order lists every row),
@@ -290,11 +295,11 @@ def _recurrence(columns, rhs_rows, col_order, row_order):
     Where the diagonal is zero (a resonance) x_u becomes a free parameter t_j
     and row u a constraint, like every row that fixes no unknown.  Every x is
     carried as an affine function of the parameters: one integer component
-    per right-hand-side direction (scaled to integers as in ``_eliminate``)
-    and one per parameter, each over one running denominator, multiplied up
-    where a pivot does not divide.  The constraints then form a small integer
-    system in the parameters whose solutions and kernel are those of the
-    whole system, solved by fraction-free Gauss-Jordan.  Where it has full
+    per right-hand-side direction and one per parameter, each over one
+    running denominator, multiplied up where a pivot does not divide.  The
+    constraints then form a small integer system in the parameters whose
+    solutions and kernel are those of the whole system, solved by
+    fraction-free Gauss-Jordan.  Where it has full
     column rank and is consistent in every direction, so is the whole
     system: its solution is unique and equals ``_eliminate``'s, with no
     kernel and no inconsistent row.  Otherwise (a rank-deficient or
@@ -307,9 +312,6 @@ def _recurrence(columns, rhs_rows, col_order, row_order):
         u = index[col]
         for row, val in entries.items():
             rows.setdefault(row, []).append((u, val))
-    scales = [math.lcm(*(v.denominator for v in d)) for d in zip(*rhs_rows.values())]
-    rhs = {row: [v.numerator * (s // v.denominator) for v, s in zip(vals, scales)]
-           for row, vals in rhs_rows.items()}
     zero = [0] * len(scales)
 
     # a step is (u, pivot, its row, its rhs); the row keeps its diagonal,
@@ -322,7 +324,7 @@ def _recurrence(columns, rhs_rows, col_order, row_order):
         elif max(rows[col])[0] > u:
             return None
         else:
-            steps.append((u, pivot, rows[col], rhs.get(col, zero)))
+            steps.append((u, pivot, rows[col], rhs_rows.get(col, zero)))
             solved_rows.add(col)
 
     def ascend(num, d, start=0):
@@ -354,7 +356,7 @@ def _recurrence(columns, rhs_rows, col_order, row_order):
             continue
         entries = rows.get(row, ())
         g.append([sum(v * w[c] for c, v in entries) for w in weights])
-        b = rhs.get(row, zero)
+        b = rhs_rows.get(row, zero)
         h.append([b[d] * f - sum(v * num[c] for c, v in entries)
                   for d, (num, f) in enumerate(directions)])
     values = _fix_parameters(g, h, len(weights), len(directions))
@@ -362,25 +364,24 @@ def _recurrence(columns, rhs_rows, col_order, row_order):
         return None
 
     # parameter j is t_j = s_j * f_j / (f * scale), with f_j the running
-    # denominator of its weights w_j, so x = (num + sum(w_j * s_j)) /
-    # (f * scale) in each direction
-    columns_of_values = []
-    for (num, f), scale, s in zip(directions, scales, values):
-        lcm = math.lcm(*(q.denominator for q in s))
-        num = [x * lcm for x in num]
-        for q, w in zip(s, weights):
-            a = q.numerator * (lcm // q.denominator)
-            num = [x + a * y for x, y in zip(num, w)]
-        den = lcm * f * scale
-        columns_of_values.append([Fraction(x, den) for x in num])
-    solution = {col: [vals[u] for vals in columns_of_values] for u, col in enumerate(col_order)}
+    # denominator of its weights w_j; with s_j = a_j / lcm, x = (lcm * num +
+    # sum(a_j * w_j)) / (lcm * f * scale) in each direction
+    solution = []
+    for (num, f), scale, (s, lcm) in zip(directions, scales, values):
+        if lcm != 1:
+            num = [x * lcm for x in num]
+        for a, w in zip(s, weights):
+            if a:
+                num = [x + a * y for x, y in zip(num, w)]
+        solution.append((num, lcm * f * scale))
     return solution, [], []
 
 
 def _fix_parameters(g, h, n_params, n_dirs):
-    """The unique s with g s = h, one column of h per direction, as Fractions
-    per direction; None unless g has full column rank and every direction is
-    consistent.  Fraction-free Gauss-Jordan on the rows [g | h]."""
+    """The unique s with g s = h, one column of h per direction, as
+    (numerators, denominator) in lowest terms per direction; None unless g
+    has full column rank and every direction is consistent.  Fraction-free
+    Gauss-Jordan on the rows [g | h]."""
     rows = [gr + hr for gr, hr in zip(g, h)]
     for j in range(n_params):
         i = next((i for i in range(j, len(rows)) if rows[i][j]), None)
@@ -394,18 +395,24 @@ def _fix_parameters(g, h, n_params, n_dirs):
                 rows[i] = [a * x - b * y for x, y in zip(row, pivot)]
     if any(any(row[n_params:]) for row in rows[n_params:]):
         return None
-    return [[Fraction(rows[j][n_params + d], rows[j][j]) for j in range(n_params)]
-            for d in range(n_dirs)]
+    pivots = [rows[j][j] for j in range(n_params)]
+    values = []
+    for d in range(n_dirs):
+        den = math.lcm(*pivots)
+        nums = [rows[j][n_params + d] * (den // p) for j, p in enumerate(pivots)]
+        content = math.gcd(den, *nums)
+        values.append(([x // content for x in nums], den // content))
+    return values
 
 
-def _solve_system(columns, rhs_rows, col_order, row_order):
+def _solve_system(columns, rhs_rows, scales, col_order, row_order):
     """The recurrence's solution where it settles the system, else
     ``_eliminate``'s (kernel columns and inconsistent rows included)."""
-    return (_recurrence(columns, rhs_rows, col_order, row_order)
-            or _eliminate(columns, rhs_rows, col_order, row_order))
+    return (_recurrence(columns, rhs_rows, scales, col_order, row_order)
+            or _eliminate(columns, rhs_rows, scales, col_order, row_order))
 
 
-def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
+def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str):
     """Assemble the banded system for one window set and solve it exactly.
 
     The operator is pi-graded: the image of y^k (times a Bessel cell) at
@@ -422,37 +429,42 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
     keeps zero patterns, and the rows Gauss-Jordan reduces further are pivot
     rows, never candidates again.
     Back-substitution solves the pivot columns with the kernel at zero.  Each
-    right-hand-side term c * pi^e * m (m free of pi) at y^p becomes the entry
-    c of direction (m, e - p); a solved value d of that direction at unknown
-    (cell, k) stands for d * pi^(k + e - p) * m.  The solution's tables are
-    built once from these terms, grouped by cell, and its image under the
-    symbolic operator must equal the right-hand side.
+    flat source term q pi^e rest at y^p (over the source's den) becomes the
+    int q of direction (rest, e - p) at row (cell, p), each direction reduced
+    by one gcd with den; a solved value of that direction at unknown
+    (cell, k) stands for that value times pi^(k + e - p) rest.  The flat
+    solution, over the lcm of the directions' denominators, must pass
+    ``_recheck`` before its expression is built.
     """
     lam = params.lam
-    unknowns = _ansatz_unknowns(rhs_expr, windows)
-    columns = {(cell, k): unit_column(lam, rhs_expr, cell, k) for cell, k in unknowns}
+    shape = rhs.shape
+    unknowns = _ansatz_unknowns(rhs, windows)
+    columns = {(cell, k): unit_column(lam, shape, cell, k) for cell, k in unknowns}
     eq_keys = {row for col in columns.values() for row in col}
 
-    entries: Dict = {}
-    for cell, poly in rhs_expr.table.items():
-        for (p, j), const in poly.terms().items():
-            if j != 0:
-                raise ValueError("log-bearing right-hand sides are not supported")
-            eq_keys.add((cell, p))
-            for mono, coeff in const.terms().items():
-                e, rest = _split_pi(mono)
-                entries[(rest, e - p, (cell, p))] = coeff
-    directions = sorted({(m, g) for m, g, _ in entries}, key=lambda d: (d[0].sort_key(), d[1]))
-    dir_index = {d: i for i, d in enumerate(directions)}
+    by_direction: Dict = {}
+    for (cell, p, j, e, rest), q in rhs.terms.items():
+        if not q:
+            continue
+        if j != 0:
+            raise ValueError("log-bearing right-hand sides are not supported")
+        eq_keys.add((cell, p))
+        by_direction.setdefault((rest, e - p), {})[cell, p] = q
+    directions = sorted(by_direction, key=lambda d: (d[0].sort_key(), d[1]))
     rhs_rows: Dict = {}  # the source rows; every other row's rhs is zero
-    for (m, g, row), coeff in entries.items():
-        rhs_rows.setdefault(row, [Fraction(0)] * len(directions))[dir_index[(m, g)]] = coeff
+    scales = []
+    for d, direction in enumerate(directions):
+        entries = by_direction[direction]
+        g = math.gcd(rhs.den, *entries.values())
+        scales.append(rhs.den // g)
+        for row, q in entries.items():
+            rhs_rows.setdefault(row, [0] * len(directions))[d] = q // g
 
     row_order = sorted(eq_keys, key=lambda e: (e[1], e[0]))
     col_order = unknowns
-    derived = set(windows.values()) == {_source_window(params.r_hint, rhs_expr)}
+    derived = set(windows.values()) == {_source_window(params.r_hint, rhs)}
     solve = _solve_system if derived else _eliminate
-    solution, kernel_cols, inconsistent = solve(columns, rhs_rows, col_order, row_order)
+    solution, kernel_cols, inconsistent = solve(columns, rhs_rows, scales, col_order, row_order)
     if inconsistent:
         raise NoSolutionInWindow(
             f"inconsistent rows at {inconsistent[:6]} (case {case}, lambda={lam})",
@@ -460,14 +472,17 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
             inconsistent_rows=inconsistent,
         )
 
+    den = math.lcm(*(d for _, d in solution))
+    lifts = [(rest, g, nums, den // d) for (rest, g), (nums, d) in zip(directions, solution)]
     terms: Dict = {}
-    for (cell, k), vals in solution.items():
-        coeff = {_times_pi(rest, k + g): val for (rest, g), val in zip(directions, vals) if val}
-        if coeff:
-            terms.setdefault(cell, {})[k, 0] = Constant._trusted(coeff)
-    sol = rhs_expr.with_table({cell: YLaurent._trusted(t) for cell, t in terms.items()})
-    if operator_image(lam, sol) != rhs_expr:
-        raise AssertionError("solver produced a non-exact solution (residual != 0)")
+    support: Dict = {}
+    for u, (cell, k) in enumerate(col_order):
+        for rest, g, nums, lift in lifts:
+            if nums[u]:
+                terms[cell, k, 0, k + g, rest] = nums[u] * lift
+                support.setdefault(cell, {})[k] = None
+    checked = FlatExpr(shape, MappingProxyType(terms), den)
+    _recheck(lam, checked, rhs)
 
     report = SolveReport(
         case=case,
@@ -476,9 +491,32 @@ def _assemble_and_solve(params: Params, rhs_expr, windows: Dict, case: str):
         kernel_dim=len(kernel_cols),
         num_unknowns=len(col_order),
         num_equations=len(row_order),
-        support={c: sol.table[c].support() for c in sol.table},
+        support={cell: tuple(ks) for cell, ks in support.items()},
+        checked=checked,
     )
-    return sol, report
+    return checked.expr(), report
+
+
+def _recheck(lam: int, sol: FlatExpr, rhs: FlatExpr) -> None:
+    """Raise AssertionError unless the mode operator maps the flat solution
+    to the flat source exactly.
+
+    The image comes from ``bessel._operator_terms``, the integer kernel of
+    ``apply_P``/``apply_L``: it keeps pi and every other symbol in the keys
+    and shares no code with ``unit_column``.  Its term at key y^(p - 2) over
+    sol.den is compared with the source's at y^p over rhs.den by
+    cross-multiplying, and the matched terms must be all the nonzero source
+    terms.  The raise is explicit, so that python -O keeps it.
+    """
+    src = rhs.terms
+    matched = 0
+    for (cell, k, j, e, rest), q in _operator_terms(lam, sol.shape, sol.terms).items():
+        if q:
+            if q * rhs.den != src.get((cell, k + 2, j, e, rest), 0) * sol.den:
+                raise AssertionError("solver produced a non-exact solution (residual != 0)")
+            matched += 1
+    if matched != sum(1 for q in src.values() if q):
+        raise AssertionError("solver produced a non-exact solution (residual != 0)")
 
 
 def widen_and_retry(builder):
@@ -513,19 +551,23 @@ def _solve_widening(params: Params, rhs, cells, case: str):
 
 
 def solve_particular_double(
-    params: Params, rhs: DoubleBessel, case: Optional[str] = None
+    params: Params, rhs, case: Optional[str] = None
 ) -> Tuple[DoubleBessel, SolveReport]:
-    """Solve P_lam(g) = rhs exactly for the bilinear ansatz g."""
-    case = case or ("anti_diagonal" if rhs.n1 + rhs.n2 == 0 else "generic")
-    cells = sorted({rhs.fold((i, j)) for i in (0, 1) for j in (0, 1)})
+    """Solve P_lam(g) = rhs exactly for the bilinear ansatz g; rhs is a
+    ``DoubleBessel`` or its ``FlatExpr``."""
+    rhs = FlatExpr.of(rhs)
+    shape = rhs.shape
+    case = case or ("anti_diagonal" if shape.n1 + shape.n2 == 0 else "generic")
+    cells = sorted({shape.fold((i, j)) for i in (0, 1) for j in (0, 1)})
     return _solve_widening(params, rhs, cells, case)
 
 
 def solve_particular_single(
-    params: Params, rhs: SingleBessel, case: str = "single"
+    params: Params, rhs, case: str = "single"
 ) -> Tuple[SingleBessel, SolveReport]:
-    """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g."""
-    return _solve_widening(params, rhs, (0, 1), case)
+    """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g; rhs is a
+    ``SingleBessel`` or its ``FlatExpr``."""
+    return _solve_widening(params, FlatExpr.of(rhs), (0, 1), case)
 
 
 # ---------------------------------------------------------------------------

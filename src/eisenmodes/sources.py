@@ -24,10 +24,13 @@ with every Gamma(half-integer) expanded so only integer powers of pi
 survive.  ``_fourier_factor`` is the one encoding of zeta(2s) a_{n,s}: a
 read-only flat map (K index, y power, pi exponent, rest) -> int over one
 denominator, the K_{s-1/2} reduced to K_0/K_1 by the integer table
-``bessel.k_index_table``.  ``source_term`` multiplies two of them in ints and
-builds the full source once; ``SourceTerm.prefactor`` and ``core`` split it.
-``_fourier_factor`` is memoized for the life of the process, since the modes
-of one assembly reuse each (s, n); its maps are ``MappingProxyType`` views.
+``bessel.k_index_table``.  ``source_flat`` multiplies two of them in ints into
+the source's flat value (``bessel.FlatExpr``, key (cell, y power, log power,
+pi exponent, rest), merged cells folded), which the solver reads as it is;
+``source_term`` builds the full source expression from it once, and
+``SourceTerm.prefactor`` and ``core`` split that.  ``_fourier_factor`` is
+memoized for the life of the process, since the modes of one assembly reuse
+each (s, n); its maps are ``MappingProxyType`` views.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from .bessel import (
-    BesselProduct, DoubleBessel, Pure, SingleBessel, _rebuild, _split_pi, _times_pi, k_index_table,
+    BesselProduct, DoubleBessel, FlatExpr, Pure, SingleBessel, _split_pi, k_index_table,
 )
 from .divisors import sigma
 from .laurent import YLaurent
@@ -54,6 +57,7 @@ __all__ = [
     "Classification",
     "classify_params",
     "source_term",
+    "source_flat",
     "PUBLISHED_C_TABLE",
 ]
 
@@ -215,6 +219,10 @@ class SourceTerm:
         """The complete source expression with the prefactor folded in."""
         return self.expr
 
+    def flat(self) -> FlatExpr:
+        """The flat value ``expr`` was built from (``source_flat``)."""
+        return source_flat(self.params, self.n1, self.n2)
+
     @property
     def prefactor(self) -> Constant:
         """c_eff times the two factors' prefactors: a rational times a pi power."""
@@ -235,21 +243,34 @@ def _case_tag(n1: int, n2: int) -> str:
     return "anti_diagonal" if n1 + n2 == 0 else "generic"
 
 
-def source_term(p: Params, n1: int, n2: int) -> SourceTerm:
+@lru_cache(maxsize=1)
+def source_flat(p: Params, n1: int, n2: int) -> FlatExpr:
     """Exact s_{n1,n2} = c_eff zeta(2a) zeta(2b) a_{n1,a}(y) a_{n2,b}(y) in the
-    K0/K1 basis: y times the product of the two Fourier factors, in ints.  A
-    term pair lands on the cell of its K indices (``DoubleBessel`` folds merged
-    cells); c_eff and the denominators are divided in once per coefficient."""
+    K0/K1 basis as one flat value: y times the product of the two Fourier
+    factors, in ints, over c_eff's denominator times theirs.  A term pair
+    lands on the folded cell of its K indices, so a merged ``DoubleBessel``
+    has (0, 1) and never (1, 0).
+
+    Memoized for the last mode only: ``source_term`` builds the expression
+    from it and ``homogeneous.solve_mode`` reads the same value right after,
+    while no held object keeps it.
+    """
     _, left, den_a = _fourier_factor(p.alpha, n1)
     _, right, den_b = _fourier_factor(p.beta, n2)
-    kind = (DoubleBessel(n1, n2) if n1 and n2 else SingleBessel(n1 or n2) if n1 or n2
-            else Pure(YLaurent.zero()))
+    shape = (DoubleBessel(n1, n2) if n1 and n2 else SingleBessel(n1 or n2) if n1 or n2
+             else Pure(YLaurent.zero()))
+    fold = shape.fold
     c = p.c_eff()
     flat: Dict = {}
     for (i, ka, ea, ra), ca in left.items():
         for (j, kb, eb, rb), cb in right.items():
-            cell = j if i == () else i if j == () else (i, j)
-            key = (cell, ka + kb, 0, _times_pi(ra * rb, ea + eb))
+            cell = j if i == () else i if j == () else fold((i, j))
+            key = (cell, ka + kb + 1, 0, ea + eb, ra * rb)
             flat[key] = flat.get(key, 0) + c.numerator * ca * cb
-    expr = _rebuild(kind, flat, c.denominator * den_a * den_b, shift=1)
-    return SourceTerm(p, n1, n2, expr, _case_tag(n1, n2))
+    return FlatExpr(shape, MappingProxyType(flat), c.denominator * den_a * den_b)
+
+
+def source_term(p: Params, n1: int, n2: int) -> SourceTerm:
+    """The source of mode (n1, n2): its flat value (``source_flat``) rebuilt
+    once as an expression, each coefficient divided by the denominator once."""
+    return SourceTerm(p, n1, n2, source_flat(p, n1, n2).expr(), _case_tag(n1, n2))

@@ -392,6 +392,7 @@ def test_operator_images_are_pi_graded():
     # Bessel cell) at y^p is always rational * pi^(p-k).  Check that over every
     # unit-monomial column of the windows derived from the sources, both parity
     # classes included, independently of the solver.
+    from eisenmodes.bessel import FlatExpr
     from eisenmodes.scalars import SYM_PI, SymbolMonomial
     from eisenmodes.solver import _source_window
     from eisenmodes.sources import Normalization, Params, source_term
@@ -421,7 +422,7 @@ def test_operator_images_are_pi_graded():
                     cells = (0, 1) if isinstance(core, SingleBessel) else {
                         core.fold((i, j)) for i in (0, 1) for j in (0, 1)}
                     for cell in cells:
-                        for k in _source_window(r, core).powers():
+                        for k in _source_window(r, FlatExpr.of(core)).powers():
                             if (lam, core.freqs, cell, k) not in checked:
                                 checked.add((lam, core.freqs, cell, k))
                                 check(lam, core.with_table({cell: YLaurent.monomial(k)}), cell, k)

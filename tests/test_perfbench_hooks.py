@@ -63,7 +63,9 @@ def test_traced_session_installs_restores_and_checks_every_mode_kind(bench):
         assert rel <= checks.RESIDUAL_BOUND
     counts = tracer.counts
     assert counts["solver.solve_particular_calls"] == 2
-    assert counts["bessel.apply_P_calls"] == counts["bessel.apply_L_calls"] == 1
+    # the solver's recheck runs the operator's integer kernel on its flat
+    # solution, not solver.apply_P or apply_L, so neither wrapper is reached
+    assert counts["bessel.apply_P_calls"] == counts["bessel.apply_L_calls"] == 0
     assert counts["solver.window_attempts"] >= 2
     assert {"sources.source_term", "solver.solve_zero_mode", "homogeneous.choose_alpha"} <= {
         name for name, *_ in tracer.spans}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel, _flatten, _times_pi
+from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel, _flatten
 from eisenmodes.laurent import YLaurent
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, eval_hom_normalized
 from eisenmodes.scalars import Constant
@@ -41,9 +41,9 @@ def test_cached_series_equal_uncached():
 
 
 def _flat(poly):
-    """A YLaurent as {(y_exp, log_exp, monomial): int} over the lcm of its denominators."""
+    """A YLaurent as {(y_exp, log_exp, pi exponent, rest): int} over the lcm of its denominators."""
     terms, den = _flatten(Pure(poly))
-    return {(k, j, mono): q for (_, k, j, mono), q in terms.items()}, den
+    return {(k, j, e, rest): q for (_, k, j, e, rest), q in terms.items()}, den
 
 
 def test_flat_k_series_equals_the_flattened_constant_series():
@@ -54,9 +54,9 @@ def test_flat_k_series_equals_the_flattened_constant_series():
         for n in (*range(1, 13), 30, 97, 200, 300):
             for order in range(-2, 15):
                 terms, den = k_flat_series.__wrapped__(j, n, order)
-                joined = {(k, lg, _times_pi(rest, e)): c for k, lg, e, rest, c in terms}
-                assert len(joined) == len(terms)
-                assert (joined, den) == _flat(k_log_series.__wrapped__(j, n, order)), (j, n, order)
+                keyed = {(k, lg, e, rest): c for k, lg, e, rest, c in terms}
+                assert len(keyed) == len(terms)
+                assert (keyed, den) == _flat(k_log_series.__wrapped__(j, n, order)), (j, n, order)
                 assert all(rest.pi_exponent() == 0 for *_, rest, _ in terms)
                 assert [k for k, *_ in terms] == sorted(k for k, *_ in terms)
             assert k_flat_series.__wrapped__(j, -n, 14) == (terms, den)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from eisenmodes.bessel import DoubleBessel, Pure, apply_euler, apply_L, apply_P, expr_to_json_obj
+from eisenmodes.bessel import (
+    DoubleBessel, FlatExpr, Pure, _flatten, apply_euler, apply_L, apply_P, expr_to_json_obj,
+)
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
-from eisenmodes.scalars import Constant, zeta_odd
+from eisenmodes.scalars import Constant, SymbolMonomial, zeta_odd
 from eisenmodes.solver import (
     DegreeWindow,
     _ansatz_unknowns,
@@ -69,7 +72,7 @@ def test_derived_windows_continue_the_published_table():
             for n1, n2 in ((1, 2), (2, -3), (1, 1), (-2, 2)):
                 core = source_term(p, n1, n2).core
                 _, rep = solve_particular_double(p, core)
-                derived = set(_ansatz_unknowns(core, rep.windows))
+                derived = set(_ansatz_unknowns(FlatExpr.of(core), rep.windows))
                 old = _published_unknowns(a, b, r, core)
                 assert old <= derived, (a, b, r, n1, n2)
                 if derived != old:
@@ -114,7 +117,7 @@ def test_derived_window_is_complete():
             sol, rep = solve(p, core)
             assert rep.retries == 0
             wide, wide_rep = _assemble_and_solve(
-                p, core, {c: w.widen(6) for c, w in rep.windows.items()}, rep.case)
+                p, FlatExpr.of(core), {c: w.widen(6) for c, w in rep.windows.items()}, rep.case)
             assert wide_rep.kernel_dim == 0, (a, b, r, n1, n2)
             assert _json(wide) == _json(sol), (a, b, r, n1, n2)
     for a, b, lam, n1, n2 in [(F(3, 2), F(3, 2), 31, -3, 4), (F(3, 2), F(3, 2), 20, 1, 2),
@@ -122,10 +125,10 @@ def test_derived_window_is_complete():
                               (F(5, 2), F(9, 2), 2, 1, 2)]:
         p = Params(a, b, lam, Normalization.UNIT)
         core = source_term(p, n1, n2).core
-        wide = _source_window(p.r_hint, core).widen(30)
+        wide = _source_window(p.r_hint, FlatExpr.of(core)).widen(30)
         cells = {core.fold((i, j)) for i in (0, 1) for j in (0, 1)}
         with pytest.raises(NoSolutionInWindow):
-            _assemble_and_solve(p, core, {c: wide for c in cells}, "generic")
+            _assemble_and_solve(p, FlatExpr.of(core), {c: wide for c in cells}, "generic")
 
 
 def test_source_spanning_both_parity_classes_breaks_an_invariant():
@@ -242,9 +245,9 @@ def test_zero_mode_verbatim_and_resonance():
 
 def test_band_profile_assertion_is_active(monkeypatch):
     # columns come from the pi-free stencil and the exact recheck applies the
-    # symbolic apply_P; they share no code, and a fault in either must make
-    # the recheck raise its explicit AssertionError (so it survives
-    # python -O), never return
+    # symbolic operator's integer kernel; they share no code, and a fault in
+    # either must make the recheck raise its explicit AssertionError (so it
+    # survives python -O), never return
     import eisenmodes.solver as solver_mod
 
     p = Params(F(5, 2), F(5, 2), 30)
@@ -259,13 +262,19 @@ def test_band_profile_assertion_is_active(monkeypatch):
             column = {key: 2 * q for key, q in column.items()}
         return column
 
-    real_apply_P = solver_mod.apply_P
+    real_kernel = solver_mod._operator_terms
 
-    def perturbed_apply_P(lam, expr):
-        extra = DoubleBessel(expr.n1, expr.n2, {(0, 0): YLaurent.monomial(0, Constant.one())})
-        return real_apply_P(lam, expr) + extra
+    def perturbed_kernel(lam, expr, terms):
+        image = real_kernel(lam, expr, terms)
+        key = ((0, 0), -2, 0, 0, SymbolMonomial())  # y^0 K_0 K_0, collected at y^(0 - 2)
+        image[key] = image.get(key, 0) + 1
+        return image
 
-    for attr, patch in [("unit_column", scaled_unit_column), ("apply_P", perturbed_apply_P)]:
+    def empty_kernel(lam, expr, terms):
+        return {}  # an image with no term: only the count of matched source terms sees it
+
+    for attr, patch in [("unit_column", scaled_unit_column), ("_operator_terms", perturbed_kernel),
+                        ("_operator_terms", empty_kernel)]:
         with monkeypatch.context() as m:
             m.setattr(solver_mod, attr, patch)
             with pytest.raises(AssertionError, match="non-exact solution"):
@@ -273,14 +282,15 @@ def test_band_profile_assertion_is_active(monkeypatch):
 
 
 def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
-    # The exact recheck works over one common denominator per expression; a
-    # solved coefficient moved by 2^-200, at any unknown the recurrence
-    # settles, must still make it raise its explicit AssertionError
-    # (pytest.raises, so python -O runs this test too), in a double-Bessel, a
-    # single-Bessel and a zero-mode solve.
+    # The exact recheck compares the flat solution with the flat source by
+    # cross-multiplying their denominators; a solved coefficient moved by
+    # 2^-200 in the flat solution map, at any unknown the recurrence settles,
+    # must still make it raise its explicit AssertionError (pytest.raises, so
+    # python -O runs this test too), in a double-Bessel, a single-Bessel and
+    # a zero-mode solve.
     import eisenmodes.solver as solver_mod
 
-    tiny = F(1, 2**200)
+    tiny = 2**200
     real_recurrence = solver_mod._recurrence
     p = Params(F(3, 2), F(3, 2), 30)
     for n1, n2 in ((1, 2), (0, 3)):
@@ -288,8 +298,8 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
         solve = solve_particular_double if n1 else solve_particular_single
         unknowns = []
 
-        def recorded(columns, rhs_rows, col_order, row_order):
-            solved = real_recurrence(columns, rhs_rows, col_order, row_order)
+        def recorded(columns, rhs_rows, scales, col_order, row_order):
+            solved = real_recurrence(columns, rhs_rows, scales, col_order, row_order)
             if solved is not None:
                 unknowns.extend(col_order)
             return solved
@@ -299,27 +309,80 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
             solve(p, rhs)
         if not unknowns:
             raise AssertionError(f"no unknowns recorded at {(n1, n2)}")
-        for target in unknowns:
+        for u in range(len(unknowns)):
 
-            def moved(*args, target=target):
+            def moved(*args, u=u):
                 solution, kernel_cols, inconsistent = real_recurrence(*args)
-                solution[target] = [solution[target][0] + tiny] + solution[target][1:]
-                return solution, kernel_cols, inconsistent
+                nums, den = solution[0]
+                nums = [x * tiny for x in nums]
+                nums[u] += den  # the value at unknown u moved by 1 / 2^200
+                return [(nums, den * tiny)] + solution[1:], kernel_cols, inconsistent
+
+            checked = []
+            real_recheck = solver_mod._recheck
+
+            def recheck(lam, sol, rhs):
+                checked.append((dict(sol.terms), sol.den))
+                return real_recheck(lam, sol, rhs)
 
             with monkeypatch.context() as m:
                 m.setattr(solver_mod, "_recurrence", moved)
+                m.setattr(solver_mod, "_recheck", recheck)
                 with pytest.raises(AssertionError, match="non-exact solution"):
                     solve(p, rhs)
+            (terms, den), = checked
+            col = unknowns[u]
+            assert any(key[:2] == col and Fraction(q, den).denominator % tiny == 0
+                       for key, q in terms.items()), col
 
     source = source_term(p, 0, 0).full()
     particular = solve_zero_mode(p, source)
     for (k, j), const in particular.poly.terms().items():
         for mono in const.terms():
-            shift = YLaurent.monomial(k, Constant({mono: tiny}), log_exp=j)
+            shift = YLaurent.monomial(k, Constant({mono: F(1, tiny)}), log_exp=j)
             with monkeypatch.context() as m:
                 m.setattr(solver_mod, "Pure", lambda poly, shift=shift: Pure(poly + shift))
                 with pytest.raises(AssertionError, match="failed its defining equation"):
                     solve_zero_mode(p, source)
+
+
+def _lowest(terms, den):
+    """A flat map over den in lowest terms, zeros dropped."""
+    g = math.gcd(den, *terms.values())
+    return {key: q // g for key, q in terms.items() if q}, den // g
+
+
+@pytest.mark.parametrize("params", [Params(F(3, 2), F(3, 2), 30),
+                                    Params(F(5, 2), F(7, 2), 6, Normalization.UNIT)])
+@pytest.mark.parametrize("n1, n2, tag", [(0, 0, "both_zero"), (0, 3, "left_zero"),
+                                         (4, 0, "right_zero"), (2, -5, "generic"),
+                                         (4, 4, "generic"), (-3, 3, "anti_diagonal")])
+def test_flat_values_round_trip_through_their_one_rebuild(monkeypatch, params, n1, n2, tag):
+    # the source's flat value is its expression flattened, merged cells
+    # folded; the flat solution the recheck checked is the returned
+    # particular flattened, so the one rebuild after the check loses nothing
+    import eisenmodes.solver as solver_mod
+
+    src = source_term(params, n1, n2)
+    assert src.case_tag == tag
+    flat = src.flat()
+    assert _lowest(*_flatten(src.full())) == _lowest(flat.terms, flat.den)
+    if n1 == n2 != 0:  # merged
+        assert {key[0] for key in flat.terms} <= {(0, 0), (0, 1), (1, 1)}
+    if tag == "both_zero":
+        return  # solved in closed form, rechecked by apply_euler
+    checked = []
+    real_recheck = solver_mod._recheck
+
+    def recheck(lam, sol, rhs):
+        checked.append((dict(sol.terms), sol.den))
+        return real_recheck(lam, sol, rhs)
+
+    monkeypatch.setattr(solver_mod, "_recheck", recheck)
+    mode = solve_mode(params, n1, n2)
+    (terms, den), = checked
+    assert _lowest(*_flatten(mode.particular)) == _lowest(terms, den)
+    assert mode.report.checked is None  # handed to choose_alpha, not kept
 
 
 def test_determinism_bit_identical():
@@ -340,6 +403,32 @@ def test_parity_violating_params_have_no_ansatz_solution():
     assert classify_params(p.alpha, p.beta, 20).kind == "outside_conjectured_set"
     with pytest.raises(NoSolutionInWindow):
         solve_particular_double(p, source_term(p, 1, 2).core)
+
+
+def _int_rows(rhs_rows):
+    """Fraction right-hand sides as the solver reads them: int rows and one
+    scale per direction, the lcm of its denominators."""
+    scales = [math.lcm(*(v.denominator for v in d)) for d in zip(*rhs_rows.values())]
+    return {row: [v.numerator * (s // v.denominator) for v, s in zip(vals, scales)]
+            for row, vals in rhs_rows.items()}, scales
+
+
+def _as_fractions(result, col_order):
+    """A solver result, its (numerators, denominator) per direction read as
+    Fractions per unknown: the form of ``_fraction_gauss_jordan``."""
+    if result is None:
+        return None
+    solution, kernel_cols, inconsistent = result
+    assert all(type(x) is int for nums, den in solution for x in (*nums, den))
+    values = {col: [Fraction(nums[u], den) for nums, den in solution]
+              for u, col in enumerate(col_order)}
+    return values, kernel_cols, inconsistent
+
+
+def _reference(columns, rhs_rows, scales, col_order, row_order):
+    """``_fraction_gauss_jordan`` on a system in the solver's int form."""
+    rows = {row: [Fraction(q, s) for q, s in zip(vals, scales)] for row, vals in rhs_rows.items()}
+    return _fraction_gauss_jordan(columns, rows, col_order, row_order)
 
 
 def _fraction_gauss_jordan(columns, rhs_rows, col_order, row_order):
@@ -437,10 +526,9 @@ def test_fraction_free_elimination_matches_fraction_reference():
     for trial in range(300):
         kind = ("full", "deficient", "inconsistent")[trial % 3]
         columns, rhs, col_order, row_order = _random_banded_system(rng, kind)
-        got = _eliminate(columns, rhs, col_order, row_order)
+        got = _as_fractions(_eliminate(columns, *_int_rows(rhs), col_order, row_order), col_order)
         want = _fraction_gauss_jordan(columns, rhs, col_order, row_order)
         assert got == want, (kind, trial)
-        assert all(type(v) is Fraction for vals in got[0].values() for v in vals)
         _, kernel_cols, inconsistent = got
         if kind == "full" and not kernel_cols and not inconsistent:
             seen["full"] += 1
@@ -486,15 +574,16 @@ def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
     assert len(systems) == 5 + 2 * 13
     assert len(recurrence_calls) == 5 + 2
     for i, args in enumerate(systems):
-        want = _fraction_gauss_jordan(*args)
-        assert real_solve(*args) == want
+        want = _reference(*args)
+        col_order = args[3]
+        assert _as_fractions(real_solve(*args), col_order) == want
         if i < 5:
             assert want[1:] == ([], [])
-            assert solver_mod._recurrence(*args) == want
+            assert _as_fractions(solver_mod._recurrence(*args), col_order) == want
         else:
             assert want[2]
             assert solver_mod._recurrence(*args) is None
-            assert _eliminate(*args) == want
+            assert _as_fractions(_eliminate(*args), col_order) == want
 
 
 def test_elimination_matches_fraction_reference_on_the_largest_coefficients(monkeypatch):
@@ -518,8 +607,8 @@ def test_elimination_matches_fraction_reference_on_the_largest_coefficients(monk
         solve_particular_double(p, source_term(p, n1, n2).core)
     assert len(systems) == 3
     for args in systems:
-        got = solver_mod._recurrence(*args)
-        assert got == _fraction_gauss_jordan(*args)
+        got = _as_fractions(solver_mod._recurrence(*args), args[3])
+        assert got == _reference(*args)
         assert got[1:] == ([], [])
         bits = max(max(v.numerator.bit_length(), v.denominator.bit_length())
                    for vals in got[0].values() for v in vals)
@@ -573,4 +662,6 @@ def _mode_shaped_systems(draw):
 def test_solve_route_matches_fraction_reference_on_mode_shaped_systems(system):
     # the recurrence where it settles the system, _eliminate elsewhere: the
     # same solution, kernel and inconsistent rows as elimination over Fractions
-    assert _solve_system(*system) == _fraction_gauss_jordan(*system)
+    columns, rhs, col_order, row_order = system
+    got = _solve_system(columns, *_int_rows(rhs), col_order, row_order)
+    assert _as_fractions(got, col_order) == _fraction_gauss_jordan(*system)
