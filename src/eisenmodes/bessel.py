@@ -28,8 +28,11 @@ result is rebuilt as one expression of the input's kind (``_rebuild``, the
 one place where pi exponent and rest become a monomial again), each
 coefficient divided by that denominator once.  The same kernel
 (``_operator_terms``) is the solver's exact recheck on its flat solution.  It
-keeps pi, zeta, log and log(y) symbolic; ``unit_column``, the solver's pi = 1
-stencil, is a separate piece of code.
+keeps pi, zeta, log and log(y) symbolic.  The solver's pi = 1 stencil is a
+separate piece of code: ``cell_stencil`` gives, once per cell, the closed
+form of the operator on y^k times the cell for every k (index sum sigma, and
+per target cell and degree offset an entry c1 * d + c0 in d = k - sigma, the
+diagonal being d(d - 1) - lam), and ``unit_column`` evaluates it at one k.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "apply_L",
     "apply_euler",
     "differentiate",
+    "cell_stencil",
     "unit_column",
 ]
 
@@ -322,11 +326,14 @@ def _factor_moves(expr, cell):
     )
 
 
-def _derivative(expr, terms):
+def _derivative(expr, terms, moves: Dict):
     """d/dy on a flat term map, in ints: y^k log^j y -> k y^(k-1) log^j y +
-    j y^(k-1) log^(j-1) y, K_0' = -c K_1 and K_1' = -c K_0 - K_1/y."""
+    j y^(k-1) log^(j-1) y, K_0' = -c K_1 and K_1' = -c K_0 - K_1/y.
+
+    `moves` holds the ``_factor_moves`` of the cells met so far; it is filled
+    here, and a caller that differentiates twice hands the same dict to both
+    passes."""
     out: Dict = {}
-    moves: Dict = {}
     for (cell, k, j, e, rest), q in terms.items():
         move = moves.get(cell)
         if move is None:
@@ -363,7 +370,7 @@ def differentiate(expr):
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot differentiate {type(expr).__name__}")
     terms, den = _flatten(expr)
-    return _rebuild(expr, _derivative(expr, terms), den)
+    return _rebuild(expr, _derivative(expr, terms, {}), den)
 
 
 def _check_log_cap(expr):
@@ -383,7 +390,8 @@ def _operator_terms(lam: int, expr, terms) -> Dict:
     `expr` supplies kind and frequencies only.  This is the kernel of
     ``apply_P``, ``apply_L`` and ``apply_euler`` and of the solver's recheck.
     """
-    out = _derivative(expr, _derivative(expr, terms))
+    moves: Dict = {}
+    out = _derivative(expr, _derivative(expr, terms, moves), moves)
     mass = 4 * sum(expr.freqs) ** 2
     for (cell, k, j, e, rest), q in terms.items():
         if mass:
@@ -402,8 +410,41 @@ def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
     return _rebuild(expr, _operator_terms(lam, expr, terms), den, shift=2)
 
 
+def cell_stencil(expr: BesselProduct, cell) -> Tuple[int, Tuple]:
+    """The pi-free mode operator on y^k times the K factors of the folded
+    `cell`, for every k at once: (sigma, entries).
+
+    sigma is the sum of the cell's K indices.  With d = k - sigma the image
+    has d(d - 1) - lam at (cell, k), and c1 * d + c0 at (target, k + offset)
+    for each (target, offset, c1, c0) of `entries` (see ``unit_column``): the
+    k + 1 entries are linear in d and the k + 2 entries constants.  Targets
+    are folded, entries landing on one (target, offset) add up, and entries
+    that vanish for every k are dropped.  `expr` supplies only kind and
+    frequencies.
+    """
+    factors = expr.factors(cell)
+    mass = sum(expr.freqs)
+    sigma = squares = 0
+    linear: Dict = {}
+    for pos, (index, abs_n) in enumerate(factors):
+        sigma += index
+        squares += abs_n * abs_n
+        key = (expr.fold(expr.replace_index(cell, pos, 1 - index)), 1)
+        c1, c0 = linear.get(key, (0, 0))
+        linear[key] = (c1 - 4 * abs_n, c0 + 2 * abs_n * (1 - 2 * index))
+    linear[cell, 2] = (0, 4 * squares - 4 * mass * mass)
+    if len(factors) == 2:
+        (i1, abs_n1), (i2, abs_n2) = factors
+        key = (expr.fold((1 - i1, 1 - i2)), 2)
+        c1, c0 = linear.get(key, (0, 0))
+        linear[key] = (c1, c0 + 8 * abs_n1 * abs_n2)
+    return sigma, tuple((target, offset, c1, c0)
+                        for (target, offset), (c1, c0) in linear.items() if c1 or c0)
+
+
 def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
-    """The mode operator on y^k times the K factors of `cell`, with pi = 1.
+    """The mode operator on y^k times the K factors of `cell`, with pi = 1:
+    ``cell_stencil`` evaluated at k.
 
     Returns {(cell, p): int}; the exact image carries q * pi^(p-k) at y^p.
     Each factor m has index i_m and c_m = 2|n_m|; with sigma the sum of the
@@ -420,18 +461,11 @@ def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
     frequencies.
     """
     cell = expr.fold(cell)
-    factors = expr.factors(cell)
-    mass = sum(expr.freqs)
-    d = k - sum(index for index, _ in factors)
+    sigma, entries = cell_stencil(expr, cell)
+    d = k - sigma
     column = {(cell, k): d * (d - 1) - lam}
-    column[cell, k + 2] = sum(4 * abs_n * abs_n for _, abs_n in factors) - 4 * mass * mass
-    for pos, (index, abs_n) in enumerate(factors):
-        key = (expr.fold(expr.replace_index(cell, pos, 1 - index)), k + 1)
-        column[key] = column.get(key, 0) - 2 * abs_n * (2 * d - 1 + 2 * index)
-    if len(factors) == 2:
-        (i1, abs_n1), (i2, abs_n2) = factors
-        key = (expr.fold((1 - i1, 1 - i2)), k + 2)
-        column[key] = column.get(key, 0) + 8 * abs_n1 * abs_n2
+    for target, offset, c1, c0 in entries:
+        column[target, k + offset] = c1 * d + c0
     return {key: q for key, q in column.items() if q}
 
 

@@ -6,7 +6,13 @@ overdetermined linear system.  Its entries are rational multiples of powers
 of pi, graded by the degree shift: the image of y^k at y^p carries exactly
 pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
 into one over Q with the same zero pattern, whose columns are the pi-free
-integer stencil ``bessel.unit_column``.  The right-hand side is the
+integer closed form ``bessel.unit_column``.  A solve builds that closed form
+once per cell (``bessel.cell_stencil``: the cell's index sum sigma and its
+off-diagonal entries c1 * d + c0, d = k - sigma, targets folded and merged)
+and every window evaluates it over its unknowns straight into a row-major
+system {row: {column index: int}}, zero entries dropped: a resonant unknown
+has no diagonal entry.  ``_recurrence`` and ``_eliminate`` both read that
+system; neither transposes it.  The right-hand side is the
 source's flat value (``bessel.FlatExpr``, {(cell, y power, log power, pi
 exponent, pi-free rest): int} over one denominator), read as it is: each
 term splits into a direction (rest, pi exponent minus y power), each
@@ -65,12 +71,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 from .bessel import (
     DoubleBessel, FlatExpr, Pure, SingleBessel, _operator_terms, apply_euler, apply_L, apply_P,
-    unit_column,
+    cell_stencil,
 )
 from .laurent import YLaurent
 from .sources import Params
@@ -163,8 +170,9 @@ def _parity_class(rhs: FlatExpr) -> int:
     The mode operator keeps that parity, so a source spanning both classes
     breaks an invariant of the operator, not an input condition.
     """
-    classes = {(p + _cell_parity(rhs.shape, cell)) % 2
-               for (cell, p, *_), q in rhs.terms.items() if q}
+    keys = [key for key, q in rhs.terms.items() if q]
+    parity = {cell: _cell_parity(rhs.shape, cell) for cell in {key[0] for key in keys}}
+    classes = {(key[1] + parity[key[0]]) % 2 for key in keys}
     if len(classes) != 1:
         raise AssertionError(f"source spans parity classes {sorted(classes)}")
     return classes.pop()
@@ -172,7 +180,7 @@ def _parity_class(rhs: FlatExpr) -> int:
 
 def _source_window(r: int, rhs: FlatExpr) -> DegreeWindow:
     """The ansatz window every cell gets, from the flat source's y-powers [lo, hi]."""
-    powers = [p for (_, p, *_), q in rhs.terms.items() if q]
+    powers = [key[1] for key, q in rhs.terms.items() if q]
     lo, hi = min(powers), max(powers)
     if isinstance(rhs.shape, SingleBessel):
         return DegreeWindow(min(-r, lo - 1), hi - 1)
@@ -189,7 +197,7 @@ def _ansatz_unknowns(rhs: FlatExpr, windows: Dict):
     for cell, window in windows.items():
         first = window.m + (window.m + _cell_parity(rhs.shape, cell) + parity) % 2
         unknowns.extend((cell, k) for k in range(first, window.M + 1, 2))
-    return sorted(unknowns, key=lambda u: (u[1], u[0]))
+    return sorted(unknowns, key=itemgetter(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +205,14 @@ def _ansatz_unknowns(rhs: FlatExpr, windows: Dict):
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(columns, rhs_rows, scales, col_order, row_order):
+def _eliminate(system, rhs_rows, scales, col_order, row_order):
     """Exact multi-RHS elimination over the rationals, run on integers.
 
-    columns: dict col -> dict row -> int (the assembled sparse matrix)
+    system: dict row -> dict u -> int, the assembled sparse matrix row-major,
+    u the index of a column in col_order, no zero entry kept
     rhs_rows: dict row -> list[int], one int per right-hand-side direction d,
     standing for int / scales[d]
+    row_order: every row of system and rhs_rows, in tie-break order
     Returns (solution, kernel_cols, inconsistent_rows), the solution one
     (numerators in col_order, denominator) per direction.
 
@@ -221,28 +231,25 @@ def _eliminate(columns, rhs_rows, scales, col_order, row_order):
     num_c), and where m = |pivot| / gcd(t, pivot) is not 1, every numerator,
     den and t are multiplied by m, so that num = t / pivot is exact.
     """
-    n_dirs = len(scales)
-    rows: Dict = {row: {} for row in rhs_rows}
-    for col, entries in columns.items():
-        for row, val in entries.items():
-            rows.setdefault(row, {})[col] = val
-    rhs = {row: rhs_rows.get(row, [0] * n_dirs) for row in rows}
+    n_dirs, n = len(scales), len(col_order)
+    rows = {row: dict(system.get(row, ())) for row in row_order}  # rewritten below
+    rhs = {row: rhs_rows.get(row, [0] * n_dirs) for row in row_order}
 
     pivot_of_col: Dict = {}
     unused = list(row_order)
-    for col in col_order:
-        candidates = [r for r in unused if col in rows[r]]
+    for u in range(n):
+        candidates = [r for r in unused if u in rows[r]]
         if not candidates:
             continue
         pivot_row = min(candidates, key=lambda r: len(rows[r]))
         unused.remove(pivot_row)
-        pivot_of_col[col] = pivot_row
+        pivot_of_col[u] = pivot_row
         prow, prhs = rows[pivot_row], rhs[pivot_row]
-        pivot = prow[col]
+        pivot = prow[u]
         candidates.remove(pivot_row)
         for r in candidates:
             row_r = rows[r]
-            factor = row_r[col]
+            factor = row_r[u]
             g = math.gcd(pivot, factor)
             a, b = pivot // g, factor // g
             if a != 1:
@@ -265,31 +272,32 @@ def _eliminate(columns, rhs_rows, scales, col_order, row_order):
     # Leftover rows have entries only in kernel columns, which are set to 0,
     # so a nonzero rhs there is an inconsistency.
     inconsistent = [r for r in unused if any(rhs[r])]
-    kernel_cols = [c for c in col_order if c not in pivot_of_col]
+    kernel = [u for u in range(n) if u not in pivot_of_col]
     solution = []
     for d, scale in enumerate(scales):
-        den, num = scale, dict.fromkeys(kernel_cols, 0)
-        for col, row in reversed(pivot_of_col.items()):
+        den, num = scale, dict.fromkeys(kernel, 0)
+        for u, row in reversed(pivot_of_col.items()):
             prow = rows[row]
-            pivot = prow[col]
-            t = rhs[row][d] * (den // scale) - sum(v * num[c] for c, v in prow.items() if c != col)
+            pivot = prow[u]
+            t = rhs[row][d] * (den // scale) - sum(v * num[c] for c, v in prow.items() if c != u)
             m = abs(pivot) // math.gcd(t, pivot)
             if m != 1:
                 for c in num:
                     num[c] *= m
                 den *= m
                 t *= m
-            num[col] = t // pivot
-        solution.append(([num[c] for c in col_order], den))
-    return solution, kernel_cols, inconsistent
+            num[u] = t // pivot
+        solution.append(([num[u] for u in range(n)], den))
+    return solution, [col_order[u] for u in kernel], inconsistent
 
 
-def _recurrence(columns, rhs_rows, scales, col_order, row_order):
+def _recurrence(system, rhs_rows, scales, col_order, row_order):
     """Solve a mode system in one ascending pass over its unknowns, exactly.
 
-    Same arguments and result as ``_eliminate`` (row_order lists every row),
-    or None where this pass cannot settle the system.  Unknown u, in
-    col_order, is fixed by its own row u when that row has a nonzero diagonal
+    Same arguments and result as ``_eliminate``, or None where this pass
+    cannot settle the system; the row-major system is read as it is, never
+    copied or transposed.  Unknown u, in col_order, is fixed by its own row
+    (the row named like col_order[u]) when that row has a nonzero diagonal
     and its other entries lie in earlier columns only (in a mode system, at
     degrees k - 1 and k - 2): x_u = (rhs_u - sum(A[u, c] * x_c)) / A[u, u].
     Where the diagonal is zero (a resonance) x_u becomes a free parameter t_j
@@ -306,25 +314,20 @@ def _recurrence(columns, rhs_rows, scales, col_order, row_order):
     inconsistent system, or a row that reaches a later column) the result is
     None.
     """
-    index = {col: u for u, col in enumerate(col_order)}
-    rows: Dict = {}
-    for col, entries in columns.items():
-        u = index[col]
-        for row, val in entries.items():
-            rows.setdefault(row, []).append((u, val))
     zero = [0] * len(scales)
 
-    # a step is (u, pivot, its row, its rhs); the row keeps its diagonal,
-    # read while x_u is still 0
+    # a step is (u, pivot, its row's entries, its rhs); the entries keep the
+    # diagonal, read while x_u is still 0
     steps, params, solved_rows = [], [], set()
     for u, col in enumerate(col_order):
-        pivot = columns[col].get(col)
+        row = system.get(col)
+        pivot = row.get(u) if row else None
         if not pivot:
             params.append((u, len(steps)))
-        elif max(rows[col])[0] > u:
+        elif max(row) > u:
             return None
         else:
-            steps.append((u, pivot, rows[col], rhs_rows.get(col, zero)))
+            steps.append((u, pivot, row.items(), rhs_rows.get(col, zero)))
             solved_rows.add(col)
 
     def ascend(num, d, start=0):
@@ -354,7 +357,7 @@ def _recurrence(columns, rhs_rows, scales, col_order, row_order):
     for row in row_order:
         if row in solved_rows:
             continue
-        entries = rows.get(row, ())
+        entries = system[row].items() if row in system else ()
         g.append([sum(v * w[c] for c, v in entries) for w in weights])
         b = rhs_rows.get(row, zero)
         h.append([b[d] * f - sum(v * num[c] for c, v in entries)
@@ -405,29 +408,34 @@ def _fix_parameters(g, h, n_params, n_dirs):
     return values
 
 
-def _solve_system(columns, rhs_rows, scales, col_order, row_order):
+def _solve_system(system, rhs_rows, scales, col_order, row_order):
     """The recurrence's solution where it settles the system, else
     ``_eliminate``'s (kernel columns and inconsistent rows included)."""
-    return (_recurrence(columns, rhs_rows, scales, col_order, row_order)
-            or _eliminate(columns, rhs_rows, scales, col_order, row_order))
+    return (_recurrence(system, rhs_rows, scales, col_order, row_order)
+            or _eliminate(system, rhs_rows, scales, col_order, row_order))
 
 
-def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str):
+def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str, stencil: Dict):
     """Assemble the banded system for one window set and solve it exactly.
 
     The operator is pi-graded: the image of y^k (times a Bessel cell) at
     y^p is a rational q times pi^(p-k).  Scaling unknown (cell, k) by pi^k
     and row (cell, p) by pi^-p therefore leaves a rational matrix with the
     zero pattern of the original, whose column (cell, k) is the operator
-    with pi = 1 (``unit_column``).  ``_solve_system`` solves it: the
-    ascending recurrence, its resonant unknowns parameters fixed by the
-    constraint rows, settles exactly the consistent systems of full column
-    rank, whose unique solution is the one any elimination finds.  On the
-    others (a failing window), and on every widened window, forward
-    elimination over Q picks the pivots, kernel and inconsistent rows that
-    Gauss-Jordan over Fractions would find on the pi-graded system: scaling
-    keeps zero patterns, and the rows Gauss-Jordan reduces further are pivot
-    rows, never candidates again.
+    with pi = 1 (``unit_column``).  `stencil` holds ``cell_stencil`` of
+    every cell, built once per solve for all its windows; each unknown's
+    entries are evaluated from it into the row-major system {row: {u: int}},
+    u the unknown's index in (degree, cell) order, and entries that are zero
+    at that degree (the diagonal of a resonant unknown) are not stored, so
+    the rows are those of the nonzero column entries and the source rows.
+    ``_solve_system`` solves it: the ascending recurrence, its resonant
+    unknowns parameters fixed by the constraint rows, settles exactly the
+    consistent systems of full column rank, whose unique solution is the one
+    any elimination finds.  On the others (a failing window), and on every
+    widened window, forward elimination over Q picks the pivots, kernel and
+    inconsistent rows that Gauss-Jordan over Fractions would find on the
+    pi-graded system: scaling keeps zero patterns, and the rows Gauss-Jordan
+    reduces further are pivot rows, never candidates again.
     Back-substitution solves the pivot columns with the kernel at zero.  Each
     flat source term q pi^e rest at y^p (over the source's den) becomes the
     int q of direction (rest, e - p) at row (cell, p), each direction reduced
@@ -439,8 +447,18 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str)
     lam = params.lam
     shape = rhs.shape
     unknowns = _ansatz_unknowns(rhs, windows)
-    columns = {(cell, k): unit_column(lam, shape, cell, k) for cell, k in unknowns}
-    eq_keys = {row for col in columns.values() for row in col}
+    system: Dict = {}
+    for u, (cell, k) in enumerate(unknowns):
+        sigma, entries = stencil[cell]
+        d = k - sigma
+        q = d * (d - 1) - lam
+        if q:
+            system.setdefault((cell, k), {})[u] = q
+        for target, offset, c1, c0 in entries:
+            q = c1 * d + c0
+            if q:
+                system.setdefault((target, k + offset), {})[u] = q
+    eq_keys = set(system)
 
     by_direction: Dict = {}
     for (cell, p, j, e, rest), q in rhs.terms.items():
@@ -460,11 +478,11 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str)
         for row, q in entries.items():
             rhs_rows.setdefault(row, [0] * len(directions))[d] = q // g
 
-    row_order = sorted(eq_keys, key=lambda e: (e[1], e[0]))
+    row_order = sorted(eq_keys, key=itemgetter(1, 0))
     col_order = unknowns
     derived = set(windows.values()) == {_source_window(params.r_hint, rhs)}
     solve = _solve_system if derived else _eliminate
-    solution, kernel_cols, inconsistent = solve(columns, rhs_rows, scales, col_order, row_order)
+    solution, kernel_cols, inconsistent = solve(system, rhs_rows, scales, col_order, row_order)
     if inconsistent:
         raise NoSolutionInWindow(
             f"inconsistent rows at {inconsistent[:6]} (case {case}, lambda={lam})",
@@ -503,10 +521,10 @@ def _recheck(lam: int, sol: FlatExpr, rhs: FlatExpr) -> None:
 
     The image comes from ``bessel._operator_terms``, the integer kernel of
     ``apply_P``/``apply_L``: it keeps pi and every other symbol in the keys
-    and shares no code with ``unit_column``.  Its term at key y^(p - 2) over
-    sol.den is compared with the source's at y^p over rhs.den by
-    cross-multiplying, and the matched terms must be all the nonzero source
-    terms.  The raise is explicit, so that python -O keeps it.
+    and shares no code with the stencil (``cell_stencil``).  Its term at key
+    y^(p - 2) over sol.den is compared with the source's at y^p over rhs.den
+    by cross-multiplying, and the matched terms must be all the nonzero
+    source terms.  The raise is explicit, so that python -O keeps it.
     """
     src = rhs.terms
     matched = 0
@@ -541,11 +559,12 @@ def widen_and_retry(builder):
 
 def _solve_widening(params: Params, rhs, cells, case: str):
     """Solve with the source's window for every cell, widened by one on both
-    sides per retry."""
+    sides per retry; every window evaluates one stencil, built here."""
     base = _source_window(params.r_hint, rhs)
+    stencil = {c: cell_stencil(rhs.shape, c) for c in cells}
 
     def builder(t):
-        return _assemble_and_solve(params, rhs, {c: base.widen(t) for c in cells}, case)
+        return _assemble_and_solve(params, rhs, {c: base.widen(t) for c in cells}, case, stencil)
 
     return widen_and_retry(builder)
 

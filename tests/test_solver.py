@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from eisenmodes.bessel import (
-    DoubleBessel, FlatExpr, Pure, _flatten, apply_euler, apply_L, apply_P, expr_to_json_obj,
+    DoubleBessel, FlatExpr, Pure, _flatten, apply_euler, apply_L, apply_P, cell_stencil,
+    expr_to_json_obj, unit_column,
 )
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
@@ -103,6 +104,10 @@ def _json(expr):
     return json.dumps(expr_to_json_obj(expr), sort_keys=True)
 
 
+def _stencil(expr, cells):
+    return {cell: cell_stencil(expr, cell) for cell in cells}
+
+
 def test_derived_window_is_complete():
     # widening every cell's derived window by 6 changes no particular, and
     # widening it by 30 rescues none of the failing modes below: a window
@@ -117,7 +122,8 @@ def test_derived_window_is_complete():
             sol, rep = solve(p, core)
             assert rep.retries == 0
             wide, wide_rep = _assemble_and_solve(
-                p, FlatExpr.of(core), {c: w.widen(6) for c, w in rep.windows.items()}, rep.case)
+                p, FlatExpr.of(core), {c: w.widen(6) for c, w in rep.windows.items()}, rep.case,
+                _stencil(core, rep.windows))
             assert wide_rep.kernel_dim == 0, (a, b, r, n1, n2)
             assert _json(wide) == _json(sol), (a, b, r, n1, n2)
     for a, b, lam, n1, n2 in [(F(3, 2), F(3, 2), 31, -3, 4), (F(3, 2), F(3, 2), 20, 1, 2),
@@ -128,7 +134,53 @@ def test_derived_window_is_complete():
         wide = _source_window(p.r_hint, FlatExpr.of(core)).widen(30)
         cells = {core.fold((i, j)) for i in (0, 1) for j in (0, 1)}
         with pytest.raises(NoSolutionInWindow):
-            _assemble_and_solve(p, FlatExpr.of(core), {c: wide for c in cells}, "generic")
+            _assemble_and_solve(p, FlatExpr.of(core), {c: wide for c in cells}, "generic",
+                                _stencil(core, cells))
+
+
+def test_row_major_system_is_the_closed_form_columns_transposed(monkeypatch):
+    # on the derived windows of every solvable family and mode kind, the
+    # system assembled from the per-cell stencil is the unit_column columns
+    # transposed; no zero entry is kept, and a resonant unknown (d(d - 1) =
+    # lam, d = k - sigma) has no diagonal entry, so its row is no new equation
+    import eisenmodes.solver as solver_mod
+
+    systems = []
+    real_solve = solver_mod._solve_system
+
+    def recorded(*args):
+        systems.append(args)
+        return real_solve(*args)
+
+    def assembled(p, n1, n2):
+        core = source_term(p, n1, n2).core
+        solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
+        systems.clear()
+        solve(p, core)
+        (system, _, _, col_order, _), = systems
+        assert system == _rows_of({col: unit_column(p.lam, core, *col) for col in col_order},
+                                  col_order), (p, n1, n2)
+        assert all(q for entries in system.values() for q in entries.values()), (p, n1, n2)
+        resonant = []
+        for u, (cell, k) in enumerate(col_order):
+            d = k - sum(index for index, _ in core.factors(cell))
+            if d * (d - 1) == p.lam:
+                assert u not in system.get((cell, k), {}), (p, n1, n2, cell, k)
+                resonant.append((cell, k))
+        return resonant
+
+    monkeypatch.setattr(solver_mod, "_solve_system", recorded)
+    kinds = {"generic": (2, -5), "merged": (4, 4), "anti_diagonal": (-3, 3),
+             "left_zero": (0, 3), "right_zero": (4, 0)}
+    with_resonance = set()
+    for a, b, r in SOLVABLE_FAMILIES:
+        p = Params(a, b, r * (r + 1), Normalization.UNIT)
+        for kind, (n1, n2) in kinds.items():
+            if assembled(p, n1, n2):
+                with_resonance.add(kind)
+    assert with_resonance == set(kinds)
+    p = Params(F(3, 2), F(3, 2), 30)
+    assert assembled(p, 1, 2) == [((0, 1), -4), ((1, 0), -4), ((1, 1), -3)]
 
 
 def test_source_spanning_both_parity_classes_breaks_an_invariant():
@@ -244,23 +296,26 @@ def test_zero_mode_verbatim_and_resonance():
 
 
 def test_band_profile_assertion_is_active(monkeypatch):
-    # columns come from the pi-free stencil and the exact recheck applies the
-    # symbolic operator's integer kernel; they share no code, and a fault in
-    # either must make the recheck raise its explicit AssertionError (so it
-    # survives python -O), never return
+    # the system comes from the pi-free per-cell stencil and the exact
+    # recheck applies the symbolic operator's integer kernel; they share no
+    # code, and a fault in either must make the recheck raise its explicit
+    # AssertionError (so it survives python -O), never return
     import eisenmodes.solver as solver_mod
 
     p = Params(F(5, 2), F(5, 2), 30)
     rhs = source_term(p, 1, 2).core
     solve_particular_double(p, rhs)
 
-    real_unit_column = solver_mod.unit_column
+    real_stencil = solver_mod.cell_stencil
 
-    def scaled_unit_column(lam, expr, cell, k):
-        column = real_unit_column(lam, expr, cell, k)
-        if (cell, k) == ((0, 0), -1):
-            column = {key: 2 * q for key, q in column.items()}
-        return column
+    def scaled_stencil(expr, cell):
+        # c0 of the y^(k+1) K_1 K_1 entry of cell (0, 1) doubled: this system
+        # stays consistent, so the fault reaches the recheck
+        sigma, entries = real_stencil(expr, cell)
+        if cell == (0, 1):
+            entries = tuple((t, o, c1, 2 * c0 if (t, o) == ((1, 1), 1) else c0)
+                            for t, o, c1, c0 in entries)
+        return sigma, entries
 
     real_kernel = solver_mod._operator_terms
 
@@ -273,7 +328,7 @@ def test_band_profile_assertion_is_active(monkeypatch):
     def empty_kernel(lam, expr, terms):
         return {}  # an image with no term: only the count of matched source terms sees it
 
-    for attr, patch in [("unit_column", scaled_unit_column), ("_operator_terms", perturbed_kernel),
+    for attr, patch in [("cell_stencil", scaled_stencil), ("_operator_terms", perturbed_kernel),
                         ("_operator_terms", empty_kernel)]:
         with monkeypatch.context() as m:
             m.setattr(solver_mod, attr, patch)
@@ -298,8 +353,8 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
         solve = solve_particular_double if n1 else solve_particular_single
         unknowns = []
 
-        def recorded(columns, rhs_rows, scales, col_order, row_order):
-            solved = real_recurrence(columns, rhs_rows, scales, col_order, row_order)
+        def recorded(system, rhs_rows, scales, col_order, row_order):
+            solved = real_recurrence(system, rhs_rows, scales, col_order, row_order)
             if solved is not None:
                 unknowns.extend(col_order)
             return solved
@@ -425,8 +480,22 @@ def _as_fractions(result, col_order):
     return values, kernel_cols, inconsistent
 
 
-def _reference(columns, rhs_rows, scales, col_order, row_order):
+def _rows_of(columns, col_order):
+    """Columns {col: {row: int}} as the solver's row-major system {row: {u:
+    int}}, u the index of col in col_order."""
+    system = {}
+    for u, col in enumerate(col_order):
+        for row, q in columns[col].items():
+            system.setdefault(row, {})[u] = q
+    return system
+
+
+def _reference(system, rhs_rows, scales, col_order, row_order):
     """``_fraction_gauss_jordan`` on a system in the solver's int form."""
+    columns = {col: {} for col in col_order}
+    for row, entries in system.items():
+        for u, q in entries.items():
+            columns[col_order[u]][row] = q
     rows = {row: [Fraction(q, s) for q, s in zip(vals, scales)] for row, vals in rhs_rows.items()}
     return _fraction_gauss_jordan(columns, rows, col_order, row_order)
 
@@ -526,7 +595,8 @@ def test_fraction_free_elimination_matches_fraction_reference():
     for trial in range(300):
         kind = ("full", "deficient", "inconsistent")[trial % 3]
         columns, rhs, col_order, row_order = _random_banded_system(rng, kind)
-        got = _as_fractions(_eliminate(columns, *_int_rows(rhs), col_order, row_order), col_order)
+        system = _rows_of(columns, col_order)
+        got = _as_fractions(_eliminate(system, *_int_rows(rhs), col_order, row_order), col_order)
         want = _fraction_gauss_jordan(columns, rhs, col_order, row_order)
         assert got == want, (kind, trial)
         _, kernel_cols, inconsistent = got
@@ -663,5 +733,5 @@ def test_solve_route_matches_fraction_reference_on_mode_shaped_systems(system):
     # the recurrence where it settles the system, _eliminate elsewhere: the
     # same solution, kernel and inconsistent rows as elimination over Fractions
     columns, rhs, col_order, row_order = system
-    got = _solve_system(columns, *_int_rows(rhs), col_order, row_order)
+    got = _solve_system(_rows_of(columns, col_order), *_int_rows(rhs), col_order, row_order)
     assert _as_fractions(got, col_order) == _fraction_gauss_jordan(*system)
