@@ -14,8 +14,8 @@ Exit codes (part of the public contract):
         the printed one
     2   lambda is not of the form r(r+1) (no solution in the ansatz class)
     3   alpha or beta is not a half-integer
-    4   no solution within the derived degree windows, widened
-        solver.WIDEN_CAP times
+    4   no solution on the derived degree windows; the document names the
+        windows and the inconsistent constraint rows, with "retries": 0
     5   mode is obstructed (log-bearing leading term at y^{-r})
     6   no fixture table for the requested parameters
     7   a log(y) power beyond the cap (laurent.LOG_CAP), e.g. in a verify input

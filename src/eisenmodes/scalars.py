@@ -8,7 +8,7 @@ finite rational combinations of monomials over the symbol set
 
 ``Constant`` is that ring.  The exact linear solves of the mode solver need
 no larger field: the mode operators are graded by the power of pi, so their
-systems are eliminated over the plain rationals and each solved value maps
+systems are solved over the plain rationals and each solved value maps
 back to a rational times a monomial of this ring.
 
 Constructors validate and normalise their input; ring operations on normal

@@ -9,10 +9,10 @@ into one over Q with the same zero pattern, whose columns are the pi-free
 integer closed form ``bessel.unit_column``.  A solve builds that closed form
 once per cell (``bessel.cell_stencil``: the cell's index sum sigma and its
 off-diagonal entries c1 * d + c0, d = k - sigma, targets folded and merged)
-and every window evaluates it over its unknowns straight into a row-major
-system {row: {column index: int}}, zero entries dropped: a resonant unknown
-has no diagonal entry.  ``_recurrence`` and ``_eliminate`` both read that
-system; neither transposes it.  The right-hand side is the
+and evaluates it over its unknowns straight into a row-major system
+{row: {column index: int}}, zero entries dropped: a resonant unknown has no
+diagonal entry.  ``_recurrence`` reads that system as it is, never
+transposed.  The right-hand side is the
 source's flat value (``bessel.FlatExpr``, {(cell, y power, log power, pi
 exponent, pi-free rest): int} over one denominator), read as it is: each
 term splits into a direction (rest, pi exponent minus y power), each
@@ -30,19 +30,12 @@ Where the diagonal is zero (a resonance, d = -r or r + 1) the unknown becomes
 a free parameter and its row a constraint, as are the rows above the window
 and any source row no unknown reaches; a small fraction-free solve of the
 constraints then fixes the parameters.  Where it does, the system has full
-column rank and is consistent, so its solution is unique and no kernel or
-inconsistent row exists.  Where the constraints are rank-deficient or
-inconsistent, forward elimination solves the system instead (``_eliminate``):
-fraction-free (each direction scaled to integers, rows kept as integer
-multiples of their rational counterparts), then back-substitution over one
-running denominator per direction.  Its pivot of each column, taken in
-ascending y-degree then cell order, is the unused row with the fewest
-entries, ties broken by ascending y-degree then cell.  Row scaling keeps zero
-patterns, and the pivot rows that Gauss-Jordan would go on reducing are never
-candidates again, so these are the pivots elimination over Fractions would
-choose; they fix which rows an inconsistent system reports.  Free variables
-of an underdetermined system are set to zero and counted as kernel
-dimension.
+column rank and is consistent, so its solution is unique.  Where it does
+not, the solve raises ``NoSolutionInWindow``: with the constraint rows left
+unpivoted with a nonzero right-hand side, in row order, for an inconsistent
+system, and with a message of its own for consistent constraints of
+deficient rank.  A row with a nonzero diagonal that reaches a later column
+breaks the band and raises AssertionError.
 
 Every cell of a mode gets one window from the source's y-powers [lo, hi] and
 r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
@@ -50,10 +43,8 @@ r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
 single-Bessel one.  The operator keeps the parity of p + i + j at y^p K_i K_j
 (p + i at y^p K_i) and every source lies in one such class, so only the
 unknowns of the source's class are solved for; the others could only be zero.
-The window is derived, never configured.  An inconsistent system is retried
-with every window widened by one on both sides, WIDEN_CAP times at most; no
-solvable family needs a retry, so a failure reports the derived window
-widened WIDEN_CAP times; widened windows skip the recurrence.
+The window is derived, never configured or widened: a mode that fails on it
+reports it with the inconsistent rows.
 
 Every returned solution is re-verified (``_recheck``) by applying the
 integer kernel of the symbolic operator of its kind (``bessel._operator_terms``,
@@ -62,8 +53,7 @@ solution: the image must equal the flat source, compared exactly by
 cross-multiplying the two denominators.  The kernel shares no code with the
 stencil: it keeps pi and every other symbol in its keys and takes no pi
 grading or rescaling from the solve, so a fault in the stencil, the
-rescaling, the recurrence or the elimination shows as an image unequal to the
-right-hand side.
+rescaling or the recurrence shows as an image unequal to the right-hand side.
 """
 
 from __future__ import annotations
@@ -93,35 +83,37 @@ __all__ = [
     "widen_and_retry",
 ]
 
-WIDEN_CAP = 12
-
 
 @dataclass(frozen=True)
 class DegreeWindow:
     m: int
     M: int
 
-    def widen(self, t: int) -> "DegreeWindow":
-        return DegreeWindow(self.m - t, self.M + t)
-
     def powers(self):
         return range(self.m, self.M + 1)
 
 
 class NoSolutionInWindow(Exception):
-    """The banded system is inconsistent for every window tried."""
+    """The banded system of the derived windows has no unique solution.
 
-    def __init__(self, message, windows=None, inconsistent_rows=None, retries=0):
+    inconsistent_rows are the constraint rows left inconsistent, empty for
+    consistent constraints of deficient rank; retries is always 0, the
+    derived windows being the only ones tried."""
+
+    retries = 0
+
+    def __init__(self, message, windows=None, inconsistent_rows=None):
         super().__init__(message)
         self.windows = windows
         self.inconsistent_rows = inconsistent_rows or []
-        self.retries = retries
 
 
 @dataclass
 class SolveReport:
     case: str
     windows: Dict
+    # both always 0: a solve tries its derived windows only, and a kernel
+    # fails it; success documents and perfbench still read them
     retries: int
     kernel_dim: int
     num_unknowns: int
@@ -201,118 +193,35 @@ def _ansatz_unknowns(rhs: FlatExpr, windows: Dict):
 
 
 # ---------------------------------------------------------------------------
-# Banded elimination over Q, fraction-free
+# The ascending recurrence over Q, fraction-free
 # ---------------------------------------------------------------------------
-
-
-def _eliminate(system, rhs_rows, scales, col_order, row_order):
-    """Exact multi-RHS elimination over the rationals, run on integers.
-
-    system: dict row -> dict u -> int, the assembled sparse matrix row-major,
-    u the index of a column in col_order, no zero entry kept
-    rhs_rows: dict row -> list[int], one int per right-hand-side direction d,
-    standing for int / scales[d]
-    row_order: every row of system and rhs_rows, in tie-break order
-    Returns (solution, kernel_cols, inconsistent_rows), the solution one
-    (numerators in col_order, denominator) per direction.
-
-    The pivot of each column is the shortest unused row, ties broken by row_order.
-    Only the other unused rows with an entry there are updated, as
-    a*row - b*pivot_row with a, b = pivot/g, factor/g (g = gcd(pivot, factor)),
-    then divided with their right-hand side by the gcd of their entries; a
-    pivot row is never written again.  An unused row gets the update that
-    Gauss-Jordan over Q would give it, up to a nonzero factor, and only pivot
-    rows are reduced further there, so the pivots, kernel columns and
-    inconsistent rows are the same.  A pivot row's other entries lie in later
-    columns: back-substitution in reverse col_order, kernel columns at 0,
-    gives x = (rhs/scale - sum(row[c] * x_c)) / pivot.  It runs in ints per
-    direction, every x_c = num_c / den over one running denominator that
-    starts at the direction's scale: t = rhs * (den/scale) - sum(row[c] *
-    num_c), and where m = |pivot| / gcd(t, pivot) is not 1, every numerator,
-    den and t are multiplied by m, so that num = t / pivot is exact.
-    """
-    n_dirs, n = len(scales), len(col_order)
-    rows = {row: dict(system.get(row, ())) for row in row_order}  # rewritten below
-    rhs = {row: rhs_rows.get(row, [0] * n_dirs) for row in row_order}
-
-    pivot_of_col: Dict = {}
-    unused = list(row_order)
-    for u in range(n):
-        candidates = [r for r in unused if u in rows[r]]
-        if not candidates:
-            continue
-        pivot_row = min(candidates, key=lambda r: len(rows[r]))
-        unused.remove(pivot_row)
-        pivot_of_col[u] = pivot_row
-        prow, prhs = rows[pivot_row], rhs[pivot_row]
-        pivot = prow[u]
-        candidates.remove(pivot_row)
-        for r in candidates:
-            row_r = rows[r]
-            factor = row_r[u]
-            g = math.gcd(pivot, factor)
-            a, b = pivot // g, factor // g
-            if a != 1:
-                for c in row_r:
-                    row_r[c] *= a
-            for c, v in prow.items():
-                nv = row_r.get(c, 0) - b * v
-                if nv:
-                    row_r[c] = nv
-                else:
-                    del row_r[c]
-            rhs_r = [a * x - b * y for x, y in zip(rhs[r], prhs)]
-            content = math.gcd(*row_r.values(), *rhs_r)
-            if content > 1:
-                for c in row_r:
-                    row_r[c] //= content
-                rhs_r = [x // content for x in rhs_r]
-            rhs[r] = rhs_r
-
-    # Leftover rows have entries only in kernel columns, which are set to 0,
-    # so a nonzero rhs there is an inconsistency.
-    inconsistent = [r for r in unused if any(rhs[r])]
-    kernel = [u for u in range(n) if u not in pivot_of_col]
-    solution = []
-    for d, scale in enumerate(scales):
-        den, num = scale, dict.fromkeys(kernel, 0)
-        for u, row in reversed(pivot_of_col.items()):
-            prow = rows[row]
-            pivot = prow[u]
-            t = rhs[row][d] * (den // scale) - sum(v * num[c] for c, v in prow.items() if c != u)
-            m = abs(pivot) // math.gcd(t, pivot)
-            if m != 1:
-                for c in num:
-                    num[c] *= m
-                den *= m
-                t *= m
-            num[u] = t // pivot
-        solution.append(([num[u] for u in range(n)], den))
-    return solution, [col_order[u] for u in kernel], inconsistent
 
 
 def _recurrence(system, rhs_rows, scales, col_order, row_order):
     """Solve a mode system in one ascending pass over its unknowns, exactly.
 
-    Same arguments and result as ``_eliminate``, or None where this pass
-    cannot settle the system; the row-major system is read as it is, never
-    copied or transposed.  Unknown u, in col_order, is fixed by its own row
-    (the row named like col_order[u]) when that row has a nonzero diagonal
-    and its other entries lie in earlier columns only (in a mode system, at
-    degrees k - 1 and k - 2): x_u = (rhs_u - sum(A[u, c] * x_c)) / A[u, u].
-    Where the diagonal is zero (a resonance) x_u becomes a free parameter t_j
-    and row u a constraint, like every row that fixes no unknown.  Every x is
-    carried as an affine function of the parameters: one integer component
-    per right-hand-side direction and one per parameter, each over one
-    running denominator, multiplied up where a pivot does not divide.  The
-    constraints then form a small integer system in the parameters whose
-    solutions and kernel are those of the whole system, solved by
-    fraction-free Gauss-Jordan.  Where it has full
-    column rank and is consistent in every direction, so is the whole
-    system: its solution is unique and equals ``_eliminate``'s, with no
-    kernel and no inconsistent row.  Otherwise (a rank-deficient or
-    inconsistent system, or a row that reaches a later column) the result is
-    None.
+    system: dict row -> dict u -> int, the assembled sparse matrix row-major,
+    u the index of a column in col_order, no zero entry kept
+    rhs_rows: dict row -> list[int], one int per right-hand-side direction d,
+    standing for int / scales[d]
+    row_order: every row of system and rhs_rows, in ascending (degree, cell)
+    Returns the solution, one (numerators in col_order, denominator) per
+    direction; the system is read as it is, never copied or transposed.
+
+    Unknown u, in col_order, is fixed by its own row (the row named like
+    col_order[u]) when that row has a nonzero diagonal: x_u = (rhs_u -
+    sum(A[u, c] * x_c)) / A[u, u].  Its other entries lie in earlier columns
+    (in a mode system, at degrees k - 1 and k - 2); one in a later column
+    breaks the band and raises AssertionError.  Where the diagonal is zero (a
+    resonance) x_u becomes a free parameter t_j and row u a constraint, like
+    every row that fixes no unknown.  Every x is carried as an affine
+    function of the parameters: one integer component per right-hand-side
+    direction and one per parameter, each over one running denominator,
+    multiplied up where a pivot does not divide.  The constraints then form
+    a small integer system in the parameters whose solutions and kernel are
+    those of the whole system (``_fix_parameters``): the whole system has a
+    unique solution exactly where it does, and NoSolutionInWindow is raised
+    where it does not.
     """
     zero = [0] * len(scales)
 
@@ -325,7 +234,7 @@ def _recurrence(system, rhs_rows, scales, col_order, row_order):
         if not pivot:
             params.append((u, len(steps)))
         elif max(row) > u:
-            return None
+            raise AssertionError(f"row {col} reaches a later column: the system is not banded")
         else:
             steps.append((u, pivot, row.items(), rhs_rows.get(col, zero)))
             solved_rows.add(col)
@@ -353,7 +262,7 @@ def _recurrence(system, rhs_rows, scales, col_order, row_order):
         num[u] = 1
         weights.append(ascend(num, None, start)[0])
 
-    g, h = [], []
+    g, h, names = [], [], []
     for row in row_order:
         if row in solved_rows:
             continue
@@ -362,9 +271,8 @@ def _recurrence(system, rhs_rows, scales, col_order, row_order):
         b = rhs_rows.get(row, zero)
         h.append([b[d] * f - sum(v * num[c] for c, v in entries)
                   for d, (num, f) in enumerate(directions)])
-    values = _fix_parameters(g, h, len(weights), len(directions))
-    if values is None:
-        return None
+        names.append(row)
+    values = _fix_parameters(g, h, names, len(weights), len(directions))
 
     # parameter j is t_j = s_j * f_j / (f * scale), with f_j the running
     # denominator of its weights w_j; with s_j = a_j / lcm, x = (lcm * num +
@@ -377,78 +285,81 @@ def _recurrence(system, rhs_rows, scales, col_order, row_order):
             if a:
                 num = [x + a * y for x, y in zip(num, w)]
         solution.append((num, lcm * f * scale))
-    return solution, [], []
+    return solution
 
 
-def _fix_parameters(g, h, n_params, n_dirs):
+def _fix_parameters(g, h, names, n_params, n_dirs):
     """The unique s with g s = h, one column of h per direction, as
-    (numerators, denominator) in lowest terms per direction; None unless g
-    has full column rank and every direction is consistent.  Fraction-free
-    Gauss-Jordan on the rows [g | h]."""
+    (numerators, denominator) in lowest terms per direction.
+
+    Fraction-free Gauss-Jordan on the rows [g | h], row i named names[i]:
+    the pivot of column j is the first unpivoted row with an entry there.
+    An unpivoted row with a nonzero right-hand side in some direction is
+    inconsistent; NoSolutionInWindow names every such row, in the order of
+    `names`.  Consistent rows where g has deficient column rank raise it
+    with a message of their own and no row: the solution is not unique.
+    """
     rows = [gr + hr for gr, hr in zip(g, h)]
+    free, pivots = list(range(len(rows))), []
     for j in range(n_params):
-        i = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        i = next((i for i in free if rows[i][j]), None)
         if i is None:
-            return None
-        rows[i], rows[j] = rows[j], rows[i]
-        pivot = rows[j]
-        for i, row in enumerate(rows):
-            if i != j and row[j]:
+            continue
+        free.remove(i)
+        pivots.append(i)
+        pivot = rows[i]
+        for k, row in enumerate(rows):
+            if k != i and row[j]:
                 a, b = pivot[j], row[j]
-                rows[i] = [a * x - b * y for x, y in zip(row, pivot)]
-    if any(any(row[n_params:]) for row in rows[n_params:]):
-        return None
-    pivots = [rows[j][j] for j in range(n_params)]
+                rows[k] = [a * x - b * y for x, y in zip(row, pivot)]
+    inconsistent = [names[i] for i in free if any(rows[i][n_params:])]
+    if inconsistent:
+        raise NoSolutionInWindow(f"inconsistent rows at {inconsistent[:6]}",
+                                 inconsistent_rows=inconsistent)
+    if len(pivots) < n_params:
+        raise NoSolutionInWindow(f"consistent constraints of rank {len(pivots)} in "
+                                 f"{n_params} resonant parameters: no unique solution")
+    diagonal = [rows[i][j] for j, i in enumerate(pivots)]
     values = []
     for d in range(n_dirs):
-        den = math.lcm(*pivots)
-        nums = [rows[j][n_params + d] * (den // p) for j, p in enumerate(pivots)]
+        den = math.lcm(*diagonal)
+        nums = [rows[i][n_params + d] * (den // p) for i, p in zip(pivots, diagonal)]
         content = math.gcd(den, *nums)
         values.append(([x // content for x in nums], den // content))
     return values
 
 
-def _solve_system(system, rhs_rows, scales, col_order, row_order):
-    """The recurrence's solution where it settles the system, else
-    ``_eliminate``'s (kernel columns and inconsistent rows included)."""
-    return (_recurrence(system, rhs_rows, scales, col_order, row_order)
-            or _eliminate(system, rhs_rows, scales, col_order, row_order))
+def _assemble_and_solve(params: Params, rhs: FlatExpr, cells, case: str):
+    """Assemble the banded system of the derived window and solve it exactly.
 
-
-def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str, stencil: Dict):
-    """Assemble the banded system for one window set and solve it exactly.
-
-    The operator is pi-graded: the image of y^k (times a Bessel cell) at
-    y^p is a rational q times pi^(p-k).  Scaling unknown (cell, k) by pi^k
-    and row (cell, p) by pi^-p therefore leaves a rational matrix with the
-    zero pattern of the original, whose column (cell, k) is the operator
-    with pi = 1 (``unit_column``).  `stencil` holds ``cell_stencil`` of
-    every cell, built once per solve for all its windows; each unknown's
-    entries are evaluated from it into the row-major system {row: {u: int}},
+    Every cell gets the window ``_source_window`` derives from the source,
+    and ``_ansatz_unknowns`` lists that window's unknowns in the source's
+    parity class; each is derived once per solve.  The operator is
+    pi-graded: the image of y^k (times a Bessel cell) at y^p is a rational q
+    times pi^(p-k).  Scaling unknown (cell, k) by pi^k and row (cell, p) by
+    pi^-p therefore leaves a rational matrix with the zero pattern of the
+    original, whose column (cell, k) is the operator with pi = 1
+    (``unit_column``).  Each cell's ``cell_stencil`` is built once and
+    evaluated over its unknowns into the row-major system {row: {u: int}},
     u the unknown's index in (degree, cell) order, and entries that are zero
     at that degree (the diagonal of a resonant unknown) are not stored, so
     the rows are those of the nonzero column entries and the source rows.
-    ``_solve_system`` solves it: the ascending recurrence, its resonant
-    unknowns parameters fixed by the constraint rows, settles exactly the
-    consistent systems of full column rank, whose unique solution is the one
-    any elimination finds.  On the others (a failing window), and on every
-    widened window, forward elimination over Q picks the pivots, kernel and
-    inconsistent rows that Gauss-Jordan over Fractions would find on the
-    pi-graded system: scaling keeps zero patterns, and the rows Gauss-Jordan
-    reduces further are pivot rows, never candidates again.
-    Back-substitution solves the pivot columns with the kernel at zero.  Each
-    flat source term q pi^e rest at y^p (over the source's den) becomes the
-    int q of direction (rest, e - p) at row (cell, p), each direction reduced
-    by one gcd with den; a solved value of that direction at unknown
-    (cell, k) stands for that value times pi^(k + e - p) rest.  The flat
-    solution, over the lcm of the directions' denominators, must pass
-    ``_recheck`` before its expression is built.
+    ``_recurrence`` solves it; where it raises NoSolutionInWindow, the error
+    is raised again with the windows.  Each flat source term q pi^e rest at
+    y^p (over the source's den) becomes the int q of direction (rest, e - p)
+    at row (cell, p), each direction reduced by one gcd with den; a solved
+    value of that direction at unknown (cell, k) stands for that value times
+    pi^(k + e - p) rest.  The flat solution, over the lcm of the directions'
+    denominators, must pass ``_recheck`` before its expression is built.
     """
     lam = params.lam
     shape = rhs.shape
-    unknowns = _ansatz_unknowns(rhs, windows)
+    window = _source_window(params.r_hint, rhs)
+    windows = {c: window for c in cells}
+    stencil = {c: cell_stencil(shape, c) for c in cells}
+    col_order = _ansatz_unknowns(rhs, windows)
     system: Dict = {}
-    for u, (cell, k) in enumerate(unknowns):
+    for u, (cell, k) in enumerate(col_order):
         sigma, entries = stencil[cell]
         d = k - sigma
         q = d * (d - 1) - lam
@@ -479,16 +390,11 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str,
             rhs_rows.setdefault(row, [0] * len(directions))[d] = q // g
 
     row_order = sorted(eq_keys, key=itemgetter(1, 0))
-    col_order = unknowns
-    derived = set(windows.values()) == {_source_window(params.r_hint, rhs)}
-    solve = _solve_system if derived else _eliminate
-    solution, kernel_cols, inconsistent = solve(system, rhs_rows, scales, col_order, row_order)
-    if inconsistent:
-        raise NoSolutionInWindow(
-            f"inconsistent rows at {inconsistent[:6]} (case {case}, lambda={lam})",
-            windows=windows,
-            inconsistent_rows=inconsistent,
-        )
+    try:
+        solution = _recurrence(system, rhs_rows, scales, col_order, row_order)
+    except NoSolutionInWindow as exc:
+        raise NoSolutionInWindow(f"{exc} (case {case}, lambda={lam})", windows,
+                                 exc.inconsistent_rows) from None
 
     den = math.lcm(*(d for _, d in solution))
     lifts = [(rest, g, nums, den // d) for (rest, g), (nums, d) in zip(directions, solution)]
@@ -504,9 +410,9 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr, windows: Dict, case: str,
 
     report = SolveReport(
         case=case,
-        windows=dict(windows),
+        windows=windows,
         retries=0,
-        kernel_dim=len(kernel_cols),
+        kernel_dim=0,
         num_unknowns=len(col_order),
         num_equations=len(row_order),
         support={cell: tuple(ks) for cell, ks in support.items()},
@@ -538,35 +444,12 @@ def _recheck(lam: int, sol: FlatExpr, rhs: FlatExpr) -> None:
 
 
 def widen_and_retry(builder):
-    """Run builder(t) for t = 0, 1, ..., WIDEN_CAP until it stops raising
-    NoSolutionInWindow; each retry widens every window by one on both sides."""
-    last: Optional[NoSolutionInWindow] = None
-    for t in range(WIDEN_CAP + 1):
-        try:
-            result, report = builder(t)
-            report.retries = t
-            return result, report
-        except NoSolutionInWindow as exc:
-            exc.retries = t
-            last = exc
-    raise NoSolutionInWindow(
-        f"no solution after {WIDEN_CAP} widenings: {last}",
-        windows=last.windows,
-        inconsistent_rows=last.inconsistent_rows,
-        retries=WIDEN_CAP,
-    ) from last
+    """Run builder(0) once and return its (particular, report).
 
-
-def _solve_widening(params: Params, rhs, cells, case: str):
-    """Solve with the source's window for every cell, widened by one on both
-    sides per retry; every window evaluates one stencil, built here."""
-    base = _source_window(params.r_hint, rhs)
-    stencil = {c: cell_stencil(rhs.shape, c) for c in cells}
-
-    def builder(t):
-        return _assemble_and_solve(params, rhs, {c: base.widen(t) for c in cells}, case, stencil)
-
-    return widen_and_retry(builder)
+    A solve tries its derived windows only, so nothing is retried; the
+    runner stays bound because perfbench wraps it by name to count
+    ``solver.window_attempts``."""
+    return builder(0)
 
 
 def solve_particular_double(
@@ -578,7 +461,7 @@ def solve_particular_double(
     shape = rhs.shape
     case = case or ("anti_diagonal" if shape.n1 + shape.n2 == 0 else "generic")
     cells = sorted({shape.fold((i, j)) for i in (0, 1) for j in (0, 1)})
-    return _solve_widening(params, rhs, cells, case)
+    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, cells, case))
 
 
 def solve_particular_single(
@@ -586,7 +469,8 @@ def solve_particular_single(
 ) -> Tuple[SingleBessel, SolveReport]:
     """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g; rhs is a
     ``SingleBessel`` or its ``FlatExpr``."""
-    return _solve_widening(params, FlatExpr.of(rhs), (0, 1), case)
+    rhs = FlatExpr.of(rhs)
+    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, (0, 1), case))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from eisenmodes.cli import (
 from eisenmodes.bessel import DoubleBessel, SingleBessel, apply_euler, apply_L, apply_P
 from eisenmodes.divisors import convolution_partial_sums, sigma_float_table
 from eisenmodes.homogeneous import mode_solution_from_json_obj, zero_mode_alpha_sum
-from eisenmodes.sources import Normalization, Params, classify_params
+from eisenmodes.solver import _source_window
+from eisenmodes.sources import Normalization, Params, classify_params, source_term
 
 
 def run_cli(capsys, *argv):
@@ -710,7 +711,8 @@ NO_SOLUTION_KEYS = {"classification", "error", "retries", "windows", "inconsiste
                              hst.sampled_from(NOT_TRIANGULAR))),
        hst.integers(-300, 300), hst.integers(-300, 300))
 def test_solve_contract_beyond_the_solvable_families(family, n1, n2):
-    # most draws have no solution; a failed solve tries all 13 windows
+    # most draws have no solution; a failed solve reports its derived
+    # windows, one per cell and all equal, with retries 0
     alpha, beta, lam = family
     kind = classify_params(alpha, beta, lam).kind
     with tempfile.TemporaryDirectory() as tmp:
@@ -725,8 +727,11 @@ def test_solve_contract_beyond_the_solvable_families(family, n1, n2):
         if code in (EXIT_NOT_TRIANGULAR, EXIT_NO_SOLUTION):
             assert doc.keys() == NO_SOLUTION_KEYS and doc["error"] == "no_solution_in_window"
             assert (code == EXIT_NOT_TRIANGULAR) == (kind == "lambda_not_triangular")
-            assert doc["retries"] == 12
+            assert doc["retries"] == 0
             assert doc["inconsistent_rows"]
+            p = Params(alpha, beta, lam, Normalization.UNIT)
+            window = _source_window(p.r_hint, source_term(p, n1, n2).flat())
+            assert set(map(tuple, doc["windows"].values())) == {(window.m, window.M)}
             return
         # a solution of a family outside the solvable set verifies, byte-stably
         verdicts = [_main_doc(["verify", "--input", path]) for _ in range(2)]

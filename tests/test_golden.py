@@ -104,32 +104,35 @@ def test_golden_mode_documents():
 
 
 def test_golden_inconsistent_rows():
-    # lambda = 31 is not triangular: every widened window is inconsistent
+    # lambda = 31 is not triangular: the derived window's system is
+    # inconsistent, and the failure reports that window with the constraint
+    # rows left unpivoted with a nonzero right-hand side, in row order: here
+    # the four rows above the window
     with pytest.raises(NoSolutionInWindow) as info:
         solve_mode(Params(Fraction(3, 2), Fraction(3, 2), 31), -3, 4)
     exc = info.value
-    assert exc.retries == 12
+    assert exc.retries == 0
     assert {str(c): (w.m, w.M) for c, w in exc.windows.items()} == {
-        "(0, 0)": (-16, 13), "(0, 1)": (-16, 13), "(1, 0)": (-16, 13), "(1, 1)": (-16, 13),
+        "(0, 0)": (-4, 1), "(0, 1)": (-4, 1), "(1, 0)": (-4, 1), "(1, 1)": (-4, 1),
     }
     assert [str(r) for r in exc.inconsistent_rows] == [
-        "((0, 1), 14)", "((1, 0), 14)", "((0, 0), 15)", "((1, 1), 15)",
+        "((0, 1), 2)", "((1, 0), 2)", "((0, 0), 3)", "((1, 1), 3)",
     ]
 
 
 def test_golden_inconsistent_rows_of_a_resonant_family():
-    # lambda = 20 is triangular but outside the solvable set: the recurrence
-    # cannot settle any window, and the rows of the elimination it falls back
-    # on are pinned; the first two lie mid-window and follow its pivot rule
+    # lambda = 20 is triangular but outside the solvable set: the
+    # inconsistent constraint rows are again the four rows above the derived
+    # window
     with pytest.raises(NoSolutionInWindow) as info:
         solve_mode(Params(Fraction(3, 2), Fraction(3, 2), 20), 1, 2)
     exc = info.value
-    assert exc.retries == 12
+    assert exc.retries == 0
     assert {str(c): (w.m, w.M) for c, w in exc.windows.items()} == {
-        "(0, 0)": (-15, 13), "(0, 1)": (-15, 13), "(1, 0)": (-15, 13), "(1, 1)": (-15, 13),
+        "(0, 0)": (-3, 1), "(0, 1)": (-3, 1), "(1, 0)": (-3, 1), "(1, 1)": (-3, 1),
     }
     assert [str(r) for r in exc.inconsistent_rows] == [
-        "((0, 0), 5)", "((1, 0), 6)", "((0, 0), 15)", "((1, 1), 15)",
+        "((0, 1), 2)", "((1, 0), 2)", "((0, 0), 3)", "((1, 1), 3)",
     ]
 
 
