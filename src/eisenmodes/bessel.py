@@ -58,6 +58,7 @@ __all__ = [
     "apply_P",
     "apply_L",
     "apply_euler",
+    "mode_operator",
     "differentiate",
     "cell_stencil",
     "unit_column",
@@ -388,7 +389,8 @@ def _operator_terms(lam: int, expr, terms) -> Dict:
     For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2; on
     ``Pure`` the sum of no frequencies is 0, which leaves the Euler operator.
     `expr` supplies kind and frequencies only.  This is the kernel of
-    ``apply_P``, ``apply_L`` and ``apply_euler`` and of the solver's recheck.
+    ``mode_operator`` (``apply_P``, ``apply_L``, ``apply_euler``) and of the
+    solver's recheck.
     """
     moves: Dict = {}
     out = _derivative(expr, _derivative(expr, terms, moves), moves)
@@ -402,9 +404,10 @@ def _operator_terms(lam: int, expr, terms) -> Dict:
     return out
 
 
-def _mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
-    """The mode operator of `expr`'s kind (``_operator_terms``), the terms
-    raised by y^2 once, on rebuilding."""
+def mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
+    """The mode operator of `expr`'s kind (``_operator_terms``): ``apply_P``
+    on a DoubleBessel, ``apply_L`` on a SingleBessel, ``apply_euler`` on a
+    Pure; the terms are raised by y^2 once, on rebuilding."""
     _check_log_cap(expr)
     terms, den = _flatten(expr)
     return _rebuild(expr, _operator_terms(lam, expr, terms), den, shift=2)
@@ -471,17 +474,17 @@ def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
 
 def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:
     """P_lam = -4 pi^2 y^2 (|n1| + sgn(n1 n2) |n2|)^2 + y^2 d^2/dy^2 - lam."""
-    return _mode_operator(lam, expr)
+    return mode_operator(lam, expr)
 
 
 def apply_L(lam: int, expr: SingleBessel) -> SingleBessel:
     """L_lam = -4 pi^2 n^2 y^2 + y^2 d^2/dy^2 - lam on single-Bessel expressions."""
-    return _mode_operator(lam, expr)
+    return mode_operator(lam, expr)
 
 
 def apply_euler(lam: int, expr: Pure) -> Pure:
     """y^2 d^2/dy^2 - lam on Bessel-free expressions, logs included."""
-    return _mode_operator(lam, expr)
+    return mode_operator(lam, expr)
 
 
 # ---------------------------------------------------------------------------

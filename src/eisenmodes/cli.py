@@ -27,7 +27,7 @@ only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
 mode) or --n (a whole mode); a flag that only the other form reads is a usage
 error.  The degree windows are derived from the source (see solver); no flag
 sets or widens them.  `verify` applies the mode operator of the particular
-part's kind (solver.operator_image) and compares the image exactly with the
+part's kind (bessel.mode_operator) and compares the image exactly with the
 source rebuilt from the document's params and (n1, n2); it checks the
 document's alpha, or its obstruction terms, against
 homogeneous.boundary_reference on the document's own particular part: the
@@ -43,7 +43,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bessel import expr_latex
+from .bessel import expr_latex, mode_operator
 from .divisors import (
     convolution_partial_sums,
     ramanujan_convolution,
@@ -67,7 +67,7 @@ from .homogeneous import (
     zero_mode_alpha_sum,
 )
 from .laurent import LogCapExceeded
-from .solver import NoSolutionInWindow, operator_image
+from .solver import NoSolutionInWindow
 from .sources import Normalization, Params, classify_params
 
 EXIT_OK = 0
@@ -290,7 +290,7 @@ def cmd_verify(args):
         mode = mode_solution_from_json_obj(doc)
     except TypeError as exc:  # a value of the wrong JSON type is bad input, not a mismatch
         raise ValueError(f"malformed solution document: {exc}") from exc
-    diffs = compare_expressions(operator_image(mode.params.lam, mode.particular),
+    diffs = compare_expressions(mode_operator(mode.params.lam, mode.particular),
                                 mode.source.full())
     operator = {"status": "mismatch" if diffs else "exact-zero"}
     if diffs:

@@ -11,12 +11,20 @@ Grammar: integers, + - * / ** and parentheses; names
 
 (ly is log(y); z-even are exact pi powers, z-odd symbolic) and the calls
 abs(.), sgn(.), sigma(k, .), logn(.) = log|.| over prime logarithms.
+
+Evaluation rule: ints, Fractions and Constants combine as they are, through
+their own operators, and a number divided by a number is a Fraction.  Only a
+polynomial operand (a YLaurent: y, ly or anything built from them) lifts the
+other one to a YLaurent.  A polynomial divides only by a log-free y-monomial
+(``_reciprocal``), which also takes negative powers; a positive power is a
+repeated product.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import operator
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -47,71 +55,39 @@ class FixtureError(ValueError):
 _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
 
 
-def _promote_pair(a, b):
-    """Promote int/Fraction/Constant/YLaurent operands to a common level."""
-    def level(x):
-        if isinstance(x, YLaurent):
-            return 3
-        if isinstance(x, Constant):
-            return 2
-        return 1
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv}
 
-    la, lb = level(a), level(b)
-    hi = max(la, lb)
-    def up(x, lv):
-        if lv == level(x):
-            return x
-        if isinstance(x, (int, Fraction)):
-            x = Constant.from_rational(x)
-        if lv == 3 and isinstance(x, Constant):
-            x = YLaurent({(0, 0): x})
-        return x
 
-    return up(a, hi), up(b, hi), hi
+def _reciprocal(p: YLaurent) -> YLaurent:
+    """1/p for a log-free y-monomial p, the only polynomial a table divides by."""
+    items = p.terms()
+    if len(items) != 1:
+        raise FixtureError("division by a non-monomial Laurent polynomial")
+    ((k, j), c), = items.items()
+    if j:
+        raise FixtureError("division by log terms")
+    return YLaurent.monomial(-k, 1 / c)
 
 
 def _apply_binop(op, a, b):
+    """a op b by the evaluation rule of the module docstring."""
     if isinstance(op, ast.Pow):
         if not isinstance(b, int):
             raise FixtureError("exponent must be an integer literal")
-        if isinstance(a, YLaurent):
-            items = a.terms()
-            if len(items) == 1:
-                (k, j), c = next(iter(items.items()))
-                if j == 0:
-                    return YLaurent({(k * b, 0): c ** b})
-            if b < 0:
-                raise FixtureError("negative power of a polynomial")
-            out = YLaurent.one()
-            for _ in range(b):
-                out = out * a
-            return out
-        if isinstance(a, (int, Fraction)):
-            return Fraction(a) ** b if b < 0 else a ** b
-        return a ** b
-    a, b, lv = _promote_pair(a, b)
-    if isinstance(op, ast.Add):
-        return a + b
-    if isinstance(op, ast.Sub):
-        return a - b
-    if isinstance(op, ast.Mult):
-        return a * b
-    if isinstance(op, ast.Div):
-        if lv < 3:
-            if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-                return Fraction(a) / Fraction(b)
-            return a / b
-        # YLaurent division: divisor must be a y-monomial scalar
-        if isinstance(b, YLaurent):
-            items = b.terms()
-            if len(items) != 1:
-                raise FixtureError("division by a non-monomial Laurent polynomial")
-            (k, j), c = next(iter(items.items()))
-            if j != 0:
-                raise FixtureError("division by log terms")
-            return a.shift(-k).scale(Constant.one() / c)
-        return a.scale(Constant.one() / b)
-    raise FixtureError(f"operator {op} not allowed")
+        if not isinstance(a, YLaurent):
+            return Fraction(a) ** b if b < 0 and isinstance(a, int) else a ** b
+        base, out = _reciprocal(a) if b < 0 else a, YLaurent.one()
+        for _ in range(abs(b)):
+            out = out * base
+        return out
+    if isinstance(a, YLaurent) or isinstance(b, YLaurent):
+        a, b = _as_ylaurent(a), _as_ylaurent(b)
+        if isinstance(op, ast.Div):
+            return a * _reciprocal(b)
+    elif isinstance(op, ast.Div) and isinstance(a, int):
+        a = Fraction(a)
+    return _ARITHMETIC[type(op)](a, b)
 
 
 def eval_table_expr(text: str, names: Dict) -> object:
@@ -132,7 +108,7 @@ def eval_table_expr(text: str, names: Dict) -> object:
         if isinstance(node, ast.UnaryOp):
             v = run(node.operand)
             if isinstance(node.op, ast.USub):
-                return _apply_binop(ast.Sub(), 0, v)
+                return -v
             if isinstance(node.op, ast.UAdd):
                 return v
             raise FixtureError("unary operator not allowed")

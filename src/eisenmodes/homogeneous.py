@@ -282,7 +282,7 @@ def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
         return ModeSolution(params, 0, 0, src, particular, None, None, None)
 
     solve = solve_particular_single if n1 == 0 or n2 == 0 else solve_particular_double
-    particular, report = solve(params, src.flat(), case=src.case_tag)
+    particular, report = solve(params, src.flat, case=src.case_tag)
     checked, report.checked = report.checked, None
 
     alpha = obstruction = None

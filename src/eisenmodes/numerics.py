@@ -26,7 +26,7 @@ values).  Where every term underflows it reads 0: in the unit-normalized
 1 + 1e-6 reads 0 at y = 0.5, 1 and 2.  Where the terms cancel it reads
 rounding noise: the exact unit-normalized (7/2,7/2,56) mode (-117, 100) reads
 3.6e-5 at y = 0.5.  The exact check of a solution is the symbolic operator
-(``solver.operator_image``); the residual stays a numeric oracle for tests
+(``bessel.mode_operator``); the residual stays a numeric oracle for tests
 and benchmarks.
 """
 

@@ -48,12 +48,12 @@ reports it with the inconsistent rows.
 
 Every returned solution is re-verified (``_recheck``) by applying the
 integer kernel of the symbolic operator of its kind (``bessel._operator_terms``,
-the one ``apply_P``, ``apply_L`` and ``operator_image`` run) to the flat
-solution: the image must equal the flat source, compared exactly by
-cross-multiplying the two denominators.  The kernel shares no code with the
-stencil: it keeps pi and every other symbol in its keys and takes no pi
-grading or rescaling from the solve, so a fault in the stencil, the
-rescaling or the recurrence shows as an image unequal to the right-hand side.
+the one ``bessel.mode_operator`` runs) to the flat solution: the image must
+equal the flat source, compared exactly by cross-multiplying the two
+denominators.  The kernel shares no code with the stencil: it keeps pi and
+every other symbol in its keys and takes no pi grading or rescaling from the
+solve, so a fault in the stencil, the rescaling or the recurrence shows as an
+image unequal to the right-hand side.
 """
 
 from __future__ import annotations
@@ -66,9 +66,11 @@ from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 from .bessel import (
-    DoubleBessel, FlatExpr, Pure, SingleBessel, _operator_terms, apply_euler, apply_L, apply_P,
-    cell_stencil,
+    DoubleBessel, FlatExpr, Pure, SingleBessel, _operator_terms, cell_stencil, mode_operator,
 )
+# bound here only because perfbench wraps solver.apply_P and solver.apply_L by
+# name to time them; no solver code calls them
+from .bessel import apply_L, apply_P  # noqa: F401
 from .laurent import YLaurent
 from .sources import Params
 
@@ -78,7 +80,6 @@ __all__ = [
     "SolveReport",
     "solve_particular_double",
     "solve_particular_single",
-    "operator_image",
     "solve_zero_mode",
     "widen_and_retry",
 ]
@@ -110,17 +111,19 @@ class NoSolutionInWindow(Exception):
 
 @dataclass
 class SolveReport:
+    # both always 0, as NoSolutionInWindow.retries: a solve tries its derived
+    # windows only, and a kernel fails it; success documents and perfbench
+    # still read them
+    retries = 0
+    kernel_dim = 0
+
     case: str
     windows: Dict
-    # both always 0: a solve tries its derived windows only, and a kernel
-    # fails it; success documents and perfbench still read them
-    retries: int
-    kernel_dim: int
     num_unknowns: int
     num_equations: int
     support: Dict
     # the flat solution the recheck checked; ``homogeneous.solve_mode`` hands
-    # it to ``choose_alpha`` and clears it, so that a held mode keeps no flat map
+    # it to ``choose_alpha`` and clears it, so that a held mode keeps no flat solution
     checked: Optional[FlatExpr] = field(default=None, repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
@@ -134,16 +137,6 @@ class SolveReport:
             "support": {str(c): list(s) for c, s in self.support.items()},
             "residual_check": "exact-zero",  # the recheck raises on any other outcome
         }
-
-
-def operator_image(lam: int, expr):
-    """The image of expr under the mode operator of its kind: ``apply_P`` for
-    a DoubleBessel, ``apply_L`` for a SingleBessel, ``apply_euler`` for a Pure."""
-    if isinstance(expr, DoubleBessel):
-        return apply_P(lam, expr)
-    if isinstance(expr, SingleBessel):
-        return apply_L(lam, expr)
-    return apply_euler(lam, expr)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +404,6 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr, cells, case: str):
     report = SolveReport(
         case=case,
         windows=windows,
-        retries=0,
-        kernel_dim=0,
         num_unknowns=len(col_order),
         num_equations=len(row_order),
         support={cell: tuple(ks) for cell, ks in support.items()},
@@ -505,6 +496,6 @@ def solve_zero_mode(params: Params, source: Pure) -> Pure:
             out = out + YLaurent.monomial(k, coeff * Fraction(1, w), log_exp=1)
             out = out + YLaurent.monomial(k, coeff * Fraction(-1, w * w))
     particular = Pure(out)
-    if operator_image(lam, particular) != source:
+    if mode_operator(lam, particular) != source:
         raise AssertionError("zero-mode particular failed its defining equation")
     return particular

@@ -27,7 +27,8 @@ denominator, the K_{s-1/2} reduced to K_0/K_1 by the integer table
 ``bessel.k_index_table``.  ``source_flat`` multiplies two of them in ints into
 the source's flat value (``bessel.FlatExpr``, key (cell, y power, log power,
 pi exponent, rest), merged cells folded), which the solver reads as it is;
-``source_term`` builds the full source expression from it once, and
+``source_term`` keeps it as ``SourceTerm.flat`` and builds the full source
+expression from it once, and
 ``SourceTerm.prefactor`` and ``core`` split that.  ``_fourier_factor`` is
 memoized for the life of the process, since the modes of one assembly reuse
 each (s, n); its maps are ``MappingProxyType`` views.
@@ -36,7 +37,7 @@ each (s, n); its maps are ``MappingProxyType`` views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -214,14 +215,11 @@ class SourceTerm:
     n2: int
     expr: BesselProduct  # DoubleBessel | SingleBessel | Pure, prefactor folded in
     case_tag: str  # both_zero | left_zero | right_zero | generic | anti_diagonal
+    flat: FlatExpr = field(repr=False, compare=False)  # the value expr was built from
 
     def full(self):
         """The complete source expression with the prefactor folded in."""
         return self.expr
-
-    def flat(self) -> FlatExpr:
-        """The flat value ``expr`` was built from (``source_flat``)."""
-        return source_flat(self.params, self.n1, self.n2)
 
     @property
     def prefactor(self) -> Constant:
@@ -243,17 +241,12 @@ def _case_tag(n1: int, n2: int) -> str:
     return "anti_diagonal" if n1 + n2 == 0 else "generic"
 
 
-@lru_cache(maxsize=1)
 def source_flat(p: Params, n1: int, n2: int) -> FlatExpr:
     """Exact s_{n1,n2} = c_eff zeta(2a) zeta(2b) a_{n1,a}(y) a_{n2,b}(y) in the
     K0/K1 basis as one flat value: y times the product of the two Fourier
     factors, in ints, over c_eff's denominator times theirs.  A term pair
     lands on the folded cell of its K indices, so a merged ``DoubleBessel``
     has (0, 1) and never (1, 0).
-
-    Memoized for the last mode only: ``source_term`` builds the expression
-    from it and ``homogeneous.solve_mode`` reads the same value right after,
-    while no held object keeps it.
     """
     _, left, den_a = _fourier_factor(p.alpha, n1)
     _, right, den_b = _fourier_factor(p.beta, n2)
@@ -271,6 +264,8 @@ def source_flat(p: Params, n1: int, n2: int) -> FlatExpr:
 
 
 def source_term(p: Params, n1: int, n2: int) -> SourceTerm:
-    """The source of mode (n1, n2): its flat value (``source_flat``) rebuilt
-    once as an expression, each coefficient divided by the denominator once."""
-    return SourceTerm(p, n1, n2, source_flat(p, n1, n2).expr(), _case_tag(n1, n2))
+    """The source of mode (n1, n2): its flat value (``source_flat``), kept as
+    ``flat``, rebuilt once as an expression, each coefficient divided by the
+    denominator once."""
+    flat = source_flat(p, n1, n2)
+    return SourceTerm(p, n1, n2, flat.expr(), _case_tag(n1, n2), flat)

@@ -730,7 +730,7 @@ def test_solve_contract_beyond_the_solvable_families(family, n1, n2):
             assert doc["retries"] == 0
             assert doc["inconsistent_rows"]
             p = Params(alpha, beta, lam, Normalization.UNIT)
-            window = _source_window(p.r_hint, source_term(p, n1, n2).flat())
+            window = _source_window(p.r_hint, source_term(p, n1, n2).flat)
             assert set(map(tuple, doc["windows"].values())) == {(window.m, window.M)}
             return
         # a solution of a family outside the solvable set verifies, byte-stably

@@ -21,7 +21,7 @@ from eisenmodes.fixtures import (
 )
 from eisenmodes.laurent import YLaurent
 from eisenmodes.homogeneous import T_MINUS_2_WEIGHTS
-from eisenmodes.scalars import Constant, zeta_odd
+from eisenmodes.scalars import Constant, sym_ln_prime, zeta_odd
 from eisenmodes.sources import source_term
 
 F = Fraction
@@ -38,6 +38,28 @@ def test_expression_evaluator_basics():
     assert eval_table_expr("sigma(2, 4)", names) == 21
     assert eval_table_expr("sgn(n2)*abs(n2)", names) == 2
     assert eval_table_expr("z3*y", names) == YLaurent.monomial(1, zeta_odd(3))
+    # each value exactly and with its type: numbers stay numbers, a number over
+    # a number is a Fraction, and y or ly makes a YLaurent
+    pi = Constant.pi_power(1)
+    table = {
+        "2**-1": F(1, 2),
+        "pi**-2": Constant.pi_power(-2),
+        "1/y": YLaurent.monomial(-1),
+        "y**-2": YLaurent.monomial(-2),
+        "(y+1)**2": YLaurent({(0, 0): 1, (1, 0): 2, (2, 0): 1}),
+        "-y": YLaurent.monomial(1, -1),
+        "+ly": YLaurent.monomial(0, 1, log_exp=1),
+        "n1/n2": F(1, 2),
+        "logn(12)": Constant.monomial(sym_ln_prime(2), coeff=2) + Constant.monomial(sym_ln_prime(3)),
+        "ly*y/(2*y)": YLaurent.monomial(0, F(1, 2), log_exp=1),
+        "7/(2*pi*y**3)": YLaurent.monomial(-3, Constant.pi_power(-1, F(7, 2))),
+        "z3/z2": zeta_odd(3) * Constant.pi_power(-2, 6),
+        "(pi+1)*y": YLaurent.monomial(1, pi + Constant.one()),
+        "(y+1)**0": YLaurent.one(),
+    }
+    for text, expected in table.items():
+        value = eval_table_expr(text, names)
+        assert (type(value), value) == (type(expected), expected), text
 
 
 def test_expression_evaluator_rejects_unsafe():
@@ -48,6 +70,11 @@ def test_expression_evaluator_rejects_unsafe():
         eval_table_expr("unknown_name", names)
     with pytest.raises(FixtureError):
         eval_table_expr("y ** y", names)
+    # outside the grammar, and divisions by anything but a log-free y-monomial
+    for text in ("1.5", "1 % 2", "~1", "a.b()", "max(1, 2)", "[1]",
+                 "y/(y+1)", "1/ly", "(y+1)**-1"):
+        with pytest.raises(FixtureError):
+            eval_table_expr(text, names)
 
 
 def test_families_present():
