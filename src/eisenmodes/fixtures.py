@@ -91,9 +91,11 @@ def _apply_binop(op, a, b):
 
 
 def eval_table_expr(text: str, names: Dict) -> object:
-    """Evaluate a restricted arithmetic expression over the scalar ring."""
-    tree = ast.parse(text, mode="eval")
+    """Evaluate a restricted arithmetic expression over the scalar ring.
 
+    Every rejection is a ``FixtureError``: text that does not parse, a
+    division by zero and an argument outside a call's domain included.
+    """
     def run(node):
         if isinstance(node, ast.Expression):
             return run(node.body)
@@ -132,7 +134,12 @@ def eval_table_expr(text: str, names: Dict) -> object:
             raise FixtureError(f"call {fname!r} not allowed")
         raise FixtureError(f"syntax {type(node).__name__} not allowed")
 
-    return run(tree)
+    try:
+        return run(ast.parse(text, mode="eval"))
+    except FixtureError:
+        raise
+    except (SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FixtureError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
 def _base_names() -> Dict:

@@ -16,24 +16,26 @@ has no numeric check here (``homogeneous.choose_alpha`` states it).
 What the residual sees is narrower than its name.  Its terms take the second
 derivative through the same factor-derivative rules as the symbolic operator,
 and within each (cell, y-power) group they share one product of Bessel
-values, which factors out.  So the residual sees errors in the coefficients,
-blurred by rounding, and nothing of the Bessel values or of the derivative
-rules: with ``bessel_k`` returning 0.7(1+x) K_0 and 1.5(1+x) K_1 in place of
-K_0 and K_1, the (3/2,3/2,30) mode (1, 2) still reads 8.8e-15, 2.3e-17 and
-1.2e-15 at y = 0.05, 0.5 and 1 (1.2e-14, 1.8e-16 and 2.1e-15 with the true
-values).  Where every term underflows it reads 0: in the unit-normalized
-(3/2,3/2,30) mode (200, -37), one particular coefficient multiplied by
-1 + 1e-6 reads 0 at y = 0.5, 1 and 2.  Where the terms cancel it reads
-rounding noise: the exact unit-normalized (7/2,7/2,56) mode (-117, 100) reads
-3.6e-5 at y = 0.5.  The exact check of a solution is the symbolic operator
-(``bessel.mode_operator``); the residual stays a numeric oracle for tests
-and benchmarks.
+values, which factors out.  Both evaluators take their Bessel values from
+``_k01``, each distinct argument 2 pi |n| y once per point.  So the residual
+sees errors in the coefficients, blurred by rounding, and nothing of the
+Bessel values or of the derivative rules: with ``_k01`` returning
+0.7(1+x) K_0 and 1.5(1+x) K_1 in place of K_0 and K_1, the (3/2,3/2,30)
+mode (1, 2) still reads 8.8e-15, 2.3e-17 and 1.2e-15 at y = 0.05, 0.5 and 1
+(1.2e-14, 1.8e-16 and 2.1e-15 with the true values).  Where every term
+underflows it reads 0: in the unit-normalized (3/2,3/2,30) mode (200, -37),
+one particular coefficient multiplied by 1 + 1e-6 reads 0 at y = 0.5, 1
+and 2.  Where the terms cancel it reads rounding noise: the exact
+unit-normalized (7/2,7/2,56) mode (-117, 100) reads 3.6e-5 at y = 0.5.  The
+exact check of a solution is the symbolic operator (``bessel.mode_operator``);
+the residual stays a numeric oracle for tests and benchmarks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict
 
 from .bessel import BesselProduct, HomBasis, differentiate
@@ -210,17 +212,26 @@ def bessel_k(nu, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _cells(expr, y: float, k01: Dict[int, tuple]):
+    """Each cell's polynomial and its K factor values at y, in factor order.
+
+    ``k01`` maps |n| to (K_0, K_1) at 2 pi |n| y; the caller holds it for one
+    point, so each distinct argument goes through ``_k01`` once.
+    """
+    if not isinstance(expr, BesselProduct):
+        raise TypeError(f"cannot evaluate {type(expr).__name__}")
+    for cell, q in expr.table.items():
+        ks = []
+        for index, n in expr.factors(cell):
+            if n not in k01:
+                k01[n] = _k01(2 * math.pi * n * y)
+            ks.append(k01[n][index])
+        yield q, ks
+
+
 def eval_expr(expr, y: float, env: NumericEnv = DEFAULT_ENV) -> float:
     """Numeric value of a Bessel expression at y > 0."""
-    if isinstance(expr, BesselProduct):
-        values = []
-        for cell, q in expr.table.items():
-            value = q.evaluate(env, y)
-            for index, n in expr.factors(cell):
-                value *= bessel_k(index, 2 * math.pi * n * y)
-            values.append(value)
-        return math.fsum(values)
-    raise TypeError(f"cannot evaluate {type(expr).__name__}")
+    return math.fsum(math.prod((q.evaluate(env, y), *ks)) for q, ks in _cells(expr, y, {}))
 
 
 def eval_hom_normalized(basis: HomBasis, y: float) -> float:
@@ -231,33 +242,21 @@ def eval_hom_normalized(basis: HomBasis, y: float) -> float:
     return 2 * math.sqrt(abs(basis.n)) * (math.sqrt(y) * bessel_k(basis.r + 0.5, z))
 
 
-def _expr_terms_exact(expr, y: float, env: NumericEnv):
-    """Cell contributions of expr(y) as exact Fractions of double inputs.
+def _exact_value(expr, y: float, env: NumericEnv, k01: Dict[int, tuple]) -> Fraction:
+    """expr(y) as one exact Fraction of double inputs.
 
     Bessel values, scalar constants and powers are evaluated in double
     precision (the inputs of the check); all products and sums combining
     them are carried exactly so the deep cross-cell cancellations of the
     operator identity do not amplify arithmetic noise.
     """
-    from fractions import Fraction as _F
-
-    y_f = _F(y)
-    ln_f = _F(math.log(y))
-
-    def poly_terms(q):
-        return [
-            _F(c.evaluate(env)) * y_f**k * ln_f**j for (k, j), c in q.terms().items()
-        ]
-
-    if not isinstance(expr, BesselProduct):
-        raise TypeError(f"cannot evaluate {type(expr).__name__}")
-    out = []
-    for cell, q in expr.table.items():
-        kf = _F(1)
-        for index, n in expr.factors(cell):
-            kf *= _F(bessel_k(index, 2 * math.pi * n * y))
-        out.extend(t * kf for t in poly_terms(q))
-    return out
+    y_f = Fraction(y)
+    ln_f = Fraction(math.log(y))
+    total = Fraction(0)
+    for q, ks in _cells(expr, y, k01):
+        poly = sum(Fraction(c.evaluate(env)) * y_f**k * ln_f**j for (k, j), c in q.terms().items())
+        total += poly * math.prod(map(Fraction, ks))
+    return total
 
 
 def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None = None) -> float:
@@ -267,7 +266,9 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     particular and source (a SourceTerm).  The scale defaults to
     max(|source(y)|, |source(1)|, 1e-300); the value at 1 guards zeros of the
     source.  The second derivative is applied through the exact
-    factor-derivative rules and then evaluated numerically.  The homogeneous
+    factor-derivative rules and then evaluated numerically: P(particular) and
+    the source are each one exact sum of double-precision inputs, and the
+    three expressions share one (K_0, K_1) pair per argument.  The homogeneous
     part alpha * h is not evaluated: P(h) = 0 is an exact identity for every
     alpha, and alpha is fixed exactly by ``homogeneous.choose_alpha`` and
     checked by ``homogeneous.boundary_reference``.  A
@@ -279,22 +280,17 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     measurement).  It reads 0 where every term underflows, and rounding noise
     where the terms cancel.
     """
-    from fractions import Fraction as _F
-
     if not math.isfinite(y * y):
         raise OverflowError(f"y * y = {y * y!r} is not a finite double")
-    lam = mode.params.lam
     nsum = mode.n1 + mode.n2
     part = mode.particular
-    y_f = _F(y)
-    mass = _F(4) * _F(math.pi) ** 2 * nsum * nsum * y_f * y_f
-    terms = [t * y_f * y_f for t in _expr_terms_exact(
-        differentiate(differentiate(part)), y, env)]
-    terms.extend(t * (-lam - mass) for t in _expr_terms_exact(part, y, env))
     source = mode.source.full()
-    rhs_terms = _expr_terms_exact(source, y, env)
-    rhs = float(sum(rhs_terms))
+    k01: Dict[int, tuple] = {}
+    y_f = Fraction(y)
+    mass = 4 * Fraction(math.pi) ** 2 * nsum * nsum * y_f * y_f
+    lhs = (_exact_value(differentiate(differentiate(part)), y, env, k01) * y_f * y_f
+           + _exact_value(part, y, env, k01) * (-mode.params.lam - mass))
+    rhs = _exact_value(source, y, env, k01)
     if scale is None:
-        scale = max(abs(rhs), abs(eval_expr(source, 1.0, env)), 1e-300)
-    diff = sum(terms) - sum(rhs_terms)
-    return abs(float(diff)) / scale
+        scale = max(abs(float(rhs)), abs(eval_expr(source, 1.0, env)), 1e-300)
+    return abs(float(lhs - rhs)) / scale

@@ -315,15 +315,17 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
 
     if isinstance(expr, BesselProduct):
-        # The K_1 series start at 1/y, so each factor is expanded len(freqs)
-        # past reach and only the product is truncated: a factor truncated
-        # first would lose the terms another factor's 1/y shifts below reach.
+        # The K_1 series start at 1/y, so each factor is expanded below
+        # y^(reach + the number of other factors) and only the product is
+        # truncated: a factor truncated first would lose the terms another
+        # factor's 1/y shifts below reach.
         # Seeding reduce with one would truncate the first factor that way, so
         # only the product of no factors (Pure) is one.
         total = YLaurent.zero()
         for cell, q in expr.table.items():
             reach = order - q.min_degree()
-            factors = [k_log_series(i, n, reach + len(expr.freqs)) for i, n in expr.factors(cell)]
+            factors = [k_log_series(i, n, reach + len(expr.freqs) - 1)
+                       for i, n in expr.factors(cell)]
             prod = (reduce(lambda a, b: a.mul_truncated(b, reach), factors) if factors
                     else YLaurent.one())
             total = total + q.mul_truncated(prod, order)

@@ -7,7 +7,9 @@ so merged, same-sign and opposite-sign generic modes all appear.  The
 inconsistent rows of a non-triangular lambda and of a triangular one outside
 the solvable set pin the pivot order and the inconsistency report as well.  The CLI documents (LaTeX solves, tables, the
 T-2 combination, verify), the numeric evaluators and the small-y series of one
-single- and one double-Bessel mode are pinned too, and so is every source term
+single- and one double-Bessel mode are pinned too, and so are the evaluator's
+and the residual's doubles at two points of every table mode and of two
+large-frequency modes, and so is every source term
 of eight modes over all sixteen weight pairs up to 9/2.  The zero-mode path
 is pinned from the alpha sums of every method to the assembled n = 0 mode and
 the sums documents at convergent, formal, pole and trivial-zero points.  A
@@ -16,6 +18,7 @@ refactor of the solver must keep every byte.
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -341,6 +344,15 @@ FLOAT_GOLDEN = {
 }
 
 
+# every embedded table mode, as the table command compares them, and two
+# large-frequency UNIT modes: (3/2,9/2,r=6) at (2, -76), (7/2,9/2,r=8) at (150, -149)
+ORACLE_EXTRA = [(Params(Fraction(3, 2), Fraction(9, 2), 42, Normalization.UNIT), 2, -76),
+                (Params(Fraction(7, 2), Fraction(9, 2), 72, Normalization.UNIT), 150, -149)]
+# sha256 of the exact reprs of eval_expr(particular, y) and residual(mode, y),
+# at 0.5 and 1.5 over 2 pi max(|n1|, |n2|) (0.7 and 1.3 for the zero mode)
+ORACLE_GOLDEN = "4d899edd94862d1e2f4af5528d34e84455318acbb0c52bd3edc8dc745e5c4fc4"
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -390,6 +402,25 @@ def float_pins():
     return seen
 
 
+def oracle_digest():
+    from eisenmodes.numerics import eval_expr, residual
+
+    modes = []
+    for key in list_families():
+        a, b, lam = key.split(",")
+        params = Params(Fraction(a), Fraction(b), int(lam))
+        for _, pairs in sorted(fixture_modes(params.alpha, params.beta, params.lam).items()):
+            modes.extend((params, n1, n2) for n1, n2 in pairs)
+    lines = []
+    for params, n1, n2 in modes + ORACLE_EXTRA:
+        mode = solve_mode(params, n1, n2)
+        top = 2 * math.pi * max(abs(n1), abs(n2))
+        for y in (0.5 / top, 1.5 / top) if top else (0.7, 1.3):
+            lines.append(f"{params.describe()} {n1} {n2} {y!r} "
+                         f"{eval_expr(mode.particular, y)!r} {residual(mode, y)!r}")
+    return _sha("\n".join(lines))
+
+
 def test_golden_cli_documents(capsys):
     assert cli_digests(capsys) == CLI_GOLDEN
 
@@ -400,6 +431,10 @@ def test_golden_verify_documents(capsys, tmp_path):
 
 def test_golden_floats_and_series():
     assert float_pins() == FLOAT_GOLDEN
+
+
+def test_golden_oracle_doubles():
+    assert oracle_digest() == ORACLE_GOLDEN
 
 
 # ---------------------------------------------------------------------------
