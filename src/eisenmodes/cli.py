@@ -21,6 +21,9 @@ Exit codes (part of the public contract):
     7   a log(y) power beyond the cap (laurent.LOG_CAP), e.g. in a verify input
     64  usage error or unreadable input, including a document value of the
         wrong JSON type
+    141 stdout was closed by its reader (for example `| head -c 10`) before
+        the document was written; nothing more is written.  128 + SIGPIPE,
+        as a shell reports a process the signal ended
 
 Every document goes to stdout, or to the --output file; codes 7 and 64 write
 only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -79,6 +83,7 @@ EXIT_OBSTRUCTED = 5
 EXIT_NO_FIXTURE = 6
 EXIT_LOG_CAP = 7
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 # exception -> exit code for failures a command raises; the first matching row
 # wins (LogCapExceeded, FixtureError and json's decode error are ValueErrors).
@@ -139,7 +144,8 @@ def _emit(doc, output) -> None:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        # flushed here, so that a closed pipe raises inside main
+        print(text, flush=True)
 
 
 def _comparison(computed, printed, used) -> dict:
@@ -390,6 +396,11 @@ def main(argv=None) -> int:
         _emit(doc, args.output)
     except SystemExit:  # --help; usage errors raise ValueError instead
         return EXIT_OK
+    except BrokenPipeError:
+        # the reader is gone, so there is no one to tell; stdout goes to
+        # devnull so that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         code = next((c for kinds, c in ERROR_EXITS if isinstance(exc, kinds)), None)
         if code is None:

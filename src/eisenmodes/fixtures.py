@@ -10,7 +10,8 @@ Grammar: integers, + - * / ** and parentheses; names
     n1 n2 n y ly pi z2..z8 sg sg1 sg2
 
 (ly is log(y); z-even are exact pi powers, z-odd symbolic) and the calls
-abs(.), sgn(.), sigma(k, .), logn(.) = log|.| over prime logarithms.
+abs(.), sgn(.), sigma(k, .), logn(.) = log|.| over prime logarithms; the
+arguments of sigma and logn must be integers.
 
 Evaluation rule: ints, Fractions and Constants combine as they are, through
 their own operators, and a number divided by a number is a Fraction.  Only a
@@ -90,6 +91,15 @@ def _apply_binop(op, a, b):
     return _ARITHMETIC[type(op)](a, b)
 
 
+def _integer(value) -> int:
+    """A sigma or logn argument: an int, or a Fraction equal to one."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, int):
+        return value
+    raise FixtureError(f"argument {value} is not an integer")
+
+
 def eval_table_expr(text: str, names: Dict) -> object:
     """Evaluate a restricted arithmetic expression over the scalar ring.
 
@@ -128,9 +138,9 @@ def eval_table_expr(text: str, names: Dict) -> object:
             if fname == "sgn" and len(args) == 1:
                 return 1 if args[0] > 0 else (-1 if args[0] < 0 else 0)
             if fname == "sigma" and len(args) == 2:
-                return sigma(int(args[0]), abs(int(args[1])))
+                return sigma(_integer(args[0]), abs(_integer(args[1])))
             if fname == "logn" and len(args) == 1:
-                return log_normalize(abs(int(args[0])))
+                return log_normalize(abs(_integer(args[0])))
             raise FixtureError(f"call {fname!r} not allowed")
         raise FixtureError(f"syntax {type(node).__name__} not allowed")
 

@@ -11,7 +11,11 @@ their small-argument series takes gamma from the same table.
 ``HomBasis`` kind "K" or "power_neg".  The operator residual evaluates
 P(particular) - source only: P annihilates the homogeneous element exactly
 for every alpha, and the boundary condition that fixes alpha is exact and
-has no numeric check here (``homogeneous.choose_alpha`` states it).
+has no numeric check here (``homogeneous.choose_alpha`` states it).  Its
+inputs are doubles (each coefficient as ``Constant.evaluate`` gives it, the
+Bessel values, pi, y and log y), so every product and sum of them is a
+dyadic rational: the residual carries them exactly as int mantissas over
+binary exponents and rounds once, at the end.
 
 What the residual sees is narrower than its name.  Its terms take the second
 derivative through the same factor-derivative rules as the symbolic operator,
@@ -35,10 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict
+from typing import Dict, Tuple
 
-from .bessel import BesselProduct, HomBasis, differentiate
+from .bessel import BesselProduct, HomBasis, _derivative, _flatten, _times_pi
 from .scalars import SYM_GAMMA, Symbol
 
 __all__ = [
@@ -110,6 +113,12 @@ DEFAULT_ENV = NumericEnv()
 # ---------------------------------------------------------------------------
 
 
+_STEP = 1.0 / 16
+# cosh(k h) for every node the quadrature can reach: its step count is largest
+# at the branch threshold x = 0.5, where t_max = acosh(800 / 0.5)
+_COSH_GRID = tuple(math.cosh(k * _STEP) for k in range(int(math.acosh(1600.0) / _STEP) + 3))
+
+
 def _k01_series(x: float):
     """Power-series K_0, K_1 for small x (used below x = 0.5; no cancellation there)."""
     u = x * x / 4
@@ -153,21 +162,19 @@ def _k01_quadrature(x: float):
     """K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt via trapezoid.
 
     The integrand extends to an even, super-exponentially decaying function of
-    t, so the trapezoid rule converges spectrally; h = 1/16 gives ~1e-15.
+    t, so the trapezoid rule converges spectrally; h = 1/16 gives ~1e-15.  The
+    nodes t = k h read their cosh from ``_COSH_GRID``.
     """
-    h = 1.0 / 16
     t_max = math.acosh(max(800.0 / x, 2.0))
-    n_steps = int(t_max / h) + 2
-    k0 = 0.5 * math.exp(-x)
-    k1 = 0.5 * math.exp(-x)
-    for k in range(1, n_steps + 1):
-        t = k * h
-        w = math.exp(-x * math.cosh(t))
+    n_steps = int(t_max / _STEP) + 2
+    k0 = k1 = 0.5 * math.exp(-x)
+    for c in _COSH_GRID[1 : n_steps + 1]:
+        w = math.exp(-x * c)
         if w == 0.0:
             break
         k0 += w
-        k1 += w * math.cosh(t)
-    return k0 * h, k1 * h
+        k1 += w * c
+    return k0 * _STEP, k1 * _STEP
 
 
 def _k01(x: float):
@@ -212,21 +219,26 @@ def bessel_k(nu, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cells(expr, y: float, k01: Dict[int, tuple]):
-    """Each cell's polynomial and its K factor values at y, in factor order.
+def _k_values(expr, cell, y: float, k01: Dict[int, tuple]):
+    """The K factor values of `cell` at y, in factor order.
 
     ``k01`` maps |n| to (K_0, K_1) at 2 pi |n| y; the caller holds it for one
     point, so each distinct argument goes through ``_k01`` once.
     """
+    values = []
+    for index, n in expr.factors(cell):
+        if n not in k01:
+            k01[n] = _k01(2 * math.pi * n * y)
+        values.append(k01[n][index])
+    return values
+
+
+def _cells(expr, y: float, k01: Dict[int, tuple]):
+    """Each cell's polynomial and its K factor values at y (``_k_values``)."""
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot evaluate {type(expr).__name__}")
     for cell, q in expr.table.items():
-        ks = []
-        for index, n in expr.factors(cell):
-            if n not in k01:
-                k01[n] = _k01(2 * math.pi * n * y)
-            ks.append(k01[n][index])
-        yield q, ks
+        yield q, _k_values(expr, cell, y, k01)
 
 
 def eval_expr(expr, y: float, env: NumericEnv = DEFAULT_ENV) -> float:
@@ -242,21 +254,48 @@ def eval_hom_normalized(basis: HomBasis, y: float) -> float:
     return 2 * math.sqrt(abs(basis.n)) * (math.sqrt(y) * bessel_k(basis.r + 0.5, z))
 
 
-def _exact_value(expr, y: float, env: NumericEnv, k01: Dict[int, tuple]) -> Fraction:
-    """expr(y) as one exact Fraction of double inputs.
+def _dyadic(x: float) -> Tuple[int, int]:
+    """(m, e) with x = m 2^e exactly; like ``Fraction(x)``, an infinite x
+    raises ``OverflowError`` and a nan ``ValueError``."""
+    m, d = x.as_integer_ratio()
+    return m, 1 - d.bit_length()
 
-    Bessel values, scalar constants and powers are evaluated in double
-    precision (the inputs of the check); all products and sums combining
-    them are carried exactly so the deep cross-cell cancellations of the
-    operator identity do not amplify arithmetic noise.
+
+def _dyadic_sum(pairs) -> Tuple[int, int]:
+    """The exact sum of the dyadics (m, e) of `pairs`, as one dyadic."""
+    pairs = list(pairs)
+    low = min((e for _, e in pairs), default=0)
+    return sum(m << (e - low) for m, e in pairs), low
+
+
+def _quotient(num: Tuple[int, int], den: Tuple[int, int]) -> float:
+    """The dyadic num / den, correctly rounded to a double."""
+    (n, ne), (d, de) = num, den
+    shift = ne - de
+    return (n << shift) / d if shift >= 0 else n / (d << -shift)
+
+
+def _coefficients(terms, den: int, env: NumericEnv) -> Dict:
+    """{cell: {(k, j): (m, e)}}: the coefficient doubles of a flat term map
+    over den, as dyadics.
+
+    Each double is what ``Constant.evaluate`` gives on the coefficient that
+    ``_rebuild`` makes: the fsum over its monomials of q / den (the correctly
+    rounded ``float(Fraction(q, den))``) times the symbol powers, multiplied
+    in monomial order.
     """
-    y_f = Fraction(y)
-    ln_f = Fraction(math.log(y))
-    total = Fraction(0)
-    for q, ks in _cells(expr, y, k01):
-        poly = sum(Fraction(c.evaluate(env)) * y_f**k * ln_f**j for (k, j), c in q.terms().items())
-        total += poly * math.prod(map(Fraction, ks))
-    return total
+    powers: Dict = {}
+    parts: Dict = {}
+    for (cell, k, j, e, rest), q in terms.items():
+        if q:
+            if (e, rest) not in powers:
+                powers[e, rest] = [env(sym) ** p for sym, p in _times_pi(rest, e)]
+            v = q / den
+            for f in powers[e, rest]:
+                v *= f
+            parts.setdefault(cell, {}).setdefault((k, j), []).append(v)
+    return {cell: {kj: _dyadic(math.fsum(vs)) for kj, vs in poly.items()}
+            for cell, poly in parts.items()}
 
 
 def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None = None) -> float:
@@ -265,14 +304,18 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     ``mode`` is a ModeSolution-like object exposing params (with lam), n1, n2,
     particular and source (a SourceTerm).  The scale defaults to
     max(|source(y)|, |source(1)|, 1e-300); the value at 1 guards zeros of the
-    source.  The second derivative is applied through the exact
-    factor-derivative rules and then evaluated numerically: P(particular) and
-    the source are each one exact sum of double-precision inputs, and the
-    three expressions share one (K_0, K_1) pair per argument.  The homogeneous
-    part alpha * h is not evaluated: P(h) = 0 is an exact identity for every
+    source.  The second derivative is taken on the flat particular by the
+    exact factor-derivative rules (``bessel._derivative``) and then evaluated
+    numerically.  Every input is a double: each coefficient (evaluated as
+    ``Constant.evaluate`` does), y, log y, pi and the (K_0, K_1) pair of each
+    argument, shared by the three expressions.  So P(particular) - source is
+    one exact dyadic sum, carried as int mantissas over binary exponents after
+    multiplying through by y^K, K = max(0, -(lowest y power)), and it is
+    rounded to a double once, on dividing by y^K.  The homogeneous part
+    alpha * h is not evaluated: P(h) = 0 is an exact identity for every
     alpha, and alpha is fixed exactly by ``homogeneous.choose_alpha`` and
-    checked by ``homogeneous.boundary_reference``.  A
-    point where y * y is not a finite double raises ``OverflowError``.
+    checked by ``homogeneous.boundary_reference``.  A point where y * y is not
+    a finite double raises ``OverflowError``.
 
     The Bessel values factor out of each (cell, y-power) group of terms, so
     the result sees coefficient errors, blurred by rounding, but not wrong
@@ -282,15 +325,45 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     """
     if not math.isfinite(y * y):
         raise OverflowError(f"y * y = {y * y!r} is not a finite double")
-    nsum = mode.n1 + mode.n2
+    y_m, y_e = _dyadic(y)
+    log_m, log_e = _dyadic(math.log(y))
     part = mode.particular
     source = mode.source.full()
+    terms, den = _flatten(part)
+    moves: Dict = {}
+    second = _coefficients(_derivative(part, _derivative(part, terms, moves), moves), den, env)
+    values = _coefficients(terms, den, env)
+    pi_m, pi_e = _dyadic(math.pi)
+    nsum = mode.n1 + mode.n2
     k01: Dict[int, tuple] = {}
-    y_f = Fraction(y)
-    mass = 4 * Fraction(math.pi) ** 2 * nsum * nsum * y_f * y_f
-    lhs = (_exact_value(differentiate(differentiate(part)), y, env, k01) * y_f * y_f
-           + _exact_value(part, y, env, k01) * (-mode.params.lam - mass))
-    rhs = _exact_value(source, y, env, k01)
+    left: Dict = {}  # {(y power, log power): [dyadic term]}
+    right: Dict = {}
+    # y^2 part'', -lam part and -4 pi^2 nsum^2 y^2 part on the left, the source
+    # on the right: (shape, coefficients, multiplier as a dyadic, y shift, side)
+    for expr, coefficients, (mul_m, mul_e), shift, side in (
+        (part, second, (1, 0), 2, left),
+        (part, values, (-mode.params.lam, 0), 0, left),
+        (part, values, (-4 * nsum * nsum * pi_m * pi_m, 2 * pi_e), 2, left),
+        (source, _coefficients(*_flatten(source), env), (1, 0), 0, right),
+    ):
+        if not mul_m:
+            continue
+        for cell, poly in coefficients.items():
+            m, e = mul_m, mul_e
+            for k_m, k_e in map(_dyadic, _k_values(expr, cell, y, k01)):
+                m, e = m * k_m, e + k_e
+            for (k, j), (c_m, c_e) in poly.items():
+                side.setdefault((k + shift, j), []).append((m * c_m, e + c_e))
+    depth = max([0, *(-k for k, _ in (*left, *right))])
+    lhs, rhs = (
+        _dyadic_sum(
+            (s_m * y_m ** (k + depth) * log_m**j, s_e + y_e * (k + depth) + log_e * j)
+            for (k, j), pairs in side.items()
+            for s_m, s_e in [_dyadic_sum(pairs)]
+        )
+        for side in (left, right)
+    )
+    y_depth = (y_m**depth, y_e * depth)
     if scale is None:
-        scale = max(abs(float(rhs)), abs(eval_expr(source, 1.0, env)), 1e-300)
-    return abs(float(lhs - rhs)) / scale
+        scale = max(abs(_quotient(rhs, y_depth)), abs(eval_expr(source, 1.0, env)), 1e-300)
+    return abs(_quotient(_dyadic_sum((lhs, (-rhs[0], rhs[1]))), y_depth)) / scale

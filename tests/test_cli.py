@@ -17,6 +17,7 @@ from hypothesis import strategies as hst
 import eisenmodes
 from eisenmodes import cli
 from eisenmodes.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_LOG_CAP,
     EXIT_MISMATCH,
     EXIT_NO_FIXTURE,
@@ -268,6 +269,24 @@ def test_import_loads_no_numpy_mpmath_or_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_output_pipe_exits_quietly():
+    # the read end of stdout is closed before the process starts, so its
+    # document meets a broken pipe: exit 141, no error document and no
+    # complaint from the interpreter's flush at exit
+    src = str(Path(eisenmodes.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eisenmodes.cli", "solve", "--alpha", "3/2", "--beta", "3/2",
+             "--lambda", "30", "--n1", "1", "--n2", "2"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write_end, stderr=subprocess.PIPE,
+            text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 def test_assembly_without_solution_reports_exit_code(capsys):

@@ -72,11 +72,11 @@ def test_expression_evaluator_rejects_unsafe():
         eval_table_expr("y ** y", names)
     # outside the grammar, divisions by anything but a log-free y-monomial,
     # divisions by zero, arguments outside a call's domain or of the wrong
-    # type, and broken syntax
+    # type (non-integer sigma and logn arguments included), and broken syntax
     for text in ("1.5", "1 % 2", "~1", "a.b()", "max(1, 2)", "[1]",
                  "y/(y+1)", "1/ly", "(y+1)**-1",
                  "1/0", "0**-1", "1/(pi+1)", "y/(pi+1)", "sigma(1, 0)", "logn(0)", "1 +",
-                 "sgn(pi)", "abs(y)"):
+                 "sgn(pi)", "abs(y)", "sigma(1/2, 3)", "sigma(1, 7/2)", "logn(5/2)"):
         with pytest.raises(FixtureError):
             eval_table_expr(text, names)
 

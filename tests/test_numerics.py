@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from eisenmodes.bessel import DoubleBessel, SingleBessel, differentiate
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
-from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, residual
-from eisenmodes.scalars import Constant
-from eisenmodes.sources import Params
+from eisenmodes.numerics import _COSH_GRID, NumericEnv, _k01, bessel_k, eval_expr, residual
+from eisenmodes.scalars import SYM_PI, Constant, SymbolMonomial
+from eisenmodes.sources import Normalization, Params, classify_params
 from test_bessel_ops import fd_second_derivative
 
 ENV = NumericEnv()
@@ -135,3 +136,103 @@ def test_residual_detects_corruption():
     m.particular = DoubleBessel(1, 2, table)
     assert residual(m, 1.0, ENV) >= 1e-3
 
+
+def _reference_value(expr, y, env):
+    """expr(y) as one exact Fraction of the double inputs: each rebuilt
+    coefficient through ``Constant.evaluate``, y, log y and the K values."""
+    y_f, ln_f = F(y), F(math.log(y))
+    total = F(0)
+    for cell, q in expr.table.items():
+        poly = sum(F(c.evaluate(env)) * y_f**k * ln_f**j for (k, j), c in q.terms().items())
+        total += poly * math.prod(F(bessel_k(i, 2 * math.pi * n * y)) for i, n in expr.factors(cell))
+    return total
+
+
+def _reference_residual(mode, y, env=ENV, scale=None):
+    """The residual through the rebuilt second derivative and Fraction sums."""
+    if not math.isfinite(y * y):
+        raise OverflowError
+    nsum = mode.n1 + mode.n2
+    part, source, y_f = mode.particular, mode.source.full(), F(y)
+    mass = 4 * F(math.pi) ** 2 * nsum * nsum * y_f * y_f
+    lhs = (_reference_value(differentiate(differentiate(part)), y, env) * y_f * y_f
+           + _reference_value(part, y, env) * (-mode.params.lam - mass))
+    rhs = _reference_value(source, y, env)
+    if scale is None:
+        scale = max(abs(float(rhs)), abs(eval_expr(source, 1.0, env)), 1e-300)
+    return abs(float(lhs - rhs)) / scale
+
+
+UNIT_FAMILIES = [(a, b, r) for a in (F(3, 2), F(5, 2), F(7, 2), F(9, 2))
+                 for b in (F(3, 2), F(5, 2), F(7, 2), F(9, 2)) for r in range(1, 9)
+                 if classify_params(a, b, r * (r + 1)).kind == "solvable"]
+
+
+def test_residual_is_bit_equal_to_the_fraction_reference():
+    # solvable UNIT families, weights <= 9/2 and r <= 8, in every mode kind
+    # at |n| <= 300; the K arguments 2 pi |n| y fall on both sides of the
+    # series/quadrature switch at 0.5, at y = 1e-3 too, and far out where
+    # the terms cancel to rounding noise
+    rng = random.Random(5)
+    kinds = ("generic", "merged", "anti_diagonal", "left_zero", "right_zero")
+    checked = 0
+    for index in range(30):
+        a, b, r = rng.choice(UNIT_FAMILIES)
+        p = Params(a, b, r * (r + 1), Normalization.UNIT)
+        n = rng.choice((1, -1)) * rng.randint(1, 300)
+        m = rng.choice((1, -1)) * rng.choice([k for k in range(1, 301) if k != abs(n)])
+        n1, n2 = {"generic": (n, m), "merged": (n, n), "anti_diagonal": (n, -n),
+                  "left_zero": (0, n), "right_zero": (n, 0)}[kinds[index % 5]]
+        mode = solve_mode(p, n1, n2)
+        top = 2 * math.pi * max(abs(n1), abs(n2))
+        for x in (rng.uniform(0.02, 0.5), rng.uniform(0.5, 2.0), rng.uniform(2.0, 40.0)):
+            for y in (x / top, 1e-3):
+                for scale in (None, 1.0):
+                    assert residual(mode, y, ENV, scale) == _reference_residual(mode, y, ENV, scale), \
+                        (a, b, r, n1, n2, y, scale)
+                    checked += 1
+    assert checked == 360
+
+
+def test_residual_raises_as_the_fraction_reference_on_inf_and_nan_coefficients():
+    # 10^300 pi^300 overflows to inf; with -10^300 pi^300 zeta(3) in the same
+    # coefficient the sum is inf - inf, and times zeta(3)^-5000 (0.0) a nan
+    m = solve_mode(Params(F(3, 2), F(3, 2), 30), 1, 2)
+    big = {SymbolMonomial({SYM_PI: 300}): F(10**300)}
+    zeta3 = ("zeta", 3)
+    for monomials, error in (
+        (big, OverflowError),
+        ({**big, SymbolMonomial({SYM_PI: 300, zeta3: 1}): -F(10**300)}, ValueError),
+        ({SymbolMonomial({SYM_PI: 300, zeta3: -5000}): F(10**300)}, ValueError),
+    ):
+        table = dict(m.particular.table)
+        table[(0, 0)] = table[(0, 0)] + YLaurent({(1, 0): Constant(monomials)})
+        bad = SimpleNamespace(params=m.params, n1=1, n2=2, source=m.source,
+                              particular=DoubleBessel(1, 2, table))
+        for fn in (residual, _reference_residual):
+            with pytest.raises(error):
+                fn(bad, 0.5, ENV)
+
+
+def _k01_per_step(x):
+    """The trapezoid of ``_k01_quadrature`` with a cosh per node."""
+    h = 1.0 / 16
+    n_steps = int(math.acosh(max(800.0 / x, 2.0)) / h) + 2
+    k0 = k1 = 0.5 * math.exp(-x)
+    for k in range(1, n_steps + 1):
+        w = math.exp(-x * math.cosh(k * h))
+        if w == 0.0:
+            break
+        k0 += w
+        k1 += w * math.cosh(k * h)
+    return k0 * h, k1 * h
+
+
+def test_cosh_grid_matches_a_cosh_per_step():
+    # the quadrature branch starts at x = 0.5, where its step count is largest
+    assert len(_COSH_GRID) > int(math.acosh(800.0 / 0.5) * 16) + 2
+    rng = random.Random(16)
+    xs = [0.5, 700.0] + [rng.uniform(0.5, 5.0) for _ in range(150)]
+    xs += [math.exp(rng.uniform(math.log(5.0), math.log(700.0))) for _ in range(150)]
+    for x in xs:
+        assert _k01(x) == _k01_per_step(x), x
