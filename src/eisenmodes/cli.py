@@ -20,7 +20,7 @@ Exit codes (part of the public contract):
     6   no fixture table for the requested parameters
     7   a log(y) power beyond the cap (laurent.LOG_CAP), e.g. in a verify input
     64  usage error or unreadable input, including a document value of the
-        wrong JSON type
+        wrong JSON type, and a `sums` partial sum that leaves double range
     141 stdout was closed by its reader (for example `| head -c 10`) before
         the document was written; nothing more is written.  128 + SIGPIPE,
         as a shell reports a process the signal ended
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -247,10 +248,16 @@ def cmd_sums(args):
         "numeric": _fmt(result.numeric),
     }
     if args.limit:
-        tables = {z: sigma_float_table(z, args.limit) for z in {args.a, args.b}}
         weight = (0.0, 1.0) if args.log else (1.0, 0.0)
-        partial = convolution_partial_sums(tables[args.a], tables[args.b], args.s, weight, (args.limit,))
-        doc["partial_sum"] = {"limit": args.limit, "value": _fmt(partial[args.limit])}
+        try:
+            value = convolution_partial_sums(sigma_float_table(args.a, args.limit),
+                                             sigma_float_table(args.b, args.limit),
+                                             args.s, weight, (args.limit,))[args.limit]
+        except (OverflowError, ZeroDivisionError):  # d^a, d^b or n^s past a double
+            value = math.inf
+        if not math.isfinite(value):  # or a product, or the sum
+            raise ValueError(f"the partial sum up to --limit {args.limit} leaves double range")
+        doc["partial_sum"] = {"limit": args.limit, "value": _fmt(value)}
     return doc, EXIT_OK
 
 

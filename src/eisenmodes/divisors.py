@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
+from typing import Sequence
 
 from .numerics import DEFAULT_ENV
 from .scalars import Constant, factorize, zeta_prime, zeta_value
@@ -54,14 +55,20 @@ def sigma(z: int, n: int) -> Fraction:
     return out
 
 
-def sigma_float_table(z: int, limit: int) -> list:
-    """table[n] = float(sigma_z(n)) for 1 <= n <= limit, via a divisor sieve."""
-    table = [0.0] * (limit + 1)
+@lru_cache(maxsize=None)
+def sigma_float_table(z: int, limit: int) -> memoryview:
+    """table[n] = float(sigma_z(n)) for 1 <= n <= limit, via a divisor sieve.
+
+    Memoized: each (z, limit) is sieved once per process.  The table is a
+    view of doubles in an immutable bytes object, so no caller can change
+    what the next one reads; writing to it raises TypeError.
+    """
+    table = memoryview(bytearray(8 * (limit + 1))).cast("d")
     for d in range(1, limit + 1):
         dz = float(d) ** z
         for m in range(d, limit + 1, d):
             table[m] += dz
-    return table
+    return memoryview(table.tobytes()).cast("d")
 
 
 @dataclass(frozen=True)
@@ -134,10 +141,11 @@ def _zeta_closed_form(a: int, b: int, s: int, log: bool) -> RamanujanSum:
     return RamanujanSum(value, status, value.evaluate(DEFAULT_ENV))
 
 
-def convolution_partial_sums(sigma_a: list, sigma_b: list, s: int, weight, limits) -> dict:
+def convolution_partial_sums(sigma_a: Sequence[float], sigma_b: Sequence[float], s: int,
+                             weight, limits) -> dict:
     """Two-sided partial sums of sigma_a sigma_b (A + B log n) / n^s, n <= limit.
 
-    sigma_a and sigma_b are :func:`sigma_float_table` lists reaching
+    sigma_a and sigma_b are :func:`sigma_float_table` tables reaching
     max(limits); weight is the float pair (A, B).  Returns {limit: sum}; the
     factor 2 of the two sides is applied to each reported sum, which rounds
     exactly as applying it to every term would.

@@ -19,14 +19,21 @@ polynomial operand (a YLaurent: y, ly or anything built from them) lifts the
 other one to a YLaurent.  A polynomial divides only by a log-free y-monomial
 (``_reciprocal``), which also takes negative powers; a positive power is a
 repeated product.
+
+Each text is parsed, checked against the grammar and compiled once per
+process (``_program``); every later evaluation only runs it.  A product, a
+left-leaning run of * and /, is evaluated rational-first: its numbers, then
+its Constants, then its polynomials, each kind in text order.  The ring is
+exact and a text divides only by units, so every value and its type are the
+ones the left-to-right reading gives.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import operator
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -53,13 +60,6 @@ class FixtureError(ValueError):
     pass
 
 
-_ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
-
-
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-               ast.Div: operator.truediv}
-
-
 def _reciprocal(p: YLaurent) -> YLaurent:
     """1/p for a log-free y-monomial p, the only polynomial a table divides by."""
     items = p.terms()
@@ -71,26 +71,6 @@ def _reciprocal(p: YLaurent) -> YLaurent:
     return YLaurent.monomial(-k, 1 / c)
 
 
-def _apply_binop(op, a, b):
-    """a op b by the evaluation rule of the module docstring."""
-    if isinstance(op, ast.Pow):
-        if not isinstance(b, int):
-            raise FixtureError("exponent must be an integer literal")
-        if not isinstance(a, YLaurent):
-            return Fraction(a) ** b if b < 0 and isinstance(a, int) else a ** b
-        base, out = _reciprocal(a) if b < 0 else a, YLaurent.one()
-        for _ in range(abs(b)):
-            out = out * base
-        return out
-    if isinstance(a, YLaurent) or isinstance(b, YLaurent):
-        a, b = _as_ylaurent(a), _as_ylaurent(b)
-        if isinstance(op, ast.Div):
-            return a * _reciprocal(b)
-    elif isinstance(op, ast.Div) and isinstance(a, int):
-        a = Fraction(a)
-    return _ARITHMETIC[type(op)](a, b)
-
-
 def _integer(value) -> int:
     """A sigma or logn argument: an int, or a Fraction equal to one."""
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -100,67 +80,176 @@ def _integer(value) -> int:
     raise FixtureError(f"argument {value} is not an integer")
 
 
-def eval_table_expr(text: str, names: Dict) -> object:
-    """Evaluate a restricted arithmetic expression over the scalar ring.
+# -- the helpers a compiled text calls; each applies the evaluation rule ------
 
-    Every rejection is a ``FixtureError``: text that does not parse, a
-    division by zero and an argument outside a call's domain included.
+def _mul(a, b):
+    if isinstance(a, YLaurent) or isinstance(b, YLaurent):
+        return _as_ylaurent(a) * _as_ylaurent(b)
+    return a * b
+
+
+def _div(a, b):
+    if isinstance(a, YLaurent) or isinstance(b, YLaurent):
+        return _as_ylaurent(a) * _reciprocal(_as_ylaurent(b))
+    return (Fraction(a) if isinstance(a, int) else a) / b
+
+
+def _sum(signs: str, first, *rest):
+    """first signs[0] rest[0] signs[1] rest[1] ..., left to right."""
+    acc = first
+    for sign, b in zip(signs, rest):
+        if isinstance(acc, YLaurent) or isinstance(b, YLaurent):
+            acc, b = _as_ylaurent(acc), _as_ylaurent(b)
+        acc = acc + b if sign == "+" else acc - b
+    return acc
+
+
+_KIND_RANK = {Constant: 1, YLaurent: 2}  # any other value is a number, rank 0
+
+
+def _rank(item) -> int:
+    return _KIND_RANK.get(type(item[1]), 0)
+
+
+def _product(ops: str, *factors):
+    """factors[0] ops[0] factors[1] ..., each op "*" or "/", rational-first.
+
+    The numbers come first, then the Constants, then the polynomials, each kind
+    in text order (a stable sort).  The ring is exact and a text divides only
+    by units (nonzero numbers, one-term Constants, log-free y-monomials), so
+    the value and its type are those of the left-to-right product.
     """
-    def run(node):
-        if isinstance(node, ast.Expression):
-            return run(node.body)
+    (op, acc), *rest = sorted(zip("*" + ops, factors), key=_rank)
+    if op == "/":
+        acc = _div(1, acc)
+    for op, b in rest:
+        acc = _mul(acc, b) if op == "*" else _div(acc, b)
+    return acc
+
+
+def _power(a, b):
+    if not isinstance(b, int):
+        raise FixtureError("exponent must be an integer literal")
+    if not isinstance(a, YLaurent):
+        return Fraction(a) ** b if b < 0 and isinstance(a, int) else a ** b
+    base, out = _reciprocal(a) if b < 0 else a, YLaurent.one()
+    for _ in range(abs(b)):
+        out = out * base
+    return out
+
+
+def _sgn(v) -> int:
+    return 1 if v > 0 else (-1 if v < 0 else 0)
+
+
+def _sigma(k, n) -> Fraction:
+    return sigma(_integer(k), abs(_integer(n)))
+
+
+def _logn(m) -> Constant:
+    return log_normalize(abs(_integer(m)))
+
+
+# The whole namespace of a compiled text: no builtins, only these helpers.
+_HELPERS = {"__builtins__": {}, "_sum": _sum, "_product": _product, "_power": _power,
+            "_abs": abs, "_sgn": _sgn, "_sigma": _sigma, "_logn": _logn}
+
+# call name -> (helper, number of arguments)
+_CALLS = {"abs": ("_abs", 1), "sgn": ("_sgn", 1), "sigma": ("_sigma", 2), "logn": ("_logn", 1)}
+
+_SUMS = {ast.Add: "+", ast.Sub: "-"}
+_PRODUCTS = {ast.Mult: "*", ast.Div: "/"}
+
+
+def _chain(node, ops: Dict) -> Tuple[list, str]:
+    """The operands, in text order, and operators of node's left-leaning run of ops."""
+    operands, signs = [], []
+    while isinstance(node, ast.BinOp) and type(node.op) in ops:
+        operands.append(node.right)
+        signs.append(ops[type(node.op)])
+        node = node.left
+    operands.append(node)
+    return operands[::-1], "".join(reversed(signs))
+
+
+@lru_cache(maxsize=None)
+def _program(text: str):
+    """The text parsed, validated and compiled once: (function, the names it reads).
+
+    The function takes the values of those names, in that order.  Its body is
+    one Python expression over _HELPERS alone: text names become its
+    parameters v0, v1, ..., so no text reaches a helper or a builtin.  A text
+    outside the grammar raises the FixtureError the grammar check names.
+    """
+    params: Dict[str, str] = {}
+
+    def emit(node) -> str:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
-                return node.value
+                return repr(node.value)
             raise FixtureError(f"literal {node.value!r} not allowed")
         if isinstance(node, ast.Name):
-            if node.id in names:
-                return names[node.id]
-            raise FixtureError(f"unknown name {node.id!r}")
+            return params.setdefault(node.id, f"v{len(params)}")
         if isinstance(node, ast.UnaryOp):
-            v = run(node.operand)
+            operand = emit(node.operand)
             if isinstance(node.op, ast.USub):
-                return -v
+                return f"(-{operand})"
             if isinstance(node.op, ast.UAdd):
-                return v
+                return operand
             raise FixtureError("unary operator not allowed")
         if isinstance(node, ast.BinOp):
-            if type(node.op) not in _ALLOWED_BINOPS:
-                raise FixtureError("operator not allowed")
-            return _apply_binop(node.op, run(node.left), run(node.right))
+            if isinstance(node.op, ast.Pow):
+                return f"_power({emit(node.left)}, {emit(node.right)})"
+            for helper, ops in (("_sum", _SUMS), ("_product", _PRODUCTS)):
+                if type(node.op) in ops:
+                    operands, signs = _chain(node, ops)
+                    return f"{helper}({signs!r}, {', '.join(emit(x) for x in operands)})"
+            raise FixtureError("operator not allowed")
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name):
                 raise FixtureError("only simple calls allowed")
-            fname = node.func.id
-            args = [run(a) for a in node.args]
-            if fname == "abs" and len(args) == 1:
-                return abs(args[0])
-            if fname == "sgn" and len(args) == 1:
-                return 1 if args[0] > 0 else (-1 if args[0] < 0 else 0)
-            if fname == "sigma" and len(args) == 2:
-                return sigma(_integer(args[0]), abs(_integer(args[1])))
-            if fname == "logn" and len(args) == 1:
-                return log_normalize(abs(_integer(args[0])))
-            raise FixtureError(f"call {fname!r} not allowed")
+            args = [emit(a) for a in node.args]
+            helper, arity = _CALLS.get(node.func.id, (None, None))
+            if len(args) != arity:
+                raise FixtureError(f"call {node.func.id!r} not allowed")
+            return f"{helper}({', '.join(args)})"
         raise FixtureError(f"syntax {type(node).__name__} not allowed")
 
+    body = emit(ast.parse(text, mode="eval").body)
+    return eval(f"lambda {', '.join(params.values())}: {body}", _HELPERS), tuple(params)
+
+
+def eval_table_expr(text: str, names: Dict) -> object:
+    """Evaluate a restricted arithmetic expression over the scalar ring.
+
+    The text is compiled once per process (``_program``).  Every rejection is
+    a ``FixtureError``: text that does not parse, a name missing from names,
+    a division by zero and an argument outside a call's domain included.
+    """
     try:
-        return run(ast.parse(text, mode="eval"))
+        function, used = _program(text)
+        values = []
+        for name in used:
+            if name not in names:
+                raise FixtureError(f"unknown name {name!r}")
+            values.append(names[name])
+        return function(*values)
     except FixtureError:
         raise
     except (SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FixtureError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
+_BASE_NAMES: Dict = {
+    "pi": Constant.pi_power(1),
+    "y": YLaurent.monomial(1),
+    "ly": YLaurent.monomial(0, 1, log_exp=1),
+    **{f"z{k}": zeta_value(k) for k in range(2, 9)},
+}
+
+
 def _base_names() -> Dict:
-    names: Dict = {
-        "pi": Constant.pi_power(1),
-        "y": YLaurent.monomial(1),
-        "ly": YLaurent.monomial(0, 1, log_exp=1),
-    }
-    for k in range(2, 9):
-        names[f"z{k}"] = zeta_value(k)
-    return names
+    return dict(_BASE_NAMES)
 
 
 def _mode_names(n1: Optional[int] = None, n2: Optional[int] = None,

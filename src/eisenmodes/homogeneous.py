@@ -558,7 +558,7 @@ def _alpha_sum(params: Params, method: str, alphas) -> ZeroModeSumResult:
     status = "exact" if sums[0][1].status == "convergent" else "formal"
 
     ta = sigma_float_table(a, PARTIAL_LIMITS[-1])
-    tb = ta if a == b else sigma_float_table(b, PARTIAL_LIMITS[-1])
+    tb = sigma_float_table(b, PARTIAL_LIMITS[-1])
     weight = (A.evaluate(DEFAULT_ENV), B.evaluate(DEFAULT_ENV))
     partial_sums = convolution_partial_sums(ta, tb, s, weight, PARTIAL_LIMITS)
     if status != "exact" and method != "FormalRamanujan":

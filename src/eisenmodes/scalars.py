@@ -272,7 +272,7 @@ class Constant:
         return _coerce_constant(other) / self
 
     def __pow__(self, k: int) -> "Constant":
-        if k < 0:
+        if k < 0 or (k > 0 and len(self._terms) == 1):
             mono, coeff = self.single_term()
             return Constant._trusted({mono ** k: coeff ** k})
         out = Constant.one()

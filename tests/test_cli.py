@@ -235,6 +235,21 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
     assert out == "" and flag in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("a, b, s", [
+    (300, 5, 10),  # d^300 overflows in the sieve
+    (3, 5, 400),  # n^400 overflows in the partial sum
+    (3, 5, -400),  # n^-400 underflows to zero, and the term divides by it
+    (150, 150, 10),  # sigma_150(n)^2 overflows to inf without an exception
+])
+def test_partial_sum_outside_double_range_is_a_usage_error(capsys, a, b, s):
+    # each used to end in a traceback with exit 1, or to print "inf", exit 0
+    code, out, err = run_cli_streams(capsys, "sums", "--a", str(a), "--b", str(b),
+                                     "--s", str(s), "--limit", "100")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert json.loads(err) == {"error": "the partial sum up to --limit 100 leaves double range"}
+
+
 @pytest.mark.parametrize("argv, flag", [
     # both went with the double-precision residual; the check is exact
     (["--tolerance", "1e-9"], "--tolerance"),

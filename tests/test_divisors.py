@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import mpmath as mp
@@ -44,6 +45,29 @@ def test_sigma_multiplicativity():
             continue
         for z in (-3, 0, 2, 4):
             assert sigma(z, m * n) == sigma(z, m) * sigma(z, n)
+
+
+def _list_sieve(z, limit):
+    """The divisor sieve into a list of floats, as a reference."""
+    table = [0.0] * (limit + 1)
+    for d in range(1, limit + 1):
+        dz = float(d) ** z
+        for m in range(d, limit + 1, d):
+            table[m] += dz
+    return table
+
+
+def test_sigma_float_table_is_the_list_sieve_memoized_and_read_only():
+    limit = 10**4
+    for z in range(-3, 10):
+        table = sigma_float_table(z, limit)
+        assert table.tobytes() == array("d", _list_sieve(z, limit)).tobytes(), z
+        assert sigma_float_table(z, limit) is table
+    with pytest.raises(TypeError):
+        table[1] = 0.0
+    with pytest.raises(TypeError):
+        table.obj[0] = 1  # the doubles live in immutable bytes
+    assert table[1] == 1.0
 
 
 def test_ramanujan_exact_values():

@@ -1,9 +1,13 @@
+import ast
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 
 from eisenmodes import fixtures
 from eisenmodes.bessel import DoubleBessel, apply_P
+from eisenmodes.divisors import sigma
 from eisenmodes.fixtures import (
     FixtureError,
     _base_names,
@@ -21,7 +25,7 @@ from eisenmodes.fixtures import (
 )
 from eisenmodes.laurent import YLaurent
 from eisenmodes.homogeneous import T_MINUS_2_WEIGHTS
-from eisenmodes.scalars import Constant, sym_ln_prime, zeta_odd
+from eisenmodes.scalars import Constant, log_normalize, sym_ln_prime, zeta_odd
 from eisenmodes.sources import source_term
 
 F = Fraction
@@ -43,6 +47,8 @@ def test_expression_evaluator_basics():
     pi = Constant.pi_power(1)
     table = {
         "2**-1": F(1, 2),
+        "6/3": F(2),
+        "n2/n1*3": F(6),
         "pi**-2": Constant.pi_power(-2),
         "1/y": YLaurent.monomial(-1),
         "y**-2": YLaurent.monomial(-2),
@@ -62,23 +68,222 @@ def test_expression_evaluator_basics():
         assert (type(value), value) == (type(expected), expected), text
 
 
+# outside the grammar, divisions by anything but a log-free y-monomial,
+# divisions by zero, arguments outside a call's domain or of the wrong type
+# (non-integer sigma and logn arguments included), and broken syntax
+REJECTED_TEXTS = (
+    "__import__('os')", "unknown_name", "y ** y",
+    "1.5", "1 % 2", "~1", "a.b()", "max(1, 2)", "[1]",
+    "y/(y+1)", "1/ly", "(y+1)**-1",
+    "1/0", "0**-1", "1/(pi+1)", "y/(pi+1)", "sigma(1, 0)", "logn(0)", "1 +",
+    "sgn(pi)", "abs(y)", "sigma(1/2, 3)", "sigma(1, 7/2)", "logn(5/2)",
+)
+
+
 def test_expression_evaluator_rejects_unsafe():
     names = _base_names()
-    with pytest.raises(FixtureError):
-        eval_table_expr("__import__('os')", names)
-    with pytest.raises(FixtureError):
-        eval_table_expr("unknown_name", names)
-    with pytest.raises(FixtureError):
-        eval_table_expr("y ** y", names)
-    # outside the grammar, divisions by anything but a log-free y-monomial,
-    # divisions by zero, arguments outside a call's domain or of the wrong
-    # type (non-integer sigma and logn arguments included), and broken syntax
-    for text in ("1.5", "1 % 2", "~1", "a.b()", "max(1, 2)", "[1]",
-                 "y/(y+1)", "1/ly", "(y+1)**-1",
-                 "1/0", "0**-1", "1/(pi+1)", "y/(pi+1)", "sigma(1, 0)", "logn(0)", "1 +",
-                 "sgn(pi)", "abs(y)", "sigma(1/2, 3)", "sigma(1, 7/2)", "logn(5/2)"):
+    for text in REJECTED_TEXTS:
         with pytest.raises(FixtureError):
             eval_table_expr(text, names)
+
+
+# -- the tree walker the compiled texts replaced, kept as the reference --------
+
+_ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv}
+
+
+def _ref_lift(value):
+    if isinstance(value, YLaurent):
+        return value
+    if isinstance(value, (int, Fraction)):
+        value = Constant.from_rational(value)
+    if isinstance(value, Constant):
+        return YLaurent({(0, 0): value})
+    raise FixtureError(f"cannot interpret {type(value).__name__} as a polynomial")
+
+
+def _ref_reciprocal(p):
+    items = p.terms()
+    if len(items) != 1:
+        raise FixtureError("division by a non-monomial Laurent polynomial")
+    ((k, j), c), = items.items()
+    if j:
+        raise FixtureError("division by log terms")
+    return YLaurent.monomial(-k, 1 / c)
+
+
+def _ref_integer(value):
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, int):
+        return value
+    raise FixtureError(f"argument {value} is not an integer")
+
+
+def _ref_binop(op, a, b):
+    """a op b, left to right, by the evaluation rule of the fixtures module."""
+    if isinstance(op, ast.Pow):
+        if not isinstance(b, int):
+            raise FixtureError("exponent must be an integer literal")
+        if not isinstance(a, YLaurent):
+            return Fraction(a) ** b if b < 0 and isinstance(a, int) else a ** b
+        base, out = _ref_reciprocal(a) if b < 0 else a, YLaurent.one()
+        for _ in range(abs(b)):
+            out = out * base
+        return out
+    if isinstance(a, YLaurent) or isinstance(b, YLaurent):
+        a, b = _ref_lift(a), _ref_lift(b)
+        if isinstance(op, ast.Div):
+            return a * _ref_reciprocal(b)
+    elif isinstance(op, ast.Div) and isinstance(a, int):
+        a = Fraction(a)
+    return _ARITHMETIC[type(op)](a, b)
+
+
+def _reference_eval(text, names):
+    """The tree walker: parses on every call, evaluates each node as it is met."""
+    def run(node):
+        if isinstance(node, ast.Expression):
+            return run(node.body)
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, int):
+                return node.value
+            raise FixtureError(f"literal {node.value!r} not allowed")
+        if isinstance(node, ast.Name):
+            if node.id in names:
+                return names[node.id]
+            raise FixtureError(f"unknown name {node.id!r}")
+        if isinstance(node, ast.UnaryOp):
+            v = run(node.operand)
+            if isinstance(node.op, ast.USub):
+                return -v
+            if isinstance(node.op, ast.UAdd):
+                return v
+            raise FixtureError("unary operator not allowed")
+        if isinstance(node, ast.BinOp):
+            if type(node.op) not in _ALLOWED_BINOPS:
+                raise FixtureError("operator not allowed")
+            return _ref_binop(node.op, run(node.left), run(node.right))
+        if isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name):
+                raise FixtureError("only simple calls allowed")
+            fname = node.func.id
+            args = [run(a) for a in node.args]
+            if fname == "abs" and len(args) == 1:
+                return abs(args[0])
+            if fname == "sgn" and len(args) == 1:
+                return 1 if args[0] > 0 else (-1 if args[0] < 0 else 0)
+            if fname == "sigma" and len(args) == 2:
+                return sigma(_ref_integer(args[0]), abs(_ref_integer(args[1])))
+            if fname == "logn" and len(args) == 1:
+                return log_normalize(abs(_ref_integer(args[0])))
+            raise FixtureError(f"call {fname!r} not allowed")
+        raise FixtureError(f"syntax {type(node).__name__} not allowed")
+
+    try:
+        return run(ast.parse(text, mode="eval"))
+    except FixtureError:
+        raise
+    except (SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FixtureError(f"cannot evaluate {text!r}: {exc}") from exc
+
+
+def _outcome(evaluate, text, names, message):
+    """(type, value) of the result, or FixtureError and its message if asked for."""
+    try:
+        value = evaluate(text, names)
+    except FixtureError as exc:
+        return FixtureError, str(exc) if message else None
+    return type(value), value
+
+
+def _assert_as_reference(text, names, message=True):
+    assert (_outcome(eval_table_expr, text, names, message)
+            == _outcome(_reference_eval, text, names, message)), text
+
+
+# products that mix numbers, Constants and polynomials and divide by each.
+# The last two divide a polynomial by zero: the left-to-right reading names a
+# division by a non-monomial, the rational-first one a division by zero.
+MIXED_TEXTS = (
+    "6/3", "n2/n1", "6/3*pi", "pi*6/3", "y*6/3", "6/(3*y)", "2/pi*3/y*n2",
+    "ly*y/(2*y)*pi/n2", "-n1*(y+1)/2*z3/pi**2*sg1", "sigma(2, n2)/sigma(2, n1)",
+    "abs(n1-n2)*logn(12)/3", "(pi+1)*2/4", "y**2/(n1*y)**3", "z3/z2*y/3 - 1/(2*y)",
+    "126/pi**4*n1*n2/(y**3*(n1+n2)**10)", "n1*ly/(n1+n2)", "y/(n1-n1)", "pi/(n1-n1)*y",
+)
+
+
+def test_small_texts_evaluate_as_the_reference():
+    for text in REJECTED_TEXTS:
+        _assert_as_reference(text, _base_names())
+    for n1, n2 in ((1, 2), (-3, 3), (4, -2), (6, 3)):
+        for text in MIXED_TEXTS:
+            _assert_as_reference(text, _mode_names(n1=n1, n2=n2), message=False)
+
+
+def test_table_text_reaches_no_helper():
+    # text names become the parameters v0, v1, ... of the compiled function;
+    # the helpers it calls and the builtins are out of any text's reach
+    names = _mode_names(n1=1, n2=2)
+    for text in ("_P(0, 1)", "_product('', 1)", "_power(2, 3)", "_sum('+', 1, 2)",
+                 "_sigma(2, 4)", "_abs(-1)", "_product", "_power", "__builtins__",
+                 "v0", "n1 + v0", "_HELPERS", "__import__", "eval('1')", "lambda: 1"):
+        with pytest.raises(FixtureError):
+            eval_table_expr(text, names)
+        _assert_as_reference(text, names)
+    # a name that spells a helper or a parameter is just a name
+    names.update(_product=5, v0=3, v1=7)
+    for text in ("_product * 2", "v1 - v0", "v0 * n2 - n1 * v1"):
+        _assert_as_reference(text, names)
+    assert eval_table_expr("v1 - v0", names) == 4
+
+
+# (case names its printed table uses, the names of a mode of that case)
+def _names(case, n1, n2):
+    if case == "zero_mode":
+        return _base_names()
+    if case == "left":
+        return _mode_names(n=n2)
+    if case == "right":
+        return _mode_names(n=n1)
+    if case == "anti_diagonal":
+        return _mode_names(n1=n1, n2=n2, n=n2)
+    return _mode_names(n1=n1, n2=n2)  # generic, and both cases of the T-2 table
+
+
+def _embedded_texts():
+    """(text, case, compared modes) for every text the package embeds: cells,
+    prefactors, zero modes, errata and the T-2 combination table."""
+    tables = load_tables()
+    modes = {}
+    for key, fam in tables["families"].items():
+        alpha, beta, lam = key.split(",")
+        modes[key] = fixture_modes(F(alpha), F(beta), int(lam))
+        for case, section in fam.items():
+            texts = [section] if case == "zero_mode" else [section["prefactor"], *section["cells"].values()]
+            for text in texts:
+                yield text, case, modes[key][case]
+    t2 = tables["combination_T-2"]
+    for text in (t2["prefactor"], *t2["cells"].values()):
+        yield text, "generic", T2_PAIRS
+    for key, entry in tables["errata"].items():
+        family, case, _ = key.split("|")
+        if family == "combination_T-2":
+            yield entry["expr"], "generic", T2_PAIRS
+        else:
+            yield entry["expr"], case, modes[family][case]
+
+
+def test_every_embedded_text_evaluates_as_the_reference():
+    rng = random.Random(37)
+    texts = list(_embedded_texts())
+    assert len({text for text, _, _ in texts}) >= 100
+    for text, case, modes in texts:
+        drawn = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(6)]
+        for n1, n2 in [*modes, *drawn]:
+            _assert_as_reference(text, _names(case, n1, n2))
 
 
 def test_families_present():

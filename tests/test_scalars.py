@@ -130,6 +130,23 @@ def test_constant_division_and_powers():
         (PI + GAMMA).single_term()
 
 
+@pytest.mark.parametrize("c", [
+    Constant.zero(),
+    Constant.from_rational(Fraction(-3, 2)),
+    Constant.pi_power(-3, Fraction(-2, 7)),
+    Constant.pi_power(2, Fraction(3, 5)) * zeta_odd(3) * ln_prime(2),
+    PI + GAMMA + 1,
+    zeta_odd(3) - Constant.pi_power(-1, 2),
+])
+def test_power_is_repeated_multiplication(c):
+    # one-term Constants take the monomial path, the others square and multiply
+    expected = Constant.one()
+    for k in range(10):
+        assert c ** k == expected, k
+        assert_normal(c ** k)
+        expected = expected * c
+
+
 def test_monomial_ordering_deterministic():
     m = SymbolMonomial({("zeta", 5): 1, ("pi", None): -2, ("ln_prime", 3): 1, ("gamma", None): 1})
     assert repr(m) == "pi^-2*gamma*ln_prime(3)*zeta(5)"
