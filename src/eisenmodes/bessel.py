@@ -32,7 +32,7 @@ keeps pi, zeta, log and log(y) symbolic.  The solver's pi = 1 stencil is a
 separate piece of code: ``cell_stencil`` gives, once per cell, the closed
 form of the operator on y^k times the cell for every k (index sum sigma, and
 per target cell and degree offset an entry c1 * d + c0 in d = k - sigma, the
-diagonal being d(d - 1) - lam), and ``unit_column`` evaluates it at one k.
+diagonal being d(d - 1) - lam), which the solver evaluates at each unknown.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "mode_operator",
     "differentiate",
     "cell_stencil",
-    "unit_column",
 ]
 
 Cell = Tuple[int, int]
@@ -376,7 +375,7 @@ def differentiate(expr):
 
 def _check_log_cap(expr):
     for p in expr.table.values():
-        if p.max_log() >= LOG_CAP and p.has_logs():
+        if p.max_log() >= LOG_CAP:
             raise LogCapExceeded(
                 f"operator input carries log(y)^{p.max_log()} at cap {LOG_CAP}"
             )
@@ -419,11 +418,20 @@ def cell_stencil(expr: BesselProduct, cell) -> Tuple[int, Tuple]:
 
     sigma is the sum of the cell's K indices.  With d = k - sigma the image
     has d(d - 1) - lam at (cell, k), and c1 * d + c0 at (target, k + offset)
-    for each (target, offset, c1, c0) of `entries` (see ``unit_column``): the
-    k + 1 entries are linear in d and the k + 2 entries constants.  Targets
-    are folded, entries landing on one (target, offset) add up, and entries
-    that vanish for every k are dropped.  `expr` supplies only kind and
-    frequencies.
+    for each (target, offset, c1, c0) of `entries`; the exact image carries
+    q * pi^(p-k) at y^p where this one carries q.  Each factor m has index
+    i_m and c_m = 2|n_m|; with s the sum of the signed frequencies,
+    K_0' = -c K_1 and K_1' = -c K_0 - K_1/y give the closed form
+
+        d(d - 1) - lam                        at (cell, k),
+        -c_m (2d - (1 - 2 i_m))               at (cell, factor m flipped, k + 1),
+        sum of c_m^2 - 4 s^2                  at (cell, k + 2),
+        2 c_1 c_2                             at (cell, both flipped, k + 2),
+
+    the last for two factors only: the k + 1 entries are linear in d and the
+    k + 2 entries constants.  Targets are folded, entries landing on one
+    (target, offset) add up, and entries that vanish for every k are
+    dropped.  `expr` supplies only kind and frequencies.
     """
     factors = expr.factors(cell)
     mass = sum(expr.freqs)
@@ -443,33 +451,6 @@ def cell_stencil(expr: BesselProduct, cell) -> Tuple[int, Tuple]:
         linear[key] = (c1, c0 + 8 * abs_n1 * abs_n2)
     return sigma, tuple((target, offset, c1, c0)
                         for (target, offset), (c1, c0) in linear.items() if c1 or c0)
-
-
-def unit_column(lam: int, expr: BesselProduct, cell, k: int) -> Dict:
-    """The mode operator on y^k times the K factors of `cell`, with pi = 1:
-    ``cell_stencil`` evaluated at k.
-
-    Returns {(cell, p): int}; the exact image carries q * pi^(p-k) at y^p.
-    Each factor m has index i_m and c_m = 2|n_m|; with sigma the sum of the
-    indices and s the sum of the signed frequencies, K_0' = -c K_1 and
-    K_1' = -c K_0 - K_1/y give the closed form
-
-        (k - sigma)(k - sigma - 1) - lam               at (cell, k),
-        -c_m (2(k - sigma) - (1 - 2 i_m))              at (cell, factor m flipped, k + 1),
-        sum of c_m^2 - 4 s^2                           at (cell, k + 2),
-        2 c_1 c_2                                      at (cell, both flipped, k + 2),
-
-    the last for two factors only.  Targets are folded, entries landing on
-    one cell add up, and zeros are dropped.  `expr` supplies only kind and
-    frequencies.
-    """
-    cell = expr.fold(cell)
-    sigma, entries = cell_stencil(expr, cell)
-    d = k - sigma
-    column = {(cell, k): d * (d - 1) - lam}
-    for target, offset, c1, c0 in entries:
-        column[target, k + offset] = c1 * d + c0
-    return {key: q for key, q in column.items() if q}
 
 
 def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:

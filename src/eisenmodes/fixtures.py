@@ -5,27 +5,30 @@ markers) into ``data/worked_tables.json`` as restricted expression strings and
 evaluated at concrete integers at comparison time, so any typo in a source
 table stays a data-level erratum rather than code.
 
-Grammar: integers, + - * / ** and parentheses; names
+Grammar: integer literals (never True or False), + - * / ** and parentheses;
+names
 
     n1 n2 n y ly pi z2..z8 sg sg1 sg2
 
 (ly is log(y); z-even are exact pi powers, z-odd symbolic) and the calls
-abs(.), sgn(.), sigma(k, .), logn(.) = log|.| over prime logarithms; the
-arguments of sigma and logn must be integers.
+abs(.), sgn(.), sigma(k, .), logn(.) = log|.| over prime logarithms, with
+positional arguments only; the arguments of sigma and logn must be integers.
+An exponent is an integer literal, optionally signed.
 
 Evaluation rule: ints, Fractions and Constants combine as they are, through
 their own operators, and a number divided by a number is a Fraction.  Only a
 polynomial operand (a YLaurent: y, ly or anything built from them) lifts the
-other one to a YLaurent.  A polynomial divides only by a log-free y-monomial
-(``_reciprocal``), which also takes negative powers; a positive power is a
-repeated product.
+other one to a YLaurent.  A polynomial enters / and ** only as a one-term
+monomial c y^k log^j, log-free for / and for negative powers, and
+(c y^k log^j)^b is c^b y^(kb) log^(jb) (``_monomial_power``).
 
 Each text is parsed, checked against the grammar and compiled once per
-process (``_program``); every later evaluation only runs it.  A product, a
-left-leaning run of * and /, is evaluated rational-first: its numbers, then
-its Constants, then its polynomials, each kind in text order.  The ring is
-exact and a text divides only by units, so every value and its type are the
-ones the left-to-right reading gives.
+process (``_program``); every later evaluation only runs it, and the helpers
+it calls raise only on values.  A product, a left-leaning run of * and /, is
+evaluated rational-first: its numbers, then its Constants, then its
+polynomials, each kind in text order.  The ring is exact and a text divides
+only by units, so every value and its type are the ones the left-to-right
+reading gives.
 """
 
 from __future__ import annotations
@@ -60,15 +63,20 @@ class FixtureError(ValueError):
     pass
 
 
-def _reciprocal(p: YLaurent) -> YLaurent:
-    """1/p for a log-free y-monomial p, the only polynomial a table divides by."""
+def _monomial_power(p: YLaurent, b: int) -> YLaurent:
+    """p**b for a one-term p = c y^k log^j, log-free if b < 0: c^b y^(kb) log^(jb).
+
+    The only polynomial operand of ** and, as p**-1, of /; a negative power is
+    a division, and its errors say so.
+    """
     items = p.terms()
     if len(items) != 1:
-        raise FixtureError("division by a non-monomial Laurent polynomial")
+        what = "division by" if b < 0 else "power of"
+        raise FixtureError(f"{what} a non-monomial Laurent polynomial")
     ((k, j), c), = items.items()
-    if j:
+    if j and b < 0:
         raise FixtureError("division by log terms")
-    return YLaurent.monomial(-k, 1 / c)
+    return YLaurent.monomial(k * b, c ** b, log_exp=j * b)
 
 
 def _integer(value) -> int:
@@ -81,18 +89,6 @@ def _integer(value) -> int:
 
 
 # -- the helpers a compiled text calls; each applies the evaluation rule ------
-
-def _mul(a, b):
-    if isinstance(a, YLaurent) or isinstance(b, YLaurent):
-        return _as_ylaurent(a) * _as_ylaurent(b)
-    return a * b
-
-
-def _div(a, b):
-    if isinstance(a, YLaurent) or isinstance(b, YLaurent):
-        return _as_ylaurent(a) * _reciprocal(_as_ylaurent(b))
-    return (Fraction(a) if isinstance(a, int) else a) / b
-
 
 def _sum(signs: str, first, *rest):
     """first signs[0] rest[0] signs[1] rest[1] ..., left to right."""
@@ -114,28 +110,28 @@ def _rank(item) -> int:
 def _product(ops: str, *factors):
     """factors[0] ops[0] factors[1] ..., each op "*" or "/", rational-first.
 
-    The numbers come first, then the Constants, then the polynomials, each kind
-    in text order (a stable sort).  The ring is exact and a text divides only
-    by units (nonzero numbers, one-term Constants, log-free y-monomials), so
-    the value and its type are those of the left-to-right product.
+    From 1, the numbers come first, then the Constants, then the polynomials,
+    each kind in text order (a stable sort); the first polynomial lifts the
+    product so far.  The ring is exact and a text divides only by units
+    (nonzero numbers, one-term Constants, log-free y-monomials), so the value
+    and its type are those of the left-to-right product.
     """
-    (op, acc), *rest = sorted(zip("*" + ops, factors), key=_rank)
-    if op == "/":
-        acc = _div(1, acc)
-    for op, b in rest:
-        acc = _mul(acc, b) if op == "*" else _div(acc, b)
+    acc = 1
+    for op, b in sorted(zip("*" + ops, factors), key=_rank):
+        if isinstance(b, YLaurent):
+            acc = _as_ylaurent(acc) * (b if op == "*" else _monomial_power(b, -1))
+        elif op == "*":
+            acc = acc * b
+        else:
+            acc = (Fraction(acc) if isinstance(acc, int) else acc) / b
     return acc
 
 
-def _power(a, b):
-    if not isinstance(b, int):
-        raise FixtureError("exponent must be an integer literal")
-    if not isinstance(a, YLaurent):
-        return Fraction(a) ** b if b < 0 and isinstance(a, int) else a ** b
-    base, out = _reciprocal(a) if b < 0 else a, YLaurent.one()
-    for _ in range(abs(b)):
-        out = out * base
-    return out
+def _power(a, b: int):
+    """a**b; b is an integer literal (``_program``)."""
+    if isinstance(a, YLaurent):
+        return _monomial_power(a, b)
+    return Fraction(a) ** b if b < 0 and isinstance(a, int) else a ** b
 
 
 def _sgn(v) -> int:
@@ -185,7 +181,7 @@ def _program(text: str):
 
     def emit(node) -> str:
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
+            if type(node.value) is int:
                 return repr(node.value)
             raise FixtureError(f"literal {node.value!r} not allowed")
         if isinstance(node, ast.Name):
@@ -199,6 +195,11 @@ def _program(text: str):
             raise FixtureError("unary operator not allowed")
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
+                exponent = node.right  # an integer literal, optionally signed
+                if isinstance(exponent, ast.UnaryOp) and type(exponent.op) in (ast.UAdd, ast.USub):
+                    exponent = exponent.operand
+                if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
+                    raise FixtureError("exponent must be an integer literal")
                 return f"_power({emit(node.left)}, {emit(node.right)})"
             for helper, ops in (("_sum", _SUMS), ("_product", _PRODUCTS)):
                 if type(node.op) in ops:
@@ -208,6 +209,8 @@ def _program(text: str):
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name):
                 raise FixtureError("only simple calls allowed")
+            if node.keywords:
+                raise FixtureError(f"call {node.func.id!r} takes no keyword arguments")
             args = [emit(a) for a in node.args]
             helper, arity = _CALLS.get(node.func.id, (None, None))
             if len(args) != arity:
@@ -264,22 +267,17 @@ def _mode_names(n1: Optional[int] = None, n2: Optional[int] = None,
     return names
 
 
-def _as_ylaurent(value) -> YLaurent:
-    if isinstance(value, YLaurent):
-        return value
-    if isinstance(value, (int, Fraction)):
-        value = Constant.from_rational(value)
-    if isinstance(value, Constant):
-        return YLaurent({(0, 0): value})
-    raise FixtureError(f"cannot interpret {type(value).__name__} as a polynomial")
-
-
 def _as_constant(value) -> Constant:
     if isinstance(value, Constant):
         return value
     if isinstance(value, (int, Fraction)):
         return Constant.from_rational(value)
     raise FixtureError("expected a scalar value")
+
+
+def _as_ylaurent(value) -> YLaurent:
+    """A polynomial, or a scalar lifted to a constant one."""
+    return value if isinstance(value, YLaurent) else YLaurent({(0, 0): _as_constant(value)})
 
 
 _TABLES = None

@@ -206,9 +206,6 @@ class Constant:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, mono: SymbolMonomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
     def single_term(self) -> Tuple[SymbolMonomial, Fraction]:
         if len(self._terms) != 1:
             raise ValueError(f"not a single-term constant: {self!r}")

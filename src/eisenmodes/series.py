@@ -87,9 +87,6 @@ class AsymptoticSeries:
     def scale(self, factor) -> "AsymptoticSeries":
         return AsymptoticSeries(self.terms.scale(factor), self.order)
 
-    def is_zero(self) -> bool:
-        return self.terms.is_zero()
-
 
 @lru_cache(maxsize=None)
 def _harmonic(m: int) -> Fraction:

@@ -6,8 +6,8 @@ overdetermined linear system.  Its entries are rational multiples of powers
 of pi, graded by the degree shift: the image of y^k at y^p carries exactly
 pi^(p-k).  Rescaling unknowns and equations by powers of pi turns the system
 into one over Q with the same zero pattern, whose columns are the pi-free
-integer closed form ``bessel.unit_column``.  A solve builds that closed form
-once per cell (``bessel.cell_stencil``: the cell's index sum sigma and its
+integer closed form of the operator.  A solve builds that closed form once
+per cell (``bessel.cell_stencil``: the cell's index sum sigma and its
 off-diagonal entries c1 * d + c0, d = k - sigma, targets folded and merged)
 and evaluates it over its unknowns straight into a row-major system
 {row: {column index: int}}, zero entries dropped: a resonant unknown has no
@@ -89,9 +89,6 @@ __all__ = [
 class DegreeWindow:
     m: int
     M: int
-
-    def powers(self):
-        return range(self.m, self.M + 1)
 
 
 class NoSolutionInWindow(Exception):
@@ -331,12 +328,12 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr, cells, case: str):
     pi-graded: the image of y^k (times a Bessel cell) at y^p is a rational q
     times pi^(p-k).  Scaling unknown (cell, k) by pi^k and row (cell, p) by
     pi^-p therefore leaves a rational matrix with the zero pattern of the
-    original, whose column (cell, k) is the operator with pi = 1
-    (``unit_column``).  Each cell's ``cell_stencil`` is built once and
-    evaluated over its unknowns into the row-major system {row: {u: int}},
-    u the unknown's index in (degree, cell) order, and entries that are zero
-    at that degree (the diagonal of a resonant unknown) are not stored, so
-    the rows are those of the nonzero column entries and the source rows.
+    original, whose column (cell, k) is the operator with pi = 1.  Each
+    cell's ``cell_stencil`` is built once and evaluated over its unknowns
+    into the row-major system {row: {u: int}}, u the unknown's index in
+    (degree, cell) order, and entries that are zero at that degree (the
+    diagonal of a resonant unknown) are not stored, so the rows are those of
+    the nonzero column entries and the source rows.
     ``_recurrence`` solves it; where it raises NoSolutionInWindow, the error
     is raised again with the windows.  Each flat source term q pi^e rest at
     y^p (over the source's den) becomes the int q of direction (rest, e - p)

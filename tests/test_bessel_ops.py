@@ -22,7 +22,6 @@ from eisenmodes.bessel import (
     expr_latex,
     expr_to_json_obj,
     k_index_table,
-    unit_column,
 )
 from eisenmodes.laurent import LOG_CAP, LogCapExceeded, YLaurent
 from eisenmodes.numerics import (
@@ -422,7 +421,8 @@ def test_operator_images_are_pi_graded():
                     cells = (0, 1) if isinstance(core, SingleBessel) else {
                         core.fold((i, j)) for i in (0, 1) for j in (0, 1)}
                     for cell in cells:
-                        for k in _source_window(r, FlatExpr.of(core)).powers():
+                        window = _source_window(r, FlatExpr.of(core))
+                        for k in range(window.m, window.M + 1):
                             if (lam, core.freqs, cell, k) not in checked:
                                 checked.add((lam, core.freqs, cell, k))
                                 check(lam, core.with_table({cell: YLaurent.monomial(k)}), cell, k)
@@ -430,7 +430,65 @@ def test_operator_images_are_pi_graded():
     assert not violations, violations[:5]
 
 
-def test_unit_column_matches_symbolic_operator():
+class _Captured(Exception):
+    pass
+
+
+def solver_columns(lam, expr, ks):
+    """{(cell, k): {(target, p): int}}: the columns the solver assembles for
+    y^k times each (folded) cell of expr's kind, k in ks, both parity classes.
+
+    Each solve gets the window [min(ks), max(ks)] on every cell and a one-term
+    source of one parity class; its system is captured, as it reaches
+    ``solver._recurrence``, and transposed.
+    """
+    from unittest import mock
+
+    from eisenmodes import solver
+    from eisenmodes.sources import Normalization, Params
+
+    columns = {}
+
+    def capture(system, rhs_rows, scales, col_order, row_order):
+        columns.update(columns_of(system, col_order))
+        raise _Captured
+
+    params = Params(Fraction(3, 2), Fraction(3, 2), lam, Normalization.UNIT)
+    solve, cell = ((solver.solve_particular_single, 0) if isinstance(expr, SingleBessel)
+                   else (solver.solve_particular_double, (0, 0)))
+    window = solver.DegreeWindow(min(ks), max(ks))
+    with mock.patch.object(solver, "_recurrence", capture), \
+            mock.patch.object(solver, "_source_window", lambda r, rhs: window):
+        for parity in (0, 1):
+            with pytest.raises(_Captured):
+                solve(params, expr.with_table({cell: YLaurent.monomial(parity)}))
+    return columns
+
+
+def columns_of(system, col_order):
+    """A row-major system {row: {u: int}} as its columns {col_order[u]: {row: int}}."""
+    columns = {col: {} for col in col_order}
+    for row, entries in system.items():
+        for u, q in entries.items():
+            columns[col_order[u]][row] = q
+    return columns
+
+
+def operator_column(lam, expr, cell, k):
+    """The apply_P / apply_L image of y^k times `cell` of expr's kind, as
+    {(target, p, log power): Constant}."""
+    operator = apply_L if isinstance(expr, SingleBessel) else apply_P
+    image = operator(lam, expr.with_table({cell: YLaurent.monomial(k)}))
+    return {(target, p, j): const
+            for target, poly in image.table.items() for (p, j), const in poly.terms().items()}
+
+
+def pi_restored(column, k):
+    """A pi-free column of y^k with pi^(p - k) restored at each y^p."""
+    return {(c, p, 0): Constant.pi_power(p - k, q) for (c, p), q in column.items()}
+
+
+def test_solver_columns_match_symbolic_operator():
     # The solver assembles its columns from the pi-free stencil; restoring
     # pi^(p-k) at y^p must give the symbolic apply_P / apply_L image of the
     # unit monomial, over the whole grid and for every (folded) cell.
@@ -440,24 +498,10 @@ def test_unit_column_matches_symbolic_operator():
     mismatches = []
     for lam in (2, 6, 12, 20, 30):
         for expr in exprs:
-            if isinstance(expr, DoubleBessel):
-                operator = apply_P
-                cells = sorted({expr.fold((i, j)) for i in (0, 1) for j in (0, 1)})
-            else:
-                operator, cells = apply_L, [0, 1]
-            for cell in cells:
-                for k in range(-8, 6):
-                    image = operator(lam, expr.with_table({cell: YLaurent.monomial(k)}))
-                    expected = {
-                        (ocell, p, j): const
-                        for ocell, poly in image.table.items()
-                        for (p, j), const in poly.terms().items()
-                    }
-                    column = unit_column(lam, expr, cell, k)
-                    got = {(c, p, 0): Constant.pi_power(p - k, q) for (c, p), q in column.items()}
-                    checked += 1
-                    if got != expected:
-                        mismatches.append((lam, expr.freqs, cell, k))
+            for (cell, k), column in solver_columns(lam, expr, range(-8, 6)).items():
+                checked += 1
+                if pi_restored(column, k) != operator_column(lam, expr, cell, k):
+                    mismatches.append((lam, expr.freqs, cell, k))
     assert checked == 1540
     assert not mismatches, mismatches[:5]
 
@@ -472,25 +516,17 @@ _signed_freq = hst.integers(1, 300).flatmap(lambda n: hst.sampled_from([n, -n]))
     n2=_signed_freq,
     shape=hst.sampled_from(["double", "merged", "single"]),
 )
-def test_unit_column_closed_form_is_the_symbolic_operator(r, n1, n2, shape):
-    # the closed-form stencil with pi^(p-k) restored at y^p is the apply_P /
+def test_solver_column_closed_form_is_the_symbolic_operator(r, n1, n2, shape):
+    # the solver's columns with pi^(p-k) restored at y^p are the apply_P /
     # apply_L image of y^k times the cell, on every (folded) cell and k in
     # [-12, 12], merged (|n1| = |n2|) and single-Bessel modes included
     lam = r * (r + 1)
     if shape == "single":
-        expr, operator, cells = SingleBessel(n1), apply_L, [0, 1]
+        expr, cells = SingleBessel(n1), [0, 1]
     else:
         expr = DoubleBessel(n1, n2 if shape == "double" else (abs(n1) if n2 > 0 else -abs(n1)))
-        operator = apply_P
         cells = sorted({expr.fold((i, j)) for i in (0, 1) for j in (0, 1)})
-    for cell in cells:
-        for k in range(-12, 13):
-            image = operator(lam, expr.with_table({cell: YLaurent.monomial(k)}))
-            expected = {
-                (ocell, p, j): const
-                for ocell, poly in image.table.items()
-                for (p, j), const in poly.terms().items()
-            }
-            column = unit_column(lam, expr, cell, k)
-            got = {(c, p, 0): Constant.pi_power(p - k, q) for (c, p), q in column.items()}
-            assert got == expected, (cell, k)
+    columns = solver_columns(lam, expr, range(-12, 13))
+    assert sorted(columns) == sorted((cell, k) for cell in cells for k in range(-12, 13))
+    for (cell, k), column in columns.items():
+        assert pi_restored(column, k) == operator_column(lam, expr, cell, k), (cell, k)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from eisenmodes.bessel import (
-    DoubleBessel, FlatExpr, Pure, _flatten, apply_euler, apply_L, apply_P,
-    expr_to_json_obj, unit_column,
+    DoubleBessel, FlatExpr, Pure, _flatten, apply_euler, apply_L, apply_P, expr_to_json_obj,
 )
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
@@ -25,6 +24,7 @@ from eisenmodes.solver import (
     solve_zero_mode,
 )
 from eisenmodes.sources import Normalization, Params, classify_params, source_term
+from test_bessel_ops import columns_of, operator_column, pi_restored
 
 F = Fraction
 
@@ -103,9 +103,10 @@ def _json(expr):
 
 def test_row_major_system_is_the_closed_form_columns_transposed(monkeypatch):
     # on the derived windows of every solvable family and mode kind, the
-    # system assembled from the per-cell stencil is the unit_column columns
-    # transposed; no zero entry is kept, and a resonant unknown (d(d - 1) =
-    # lam, d = k - sigma) has no diagonal entry, so its row is no new equation
+    # system assembled from the per-cell stencil is the symbolic operator's
+    # columns, pi^(p - k) restored at y^p, transposed; no zero entry is kept,
+    # and a resonant unknown (d(d - 1) = lam, d = k - sigma) has no diagonal
+    # entry, so its row is no new equation
     import eisenmodes.solver as solver_mod
 
     systems = []
@@ -121,8 +122,9 @@ def test_row_major_system_is_the_closed_form_columns_transposed(monkeypatch):
         systems.clear()
         solve(p, core)
         (system, _, _, col_order, _), = systems
-        assert system == _rows_of({col: unit_column(p.lam, core, *col) for col in col_order},
-                                  col_order), (p, n1, n2)
+        for (cell, k), column in columns_of(system, col_order).items():
+            assert pi_restored(column, k) == operator_column(p.lam, core, cell, k), \
+                (p, n1, n2, cell, k)
         assert all(q for entries in system.values() for q in entries.values()), (p, n1, n2)
         resonant = []
         for u, (cell, k) in enumerate(col_order):
