@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -95,16 +96,20 @@ class BesselProduct:
     def map_cells(self, fn):
         return self.with_table({c: fn(p) for c, p in self.table.items()})
 
-    def __add__(self, other):
+    def _merged(self, other, op):
+        """self op other, cell by cell, for op ``operator.add`` or ``operator.sub``."""
         if self.freqs != other.freqs:
             raise ValueError("frequency mismatch")
         table = dict(self.table)
         for c, p in other.table.items():
-            table[c] = table[c] + p if c in table else p
+            table[c] = op(table[c], p) if c in table else p if op is add else -p
         return self.with_table(table)
 
+    def __add__(self, other):
+        return self._merged(other, add)
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._merged(other, sub)
 
     def scale(self, factor):
         return self.map_cells(lambda p: p.scale(factor))
@@ -257,7 +262,8 @@ def k_index_table(m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _times_pi(mono: SymbolMonomial, e: int) -> SymbolMonomial:
-    """mono * pi^e; the operators meet a handful of monomials per process."""
+    """mono * pi^e; the operators and ``series.k_log_series`` meet a handful
+    of monomials per process."""
     return mono * SymbolMonomial({SYM_PI: e})
 
 

@@ -17,6 +17,7 @@ closed form is returned (see :class:`RamanujanSum`).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -59,16 +60,17 @@ def sigma(z: int, n: int) -> Fraction:
 def sigma_float_table(z: int, limit: int) -> memoryview:
     """table[n] = float(sigma_z(n)) for 1 <= n <= limit, via a divisor sieve.
 
-    Memoized: each (z, limit) is sieved once per process.  The table is a
-    view of doubles in an immutable bytes object, so no caller can change
-    what the next one reads; writing to it raises TypeError.
+    Memoized: each (z, limit) is sieved once per process.  The sieve runs on
+    a list of floats, which is then frozen once: the table is a view of
+    doubles in an immutable bytes object, so no caller can change what the
+    next one reads; writing to it raises TypeError.
     """
-    table = memoryview(bytearray(8 * (limit + 1))).cast("d")
+    table = [0.0] * (limit + 1)
     for d in range(1, limit + 1):
         dz = float(d) ** z
         for m in range(d, limit + 1, d):
             table[m] += dz
-    return memoryview(table.tobytes()).cast("d")
+    return memoryview(array("d", table).tobytes()).cast("d")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from operator import add, sub
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .scalars import Constant, Symbol, _json_int
+from .scalars import Constant, Symbol, _add_product, _json_int
 
 __all__ = ["YLaurent", "LogCapExceeded", "LOG_CAP"]
 
@@ -99,25 +100,30 @@ class YLaurent:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "YLaurent") -> "YLaurent":
+    def _merged(self, other: "YLaurent", op) -> "YLaurent":
+        """self op other, term by term, for op ``operator.add`` or
+        ``operator.sub``; the zeros it leaves are dropped."""
         terms = dict(self._terms)
         for key, c in other._terms.items():
             prev = terms.get(key)
             if prev is None:
-                terms[key] = c
+                terms[key] = c if op is add else -c
             else:
-                val = prev + c
+                val = op(prev, c)
                 if val.is_zero():
                     del terms[key]
                 else:
                     terms[key] = val
         return YLaurent._trusted(terms)
 
+    def __add__(self, other: "YLaurent") -> "YLaurent":
+        return self._merged(other, add)
+
     def __neg__(self) -> "YLaurent":
         return YLaurent._trusted({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "YLaurent") -> "YLaurent":
-        return self + (-other)
+        return self._merged(other, sub)
 
     def scale(self, factor) -> "YLaurent":
         """Multiply by an int, Fraction or Constant; the constants form an
@@ -134,8 +140,11 @@ class YLaurent:
         return self.mul_truncated(other, order=None)
 
     def mul_truncated(self, other: "YLaurent", order: int | None) -> "YLaurent":
-        """Product, optionally dropping terms with y exponent >= order."""
-        out: Dict[TermKey, Constant] = {}
+        """Product, optionally dropping terms with y exponent >= order.
+
+        The monomial products of all the pairs that land on one (k, j) are
+        summed into one dict, and one Constant is built per key."""
+        out: Dict[TermKey, dict] = {}
         for (k1, j1), c1 in self._terms.items():
             for (k2, j2), c2 in other._terms.items():
                 k = k1 + k2
@@ -144,11 +153,12 @@ class YLaurent:
                 j = j1 + j2
                 if j > LOG_CAP:
                     raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
-                key = (k, j)
-                prod = c1 * c2
-                prev = out.get(key)
-                out[key] = prod if prev is None else prev + prod
-        return YLaurent._trusted({key: c for key, c in out.items() if not c.is_zero()})
+                sums = out.get((k, j))
+                if sums is None:
+                    sums = out[k, j] = {}
+                _add_product(sums, c1, c2)
+        products = ((key, Constant._of_sums(sums)) for key, sums in out.items())
+        return YLaurent._trusted({key: c for key, c in products if not c.is_zero()})
 
     def diff(self) -> "YLaurent":
         """d/dy, with d/dy[y^k log^j y] = k y^(k-1) log^j + j y^(k-1) log^(j-1)."""

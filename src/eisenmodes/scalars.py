@@ -13,6 +13,19 @@ back to a rational times a monomial of this ring.
 
 Constructors validate and normalise their input; ring operations on normal
 operands build their results without a second pass (``Constant._trusted``).
+A sum of many products, such as a truncated series product, adds the
+monomial products of all its pairs into one dict and builds one Constant
+from it (``_add_product``, ``Constant._of_sums``).
+
+``SymbolMonomial`` products and powers, and each monomial's sort key and
+JSON symbol names, are memoized for the life of the process
+(``_monomial_product``, ``_monomial_power``, ``_sort_key``, ``_json_names``),
+as ``bessel._times_pi`` is: the checks of a mode meet the same few
+monomials again and again.  That is safe because a monomial is an immutable
+tuple and the cached values are tuples too.  Each cache grows by one entry
+per distinct pair of operands (or monomial, for the last two) a process
+touches: a seed-1 run of perfbench's ``sweep`` workload leaves 1326 product
+entries, one of ``tables`` 372.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 __all__ = [
@@ -123,13 +137,10 @@ class SymbolMonomial(tuple):
             return self
         if not self:
             return other
-        exps = dict(self)
-        for sym, e in other:
-            exps[sym] = exps.get(sym, 0) + e
-        return SymbolMonomial(exps)
+        return _monomial_product(self, other)
 
     def __pow__(self, k: int) -> "SymbolMonomial":
-        return SymbolMonomial({s: e * k for s, e in self})
+        return _monomial_power(self, k)
 
     def inverse(self) -> "SymbolMonomial":
         return self ** -1
@@ -142,7 +153,31 @@ class SymbolMonomial(tuple):
         )
 
     def sort_key(self):
-        return tuple((_symbol_key(s), e) for s, e in self)
+        return _sort_key(self)
+
+
+@lru_cache(maxsize=None)
+def _monomial_product(a: SymbolMonomial, b: SymbolMonomial) -> SymbolMonomial:
+    exps = dict(a)
+    for sym, e in b:
+        exps[sym] = exps.get(sym, 0) + e
+    return SymbolMonomial(exps)
+
+
+@lru_cache(maxsize=None)
+def _monomial_power(mono: SymbolMonomial, k: int) -> SymbolMonomial:
+    return SymbolMonomial({s: e * k for s, e in mono})
+
+
+@lru_cache(maxsize=None)
+def _sort_key(mono: SymbolMonomial):
+    return tuple((_symbol_key(s), e) for s, e in mono)
+
+
+@lru_cache(maxsize=None)
+def _json_names(mono: SymbolMonomial) -> Tuple[Tuple[str, int], ...]:
+    """The (symbol text, exponent) pairs of ``to_json_obj``'s "monomial" object."""
+    return tuple((_symbol_str(s), e) for s, e in mono)
 
 
 _ONE_MONOMIAL = SymbolMonomial()
@@ -175,6 +210,12 @@ class Constant:
         obj = object.__new__(cls)
         obj._terms = terms
         return obj
+
+    @classmethod
+    def _of_sums(cls, sums: Dict[SymbolMonomial, Fraction]) -> "Constant":
+        """The Constant of a dict of Fraction sums, such as ``_add_product``
+        fills, without its zero sums."""
+        return cls._trusted({m: c for m, c in sums.items() if c})
 
     # -- constructors ------------------------------------------------------
 
@@ -213,19 +254,24 @@ class Constant:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "Constant":
+    def _merged(self, other, op) -> "Constant":
+        """self op other, monomial by monomial, for op ``operator.add`` or
+        ``operator.sub``; the zeros it leaves are dropped."""
         terms = dict(self._terms)
         for m, c in _coerce_constant(other)._terms.items():
             prev = terms.get(m)
             if prev is None:
-                terms[m] = c
+                terms[m] = c if op is add else -c
             else:
-                val = prev + c
+                val = op(prev, c)
                 if val:
                     terms[m] = val
                 else:
                     del terms[m]
         return Constant._trusted(terms)
+
+    def __add__(self, other) -> "Constant":
+        return self._merged(other, add)
 
     __radd__ = __add__
 
@@ -233,10 +279,10 @@ class Constant:
         return Constant._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Constant":
-        return self + (-_coerce_constant(other))
+        return self._merged(other, sub)
 
     def __rsub__(self, other) -> "Constant":
-        return _coerce_constant(other) + (-self)
+        return _coerce_constant(other) - self
 
     def __mul__(self, other) -> "Constant":
         if isinstance(other, (int, Fraction)):
@@ -249,12 +295,8 @@ class Constant:
             (m2, c2), = other._terms.items()
             return Constant._trusted({m1 * m2: c1 * c2 for m1, c1 in self._terms.items()})
         out: Dict[SymbolMonomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                prev = out.get(m)
-                out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return Constant._trusted({m: c for m, c in out.items() if c})
+        _add_product(out, self, other)
+        return Constant._of_sums(out)
 
     __rmul__ = __mul__
 
@@ -331,7 +373,7 @@ class Constant:
         for mono, coeff in sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()):
             out.append(
                 {
-                    "monomial": {_symbol_str(s): e for s, e in mono.items()},
+                    "monomial": dict(_json_names(mono)),
                     "coeff": f"{coeff.numerator}/{coeff.denominator}",
                 }
             )
@@ -353,6 +395,17 @@ class Constant:
                 raise ValueError(f"zero denominator in coefficient {coeff!r}")
             terms[mono] = terms.get(mono, Fraction(0)) + Fraction(int(num), int(den))
         return cls(terms)
+
+
+def _add_product(sums: Dict[SymbolMonomial, Fraction], a: Constant, b: Constant) -> None:
+    """Add every monomial product of a * b into `sums`, which may then hold
+    zeros; ``Constant._of_sums`` drops them.  A product of many Constants
+    summed this way builds no Constant per pair."""
+    for m1, c1 in a._terms.items():
+        for m2, c2 in b._terms.items():
+            m = m1 * m2
+            prev = sums.get(m)
+            sums[m] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 def _coerce_constant(value) -> Constant:

@@ -16,11 +16,15 @@ frequencies, so the same (index, |n|, order) series is asked for again and
 again.  That is safe because all three are pure functions of ints and their
 results are never written to (``YLaurent`` operations return new objects, and
 ``k_flat_series`` returns tuples).  Each cache grows by one entry per distinct
-argument triple a process touches.  ``k_flat_series`` holds the K_0/K_1
-series of ``k_log_series`` written from the closed form without Constant
-arithmetic, already in the split form its products read: a tuple of
-(y_exp, log_exp, pi exponent, pi-free rest, int) in increasing y_exp, and one
-denominator.
+argument triple a process touches.  ``k_log_series`` builds each
+coefficient directly from the closed form of these expansions: pi^k times a
+rational for the log(y) term, and pi^k times a rational times l plus pi^k
+times a rational for the other, where l = log(pi) + gamma + log|n| is summed
+once per |n| (``_log_terms``, memoized the same way).  No power of z^2/4 and
+no Constant division is formed per term.  ``k_flat_series`` holds the same
+series written from the closed form without Constant arithmetic, already in
+the split form its products read: a tuple of (y_exp, log_exp, pi exponent,
+pi-free rest, int) in increasing y_exp, and one denominator.
 
 ``flat_small_y_series`` is ``small_y_series`` in ints on the flat value of a
 Bessel product (``bessel.FlatExpr``, key (cell, y power, log power, pi
@@ -40,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import itemgetter
 
-from .bessel import BesselProduct, FlatExpr, HomBasis
+from .bessel import BesselProduct, FlatExpr, HomBasis, _times_pi
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import (
     GAMMA,
@@ -88,60 +92,6 @@ class AsymptoticSeries:
         return AsymptoticSeries(self.terms.scale(factor), self.order)
 
 
-@lru_cache(maxsize=None)
-def _harmonic(m: int) -> Fraction:
-    return Fraction(0) if m == 0 else _harmonic(m - 1) + Fraction(1, m)
-
-
-def _log_z_half(n: int) -> Constant:
-    """log(z/2) - log(y) for z = 2 pi |n| y, i.e. log(pi) + log|n|."""
-    return LN_PI + log_normalize(abs(n))
-
-
-@lru_cache(maxsize=None)
-def k_log_series(j: int, n: int, order: int) -> YLaurent:
-    """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1})."""
-    if j not in (0, 1):
-        raise ValueError("index must be 0 or 1")
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    u = Constant.pi_power(2, n * n)  # (z/2)^2 / y^2
-    l0 = _log_z_half(n) + GAMMA
-    terms = {}
-
-    def add(key, c):
-        terms[key] = terms.get(key, Constant.zero()) + c
-
-    if j == 0:
-        # -(L + gamma + log y) I_0 + correction
-        m = 0
-        while 2 * m < order:
-            im = (u**m) / (Fraction(math.factorial(m)) ** 2)
-            add((2 * m, 1), -im)
-            add((2 * m, 0), -im * l0)
-            if m >= 1:
-                add((2 * m, 0), im * _harmonic(m))
-            m += 1
-    else:
-        inv2pin = Constant.pi_power(-1, Fraction(1, 2 * abs(n)))
-        add((-1, 0), inv2pin)
-        m = 0
-        while 2 * m + 1 < order:
-            # I_1 piece: (z/2) u^m / (m! (m+1)!)
-            base = Constant.pi_power(1, abs(n)) * (u**m) / Fraction(
-                math.factorial(m) * math.factorial(m + 1)
-            )
-            add((2 * m + 1, 1), base)
-            add((2 * m + 1, 0), base * l0)
-            # correction: -(z/4)(H_m + H_{m+1}) u^m / (m!(m+1)!)
-            corr = Constant.pi_power(1, Fraction(abs(n), 2)) * (u**m) * (
-                _harmonic(m) + _harmonic(m + 1)
-            ) / Fraction(math.factorial(m) * math.factorial(m + 1))
-            add((2 * m + 1, 0), -corr)
-            m += 1
-    return YLaurent(terms).truncate(order)
-
-
 _ONE = SymbolMonomial()
 _GAMMA = SymbolMonomial({SYM_GAMMA: 1})
 _LN_PI = SymbolMonomial({SYM_LN_PI: 1})
@@ -149,21 +99,67 @@ _y_exp = itemgetter(0)
 
 
 @lru_cache(maxsize=None)
-def k_flat_series(j: int, n: int, order: int):
-    """``k_log_series(j, n, order)`` as ((y_exp, log_exp, pi exponent, rest, int), ...), den.
+def _harmonic(m: int) -> Fraction:
+    return Fraction(0) if m == 0 else _harmonic(m - 1) + Fraction(1, m)
 
-    Written straight from the closed form, with no Constant arithmetic: with
-    N = |n| and l = log(pi) + gamma + sum e_p log(p) over N = prod p^e_p,
+
+@lru_cache(maxsize=None)
+def _log_terms(N: int):
+    """The (monomial, coefficient) pairs of l = log(pi) + gamma + log N, which
+    is log(z/2) - log(y) + gamma for z = 2 pi N y, log N over prime logs."""
+    return tuple((LN_PI + log_normalize(N) + GAMMA).terms().items())
+
+
+@lru_cache(maxsize=None)
+def k_log_series(j: int, n: int, order: int) -> YLaurent:
+    """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1}).
+
+    Each coefficient is written straight from the closed form: with N = |n|
+    and l = log(pi) + gamma + sum e_p log(p) over N = prod p^e_p,
 
         K_0: y^{2m} pi^{2m} N^{2m} / (m!)^2 * (-log y - l + H_m),
         K_1: y^{-1} / (2 pi N)
              + y^{2m+1} pi^{2m+1} N^{2m+1} / (m! (m+1)!)
                * (log y + l - (H_m + H_{m+1}) / 2),
 
-    for y exponents below order, in increasing y exponent.  Each term's
-    monomial is split as ``_mul_flat`` reads it, a pi exponent and the pi-free
-    rest; each int is its coefficient times den, the lcm of the coefficients'
-    denominators, as ``bessel._flatten`` writes them.
+    for y exponents k below order: the log y coefficient is pi^k times a
+    rational, the other pi^k times that rational times l (``_log_terms``)
+    plus pi^k times a rational.
+    """
+    if j not in (0, 1):
+        raise ValueError("index must be 0 or 1")
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    N = abs(n)
+    logs = _log_terms(N)
+    terms = {}
+    if j == 1 and order > -1:
+        terms[-1, 0] = Constant.pi_power(-1, Fraction(1, 2 * N))
+    for m in range((order - j + 1) // 2):  # the m with 2m + j < order
+        k = 2 * m + j
+        r = Fraction(N**k, math.factorial(m) * math.factorial(m + j))
+        if j == 0:
+            a, h = -r, r * _harmonic(m)
+        else:
+            a, h = r, -r * (_harmonic(m) + _harmonic(m + 1)) / 2
+        pi_k = _times_pi(_ONE, k)
+        value = {_times_pi(mono, k): a * c for mono, c in logs}
+        if h:
+            value[pi_k] = h
+        terms[k, 1] = Constant._trusted({pi_k: a})
+        terms[k, 0] = Constant._trusted(value)
+    return YLaurent._trusted(terms)
+
+
+@lru_cache(maxsize=None)
+def k_flat_series(j: int, n: int, order: int):
+    """``k_log_series(j, n, order)`` as ((y_exp, log_exp, pi exponent, rest, int), ...), den.
+
+    Written from the closed form of ``k_log_series`` with no Constant
+    arithmetic, in increasing y exponent.  Each term's monomial is split as
+    ``_mul_flat`` reads it, a pi exponent and the pi-free rest; each int is
+    its coefficient times den, the lcm of the coefficients' denominators, as
+    ``bessel._flatten`` writes them.
     """
     if j not in (0, 1):
         raise ValueError("index must be 0 or 1")
@@ -200,14 +196,6 @@ def k_flat_series(j: int, n: int, order: int):
     return tuple((*key, c // g) for *key, c in terms), den // g
 
 
-@lru_cache(maxsize=None)
-def _rest_product(ra, rb) -> SymbolMonomial:
-    """The product of two pi-free monomial rests, memoized like
-    ``bessel._times_pi``: 300 sweep modes and a decay assembly meet about a
-    hundred pairs."""
-    return ra * rb
-
-
 def _mul_flat(a, b, order: int):
     """The product of two flat term lists [(k, j, pi exponent, rest, int)], b
     in increasing k, without the terms at y^order and above."""
@@ -220,8 +208,7 @@ def _mul_flat(a, b, order: int):
             j = ja + jb
             if j > LOG_CAP:
                 raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
-            rest = rb if not ra else ra if not rb else _rest_product(ra, rb)
-            key = (k, j, ea + eb, rest)
+            key = (k, j, ea + eb, ra * rb)
             out[key] = out.get(key, 0) + ca * cb
     return out
 

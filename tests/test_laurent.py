@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from eisenmodes.laurent import LogCapExceeded, YLaurent
+from eisenmodes.laurent import LOG_CAP, LogCapExceeded, YLaurent
 from eisenmodes.numerics import NumericEnv
-from eisenmodes.scalars import Constant, zeta_odd
+from eisenmodes.scalars import GAMMA, LN_PI, Constant, ln_prime, zeta_odd
 
 ENV = NumericEnv()
 
@@ -126,3 +128,48 @@ def test_latex_contains_terms():
     p = YLaurent.monomial(-3, Constant.pi_power(-4, Fraction(126))) + YLaurent.monomial(0, 1, log_exp=1)
     text = p.latex()
     assert "y^{-3}" in text and r"\log(y)" in text
+
+
+_UNITS = (Constant.one(), Constant.pi_power(-2), Constant.pi_power(3), zeta_odd(3), GAMMA,
+          LN_PI * ln_prime(2), Constant.pi_power(1) * GAMMA)
+_constants = hst.lists(
+    hst.tuples(hst.sampled_from(_UNITS), hst.fractions(-3, 3, max_denominator=3)),
+    min_size=1, max_size=4,
+).map(lambda pairs: sum((unit * q for unit, q in pairs), Constant.zero()))
+_laurents = hst.dictionaries(
+    hst.tuples(hst.integers(-3, 3), hst.sampled_from((0, 0, 0, 1, 1, LOG_CAP))), _constants,
+    min_size=1, max_size=6,
+).map(YLaurent)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(a=_laurents, b=_laurents, order=hst.one_of(hst.none(), hst.integers(-8, 8)))
+def test_fused_mul_truncated_is_the_constant_double_loop(a, b, order):
+    # the reference multiplies and adds Constants pair by pair, then truncates;
+    # a pair below the order whose log powers pass the cap raises
+    out, over_cap = {}, False
+    for (k1, j1), c1 in a.terms().items():
+        for (k2, j2), c2 in b.terms().items():
+            key = (k1 + k2, j1 + j2)
+            over_cap |= key[1] > LOG_CAP and (order is None or key[0] < order)
+            out[key] = out.get(key, Constant.zero()) + c1 * c2
+    if over_cap:
+        with pytest.raises(LogCapExceeded):
+            a.mul_truncated(b, order)
+        return
+    expected = YLaurent({key: c for key, c in out.items() if key[1] <= LOG_CAP})
+    if order is not None:
+        expected = expected.truncate(order)
+    product = a.mul_truncated(b, order)
+    assert product == expected
+    assert_normal(product)
+    if order is None:
+        assert a * b == expected
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(a=_laurents, b=_laurents)
+def test_difference_is_the_sum_with_the_negation(a, b):
+    assert a - b == a + (-b)
+    assert_normal(a - b)
+    assert (a - a).is_zero()

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from eisenmodes.scalars import (
     GAMMA,
@@ -176,3 +178,46 @@ def test_zeta_prime_symbolic():
     c = zeta_prime(8)
     v = c.evaluate(ENV)
     assert v < 0  # zeta is decreasing at 8
+
+
+# The memoized monomial kernel against its definitions, written here without
+# a memo: the product and power merge exponent dicts, drop the zeros and sort
+# by symbol; JSON lists a Constant's monomials in the order of that sort key.
+_KINDS = ("pi", "gamma", "ln_pi", "ln_prime", "zeta", "zeta_prime")
+_SYMBOLS = (("pi", None), ("gamma", None), ("ln_pi", None), ("ln_prime", 2), ("ln_prime", 3),
+            ("ln_prime", 7), ("zeta", 3), ("zeta", 5), ("zeta_prime", -2), ("zeta_prime", 3))
+_monomials = hst.dictionaries(hst.sampled_from(_SYMBOLS), hst.integers(-3, 3), max_size=5).map(
+    SymbolMonomial)
+
+
+def _plain_key(mono):
+    return tuple(((_KINDS.index(kind), -1 if arg is None else arg), e) for (kind, arg), e in mono)
+
+
+def _by_definition(exponents):
+    return tuple(sorted(((s, e) for s, e in exponents.items() if e),
+                        key=lambda pair: _plain_key([pair])))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a=_monomials, b=_monomials, k=hst.integers(-3, 3))
+def test_memoized_monomial_product_and_power_are_the_merge_then_sort(a, b, k):
+    merged = dict(a)
+    for sym, e in b:
+        merged[sym] = merged.get(sym, 0) + e
+    for _ in range(2):  # the first call may fill the memo, the second reads it
+        assert type(a * b) is SymbolMonomial and a * b == _by_definition(merged)
+        assert type(a ** k) is SymbolMonomial
+        assert a ** k == _by_definition({sym: e * k for sym, e in a})
+        assert a.sort_key() == _plain_key(a)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(terms=hst.dictionaries(_monomials, hst.fractions(-5, 5, max_denominator=6), max_size=6))
+def test_json_orders_monomials_by_the_unmemoized_key(terms):
+    c = Constant(terms)
+    expected = sorted((m for m, q in terms.items() if q), key=_plain_key)
+    text = lambda kind, arg: kind if arg is None else f"{kind}({arg})"
+    for _ in range(2):
+        assert [list(entry["monomial"].items()) for entry in c.to_json_obj()] == [
+            [(text(*sym), e) for sym, e in m] for m in expected]

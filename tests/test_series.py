@@ -6,7 +6,7 @@ import pytest
 from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel, _flatten
 from eisenmodes.laurent import YLaurent
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, eval_hom_normalized
-from eisenmodes.scalars import Constant
+from eisenmodes.scalars import GAMMA, LN_PI, Constant, log_normalize
 from eisenmodes.series import (
     AsymptoticSeries,
     hom_norm_series,
@@ -38,6 +38,57 @@ def test_cached_series_equal_uncached():
         for n in (1, 2, 5):
             for order in range(-r, 7):
                 assert hom_norm_series(r, n, order) == hom_norm_series.__wrapped__(r, n, order)
+
+
+def _k_log_series_oracle(j, n, order):
+    """K_j(2 pi |n| y) through y^(order - 1) in Constant arithmetic, from the
+    expansions of the series module docstring with u = (z/2)^2 / y^2."""
+    harmonic = lambda m: sum((Fraction(1, i) for i in range(1, m + 1)), Fraction(0))
+    u = Constant.pi_power(2, n * n)
+    l0 = LN_PI + log_normalize(abs(n)) + GAMMA
+    terms = {}
+
+    def add(key, c):
+        terms[key] = terms.get(key, Constant.zero()) + c
+
+    if j == 0:
+        # -(L + gamma + log y) I_0 + correction
+        m = 0
+        while 2 * m < order:
+            im = (u**m) / (Fraction(math.factorial(m)) ** 2)
+            add((2 * m, 1), -im)
+            add((2 * m, 0), -im * l0)
+            if m >= 1:
+                add((2 * m, 0), im * harmonic(m))
+            m += 1
+    else:
+        add((-1, 0), Constant.pi_power(-1, Fraction(1, 2 * abs(n))))
+        m = 0
+        while 2 * m + 1 < order:
+            # I_1 piece: (z/2) u^m / (m! (m+1)!)
+            base = Constant.pi_power(1, abs(n)) * (u**m) / Fraction(
+                math.factorial(m) * math.factorial(m + 1)
+            )
+            add((2 * m + 1, 1), base)
+            add((2 * m + 1, 0), base * l0)
+            # correction: -(z/4)(H_m + H_{m+1}) u^m / (m!(m+1)!)
+            corr = Constant.pi_power(1, Fraction(abs(n), 2)) * (u**m) * (
+                harmonic(m) + harmonic(m + 1)
+            ) / Fraction(math.factorial(m) * math.factorial(m + 1))
+            add((2 * m + 1, 0), -corr)
+            m += 1
+    return YLaurent(terms).truncate(order)
+
+
+def test_k_log_series_is_the_constant_arithmetic_oracle():
+    # each coefficient written from the closed form equals the one the
+    # expansions give through powers of u and Constant division
+    for j in (0, 1):
+        for N in range(1, 61):
+            for order in range(-2, 15):
+                expected = _k_log_series_oracle(j, N, order)
+                for n in (N, -N):
+                    assert k_log_series.__wrapped__(j, n, order) == expected, (j, n, order)
 
 
 def _flat(poly):
