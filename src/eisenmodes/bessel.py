@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -96,20 +95,16 @@ class BesselProduct:
     def map_cells(self, fn):
         return self.with_table({c: fn(p) for c, p in self.table.items()})
 
-    def _merged(self, other, op):
-        """self op other, cell by cell, for op ``operator.add`` or ``operator.sub``."""
+    def __add__(self, other):
         if self.freqs != other.freqs:
             raise ValueError("frequency mismatch")
         table = dict(self.table)
         for c, p in other.table.items():
-            table[c] = op(table[c], p) if c in table else p if op is add else -p
+            table[c] = table[c] + p if c in table else p
         return self.with_table(table)
 
-    def __add__(self, other):
-        return self._merged(other, add)
-
     def __sub__(self, other):
-        return self._merged(other, sub)
+        return self + other.scale(-1)
 
     def scale(self, factor):
         return self.map_cells(lambda p: p.scale(factor))

@@ -17,7 +17,6 @@ closed form is returned (see :class:`RamanujanSum`).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -56,32 +55,20 @@ def sigma(z: int, n: int) -> Fraction:
     return out
 
 
-# A list of floats sieves faster than a view of doubles, which boxes every
-# value it reads, while its float objects stay in the CPU cache.  On a 2-core
-# x86-64 host with Python 3.11, a z = 6 table up to 10^4 takes 7 ms on the list
-# against 11 ms on the view; up to 10^6 it takes 2.7 s against 1.7 s, with a
-# peak RSS of 71 MB against 32 MB.  The two are even near 3 * 10^5 entries.
-_LIST_SIEVE_LIMIT = 10**5
-
-
 @lru_cache(maxsize=None)
 def sigma_float_table(z: int, limit: int) -> memoryview:
     """table[n] = float(sigma_z(n)) for 1 <= n <= limit, via a divisor sieve.
 
-    Memoized: each (z, limit) is sieved once per process.  A table up to
-    ``_LIST_SIEVE_LIMIT`` is sieved on a list of floats, a larger one on a
-    view of doubles, with the same additions in the same order; either is
-    then frozen once: the table is a view of doubles in an immutable bytes
-    object, so no caller can change what the next one reads; writing to it
-    raises TypeError.
+    Memoized: each (z, limit) is sieved once per process.  The table is a
+    view of doubles in an immutable bytes object, so no caller can change
+    what the next one reads; writing to it raises TypeError.
     """
-    small = limit <= _LIST_SIEVE_LIMIT
-    table = [0.0] * (limit + 1) if small else memoryview(bytearray(8 * (limit + 1))).cast("d")
+    table = memoryview(bytearray(8 * (limit + 1))).cast("d")
     for d in range(1, limit + 1):
         dz = float(d) ** z
         for m in range(d, limit + 1, d):
             table[m] += dz
-    return memoryview((array("d", table) if small else table).tobytes()).cast("d")
+    return memoryview(table.tobytes()).cast("d")
 
 
 @dataclass(frozen=True)

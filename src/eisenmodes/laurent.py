@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from operator import add, sub
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from .scalars import Constant, Symbol, _add_product, _json_int
@@ -100,30 +99,25 @@ class YLaurent:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _merged(self, other: "YLaurent", op) -> "YLaurent":
-        """self op other, term by term, for op ``operator.add`` or
-        ``operator.sub``; the zeros it leaves are dropped."""
+    def __add__(self, other: "YLaurent") -> "YLaurent":
         terms = dict(self._terms)
         for key, c in other._terms.items():
             prev = terms.get(key)
             if prev is None:
-                terms[key] = c if op is add else -c
+                terms[key] = c
             else:
-                val = op(prev, c)
+                val = prev + c
                 if val.is_zero():
                     del terms[key]
                 else:
                     terms[key] = val
         return YLaurent._trusted(terms)
 
-    def __add__(self, other: "YLaurent") -> "YLaurent":
-        return self._merged(other, add)
-
     def __neg__(self) -> "YLaurent":
         return YLaurent._trusted({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "YLaurent") -> "YLaurent":
-        return self._merged(other, sub)
+        return self + (-other)
 
     def scale(self, factor) -> "YLaurent":
         """Multiply by an int, Fraction or Constant; the constants form an

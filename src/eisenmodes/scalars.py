@@ -34,7 +34,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 __all__ = [
@@ -254,24 +253,19 @@ class Constant:
 
     # -- ring operations ---------------------------------------------------
 
-    def _merged(self, other, op) -> "Constant":
-        """self op other, monomial by monomial, for op ``operator.add`` or
-        ``operator.sub``; the zeros it leaves are dropped."""
+    def __add__(self, other) -> "Constant":
         terms = dict(self._terms)
         for m, c in _coerce_constant(other)._terms.items():
             prev = terms.get(m)
             if prev is None:
-                terms[m] = c if op is add else -c
+                terms[m] = c
             else:
-                val = op(prev, c)
+                val = prev + c
                 if val:
                     terms[m] = val
                 else:
                     del terms[m]
         return Constant._trusted(terms)
-
-    def __add__(self, other) -> "Constant":
-        return self._merged(other, add)
 
     __radd__ = __add__
 
@@ -279,10 +273,10 @@ class Constant:
         return Constant._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Constant":
-        return self._merged(other, sub)
+        return self + (-_coerce_constant(other))
 
     def __rsub__(self, other) -> "Constant":
-        return _coerce_constant(other) - self
+        return _coerce_constant(other) + (-self)
 
     def __mul__(self, other) -> "Constant":
         if isinstance(other, (int, Fraction)):

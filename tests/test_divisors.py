@@ -7,7 +7,6 @@ import mpmath as mp
 import pytest
 
 from eisenmodes.divisors import (
-    _LIST_SIEVE_LIMIT,
     convolution_partial_sums,
     ramanujan_convolution,
     ramanujan_log_convolution,
@@ -69,15 +68,6 @@ def test_sigma_float_table_is_the_list_sieve_memoized_and_read_only():
     with pytest.raises(TypeError):
         table.obj[0] = 1  # the doubles live in immutable bytes
     assert table[1] == 1.0
-
-
-def test_sigma_float_table_past_the_list_limit_is_the_list_sieve():
-    # tables above divisors._LIST_SIEVE_LIMIT are sieved on a view of doubles
-    limit = _LIST_SIEVE_LIMIT + 1
-    table = sigma_float_table(3, limit)
-    assert table.tobytes() == array("d", _list_sieve(3, limit)).tobytes()
-    with pytest.raises(TypeError):
-        table.obj[0] = 1
 
 
 def test_ramanujan_exact_values():

@@ -165,11 +165,3 @@ def test_fused_mul_truncated_is_the_constant_double_loop(a, b, order):
     assert_normal(product)
     if order is None:
         assert a * b == expected
-
-
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(a=_laurents, b=_laurents)
-def test_difference_is_the_sum_with_the_negation(a, b):
-    assert a - b == a + (-b)
-    assert_normal(a - b)
-    assert (a - a).is_zero()
