@@ -153,8 +153,10 @@ def convolution_partial_sums(sigma_a: Sequence[float], sigma_b: Sequence[float],
     A, B = weight
     out = {}
     total = 0.0
-    for n in range(1, max(limits) + 1):
-        total += sigma_a[n] * sigma_b[n] * (A + B * math.log(n)) / float(n) ** s
-        if n in limits:
-            out[n] = 2.0 * total
+    start = 1
+    for limit in sorted({n for n in limits if n >= 1}):  # the terms up to each limit in turn
+        for a, b, n in zip(sigma_a[start:limit + 1], sigma_b[start:limit + 1], range(start, limit + 1)):
+            total += a * b * (A + B * math.log(n)) / float(n) ** s
+        out[limit] = 2.0 * total
+        start = limit + 1
     return out

@@ -6,7 +6,7 @@ evaluated at concrete integers at comparison time, so any typo in a source
 table stays a data-level erratum rather than code.
 
 Grammar: integer literals (never True or False), + - * / ** and parentheses;
-names
+names (ASCII words)
 
     n1 n2 n y ly pi z2..z8 sg sg1 sg2
 
@@ -16,25 +16,32 @@ positional arguments only; the arguments of sigma and logn must be integers.
 An exponent is an integer literal, optionally signed.
 
 Evaluation rule: ints, Fractions and Constants combine as they are, through
-their own operators, and a number divided by a number is a Fraction.  Only a
-polynomial operand (a YLaurent: y, ly or anything built from them) lifts the
-other one to a YLaurent.  A polynomial enters / and ** only as a one-term
-monomial c y^k log^j, log-free for / and for negative powers, and
-(c y^k log^j)^b is c^b y^(kb) log^(jb) (``_monomial_power``).
+their own operators, except that an int divided by an int, or raised to a
+negative power, is a Fraction.  Only a polynomial operand (a YLaurent: y, ly
+or anything built from them) lifts the other one to a YLaurent.  A
+polynomial enters / and ** only as a one-term monomial c y^k log^j, log-free
+for / and for negative powers, and (c y^k log^j)^b is c^b y^(kb) log^(jb)
+(``_monomial_power``).
 
-Each text is parsed, checked against the grammar and compiled once per
-process (``_program``); every later evaluation only runs it, and the helpers
-it calls raise only on values.  A product, a left-leaning run of * and /, is
-evaluated rational-first: its numbers, then its Constants, then its
-polynomials, each kind in text order.  The ring is exact and a text divides
-only by units, so every value and its type are the ones the left-to-right
-reading gives.
+Each text is compiled once per kind signature: the types (int, Fraction,
+Constant, YLaurent) of the values its names are bound to (``_program``).
+With those kinds known, its own syntax tree is rewritten to native Python
+arithmetic and compiled (``_rewrite``): nodes over numbers and Constants stay
+plain operators, and only a node that meets a polynomial calls a helper.  A
+sum runs left to right and lifts a scalar where it meets a polynomial.  A
+product, a left-leaning run of * and /, is evaluated rational-first: its
+numbers, then its Constants, then its polynomials, each kind in text order;
+the scalar product then scales the first polynomial.  The ring is exact and a
+text divides only by units, so every value and its type are the ones the
+left-to-right reading gives.  Of two faults in one product, the one that
+reading meets first may be named second.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -88,51 +95,13 @@ def _integer(value) -> int:
     raise FixtureError(f"argument {value} is not an integer")
 
 
-# -- the helpers a compiled text calls; each applies the evaluation rule ------
-
-def _sum(signs: str, first, *rest):
-    """first signs[0] rest[0] signs[1] rest[1] ..., left to right."""
-    acc = first
-    for sign, b in zip(signs, rest):
-        if isinstance(acc, YLaurent) or isinstance(b, YLaurent):
-            acc, b = _as_ylaurent(acc), _as_ylaurent(b)
-        acc = acc + b if sign == "+" else acc - b
-    return acc
+def _as_ylaurent(value) -> YLaurent:
+    """A polynomial, or a scalar (an int, a Fraction or a Constant) lifted to a
+    constant one; any other value is a TypeError."""
+    return value if isinstance(value, YLaurent) else YLaurent({(0, 0): value})
 
 
-_KIND_RANK = {Constant: 1, YLaurent: 2}  # any other value is a number, rank 0
-
-
-def _rank(item) -> int:
-    return _KIND_RANK.get(type(item[1]), 0)
-
-
-def _product(ops: str, *factors):
-    """factors[0] ops[0] factors[1] ..., each op "*" or "/", rational-first.
-
-    From 1, the numbers come first, then the Constants, then the polynomials,
-    each kind in text order (a stable sort); the first polynomial lifts the
-    product so far.  The ring is exact and a text divides only by units
-    (nonzero numbers, one-term Constants, log-free y-monomials), so the value
-    and its type are those of the left-to-right product.
-    """
-    acc = 1
-    for op, b in sorted(zip("*" + ops, factors), key=_rank):
-        if isinstance(b, YLaurent):
-            acc = _as_ylaurent(acc) * (b if op == "*" else _monomial_power(b, -1))
-        elif op == "*":
-            acc = acc * b
-        else:
-            acc = (Fraction(acc) if isinstance(acc, int) else acc) / b
-    return acc
-
-
-def _power(a, b: int):
-    """a**b; b is an integer literal (``_program``)."""
-    if isinstance(a, YLaurent):
-        return _monomial_power(a, b)
-    return Fraction(a) ** b if b < 0 and isinstance(a, int) else a ** b
-
+# -- the helpers a compiled text calls ----------------------------------------
 
 def _sgn(v) -> int:
     return 1 if v > 0 else (-1 if v < 0 else 0)
@@ -147,96 +116,159 @@ def _logn(m) -> Constant:
 
 
 # The whole namespace of a compiled text: no builtins, only these helpers.
-_HELPERS = {"__builtins__": {}, "_sum": _sum, "_product": _product, "_power": _power,
-            "_abs": abs, "_sgn": _sgn, "_sigma": _sigma, "_logn": _logn}
+_HELPERS = {"__builtins__": {}, "_Fraction": Fraction, "_ONE": Fraction(1), "_lift": _as_ylaurent,
+            "_scale": lambda s, p: p.scale(s), "_power": _monomial_power, "_abs": abs,
+            "_sgn": _sgn, "_sigma": _sigma, "_logn": _logn}
 
-# call name -> (helper, number of arguments)
-_CALLS = {"abs": ("_abs", 1), "sgn": ("_sgn", 1), "sigma": ("_sigma", 2), "logn": ("_logn", 1)}
+# -- compiling a text ---------------------------------------------------------
 
-_SUMS = {ast.Add: "+", ast.Sub: "-"}
-_PRODUCTS = {ast.Mult: "*", ast.Div: "/"}
+# The kinds of values, each ring inside the next: a sum or product has the
+# largest kind of its operands, and a quotient is at least a Fraction.
+_INT, _FRACTION, _CONSTANT, _POLY = range(4)
+_KIND_BASES = ((_POLY, YLaurent), (_CONSTANT, Constant), (_INT, int), (_FRACTION, object))
+
+# call name -> (helper, number of arguments, kind of its value; None: its argument's)
+_CALLS = {"abs": ("_abs", 1, None), "sgn": ("_sgn", 1, _INT),
+          "sigma": ("_sigma", 2, _FRACTION), "logn": ("_logn", 1, _CONSTANT)}
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_LOAD = ast.Load()
 
 
-def _chain(node, ops: Dict) -> Tuple[list, str]:
-    """The operands, in text order, and operators of node's left-leaning run of ops."""
-    operands, signs = [], []
-    while isinstance(node, ast.BinOp) and type(node.op) in ops:
-        operands.append(node.right)
-        signs.append(ops[type(node.op)])
+def _node(cls, *fields) -> ast.AST:
+    """A new node, at the one location compile() asks of every node."""
+    return cls(*fields, lineno=1, col_offset=0)
+
+
+def _call(helper: str, *args) -> ast.Call:
+    return _node(ast.Call, _node(ast.Name, helper, _LOAD), list(args), [])
+
+
+def _binop(node: ast.BinOp, left, right) -> ast.BinOp:
+    node.left, node.right = left, right
+    return node
+
+
+def _rewrite(node, params: Dict[str, Tuple[str, int]]) -> Tuple[ast.expr, int]:
+    """(node rewritten in place to native arithmetic for its kinds, its kind).
+
+    params maps each bound name to its parameter and the kind of its value.
+    A node outside the grammar, or a name that is not bound, raises the
+    FixtureError that names it, in the order the left-to-right reading meets
+    it.
+    """
+    cls = type(node)
+    if cls is ast.Name:
+        if node.id not in params:
+            raise FixtureError(f"unknown name {node.id!r}")
+        node.id, kind = params[node.id]
+        return node, kind
+    if cls is ast.Constant:
+        if type(node.value) is int:
+            return node, _INT
+        raise FixtureError(f"literal {node.value!r} not allowed")
+    if cls is ast.BinOp and type(node.op) in (ast.Add, ast.Sub):  # a scalar meeting a polynomial is lifted
+        (left, kl), (right, kr) = _rewrite(node.left, params), _rewrite(node.right, params)
+        if kl != kr and _POLY in (kl, kr):
+            left, right = (left, _call("_lift", right)) if kl == _POLY else (_call("_lift", left), right)
+        return _binop(node, left, right), max(kl, kr)
+    if cls is ast.BinOp and type(node.op) in (ast.Mult, ast.Div):
+        return _product(node, params)
+    if cls is ast.BinOp and type(node.op) is ast.Pow:
+        try:  # an int only from an integer literal, optionally signed
+            b = ast.literal_eval(node.right)
+        except (TypeError, ValueError):
+            b = None
+        if type(b) is not int:
+            raise FixtureError("exponent must be an integer literal")
+        node.left, kind = _rewrite(node.left, params)
+        if kind == _POLY:
+            return _call("_power", node.left, node.right), _POLY
+        if kind == _INT and b < 0:  # as a Fraction, int ** -k is exact
+            node.left, kind = _call("_Fraction", node.left), _FRACTION
+        return node, kind
+    if cls is ast.BinOp:
+        raise FixtureError("operator not allowed")
+    if cls is ast.UnaryOp:
+        node.operand, kind = _rewrite(node.operand, params)
+        if type(node.op) not in (ast.UAdd, ast.USub):
+            raise FixtureError("unary operator not allowed")
+        return (node if isinstance(node.op, ast.USub) else node.operand), kind
+    if cls is not ast.Call:
+        raise FixtureError(f"syntax {cls.__name__} not allowed")
+    if not isinstance(node.func, ast.Name):
+        raise FixtureError("only simple calls allowed")
+    if node.keywords:
+        raise FixtureError(f"call {node.func.id!r} takes no keyword arguments")
+    args = [_rewrite(a, params) for a in node.args]
+    helper, arity, kind = _CALLS.get(node.func.id, (None, None, None))
+    if len(args) != arity:
+        raise FixtureError(f"call {node.func.id!r} not allowed")
+    node.func.id, node.args = helper, [a for a, _ in args]
+    return node, args[0][1] if kind is None else kind
+
+
+def _product(node: ast.BinOp, params) -> Tuple[ast.expr, int]:
+    """``_rewrite`` of a left-leaning run of * and /, rational-first: its
+    numbers, then its Constants, then its polynomials, each kind in text order."""
+    chain = []
+    while type(node) is ast.BinOp and type(node.op) in (ast.Mult, ast.Div):
+        chain.append(node)
         node = node.left
-    operands.append(node)
-    return operands[::-1], "".join(reversed(signs))
+    run = [(_node(ast.BinOp, None, ast.Mult(), None), *_rewrite(node, params)),
+           *((c, *_rewrite(c.right, params)) for c in reversed(chain))]
+    acc, kind = None, _INT
+    for c, x, k in sorted(run, key=lambda f: max(f[2], _FRACTION)):
+        div = type(c.op) is ast.Div
+        if k == _POLY and acc is not None:
+            x = _call("_power", x, _node(ast.Constant, -1)) if div else x
+            acc = _call("_scale", acc, x) if kind < _POLY else _node(ast.BinOp, acc, ast.Mult(), x)
+        elif acc is None:  # 1 * x, or 1 / x
+            acc = _binop(c, _node(ast.Name, "_ONE", _LOAD), x) if div else x
+        else:  # only int / int needs a Fraction
+            acc = _binop(c, _call("_Fraction", acc) if div and kind == k == _INT else acc, x)
+        kind = max(kind, k, _FRACTION if div else _INT)
+    return acc, kind
 
 
 @lru_cache(maxsize=None)
-def _program(text: str):
-    """The text parsed, validated and compiled once: (function, the names it reads).
+def _words(text: str) -> Tuple[str, ...]:
+    """The distinct words of the text, in text order: every name it reads
+    (names are ASCII words), and its call names."""
+    return tuple(dict.fromkeys(_WORD.findall(text)))
 
-    The function takes the values of those names, in that order.  Its body is
-    one Python expression over _HELPERS alone: text names become its
-    parameters v0, v1, ..., so no text reaches a helper or a builtin.  A text
-    outside the grammar raises the FixtureError the grammar check names.
+
+@lru_cache(maxsize=None)
+def _program(text: str, types: Tuple[Optional[type], ...]):
+    """The text parsed, checked and compiled once per signature: the types of
+    the values bound to its words (``_words``), None for a word left unbound,
+    whose values the function then takes in that order.
+
+    The text's own tree is rewritten for the kinds of those values
+    (``_rewrite``) and compiled as one lambda over _HELPERS alone: text names
+    become its parameters v0, v1, ..., so no text reaches a helper or a
+    builtin.  A name that is not bound raises where the reading meets it.
     """
-    params: Dict[str, str] = {}
-
-    def emit(node) -> str:
-        if isinstance(node, ast.Constant):
-            if type(node.value) is int:
-                return repr(node.value)
-            raise FixtureError(f"literal {node.value!r} not allowed")
-        if isinstance(node, ast.Name):
-            return params.setdefault(node.id, f"v{len(params)}")
-        if isinstance(node, ast.UnaryOp):
-            operand = emit(node.operand)
-            if isinstance(node.op, ast.USub):
-                return f"(-{operand})"
-            if isinstance(node.op, ast.UAdd):
-                return operand
-            raise FixtureError("unary operator not allowed")
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                exponent = node.right  # an integer literal, optionally signed
-                if isinstance(exponent, ast.UnaryOp) and type(exponent.op) in (ast.UAdd, ast.USub):
-                    exponent = exponent.operand
-                if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
-                    raise FixtureError("exponent must be an integer literal")
-                return f"_power({emit(node.left)}, {emit(node.right)})"
-            for helper, ops in (("_sum", _SUMS), ("_product", _PRODUCTS)):
-                if type(node.op) in ops:
-                    operands, signs = _chain(node, ops)
-                    return f"{helper}({signs!r}, {', '.join(emit(x) for x in operands)})"
-            raise FixtureError("operator not allowed")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name):
-                raise FixtureError("only simple calls allowed")
-            if node.keywords:
-                raise FixtureError(f"call {node.func.id!r} takes no keyword arguments")
-            args = [emit(a) for a in node.args]
-            helper, arity = _CALLS.get(node.func.id, (None, None))
-            if len(args) != arity:
-                raise FixtureError(f"call {node.func.id!r} not allowed")
-            return f"{helper}({', '.join(args)})"
-        raise FixtureError(f"syntax {type(node).__name__} not allowed")
-
-    body = emit(ast.parse(text, mode="eval").body)
-    return eval(f"lambda {', '.join(params.values())}: {body}", _HELPERS), tuple(params)
+    params = {word: (f"v{i}", next(k for k, base in _KIND_BASES if issubclass(t, base)))
+              for i, (word, t) in enumerate(zip(_words(text), types)) if t}
+    body, _ = _rewrite(ast.parse(text, mode="eval").body, params)
+    args = ast.arguments(posonlyargs=[], args=[_node(ast.arg, f"v{i}") for i in range(len(types))],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    code = compile(ast.Expression(_node(ast.Lambda, args, body)), "<table text>", "eval")
+    return eval(code, _HELPERS)  # runs the compiled tree's code, not generated source
 
 
 def eval_table_expr(text: str, names: Dict) -> object:
     """Evaluate a restricted arithmetic expression over the scalar ring.
 
-    The text is compiled once per process (``_program``).  Every rejection is
-    a ``FixtureError``: text that does not parse, a name missing from names,
-    a division by zero and an argument outside a call's domain included.
+    The text is compiled once per process and signature (``_program``).
+    Every rejection is a ``FixtureError``: text that does not parse, a name
+    missing from names, a division by zero and an argument outside a call's
+    domain included.
     """
     try:
-        function, used = _program(text)
-        values = []
-        for name in used:
-            if name not in names:
-                raise FixtureError(f"unknown name {name!r}")
-            values.append(names[name])
-        return function(*values)
+        words = _words(text)
+        function = _program(text, tuple(type(names[w]) if w in names else None for w in words))
+        return function(*[names.get(w) for w in words])
     except FixtureError:
         raise
     except (SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -265,19 +297,6 @@ def _mode_names(n1: Optional[int] = None, n2: Optional[int] = None,
     if n is not None:
         names.update(n=n, sg=1 if n > 0 else -1)
     return names
-
-
-def _as_constant(value) -> Constant:
-    if isinstance(value, Constant):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Constant.from_rational(value)
-    raise FixtureError("expected a scalar value")
-
-
-def _as_ylaurent(value) -> YLaurent:
-    """A polynomial, or a scalar lifted to a constant one."""
-    return value if isinstance(value, YLaurent) else YLaurent({(0, 0): _as_constant(value)})
 
 
 _TABLES = None
@@ -340,7 +359,9 @@ def _section_table(section: dict, names: Dict, text=lambda key, printed: printed
     text(key, printed) may replace the printed text of a cell or of the
     "prefactor" (errata).
     """
-    pref = _as_constant(eval_table_expr(text("prefactor", section["prefactor"]), names))
+    pref = eval_table_expr(text("prefactor", section["prefactor"]), names)
+    if isinstance(pref, YLaurent):
+        raise FixtureError("expected a scalar value")
     return {
         _cell_key(c): _as_ylaurent(eval_table_expr(text(c, printed), names)).scale(pref)
         for c, printed in section["cells"].items()
@@ -364,10 +385,8 @@ def fixture_particular(alpha, beta, lam: int, n1: int, n2: int,
         names = _mode_names(n=n)
     else:
         case = "anti_diagonal" if n1 + n2 == 0 else "generic"
-        names = _mode_names(n1=n1, n2=n2)
-        if n1 + n2 == 0:
-            # the printed anti-diagonal tables are written in terms of n2
-            names = _mode_names(n1=n1, n2=n2, n=n2)
+        # the printed anti-diagonal tables are written in terms of n2
+        names = _mode_names(n1=n1, n2=n2, n=n2 if n1 + n2 == 0 else None)
 
     text = _corrected_text(family_key(alpha, beta, lam), case, used)
     table = _section_table(fam[case], names, text)
@@ -393,40 +412,34 @@ def fixture_combination(n1: int, n2: int, errata_used: Optional[list] = None) ->
     return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2), text))
 
 
+_COMPARED_MODES = {  # case -> the (n1, n2) pairs its printed table is compared at
+    "zero_mode": [(0, 0)],
+    "left": [(0, 1), (0, 2), (0, 3)],
+    "right": [(1, 0), (2, 0), (3, 0)],
+    "generic": [(1, 1), (1, 2), (2, 1), (2, 3), (1, -3), (3, -1)],
+    "anti_diagonal": [(-1, 1), (-2, 2), (-3, 3), (1, -1)],
+}
+
+
 def fixture_modes(alpha, beta, lam: int) -> Dict[str, List[Tuple[int, int]]]:
     """Which (n1, n2) pairs each table of a family is compared at."""
     fam = _family(alpha, beta, lam)
-    out: Dict[str, List[Tuple[int, int]]] = {}
-    if "zero_mode" in fam:
-        out["zero_mode"] = [(0, 0)]
-    if "left" in fam:
-        out["left"] = [(0, n) for n in (1, 2, 3)]
-    if "right" in fam:
-        out["right"] = [(n, 0) for n in (1, 2, 3)]
-    if "generic" in fam:
-        out["generic"] = [(1, 1), (1, 2), (2, 1), (2, 3), (1, -3), (3, -1)]
-    if "anti_diagonal" in fam:
-        out["anti_diagonal"] = [(-1, 1), (-2, 2), (-3, 3), (1, -1)]
-    return out
+    return {case: list(pairs) for case, pairs in _COMPARED_MODES.items() if case in fam}
 
 
 def compare_expressions(computed, printed) -> List[str]:
     """Cell-by-cell exact comparison; returns human-readable differences.
 
     Expressions of different kinds or frequencies differ as a whole."""
-    diffs: List[str] = []
     if isinstance(computed, Pure) and isinstance(printed, Pure):
-        delta = computed.poly - printed.poly
-        for (k, j), c in delta.items_sorted():
-            diffs.append(f"y^{k} log^{j}: difference {c!r}")
-        return diffs
+        return [f"y^{k} log^{j}: difference {c!r}"
+                for (k, j), c in (computed.poly - printed.poly).items_sorted()]
     if type(computed) is not type(printed) or computed.freqs != printed.freqs:
         return [f"kind mismatch: {type(computed).__name__}{computed.freqs} vs "
                 f"{type(printed).__name__}{printed.freqs}"]
-    keys = set(computed.table) | set(printed.table)
+    # YLaurent stores no zero coefficient, so equal cells differ in nothing
     zero = YLaurent.zero()
-    for cell in sorted(keys):
-        delta = computed.table.get(cell, zero) - printed.table.get(cell, zero)
-        for (k, j), c in delta.items_sorted():
-            diffs.append(f"cell {cell} y^{k} log^{j}: difference {c!r}")
-    return diffs
+    pairs = ((cell, computed.table.get(cell, zero), printed.table.get(cell, zero))
+             for cell in sorted(set(computed.table) | set(printed.table)))
+    return [f"cell {cell} y^{k} log^{j}: difference {c!r}"
+            for cell, a, b in pairs if a != b for (k, j), c in (a - b).items_sorted()]

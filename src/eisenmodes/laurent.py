@@ -122,7 +122,7 @@ class YLaurent:
     def scale(self, factor) -> "YLaurent":
         """Multiply by an int, Fraction or Constant; the constants form an
         integral domain, so a nonzero factor leaves no coefficient zero."""
-        if factor == 0:
+        if factor.is_zero() if isinstance(factor, Constant) else factor == 0:
             return YLaurent._trusted({})
         return YLaurent._trusted({k: c * factor for k, c in self._terms.items()})
 

@@ -304,11 +304,13 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     ``mode`` is a ModeSolution-like object exposing params (with lam), n1, n2,
     particular and source (a SourceTerm).  The scale defaults to
     max(|source(y)|, |source(1)|, 1e-300); the value at 1 guards zeros of the
-    source.  The second derivative is taken on the flat particular by the
-    exact factor-derivative rules (``bessel._derivative``) and then evaluated
-    numerically.  Every input is a double: each coefficient (evaluated as
-    ``Constant.evaluate`` does), y, log y, pi and the (K_0, K_1) pair of each
-    argument, shared by the three expressions.  So P(particular) - source is
+    source, and is the one ``eval_expr`` gives, read off the source's
+    coefficient doubles that the residual builds anyway.  The second
+    derivative is taken on the flat particular by the exact factor-derivative
+    rules (``bessel._derivative``) and then evaluated numerically.  Every
+    input is a double: each coefficient (evaluated as ``Constant.evaluate``
+    does), y, log y, pi and the (K_0, K_1) pair of each argument, shared by
+    the three expressions.  So P(particular) - source is
     one exact dyadic sum, carried as int mantissas over binary exponents after
     multiplying through by y^K, K = max(0, -(lowest y power)), and it is
     rounded to a double once, on dividing by y^K.  The homogeneous part
@@ -333,6 +335,7 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     moves: Dict = {}
     second = _coefficients(_derivative(part, _derivative(part, terms, moves), moves), den, env)
     values = _coefficients(terms, den, env)
+    source_values = _coefficients(*_flatten(source), env)
     pi_m, pi_e = _dyadic(math.pi)
     nsum = mode.n1 + mode.n2
     k01: Dict[int, tuple] = {}
@@ -344,7 +347,7 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
         (part, second, (1, 0), 2, left),
         (part, values, (-mode.params.lam, 0), 0, left),
         (part, values, (-4 * nsum * nsum * pi_m * pi_m, 2 * pi_e), 2, left),
-        (source, _coefficients(*_flatten(source), env), (1, 0), 0, right),
+        (source, source_values, (1, 0), 0, right),
     ):
         if not mul_m:
             continue
@@ -365,5 +368,12 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     )
     y_depth = (y_m**depth, y_e * depth)
     if scale is None:
-        scale = max(abs(_quotient(rhs, y_depth)), abs(eval_expr(source, 1.0, env)), 1e-300)
+        # log 1 = 0 leaves each cell's log-free coefficient doubles, times its
+        # K values at 1
+        k01_at_one: Dict[int, tuple] = {}
+        at_one = math.fsum(
+            math.prod((math.fsum(math.ldexp(m, e) for (_, j), (m, e) in poly.items() if not j),
+                       *_k_values(source, cell, 1.0, k01_at_one)))
+            for cell, poly in source_values.items())
+        scale = max(abs(_quotient(rhs, y_depth)), abs(at_one), 1e-300)
     return abs(_quotient(_dyadic_sum((lhs, (-rhs[0], rhs[1]))), y_depth)) / scale

@@ -111,6 +111,27 @@ def test_partial_sum_oracles():
         checked += 1
 
 
+def test_partial_sums_round_as_a_loop_over_every_term():
+    # the loop the segment walk replaced: one pass over n, each limit read as
+    # it is passed, the same float operations in the same order
+    def naive(ta, tb, s, weight, limits):
+        A, B = weight
+        out, total = {}, 0.0
+        for n in range(1, max(limits) + 1):
+            total += ta[n] * tb[n] * (A + B * math.log(n)) / float(n) ** s
+            if n in limits:
+                out[n] = 2.0 * total
+        return out
+
+    limits = (1000, 7, 100, 1000, 1, 3001, 100)  # unsorted and repeated
+    for a, b, s, weight in ((2, 4, 6, (1.0, 0.0)), (3, 3, 9, (0.25, -1.5)), (0, 2, 5, (0.0, 1.0))):
+        ta, tb = sigma_float_table(a, 3001), sigma_float_table(b, 3001)
+        got = convolution_partial_sums(ta, tb, s, weight, limits)
+        want = naive(ta, tb, s, weight, limits)
+        assert list(got) == sorted(set(limits))
+        assert {n: v.hex() for n, v in got.items()} == {n: v.hex() for n, v in want.items()}
+
+
 def test_log_convolution():
     rl = ramanujan_log_convolution(2, 2, 8)
     psl = partial_sum(2, 2, 8, LOG, 100000)

@@ -24,9 +24,9 @@ from eisenmodes.fixtures import (
     load_tables,
 )
 from eisenmodes.laurent import YLaurent
-from eisenmodes.homogeneous import T_MINUS_2_WEIGHTS
+from eisenmodes.homogeneous import T_MINUS_2_WEIGHTS, solve_mode
 from eisenmodes.scalars import Constant, log_normalize, sym_ln_prime, zeta_odd
-from eisenmodes.sources import source_term
+from eisenmodes.sources import Params, source_term
 
 F = Fraction
 
@@ -238,6 +238,26 @@ def test_small_texts_evaluate_as_the_reference():
             _assert_as_reference(text, _mode_names(n1=n1, n2=n2), message=False)
 
 
+def test_texts_compile_once_per_kind_signature():
+    # where the tables bind ints, also a Fraction, a Constant and a polynomial,
+    # so that each text that reads n1 or n2 meets more than one signature;
+    # each (text, signature) is compiled once and then only run
+    others = (F(3, 2), Constant.pi_power(-1, 2), YLaurent.monomial(2, F(-1, 3)))
+    fixtures._program.cache_clear()
+    signatures = set()
+    for n1, n2 in ((1, 2), (-3, 3)):
+        for value in (n1, *others):
+            for bound in ({"n1": value}, {"n2": value, "sg1": value}):
+                names = {**_mode_names(n1=n1, n2=n2), **bound}
+                for text in MIXED_TEXTS:
+                    _assert_as_reference(text, names, message=False)
+                    _assert_as_reference(text, names, message=False)
+                    read = {node.id for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Name)}
+                    signatures.add((text, tuple(sorted((n, type(names[n])) for n in read & set(names)))))
+    assert len(signatures) > 2 * len(MIXED_TEXTS)
+    assert fixtures._program.cache_info().misses == len(signatures)
+
+
 def test_table_text_reaches_no_helper():
     # text names become the parameters v0, v1, ... of the compiled function;
     # the helpers it calls and the builtins are out of any text's reach
@@ -326,6 +346,30 @@ def test_errata_lookup_and_flagging(monkeypatch):
     monkeypatch.setattr(fixtures, "load_tables", lambda: verbatim_tables)
     verbatim = fixture_particular(F(3, 2), F(3, 2), 56, 0, 2)
     assert compare_expressions(verbatim, corrected)  # they genuinely differ
+
+
+def test_compare_expressions_lists_the_differing_cells_only():
+    # the comparison that subtracted every cell is kept as the reference
+    def every_cell(computed, printed):
+        zero = YLaurent.zero()
+        return [f"cell {cell} y^{k} log^{j}: difference {c!r}"
+                for cell in sorted(set(computed.table) | set(printed.table))
+                for (k, j), c in (computed.table.get(cell, zero)
+                                  - printed.table.get(cell, zero)).items_sorted()]
+
+    mode = solve_mode(Params(F(3, 2), F(3, 2), 30), 1, 2)
+    printed = fixture_particular(F(3, 2), F(3, 2), 30, 1, 2)
+    assert compare_expressions(mode.particular, printed) == every_cell(mode.particular, printed) == []
+    cells = sorted(printed.table)
+    (k, j), c = printed.table[cells[0]].items_sorted()[0]
+    perturbed = dict(printed.table)
+    perturbed[cells[0]] = printed.table[cells[0]] + YLaurent.monomial(k, c * F(1, 7), log_exp=j)
+    del perturbed[cells[-1]]
+    bad = DoubleBessel(1, 2, perturbed)
+    diffs = compare_expressions(mode.particular, bad)
+    assert diffs == every_cell(mode.particular, bad)
+    assert diffs[0] == f"cell {cells[0]} y^{k} log^{j}: difference {-c * F(1, 7)!r}"
+    assert len(diffs) == 1 + len(printed.table[cells[-1]].terms())
 
 
 def test_fixture_modes_listing():

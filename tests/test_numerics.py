@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from eisenmodes.bessel import DoubleBessel, SingleBessel, differentiate
+from eisenmodes.fixtures import fixture_modes, list_families
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
 from eisenmodes.numerics import _COSH_GRID, NumericEnv, _k01, bessel_k, eval_expr, residual
@@ -192,6 +193,28 @@ def test_residual_is_bit_equal_to_the_fraction_reference():
                         (a, b, r, n1, n2, y, scale)
                     checked += 1
     assert checked == 360
+
+
+def test_default_scale_takes_the_source_at_one_as_eval_expr_gives_it():
+    # every mode of the printed tables; at y = 3 the K factors have decayed far
+    # below their values at 1, so there the scale is |source(1)| for every
+    # mode with a Bessel source, and a source(1) off by one ulp shows
+    checked = dominated = 0
+    for key in list_families():
+        a, b, lam = key.split(",")
+        p = Params(F(a), F(b), int(lam))
+        for pairs in fixture_modes(p.alpha, p.beta, p.lam).values():
+            for n1, n2 in pairs:
+                mode = solve_mode(p, n1, n2)
+                source = mode.source.full()
+                at_one = abs(eval_expr(source, 1.0, ENV))
+                for y in (0.05, 3.0):
+                    at_y = abs(float(_reference_value(source, y, ENV)))
+                    scale = max(at_y, at_one, 1e-300)
+                    assert residual(mode, y, ENV) == residual(mode, y, ENV, scale), (key, n1, n2, y)
+                    dominated += at_one > at_y
+                    checked += 1
+    assert (checked, dominated) == (340, 160)
 
 
 def test_residual_raises_as_the_fraction_reference_on_inf_and_nan_coefficients():
