@@ -20,7 +20,10 @@ Exit codes (part of the public contract):
     6   no fixture table for the requested parameters
     7   a log(y) power beyond the cap (laurent.LOG_CAP), e.g. in a verify input
     64  usage error or unreadable input, including a document value of the
-        wrong JSON type, and a `sums` partial sum that leaves double range
+        wrong JSON type, a `verify` input of a schema other than
+        eisenmodes/mode-solution/1 (the error names the schema found, or
+        says there is none), and a `sums` partial sum that leaves double
+        range
     141 stdout was closed by its reader (for example `| head -c 10`) before
         the document was written; nothing more is written.  128 + SIGPIPE,
         as a shell reports a process the signal ended

@@ -23,18 +23,18 @@ polynomial enters / and ** only as a one-term monomial c y^k log^j, log-free
 for / and for negative powers, and (c y^k log^j)^b is c^b y^(kb) log^(jb)
 (``_monomial_power``).
 
-Each text is compiled once per kind signature: the types (int, Fraction,
-Constant, YLaurent) of the values its names are bound to (``_program``).
-With those kinds known, its own syntax tree is rewritten to native Python
-arithmetic and compiled (``_rewrite``): nodes over numbers and Constants stay
-plain operators, and only a node that meets a polynomial calls a helper.  A
-sum runs left to right and lifts a scalar where it meets a polynomial.  A
-product, a left-leaning run of * and /, is evaluated rational-first: its
-numbers, then its Constants, then its polynomials, each kind in text order;
-the scalar product then scales the first polynomial.  The ring is exact and a
-text divides only by units, so every value and its type are the ones the
-left-to-right reading gives.  Of two faults in one product, the one that
-reading meets first may be named second.
+Each text is compiled once per kind signature: the kinds of the values its
+names are bound to, a number (int or Fraction), a Constant or a polynomial
+(``_program``).  With those kinds known, its own syntax tree is rewritten to
+native Python arithmetic and compiled (``_rewrite``), each node by one rule
+read from the kinds of its two operands.  Nodes over numbers and Constants
+stay plain operators (a number over a number through ``Fraction``).  A sum
+lifts a scalar where it meets a polynomial.  A product or quotient with a
+polynomial operand divides by a polynomial as its power -1 and by a scalar x
+as 1 / x, scales by a scalar and multiplies two polynomials.  Every node runs
+its left operand first, so a text runs in the order of the left-to-right
+reading, and of two faults in its values the one that reading meets first is
+named.  Grammar faults and unbound names are named when the text compiles.
 """
 
 from __future__ import annotations
@@ -122,14 +122,15 @@ _HELPERS = {"__builtins__": {}, "_Fraction": Fraction, "_ONE": Fraction(1), "_li
 
 # -- compiling a text ---------------------------------------------------------
 
-# The kinds of values, each ring inside the next: a sum or product has the
-# largest kind of its operands, and a quotient is at least a Fraction.
-_INT, _FRACTION, _CONSTANT, _POLY = range(4)
-_KIND_BASES = ((_POLY, YLaurent), (_CONSTANT, Constant), (_INT, int), (_FRACTION, object))
+# The kinds of values, each ring inside the next: a number (an int or a
+# Fraction), a Constant and a polynomial.  A sum, product or quotient has the
+# larger kind of its two operands.
+_NUMBER, _CONSTANT, _POLY = range(3)
+_KIND_BASES = ((_POLY, YLaurent), (_CONSTANT, Constant), (_NUMBER, object))
 
 # call name -> (helper, number of arguments, kind of its value; None: its argument's)
-_CALLS = {"abs": ("_abs", 1, None), "sgn": ("_sgn", 1, _INT),
-          "sigma": ("_sigma", 2, _FRACTION), "logn": ("_logn", 1, _CONSTANT)}
+_CALLS = {"abs": ("_abs", 1, None), "sgn": ("_sgn", 1, _NUMBER),
+          "sigma": ("_sigma", 2, _NUMBER), "logn": ("_logn", 1, _CONSTANT)}
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LOAD = ast.Load()
 
@@ -164,7 +165,7 @@ def _rewrite(node, params: Dict[str, Tuple[str, int]]) -> Tuple[ast.expr, int]:
         return node, kind
     if cls is ast.Constant:
         if type(node.value) is int:
-            return node, _INT
+            return node, _NUMBER
         raise FixtureError(f"literal {node.value!r} not allowed")
     if cls is ast.BinOp and type(node.op) in (ast.Add, ast.Sub):  # a scalar meeting a polynomial is lifted
         (left, kl), (right, kr) = _rewrite(node.left, params), _rewrite(node.right, params)
@@ -172,7 +173,19 @@ def _rewrite(node, params: Dict[str, Tuple[str, int]]) -> Tuple[ast.expr, int]:
             left, right = (left, _call("_lift", right)) if kl == _POLY else (_call("_lift", left), right)
         return _binop(node, left, right), max(kl, kr)
     if cls is ast.BinOp and type(node.op) in (ast.Mult, ast.Div):
-        return _product(node, params)
+        (left, kl), (right, kr) = _rewrite(node.left, params), _rewrite(node.right, params)
+        if kl < _POLY and kr < _POLY:  # scalars: only a number over a number needs a Fraction
+            if type(node.op) is ast.Div and kl == kr == _NUMBER:
+                left = _call("_Fraction", left)
+            return _binop(node, left, right), max(kl, kr)
+        if type(node.op) is ast.Div:  # times the divisor's inverse: p**-1, or 1 / x for a scalar
+            right = (_call("_power", right, _node(ast.Constant, -1)) if kr == _POLY
+                     else _binop(node, _node(ast.Name, "_ONE", _LOAD), right))
+        if kl == kr:
+            return _node(ast.BinOp, left, ast.Mult(), right), _POLY
+        if kl == _POLY:  # left.scale(right), so the text's left operand runs first
+            return _node(ast.Call, _node(ast.Attribute, left, "scale", _LOAD), [right], []), _POLY
+        return _call("_scale", left, right), _POLY
     if cls is ast.BinOp and type(node.op) is ast.Pow:
         try:  # an int only from an integer literal, optionally signed
             b = ast.literal_eval(node.right)
@@ -183,8 +196,8 @@ def _rewrite(node, params: Dict[str, Tuple[str, int]]) -> Tuple[ast.expr, int]:
         node.left, kind = _rewrite(node.left, params)
         if kind == _POLY:
             return _call("_power", node.left, node.right), _POLY
-        if kind == _INT and b < 0:  # as a Fraction, int ** -k is exact
-            node.left, kind = _call("_Fraction", node.left), _FRACTION
+        if kind == _NUMBER and b < 0:  # as a Fraction, int ** -k is exact
+            node.left = _call("_Fraction", node.left)
         return node, kind
     if cls is ast.BinOp:
         raise FixtureError("operator not allowed")
@@ -205,29 +218,6 @@ def _rewrite(node, params: Dict[str, Tuple[str, int]]) -> Tuple[ast.expr, int]:
         raise FixtureError(f"call {node.func.id!r} not allowed")
     node.func.id, node.args = helper, [a for a, _ in args]
     return node, args[0][1] if kind is None else kind
-
-
-def _product(node: ast.BinOp, params) -> Tuple[ast.expr, int]:
-    """``_rewrite`` of a left-leaning run of * and /, rational-first: its
-    numbers, then its Constants, then its polynomials, each kind in text order."""
-    chain = []
-    while type(node) is ast.BinOp and type(node.op) in (ast.Mult, ast.Div):
-        chain.append(node)
-        node = node.left
-    run = [(_node(ast.BinOp, None, ast.Mult(), None), *_rewrite(node, params)),
-           *((c, *_rewrite(c.right, params)) for c in reversed(chain))]
-    acc, kind = None, _INT
-    for c, x, k in sorted(run, key=lambda f: max(f[2], _FRACTION)):
-        div = type(c.op) is ast.Div
-        if k == _POLY and acc is not None:
-            x = _call("_power", x, _node(ast.Constant, -1)) if div else x
-            acc = _call("_scale", acc, x) if kind < _POLY else _node(ast.BinOp, acc, ast.Mult(), x)
-        elif acc is None:  # 1 * x, or 1 / x
-            acc = _binop(c, _node(ast.Name, "_ONE", _LOAD), x) if div else x
-        else:  # only int / int needs a Fraction
-            acc = _binop(c, _call("_Fraction", acc) if div and kind == k == _INT else acc, x)
-        kind = max(kind, k, _FRACTION if div else _INT)
-    return acc, kind
 
 
 @lru_cache(maxsize=None)

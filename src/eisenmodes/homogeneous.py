@@ -74,6 +74,9 @@ class Obstruction:
         }
 
 
+_MODE_SCHEMA = "eisenmodes/mode-solution/1"
+
+
 @dataclass
 class ModeSolution:
     """One solved (n1, n2) mode.  The homogeneous basis, whether alpha is free
@@ -121,7 +124,7 @@ class ModeSolution:
 
     def to_json_obj(self) -> dict:
         return {
-            "schema": "eisenmodes/mode-solution/1",
+            "schema": _MODE_SCHEMA,
             "params": {
                 "alpha": str(self.params.alpha),
                 "beta": str(self.params.beta),
@@ -161,6 +164,12 @@ def _json_weight(value) -> Fraction:
 
 
 def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
+    """Read ``ModeSolution.to_json_obj``'s document.  An object of another
+    schema, or of none, is a ValueError that names it; a value of the wrong
+    JSON type is a TypeError."""
+    if isinstance(obj, dict) and obj.get("schema") != _MODE_SCHEMA:
+        found = f"schema {obj['schema']!r}" if "schema" in obj else "no schema"
+        raise ValueError(f"expected an {_MODE_SCHEMA} document, found {found}")
     p = Params(
         _json_weight(obj["params"]["alpha"]),
         _json_weight(obj["params"]["beta"]),

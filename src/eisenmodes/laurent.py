@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .scalars import Constant, Symbol, _add_product, _json_int
+from .scalars import Constant, Symbol, _add_product, _coerce_constant, _json_int
 
 __all__ = ["YLaurent", "LogCapExceeded", "LOG_CAP"]
 
@@ -16,12 +16,6 @@ TermKey = Tuple[int, int]  # (y_exponent, log_exponent)
 
 class LogCapExceeded(ValueError):
     """A log(y) power exceeded LOG_CAP."""
-
-
-def _coerce(c) -> Constant:
-    if isinstance(c, Constant):
-        return c
-    return Constant.from_rational(c)
 
 
 class YLaurent:
@@ -40,7 +34,7 @@ class YLaurent:
                 raise ValueError("negative log exponent")
             if j > LOG_CAP:
                 raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
-            c = _coerce(c)
+            c = _coerce_constant(c)
             if not c.is_zero():
                 cleaned[(k, j)] = c
         self._terms = cleaned
@@ -62,7 +56,7 @@ class YLaurent:
 
     @classmethod
     def monomial(cls, y_exp: int, coeff=1, log_exp: int = 0) -> "YLaurent":
-        return cls({(y_exp, log_exp): _coerce(coeff)})
+        return cls({(y_exp, log_exp): coeff})
 
     @classmethod
     def one(cls) -> "YLaurent":
@@ -122,7 +116,7 @@ class YLaurent:
     def scale(self, factor) -> "YLaurent":
         """Multiply by an int, Fraction or Constant; the constants form an
         integral domain, so a nonzero factor leaves no coefficient zero."""
-        if factor.is_zero() if isinstance(factor, Constant) else factor == 0:
+        if factor == 0:
             return YLaurent._trusted({})
         return YLaurent._trusted({k: c * factor for k, c in self._terms.items()})
 

@@ -305,8 +305,11 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     particular and source (a SourceTerm).  The scale defaults to
     max(|source(y)|, |source(1)|, 1e-300); the value at 1 guards zeros of the
     source, and is the one ``eval_expr`` gives, read off the source's
-    coefficient doubles that the residual builds anyway.  The second
-    derivative is taken on the flat particular by the exact factor-derivative
+    coefficient doubles that the residual builds anyway.  Those doubles are
+    read from the source's flat value (``SourceTerm.flat``, its int terms over
+    one denominator, which the full source was built from), so the source is
+    not flattened again; each q / den rounds as the reduced Fraction does.
+    The second derivative is taken on the flat particular by the exact factor-derivative
     rules (``bessel._derivative``) and then evaluated numerically.  Every
     input is a double: each coefficient (evaluated as ``Constant.evaluate``
     does), y, log y, pi and the (K_0, K_1) pair of each argument, shared by
@@ -329,13 +332,13 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
         raise OverflowError(f"y * y = {y * y!r} is not a finite double")
     y_m, y_e = _dyadic(y)
     log_m, log_e = _dyadic(math.log(y))
-    part = mode.particular
-    source = mode.source.full()
+    part, flat = mode.particular, mode.source.flat
+    source = flat.shape
     terms, den = _flatten(part)
     moves: Dict = {}
     second = _coefficients(_derivative(part, _derivative(part, terms, moves), moves), den, env)
     values = _coefficients(terms, den, env)
-    source_values = _coefficients(*_flatten(source), env)
+    source_values = _coefficients(flat.terms, flat.den, env)
     pi_m, pi_e = _dyadic(math.pi)
     nsum = mode.n1 + mode.n2
     k01: Dict[int, tuple] = {}

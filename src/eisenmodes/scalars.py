@@ -13,6 +13,12 @@ back to a rational times a monomial of this ring.
 
 Constructors validate and normalise their input; ring operations on normal
 operands build their results without a second pass (``Constant._trusted``).
+Where a number (an int or a Fraction) must become a Constant, as in a sum
+or a ``YLaurent`` coefficient, it takes one path: ``_coerce_constant`` lifts
+it by ``Constant.from_rational``, which validates it once.  A product or
+quotient by a number scales the coefficients without a lift, and equality
+with a number lifts nothing: it compares the terms with {1: q}, or {} for
+zero.
 A sum of many products, such as a truncated series product, adds the
 monomial products of all its pairs into one dict and builds one Constant
 from it (``_add_product``, ``Constant._of_sums``).
@@ -228,11 +234,14 @@ class Constant:
 
     @classmethod
     def from_rational(cls, value) -> "Constant":
-        return cls({_ONE_MONOMIAL: _as_fraction(value)})
+        """The one lift of a number: an int or a Fraction, else a TypeError."""
+        q = _as_fraction(value)
+        return cls._trusted({_ONE_MONOMIAL: q} if q else {})
 
     @classmethod
     def monomial(cls, sym: Symbol, exponent: int = 1, coeff=1) -> "Constant":
-        return cls({SymbolMonomial({sym: exponent}): _as_fraction(coeff)})
+        q = _as_fraction(coeff)
+        return cls._trusted({SymbolMonomial({sym: exponent}): q} if q else {})
 
     @classmethod
     def pi_power(cls, exponent: int, coeff=1) -> "Constant":
@@ -319,11 +328,13 @@ class Constant:
         return out
 
     def __eq__(self, other) -> bool:
-        try:
-            other = _coerce_constant(other)
-        except TypeError:
-            return NotImplemented
-        return self._terms == other._terms
+        """Equal to a Constant with the same terms, or to an int or a Fraction
+        q as the terms {1: q} ({} for zero), which builds no Constant."""
+        if isinstance(other, Constant):
+            return self._terms == other._terms
+        if isinstance(other, (int, Fraction)):
+            return self._terms == ({_ONE_MONOMIAL: other} if other else {})
+        return NotImplemented
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -403,11 +414,8 @@ def _add_product(sums: Dict[SymbolMonomial, Fraction], a: Constant, b: Constant)
 
 
 def _coerce_constant(value) -> Constant:
-    if isinstance(value, Constant):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Constant.from_rational(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to Constant")
+    """A Constant as it is, or a number lifted by ``Constant.from_rational``."""
+    return value if isinstance(value, Constant) else Constant.from_rational(value)
 
 
 def _frac_latex(f: Fraction) -> str:

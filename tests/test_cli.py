@@ -485,6 +485,27 @@ def _first_term_split(doc):
     return doc
 
 
+@pytest.mark.parametrize("argv, found", [
+    (["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n", "1", "--cutoff", "6"],
+     "schema 'eisenmodes/mode-assembly/1'"),
+    (["combine", "--n1", "2", "--n2", "3"], "schema 'eisenmodes/combination/1'"),
+    (["table", "--alpha", "3/2", "--beta", "3/2", "--lambda", "2"],
+     "schema 'eisenmodes/table-comparison/1'"),
+    (["alpha-sum", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30"], "no schema"),
+], ids=["assembly", "combination", "table", "alpha_sum"])
+def test_verify_names_the_schema_it_cannot_read(tmp_path, capsys, argv, found):
+    # every other document the CLI writes is bad input for verify (exit 64),
+    # and the message says which schema it found instead of a missing key
+    path = tmp_path / "doc.json"
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    path.write_text(out)
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err) == {
+        "error": f"expected an eisenmodes/mode-solution/1 document, found {found}"}
+
+
 def _verdict(tmp_path, capsys, doc):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))

@@ -219,14 +219,16 @@ def _assert_as_reference(text, names, message=True):
             == _outcome(_reference_eval, text, names, message)), text
 
 
-# products that mix numbers, Constants and polynomials and divide by each.
-# The last two divide a polynomial by zero: the left-to-right reading names a
-# division by a non-monomial, the rational-first one a division by zero.
+# products that mix numbers, Constants and polynomials and divide by each,
+# numbers also after a polynomial and over each other within one product.
+# The last two divide a polynomial by zero: the reference lifts the zero and
+# names a division by a non-monomial, the compiled text a division by zero.
 MIXED_TEXTS = (
     "6/3", "n2/n1", "6/3*pi", "pi*6/3", "y*6/3", "6/(3*y)", "2/pi*3/y*n2",
     "ly*y/(2*y)*pi/n2", "-n1*(y+1)/2*z3/pi**2*sg1", "sigma(2, n2)/sigma(2, n1)",
     "abs(n1-n2)*logn(12)/3", "(pi+1)*2/4", "y**2/(n1*y)**3", "z3/z2*y/3 - 1/(2*y)",
-    "126/pi**4*n1*n2/(y**3*(n1+n2)**10)", "n1*ly/(n1+n2)", "y/(n1-n1)", "pi/(n1-n1)*y",
+    "126/pi**4*n1*n2/(y**3*(n1+n2)**10)", "n1*ly/(n1+n2)", "y*n1/n2/3",
+    "sigma(2, n1)/abs(n2)/y*pi", "y/(n1-n1)", "pi/(n1-n1)*y",
 )
 
 

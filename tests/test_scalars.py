@@ -22,6 +22,7 @@ from eisenmodes.scalars import (
     zeta_prime,
     zeta_value,
 )
+from eisenmodes.laurent import YLaurent
 from eisenmodes.numerics import NumericEnv
 
 ENV = NumericEnv()
@@ -221,3 +222,21 @@ def test_json_orders_monomials_by_the_unmemoized_key(terms):
     for _ in range(2):
         assert [list(entry["monomial"].items()) for entry in c.to_json_obj()] == [
             [(text(*sym), e) for sym, e in m] for m in expected]
+
+
+_numbers = hst.one_of(hst.integers(-3, 3), hst.fractions(-3, 3, max_denominator=4))
+_constants = hst.one_of(_numbers.map(Constant.from_rational),
+                        hst.dictionaries(_monomials, _numbers, max_size=3).map(Constant))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(c=_constants, q=_numbers, k=hst.integers(-3, 3))
+def test_a_number_compares_with_a_constant_as_its_lift(c, q, k):
+    # equality with an int or a Fraction compares the terms with {1: q}
+    # without building a Constant, and must agree with comparing the lift
+    assert (c == q) == (c == Constant.from_rational(q)) == (q == c)
+    assert (c == 0) == c.is_zero()
+    assert (c == 1.5) is False and (c != 1.5) is True
+    p = YLaurent({(k, 0): c, (k + 1, 1): 1})
+    for zero in (0, Fraction(0), Constant.zero()):
+        assert p.scale(zero) == YLaurent.zero()
