@@ -29,7 +29,6 @@ from .numerics import NumericEnv, bessel_k, residual
 from .scalars import Constant, zeta_even
 from .series import AsymptoticSeries, small_y_series
 from .solver import (
-    DegreeWindow,
     NoSolutionInWindow,
     solve_particular_double,
     solve_particular_single,
@@ -44,7 +43,6 @@ __all__ = [
     "Classification",
     "Combination",
     "Constant",
-    "DegreeWindow",
     "DoubleBessel",
     "HomBasis",
     "ModeAssembly",

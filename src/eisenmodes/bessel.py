@@ -506,21 +506,27 @@ def expr_to_json_obj(expr) -> dict:
     raise TypeError(f"cannot serialize {type(expr).__name__}")
 
 
+# the cell each table key of ``expr_to_json_obj`` names, by expression kind
+_CELL_KEYS = {"single": {"0": 0, "1": 1},
+              "double": {"00": (0, 0), "01": (0, 1), "10": (1, 0), "11": (1, 1)}}
+
+
 def expr_from_json_obj(obj: dict):
+    """Read ``expr_to_json_obj``'s object.  A table that is not an object is
+    a TypeError; a table key that names no cell of the expression's kind
+    ("0" and "1" single, two of those characters double) is a ValueError."""
     kind = obj["kind"]
     if kind == "pure":
         return Pure(YLaurent.from_json_obj(obj["poly"]))
-    if kind in ("single", "double") and not isinstance(obj["table"], dict):
+    if kind not in _CELL_KEYS:
+        raise ValueError(f"unknown expression kind {kind!r}")
+    if not isinstance(obj["table"], dict):
         raise TypeError(f"the table of a {kind} expression must be an object")
+    table = {}
+    for key, p in obj["table"].items():
+        if key not in _CELL_KEYS[kind]:
+            raise ValueError(f"unknown cell {key!r} of a {kind} expression")
+        table[_CELL_KEYS[kind][key]] = YLaurent.from_json_obj(p)
     if kind == "single":
-        return SingleBessel(
-            _json_int(obj["n"]),
-            {int(j): YLaurent.from_json_obj(p) for j, p in obj["table"].items()},
-        )
-    if kind == "double":
-        return DoubleBessel(
-            _json_int(obj["n1"]),
-            _json_int(obj["n2"]),
-            {(int(c[0]), int(c[1])): YLaurent.from_json_obj(p) for c, p in obj["table"].items()},
-        )
-    raise ValueError(f"unknown expression kind {kind!r}")
+        return SingleBessel(_json_int(obj["n"]), table)
+    return DoubleBessel(_json_int(obj["n1"]), _json_int(obj["n2"]), table)

@@ -22,7 +22,9 @@ Exit codes (part of the public contract):
     64  usage error or unreadable input, including a document value of the
         wrong JSON type, a `verify` input of a schema other than
         eisenmodes/mode-solution/1 (the error names the schema found, or
-        says there is none), and a `sums` partial sum that leaves double
+        says there is none), a `verify` input with a cell key not of its
+        expression's kind or a symbol the package never writes (such as
+        zeta(2) or ln_prime(4)), and a `sums` partial sum that leaves double
         range
     141 stdout was closed by its reader (for example `| head -c 10`) before
         the document was written; nothing more is written.  128 + SIGPIPE,
@@ -169,9 +171,7 @@ def _no_solution(exc: NoSolutionInWindow, cls):
         "classification": cls.kind,
         "error": "no_solution_in_window",
         "retries": exc.retries,
-        "windows": None if exc.windows is None else {
-            str(c): [w.m, w.M] for c, w in exc.windows.items()
-        },
+        "windows": None if exc.windows is None else {str(c): list(w) for c, w in exc.windows.items()},
         "inconsistent_rows": [str(r) for r in exc.inconsistent_rows[:8]],
     }
     return doc, EXIT_NOT_TRIANGULAR if cls.kind == "lambda_not_triangular" else EXIT_NO_SOLUTION

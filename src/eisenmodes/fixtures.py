@@ -77,6 +77,8 @@ def _monomial_power(p: YLaurent, b: int) -> YLaurent:
     a division, and its errors say so.
     """
     items = p.terms()
+    if not items and b < 0:
+        raise ZeroDivisionError("division by a zero polynomial")
     if len(items) != 1:
         what = "division by" if b < 0 else "power of"
         raise FixtureError(f"{what} a non-monomial Laurent polynomial")
@@ -253,7 +255,9 @@ def eval_table_expr(text: str, names: Dict) -> object:
     The text is compiled once per process and signature (``_program``).
     Every rejection is a ``FixtureError``: text that does not parse, a name
     missing from names, a division by zero and an argument outside a call's
-    domain included.
+    domain included.  A zero divisor of any kind (a number, a Constant or a
+    polynomial), or a zero to a negative power, is named as "division by
+    zero".
     """
     try:
         words = _words(text)
@@ -262,7 +266,8 @@ def eval_table_expr(text: str, names: Dict) -> object:
     except FixtureError:
         raise
     except (SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FixtureError(f"cannot evaluate {text!r}: {exc}") from exc
+        why = "division by zero" if isinstance(exc, ZeroDivisionError) else exc
+        raise FixtureError(f"cannot evaluate {text!r}: {why}") from exc
 
 
 _BASE_NAMES: Dict = {

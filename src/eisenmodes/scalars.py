@@ -93,13 +93,39 @@ def _symbol_str(sym: Symbol) -> str:
     return kind if arg is None else f"{kind}({arg})"
 
 
-_SYMBOL_TEXT = re.compile(r"(pi|gamma|ln_pi)|(ln_prime|zeta|zeta_prime)\((-?[0-9]+)\)")
+_SYMBOL_TEXT = re.compile(r"(pi|gamma|ln_pi)|(ln_prime|zeta|zeta_prime)\((0|-?[1-9][0-9]*)\)")
+
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p: int) -> bool:
+    """Whether p is prime, by the strong probable-prime test to the 13 prime
+    bases up to 41, which no composite below 3.3e24 passes: 13 modular
+    powers, where trial division of a large p would never end."""
+    if p < 2 or any(p % b == 0 for b in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
+    for b in _PRIME_BASES:
+        # p passes base b if b^d is 1 or one of b^d, b^(2d), ..., b^(2^(s-1) d) is -1
+        x = pow(b, (p - 1) >> s, p)
+        if x not in (1, p - 1) and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+# the arguments the package writes each parametric symbol with
+_WRITTEN = {"zeta": lambda k: k >= 3 and k % 2 == 1, "ln_prime": _is_prime,
+            "zeta_prime": lambda m: m != 1}
 
 
 def _symbol_from_str(text: str) -> Symbol:
-    """The symbol _symbol_str writes as text; any other text is a ValueError."""
+    """The symbol _symbol_str writes as text, where the package writes it:
+    zeta(k) for an odd k >= 3, ln_prime(p) for a prime p, zeta_prime(m) for
+    m != 1, each argument as str(int) writes it.  Any other text is a
+    ValueError."""
     match = _SYMBOL_TEXT.fullmatch(text)
-    if match is None:
+    if match is None or match[2] and not _WRITTEN[match[2]](int(match[3])):
         raise ValueError(f"unknown symbol {text!r}")
     return (match[1], None) if match[1] else (match[2], int(match[3]))
 
@@ -146,9 +172,6 @@ class SymbolMonomial(tuple):
 
     def __pow__(self, k: int) -> "SymbolMonomial":
         return _monomial_power(self, k)
-
-    def inverse(self) -> "SymbolMonomial":
-        return self ** -1
 
     def __repr__(self) -> str:
         if not self:
@@ -306,15 +329,16 @@ class Constant:
     def __truediv__(self, other) -> "Constant":
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / other)
-        mono, coeff = _coerce_constant(other).single_term()
-        inv_mono = mono.inverse()
-        return Constant._trusted({m * inv_mono: c / coeff for m, c in self._terms.items()})
+        (mono, coeff), = (_coerce_constant(other) ** -1)._terms.items()
+        return Constant._trusted({m * mono: c * coeff for m, c in self._terms.items()})
 
     def __rtruediv__(self, other) -> "Constant":
         return _coerce_constant(other) / self
 
     def __pow__(self, k: int) -> "Constant":
         if k < 0 or (k > 0 and len(self._terms) == 1):
+            if not self._terms:
+                raise ZeroDivisionError("a zero Constant to a negative power")
             mono, coeff = self.single_term()
             return Constant._trusted({mono ** k: coeff ** k})
         out = Constant.one()
@@ -470,7 +494,7 @@ LN_PI = Constant.monomial(SYM_LN_PI)
 
 
 def ln_prime(p: int) -> Constant:
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return Constant.monomial(sym_ln_prime(p))
 

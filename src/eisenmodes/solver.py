@@ -37,14 +37,15 @@ system, and with a message of its own for consistent constraints of
 deficient rank.  A row with a nonzero diagonal that reaches a later column
 breaks the band and raises AssertionError.
 
-Every cell of a mode gets one window from the source's y-powers [lo, hi] and
-r = ``params.r_hint``: [min(-r+1, lo), hi] for a double-Bessel source,
-[min(-r+1, lo), r+2] for an anti-diagonal one, [min(-r, lo-1), hi-1] for a
-single-Bessel one.  The operator keeps the parity of p + i + j at y^p K_i K_j
-(p + i at y^p K_i) and every source lies in one such class, so only the
-unknowns of the source's class are solved for; the others could only be zero.
-The window is derived, never configured or widened: a mode that fails on it
-reports it with the inconsistent rows.
+Every cell of a mode gets one window, the pair (m, M), from the source's
+y-powers [lo, hi] and r = ``params.r_hint``: (min(-r+1, lo), hi) for a
+double-Bessel source, (min(-r+1, lo), r+2) for an anti-diagonal one,
+(min(-r, lo-1), hi-1) for a single-Bessel one.  The operator keeps the parity
+of p + sigma at y^p times a cell, sigma the cell's index sum (i + j at
+y^p K_i K_j, i at y^p K_i) that its stencil carries, and every source lies in
+one such class, so only the unknowns of the source's class are solved for;
+the others could only be zero.  The window is derived, never configured or
+widened: a mode that fails on it reports it with the inconsistent rows.
 
 Every returned solution is re-verified (``_recheck``) by applying the
 integer kernel of the symbolic operator of its kind (``bessel._operator_terms``,
@@ -75,7 +76,6 @@ from .laurent import YLaurent
 from .sources import Params
 
 __all__ = [
-    "DegreeWindow",
     "NoSolutionInWindow",
     "SolveReport",
     "solve_particular_double",
@@ -83,12 +83,6 @@ __all__ = [
     "solve_zero_mode",
     "widen_and_retry",
 ]
-
-
-@dataclass(frozen=True)
-class DegreeWindow:
-    m: int
-    M: int
 
 
 class NoSolutionInWindow(Exception):
@@ -126,7 +120,7 @@ class SolveReport:
     def to_json_obj(self) -> dict:
         return {
             "case": self.case,
-            "window_used": {str(c): [w.m, w.M] for c, w in self.windows.items()},
+            "window_used": {str(c): list(w) for c, w in self.windows.items()},
             "retries": self.retries,
             "kernel_dim": self.kernel_dim,
             "num_unknowns": self.num_unknowns,
@@ -137,48 +131,40 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Degree windows and the parity class
+# The derived window and the parity class
 # ---------------------------------------------------------------------------
 
 
-def _cell_parity(expr, cell) -> int:
-    """Parity of the sum of the K indices of `cell`."""
-    return sum(index for index, _ in expr.factors(cell)) % 2
-
-
-def _parity_class(rhs: FlatExpr) -> int:
-    """The common parity of p + parity(cell) over the terms y^p of the flat source.
+def _parity_class(rhs: FlatExpr, sigma: Dict) -> int:
+    """The common parity of p + sigma[cell] over the terms y^p of the flat
+    source, sigma[cell] the sum of the cell's K indices.
 
     The mode operator keeps that parity, so a source spanning both classes
     breaks an invariant of the operator, not an input condition.
     """
-    keys = [key for key, q in rhs.terms.items() if q]
-    parity = {cell: _cell_parity(rhs.shape, cell) for cell in {key[0] for key in keys}}
-    classes = {(key[1] + parity[key[0]]) % 2 for key in keys}
+    classes = {(key[1] + sigma[key[0]]) % 2 for key, q in rhs.terms.items() if q}
     if len(classes) != 1:
         raise AssertionError(f"source spans parity classes {sorted(classes)}")
     return classes.pop()
 
 
-def _source_window(r: int, rhs: FlatExpr) -> DegreeWindow:
-    """The ansatz window every cell gets, from the flat source's y-powers [lo, hi]."""
+def _source_window(r: int, rhs: FlatExpr) -> Tuple[int, int]:
+    """The ansatz window (m, M) every cell gets, from the flat source's y-powers [lo, hi]."""
     powers = [key[1] for key, q in rhs.terms.items() if q]
     lo, hi = min(powers), max(powers)
     if isinstance(rhs.shape, SingleBessel):
-        return DegreeWindow(min(-r, lo - 1), hi - 1)
+        return min(-r, lo - 1), hi - 1
     if sum(rhs.shape.freqs) == 0:  # anti-diagonal: no mass term, the particular reaches y^(r+2)
-        return DegreeWindow(min(-r + 1, lo), r + 2)
-    return DegreeWindow(min(-r + 1, lo), hi)
+        return min(-r + 1, lo), r + 2
+    return min(-r + 1, lo), hi
 
 
-def _ansatz_unknowns(rhs: FlatExpr, windows: Dict):
-    """The unknowns (cell, k) of the windows in the flat source's parity
-    class, in ascending y-degree then cell order."""
-    parity = _parity_class(rhs)
-    unknowns = []
-    for cell, window in windows.items():
-        first = window.m + (window.m + _cell_parity(rhs.shape, cell) + parity) % 2
-        unknowns.extend((cell, k) for k in range(first, window.M + 1, 2))
+def _ansatz_unknowns(rhs: FlatExpr, window: Tuple[int, int], sigma: Dict):
+    """The unknowns (cell, k), m <= k <= M, of every cell of sigma in the
+    flat source's parity class, in ascending y-degree then cell order."""
+    parity = _parity_class(rhs, sigma)
+    m, M = window
+    unknowns = [(c, k) for c, s in sigma.items() for k in range(m + (m + s + parity) % 2, M + 1, 2)]
     return sorted(unknowns, key=itemgetter(1, 0))
 
 
@@ -319,35 +305,40 @@ def _fix_parameters(g, h, names, n_params, n_dirs):
     return values
 
 
-def _assemble_and_solve(params: Params, rhs: FlatExpr, cells, case: str):
+def _assemble_and_solve(params: Params, rhs: FlatExpr, case: str):
     """Assemble the banded system of the derived window and solve it exactly.
 
-    Every cell gets the window ``_source_window`` derives from the source,
-    and ``_ansatz_unknowns`` lists that window's unknowns in the source's
-    parity class; each is derived once per solve.  The operator is
-    pi-graded: the image of y^k (times a Bessel cell) at y^p is a rational q
-    times pi^(p-k).  Scaling unknown (cell, k) by pi^k and row (cell, p) by
-    pi^-p therefore leaves a rational matrix with the zero pattern of the
-    original, whose column (cell, k) is the operator with pi = 1.  Each
-    cell's ``cell_stencil`` is built once and evaluated over its unknowns
-    into the row-major system {row: {u: int}}, u the unknown's index in
-    (degree, cell) order, and entries that are zero at that degree (the
-    diagonal of a resonant unknown) are not stored, so the rows are those of
-    the nonzero column entries and the source rows.
+    The cells are those of the source's kind: 0 and 1 for a single-Bessel
+    source, the folded four for a double one.  Each cell's ``cell_stencil``
+    is built once; every cell gets the one window (m, M) that
+    ``_source_window`` derives from the source, and ``_ansatz_unknowns``
+    lists its unknowns in the source's parity class, reading each cell's
+    index sum sigma from its stencil.  The operator is pi-graded: the image
+    of y^k (times a Bessel cell) at y^p is a rational q times pi^(p-k).
+    Scaling unknown (cell, k) by pi^k and row (cell, p) by pi^-p therefore
+    leaves a rational matrix with the zero pattern of the original, whose
+    column (cell, k) is the operator with pi = 1.  The stencils are evaluated
+    over the unknowns into the row-major system {row: {u: int}}, u the
+    unknown's index in (degree, cell) order, and entries that are zero at
+    that degree (the diagonal of a resonant unknown) are not stored, so the
+    rows are those of the nonzero column entries and the source rows.
     ``_recurrence`` solves it; where it raises NoSolutionInWindow, the error
-    is raised again with the windows.  Each flat source term q pi^e rest at
-    y^p (over the source's den) becomes the int q of direction (rest, e - p)
-    at row (cell, p), each direction reduced by one gcd with den; a solved
-    value of that direction at unknown (cell, k) stands for that value times
-    pi^(k + e - p) rest.  The flat solution, over the lcm of the directions'
-    denominators, must pass ``_recheck`` before its expression is built.
+    is raised again with the window of each cell.  Each flat source term q
+    pi^e rest at y^p (over the source's den) becomes the int q of direction
+    (rest, e - p) at row (cell, p), each direction reduced by one gcd with
+    den; a solved value of that direction at unknown (cell, k) stands for
+    that value times pi^(k + e - p) rest.  The flat solution, over the lcm of
+    the directions' denominators, must pass ``_recheck`` before its
+    expression is built.
     """
     lam = params.lam
     shape = rhs.shape
-    window = _source_window(params.r_hint, rhs)
-    windows = {c: window for c in cells}
+    cells = ((0, 1) if isinstance(shape, SingleBessel)
+             else sorted({shape.fold((i, j)) for i in (0, 1) for j in (0, 1)}))
     stencil = {c: cell_stencil(shape, c) for c in cells}
-    col_order = _ansatz_unknowns(rhs, windows)
+    window = _source_window(params.r_hint, rhs)
+    windows = dict.fromkeys(cells, window)
+    col_order = _ansatz_unknowns(rhs, window, {c: sigma for c, (sigma, _) in stencil.items()})
     system: Dict = {}
     for u, (cell, k) in enumerate(col_order):
         sigma, entries = stencil[cell]
@@ -446,10 +437,8 @@ def solve_particular_double(
     """Solve P_lam(g) = rhs exactly for the bilinear ansatz g; rhs is a
     ``DoubleBessel`` or its ``FlatExpr``."""
     rhs = FlatExpr.of(rhs)
-    shape = rhs.shape
-    case = case or ("anti_diagonal" if shape.n1 + shape.n2 == 0 else "generic")
-    cells = sorted({shape.fold((i, j)) for i in (0, 1) for j in (0, 1)})
-    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, cells, case))
+    case = case or ("anti_diagonal" if sum(rhs.shape.freqs) == 0 else "generic")
+    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, case))
 
 
 def solve_particular_single(
@@ -458,7 +447,7 @@ def solve_particular_single(
     """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g; rhs is a
     ``SingleBessel`` or its ``FlatExpr``."""
     rhs = FlatExpr.of(rhs)
-    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, (0, 1), case))
+    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, case))
 
 
 # ---------------------------------------------------------------------------

@@ -380,8 +380,8 @@ def test_criterion_9_property_suites():
             sol, rep = solve_particular_double(p, source_term(p, 1, 2).core)
             assert rep.kernel_dim == 0 and rep.retries == 0
             for cell, poly in sol.table.items():
-                w = rep.windows[cell]
-                assert w.m <= poly.min_degree() and poly.max_degree() <= w.M, (a, b, r, cell)
+                m, M = rep.windows[cell]
+                assert m <= poly.min_degree() and poly.max_degree() <= M, (a, b, r, cell)
             conforming += 1
     _report(9, True, f"ring axioms, reduction (1e-13), Wronskian (1e-11), linearity, "
                      f"band assertion, window conformance on {conforming} (weights, r) pairs")

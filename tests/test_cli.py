@@ -461,6 +461,47 @@ def test_verify_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, shape):
     assert set(json.loads(err)) == {"error"}
 
 
+def _cell_renamed(old, new):
+    def edit(doc):
+        doc = json.loads(json.dumps(doc))
+        table = doc["particular"]["table"]
+        table[new] = table.pop(old)
+        return doc
+    return edit
+
+
+def _alpha_with_symbol(symbol):
+    def edit(doc):
+        return {**doc, "alpha": doc["alpha"] + [{"monomial": {symbol: 1}, "coeff": "1/1"}]}
+    return edit
+
+
+@pytest.mark.parametrize("n2, edit", [
+    (2, _cell_renamed("00", "0")),
+    (2, _cell_renamed("00", "02")),
+    (2, _cell_renamed("00", "000")),
+    (2, _cell_renamed("00", "x1")),
+    (0, _cell_renamed("0", "2")),
+    (0, _cell_renamed("0", "00")),
+    (2, _alpha_with_symbol("zeta(2)")),
+    (2, _alpha_with_symbol("zeta(1)")),
+    (2, _alpha_with_symbol("zeta(-3)")),
+    (2, _alpha_with_symbol("zeta(03)")),
+    (2, _alpha_with_symbol("ln_prime(4)")),
+    (2, _alpha_with_symbol("zeta_prime(1)")),
+], ids=["double_key_0", "double_key_02", "double_key_000", "double_key_x1", "single_key_2",
+        "single_key_00", "zeta_2", "zeta_1", "zeta_minus_3", "zeta_03", "ln_prime_4",
+        "zeta_prime_1"])
+def test_verify_reads_only_cells_and_symbols_the_package_writes(tmp_path, capsys, n2, edit):
+    # a cell key not of the expression's kind and a symbol the package never
+    # writes are bad input (exit 64), never a traceback or a mismatch (exit 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(_solution_doc(tmp_path, capsys, n2=n2))))
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert set(json.loads(err)) == {"error"}
+
+
 def _first_term_with(doc, **fields):
     """doc with the first term of its particular part's first cell edited."""
     doc = json.loads(json.dumps(doc))
@@ -786,7 +827,7 @@ def test_solve_contract_beyond_the_solvable_families(family, n1, n2):
             assert doc["inconsistent_rows"]
             p = Params(alpha, beta, lam, Normalization.UNIT)
             window = _source_window(p.r_hint, source_term(p, n1, n2).flat)
-            assert set(map(tuple, doc["windows"].values())) == {(window.m, window.M)}
+            assert set(map(tuple, doc["windows"].values())) == {window}
             return
         # a solution of a family outside the solvable set verifies, byte-stably
         verdicts = [_main_doc(["verify", "--input", path]) for _ in range(2)]

@@ -110,6 +110,8 @@ def _ref_lift(value):
 
 def _ref_reciprocal(p):
     items = p.terms()
+    if not items:
+        raise ZeroDivisionError
     if len(items) != 1:
         raise FixtureError("division by a non-monomial Laurent polynomial")
     ((k, j), c), = items.items()
@@ -202,7 +204,8 @@ def _reference_eval(text, names):
     except FixtureError:
         raise
     except (SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FixtureError(f"cannot evaluate {text!r}: {exc}") from exc
+        why = "division by zero" if isinstance(exc, ZeroDivisionError) else exc
+        raise FixtureError(f"cannot evaluate {text!r}: {why}") from exc
 
 
 def _outcome(evaluate, text, names, message):
@@ -221,8 +224,7 @@ def _assert_as_reference(text, names, message=True):
 
 # products that mix numbers, Constants and polynomials and divide by each,
 # numbers also after a polynomial and over each other within one product.
-# The last two divide a polynomial by zero: the reference lifts the zero and
-# names a division by a non-monomial, the compiled text a division by zero.
+# The last two divide by zero: a polynomial, and a Constant.
 MIXED_TEXTS = (
     "6/3", "n2/n1", "6/3*pi", "pi*6/3", "y*6/3", "6/(3*y)", "2/pi*3/y*n2",
     "ly*y/(2*y)*pi/n2", "-n1*(y+1)/2*z3/pi**2*sg1", "sigma(2, n2)/sigma(2, n1)",
@@ -238,6 +240,12 @@ def test_small_texts_evaluate_as_the_reference():
     for n1, n2 in ((1, 2), (-3, 3), (4, -2), (6, 3)):
         for text in MIXED_TEXTS:
             _assert_as_reference(text, _mode_names(n1=n1, n2=n2), message=False)
+    # a zero divisor of any kind, or zero to a negative power, names one fault
+    names = _mode_names(n1=1, n2=2)
+    for text in (*MIXED_TEXTS[-2:], "1/(0*pi)", "(0*pi)**-2", "y/(y-y)", "(y-y)**-1", "0**-1"):
+        _assert_as_reference(text, names)
+        with pytest.raises(FixtureError, match=r": division by zero$"):
+            eval_table_expr(text, names)
 
 
 def test_texts_compile_once_per_kind_signature():

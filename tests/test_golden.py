@@ -115,7 +115,7 @@ def test_golden_inconsistent_rows():
         solve_mode(Params(Fraction(3, 2), Fraction(3, 2), 31), -3, 4)
     exc = info.value
     assert exc.retries == 0
-    assert {str(c): (w.m, w.M) for c, w in exc.windows.items()} == {
+    assert {str(c): w for c, w in exc.windows.items()} == {
         "(0, 0)": (-4, 1), "(0, 1)": (-4, 1), "(1, 0)": (-4, 1), "(1, 1)": (-4, 1),
     }
     assert [str(r) for r in exc.inconsistent_rows] == [
@@ -131,7 +131,7 @@ def test_golden_inconsistent_rows_of_a_resonant_family():
         solve_mode(Params(Fraction(3, 2), Fraction(3, 2), 20), 1, 2)
     exc = info.value
     assert exc.retries == 0
-    assert {str(c): (w.m, w.M) for c, w in exc.windows.items()} == {
+    assert {str(c): w for c, w in exc.windows.items()} == {
         "(0, 0)": (-3, 1), "(0, 1)": (-3, 1), "(1, 0)": (-3, 1), "(1, 1)": (-3, 1),
     }
     assert [str(r) for r in exc.inconsistent_rows] == [

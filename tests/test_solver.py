@@ -14,7 +14,6 @@ from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
 from eisenmodes.scalars import Constant, SymbolMonomial, zeta_odd
 from eisenmodes.solver import (
-    DegreeWindow,
     _ansatz_unknowns,
     _recurrence,
     _source_window,
@@ -70,7 +69,11 @@ def test_derived_windows_continue_the_published_table():
             for n1, n2 in ((1, 2), (2, -3), (1, 1), (-2, 2)):
                 core = source_term(p, n1, n2).core
                 _, rep = solve_particular_double(p, core)
-                derived = set(_ansatz_unknowns(FlatExpr.of(core), rep.windows))
+                # every cell of the report holds the one derived pair
+                (window,) = {tuple(w) for w in rep.to_json_obj()["window_used"].values()}
+                assert rep.windows == dict.fromkeys(rep.windows, window)
+                sigma = {cell: sum(cell) for cell in rep.windows}
+                derived = set(_ansatz_unknowns(FlatExpr.of(core), window, sigma))
                 old = _published_unknowns(a, b, r, core)
                 assert old <= derived, (a, b, r, n1, n2)
                 if derived != old:
@@ -657,8 +660,8 @@ def _eliminated_at(monkeypatch, solve, p, core, t):
     derived, kernels = solver_mod._source_window, []
 
     def widened(r, rhs):
-        window = derived(r, rhs)
-        return DegreeWindow(window.m - t, window.M + t)
+        m, M = derived(r, rhs)
+        return m - t, M + t
 
     def eliminating(*args):
         solution, kernel_cols, inconsistent = _eliminate(*args)
