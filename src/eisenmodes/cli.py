@@ -39,8 +39,9 @@ part's kind (bessel.mode_operator) and compares the image exactly with the
 source rebuilt from the document's params and (n1, n2); it checks the
 document's alpha, or its obstruction terms, against
 homogeneous.boundary_reference on the document's own particular part: the
-Constant small-y series, a route that shares no arithmetic with the
-choose_alpha that solve runs.  `table` and `combine` compare the
+Constant small-y series, a route that shares only the K_0/K_1 table of
+series.k_flat_series (checked in the tests against an independent oracle)
+with the choose_alpha that solve runs.  `table` and `combine` compare the
 computed expressions exactly with the printed ones (fixtures.compare_expressions).
 """
 

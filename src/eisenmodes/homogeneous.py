@@ -245,8 +245,9 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     its y^{-r} term alone, (2r)!/(r! (4|n1 + n2|)^r) pi^{-r} in closed form
     (1 for y^{-r} when n1 + n2 = 0): alpha's ints are scaled by its inverse
     and its pi exponent raised by r, and every Constant is built once.
-    ``boundary_reference``, which adds the Constant series of both, is the
-    independent route that ``verify`` and the tests compare with.
+    ``boundary_reference``, which adds the Constant series of both and shares
+    only the K_0/K_1 table with this route, is the one that ``verify`` and the
+    tests compare with.
     """
     terms, den = flat_small_y_series(FlatExpr.of(particular), -r + 1)
     num, div, e_el = _element_leading(r, n1 + n2)
@@ -263,7 +264,10 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
 
 
 def boundary_reference(particular, r: int, n1: int, n2: int):
-    """``choose_alpha`` from the Constant series, sharing none of its arithmetic.
+    """``choose_alpha`` from the Constant series, sharing only its K_0/K_1
+    table (``series.k_flat_series``, which the tests check against an
+    independent oracle) and none of its product, truncation or division
+    arithmetic.
 
     alpha is minus the y^{-r} coefficient of ``small_y_series`` of the
     particular part over that of the decaying element's series; the terms of

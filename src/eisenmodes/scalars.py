@@ -97,13 +97,16 @@ _SYMBOL_TEXT = re.compile(r"(pi|gamma|ln_pi)|(ln_prime|zeta|zeta_prime)\((0|-?[1
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least composite that passes all 13 bases (1287836182261 * 2575672364521)
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(p: int) -> bool:
-    """Whether p is prime, by the strong probable-prime test to the 13 prime
-    bases up to 41, which no composite below 3.3e24 passes: 13 modular
-    powers, where trial division of a large p would never end."""
-    if p < 2 or any(p % b == 0 for b in _PRIME_BASES):
+    """Whether p is a prime below ``_PRIME_BOUND``, by the strong probable-prime
+    test to the 13 prime bases up to 41, which no composite below that bound
+    passes: 13 modular powers, where trial division of a large p would never
+    end.  A larger p is refused before any power."""
+    if p < 2 or p >= _PRIME_BOUND or any(p % b == 0 for b in _PRIME_BASES):
         return p in _PRIME_BASES
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
     for b in _PRIME_BASES:
@@ -121,9 +124,10 @@ _WRITTEN = {"zeta": lambda k: k >= 3 and k % 2 == 1, "ln_prime": _is_prime,
 
 def _symbol_from_str(text: str) -> Symbol:
     """The symbol _symbol_str writes as text, where the package writes it:
-    zeta(k) for an odd k >= 3, ln_prime(p) for a prime p, zeta_prime(m) for
-    m != 1, each argument as str(int) writes it.  Any other text is a
-    ValueError."""
+    zeta(k) for an odd k >= 3, ln_prime(p) for a prime p < ``_PRIME_BOUND``
+    (``factorize`` would need about 10^12 trial divisions to reach one at
+    or above it), zeta_prime(m) for m != 1, each argument as str(int)
+    writes it.  Any other text is a ValueError."""
     match = _SYMBOL_TEXT.fullmatch(text)
     if match is None or match[2] and not _WRITTEN[match[2]](int(match[3])):
         raise ValueError(f"unknown symbol {text!r}")
@@ -410,20 +414,29 @@ class Constant:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "Constant":
-        """Read ``to_json_obj``'s list.  A value of the wrong JSON type is a
-        TypeError; an unknown symbol or a coefficient that is not "p/q" with
-        q != 0 is a ValueError."""
+        """Read ``to_json_obj``'s list, only as it writes one.  A value of the
+        wrong JSON type is a TypeError; an unknown symbol, a zero exponent, a
+        monomial listed twice, or a coefficient that is not the reduced "p/q"
+        of a nonzero number is a ValueError."""
         terms: Dict[SymbolMonomial, Fraction] = {}
         for entry in obj:
             monomial, coeff = entry["monomial"], entry["coeff"]
             if type(monomial) is not dict or type(coeff) is not str:
                 raise TypeError(f"expected a monomial object and a coefficient string: {entry!r}")
-            mono = SymbolMonomial({_symbol_from_str(k): _json_int(e) for k, e in monomial.items()})
+            exponents = {_symbol_from_str(k): _json_int(e) for k, e in monomial.items()}
+            if 0 in exponents.values():
+                raise ValueError(f"zero exponent in monomial {monomial!r}")
+            mono = SymbolMonomial(exponents)
+            if mono in terms:
+                raise ValueError(f"monomial {monomial!r} listed twice")
             num, den = coeff.split("/")
             if int(den) == 0:
                 raise ValueError(f"zero denominator in coefficient {coeff!r}")
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(int(num), int(den))
-        return cls(terms)
+            q = Fraction(int(num), int(den))
+            if not q or coeff != f"{q.numerator}/{q.denominator}":
+                raise ValueError(f"coefficient {coeff!r} is not the reduced p/q of a nonzero number")
+            terms[mono] = q
+        return cls._trusted(terms)
 
 
 def _add_product(sums: Dict[SymbolMonomial, Fraction], a: Constant, b: Constant) -> None:
@@ -495,7 +508,7 @@ LN_PI = Constant.monomial(SYM_LN_PI)
 
 def ln_prime(p: int) -> Constant:
     if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{p} is not a prime below {_PRIME_BOUND}")
     return Constant.monomial(sym_ln_prime(p))
 
 

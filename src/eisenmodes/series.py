@@ -10,21 +10,21 @@ with z = 2 pi |n| y, so log(z/2) = log(y) + log(pi) + log|n| lands in the
 scalar ring (log|n| normalized to prime logarithms).  Half-integer-index
 homogeneous elements use the finite exponential-polynomial closed form.
 
-``k_log_series``, ``hom_norm_series`` and ``k_flat_series`` are memoized for
+The K_0/K_1 series are written once, by ``k_flat_series``: each coefficient
+straight from the closed form of these expansions, with no power of z^2/4
+and no Constant arithmetic, in the split form its products read: a tuple of
+(y_exp, log_exp, pi exponent, pi-free rest, int) in increasing y_exp, and
+one denominator.  ``k_log_series`` is the polynomial view of that table,
+each coefficient rebuilt by ``bessel._rebuild`` as the operators rebuild
+theirs.
+
+``k_flat_series``, ``k_log_series`` and ``hom_norm_series`` are memoized for
 the life of the process: the sub-modes of one assembly share their
 frequencies, so the same (index, |n|, order) series is asked for again and
 again.  That is safe because all three are pure functions of ints and their
 results are never written to (``YLaurent`` operations return new objects, and
 ``k_flat_series`` returns tuples).  Each cache grows by one entry per distinct
-argument triple a process touches.  ``k_log_series`` builds each
-coefficient directly from the closed form of these expansions: pi^k times a
-rational for the log(y) term, and pi^k times a rational times l plus pi^k
-times a rational for the other, where l = log(pi) + gamma + log|n| is summed
-once per |n| (``_log_terms``, memoized the same way).  No power of z^2/4 and
-no Constant division is formed per term.  ``k_flat_series`` holds the same
-series written from the closed form without Constant arithmetic, already in
-the split form its products read: a tuple of (y_exp, log_exp, pi exponent,
-pi-free rest, int) in increasing y_exp, and one denominator.
+argument triple a process touches.
 
 ``flat_small_y_series`` is ``small_y_series`` in ints on the flat value of a
 Bessel product (``bessel.FlatExpr``, key (cell, y power, log power, pi
@@ -33,7 +33,8 @@ solution the solver checked; it reads no Constant.  It keeps only the terms
 that can reach below the order: K_0 starts at y^0 and K_1 at y^-1, so a term
 y^k of a cell with `ones` K_1 factors is kept when k - ones < order.
 ``small_y_series`` multiplies the Constant series of ``k_log_series`` over
-every term of an expression and stays the independent check of it.
+every term of an expression.  The two routes share the K table and no
+product, truncation or division arithmetic, so each checks the other's.
 """
 
 from __future__ import annotations
@@ -44,17 +45,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import itemgetter
 
-from .bessel import BesselProduct, FlatExpr, HomBasis, _times_pi
+from .bessel import BesselProduct, FlatExpr, HomBasis, Pure, _rebuild
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import (
-    GAMMA,
-    LN_PI,
     SYM_GAMMA,
     SYM_LN_PI,
     Constant,
     SymbolMonomial,
     factorize,
-    log_normalize,
     sym_ln_prime,
 )
 
@@ -99,20 +97,9 @@ _y_exp = itemgetter(0)
 
 
 @lru_cache(maxsize=None)
-def _harmonic(m: int) -> Fraction:
-    return Fraction(0) if m == 0 else _harmonic(m - 1) + Fraction(1, m)
-
-
-@lru_cache(maxsize=None)
-def _log_terms(N: int):
-    """The (monomial, coefficient) pairs of l = log(pi) + gamma + log N, which
-    is log(z/2) - log(y) + gamma for z = 2 pi N y, log N over prime logs."""
-    return tuple((LN_PI + log_normalize(N) + GAMMA).terms().items())
-
-
-@lru_cache(maxsize=None)
-def k_log_series(j: int, n: int, order: int) -> YLaurent:
-    """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1}).
+def k_flat_series(j: int, n: int, order: int):
+    """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1}), as
+    ((y_exp, log_exp, pi exponent, rest, int), ...), den.
 
     Each coefficient is written straight from the closed form: with N = |n|
     and l = log(pi) + gamma + sum e_p log(p) over N = prod p^e_p,
@@ -122,44 +109,11 @@ def k_log_series(j: int, n: int, order: int) -> YLaurent:
              + y^{2m+1} pi^{2m+1} N^{2m+1} / (m! (m+1)!)
                * (log y + l - (H_m + H_{m+1}) / 2),
 
-    for y exponents k below order: the log y coefficient is pi^k times a
-    rational, the other pi^k times that rational times l (``_log_terms``)
-    plus pi^k times a rational.
-    """
-    if j not in (0, 1):
-        raise ValueError("index must be 0 or 1")
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    N = abs(n)
-    logs = _log_terms(N)
-    terms = {}
-    if j == 1 and order > -1:
-        terms[-1, 0] = Constant.pi_power(-1, Fraction(1, 2 * N))
-    for m in range((order - j + 1) // 2):  # the m with 2m + j < order
-        k = 2 * m + j
-        r = Fraction(N**k, math.factorial(m) * math.factorial(m + j))
-        if j == 0:
-            a, h = -r, r * _harmonic(m)
-        else:
-            a, h = r, -r * (_harmonic(m) + _harmonic(m + 1)) / 2
-        pi_k = _times_pi(_ONE, k)
-        value = {_times_pi(mono, k): a * c for mono, c in logs}
-        if h:
-            value[pi_k] = h
-        terms[k, 1] = Constant._trusted({pi_k: a})
-        terms[k, 0] = Constant._trusted(value)
-    return YLaurent._trusted(terms)
-
-
-@lru_cache(maxsize=None)
-def k_flat_series(j: int, n: int, order: int):
-    """``k_log_series(j, n, order)`` as ((y_exp, log_exp, pi exponent, rest, int), ...), den.
-
-    Written from the closed form of ``k_log_series`` with no Constant
-    arithmetic, in increasing y exponent.  Each term's monomial is split as
-    ``_mul_flat`` reads it, a pi exponent and the pi-free rest; each int is
-    its coefficient times den, the lcm of the coefficients' denominators, as
-    ``bessel._flatten`` writes them.
+    for y exponents k below order, in increasing k, with no Constant
+    arithmetic.  Each term's monomial is split as ``_mul_flat`` reads it, a
+    pi exponent and the pi-free rest; each int is its coefficient times den,
+    the lcm of the coefficients' denominators, as ``bessel._flatten`` writes
+    them.
     """
     if j not in (0, 1):
         raise ValueError("index must be 0 or 1")
@@ -194,6 +148,14 @@ def k_flat_series(j: int, n: int, order: int):
             terms.append((k, 0, k, _ONE, h))
     g = math.gcd(den, *(c for *_, c in terms))
     return tuple((*key, c // g) for *key, c in terms), den // g
+
+
+@lru_cache(maxsize=None)
+def k_log_series(j: int, n: int, order: int) -> YLaurent:
+    """``k_flat_series(j, n, order)`` as a polynomial, each coefficient divided
+    by den once (``bessel._rebuild``)."""
+    terms, den = k_flat_series(j, n, order)
+    return _rebuild(Pure(YLaurent.zero()), {((), *key): c for *key, c in terms}, den).poly
 
 
 def _mul_flat(a, b, order: int):

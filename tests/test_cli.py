@@ -476,6 +476,29 @@ def _alpha_with_symbol(symbol):
     return edit
 
 
+def _alpha_first_term(coeff=None, **exponents):
+    """doc with the first alpha term's coefficient replaced, or exponents added
+    to its monomial."""
+    def edit(doc):
+        first = doc["alpha"][0]
+        first = {"monomial": {**first["monomial"], **exponents}, "coeff": coeff or first["coeff"]}
+        return {**doc, "alpha": [first, *doc["alpha"][1:]]}
+    return edit
+
+
+def _alpha_first_term_twice(doc):
+    return {**doc, "alpha": doc["alpha"] + doc["alpha"][:1]}
+
+
+def _particular_monomial_twice(doc):
+    """doc with the first monomial of its particular part's first term listed twice."""
+    doc = json.loads(json.dumps(doc))
+    table = doc["particular"]["table"]
+    coeff = table[min(table)][0]["coeff"]
+    coeff.append(coeff[0])
+    return doc
+
+
 @pytest.mark.parametrize("n2, edit", [
     (2, _cell_renamed("00", "0")),
     (2, _cell_renamed("00", "02")),
@@ -489,12 +512,25 @@ def _alpha_with_symbol(symbol):
     (2, _alpha_with_symbol("zeta(03)")),
     (2, _alpha_with_symbol("ln_prime(4)")),
     (2, _alpha_with_symbol("zeta_prime(1)")),
+    (2, _alpha_with_symbol("ln_prime(3317044064679887385961981)")),
+    (2, _alpha_first_term_twice),
+    (2, _particular_monomial_twice),
+    (2, _alpha_first_term("1280/3402")),
+    (2, _alpha_first_term("-640/-1701")),
+    (2, _alpha_first_term("6_40/1701")),
+    (2, _alpha_first_term(" 640/1701")),
+    (2, lambda doc: {**doc, "alpha": doc["alpha"] + [{"monomial": {"gamma": 1}, "coeff": "0/1"}]}),
+    (2, _alpha_first_term(gamma=0)),
 ], ids=["double_key_0", "double_key_02", "double_key_000", "double_key_x1", "single_key_2",
         "single_key_00", "zeta_2", "zeta_1", "zeta_minus_3", "zeta_03", "ln_prime_4",
-        "zeta_prime_1"])
+        "zeta_prime_1", "ln_prime_psi13", "alpha_monomial_twice", "particular_monomial_twice",
+        "coeff_unreduced", "coeff_double_minus", "coeff_underscore", "coeff_padded",
+        "coeff_zero", "exponent_zero"])
 def test_verify_reads_only_cells_and_symbols_the_package_writes(tmp_path, capsys, n2, edit):
-    # a cell key not of the expression's kind and a symbol the package never
-    # writes are bad input (exit 64), never a traceback or a mismatch (exit 1)
+    # a cell key not of the expression's kind, a symbol the package never
+    # writes (ln_prime(p) only for a prime p below the 13-base test's first
+    # pseudoprime) and a Constant not as the package writes it are bad input
+    # (exit 64), never a traceback or a mismatch (exit 1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(_solution_doc(tmp_path, capsys, n2=n2))))
     code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))

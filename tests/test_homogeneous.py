@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from eisenmodes.bessel import HomBasis
+from eisenmodes.bessel import DoubleBessel, HomBasis
 from eisenmodes.divisors import sigma
 from eisenmodes.homogeneous import (
     T_MINUS_2_WEIGHTS,
@@ -180,6 +180,64 @@ def test_alpha_uniqueness_perturbation():
 def test_exchange_symmetry():
     p = Params(F(3, 2), F(3, 2), 30)
     assert solve_mode(p, 1, 2).alpha == solve_mode(p, 2, 1).alpha
+
+
+def _solved_or_none(params, n1, n2):
+    try:
+        return solve_mode(params, n1, n2)
+    except NoSolutionInWindow:
+        return None
+
+
+def _transposed(cells, expr):
+    """`cells` keyed by each double cell (i, j) read as (j, i), folded as
+    `expr` folds its cells; single and pure cells stay."""
+    if not isinstance(expr, DoubleBessel):
+        return cells
+    return {expr.fold(cell[::-1]): value for cell, value in cells.items()}
+
+
+def _obstruction_terms(mode):
+    obs = mode.obstruction
+    return None if obs is None else (obs.leading, obs.secondary_alpha)
+
+
+_SWEEP_WEIGHTS = hst.sampled_from([F(3, 2), F(5, 2), F(7, 2), F(9, 2)])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(alpha=_SWEEP_WEIGHTS, beta=_SWEEP_WEIGHTS, r=hst.integers(1, 8),
+       n1=hst.integers(-40, 40), n2=hst.integers(-40, 40))
+# merged modes, the anti-diagonal ones above all, which the draws seldom meet
+@example(alpha=F(3, 2), beta=F(5, 2), r=4, n1=7, n2=-7)
+@example(alpha=F(3, 2), beta=F(7, 2), r=6, n1=-5, n2=-5)
+@example(alpha=F(5, 2), beta=F(9, 2), r=2, n1=3, n2=3)
+@example(alpha=F(9, 2), beta=F(9, 2), r=8, n1=40, n2=-40)
+def test_a_mode_and_its_symmetry_images_solve_alike(alpha, beta, r, n1, n2):
+    # the mode equation is invariant under (n1, n2) -> (-n1, -n2) and under
+    # (alpha, beta, n1, n2) -> (beta, alpha, n2, n1), the latter with the
+    # double cells transposed: the three solves agree, or all three fail
+    lam = r * (r + 1)
+    mode = _solved_or_none(Params(alpha, beta, lam, UNIT), n1, n2)
+    negated = _solved_or_none(Params(alpha, beta, lam, UNIT), -n1, -n2)
+    swapped = _solved_or_none(Params(beta, alpha, lam, UNIT), n2, n1)
+    assert (mode is None) == (negated is None) == (swapped is None)
+    if mode is None:
+        return
+    assert negated.particular.table == mode.particular.table
+    assert swapped.particular.table == _transposed(mode.particular.table, swapped.particular)
+    for image in (negated, swapped):
+        assert image.alpha == mode.alpha
+        assert _obstruction_terms(image) == _obstruction_terms(mode)
+    if mode.report is None:  # the zero mode
+        return
+    # the swap turns left_zero into right_zero, so only the negation keeps the case
+    assert negated.case == mode.case
+    assert negated.report.support == mode.report.support
+    assert swapped.report.support == _transposed(mode.report.support, swapped.particular)
+    for image in (negated, swapped):
+        assert (image.report.num_unknowns, image.report.num_equations) == (
+            mode.report.num_unknowns, mode.report.num_equations)
 
 
 def test_lambda2_obstruction_matches_worked_solution():

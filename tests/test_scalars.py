@@ -72,6 +72,11 @@ def test_log_normalize():
     assert log_normalize(7) == ln_prime(7)
     with pytest.raises(ValueError):
         log_normalize(0)
+    # 4 is composite; 3317044064679887385961981 = 1287836182261 * 2575672364521
+    # is the least composite that the 13-base prime test passes
+    for p in (1, 4, 3317044064679887385961981):
+        with pytest.raises(ValueError):
+            ln_prime(p)
 
 
 def test_log_normalize_additivity():

@@ -83,8 +83,9 @@ def _k_log_series_oracle(j, n, order):
 def test_k_log_series_is_the_constant_arithmetic_oracle():
     # each coefficient written from the closed form equals the one the
     # expansions give through powers of u and Constant division
+    # (n up to 300, the sweep's frequencies, with three or more prime logs)
     for j in (0, 1):
-        for N in range(1, 61):
+        for N in (*range(1, 61), 97, 200, 300):
             for order in range(-2, 15):
                 expected = _k_log_series_oracle(j, N, order)
                 for n in (N, -N):
