@@ -30,6 +30,7 @@ from .divisors import (
     sigma,
     sigma_float_table,
 )
+from .laurent import _json_term
 from .numerics import DEFAULT_ENV, symbol_value
 from .scalars import Constant, _json_int, log_normalize, sym_ln_prime
 from .series import flat_small_y_series, hom_norm_scale_description, small_y_series
@@ -180,10 +181,7 @@ def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
     obstruction = None
     if obj["obstruction"] is not None:
         obstruction = Obstruction(
-            tuple(
-                (_json_int(e["y"]), _json_int(e["log"]), Constant.from_json_obj(e["coeff"]))
-                for e in obj["obstruction"]["leading"]
-            ),
+            tuple(map(_json_term, obj["obstruction"]["leading"])),
             None,
             obj["obstruction"]["message"],
         )

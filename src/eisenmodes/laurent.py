@@ -223,9 +223,19 @@ class YLaurent:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "YLaurent":
-        """Read ``to_json_obj``'s list; a repeated (y, log) term is a ValueError."""
-        terms = {(_json_int(e["y"]), _json_int(e["log"])): Constant.from_json_obj(e["coeff"])
-                 for e in obj}
+        """Read ``to_json_obj``'s list (``_json_term``); a repeated (y, log)
+        term is a ValueError."""
+        terms = {(k, j): c for k, j, c in map(_json_term, obj)}
         if len(terms) != len(obj):
             raise ValueError("repeated (y, log) term")
         return cls(terms)
+
+
+def _json_term(entry) -> Tuple[int, int, Constant]:
+    """(y, log, coeff) of one {"y", "log", "coeff"} term as ``to_json_obj``
+    writes it; a zero coefficient, which no expression stores, is a
+    ValueError."""
+    k, j, c = _json_int(entry["y"]), _json_int(entry["log"]), Constant.from_json_obj(entry["coeff"])
+    if c.is_zero():
+        raise ValueError(f"zero coefficient at y^{k} log(y)^{j}")
+    return k, j, c

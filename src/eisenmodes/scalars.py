@@ -80,6 +80,8 @@ def sym_zeta(k: int) -> Symbol:
 
 
 def sym_zeta_prime(m: int) -> Symbol:
+    if not _WRITTEN["zeta_prime"](m):
+        raise ValueError(f"symbolic zeta' is reserved for arguments other than the pole 1, got {m}")
     return ("zeta_prime", m)
 
 

@@ -45,7 +45,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from .bessel import (
-    BesselProduct, DoubleBessel, FlatExpr, Pure, SingleBessel, _split_pi, k_index_table,
+    BesselProduct, DoubleBessel, FlatExpr, Pure, SingleBessel, _flatten, k_index_table,
 )
 from .divisors import sigma
 from .laurent import YLaurent
@@ -186,11 +186,8 @@ def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, Mapping, int]:
     gamma_ratio = 4**m * math.factorial(m)  # sqrt(pi) (2m)! / Gamma(s)
     if n == 0:
         a_s = zeta_value(2 * m) * Fraction(math.factorial(m - 1) * gamma_ratio, math.factorial(2 * m))
-        coeffs = {((), k, *_split_pi(mono)): c
-                  for k, const in ((m, zeta_value(2 * m + 1)), (-m, a_s))
-                  for mono, c in const.terms().items()}
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        terms, den = _flatten(Pure(YLaurent({(m, 0): zeta_value(2 * m + 1), (-m, 0): a_s})))
+        terms = {(cell, k, e, rest): q for (cell, k, _, e, rest), q in terms.items()}
         return Constant.one(), MappingProxyType(terms), den
     N = abs(n)
     num, den = 2 * gamma_ratio * sigma(2 * m, N).numerator, math.factorial(2 * m) * N**m

@@ -490,6 +490,15 @@ def _alpha_first_term_twice(doc):
     return {**doc, "alpha": doc["alpha"] + doc["alpha"][:1]}
 
 
+def _zero_term_in_first_cell(doc):
+    """doc with a zero (y, log) term, one the package never writes, appended
+    to its particular part's first cell."""
+    doc = json.loads(json.dumps(doc))
+    table = doc["particular"]["table"]
+    table[min(table)].append({"y": 40, "log": 0, "coeff": []})
+    return doc
+
+
 def _particular_monomial_twice(doc):
     """doc with the first monomial of its particular part's first term listed twice."""
     doc = json.loads(json.dumps(doc))
@@ -511,10 +520,13 @@ def _particular_monomial_twice(doc):
     (2, _alpha_with_symbol("zeta(-3)")),
     (2, _alpha_with_symbol("zeta(03)")),
     (2, _alpha_with_symbol("ln_prime(4)")),
+    (2, _alpha_with_symbol("ln_prime(2021)")),
+    (2, _alpha_with_symbol("ln_prime(8321)")),
     (2, _alpha_with_symbol("zeta_prime(1)")),
     (2, _alpha_with_symbol("ln_prime(3317044064679887385961981)")),
     (2, _alpha_first_term_twice),
     (2, _particular_monomial_twice),
+    (2, _zero_term_in_first_cell),
     (2, _alpha_first_term("1280/3402")),
     (2, _alpha_first_term("-640/-1701")),
     (2, _alpha_first_term("6_40/1701")),
@@ -523,16 +535,29 @@ def _particular_monomial_twice(doc):
     (2, _alpha_first_term(gamma=0)),
 ], ids=["double_key_0", "double_key_02", "double_key_000", "double_key_x1", "single_key_2",
         "single_key_00", "zeta_2", "zeta_1", "zeta_minus_3", "zeta_03", "ln_prime_4",
-        "zeta_prime_1", "ln_prime_psi13", "alpha_monomial_twice", "particular_monomial_twice",
+        "ln_prime_2021", "ln_prime_8321", "zeta_prime_1", "ln_prime_psi13",
+        "alpha_monomial_twice", "particular_monomial_twice", "particular_zero_term",
         "coeff_unreduced", "coeff_double_minus", "coeff_underscore", "coeff_padded",
         "coeff_zero", "exponent_zero"])
 def test_verify_reads_only_cells_and_symbols_the_package_writes(tmp_path, capsys, n2, edit):
     # a cell key not of the expression's kind, a symbol the package never
     # writes (ln_prime(p) only for a prime p below the 13-base test's first
-    # pseudoprime) and a Constant not as the package writes it are bad input
-    # (exit 64), never a traceback or a mismatch (exit 1)
+    # pseudoprime), a Constant not as the package writes it and a zero (y, log)
+    # term are bad input (exit 64), never a traceback or a mismatch (exit 1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(_solution_doc(tmp_path, capsys, n2=n2))))
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert set(json.loads(err)) == {"error"}
+
+
+def test_verify_refuses_a_zero_obstruction_term(tmp_path, capsys):
+    # no obstruction the package writes holds a (y, log) term with a zero
+    # coefficient; read as written, it would be compared (exit 1)
+    doc = _solution_doc(tmp_path, capsys, ("9/2", "9/2", "2"), -142, 58, "unit", EXIT_OBSTRUCTED)
+    doc["obstruction"]["leading"].append({"y": 0, "log": 0, "coeff": []})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
     code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
     assert (code, out) == (EXIT_USAGE, "")
     assert set(json.loads(err)) == {"error"}

@@ -10,7 +10,7 @@ from eisenmodes.bessel import DoubleBessel, SingleBessel, differentiate
 from eisenmodes.fixtures import fixture_modes, list_families
 from eisenmodes.homogeneous import solve_mode
 from eisenmodes.laurent import YLaurent
-from eisenmodes.numerics import _COSH_GRID, NumericEnv, _k01, bessel_k, eval_expr, residual
+from eisenmodes.numerics import NumericEnv, _k01, bessel_k, eval_expr, residual
 from eisenmodes.scalars import SYM_PI, Constant, SymbolMonomial
 from eisenmodes.sources import Normalization, Params, classify_params
 from test_bessel_ops import fd_second_derivative
@@ -237,25 +237,16 @@ def test_residual_raises_as_the_fraction_reference_on_inf_and_nan_coefficients()
                 fn(bad, 0.5, ENV)
 
 
-def _k01_per_step(x):
-    """The trapezoid of ``_k01_quadrature`` with a cosh per node."""
-    h = 1.0 / 16
-    n_steps = int(math.acosh(max(800.0 / x, 2.0)) / h) + 2
-    k0 = k1 = 0.5 * math.exp(-x)
-    for k in range(1, n_steps + 1):
-        w = math.exp(-x * math.cosh(k * h))
-        if w == 0.0:
-            break
-        k0 += w
-        k1 += w * math.cosh(k * h)
-    return k0 * h, k1 * h
-
-
-def test_cosh_grid_matches_a_cosh_per_step():
-    # the quadrature branch starts at x = 0.5, where its step count is largest
-    assert len(_COSH_GRID) > int(math.acosh(800.0 / 0.5) * 16) + 2
+def test_k01_matches_mpmath_in_both_regimes():
+    # the series below x = 0.5 down to 1e-300, and the fixed-node trapezoid from
+    # 0.5 to 700, where its old fixed step in t read K_0 off by 4.3e-13 at
+    # 177.8, 1.2e-5 at 421.7 and 1.3e-3 at 692.5
     rng = random.Random(16)
-    xs = [0.5, 700.0] + [rng.uniform(0.5, 5.0) for _ in range(150)]
-    xs += [math.exp(rng.uniform(math.log(5.0), math.log(700.0))) for _ in range(150)]
-    for x in xs:
-        assert _k01(x) == _k01_per_step(x), x
+    xs = [1e-300, 0.5 - 2**-54, 0.5, 177.8, 421.7, 692.5, 700.0]
+    xs += [math.exp(rng.uniform(math.log(1e-300), math.log(0.5))) for _ in range(100)]
+    xs += [math.exp(rng.uniform(math.log(0.5), math.log(700.0))) for _ in range(150)]
+    with mp.workdps(40):
+        for x in xs:
+            for nu, got in enumerate(_k01(x)):
+                ref = mp.besselk(nu, x)
+                assert abs((got - ref) / ref) < 4e-15, (x, nu)

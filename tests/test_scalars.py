@@ -72,9 +72,11 @@ def test_log_normalize():
     assert log_normalize(7) == ln_prime(7)
     with pytest.raises(ValueError):
         log_normalize(0)
-    # 4 is composite; 3317044064679887385961981 = 1287836182261 * 2575672364521
-    # is the least composite that the 13-base prime test passes
-    for p in (1, 4, 3317044064679887385961981):
+    # 4 is composite; 2021 = 43 * 47 fails base 2 and 8321 = 53 * 157, a strong
+    # probable prime to bases 2, 23 and 41, fails base 3;
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 is the least
+    # composite that the 13-base prime test passes
+    for p in (1, 4, 2021, 8321, 3317044064679887385961981):
         with pytest.raises(ValueError):
             ln_prime(p)
 
@@ -184,6 +186,10 @@ def test_zeta_prime_symbolic():
     c = zeta_prime(8)
     v = c.evaluate(ENV)
     assert v < 0  # zeta is decreasing at 8
+    # zeta' has no value at the pole, as zeta has none at even arguments
+    for symbolic, arg in ((zeta_prime, 1), (zeta_odd, 2)):
+        with pytest.raises(ValueError):
+            symbolic(arg)
 
 
 # The memoized monomial kernel against its definitions, written here without

@@ -175,6 +175,9 @@ def test_series_number_consistency_order3():
 def test_power_basis_series():
     s = small_y_series(HomBasis("power_neg", 4), 0)
     assert s.coeff(-4) == Constant.one()
+    # the oracle's value of that element is its one term, y^-4
+    for y in (1e-3, 0.7, 3.0):
+        assert eval_hom_normalized(HomBasis("power_neg", 4), y) == s.terms.evaluate(ENV, y) == y**-4
     # the growing elements are not basis kinds
     with pytest.raises(ValueError):
         HomBasis("I", 4, 1)
