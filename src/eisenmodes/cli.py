@@ -24,8 +24,9 @@ Exit codes (part of the public contract):
         eisenmodes/mode-solution/1 (the error names the schema found, or
         says there is none), a `verify` input with a cell key not of its
         expression's kind or a symbol the package never writes (such as
-        zeta(2) or ln_prime(4)), and a `sums` partial sum that leaves double
-        range
+        zeta(2) or ln_prime(4)), a `verify` input that is not the document
+        of the mode it states (the error names the keys that differ), and a
+        `sums` partial sum that leaves double range
     141 stdout was closed by its reader (for example `| head -c 10`) before
         the document was written; nothing more is written.  128 + SIGPIPE,
         as a shell reports a process the signal ended
@@ -34,14 +35,18 @@ Every document goes to stdout, or to the --output file; codes 7 and 64 write
 only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
 mode) or --n (a whole mode); a flag that only the other form reads is a usage
 error.  The degree windows are derived from the source (see solver); no flag
-sets or widens them.  `verify` applies the mode operator of the particular
-part's kind (bessel.mode_operator) and compares the image exactly with the
-source rebuilt from the document's params and (n1, n2); it checks the
-document's alpha, or its obstruction terms, against
-homogeneous.boundary_reference on the document's own particular part: the
-Constant small-y series, a route that shares only the K_0/K_1 table of
-series.k_flat_series (checked in the tests against an independent oracle)
-with the choose_alpha that solve runs.  `table` and `combine` compare the
+sets or widens them.  `verify` checks a mode document by one form rule: it
+reads the mode, writes it back with ModeSolution.to_json_obj and requires
+the sorted JSON text of every key but UNVERIFIED_KEYS (report,
+classification, latex: outside the verified claim) to equal the input's,
+derived fields such as source_full and case included.  It then applies the
+mode operator of the particular part's kind (bessel.mode_operator) and
+compares the image exactly with the source rebuilt from the document's
+params and (n1, n2); it checks the document's alpha, or its obstruction
+(message and terms), against homogeneous.boundary_reference on the
+document's own particular part: the Constant small-y series, a route that
+shares only the K_0/K_1 table of series.k_flat_series (checked in the tests
+against an independent oracle) with the choose_alpha that solve runs.  `table` and `combine` compare the
 computed expressions exactly with the printed ones (fixtures.compare_expressions).
 """
 
@@ -101,6 +106,10 @@ ERROR_EXITS = (
     ((ValueError, OSError, KeyError), EXIT_USAGE),
 )
 
+
+# the keys of a mode document outside what `verify` checks: solver
+# diagnostics, the parameter classification and the LaTeX rendering
+UNVERIFIED_KEYS = {"report", "classification", "latex"}
 
 SIEVE_LIMIT_MAX = 10**7  # largest `sums --limit`; the sieve takes seconds at 10^6
 
@@ -281,10 +290,10 @@ def cmd_combine(args):
 def _boundary(mode) -> dict:
     """The document's boundary data against the Constant series of its own particular.
 
-    status: ok (alpha is the recomputed one), obstructed (the reported terms
-    are exactly what no alpha cancels), mismatch, free (the zero mode) or
-    no_basis (lambda is not triangular).  A mismatch lists the recomputed
-    alpha, or the first 6 recomputed obstruction terms.
+    status: ok (alpha is the recomputed one), obstructed (the reported
+    obstruction, message and terms, is exactly the recomputed one), mismatch,
+    free (the zero mode) or no_basis (lambda is not triangular).  A mismatch
+    lists the recomputed alpha, or the first 6 recomputed obstruction terms.
     """
     r = mode.params.r
     if mode.alpha_free:
@@ -292,21 +301,33 @@ def _boundary(mode) -> dict:
     if r is None:
         return {"status": "no_basis"}
     alpha, obstruction = boundary_reference(mode.particular, r, mode.n1, mode.n2)
-    expected = (alpha, None if obstruction is None else obstruction.leading)
-    if (mode.alpha, None if mode.obstruction is None else mode.obstruction.leading) == expected:
+    if (mode.alpha, mode.obstruction) == (alpha, obstruction):
         return {"status": "ok" if obstruction is None else "obstructed"}
     if obstruction is None:
         return {"status": "mismatch", "alpha": alpha.to_json_obj()}
     return {"status": "mismatch", "leading": obstruction.to_json_obj()["leading"][:6]}
 
 
+def _rewritten_keys(doc: dict, written: dict) -> list:
+    """The keys outside UNVERIFIED_KEYS whose sorted JSON text differs between
+    the document and the mode written back from it; a key in one only differs."""
+    keys = (doc.keys() | written.keys()) - UNVERIFIED_KEYS
+    return sorted(k for k in keys if k not in doc or k not in written
+                  or json.dumps(doc[k], sort_keys=True) != json.dumps(written[k], sort_keys=True))
+
+
 def cmd_verify(args):
-    with open(args.input) as fh:
-        doc = json.load(fh)
     try:
+        with open(args.input) as fh:
+            doc = json.load(fh)
         mode = mode_solution_from_json_obj(doc)
-    except TypeError as exc:  # a value of the wrong JSON type is bad input, not a mismatch
+        differ = _rewritten_keys(doc, mode.to_json_obj())
+    except (TypeError, ArithmeticError, RecursionError) as exc:
+        # a value of the wrong JSON type, a zero denominator or nesting deeper
+        # than the stack is bad input, not a mismatch
         raise ValueError(f"malformed solution document: {exc}") from exc
+    if differ:
+        raise ValueError("the mode written back differs from the document in " + ", ".join(differ))
     diffs = compare_expressions(mode_operator(mode.params.lam, mode.particular),
                                 mode.source.full())
     operator = {"status": "mismatch" if diffs else "exact-zero"}

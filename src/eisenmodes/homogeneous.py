@@ -30,9 +30,9 @@ from .divisors import (
     sigma,
     sigma_float_table,
 )
-from .laurent import _json_term
+from .laurent import YLaurent
 from .numerics import DEFAULT_ENV, symbol_value
-from .scalars import Constant, _json_int, log_normalize, sym_ln_prime
+from .scalars import Constant, _json_fraction, _json_int, log_normalize, sym_ln_prime
 from .series import flat_small_y_series, hom_norm_scale_description, small_y_series
 from .solver import (
     SolveReport,
@@ -62,10 +62,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Obstruction:
-    """Singular small-y terms that no homogeneous coefficient can cancel."""
+    """Singular small-y terms that no homogeneous coefficient can cancel.
+
+    Two obstructions are equal when their documents are: the same message
+    and leading terms."""
 
     leading: Tuple[Tuple[int, int, Constant], ...]  # (y_exp, log_exp, coeff)
-    secondary_alpha: Optional[Constant]  # still cancels the log-free y^{-r} piece
+    # still cancels the log-free y^{-r} piece
+    secondary_alpha: Optional[Constant] = field(compare=False)
     message: str
 
     def to_json_obj(self) -> dict:
@@ -153,38 +157,27 @@ class ModeSolution:
         }
 
 
-def _json_weight(value) -> Fraction:
-    """A weight as ``to_json_obj`` writes it, the string str(Fraction); a
-    non-string is a TypeError and any other string a ValueError ("3/0" too,
-    caught before Fraction would divide by zero)."""
-    if type(value) is not str:
-        raise TypeError(f"expected a weight string, got {value!r}")
-    if "/0" in value or str(Fraction(value)) != value:
-        raise ValueError(f"weight {value!r} is not written as str(Fraction) writes it")
-    return Fraction(value)
-
-
 def mode_solution_from_json_obj(obj: dict) -> ModeSolution:
     """Read ``ModeSolution.to_json_obj``'s document.  An object of another
     schema, or of none, is a ValueError that names it; a value of the wrong
-    JSON type is a TypeError."""
+    JSON type is a TypeError.  The obstruction keeps its message as written
+    and reads its leading terms in ``_boundary_result``'s order.  Any other
+    form is read as its values say; ``verify`` writes the mode back and
+    refuses a document that is not as ``to_json_obj`` writes it."""
     if isinstance(obj, dict) and obj.get("schema") != _MODE_SCHEMA:
         found = f"schema {obj['schema']!r}" if "schema" in obj else "no schema"
         raise ValueError(f"expected an {_MODE_SCHEMA} document, found {found}")
     p = Params(
-        _json_weight(obj["params"]["alpha"]),
-        _json_weight(obj["params"]["beta"]),
+        _json_fraction(obj["params"]["alpha"]),
+        _json_fraction(obj["params"]["beta"]),
         _json_int(obj["params"]["lambda"]),
         Normalization(obj["params"]["normalization"]),
     )
     alpha = None if obj["alpha"] is None else Constant.from_json_obj(obj["alpha"])
     obstruction = None
     if obj["obstruction"] is not None:
-        obstruction = Obstruction(
-            tuple(map(_json_term, obj["obstruction"]["leading"])),
-            None,
-            obj["obstruction"]["message"],
-        )
+        leading = YLaurent.from_json_obj(obj["obstruction"]["leading"]).terms()
+        obstruction = Obstruction(_in_boundary_order(leading), None, obj["obstruction"]["message"])
     n1, n2 = _json_int(obj["n1"]), _json_int(obj["n2"])
     return ModeSolution(p, n1, n2, source_term(p, n1, n2),
                         expr_from_json_obj(obj["particular"]), alpha, obstruction, None)
@@ -211,14 +204,19 @@ def _element_leading(r: int, nsum: int) -> Tuple[int, int, int]:
     return math.factorial(2 * r), math.factorial(r) * (4 * abs(nsum)) ** r, -r
 
 
+def _in_boundary_order(left: Dict[Tuple[int, int], Constant]):
+    """The (k, j, c) terms of left in increasing y, higher log first."""
+    return tuple(sorted(((k, j, c) for (k, j), c in left.items()), key=lambda t: (t[0], -t[1])))
+
+
 def _boundary_result(alpha: Constant, left: Dict[Tuple[int, int], Constant], r: int):
     """(alpha, None) when no term is left below y^{-r+1}, else (None,
     Obstruction) with the left terms in increasing y, higher log first."""
     if not left:
         return alpha, None
-    bad = sorted(((k, j, c) for (k, j), c in left.items()), key=lambda t: (t[0], -t[1]))
+    bad = _in_boundary_order(left)
     obs = Obstruction(
-        tuple(bad),
+        bad,
         alpha,
         f"cannot reach o(y^-{r}): offending terms at "
         + ", ".join(f"y^{k} log^{j}" for k, j, _ in bad),

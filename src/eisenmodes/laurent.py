@@ -223,19 +223,13 @@ class YLaurent:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "YLaurent":
-        """Read ``to_json_obj``'s list (``_json_term``); a repeated (y, log)
-        term is a ValueError."""
-        terms = {(k, j): c for k, j, c in map(_json_term, obj)}
-        if len(terms) != len(obj):
-            raise ValueError("repeated (y, log) term")
+        """Read ``to_json_obj``'s list of {"y", "log", "coeff"} terms.  A value
+        of the wrong JSON type is a TypeError and a log power over LOG_CAP a
+        LogCapExceeded.  Any other list is read as the sum of its terms, zeros
+        dropped; ``verify`` writes it back and refuses a list that is not as
+        ``to_json_obj`` writes it."""
+        terms: Dict[TermKey, Constant] = {}
+        for entry in obj:
+            key = (_json_int(entry["y"]), _json_int(entry["log"]))
+            terms[key] = terms.get(key, 0) + Constant.from_json_obj(entry["coeff"])
         return cls(terms)
-
-
-def _json_term(entry) -> Tuple[int, int, Constant]:
-    """(y, log, coeff) of one {"y", "log", "coeff"} term as ``to_json_obj``
-    writes it; a zero coefficient, which no expression stores, is a
-    ValueError."""
-    k, j, c = _json_int(entry["y"]), _json_int(entry["log"]), Constant.from_json_obj(entry["coeff"])
-    if c.is_zero():
-        raise ValueError(f"zero coefficient at y^{k} log(y)^{j}")
-    return k, j, c

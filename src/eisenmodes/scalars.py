@@ -143,6 +143,15 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_fraction(value) -> Fraction:
+    """A JSON string "p" or "p/q" as a Fraction, each part read by int(), which
+    refuses more than 4300 digits; any other JSON value is a TypeError, any
+    other string a ValueError and q = 0 a ZeroDivisionError."""
+    if type(value) is not str:
+        raise TypeError(f"expected a number string, got {value!r}")
+    return Fraction(*map(int, value.split("/", 1)))
+
+
 class SymbolMonomial(tuple):
     """Product of symbol powers, e.g. pi^-4 * zeta(3)^2 * ln_prime(2).
 
@@ -416,29 +425,18 @@ class Constant:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "Constant":
-        """Read ``to_json_obj``'s list, only as it writes one.  A value of the
-        wrong JSON type is a TypeError; an unknown symbol, a zero exponent, a
-        monomial listed twice, or a coefficient that is not the reduced "p/q"
-        of a nonzero number is a ValueError."""
+        """Read ``to_json_obj``'s list.  A value of the wrong JSON type is a
+        TypeError and an unknown symbol a ValueError.  Any other list is read
+        as the sum of its terms, zeros dropped; ``verify`` writes it back and
+        refuses a list that is not as ``to_json_obj`` writes it."""
         terms: Dict[SymbolMonomial, Fraction] = {}
         for entry in obj:
-            monomial, coeff = entry["monomial"], entry["coeff"]
-            if type(monomial) is not dict or type(coeff) is not str:
-                raise TypeError(f"expected a monomial object and a coefficient string: {entry!r}")
-            exponents = {_symbol_from_str(k): _json_int(e) for k, e in monomial.items()}
-            if 0 in exponents.values():
-                raise ValueError(f"zero exponent in monomial {monomial!r}")
-            mono = SymbolMonomial(exponents)
-            if mono in terms:
-                raise ValueError(f"monomial {monomial!r} listed twice")
-            num, den = coeff.split("/")
-            if int(den) == 0:
-                raise ValueError(f"zero denominator in coefficient {coeff!r}")
-            q = Fraction(int(num), int(den))
-            if not q or coeff != f"{q.numerator}/{q.denominator}":
-                raise ValueError(f"coefficient {coeff!r} is not the reduced p/q of a nonzero number")
-            terms[mono] = q
-        return cls._trusted(terms)
+            monomial = entry["monomial"]
+            if type(monomial) is not dict:
+                raise TypeError(f"expected a monomial object: {entry!r}")
+            mono = SymbolMonomial({_symbol_from_str(k): _json_int(e) for k, e in monomial.items()})
+            terms[mono] = terms.get(mono, 0) + _json_fraction(entry["coeff"])
+        return cls(terms)
 
 
 def _add_product(sums: Dict[SymbolMonomial, Fraction], a: Constant, b: Constant) -> None:

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -5,7 +6,8 @@ import re
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -407,17 +409,23 @@ def _edit_log_over_cap(doc):
     doc["particular"]["table"]["00"][0]["log"] = 3
 
 
+def _deep_nesting(doc):
+    """JSON text nested deeper than the stack that json.load recurses on."""
+    return "[" * 100000 + "]" * 100000
+
+
 @pytest.mark.parametrize("edit, expected", [
     (None, EXIT_USAGE),                  # OSError: the input file does not exist
     (_edit_missing_alpha, EXIT_USAGE),   # KeyError
     (_edit_log_over_cap, EXIT_LOG_CAP),  # LogCapExceeded
+    (_deep_nesting, EXIT_USAGE),         # RecursionError
 ])
 def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected):
     doc = _solution_doc(tmp_path, capsys)
     bad = tmp_path / "bad.json"
     if edit is not None:
-        edit(doc)
-        bad.write_text(json.dumps(doc))
+        text = edit(doc)
+        bad.write_text(json.dumps(doc) if text is None else text)
     out_file = tmp_path / "verdict.json"
     code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad),
                                      "--output", str(out_file))
@@ -444,14 +452,17 @@ def test_verify_bad_input_maps_to_an_exit_code(tmp_path, capsys, edit, expected)
     lambda doc: {**doc, "params": {**doc["params"], "alpha": 1.5}},
     lambda doc: {**doc, "params": {**doc["params"], "alpha": " 3/2 "}},
     lambda doc: {**doc, "params": {**doc["params"], "alpha": "3/0"}},
+    lambda doc: {**doc, "params": {**doc["params"], "alpha": "1e10000000"}},
 ], ids=["list", "null", "particular_int", "n1_string", "lambda_string", "lambda_float",
         "table_list", "coeff_int", "monomial_list", "coeff_zero_denominator", "y_float",
         "exponent_float", "particular_n2_float", "split_term", "alpha_float", "alpha_padded",
-        "alpha_zero_denominator"])
+        "alpha_zero_denominator", "alpha_exponent"])
 def test_verify_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, shape):
     # valid JSON of the wrong shape raises TypeError while the document is
-    # read, and a repeated (y, log) term or a weight not written as
-    # str(Fraction) raises ValueError; that is bad input (exit 64), never a
+    # read, a zero denominator ZeroDivisionError, a number string other than
+    # "p" or "p/q" ValueError (before any float or Fraction parse of it), and
+    # a repeated (y, log) term or a weight not written as str(Fraction) is
+    # not the document written back; that is bad input (exit 64), never a
     # mismatch (exit 1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(shape(_solution_doc(tmp_path, capsys))))
@@ -563,6 +574,39 @@ def test_verify_refuses_a_zero_obstruction_term(tmp_path, capsys):
     assert set(json.loads(err)) == {"error"}
 
 
+@pytest.mark.parametrize("key, value", [
+    ("case", "bogus"),
+    ("source_full", {"kind": "pure", "poly": []}),
+    ("hom_basis", None),
+    ("alpha_free", 0),  # equal to False in Python, not in JSON
+    ("alpha_normalization", "x"),
+    ("extra", None),
+])
+def test_verify_refuses_a_document_not_as_solve_writes_it(tmp_path, capsys, key, value):
+    # each key but report, classification and latex must have the JSON text
+    # of the mode written back from the document, derived fields included
+    doc = _solution_doc(tmp_path, capsys)
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err) == {"error": f"the mode written back differs from the document in {key}"}
+
+
+def test_verify_leaves_report_classification_and_latex_unchecked(tmp_path, capsys):
+    # solver diagnostics, the parameter class and the LaTeX rendering are
+    # outside the verified claim: verify recomputes none of them
+    path = tmp_path / "solution.json"
+    code, _ = run_cli(capsys, "solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+                      "--n1", "1", "--n2", "2", "--format", "latex", "--output", str(path))
+    doc = json.loads(path.read_text())
+    assert code == EXIT_OK and {"report", "classification", "latex"} <= doc.keys()
+    path.write_text(json.dumps({**doc, "report": None, "classification": 0, "latex": "x"}))
+    code, out = run_cli(capsys, "verify", "--input", str(path))
+    assert code == EXIT_OK and json.loads(out)["pass"] is True
+
+
 def _first_term_with(doc, **fields):
     """doc with the first term of its particular part's first cell edited."""
     doc = json.loads(json.dumps(doc))
@@ -634,6 +678,10 @@ def _leading_changed(doc):
     doc["obstruction"]["leading"][0]["coeff"] = _integer(1)
 
 
+def _message_changed(doc):
+    doc["obstruction"]["message"] += " and more"
+
+
 @pytest.mark.parametrize("family, n1, n2, normalization, edit, key", [
     (("3/2", "3/2", "30"), 1, 2, "published", _alpha_set_to(1000), "alpha"),
     # P(y^-r) is exactly 0 on the anti-diagonal
@@ -641,6 +689,7 @@ def _leading_changed(doc):
     (("3/2", "7/2", "12"), 1, 2, "unit", _obstruction_dropped, "leading"),
     (("5/2", "5/2", "2"), 1, 2, "unit", _obstruction_dropped, "leading"),
     (("5/2", "5/2", "2"), 1, 2, "unit", _leading_changed, "leading"),
+    (("5/2", "5/2", "2"), 1, 2, "unit", _message_changed, "leading"),
 ])
 def test_verify_rejects_wrong_boundary_data(tmp_path, capsys, family, n1, n2,
                                             normalization, edit, key):
@@ -721,6 +770,81 @@ def test_verify_rejects_a_particular_of_other_frequencies(tmp_path, capsys):
         "status": "mismatch",
         "differences": ["kind mismatch: DoubleBessel(1, 3) vs DoubleBessel(1, 2)"],
     }
+
+
+# the modes whose solve documents the mutation test edits: a double-Bessel,
+# a single-Bessel and the zero mode of (3/2,3/2,30), and the obstructed UNIT
+# (9/2,9/2,r=1) mode at (-142, 58)
+THIRTY = ["--alpha", "3/2", "--beta", "3/2", "--lambda", "30"]
+MUTATED_MODES = [
+    ([*THIRTY, "--n1", "1", "--n2", "2"], EXIT_OK),
+    ([*THIRTY, "--n1", "0", "--n2", "5"], EXIT_OK),
+    ([*THIRTY, "--n1", "0", "--n2", "0"], EXIT_OK),
+    (["--alpha", "9/2", "--beta", "9/2", "--r", "1", "--n1", "-142", "--n2", "58",
+      "--normalization", "unit"], EXIT_OBSTRUCTED),
+]
+# the keys of a mode document that verify does not check
+OUTSIDE_THE_CLAIM = {"report", "classification", "latex"}
+JSON_VALUES = hst.one_of(hst.none(), hst.booleans(), hst.integers(-3, 3),
+                         hst.sampled_from([0.5, 1.0, "", "x", "0/1", "1/1", "3/2", [], {}]))
+
+
+@lru_cache(maxsize=None)
+def _mode_text(index):
+    argv, expected = MUTATED_MODES[index]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mode.json")
+        assert _main_doc(["solve", *argv, "--output", path])[0] == expected
+        with open(path) as fh:
+            return fh.read()
+
+
+def _checked_text(doc):
+    return json.dumps({k: v for k, v in doc.items() if k not in OUTSIDE_THE_CLAIM}, sort_keys=True)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(hst.data())
+def test_verify_refuses_every_mutation_of_what_it_checks(data):
+    # one value replaced, one key or list entry deleted, one list entry
+    # duplicated, or one int (or the numerator of a "p/q" string) shifted:
+    # a mutation that changes the JSON text outside report, classification
+    # and latex is a mismatch (1), a log power over the cap (7) or bad input
+    # (64), never a pass; one that changes nothing else still passes
+    text = _mode_text(data.draw(hst.integers(0, len(MUTATED_MODES) - 1)))
+    doc = json.loads(text)
+    # a walk down from a top-level key that goes one level deeper with
+    # probability 1/2, so every field is drawn about as often as its siblings
+    head, parent, key = [], doc, data.draw(hst.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(hst.booleans()):
+        head.append(key)
+        parent = parent[key]
+        key = data.draw(hst.sampled_from(sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+    value = parent[key]
+    numerator = re.fullmatch(r"(-?\d+)(/\d+)", value) if isinstance(value, str) else None
+    ops = ["replace", "delete"]
+    ops += ["duplicate"] * (isinstance(value, list) and bool(value))
+    ops += ["shift"] * (type(value) is int or numerator is not None)
+    op = data.draw(hst.sampled_from(ops))
+    if op == "replace":
+        parent[key] = data.draw(JSON_VALUES)
+    elif op == "delete":
+        del parent[key]
+    elif op == "duplicate":
+        value.insert(data.draw(hst.integers(0, len(value))), copy.deepcopy(data.draw(hst.sampled_from(value))))
+    else:
+        shift = data.draw(hst.sampled_from([-2, -1, 1, 2]))
+        parent[key] = value + shift if numerator is None else f"{int(numerator[1]) + shift}{numerator[2]}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["verify", "--input", path])
+    if _checked_text(doc) == _checked_text(json.loads(text)):
+        assert code == EXIT_OK
+    else:
+        assert code in (EXIT_MISMATCH, EXIT_LOG_CAP, EXIT_USAGE), (op, head, key)
 
 
 def test_unwritable_output_maps_to_usage_on_stderr(tmp_path, capsys):
