@@ -109,11 +109,6 @@ class BesselProduct:
     def scale(self, factor):
         return self.map_cells(lambda p: p.scale(factor))
 
-    def degree_window(self) -> Tuple[int, int]:
-        lo = min(p.min_degree() for p in self.table.values())
-        hi = max(p.max_degree() for p in self.table.values())
-        return lo, hi
-
 
 @dataclass(frozen=True)
 class DoubleBessel(BesselProduct):

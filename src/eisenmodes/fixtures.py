@@ -15,26 +15,22 @@ abs(.), sgn(.), sigma(k, .), logn(.) = log|.| over prime logarithms, with
 positional arguments only; the arguments of sigma and logn must be integers.
 An exponent is an integer literal, optionally signed.
 
-Evaluation rule: ints, Fractions and Constants combine as they are, through
-their own operators, except that an int divided by an int, or raised to a
-negative power, is a Fraction.  Only a polynomial operand (a YLaurent: y, ly
-or anything built from them) lifts the other one to a YLaurent.  A
-polynomial enters / and ** only as a one-term monomial c y^k log^j, log-free
-for / and for negative powers, and (c y^k log^j)^b is c^b y^(kb) log^(jb)
-(``_monomial_power``).
+Evaluation rule: every value combines with every other through its own
+operators (``Constant`` and ``YLaurent`` take each other and the numbers),
+except that an int over an int, or an int to a negative power, is a
+Fraction.  So a number over a number is a Fraction, a scalar meeting a
+polynomial (y, ly or anything built from them) is lifted or scales it, and
+a polynomial enters / and ** only as a one-term monomial c y^k log^j,
+log-free for / and for negative powers (``YLaurent.__pow__``).
 
-Each text is compiled once per kind signature: the kinds of the values its
-names are bound to, a number (int or Fraction), a Constant or a polynomial
-(``_program``).  With those kinds known, its own syntax tree is rewritten to
-native Python arithmetic and compiled (``_rewrite``), each node by one rule
-read from the kinds of its two operands.  Nodes over numbers and Constants
-stay plain operators (a number over a number through ``Fraction``).  A sum
-lifts a scalar where it meets a polynomial.  A product or quotient with a
-polynomial operand divides by a polynomial as its power -1 and by a scalar x
-as 1 / x, scales by a scalar and multiplies two polynomials.  Every node runs
-its left operand first, so a text runs in the order of the left-to-right
-reading, and of two faults in its values the one that reading meets first is
-named.  Grammar faults and unbound names are named when the text compiles.
+Each text is compiled once per set of bound words: which of its names the
+caller binds (``_program``).  Its own syntax tree is checked against the
+grammar and compiled to native Python arithmetic (``_rewrite``) with three
+rewrites: names become the parameters of the compiled function, / calls
+``_div`` and a negative power calls ``_pow``, which make the int a Fraction.
+The text then runs in the order of its left-to-right reading, and of two
+faults in its values the one that reading meets first is named.  Grammar
+faults and unbound names are named when the text compiles.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .bessel import DoubleBessel, Pure, SingleBessel
 from .divisors import sigma
-from .laurent import YLaurent
+from .laurent import NotAMonomial, YLaurent
 from .scalars import Constant, log_normalize, zeta_value
 
 __all__ = [
@@ -70,24 +66,6 @@ class FixtureError(ValueError):
     pass
 
 
-def _monomial_power(p: YLaurent, b: int) -> YLaurent:
-    """p**b for a one-term p = c y^k log^j, log-free if b < 0: c^b y^(kb) log^(jb).
-
-    The only polynomial operand of ** and, as p**-1, of /; a negative power is
-    a division, and its errors say so.
-    """
-    items = p.terms()
-    if not items and b < 0:
-        raise ZeroDivisionError("division by a zero polynomial")
-    if len(items) != 1:
-        what = "division by" if b < 0 else "power of"
-        raise FixtureError(f"{what} a non-monomial Laurent polynomial")
-    ((k, j), c), = items.items()
-    if j and b < 0:
-        raise FixtureError("division by log terms")
-    return YLaurent.monomial(k * b, c ** b, log_exp=j * b)
-
-
 def _integer(value) -> int:
     """A sigma or logn argument: an int, or a Fraction equal to one."""
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -97,13 +75,17 @@ def _integer(value) -> int:
     raise FixtureError(f"argument {value} is not an integer")
 
 
-def _as_ylaurent(value) -> YLaurent:
-    """A polynomial, or a scalar (an int, a Fraction or a Constant) lifted to a
-    constant one; any other value is a TypeError."""
-    return value if isinstance(value, YLaurent) else YLaurent({(0, 0): value})
-
-
 # -- the helpers a compiled text calls ----------------------------------------
+
+def _div(a, b):
+    """a / b, a Fraction for two ints."""
+    return Fraction(a, b) if type(a) is type(b) is int else a / b
+
+
+def _pow(a, b: int):
+    """a ** b for a negative b, a Fraction for an int a."""
+    return (Fraction(a) if type(a) is int else a) ** b
+
 
 def _sgn(v) -> int:
     return 1 if v > 0 else (-1 if v < 0 else 0)
@@ -118,21 +100,13 @@ def _logn(m) -> Constant:
 
 
 # The whole namespace of a compiled text: no builtins, only these helpers.
-_HELPERS = {"__builtins__": {}, "_Fraction": Fraction, "_ONE": Fraction(1), "_lift": _as_ylaurent,
-            "_scale": lambda s, p: p.scale(s), "_power": _monomial_power, "_abs": abs,
+_HELPERS = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_abs": abs,
             "_sgn": _sgn, "_sigma": _sigma, "_logn": _logn}
 
 # -- compiling a text ---------------------------------------------------------
 
-# The kinds of values, each ring inside the next: a number (an int or a
-# Fraction), a Constant and a polynomial.  A sum, product or quotient has the
-# larger kind of its two operands.
-_NUMBER, _CONSTANT, _POLY = range(3)
-_KIND_BASES = ((_POLY, YLaurent), (_CONSTANT, Constant), (_NUMBER, object))
-
-# call name -> (helper, number of arguments, kind of its value; None: its argument's)
-_CALLS = {"abs": ("_abs", 1, None), "sgn": ("_sgn", 1, _NUMBER),
-          "sigma": ("_sigma", 2, _NUMBER), "logn": ("_logn", 1, _CONSTANT)}
+# call name -> its number of arguments; a call runs the helper "_" + name
+_CALLS = {"abs": 1, "sgn": 1, "sigma": 2, "logn": 1}
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LOAD = ast.Load()
 
@@ -146,48 +120,27 @@ def _call(helper: str, *args) -> ast.Call:
     return _node(ast.Call, _node(ast.Name, helper, _LOAD), list(args), [])
 
 
-def _binop(node: ast.BinOp, left, right) -> ast.BinOp:
-    node.left, node.right = left, right
-    return node
+def _rewrite(node, params: Dict[str, str]) -> ast.expr:
+    """node rewritten in place to native arithmetic, / through ``_div`` and
+    a negative power through ``_pow``.
 
-
-def _rewrite(node, params: Dict[str, Tuple[str, int]]) -> Tuple[ast.expr, int]:
-    """(node rewritten in place to native arithmetic for its kinds, its kind).
-
-    params maps each bound name to its parameter and the kind of its value.
-    A node outside the grammar, or a name that is not bound, raises the
-    FixtureError that names it, in the order the left-to-right reading meets
-    it.
+    params maps each bound name to its parameter.  A node outside the
+    grammar, or a name that is not bound, raises the FixtureError that names
+    it, in the order the left-to-right reading meets it.
     """
     cls = type(node)
     if cls is ast.Name:
         if node.id not in params:
             raise FixtureError(f"unknown name {node.id!r}")
-        node.id, kind = params[node.id]
-        return node, kind
+        node.id = params[node.id]
+        return node
     if cls is ast.Constant:
         if type(node.value) is int:
-            return node, _NUMBER
+            return node
         raise FixtureError(f"literal {node.value!r} not allowed")
-    if cls is ast.BinOp and type(node.op) in (ast.Add, ast.Sub):  # a scalar meeting a polynomial is lifted
-        (left, kl), (right, kr) = _rewrite(node.left, params), _rewrite(node.right, params)
-        if kl != kr and _POLY in (kl, kr):
-            left, right = (left, _call("_lift", right)) if kl == _POLY else (_call("_lift", left), right)
-        return _binop(node, left, right), max(kl, kr)
-    if cls is ast.BinOp and type(node.op) in (ast.Mult, ast.Div):
-        (left, kl), (right, kr) = _rewrite(node.left, params), _rewrite(node.right, params)
-        if kl < _POLY and kr < _POLY:  # scalars: only a number over a number needs a Fraction
-            if type(node.op) is ast.Div and kl == kr == _NUMBER:
-                left = _call("_Fraction", left)
-            return _binop(node, left, right), max(kl, kr)
-        if type(node.op) is ast.Div:  # times the divisor's inverse: p**-1, or 1 / x for a scalar
-            right = (_call("_power", right, _node(ast.Constant, -1)) if kr == _POLY
-                     else _binop(node, _node(ast.Name, "_ONE", _LOAD), right))
-        if kl == kr:
-            return _node(ast.BinOp, left, ast.Mult(), right), _POLY
-        if kl == _POLY:  # left.scale(right), so the text's left operand runs first
-            return _node(ast.Call, _node(ast.Attribute, left, "scale", _LOAD), [right], []), _POLY
-        return _call("_scale", left, right), _POLY
+    if cls is ast.BinOp and type(node.op) in (ast.Add, ast.Sub, ast.Mult, ast.Div):
+        node.left, node.right = _rewrite(node.left, params), _rewrite(node.right, params)
+        return _call("_div", node.left, node.right) if type(node.op) is ast.Div else node
     if cls is ast.BinOp and type(node.op) is ast.Pow:
         try:  # an int only from an integer literal, optionally signed
             b = ast.literal_eval(node.right)
@@ -195,31 +148,26 @@ def _rewrite(node, params: Dict[str, Tuple[str, int]]) -> Tuple[ast.expr, int]:
             b = None
         if type(b) is not int:
             raise FixtureError("exponent must be an integer literal")
-        node.left, kind = _rewrite(node.left, params)
-        if kind == _POLY:
-            return _call("_power", node.left, node.right), _POLY
-        if kind == _NUMBER and b < 0:  # as a Fraction, int ** -k is exact
-            node.left = _call("_Fraction", node.left)
-        return node, kind
+        node.left = _rewrite(node.left, params)
+        return _call("_pow", node.left, node.right) if b < 0 else node
     if cls is ast.BinOp:
         raise FixtureError("operator not allowed")
     if cls is ast.UnaryOp:
-        node.operand, kind = _rewrite(node.operand, params)
+        node.operand = _rewrite(node.operand, params)
         if type(node.op) not in (ast.UAdd, ast.USub):
             raise FixtureError("unary operator not allowed")
-        return (node if isinstance(node.op, ast.USub) else node.operand), kind
+        return node if isinstance(node.op, ast.USub) else node.operand
     if cls is not ast.Call:
         raise FixtureError(f"syntax {cls.__name__} not allowed")
     if not isinstance(node.func, ast.Name):
         raise FixtureError("only simple calls allowed")
     if node.keywords:
         raise FixtureError(f"call {node.func.id!r} takes no keyword arguments")
-    args = [_rewrite(a, params) for a in node.args]
-    helper, arity, kind = _CALLS.get(node.func.id, (None, None, None))
-    if len(args) != arity:
+    node.args = [_rewrite(a, params) for a in node.args]
+    if len(node.args) != _CALLS.get(node.func.id):
         raise FixtureError(f"call {node.func.id!r} not allowed")
-    node.func.id, node.args = helper, [a for a, _ in args]
-    return node, args[0][1] if kind is None else kind
+    node.func.id = "_" + node.func.id
+    return node
 
 
 @lru_cache(maxsize=None)
@@ -230,20 +178,20 @@ def _words(text: str) -> Tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _program(text: str, types: Tuple[Optional[type], ...]):
-    """The text parsed, checked and compiled once per signature: the types of
-    the values bound to its words (``_words``), None for a word left unbound,
-    whose values the function then takes in that order.
+def _program(text: str, bound: Tuple[bool, ...]):
+    """The text parsed, checked and compiled once per set of bound words:
+    bound says of each of its words (``_words``) whether the caller binds it.
+    The function takes the values of the words in that order, None for a
+    word left unbound.
 
-    The text's own tree is rewritten for the kinds of those values
-    (``_rewrite``) and compiled as one lambda over _HELPERS alone: text names
-    become its parameters v0, v1, ..., so no text reaches a helper or a
-    builtin.  A name that is not bound raises where the reading meets it.
+    The text's own tree is rewritten (``_rewrite``) and compiled as one
+    lambda over _HELPERS alone: text names become its parameters v0, v1,
+    ..., so no text reaches a helper or a builtin.  A name that is not bound
+    raises where the reading meets it.
     """
-    params = {word: (f"v{i}", next(k for k, base in _KIND_BASES if issubclass(t, base)))
-              for i, (word, t) in enumerate(zip(_words(text), types)) if t}
-    body, _ = _rewrite(ast.parse(text, mode="eval").body, params)
-    args = ast.arguments(posonlyargs=[], args=[_node(ast.arg, f"v{i}") for i in range(len(types))],
+    params = {word: f"v{i}" for i, (word, b) in enumerate(zip(_words(text), bound)) if b}
+    body = _rewrite(ast.parse(text, mode="eval").body, params)
+    args = ast.arguments(posonlyargs=[], args=[_node(ast.arg, f"v{i}") for i in range(len(bound))],
                          kwonlyargs=[], kw_defaults=[], defaults=[])
     code = compile(ast.Expression(_node(ast.Lambda, args, body)), "<table text>", "eval")
     return eval(code, _HELPERS)  # runs the compiled tree's code, not generated source
@@ -252,19 +200,21 @@ def _program(text: str, types: Tuple[Optional[type], ...]):
 def eval_table_expr(text: str, names: Dict) -> object:
     """Evaluate a restricted arithmetic expression over the scalar ring.
 
-    The text is compiled once per process and signature (``_program``).
-    Every rejection is a ``FixtureError``: text that does not parse, a name
-    missing from names, a division by zero and an argument outside a call's
-    domain included.  A zero divisor of any kind (a number, a Constant or a
-    polynomial), or a zero to a negative power, is named as "division by
-    zero".
+    The text is compiled once per process and set of bound words
+    (``_program``).  Every rejection is a ``FixtureError``: text that does
+    not parse, a name missing from names, a division by zero and an argument
+    outside a call's domain included.  A ``NotAMonomial`` keeps its text.  A
+    zero divisor of any kind (a number, a Constant or a polynomial), or a
+    zero to a negative power, is named as "division by zero".
     """
     try:
         words = _words(text)
-        function = _program(text, tuple(type(names[w]) if w in names else None for w in words))
+        function = _program(text, tuple(w in names for w in words))
         return function(*[names.get(w) for w in words])
     except FixtureError:
         raise
+    except NotAMonomial as exc:
+        raise FixtureError(str(exc)) from exc
     except (SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
         why = "division by zero" if isinstance(exc, ZeroDivisionError) else exc
         raise FixtureError(f"cannot evaluate {text!r}: {why}") from exc
@@ -325,7 +275,7 @@ def fixture_zero_mode(alpha, beta, lam: int) -> Pure:
     fam = _family(alpha, beta, lam)
     if "zero_mode" not in fam:
         raise FixtureError("family has no zero-mode fixture")
-    poly = _as_ylaurent(eval_table_expr(fam["zero_mode"], _base_names()))
+    poly = YLaurent.lift(eval_table_expr(fam["zero_mode"], _base_names()))
     return Pure(poly)
 
 
@@ -358,7 +308,7 @@ def _section_table(section: dict, names: Dict, text=lambda key, printed: printed
     if isinstance(pref, YLaurent):
         raise FixtureError("expected a scalar value")
     return {
-        _cell_key(c): _as_ylaurent(eval_table_expr(text(c, printed), names)).scale(pref)
+        _cell_key(c): YLaurent.lift(eval_table_expr(text(c, printed), names)).scale(pref)
         for c, printed in section["cells"].items()
     }
 

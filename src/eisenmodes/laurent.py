@@ -1,13 +1,23 @@
-"""Laurent polynomials in y with bounded log(y) powers and Constant coefficients."""
+"""Laurent polynomials in y with bounded log(y) powers and Constant coefficients.
+
+``YLaurent`` combines with a scalar (an int, a Fraction or a Constant) by
+its own operators, on either side: a sum or difference lifts the scalar to a
+constant polynomial (``YLaurent.lift``), a product scales by it, and a
+quotient by it scales by its inverse.  A polynomial is raised to an integer
+power only as a one-term monomial c y^k log^j, log-free for a negative
+power: (c y^k log^j)^b is c^b y^(kb) log^(jb).  A quotient by a polynomial
+is the product with its power -1.  Any other base is a ``NotAMonomial``.
+"""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .scalars import Constant, Symbol, _add_product, _coerce_constant, _json_int
+from .scalars import Constant, Symbol, _add_product, _json_int
 
-__all__ = ["YLaurent", "LogCapExceeded", "LOG_CAP"]
+__all__ = ["YLaurent", "LogCapExceeded", "NotAMonomial", "LOG_CAP"]
 
 LOG_CAP = 2  # highest log(y) power any expression may carry
 
@@ -16,6 +26,11 @@ TermKey = Tuple[int, int]  # (y_exponent, log_exponent)
 
 class LogCapExceeded(ValueError):
     """A log(y) power exceeded LOG_CAP."""
+
+
+class NotAMonomial(ValueError):
+    """A division by, or a power of, a polynomial that is not one term
+    c y^k log^j, or a division by one with log terms."""
 
 
 class YLaurent:
@@ -34,7 +49,7 @@ class YLaurent:
                 raise ValueError("negative log exponent")
             if j > LOG_CAP:
                 raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
-            c = _coerce_constant(c)
+            c = c if isinstance(c, Constant) else Constant.from_rational(c)
             if not c.is_zero():
                 cleaned[(k, j)] = c
         self._terms = cleaned
@@ -62,6 +77,12 @@ class YLaurent:
     def one(cls) -> "YLaurent":
         return cls.monomial(0, 1)
 
+    @classmethod
+    def lift(cls, value) -> "YLaurent":
+        """A polynomial as it is, or a scalar (an int, a Fraction or a Constant)
+        as a constant one; any other value is a TypeError."""
+        return value if isinstance(value, YLaurent) else cls({(0, 0): value})
+
     # -- inspection ----------------------------------------------------------
 
     def terms(self) -> Dict[TermKey, Constant]:
@@ -82,9 +103,6 @@ class YLaurent:
     def max_log(self) -> int:
         return max((j for _, j in self._terms), default=0)
 
-    def has_logs(self) -> bool:
-        return any(j > 0 for _, j in self._terms)
-
     def coeff(self, y_exp: int, log_exp: int = 0) -> Constant:
         return self._terms.get((y_exp, log_exp), Constant.zero())
 
@@ -93,9 +111,9 @@ class YLaurent:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "YLaurent") -> "YLaurent":
+    def __add__(self, other) -> "YLaurent":
         terms = dict(self._terms)
-        for key, c in other._terms.items():
+        for key, c in YLaurent.lift(other)._terms.items():
             prev = terms.get(key)
             if prev is None:
                 terms[key] = c
@@ -107,11 +125,16 @@ class YLaurent:
                     terms[key] = val
         return YLaurent._trusted(terms)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "YLaurent":
         return YLaurent._trusted({k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other: "YLaurent") -> "YLaurent":
+    def __sub__(self, other) -> "YLaurent":
         return self + (-other)
+
+    def __rsub__(self, other) -> "YLaurent":
+        return -self + other
 
     def scale(self, factor) -> "YLaurent":
         """Multiply by an int, Fraction or Constant; the constants form an
@@ -124,8 +147,35 @@ class YLaurent:
         """Multiply by y**y_exp."""
         return YLaurent._trusted({(k + y_exp, j): c for (k, j), c in self._terms.items()})
 
-    def __mul__(self, other: "YLaurent") -> "YLaurent":
-        return self.mul_truncated(other, order=None)
+    def __mul__(self, other) -> "YLaurent":
+        if isinstance(other, YLaurent):
+            return self.mul_truncated(other, order=None)
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "YLaurent":
+        if isinstance(other, YLaurent):
+            return self * other ** -1
+        return self.scale(Fraction(1) / other)
+
+    def __rtruediv__(self, other) -> "YLaurent":
+        return self ** -1 * other
+
+    def __pow__(self, b: int) -> "YLaurent":
+        """self**b for a one-term self = c y^k log^j, log-free if b < 0:
+        c^b y^(kb) log^(jb).  A negative power is a division, and its errors
+        say so; the zero polynomial to a negative power is a
+        ZeroDivisionError."""
+        if not self._terms and b < 0:
+            raise ZeroDivisionError("division by a zero polynomial")
+        if len(self._terms) != 1:
+            what = "division by" if b < 0 else "power of"
+            raise NotAMonomial(f"{what} a non-monomial Laurent polynomial")
+        ((k, j), c), = self._terms.items()
+        if j and b < 0:
+            raise NotAMonomial("division by log terms")
+        return YLaurent.monomial(k * b, c ** b, log_exp=j * b)
 
     def mul_truncated(self, other: "YLaurent", order: int | None) -> "YLaurent":
         """Product, optionally dropping terms with y exponent >= order.

@@ -1,10 +1,10 @@
 """Independent floating-point oracle for the exact solver.
 
-This module is the only place that maps a scalar symbol (pi, gamma, log pi,
-log p, zeta(k), zeta'(k)) to a number: ``symbol_value`` takes it from
-mpmath, and ``NumericEnv`` rounds the 60-digit value once to a correctly
-rounded double.  The modified Bessel functions stay hand-written in double
-precision, because mpmath's ``besselk`` costs milliseconds a call and the
+``symbol_value`` maps a scalar symbol (pi, gamma, log pi, log p, zeta(k),
+zeta'(k)) to the mpmath value that the kind table of ``scalars``
+(``_KINDS``) gives it, and ``NumericEnv`` rounds the 60-digit value once to
+a correctly rounded double.  The modified Bessel functions stay
+hand-written in double precision, because mpmath's ``besselk`` costs milliseconds a call and the
 operator-residual check evaluates them for every solved mode it validates.
 ``_k01`` gives K_0 and K_1 with one fixed loop per regime: below x = 0.5 their
 power series, which takes gamma from the same table, and from 0.5 a
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from .bessel import BesselProduct, HomBasis, _derivative, _flatten, _times_pi
-from .scalars import SYM_GAMMA, Symbol
+from .scalars import _KINDS, SYM_GAMMA, Symbol
 
 __all__ = [
     "NumericEnv",
@@ -74,20 +74,12 @@ def symbol_value(sym: Symbol):
     import mpmath as mp
 
     kind, arg = sym
-    if kind == "pi":
-        return +mp.pi
-    if kind == "gamma":
-        return +mp.euler
-    if kind == "ln_pi":
-        return mp.log(mp.pi)
-    if kind == "ln_prime":
-        return mp.log(arg)
-    if kind in ("zeta", "zeta_prime"):
-        # mp.zeta(1, derivative=1) returns +inf instead of raising
-        if arg == 1:
-            raise ValueError(f"{kind}(1) is at the pole of zeta")
-        return mp.zeta(arg, derivative=int(kind == "zeta_prime"))
-    raise ValueError(f"unassigned symbol {sym}")
+    if kind not in _KINDS:
+        raise ValueError(f"unassigned symbol {sym}")
+    # mp.zeta(1, derivative=1) returns +inf instead of raising
+    if kind in ("zeta", "zeta_prime") and arg == 1:
+        raise ValueError(f"{kind}(1) is at the pole of zeta")
+    return _KINDS[kind][2](mp, arg)
 
 
 @dataclass

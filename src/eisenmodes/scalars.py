@@ -13,15 +13,22 @@ back to a rational times a monomial of this ring.
 
 Constructors validate and normalise their input; ring operations on normal
 operands build their results without a second pass (``Constant._trusted``).
-Where a number (an int or a Fraction) must become a Constant, as in a sum
-or a ``YLaurent`` coefficient, it takes one path: ``_coerce_constant`` lifts
-it by ``Constant.from_rational``, which validates it once.  A product or
-quotient by a number scales the coefficients without a lift, and equality
-with a number lifts nothing: it compares the terms with {1: q}, or {} for
-zero.
+``Constant``'s ``+ - * /`` take a Constant, an int or a Fraction on either
+side and return NotImplemented for any other operand, so a ``YLaurent``
+operand meets its own operators and a float is Python's TypeError.  Where a
+number (an int or a Fraction) must become a Constant, as in a sum or a
+``YLaurent`` coefficient, ``Constant.from_rational`` lifts it and validates
+it once (``_operand``).  A product or quotient by a number scales the
+coefficients without a lift, and equality with a number lifts nothing: it
+compares the terms with {1: q}, or {} for zero.
 A sum of many products, such as a truncated series product, adds the
 monomial products of all its pairs into one dict and builds one Constant
 from it (``_add_product``, ``Constant._of_sums``).
+
+The symbol kinds are one table, ``_KINDS``: in canonical order, each kind's
+rule for the arguments the package writes it with, its LaTeX and its mpmath
+value.  The symbol sort key, the text reader, the LaTeX writer, ``sym_zeta``,
+``sym_zeta_prime`` and ``numerics.symbol_value`` all read it.
 
 ``SymbolMonomial`` products and powers, and each monomial's sort key and
 JSON symbol names, are memoized for the life of the process
@@ -62,8 +69,6 @@ __all__ = [
 # A symbol is a (kind, arg) pair; arg is None except for parametric kinds.
 Symbol = Tuple[str, object]
 
-_KIND_ORDER = {"pi": 0, "gamma": 1, "ln_pi": 2, "ln_prime": 3, "zeta": 4, "zeta_prime": 5}
-
 SYM_PI: Symbol = ("pi", None)
 SYM_GAMMA: Symbol = ("gamma", None)
 SYM_LN_PI: Symbol = ("ln_pi", None)
@@ -74,28 +79,25 @@ def sym_ln_prime(p: int) -> Symbol:
 
 
 def sym_zeta(k: int) -> Symbol:
-    if k < 3 or k % 2 == 0:
+    if not _KINDS["zeta"][0](k):
         raise ValueError(f"symbolic zeta is reserved for odd arguments >= 3, got {k}")
     return ("zeta", k)
 
 
 def sym_zeta_prime(m: int) -> Symbol:
-    if not _WRITTEN["zeta_prime"](m):
+    if not _KINDS["zeta_prime"][0](m):
         raise ValueError(f"symbolic zeta' is reserved for arguments other than the pole 1, got {m}")
     return ("zeta_prime", m)
 
 
 def _symbol_key(sym: Symbol):
     kind, arg = sym
-    return (_KIND_ORDER[kind], arg if arg is not None else -1)
+    return (_RANK[kind], arg if arg is not None else -1)
 
 
 def _symbol_str(sym: Symbol) -> str:
     kind, arg = sym
     return kind if arg is None else f"{kind}({arg})"
-
-
-_SYMBOL_TEXT = re.compile(r"(pi|gamma|ln_pi)|(ln_prime|zeta|zeta_prime)\((0|-?[1-9][0-9]*)\)")
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -119,21 +121,34 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# the arguments the package writes each parametric symbol with
-_WRITTEN = {"zeta": lambda k: k >= 3 and k % 2 == 1, "ln_prime": _is_prime,
-            "zeta_prime": lambda m: m != 1}
+# Every symbol kind, in the canonical order of SymbolMonomial: (the rule of
+# the arguments the package writes it with, None for a kind without one; its
+# LaTeX, {} standing for the argument; its value as value(mpmath, arg)).
+_KINDS = {
+    "pi": (None, r"\pi", lambda mp, _: +mp.pi),
+    "gamma": (None, r"\gamma", lambda mp, _: +mp.euler),
+    "ln_pi": (None, r"\log \pi", lambda mp, _: mp.log(mp.pi)),
+    "ln_prime": (_is_prime, r"\log {}", lambda mp, p: mp.log(p)),
+    "zeta": (lambda k: k >= 3 and k % 2 == 1, r"\zeta({})", lambda mp, k: mp.zeta(k)),
+    "zeta_prime": (lambda m: m != 1, r"\zeta'({})", lambda mp, m: mp.zeta(m, derivative=1)),
+}
+_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
+_SYMBOL_TEXT = re.compile(r"([a-z_]+)(?:\((0|-?[1-9][0-9]*)\))?")
 
 
 def _symbol_from_str(text: str) -> Symbol:
     """The symbol _symbol_str writes as text, where the package writes it:
-    zeta(k) for an odd k >= 3, ln_prime(p) for a prime p < ``_PRIME_BOUND``
-    (``factorize`` would need about 10^12 trial divisions to reach one at
-    or above it), zeta_prime(m) for m != 1, each argument as str(int)
+    a kind of ``_KINDS``, with an argument exactly where the kind has a rule
+    and only one the rule passes (zeta(k) for an odd k >= 3, ln_prime(p) for
+    a prime p < ``_PRIME_BOUND``, which ``factorize`` would need about 10^12
+    trial divisions to reach, zeta_prime(m) for m != 1), written as str(int)
     writes it.  Any other text is a ValueError."""
     match = _SYMBOL_TEXT.fullmatch(text)
-    if match is None or match[2] and not _WRITTEN[match[2]](int(match[3])):
-        raise ValueError(f"unknown symbol {text!r}")
-    return (match[1], None) if match[1] else (match[2], int(match[3]))
+    if match and match[1] in _KINDS:
+        rule, arg = _KINDS[match[1]][0], match[2] and int(match[2])
+        if (rule is None) == (arg is None) and (arg is None or rule(arg)):
+            return (match[1], arg)
+    raise ValueError(f"unknown symbol {text!r}")
 
 
 def _json_int(value) -> int:
@@ -301,8 +316,11 @@ class Constant:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Constant":
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self._terms)
-        for m, c in _coerce_constant(other)._terms.items():
+        for m, c in other._terms.items():
             prev = terms.get(m)
             if prev is None:
                 terms[m] = c
@@ -320,17 +338,20 @@ class Constant:
         return Constant._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Constant":
-        return self + (-_coerce_constant(other))
+        other = _operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "Constant":
-        return _coerce_constant(other) + (-self)
+        other = _operand(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other) -> "Constant":
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Constant._trusted({})
             return Constant._trusted({m: c * other for m, c in self._terms.items()})
-        other = _coerce_constant(other)
+        if not isinstance(other, Constant):
+            return NotImplemented
         if len(other._terms) == 1:
             # Distinct monomials times one monomial stay distinct.
             (m2, c2), = other._terms.items()
@@ -344,11 +365,14 @@ class Constant:
     def __truediv__(self, other) -> "Constant":
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / other)
-        (mono, coeff), = (_coerce_constant(other) ** -1)._terms.items()
+        if not isinstance(other, Constant):
+            return NotImplemented
+        (mono, coeff), = (other ** -1)._terms.items()
         return Constant._trusted({m * mono: c * coeff for m, c in self._terms.items()})
 
     def __rtruediv__(self, other) -> "Constant":
-        return _coerce_constant(other) / self
+        other = _operand(other)
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, k: int) -> "Constant":
         if k < 0 or (k > 0 and len(self._terms) == 1):
@@ -450,9 +474,13 @@ def _add_product(sums: Dict[SymbolMonomial, Fraction], a: Constant, b: Constant)
             sums[m] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-def _coerce_constant(value) -> Constant:
-    """A Constant as it is, or a number lifted by ``Constant.from_rational``."""
-    return value if isinstance(value, Constant) else Constant.from_rational(value)
+def _operand(value) -> Constant | None:
+    """The other operand of a Constant operator: a Constant as it is, a number
+    lifted by ``Constant.from_rational``, and None for any other value, for
+    which the operator returns NotImplemented."""
+    if isinstance(value, Constant):
+        return value
+    return Constant.from_rational(value) if isinstance(value, (int, Fraction)) else None
 
 
 def _frac_latex(f: Fraction) -> str:
@@ -463,20 +491,9 @@ def _frac_latex(f: Fraction) -> str:
 
 
 def _symbol_latex(sym: Symbol) -> str:
+    # a monomial holds only kinds of _KINDS: its sort key refuses any other
     kind, arg = sym
-    if kind == "pi":
-        return r"\pi"
-    if kind == "gamma":
-        return r"\gamma"
-    if kind == "ln_pi":
-        return r"\log \pi"
-    if kind == "ln_prime":
-        return rf"\log {arg}"
-    if kind == "zeta":
-        return rf"\zeta({arg})"
-    if kind == "zeta_prime":
-        return rf"\zeta'({arg})"
-    raise ValueError(f"unknown symbol kind {kind}")
+    return _KINDS[kind][1].format(arg)
 
 
 def _monomial_latex(mono: SymbolMonomial) -> str:
@@ -561,12 +578,21 @@ def zeta_value(k: int) -> Constant:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization of n >= 1 by trial division."""
+    """Prime factorization of n >= 1 by trial division.
+
+    Past the divisor 1000, each new cofactor is tested once by ``_is_prime``,
+    and the division ends at one that passes: a prime n below ``_PRIME_BOUND``
+    takes about 500 divisions and 13 modular powers.  The division still
+    runs up to the second-largest prime factor q of n, about q / 2 steps,
+    and up to the square root of a largest prime factor at or above
+    ``_PRIME_BOUND``, which the test refuses.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
     m = n
     p = 2
+    tested = None  # the last cofactor the prime test refused
     while p * p <= m:
         if m % p == 0:
             e = 0
@@ -574,6 +600,8 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
                 m //= p
                 e += 1
             out.append((p, e))
+        if p > 1000 and m != tested and _is_prime(tested := m):
+            break
         p += 1 if p == 2 else 2
     if m > 1:
         out.append((m, 1))

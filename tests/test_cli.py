@@ -535,6 +535,12 @@ def _particular_monomial_twice(doc):
     (2, _alpha_with_symbol("ln_prime(8321)")),
     (2, _alpha_with_symbol("zeta_prime(1)")),
     (2, _alpha_with_symbol("ln_prime(3317044064679887385961981)")),
+    (2, _alpha_with_symbol("pi(1)")),
+    (2, _alpha_with_symbol("ln_pi(2)")),
+    (2, _alpha_with_symbol("zeta")),
+    (2, _alpha_with_symbol("zeta_prime")),
+    (2, _alpha_with_symbol("Pi")),
+    (2, _alpha_with_symbol("zeta(+3)")),
     (2, _alpha_first_term_twice),
     (2, _particular_monomial_twice),
     (2, _zero_term_in_first_cell),
@@ -547,6 +553,8 @@ def _particular_monomial_twice(doc):
 ], ids=["double_key_0", "double_key_02", "double_key_000", "double_key_x1", "single_key_2",
         "single_key_00", "zeta_2", "zeta_1", "zeta_minus_3", "zeta_03", "ln_prime_4",
         "ln_prime_2021", "ln_prime_8321", "zeta_prime_1", "ln_prime_psi13",
+        "pi_with_argument", "ln_pi_with_argument", "zeta_without_argument",
+        "zeta_prime_without_argument", "pi_capitalized", "zeta_plus_3",
         "alpha_monomial_twice", "particular_monomial_twice", "particular_zero_term",
         "coeff_unreduced", "coeff_double_minus", "coeff_underscore", "coeff_padded",
         "coeff_zero", "exponent_zero"])

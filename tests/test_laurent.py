@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from eisenmodes.laurent import LOG_CAP, LogCapExceeded, YLaurent
+from eisenmodes.laurent import LOG_CAP, LogCapExceeded, NotAMonomial, YLaurent
 from eisenmodes.numerics import NumericEnv
 from eisenmodes.scalars import GAMMA, LN_PI, Constant, ln_prime, zeta_odd
 
@@ -88,6 +88,48 @@ def test_diff_product_rule_with_logs():
     y, h = 0.7, 1e-6
     fd = (p.evaluate(ENV, y + h) - p.evaluate(ENV, y - h)) / (2 * h)
     assert abs(fd - d.evaluate(ENV, y)) < 1e-6
+
+
+def test_scalars_combine_with_polynomials_by_their_own_operators():
+    # a scalar of each kind on either side of + - * /, against the explicit
+    # lift to a constant polynomial, the scaling and the explicit product
+    p = YLaurent.monomial(-2, 3) + YLaurent.monomial(1, zeta_odd(3), log_exp=1)
+    c = Constant.pi_power(-1, Fraction(2, 3))
+    m = YLaurent.monomial(2, c)
+    m_inverse = YLaurent.monomial(-2, Constant.pi_power(1, Fraction(3, 2)))
+    assert m * m_inverse == YLaurent.one()
+    for s in (5, Fraction(-7, 2), Constant.pi_power(2, 3) * GAMMA):
+        lifted = YLaurent({(0, 0): s})
+        assert (p + s, s + p, p - s, s - p) == (p + lifted, lifted + p, p - lifted, lifted - p), s
+        assert p * s == s * p == p.scale(s), s
+        assert p / s == p.scale(Fraction(1) / s), s
+        assert (p / m, s / m) == (p * m_inverse, lifted * m_inverse), s
+        for value in (p + s, s + p, p - s, s - p, p * s, s * p, p / s, s / m):
+            assert type(value) is YLaurent and value == YLaurent(value.terms()), s
+    assert m ** -2 == m_inverse * m_inverse
+    assert m ** 0 == YLaurent.one() and m ** 3 == m * m * m
+    # a Constant meets a polynomial's operators, not its own
+    for value in (c + p, c - p, c * p, c / m):
+        assert type(value) is YLaurent
+    assert c / m == YLaurent.monomial(-2, 1)
+    # a float is a TypeError on either ring, Python's own on a Constant
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        c + 0.5
+    for a, b in ((c, 0.5), (0.5, c), (m, 0.5), (0.5, m)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+            with pytest.raises(TypeError):
+                op(a, b)
+    # a polynomial divides, and is raised to a power, only as one log-free term
+    y, ly = YLaurent.monomial(1), YLaurent.monomial(0, 1, log_exp=1)
+    for run, text in ((lambda: (y + 1) ** 2, "power of a non-monomial Laurent polynomial"),
+                      (lambda: 1 / ly, "division by log terms"),
+                      (lambda: y / (y + 1), "division by a non-monomial Laurent polynomial"),
+                      (lambda: Fraction(1, 2) / (y + 1), "division by a non-monomial Laurent polynomial")):
+        with pytest.raises(NotAMonomial) as caught:
+            run()
+        assert str(caught.value) == text
+    with pytest.raises(ZeroDivisionError):
+        y / (y - y)
 
 
 def test_mul_truncated():

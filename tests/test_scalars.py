@@ -182,6 +182,24 @@ def test_bernoulli_and_factorize():
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
 
+def test_factorize_ends_at_a_prime_cofactor():
+    # a 25-digit prime below the prime test's bound: trial division would need
+    # about 10^12 steps, the prime test of the cofactor ends it past 1000
+    p = 3000000000000000000000007
+    assert factorize(p) == ((p, 1),)
+    assert factorize(6 * p) == ((2, 1), (3, 1), (p, 1))
+    # a composite cofactor past 1000 is divided on, in ascending order
+    assert factorize(1009 * 1013 * 1019 * 10007) == ((1009, 1), (1013, 1), (1019, 1), (10007, 1))
+    assert factorize(7 ** 3 * 1009 ** 2 * p) == ((7, 3), (1009, 2), (p, 1))
+    rng = random.Random(47)
+    for n in [rng.randint(1, 10 ** 9) for _ in range(200)]:
+        factors = factorize(n)
+        assert math.prod(q ** e for q, e in factors) == n
+        assert [q for q, _ in factors] == sorted({q for q, _ in factors})
+        for q, _ in factors:
+            ln_prime(q)  # refuses a q that is not a prime
+
+
 def test_zeta_prime_symbolic():
     c = zeta_prime(8)
     v = c.evaluate(ENV)
