@@ -293,7 +293,10 @@ def _boundary(mode) -> dict:
     status: ok (alpha is the recomputed one), obstructed (the reported
     obstruction, message and terms, is exactly the recomputed one), mismatch,
     free (the zero mode) or no_basis (lambda is not triangular).  A mismatch
-    lists the recomputed alpha, or the first 6 recomputed obstruction terms.
+    names each part that differs with its recomputed value: the alpha where
+    none is obstructed, else the first 6 obstruction terms (``leading``, which
+    a missing obstruction lacks) and the ``message``.  A document with the
+    right obstruction and an alpha names the alpha, recomputed null.
     """
     r = mode.params.r
     if mode.alpha_free:
@@ -305,7 +308,12 @@ def _boundary(mode) -> dict:
         return {"status": "ok" if obstruction is None else "obstructed"}
     if obstruction is None:
         return {"status": "mismatch", "alpha": alpha.to_json_obj()}
-    return {"status": "mismatch", "leading": obstruction.to_json_obj()["leading"][:6]}
+    reported, parts = mode.obstruction, {}
+    if reported is None or reported.leading != obstruction.leading:
+        parts["leading"] = obstruction.to_json_obj()["leading"][:6]
+    if reported is not None and reported.message != obstruction.message:
+        parts["message"] = obstruction.message
+    return {"status": "mismatch", **(parts or {"alpha": None})}
 
 
 def _rewritten_keys(doc: dict, written: dict) -> list:

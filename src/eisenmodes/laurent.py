@@ -1,12 +1,15 @@
 """Laurent polynomials in y with bounded log(y) powers and Constant coefficients.
 
-``YLaurent`` combines with a scalar (an int, a Fraction or a Constant) by
-its own operators, on either side: a sum or difference lifts the scalar to a
-constant polynomial (``YLaurent.lift``), a product scales by it, and a
-quotient by it scales by its inverse.  A polynomial is raised to an integer
-power only as a one-term monomial c y^k log^j, log-free for a negative
-power: (c y^k log^j)^b is c^b y^(kb) log^(jb).  A quotient by a polynomial
-is the product with its power -1.  Any other base is a ``NotAMonomial``.
+``YLaurent`` is a ``scalars._SparseSum`` keyed by (y power, log power): its
+trusted build, zero rule, negation, cancelling sum, scaling and equality are
+the ones ``Constant`` has, so a zero polynomial is falsy.  It combines with a
+scalar (an int, a Fraction or a Constant) by its own operators, on either
+side: a sum or difference lifts the scalar to a constant polynomial
+(``YLaurent.lift``), a product scales by it, and a quotient by it scales by
+its inverse.  A polynomial is raised to an integer power only as a one-term
+monomial c y^k log^j, log-free for a negative power: (c y^k log^j)^b is
+c^b y^(kb) log^(jb).  A quotient by a polynomial is the product with its
+power -1.  Any other base is a ``NotAMonomial``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .scalars import Constant, Symbol, _add_product, _json_int
+from .scalars import Constant, Symbol, _add_product, _json_int, _SparseSum
 
 __all__ = ["YLaurent", "LogCapExceeded", "NotAMonomial", "LOG_CAP"]
 
@@ -33,14 +36,14 @@ class NotAMonomial(ValueError):
     c y^k log^j, or a division by one with log terms."""
 
 
-class YLaurent:
+class YLaurent(_SparseSum):
     """Sparse map (y_exponent, log_exponent) -> Constant.
 
     Immutable by convention: all operations return new objects.  No zero
     coefficient is stored, so a == b exactly when (a - b).is_zero().
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[TermKey, Constant] | Iterable[Tuple[TermKey, Constant]] = ()):
         cleaned: Dict[TermKey, Constant] = {}
@@ -49,25 +52,10 @@ class YLaurent:
                 raise ValueError("negative log exponent")
             if j > LOG_CAP:
                 raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
-            c = c if isinstance(c, Constant) else Constant.from_rational(c)
-            if not c.is_zero():
-                cleaned[(k, j)] = c
-        self._terms = cleaned
-
-    @classmethod
-    def _trusted(cls, terms: Dict[TermKey, Constant]) -> "YLaurent":
-        """Wrap a dict that is already normal: keys within the log cap, no zero
-        coefficient.  Operations on normal operands build their results this
-        way; each drops the zeros it creates itself."""
-        obj = object.__new__(cls)
-        obj._terms = terms
-        return obj
+            cleaned[k, j] = c if isinstance(c, Constant) else Constant.from_rational(c)
+        self._terms = {key: c for key, c in cleaned.items() if c}
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "YLaurent":
-        return cls._trusted({})
 
     @classmethod
     def monomial(cls, y_exp: int, coeff=1, log_exp: int = 0) -> "YLaurent":
@@ -83,16 +71,12 @@ class YLaurent:
         as a constant one; any other value is a TypeError."""
         return value if isinstance(value, YLaurent) else cls({(0, 0): value})
 
-    # -- inspection ----------------------------------------------------------
+    _operand = lift
 
-    def terms(self) -> Dict[TermKey, Constant]:
-        return dict(self._terms)
+    # -- inspection ----------------------------------------------------------
 
     def items_sorted(self):
         return sorted(self._terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def min_degree(self) -> int:
         return min(self._terms)[0] if self._terms else 0
@@ -111,37 +95,11 @@ class YLaurent:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other) -> "YLaurent":
-        terms = dict(self._terms)
-        for key, c in YLaurent.lift(other)._terms.items():
-            prev = terms.get(key)
-            if prev is None:
-                terms[key] = c
-            else:
-                val = prev + c
-                if val.is_zero():
-                    del terms[key]
-                else:
-                    terms[key] = val
-        return YLaurent._trusted(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "YLaurent":
-        return YLaurent._trusted({k: -c for k, c in self._terms.items()})
-
     def __sub__(self, other) -> "YLaurent":
         return self + (-other)
 
     def __rsub__(self, other) -> "YLaurent":
         return -self + other
-
-    def scale(self, factor) -> "YLaurent":
-        """Multiply by an int, Fraction or Constant; the constants form an
-        integral domain, so a nonzero factor leaves no coefficient zero."""
-        if factor == 0:
-            return YLaurent._trusted({})
-        return YLaurent._trusted({k: c * factor for k, c in self._terms.items()})
 
     def shift(self, y_exp: int) -> "YLaurent":
         """Multiply by y**y_exp."""
@@ -195,39 +153,21 @@ class YLaurent:
                 if sums is None:
                     sums = out[k, j] = {}
                 _add_product(sums, c1, c2)
-        products = ((key, Constant._of_sums(sums)) for key, sums in out.items())
-        return YLaurent._trusted({key: c for key, c in products if not c.is_zero()})
+        return YLaurent._of_sums({key: Constant._of_sums(sums) for key, sums in out.items()})
 
     def diff(self) -> "YLaurent":
         """d/dy, with d/dy[y^k log^j y] = k y^(k-1) log^j + j y^(k-1) log^(j-1)."""
         out: Dict[TermKey, Constant] = {}
         for (k, j), c in self._terms.items():
-            if k:
-                key = (k - 1, j)
-                add = c * k
-                prev = out.get(key)
-                val = add if prev is None else prev + add
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-            if j:
-                key = (k - 1, j - 1)
-                add = c * j
-                prev = out.get(key)
-                val = add if prev is None else prev + add
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        return YLaurent._trusted(out)
+            for key, factor in (((k - 1, j), k), ((k - 1, j - 1), j)):
+                if factor:
+                    prev = out.get(key)
+                    out[key] = c * factor if prev is None else prev + c * factor
+        return YLaurent._of_sums(out)
 
     def truncate(self, order: int) -> "YLaurent":
         """Keep only terms with y exponent < order."""
         return YLaurent._trusted({k: c for k, c in self._terms.items() if k[0] < order})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, YLaurent) and self._terms == other._terms
 
     def __repr__(self) -> str:
         if not self._terms:

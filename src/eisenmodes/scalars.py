@@ -11,8 +11,15 @@ no larger field: the mode operators are graded by the power of pi, so their
 systems are solved over the plain rationals and each solved value maps
 back to a rational times a monomial of this ring.
 
-Constructors validate and normalise their input; ring operations on normal
-operands build their results without a second pass (``Constant._trusted``).
+``Constant`` and ``laurent.YLaurent`` share one sparse-sum core,
+``_SparseSum``: a dict ``_terms`` from each key (a monomial, or a (y, log)
+power pair) to its nonzero coefficient.  It states once the trusted build
+(``_trusted``, ``_of_sums``), ``zero``, ``terms``, ``is_zero``, negation,
+the sum that drops the keys it cancels, scaling and same-type equality.  The
+zero rule: no zero coefficient is stored, so the zero element is the empty
+dict, and it is the one element whose ``bool`` is False.  Constructors
+validate and normalise their input; ring operations on normal operands build
+their results without a second pass.
 ``Constant``'s ``+ - * /`` take a Constant, an int or a Fraction on either
 side and return NotImplemented for any other operand, so a ``YLaurent``
 operand meets its own operators and a float is Python's TypeError.  Where a
@@ -43,8 +50,10 @@ entries, one of ``tables`` 372.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Mapping, Tuple
@@ -140,9 +149,9 @@ def _symbol_from_str(text: str) -> Symbol:
     """The symbol _symbol_str writes as text, where the package writes it:
     a kind of ``_KINDS``, with an argument exactly where the kind has a rule
     and only one the rule passes (zeta(k) for an odd k >= 3, ln_prime(p) for
-    a prime p < ``_PRIME_BOUND``, which ``factorize`` would need about 10^12
-    trial divisions to reach, zeta_prime(m) for m != 1), written as str(int)
-    writes it.  Any other text is a ValueError."""
+    a prime p below ``_PRIME_BOUND``, the bound of the prime test,
+    zeta_prime(m) for m != 1), written as str(int) writes it.  Any other text
+    is a ValueError."""
     match = _SYMBOL_TEXT.fullmatch(text)
     if match and match[1] in _KINDS:
         rule, arg = _KINDS[match[1]][0], match[2] and int(match[2])
@@ -249,20 +258,20 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class Constant:
-    """Finite rational-linear combination of :class:`SymbolMonomial` terms."""
+class _SparseSum:
+    """A finite sum over a ring, held as the dict ``_terms`` from each key to its
+    nonzero coefficient: the rules ``Constant`` and ``YLaurent`` share.
+
+    The zero element is the empty dict, and it is the one falsy element.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[SymbolMonomial, Fraction] | None = None):
-        coeffs = {m: _as_fraction(c) for m, c in terms.items()} if terms else {}
-        self._terms = {m: c for m, c in coeffs.items() if c}
-
     @classmethod
-    def _trusted(cls, terms: Dict[SymbolMonomial, Fraction]) -> "Constant":
-        """Wrap a dict that is already normal: Fraction coefficients, none zero.
+    def _trusted(cls, terms: dict):
+        """Wrap a dict that is already normal: valid keys, no zero coefficient.
 
-        Ring operations on normal operands build their results this way; each
+        Operations on normal operands build their results this way; each
         drops the zeros it creates itself.
         """
         obj = object.__new__(cls)
@@ -270,16 +279,86 @@ class Constant:
         return obj
 
     @classmethod
-    def _of_sums(cls, sums: Dict[SymbolMonomial, Fraction]) -> "Constant":
-        """The Constant of a dict of Fraction sums, such as ``_add_product``
-        fills, without its zero sums."""
-        return cls._trusted({m: c for m, c in sums.items() if c})
-
-    # -- constructors ------------------------------------------------------
+    def _of_sums(cls, sums: dict):
+        """The element of a dict of coefficient sums, such as a product fills,
+        without its zero sums."""
+        return cls._trusted({key: c for key, c in sums.items() if c})
 
     @classmethod
-    def zero(cls) -> "Constant":
+    def zero(cls):
         return cls._trusted({})
+
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __neg__(self):
+        return self._trusted({key: -c for key, c in self._terms.items()})
+
+    def __add__(self, other):
+        """The sum with the operand ``_operand`` makes of `other`, or
+        NotImplemented where it makes None; a key whose sum is zero is dropped."""
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            prev = terms.get(key)
+            if prev is None:
+                terms[key] = c
+            else:
+                val = prev + c
+                if val:
+                    terms[key] = val
+                else:
+                    del terms[key]
+        return self._trusted(terms)
+
+    __radd__ = __add__
+
+    def scale(self, factor):
+        """Multiply every coefficient by `factor`.  The rings have no zero
+        divisors, so a nonzero factor leaves no coefficient zero, and a zero
+        one gives the zero element."""
+        if not factor:
+            return self._trusted({})
+        return self._trusted({key: c * factor for key, c in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        """Equal to an element of the same type with the same terms; any other
+        operand is left to ``_equals_other``, a hook rather than an override of
+        this method, so that the common same-type test costs one call."""
+        if isinstance(other, type(self)):
+            return self._terms == other._terms
+        return self._equals_other(other)
+
+    def _equals_other(self, other):
+        return NotImplemented
+
+
+class Constant(_SparseSum):
+    """Finite rational-linear combination of :class:`SymbolMonomial` terms."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[SymbolMonomial, Fraction] | None = None):
+        self._terms = {m: q for m, c in (terms or {}).items() if (q := _as_fraction(c))}
+
+    @staticmethod
+    def _operand(value) -> "Constant | None":
+        """The other operand of a Constant operator: a Constant as it is, a
+        number lifted by ``from_rational``, and None for any other value, for
+        which the operator returns NotImplemented."""
+        if isinstance(value, Constant):
+            return value
+        return Constant.from_rational(value) if isinstance(value, (int, Fraction)) else None
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls) -> "Constant":
@@ -293,20 +372,13 @@ class Constant:
 
     @classmethod
     def monomial(cls, sym: Symbol, exponent: int = 1, coeff=1) -> "Constant":
-        q = _as_fraction(coeff)
-        return cls._trusted({SymbolMonomial({sym: exponent}): q} if q else {})
+        return cls._of_sums({SymbolMonomial({sym: exponent}): _as_fraction(coeff)})
 
     @classmethod
     def pi_power(cls, exponent: int, coeff=1) -> "Constant":
         return cls.monomial(SYM_PI, exponent, coeff)
 
     # -- inspection --------------------------------------------------------
-
-    def terms(self) -> Dict[SymbolMonomial, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def single_term(self) -> Tuple[SymbolMonomial, Fraction]:
         if len(self._terms) != 1:
@@ -315,41 +387,17 @@ class Constant:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "Constant":
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            prev = terms.get(m)
-            if prev is None:
-                terms[m] = c
-            else:
-                val = prev + c
-                if val:
-                    terms[m] = val
-                else:
-                    del terms[m]
-        return Constant._trusted(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Constant":
-        return Constant._trusted({m: -c for m, c in self._terms.items()})
-
     def __sub__(self, other) -> "Constant":
-        other = _operand(other)
+        other = self._operand(other)
         return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "Constant":
-        other = _operand(other)
+        other = self._operand(other)
         return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other) -> "Constant":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Constant._trusted({})
-            return Constant._trusted({m: c * other for m, c in self._terms.items()})
+            return self.scale(other)
         if not isinstance(other, Constant):
             return NotImplemented
         if len(other._terms) == 1:
@@ -371,7 +419,7 @@ class Constant:
         return Constant._trusted({m * mono: c * coeff for m, c in self._terms.items()})
 
     def __rtruediv__(self, other) -> "Constant":
-        other = _operand(other)
+        other = self._operand(other)
         return NotImplemented if other is None else other / self
 
     def __pow__(self, k: int) -> "Constant":
@@ -380,9 +428,7 @@ class Constant:
                 raise ZeroDivisionError("a zero Constant to a negative power")
             mono, coeff = self.single_term()
             return Constant._trusted({mono ** k: coeff ** k})
-        out = Constant.one()
-        base = self
-        n = k
+        out, base, n = Constant.one(), self, k
         while n:
             if n & 1:
                 out = out * base
@@ -390,11 +436,9 @@ class Constant:
             n >>= 1
         return out
 
-    def __eq__(self, other) -> bool:
-        """Equal to a Constant with the same terms, or to an int or a Fraction
-        q as the terms {1: q} ({} for zero), which builds no Constant."""
-        if isinstance(other, Constant):
-            return self._terms == other._terms
+    def _equals_other(self, other):
+        """Equal to an int or a Fraction q as the terms {1: q} ({} for zero),
+        which builds no Constant."""
         if isinstance(other, (int, Fraction)):
             return self._terms == ({_ONE_MONOMIAL: other} if other else {})
         return NotImplemented
@@ -472,15 +516,6 @@ def _add_product(sums: Dict[SymbolMonomial, Fraction], a: Constant, b: Constant)
             m = m1 * m2
             prev = sums.get(m)
             sums[m] = c1 * c2 if prev is None else prev + c1 * c2
-
-
-def _operand(value) -> Constant | None:
-    """The other operand of a Constant operator: a Constant as it is, a number
-    lifted by ``Constant.from_rational``, and None for any other value, for
-    which the operator returns NotImplemented."""
-    if isinstance(value, Constant):
-        return value
-    return Constant.from_rational(value) if isinstance(value, (int, Fraction)) else None
 
 
 def _frac_latex(f: Fraction) -> str:
@@ -576,36 +611,53 @@ def zeta_value(k: int) -> Constant:
     return Constant.from_rational(-bernoulli(n) / n)
 
 
+def _rho(m: int) -> int:
+    """A proper factor of an odd composite m, by Brent's variant of Pollard's
+    rho (BIT 20, 1980): y steps on by y^2 + c from 2, x holds y's value at
+    the steps 0, 1, 3, 7, ..., 2^i - 1, and each step tests gcd(y - x, m).  A
+    cycle that splits nothing (gcd m) retries with the next c."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+                if (g := math.gcd(y - x, m)) != 1:
+                    break
+            r *= 2
+        if g != m:
+            return g
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization of n >= 1 by trial division.
+    """Prime factorization of n >= 1.
 
-    Past the divisor 1000, each new cofactor is tested once by ``_is_prime``,
-    and the division ends at one that passes: a prime n below ``_PRIME_BOUND``
-    takes about 500 divisions and 13 modular powers.  The division still
-    runs up to the second-largest prime factor q of n, about q / 2 steps,
-    and up to the square root of a largest prime factor at or above
-    ``_PRIME_BOUND``, which the test refuses.
+    Trial division takes out the primes below 1000.  Each cofactor below
+    ``_PRIME_BOUND`` is then prime by ``_is_prime`` or split by ``_rho``, in
+    about sqrt(q) steps for its least prime factor q.  A cofactor at or above
+    that bound, which the prime test refuses, is trial-divided on until it
+    falls below the bound or is prime, up to its square root.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    out = []
-    m = n
-    p = 2
-    tested = None  # the last cofactor the prime test refused
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        if p > 1000 and m != tested and _is_prime(tested := m):
-            break
+    out = Counter()
+    m, p = n, 2
+    while p * p <= m and (p < 1000 or m >= _PRIME_BOUND):
+        while m % p == 0:
+            m //= p
+            out[p] += 1
         p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return tuple(out)
+    # every factor of what is left is at least p
+    todo = [m] if m > 1 else []
+    while todo:
+        m = todo.pop()
+        if p * p > m or _is_prime(m):
+            out[m] += 1
+        else:
+            d = _rho(m)
+            todo += (d, m // d)
+    return tuple(sorted(out.items()))
 
 
 def log_normalize(m: int) -> Constant:

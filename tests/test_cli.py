@@ -697,7 +697,7 @@ def _message_changed(doc):
     (("3/2", "7/2", "12"), 1, 2, "unit", _obstruction_dropped, "leading"),
     (("5/2", "5/2", "2"), 1, 2, "unit", _obstruction_dropped, "leading"),
     (("5/2", "5/2", "2"), 1, 2, "unit", _leading_changed, "leading"),
-    (("5/2", "5/2", "2"), 1, 2, "unit", _message_changed, "leading"),
+    (("5/2", "5/2", "2"), 1, 2, "unit", _message_changed, "message"),
 ])
 def test_verify_rejects_wrong_boundary_data(tmp_path, capsys, family, n1, n2,
                                             normalization, edit, key):
@@ -713,7 +713,8 @@ def test_verify_rejects_wrong_boundary_data(tmp_path, capsys, family, n1, n2,
     code, verdict = _verdict(tmp_path, capsys, tampered)
     assert verdict["operator"] == {"status": "exact-zero"}
     assert code == EXIT_MISMATCH and verdict["pass"] is False
-    recomputed = doc["alpha"] if key == "alpha" else doc["obstruction"]["leading"][:6]
+    part = doc["alpha"] if key == "alpha" else doc["obstruction"][key]
+    recomputed = part[:6] if key == "leading" else part
     assert verdict["boundary"] == {"status": "mismatch", key: recomputed}
 
 

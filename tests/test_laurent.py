@@ -132,6 +132,36 @@ def test_scalars_combine_with_polynomials_by_their_own_operators():
         y / (y - y)
 
 
+def test_both_rings_share_one_sparse_sum_core():
+    c = Constant.pi_power(-1, Fraction(2, 3)) + GAMMA
+    p = YLaurent.monomial(-2, c) + YLaurent.monomial(1, zeta_odd(3), log_exp=1)
+    # the zero element, and only it, is falsy
+    assert not bool(Constant.zero()) and not bool(YLaurent.zero()) and not bool(c - c)
+    assert not bool(p - p) and bool(c) and bool(p) and bool(Constant.one())
+    # a sum that cancels leaves no key
+    assert (c + (-c)).terms() == {} and (p + (-p)).terms() == {}
+    assert (c - GAMMA).terms() == Constant.pi_power(-1, Fraction(2, 3)).terms()
+    assert (p - YLaurent.monomial(-2, c)).terms() == {(1, 1): zeta_odd(3)}
+    # scaling by any zero gives the zero element
+    for zero in (0, Fraction(0), Constant.zero()):
+        assert p.scale(zero).terms() == {} and p.scale(zero) == YLaurent.zero()
+        assert (c * zero).terms() == {} and c * zero == Constant.zero()
+    assert c.scale(Fraction(3)) == 3 * c and p.scale(GAMMA) == p * GAMMA
+    # equality across types: a Constant equals a number, a polynomial nothing else
+    assert Constant.one() == 1 and Constant.zero() == 0
+    assert not YLaurent.one() == 1 and YLaurent.one() != 1
+    assert not YLaurent.one() == Constant.one() and YLaurent.one() != Constant.one()
+    # d/dy of y^0 log y, y^3 and y^-2 log^2 y, written out by hand
+    log_y = YLaurent.monomial(0, 1, log_exp=1)
+    assert log_y.diff().terms() == {(-1, 0): Constant.one()}
+    assert YLaurent.monomial(3, c).diff().terms() == {(2, 0): 3 * c}
+    q = YLaurent.monomial(-2, c, log_exp=2)
+    assert q.diff().terms() == {(-3, 2): -2 * c, (-3, 1): 2 * c}
+    # two derivative terms that cancel leave no key: y log y - y gives log y
+    r = YLaurent.monomial(1, 1, log_exp=1) - YLaurent.monomial(1, 1)
+    assert r.diff().terms() == {(0, 1): Constant.one()}
+
+
 def test_mul_truncated():
     a = YLaurent.monomial(0, 1) + YLaurent.monomial(2, 1)
     b = YLaurent.monomial(0, 1) + YLaurent.monomial(2, 1)

@@ -200,6 +200,20 @@ def test_factorize_ends_at_a_prime_cofactor():
             ln_prime(q)  # refuses a q that is not a prime
 
 
+def test_factorize_splits_a_composite_cofactor_by_rho():
+    # semiprimes whose smaller factor trial division would take up to 5 * 10^9
+    # steps to reach; the last mixes factors below and above the divisor 1000
+    cases = {
+        10000019 * 10000079: ((10000019, 1), (10000079, 1)),
+        100000007 * 100000037: ((100000007, 1), (100000037, 1)),
+        10000000019 * 10000000033: ((10000000019, 1), (10000000033, 1)),
+        2 ** 40 * 3 ** 5 * 10000019: ((2, 40), (3, 5), (10000019, 1)),
+        1009 ** 2 * 1013 ** 3: ((1009, 2), (1013, 3)),
+    }
+    for n, factors in cases.items():
+        assert factorize(n) == factors
+
+
 def test_zeta_prime_symbolic():
     c = zeta_prime(8)
     v = c.evaluate(ENV)
