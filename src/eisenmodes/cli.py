@@ -42,8 +42,8 @@ classification, latex: outside the verified claim) to equal the input's,
 derived fields such as source_full and case included.  It then applies the
 mode operator of the particular part's kind (bessel.mode_operator) and
 compares the image exactly with the source rebuilt from the document's
-params and (n1, n2); it checks the document's alpha, or its obstruction
-(message and terms), against homogeneous.boundary_reference on the
+params and (n1, n2); it checks the document's alpha and its obstruction
+(message and terms), by JSON text, against homogeneous.boundary_reference on the
 document's own particular part: the Constant small-y series, a route that
 shares only the K_0/K_1 table of series.k_flat_series (checked in the tests
 against an independent oracle) with the choose_alpha that solve runs.  `table` and `combine` compare the
@@ -287,16 +287,23 @@ def cmd_combine(args):
     return doc, EXIT_MISMATCH if doc["comparison"]["verdict"] == "mismatch" else EXIT_OK
 
 
+def _boundary_parts(alpha, obstruction) -> dict:
+    """The JSON of a mode's alpha, obstruction terms and message, null where none."""
+    obs = obstruction.to_json_obj() if obstruction is not None else {}
+    return {"alpha": alpha.to_json_obj() if alpha is not None else None,
+            "leading": obs.get("leading"), "message": obs.get("message")}
+
+
 def _boundary(mode) -> dict:
     """The document's boundary data against the Constant series of its own particular.
 
     status: ok (alpha is the recomputed one), obstructed (the reported
     obstruction, message and terms, is exactly the recomputed one), mismatch,
-    free (the zero mode) or no_basis (lambda is not triangular).  A mismatch
-    names each part that differs with its recomputed value: the alpha where
-    none is obstructed, else the first 6 obstruction terms (``leading``, which
-    a missing obstruction lacks) and the ``message``.  A document with the
-    right obstruction and an alpha names the alpha, recomputed null.
+    free (the zero mode) or no_basis (lambda is not triangular).  The
+    document's alpha, obstruction terms (``leading``) and ``message`` are
+    compared with the recomputed ones as JSON text, and a mismatch names each
+    part that differs with its recomputed value: null where the recomputed
+    mode has none, and ``leading`` cut to its first 6 terms.
     """
     r = mode.params.r
     if mode.alpha_free:
@@ -304,16 +311,14 @@ def _boundary(mode) -> dict:
     if r is None:
         return {"status": "no_basis"}
     alpha, obstruction = boundary_reference(mode.particular, r, mode.n1, mode.n2)
-    if (mode.alpha, mode.obstruction) == (alpha, obstruction):
+    stated = _boundary_parts(mode.alpha, mode.obstruction)
+    differ = {key: value for key, value in _boundary_parts(alpha, obstruction).items()
+              if json.dumps(value, sort_keys=True) != json.dumps(stated[key], sort_keys=True)}
+    if not differ:
         return {"status": "ok" if obstruction is None else "obstructed"}
-    if obstruction is None:
-        return {"status": "mismatch", "alpha": alpha.to_json_obj()}
-    reported, parts = mode.obstruction, {}
-    if reported is None or reported.leading != obstruction.leading:
-        parts["leading"] = obstruction.to_json_obj()["leading"][:6]
-    if reported is not None and reported.message != obstruction.message:
-        parts["message"] = obstruction.message
-    return {"status": "mismatch", **(parts or {"alpha": None})}
+    if differ.get("leading"):
+        differ["leading"] = differ["leading"][:6]
+    return {"status": "mismatch", **differ}
 
 
 def _rewritten_keys(doc: dict, written: dict) -> list:

@@ -13,19 +13,21 @@ integrand analytic in a strip of half-width at least 1.  Against 40-digit
 mpmath both are within 8.0e-16 relative on 451 evenly spaced points of
 [0.5, 700] and within 2.2e-16 on 400 log-uniform points of (1e-300, 0.5).
 ``eval_hom_normalized`` evaluates the decaying element a mode carries,
-``HomBasis`` kind "K" or "power_neg".  The operator residual evaluates
-P(particular) - source only: P annihilates the homogeneous element exactly
-for every alpha, and the boundary condition that fixes alpha is exact and
-has no numeric check here (``homogeneous.choose_alpha`` states it).  Its
-inputs are doubles (each coefficient as ``Constant.evaluate`` gives it, the
-Bessel values, pi, y and log y), so every product and sum of them is a
-dyadic rational: the residual carries them exactly as int mantissas over
-binary exponents and rounds once, at the end.
+``HomBasis`` kind "K" or "power_neg".  Expressions have one evaluator,
+``_evaluate``.  Its inputs are doubles (each coefficient as
+``Constant.evaluate`` gives it, the Bessel values, pi, y and log y), so every
+product and sum of them is a dyadic rational: it carries them exactly as int
+mantissas over binary exponents, and its callers round once, at the end.
+``eval_expr`` is that exact value of an expression, rounded once.  The
+operator residual evaluates P(particular) - source only: P annihilates the
+homogeneous element exactly for every alpha, and the boundary condition that
+fixes alpha is exact and has no numeric check here
+(``homogeneous.choose_alpha`` states it).
 
 What the residual sees is narrower than its name.  Its terms take the second
 derivative through the same factor-derivative rules as the symbolic operator,
 and within each (cell, y-power) group they share one product of Bessel
-values, which factors out.  Both evaluators take their Bessel values from
+values, which factors out.  The evaluator takes the Bessel values from
 ``_k01``, each distinct argument 2 pi |n| y once per point.  So the residual
 sees errors in the coefficients, blurred by rounding, and nothing of the
 Bessel values or of the derivative rules: with ``_k01`` returning
@@ -203,27 +205,14 @@ def bessel_k(nu, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _k_values(expr, cell, y: float, k01: Dict[int, tuple]):
-    """The K factor values of `cell` at y, in factor order.
-
-    ``k01`` maps |n| to (K_0, K_1) at 2 pi |n| y; the caller holds it for one
-    point, so each distinct argument goes through ``_k01`` once.
-    """
-    values = []
-    for index, n in expr.factors(cell):
-        if n not in k01:
-            k01[n] = _k01(2 * math.pi * n * y)
-        values.append(k01[n][index])
-    return values
-
-
 def eval_expr(expr, y: float, env: NumericEnv = DEFAULT_ENV) -> float:
-    """Numeric value of a Bessel expression at y > 0, from the coefficient
-    doubles the residual reads (``_coefficients``); an infinite coefficient
-    raises ``OverflowError`` and a nan ``ValueError``, as there."""
+    """Numeric value of a Bessel expression at y > 0: the exact value of its
+    double inputs (``_evaluate``: the coefficient doubles the residual reads,
+    y, log y and the K values), rounded once.  An infinite coefficient raises
+    ``OverflowError`` and a nan ``ValueError``, as in the residual."""
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot evaluate {type(expr).__name__}")
-    return _value(expr, _coefficients(*_flatten(expr), env), y, {})
+    return _quotient(*_evaluate([(expr, _coefficients(*_flatten(expr), env), (1, 0), 0)], y, {}))
 
 
 def eval_hom_normalized(basis: HomBasis, y: float) -> float:
@@ -278,37 +267,61 @@ def _coefficients(terms, den: int, env: NumericEnv) -> Dict:
             for cell, poly in parts.items()}
 
 
-def _value(expr, coefficients, y: float, k01: Dict[int, tuple]) -> float:
-    """`expr` at y from its coefficient doubles (``_coefficients``): per
-    cell the fsum of c y^k log^j y, times the cell's K values
-    (``_k_values``), and the fsum of those products."""
-    ln_y = math.log(y)
-    return math.fsum(
-        math.prod((math.fsum(math.ldexp(m, e) * y**k * ln_y**j for (k, j), (m, e) in poly.items()),
-                   *_k_values(expr, cell, y, k01)))
-        for cell, poly in coefficients.items())
+def _evaluate(parts, y: float, k01: Dict[int, tuple]):
+    """(s, y^K): the exact sum of `parts` at y times y^K, K = max(0, -(lowest
+    y power)), as two dyadics, unrounded.
+
+    Each part is (expression, its coefficient doubles from ``_coefficients``,
+    a dyadic multiplier, a y shift) and adds multiplier y^shift expression(y).
+    Every input is a double: each coefficient, y, log y and the K values, so
+    every term is a dyadic.  ``k01`` maps |n| to the dyadic (K_0, K_1) at
+    2 pi |n| y; the parts share it and the caller holds it for one point, so
+    each distinct argument goes through ``_k01`` once.  The terms are summed
+    per (y power, log power), the K values factored out of each cell, and
+    those sums are multiplied through by y^K.
+    """
+    y_m, y_e = _dyadic(y)
+    log_m, log_e = _dyadic(math.log(y))
+    groups: Dict = {}  # {(y power, log power): [dyadic term]}
+    for expr, coefficients, (mul_m, mul_e), shift in parts:
+        if not mul_m:
+            continue
+        for cell, poly in coefficients.items():
+            m, e = mul_m, mul_e
+            for index, n in expr.factors(cell):
+                if n not in k01:
+                    k01[n] = tuple(map(_dyadic, _k01(2 * math.pi * n * y)))
+                k_m, k_e = k01[n][index]
+                m, e = m * k_m, e + k_e
+            for (k, j), (c_m, c_e) in poly.items():
+                groups.setdefault((k + shift, j), []).append((m * c_m, e + c_e))
+    depth = max([0, *(-k for k, _ in groups)])
+    total = _dyadic_sum(
+        (s_m * y_m ** (k + depth) * log_m**j, s_e + y_e * (k + depth) + log_e * j)
+        for (k, j), pairs in groups.items()
+        for s_m, s_e in [_dyadic_sum(pairs)]
+    )
+    return total, (y_m**depth, y_e * depth)
 
 
 def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None = None) -> float:
     """Relative residual |P(particular) - source| / scale of a mode at y.
 
     ``mode`` is a ModeSolution-like object exposing params (with lam), n1, n2,
-    particular and source (a SourceTerm).  The scale defaults to
-    max(|source(y)|, |source(1)|, 1e-300); the value at 1 guards zeros of the
-    source, and is the one ``eval_expr`` gives: ``_value`` reads it off the
-    source's coefficient doubles that the residual builds anyway.  Those doubles are
-    read from the source's flat value (``SourceTerm.flat``, its int terms over
-    one denominator, which the full source was built from), so the source is
-    not flattened again; each q / den rounds as the reduced Fraction does.
-    The second derivative is taken on the flat particular by the exact factor-derivative
-    rules (``bessel._derivative``) and then evaluated numerically.  Every
-    input is a double: each coefficient (evaluated as ``Constant.evaluate``
-    does), y, log y, pi and the (K_0, K_1) pair of each argument, shared by
-    the three expressions.  So P(particular) - source is
-    one exact dyadic sum, carried as int mantissas over binary exponents after
-    multiplying through by y^K, K = max(0, -(lowest y power)), and it is
-    rounded to a double once, on dividing by y^K.  The homogeneous part
-    alpha * h is not evaluated: P(h) = 0 is an exact identity for every
+    particular and source (a SourceTerm).  The one evaluator (``_evaluate``)
+    gives two exact sums at y, from one (K_0, K_1) pair per argument: the left
+    side y^2 particular'' - lam particular - 4 pi^2 nsum^2 y^2 particular, and
+    the source.  Their difference is taken exactly, over the product of their
+    two y^K, and rounded to a double once.  The scale defaults to
+    max(|source(y)|, |source(1)|, 1e-300): |source(y)| is the same source sum
+    rounded once, and |source(1)|, which guards zeros of the source, is the
+    evaluator's at 1, the value ``eval_expr`` gives.  The second derivative is
+    taken on the flat particular by the exact factor-derivative rules
+    (``bessel._derivative``).  The source's coefficient doubles are read from
+    its flat value (``SourceTerm.flat``, its int terms over one denominator,
+    which the full source was built from), so the source is not flattened
+    again; each q / den rounds as the reduced Fraction does.  The homogeneous
+    part alpha * h is not evaluated: P(h) = 0 is an exact identity for every
     alpha, and alpha is fixed exactly by ``homogeneous.choose_alpha`` and
     checked by ``homogeneous.boundary_reference``.  A point where y * y is not
     a finite double raises ``OverflowError``.
@@ -321,46 +334,20 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     """
     if not math.isfinite(y * y):
         raise OverflowError(f"y * y = {y * y!r} is not a finite double")
-    y_m, y_e = _dyadic(y)
-    log_m, log_e = _dyadic(math.log(y))
     part, flat = mode.particular, mode.source.flat
-    source = flat.shape
     terms, den = _flatten(part)
     moves: Dict = {}
     second = _coefficients(_derivative(part, _derivative(part, terms, moves), moves), den, env)
     values = _coefficients(terms, den, env)
-    source_values = _coefficients(flat.terms, flat.den, env)
+    source = [(flat.shape, _coefficients(flat.terms, flat.den, env), (1, 0), 0)]
     pi_m, pi_e = _dyadic(math.pi)
     nsum = mode.n1 + mode.n2
     k01: Dict[int, tuple] = {}
-    left: Dict = {}  # {(y power, log power): [dyadic term]}
-    right: Dict = {}
-    # y^2 part'', -lam part and -4 pi^2 nsum^2 y^2 part on the left, the source
-    # on the right: (shape, coefficients, multiplier as a dyadic, y shift, side)
-    for expr, coefficients, (mul_m, mul_e), shift, side in (
-        (part, second, (1, 0), 2, left),
-        (part, values, (-mode.params.lam, 0), 0, left),
-        (part, values, (-4 * nsum * nsum * pi_m * pi_m, 2 * pi_e), 2, left),
-        (source, source_values, (1, 0), 0, right),
-    ):
-        if not mul_m:
-            continue
-        for cell, poly in coefficients.items():
-            m, e = mul_m, mul_e
-            for k_m, k_e in map(_dyadic, _k_values(expr, cell, y, k01)):
-                m, e = m * k_m, e + k_e
-            for (k, j), (c_m, c_e) in poly.items():
-                side.setdefault((k + shift, j), []).append((m * c_m, e + c_e))
-    depth = max([0, *(-k for k, _ in (*left, *right))])
-    lhs, rhs = (
-        _dyadic_sum(
-            (s_m * y_m ** (k + depth) * log_m**j, s_e + y_e * (k + depth) + log_e * j)
-            for (k, j), pairs in side.items()
-            for s_m, s_e in [_dyadic_sum(pairs)]
-        )
-        for side in (left, right)
-    )
-    y_depth = (y_m**depth, y_e * depth)
+    left = [(part, second, (1, 0), 2), (part, values, (-mode.params.lam, 0), 0),
+            (part, values, (-4 * nsum * nsum * pi_m * pi_m, 2 * pi_e), 2)]
+    (l_m, l_e), (ld_m, ld_e) = _evaluate(left, y, k01)
+    (r_m, r_e), (rd_m, rd_e) = rhs = _evaluate(source, y, k01)
     if scale is None:
-        scale = max(abs(_quotient(rhs, y_depth)), abs(_value(source, source_values, 1.0, {})), 1e-300)
-    return abs(_quotient(_dyadic_sum((lhs, (-rhs[0], rhs[1]))), y_depth)) / scale
+        scale = max(abs(_quotient(*rhs)), abs(_quotient(*_evaluate(source, 1.0, {}))), 1e-300)
+    difference = _dyadic_sum(((l_m * rd_m, l_e + rd_e), (-r_m * ld_m, r_e + ld_e)))
+    return abs(_quotient(difference, (ld_m * rd_m, ld_e + rd_e))) / scale

@@ -713,9 +713,12 @@ def test_verify_rejects_wrong_boundary_data(tmp_path, capsys, family, n1, n2,
     code, verdict = _verdict(tmp_path, capsys, tampered)
     assert verdict["operator"] == {"status": "exact-zero"}
     assert code == EXIT_MISMATCH and verdict["pass"] is False
-    part = doc["alpha"] if key == "alpha" else doc["obstruction"][key]
-    recomputed = part[:6] if key == "leading" else part
-    assert verdict["boundary"] == {"status": "mismatch", key: recomputed}
+    # the recomputed parts are the untampered document's, leading cut to 6 terms
+    parts = {"alpha": doc["alpha"], **(doc["obstruction"] or {})}
+    parts["leading"] = parts.get("leading", [])[:6]
+    # a document that drops the obstruction states an alpha: all three parts differ
+    keys = ("alpha", "leading", "message") if edit is _obstruction_dropped else (key,)
+    assert verdict["boundary"] == {"status": "mismatch", **{k: parts[k] for k in keys}}
 
 
 def test_verify_accepts_an_obstructed_mode_at_large_frequencies(tmp_path, capsys):

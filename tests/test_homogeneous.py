@@ -28,7 +28,7 @@ from eisenmodes.numerics import NumericEnv, eval_expr, eval_hom_normalized
 from eisenmodes.scalars import GAMMA, LN_PI, PI, Constant, ln_prime, log_normalize, zeta_odd
 from eisenmodes.solver import NoSolutionInWindow
 from eisenmodes.series import hom_norm_series, small_y_series
-from eisenmodes.sources import Normalization, Params
+from eisenmodes.sources import Normalization, Params, classify_params
 
 ENV = NumericEnv()
 F = Fraction
@@ -503,6 +503,28 @@ def test_exotic_weight_pairs_solve_and_classify_boundary():
         assert residual(m, 1.0, ENV) < 1e-9
         assert (m.obstruction is not None) == expect_obstructed, (a, b, lam)
         assert (m.obstruction is not None) == (p.r <= a + b - 2)
+
+
+LARGE_R_KINDS = [(7, 11), (150, -149), (5, -5), (0, 9), (9, 0), (6, 6)]
+
+
+def test_large_r_grid_solves_and_obstructs_exactly_below_the_weight_sum():
+    # a slice of the large-r grid inside the solvable set, and the rule's edge
+    # r = alpha + beta - 2 against r = alpha + beta at large weights; the double
+    # residual reads nothing from r ~ 15 on, so only the exact path is asserted
+    weights = [F(w, 2) for w in (3, 11, 21, 31, 41)]
+    families = [(a, b, r) for a in weights for b in weights if a <= b for r in (21, 30, 40)
+                if classify_params(a, b, r * (r + 1)).kind == "solvable"]
+    edges = [(F(61, 2), F(101, 2), 79), (F(61, 2), F(101, 2), 81),
+             (F(101, 2), F(101, 2), 99), (F(101, 2), F(101, 2), 101)]
+    obstructed = []
+    for a, b, r in families + edges:
+        p = Params(a, b, r * (r + 1), Normalization.UNIT)
+        for n1, n2 in LARGE_R_KINDS:
+            m = solve_mode(p, n1, n2)
+            assert (m.obstruction is not None) == (r <= a + b - 2), (a, b, r, n1, n2)
+            obstructed.append(m.obstruction is not None)
+    assert (len(families), sum(obstructed[:-24]), sum(obstructed[-24:])) == (21, 24, 12)
 
 
 def _count_solves(monkeypatch):

@@ -188,6 +188,9 @@ def test_residual_is_bit_equal_to_the_fraction_reference():
         top = 2 * math.pi * max(abs(n1), abs(n2))
         for x in (rng.uniform(0.02, 0.5), rng.uniform(0.5, 2.0), rng.uniform(2.0, 40.0)):
             for y in (x / top, 1e-3):
+                # eval_expr is the exact value of the same double inputs, rounded once
+                assert eval_expr(mode.particular, y, ENV) == float(_reference_value(mode.particular, y, ENV)), \
+                    (a, b, r, n1, n2, y)
                 for scale in (None, 1.0):
                     assert residual(mode, y, ENV, scale) == _reference_residual(mode, y, ENV, scale), \
                         (a, b, r, n1, n2, y, scale)
