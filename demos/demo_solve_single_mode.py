@@ -23,7 +23,7 @@ for cell, poly in sorted(src.core.table.items()):
     print("  K%d K%d :" % cell, poly)
 
 mode = solve_mode(params, n1, n2)
-print("\nsolve report:", mode.report.to_json_obj())
+print("\nsolve report:", mode.to_json_obj()["report"])
 print("\nparticular solution tables (prefactor folded in):")
 for cell, poly in sorted(mode.particular.table.items()):
     print("  K%d K%d :" % cell, poly)

@@ -25,16 +25,19 @@ Exit codes (part of the public contract):
         says there is none), a `verify` input with a cell key not of its
         expression's kind or a symbol the package never writes (such as
         zeta(2) or ln_prime(4)), a `verify` input that is not the document
-        of the mode it states (the error names the keys that differ), and a
-        `sums` partial sum that leaves double range
+        of the mode it states (the error names the keys that differ), a
+        frequency at or above the prime test's bound (scalars.factorize
+        names it), a `sums` partial sum, and a `sums` value, that leaves
+        double range
     141 stdout was closed by its reader (for example `| head -c 10`) before
         the document was written; nothing more is written.  128 + SIGPIPE,
         as a shell reports a process the signal ended
 
-Every document goes to stdout, or to the --output file; codes 7 and 64 write
-only a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one
-mode) or --n (a whole mode); a flag that only the other form reads is a usage
-error.  The degree windows are derived from the source (see solver); no flag
+Every document goes to stdout, or to the --output file, and holds no NaN or
+Infinity: an alpha sum's partial_sums keep only the limits whose sum is a
+finite double.  Codes 7 and 64 write only a {"error": ...} object to
+stderr.  `solve` takes --n1 and --n2 (one mode) or --n (a whole mode); a
+flag that only the other form reads is a usage error.  The degree windows are derived from the source (see solver); no flag
 sets or widens them.  `verify` checks a mode document by one form rule: it
 reads the mode, writes it back with ModeSolution.to_json_obj and requires
 the sorted JSON text of every key but UNVERIFIED_KEYS (report,
@@ -103,7 +106,7 @@ EXIT_BROKEN_PIPE = 141
 # keeps its traceback.
 ERROR_EXITS = (
     (LogCapExceeded, EXIT_LOG_CAP),
-    ((ValueError, OSError, KeyError), EXIT_USAGE),
+    ((ValueError, OSError, KeyError, OverflowError), EXIT_USAGE),
 )
 
 
@@ -155,7 +158,7 @@ def _sieve_limit(text: str) -> int:
 
 
 def _emit(doc, output) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")

@@ -47,6 +47,7 @@ from .bessel import DoubleBessel, Pure, SingleBessel
 from .divisors import sigma
 from .laurent import NotAMonomial, YLaurent
 from .scalars import Constant, log_normalize, zeta_value
+from .sources import case_tag
 
 __all__ = [
     "FixtureError",
@@ -228,19 +229,28 @@ _BASE_NAMES: Dict = {
 }
 
 
-def _base_names() -> Dict:
-    return dict(_BASE_NAMES)
+# a mode's case (``sources.case_tag``) -> the section of its printed table
+_SECTIONS = {"both_zero": "zero_mode", "left_zero": "left", "right_zero": "right",
+             "generic": "generic", "anti_diagonal": "anti_diagonal"}
+
+# a printed section -> the frequency words it reads, as (word, its sign's
+# word, 0 for n1 or 1 for n2); the T-2 table reads those of "generic"
+_SECTION_WORDS = {
+    "zero_mode": (),
+    "left": (("n", "sg", 1),),
+    "right": (("n", "sg", 0),),
+    "generic": (("n1", "sg1", 0), ("n2", "sg2", 1)),
+    # the printed anti-diagonal tables are written in terms of n2
+    "anti_diagonal": (("n1", "sg1", 0), ("n2", "sg2", 1), ("n", "sg", 1)),
+}
 
 
-def _mode_names(n1: Optional[int] = None, n2: Optional[int] = None,
-                n: Optional[int] = None) -> Dict:
-    names = _base_names()
-    if n1 is not None:
-        names.update(n1=n1, sg1=1 if n1 > 0 else -1)
-    if n2 is not None:
-        names.update(n2=n2, sg2=1 if n2 > 0 else -1)
-    if n is not None:
-        names.update(n=n, sg=1 if n > 0 else -1)
+def _section_names(section: str, n1: int, n2: int) -> Dict:
+    """The names a printed section binds at the mode (n1, n2)."""
+    names = dict(_BASE_NAMES)
+    for word, sign, i in _SECTION_WORDS[section]:
+        names[word] = n = (n1, n2)[i]
+        names[sign] = 1 if n > 0 else -1
     return names
 
 
@@ -275,7 +285,7 @@ def fixture_zero_mode(alpha, beta, lam: int) -> Pure:
     fam = _family(alpha, beta, lam)
     if "zero_mode" not in fam:
         raise FixtureError("family has no zero-mode fixture")
-    poly = YLaurent.lift(eval_table_expr(fam["zero_mode"], _base_names()))
+    poly = YLaurent.lift(eval_table_expr(fam["zero_mode"], _section_names("zero_mode", 0, 0)))
     return Pure(poly)
 
 
@@ -322,20 +332,14 @@ def fixture_particular(alpha, beta, lam: int, n1: int, n2: int,
     """
     fam = _family(alpha, beta, lam)
     used = errata_used if errata_used is not None else []
-    if n1 == 0 and n2 == 0:
+    section = _SECTIONS[case_tag(n1, n2)]
+    if section == "zero_mode":
         return fixture_zero_mode(alpha, beta, lam)
-    if n1 == 0 or n2 == 0:
-        case = "left" if n1 == 0 else "right"
-        n = n2 if n1 == 0 else n1
-        names = _mode_names(n=n)
-    else:
-        case = "anti_diagonal" if n1 + n2 == 0 else "generic"
-        # the printed anti-diagonal tables are written in terms of n2
-        names = _mode_names(n1=n1, n2=n2, n=n2 if n1 + n2 == 0 else None)
-
-    text = _corrected_text(family_key(alpha, beta, lam), case, used)
-    table = _section_table(fam[case], names, text)
-    return SingleBessel(n, table) if n1 == 0 or n2 == 0 else DoubleBessel(n1, n2, table)
+    text = _corrected_text(family_key(alpha, beta, lam), section, used)
+    table = _section_table(fam[section], _section_names(section, n1, n2), text)
+    if section in ("left", "right"):
+        return SingleBessel(n1 + n2, table)  # the one nonzero frequency
+    return DoubleBessel(n1, n2, table)
 
 
 def fixture_combination(n1: int, n2: int, errata_used: Optional[list] = None) -> DoubleBessel:
@@ -354,7 +358,7 @@ def fixture_combination(n1: int, n2: int, errata_used: Optional[list] = None) ->
     case = "same_sign" if n1 * n2 > 0 else "opposite_sign"
     text = _corrected_text("combination_T-2", case, used)
     section = load_tables()["combination_T-2"]
-    return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2), text))
+    return DoubleBessel(n1, n2, _section_table(section, _section_names("generic", n1, n2), text))
 
 
 _COMPARED_MODES = {  # case -> the (n1, n2) pairs its printed table is compared at

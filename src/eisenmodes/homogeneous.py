@@ -153,7 +153,10 @@ class ModeSolution:
             "alpha_free": self.alpha_free,
             "alpha_normalization": self.alpha_normalization,
             "obstruction": None if self.obstruction is None else self.obstruction.to_json_obj(),
-            "report": None if self.report is None else self.report.to_json_obj(),
+            # the solve's report, completed by the mode's case and the particular's support
+            "report": None if self.report is None else {
+                "case": self.case, **self.report.to_json_obj(),
+                "support": {str(c): list(p.support()) for c, p in self.particular.table.items()}},
         }
 
 
@@ -282,16 +285,18 @@ def boundary_reference(particular, r: int, n1: int, n2: int):
 
 
 def solve_mode(params: Params, n1: int, n2: int) -> ModeSolution:
-    """Solve one (n1, n2) sub-mode: particular part plus boundary matching."""
+    """Solve one (n1, n2) sub-mode: particular part plus boundary matching.
+    The mode's case (``sources.case_tag``) picks the solver."""
     src = source_term(params, n1, n2)
     r = params.r
 
-    if n1 == 0 and n2 == 0:
+    if src.case_tag == "both_zero":
         particular = solve_zero_mode(params, src.full())
         return ModeSolution(params, 0, 0, src, particular, None, None, None)
 
-    solve = solve_particular_single if n1 == 0 or n2 == 0 else solve_particular_double
-    particular, report = solve(params, src.flat, case=src.case_tag)
+    single = src.case_tag in ("left_zero", "right_zero")
+    solve = solve_particular_single if single else solve_particular_double
+    particular, report = solve(params, src.flat)
     checked, report.checked = report.checked, None
 
     alpha = obstruction = None
@@ -536,8 +541,9 @@ def zero_mode_alpha_sum(
     method: RamanujanExact (requires convergence) or FormalRamanujan (analytic
     continuation, clearly labeled).  The total is A times the plain
     convolution plus, when B != 0, B times the log-weighted one; partial_sums
-    holds the shape's partial sums at PARTIAL_LIMITS.  The shape is
-    recognised from the anti-diagonal modes n = 1..probe.
+    holds the shape's partial sums at those PARTIAL_LIMITS where the sum is
+    a finite double, and is empty where a term leaves double range.  The
+    shape is recognised from the anti-diagonal modes n = 1..probe.
 
     An exact value is the y^{-r} coefficient of the zero mode itself: with
     alpha_{0,0} = 0 the particular parts of all modes plus value * y^{-r}
@@ -566,10 +572,15 @@ def _alpha_sum(params: Params, method: str, alphas) -> ZeroModeSumResult:
         sums.append((B, ramanujan_log_convolution(a, b, s)))
     status = "exact" if sums[0][1].status == "convergent" else "formal"
 
-    ta = sigma_float_table(a, PARTIAL_LIMITS[-1])
-    tb = sigma_float_table(b, PARTIAL_LIMITS[-1])
-    weight = (A.evaluate(DEFAULT_ENV), B.evaluate(DEFAULT_ENV))
-    partial_sums = convolution_partial_sums(ta, tb, s, weight, PARTIAL_LIMITS)
+    try:
+        ta = sigma_float_table(a, PARTIAL_LIMITS[-1])
+        tb = sigma_float_table(b, PARTIAL_LIMITS[-1])
+        weight = (A.evaluate(DEFAULT_ENV), B.evaluate(DEFAULT_ENV))
+        partial_sums = convolution_partial_sums(ta, tb, s, weight, PARTIAL_LIMITS)
+    except OverflowError:  # d^a, d^b or n^s past a double
+        partial_sums = {}
+    # a diagnostic, never the cost of the exact answer: only the finite sums are kept
+    partial_sums = {n: v for n, v in partial_sums.items() if math.isfinite(v)}
     if status != "exact" and method != "FormalRamanujan":
         return ZeroModeSumResult(method, "divergent", shape, None, None, partial_sums)
     if any(conv.closed_form is None for _, conv in sums):

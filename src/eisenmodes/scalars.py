@@ -459,11 +459,18 @@ class Constant(_SparseSum):
     # -- evaluation / emission ----------------------------------------------
 
     def evaluate(self, value_of: Callable[[Symbol], float]) -> float:
+        """The fsum of the terms' double products.  A term whose product
+        raises OverflowError (its coefficient or a power past a double) is
+        the exact product of the same values, rounded once; a value that
+        itself leaves double range raises OverflowError."""
         parts = []
         for mono, coeff in self._terms.items():
-            v = float(coeff)
-            for sym, e in mono.items():
-                v *= value_of(sym) ** e
+            try:
+                v = float(coeff)
+                for sym, e in mono.items():
+                    v *= value_of(sym) ** e
+            except OverflowError:
+                v = float(coeff * math.prod(Fraction(value_of(sym)) ** e for sym, e in mono.items()))
             parts.append(v)
         return math.fsum(parts)
 
@@ -631,19 +638,18 @@ def _rho(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization of n >= 1.
+    """Prime factorization of 1 <= n < ``_PRIME_BOUND``, the bound of the
+    prime test; a larger n is a ValueError that names the bound.
 
-    Trial division takes out the primes below 1000.  Each cofactor below
-    ``_PRIME_BOUND`` is then prime by ``_is_prime`` or split by ``_rho``, in
-    about sqrt(q) steps for its least prime factor q.  A cofactor at or above
-    that bound, which the prime test refuses, is trial-divided on until it
-    falls below the bound or is prime, up to its square root.
+    Trial division takes out the primes below 1000.  Each cofactor is then
+    prime by ``_is_prime`` or split by ``_rho``, in about sqrt(q) steps for
+    its least prime factor q.
     """
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
+    if not 1 <= n < _PRIME_BOUND:
+        raise ValueError(f"factorize requires 1 <= n < {_PRIME_BOUND}, got {n}")
     out = Counter()
     m, p = n, 2
-    while p * p <= m and (p < 1000 or m >= _PRIME_BOUND):
+    while p * p <= m and p < 1000:
         while m % p == 0:
             m //= p
             out[p] += 1

@@ -108,24 +108,22 @@ class SolveReport:
     retries = 0
     kernel_dim = 0
 
-    case: str
     windows: Dict
     num_unknowns: int
     num_equations: int
-    support: Dict
     # the flat solution the recheck checked; ``homogeneous.solve_mode`` hands
     # it to ``choose_alpha`` and clears it, so that a held mode keeps no flat solution
     checked: Optional[FlatExpr] = field(default=None, repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
+        """What the solve decided; ``ModeSolution.to_json_obj`` adds the
+        mode's case and the particular's support."""
         return {
-            "case": self.case,
             "window_used": {str(c): list(w) for c, w in self.windows.items()},
             "retries": self.retries,
             "kernel_dim": self.kernel_dim,
             "num_unknowns": self.num_unknowns,
             "num_equations": self.num_equations,
-            "support": {str(c): list(s) for c, s in self.support.items()},
             "residual_check": "exact-zero",  # the recheck raises on any other outcome
         }
 
@@ -305,7 +303,7 @@ def _fix_parameters(g, h, names, n_params, n_dirs):
     return values
 
 
-def _assemble_and_solve(params: Params, rhs: FlatExpr, case: str):
+def _assemble_and_solve(params: Params, rhs: FlatExpr):
     """Assemble the banded system of the derived window and solve it exactly.
 
     The cells are those of the source's kind: 0 and 1 for a single-Bessel
@@ -374,29 +372,19 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr, case: str):
     try:
         solution = _recurrence(system, rhs_rows, scales, col_order, row_order)
     except NoSolutionInWindow as exc:
-        raise NoSolutionInWindow(f"{exc} (case {case}, lambda={lam})", windows,
-                                 exc.inconsistent_rows) from None
+        raise NoSolutionInWindow(f"{exc} (lambda={lam})", windows, exc.inconsistent_rows) from None
 
     den = math.lcm(*(d for _, d in solution))
     lifts = [(rest, g, nums, den // d) for (rest, g), (nums, d) in zip(directions, solution)]
     terms: Dict = {}
-    support: Dict = {}
     for u, (cell, k) in enumerate(col_order):
         for rest, g, nums, lift in lifts:
             if nums[u]:
                 terms[cell, k, 0, k + g, rest] = nums[u] * lift
-                support.setdefault(cell, {})[k] = None
     checked = FlatExpr(shape, MappingProxyType(terms), den)
     _recheck(lam, checked, rhs)
 
-    report = SolveReport(
-        case=case,
-        windows=windows,
-        num_unknowns=len(col_order),
-        num_equations=len(row_order),
-        support={cell: tuple(ks) for cell, ks in support.items()},
-        checked=checked,
-    )
+    report = SolveReport(windows, len(col_order), len(row_order), checked)
     return checked.expr(), report
 
 
@@ -431,23 +419,18 @@ def widen_and_retry(builder):
     return builder(0)
 
 
-def solve_particular_double(
-    params: Params, rhs, case: Optional[str] = None
-) -> Tuple[DoubleBessel, SolveReport]:
+def solve_particular_double(params: Params, rhs) -> Tuple[DoubleBessel, SolveReport]:
     """Solve P_lam(g) = rhs exactly for the bilinear ansatz g; rhs is a
     ``DoubleBessel`` or its ``FlatExpr``."""
     rhs = FlatExpr.of(rhs)
-    case = case or ("anti_diagonal" if sum(rhs.shape.freqs) == 0 else "generic")
-    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, case))
+    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs))
 
 
-def solve_particular_single(
-    params: Params, rhs, case: str = "single"
-) -> Tuple[SingleBessel, SolveReport]:
+def solve_particular_single(params: Params, rhs) -> Tuple[SingleBessel, SolveReport]:
     """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g; rhs is a
     ``SingleBessel`` or its ``FlatExpr``."""
     rhs = FlatExpr.of(rhs)
-    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs, case))
+    return widen_and_retry(lambda _: _assemble_and_solve(params, rhs))
 
 
 # ---------------------------------------------------------------------------

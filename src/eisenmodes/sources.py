@@ -59,6 +59,7 @@ __all__ = [
     "classify_params",
     "source_term",
     "source_flat",
+    "case_tag",
     "PUBLISHED_C_TABLE",
 ]
 
@@ -230,7 +231,9 @@ class SourceTerm:
         return self.expr.scale(1 / self.prefactor)
 
 
-def _case_tag(n1: int, n2: int) -> str:
+def case_tag(n1: int, n2: int) -> str:
+    """The kind of mode (n1, n2), the one name its source, its solver and
+    its printed table are chosen by."""
     if n1 == 0:
         return "both_zero" if n2 == 0 else "left_zero"
     if n2 == 0:
@@ -265,4 +268,4 @@ def source_term(p: Params, n1: int, n2: int) -> SourceTerm:
     ``flat``, rebuilt once as an expression, each coefficient divided by the
     denominator once."""
     flat = source_flat(p, n1, n2)
-    return SourceTerm(p, n1, n2, flat.expr(), _case_tag(n1, n2), flat)
+    return SourceTerm(p, n1, n2, flat.expr(), case_tag(n1, n2), flat)

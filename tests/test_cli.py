@@ -203,6 +203,63 @@ def test_alpha_sum_with_a_whole_weight_reports_exit_3(capsys):
     assert err == ""
 
 
+def _strict_json(text):
+    """The document, refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, kept", [
+    # n^78 overflowed in the partial sums once r + alpha + beta >= 78, with a traceback
+    (["alpha-sum", "--alpha", "3/2", "--beta", "3/2", "--r", "75"], []),
+    (["solve", "--alpha", "3/2", "--beta", "3/2", "--r", "75", "--n", "0", "--cutoff", "8"], []),
+    # so did d^100 in the divisor sieve
+    (["alpha-sum", "--alpha", "101/2", "--beta", "101/2", "--r", "101"], []),
+    # the partial sum up to 10^4 is -inf, which was written as -Infinity
+    (["alpha-sum", "--alpha", "41/2", "--beta", "41/2", "--r", "1"], ["100", "1000"]),
+])
+def test_alpha_sums_keep_only_partial_sums_in_double_range(capsys, argv, kept):
+    code, out, err = run_cli_streams(capsys, *argv, "--normalization", "unit")
+    assert code == EXIT_OK and err == ""
+    doc = _strict_json(out)
+    total = doc["exact_alpha_sum"] if argv[0] == "solve" else doc
+    assert total["shape"] is not None
+    assert sorted(total["partial_sums"]) == kept
+    if total["status"] == "exact":
+        assert total["value"] and total["numeric"] is not None
+
+
+def test_sums_with_a_term_past_double_range(capsys):
+    # pi^796 overflowed in Constant.evaluate with a traceback: the term is now
+    # the exact product of its doubles, and the sum tends to 2 as s grows
+    code, out = run_cli(capsys, "sums", "--a", "2", "--b", "2", "--s", "400")
+    assert code == EXIT_OK
+    assert float(_strict_json(out)["numeric"]) == pytest.approx(2.0, abs=1e-12)
+    # a value that itself leaves double range, 2 zeta(-299) zeta(3)^2 zeta(305) / zeta(6)
+    # of order 10^373, is a usage error
+    code, out, err = run_cli_streams(capsys, "sums", "--a", "-302", "--b", "-302", "--s", "-299")
+    assert code == EXIT_USAGE and out == ""
+    assert json.loads(err)["error"]
+
+
+def test_a_frequency_at_the_prime_bound_is_a_usage_error(tmp_path, capsys):
+    # 10000000000037 * 1000000000039, past the prime test's bound: its divisor
+    # sums would trial-divide for hours, in solve and in verify
+    big = "10000000000427000000001443"
+    code, out, err = run_cli_streams(capsys, "solve", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", "30", "--n1", big, "--n2", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert "3317044064679887385961981" in json.loads(err)["error"]
+    path = tmp_path / "m.json"
+    assert main(["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30",
+                 "--n1", "1", "--n2", "2", "--output", str(path)]) == EXIT_OK
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n1": int(big)}))
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert "3317044064679887385961981" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["sums", "--a", "2", "--b", "2", "--s", "8", "--limit", "-5"], "--limit"),
     (["sums", "--a", "2", "--b", "2", "--s", "8", "--limit", "0"], "--limit"),

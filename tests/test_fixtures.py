@@ -10,8 +10,7 @@ from eisenmodes.bessel import DoubleBessel, apply_P
 from eisenmodes.divisors import sigma
 from eisenmodes.fixtures import (
     FixtureError,
-    _base_names,
-    _mode_names,
+    _section_names,
     _section_table,
     compare_expressions,
     eval_table_expr,
@@ -32,7 +31,7 @@ F = Fraction
 
 
 def test_expression_evaluator_basics():
-    names = _mode_names(n1=1, n2=2)
+    names = _section_names("generic", 1, 2)
     assert eval_table_expr("2 + 3*4", names) == 14
     assert eval_table_expr("1/2", names) == F(1, 2)
     v = eval_table_expr("126/pi**4", names)
@@ -85,7 +84,7 @@ REJECTED_TEXTS = (
 
 
 def test_expression_evaluator_rejects_unsafe():
-    names = _base_names()
+    names = _section_names("zero_mode", 0, 0)
     for text in REJECTED_TEXTS:
         with pytest.raises(FixtureError):
             eval_table_expr(text, names)
@@ -236,12 +235,12 @@ MIXED_TEXTS = (
 
 def test_small_texts_evaluate_as_the_reference():
     for text in REJECTED_TEXTS:
-        _assert_as_reference(text, _base_names())
+        _assert_as_reference(text, _section_names("zero_mode", 0, 0))
     for n1, n2 in ((1, 2), (-3, 3), (4, -2), (6, 3)):
         for text in MIXED_TEXTS:
-            _assert_as_reference(text, _mode_names(n1=n1, n2=n2), message=False)
+            _assert_as_reference(text, _section_names("generic", n1, n2), message=False)
     # a zero divisor of any kind, or zero to a negative power, names one fault
-    names = _mode_names(n1=1, n2=2)
+    names = _section_names("generic", 1, 2)
     for text in (*MIXED_TEXTS[-2:], "1/(0*pi)", "(0*pi)**-2", "y/(y-y)", "(y-y)**-1", "0**-1"):
         _assert_as_reference(text, names)
         with pytest.raises(FixtureError, match=r": division by zero$"):
@@ -259,7 +258,7 @@ def test_texts_compile_once_per_set_of_bound_words():
     for n1, n2 in ((1, 2), (-3, 3)):
         for value in (n1, *others):
             for bound in ({"n1": value}, {"n2": value, "sg1": value}):
-                names = {**_mode_names(n1=n1, n2=n2), **bound}
+                names = {**_section_names("generic", n1, n2), **bound}
                 for text in MIXED_TEXTS:
                     _assert_as_reference(text, names, message=False)
                     _assert_as_reference(text, names, message=False)
@@ -272,7 +271,7 @@ def test_texts_compile_once_per_set_of_bound_words():
 def test_table_text_reaches_no_helper():
     # text names become the parameters v0, v1, ... of the compiled function;
     # the helpers it calls and the builtins are out of any text's reach
-    names = _mode_names(n1=1, n2=2)
+    names = _section_names("generic", 1, 2)
     for text in ("_P(0, 1)", "_product('', 1)", "_power(2, 3)", "_sum('+', 1, 2)",
                  "_sigma(2, 4)", "_abs(-1)", "_product", "_power", "__builtins__",
                  "v0", "n1 + v0", "_HELPERS", "__import__", "eval('1')", "lambda: 1"):
@@ -284,19 +283,6 @@ def test_table_text_reaches_no_helper():
     for text in ("_product * 2", "v1 - v0", "v0 * n2 - n1 * v1"):
         _assert_as_reference(text, names)
     assert eval_table_expr("v1 - v0", names) == 4
-
-
-# (case names its printed table uses, the names of a mode of that case)
-def _names(case, n1, n2):
-    if case == "zero_mode":
-        return _base_names()
-    if case == "left":
-        return _mode_names(n=n2)
-    if case == "right":
-        return _mode_names(n=n1)
-    if case == "anti_diagonal":
-        return _mode_names(n1=n1, n2=n2, n=n2)
-    return _mode_names(n1=n1, n2=n2)  # generic, and both cases of the T-2 table
 
 
 def _embedded_texts():
@@ -329,7 +315,7 @@ def test_every_embedded_text_evaluates_as_the_reference():
     for text, case, modes in texts:
         drawn = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(6)]
         for n1, n2 in [*modes, *drawn]:
-            _assert_as_reference(text, _names(case, n1, n2))
+            _assert_as_reference(text, _section_names(case, n1, n2))
 
 
 def test_families_present():
@@ -400,7 +386,7 @@ T2_PAIRS = [(1, 2), (2, 1), (2, 3), (2, -3), (-2, 3), (3, -1), (1, -4)]
 def _printed_t_minus_2(n1, n2):
     """The T-2 table exactly as printed, no errata."""
     section = load_tables()["combination_T-2"]
-    return DoubleBessel(n1, n2, _section_table(section, _mode_names(n1=n1, n2=n2)))
+    return DoubleBessel(n1, n2, _section_table(section, _section_names("generic", n1, n2)))
 
 
 @pytest.mark.parametrize("n1, n2", T2_PAIRS)

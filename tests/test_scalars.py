@@ -13,6 +13,7 @@ from eisenmodes.scalars import (
     PI,
     Constant,
     SymbolMonomial,
+    _PRIME_BOUND,
     bernoulli,
     factorize,
     ln_prime,
@@ -187,10 +188,12 @@ def test_factorize_ends_at_a_prime_cofactor():
     # about 10^12 steps, the prime test of the cofactor ends it past 1000
     p = 3000000000000000000000007
     assert factorize(p) == ((p, 1),)
-    assert factorize(6 * p) == ((2, 1), (3, 1), (p, 1))
+    # 6 p and 7^3 1009^2 p pass that bound: a 13-digit prime q stands for p
+    q = 1000000000039
+    assert factorize(6 * q) == ((2, 1), (3, 1), (q, 1))
     # a composite cofactor past 1000 is divided on, in ascending order
     assert factorize(1009 * 1013 * 1019 * 10007) == ((1009, 1), (1013, 1), (1019, 1), (10007, 1))
-    assert factorize(7 ** 3 * 1009 ** 2 * p) == ((7, 3), (1009, 2), (p, 1))
+    assert factorize(7 ** 3 * 1009 ** 2 * q) == ((7, 3), (1009, 2), (q, 1))
     rng = random.Random(47)
     for n in [rng.randint(1, 10 ** 9) for _ in range(200)]:
         factors = factorize(n)
@@ -212,6 +215,29 @@ def test_factorize_splits_a_composite_cofactor_by_rho():
     }
     for n, factors in cases.items():
         assert factorize(n) == factors
+
+
+def test_factorize_refuses_n_at_or_above_the_prime_bound():
+    # the prime test refuses such a cofactor, and trial division of one, such
+    # as 10000000000037 * 1000000000039 here, would take hours
+    for n in (_PRIME_BOUND, 10000000000037 * 1000000000039):
+        with pytest.raises(ValueError, match=str(_PRIME_BOUND)):
+            factorize(n)
+    for n in (_PRIME_BOUND - 1, _PRIME_BOUND - 2):
+        assert math.prod(q ** e for q, e in factorize(n)) == n
+
+
+def test_evaluate_takes_an_overflowing_term_exactly():
+    # pi^796 overflows a double: that term is the exact product of the same
+    # doubles, rounded once; the other term keeps its double product
+    pi = lambda sym: math.pi  # noqa: E731
+    third = Constant.from_rational(Fraction(1, 3))
+    assert (PI ** 796 / Fraction(math.pi) ** 796 + third).evaluate(pi) == math.fsum([1.0, 1 / 3])
+    assert (PI ** 796 / Fraction(math.pi) ** 800).evaluate(pi) == float(1 / Fraction(math.pi) ** 4)
+    # a value that itself leaves double range raises, from a power or a coefficient
+    for big in (PI ** 796, Constant.from_rational(Fraction(10 ** 400, 3))):
+        with pytest.raises(OverflowError):
+            big.evaluate(pi)
 
 
 def test_zeta_prime_symbolic():
