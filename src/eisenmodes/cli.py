@@ -27,16 +27,19 @@ Exit codes (part of the public contract):
         zeta(2) or ln_prime(4)), a `verify` input that is not the document
         of the mode it states (the error names the keys that differ), a
         frequency at or above the prime test's bound (scalars.factorize
-        names it), a `sums` partial sum, and a `sums` value, that leaves
-        double range
+        names it), a `verify` input with a number past the reader's digit
+        bound (scalars.READ_DIGITS_MAX, named in the error), a `sums`
+        partial sum, and a `sums` value, that leaves double range
     141 stdout was closed by its reader (for example `| head -c 10`) before
         the document was written; nothing more is written.  128 + SIGPIPE,
         as a shell reports a process the signal ended
 
 Every document goes to stdout, or to the --output file, and holds no NaN or
 Infinity: an alpha sum's partial_sums keep only the limits whose sum is a
-finite double.  Codes 7 and 64 write only a {"error": ...} object to
-stderr.  `solve` takes --n1 and --n2 (one mode) or --n (a whole mode); a
+finite double.  A command lifts Python's int/str digit limit while it runs,
+so an answer of any size is written; ``main`` restores the limit on return,
+and `verify` bounds each number it reads itself.  Codes 7 and 64 write only
+a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one mode) or --n (a whole mode); a
 flag that only the other form reads is a usage error.  The degree windows are derived from the source (see solver); no flag
 sets or widens them.  `verify` checks a mode document by one form rule: it
 reads the mode, writes it back with ModeSolution.to_json_obj and requires
@@ -86,6 +89,7 @@ from .homogeneous import (
     zero_mode_alpha_sum,
 )
 from .laurent import LogCapExceeded
+from .scalars import _read_int
 from .solver import NoSolutionInWindow
 from .sources import Normalization, Params, classify_params
 
@@ -335,7 +339,7 @@ def _rewritten_keys(doc: dict, written: dict) -> list:
 def cmd_verify(args):
     try:
         with open(args.input) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_read_int)
         mode = mode_solution_from_json_obj(doc)
         differ = _rewritten_keys(doc, mode.to_json_obj())
     except (TypeError, ArithmeticError, RecursionError) as exc:
@@ -438,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         doc, code = args.fn(args)
@@ -454,6 +460,8 @@ def main(argv=None) -> int:
         if code is None:
             raise
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    finally:
+        sys.set_int_max_str_digits(digits)
     return code
 
 

@@ -37,22 +37,17 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def sigma(z: int, n: int) -> Fraction:
+def sigma(z: int, n: int) -> int | Fraction:
     """Divisor function sigma_z(n) = sum_{d | n} d^z, exact for integer z.
 
-    Negative exponents are allowed: sigma_{-k}(n) = sigma_k(n) / n^k.
+    For z >= 0 the int prod (p^(z(e+1)) - 1) / (p^z - 1) over the prime
+    powers p^e of n; for z < 0 the Fraction sigma_{-z}(n) / n^(-z).
     """
     if n < 1:
         raise ValueError("sigma requires n >= 1")
     if z < 0:
-        return sigma(-z, n) / Fraction(n) ** (-z)
-    out = Fraction(1)
-    for p, e in factorize(n):
-        if z == 0:
-            out *= e + 1
-        else:
-            out *= Fraction(p ** (z * (e + 1)) - 1, p**z - 1)
-    return out
+        return Fraction(sigma(-z, n), n ** -z)
+    return math.prod((p ** (z * (e + 1)) - 1) // (p**z - 1) if z else e + 1 for p, e in factorize(n))
 
 
 @lru_cache(maxsize=None)

@@ -92,7 +92,7 @@ def _sgn(v) -> int:
     return 1 if v > 0 else (-1 if v < 0 else 0)
 
 
-def _sigma(k, n) -> Fraction:
+def _sigma(k, n) -> int | Fraction:
     return sigma(_integer(k), abs(_integer(n)))
 
 

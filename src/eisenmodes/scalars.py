@@ -154,10 +154,26 @@ def _symbol_from_str(text: str) -> Symbol:
     is a ValueError."""
     match = _SYMBOL_TEXT.fullmatch(text)
     if match and match[1] in _KINDS:
-        rule, arg = _KINDS[match[1]][0], match[2] and int(match[2])
+        rule, arg = _KINDS[match[1]][0], match[2] and _read_int(match[2])
         if (rule is None) == (arg is None) and (arg is None or rule(arg)):
             return (match[1], arg)
     raise ValueError(f"unknown symbol {text!r}")
+
+
+# the most characters of a decimal integer the document reader takes: a
+# numerator or denominator, a JSON integer or a symbol's argument.  int() of a
+# decimal text takes time quadratic in its length (about 30 ms at 10^5 digits),
+# so no number of a document can hold the reader for long
+READ_DIGITS_MAX = 100_000
+
+
+def _read_int(text: str) -> int:
+    """int(text) for a text of at most ``READ_DIGITS_MAX`` characters; a
+    longer one is a ValueError that names the bound."""
+    if len(text) > READ_DIGITS_MAX:
+        raise ValueError(f"a number of {len(text)} characters is past the reader's bound of "
+                         f"{READ_DIGITS_MAX} digits")
+    return int(text)
 
 
 def _json_int(value) -> int:
@@ -168,12 +184,12 @@ def _json_int(value) -> int:
 
 
 def _json_fraction(value) -> Fraction:
-    """A JSON string "p" or "p/q" as a Fraction, each part read by int(), which
-    refuses more than 4300 digits; any other JSON value is a TypeError, any
-    other string a ValueError and q = 0 a ZeroDivisionError."""
+    """A JSON string "p" or "p/q" as a Fraction, each part read by ``_read_int``;
+    any other JSON value is a TypeError, any other string a ValueError and
+    q = 0 a ZeroDivisionError."""
     if type(value) is not str:
         raise TypeError(f"expected a number string, got {value!r}")
-    return Fraction(*map(int, value.split("/", 1)))
+    return Fraction(*map(_read_int, value.split("/", 1)))
 
 
 class SymbolMonomial(tuple):
@@ -581,16 +597,23 @@ def zeta_prime(m: int) -> Constant:
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Bernoulli number B_n (B_1 = -1/2 convention).
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers
+    T_1..T_k, built in O(k^2) integer steps by the algorithm of Brent and
+    Harvey ("Fast computation of Bernoulli, Tangent and Secant numbers",
+    arXiv:1108.0286); the odd B_n past B_1 are 0.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return Fraction(1)
-    # sum_{k=0}^{n} C(n+1, k) B_k = 0
-    total = Fraction(0)
-    for k in range(n):
-        total += math.comb(n + 1, k) * bernoulli(k)
-    return -total / (n + 1)
+    if n < 2 or n % 2:  # B_0 = 1, B_1 = -1/2 and every odd B_n past it is 0
+        return (Fraction(1), Fraction(-1, 2), Fraction(0))[min(n, 2)]
+    k = n // 2
+    t = [0, *map(math.factorial, range(k))]  # t[j] = (j - 1)!; pass i fixes t[i] = T_i
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (k - 1) * n * t[k], 4**k * (4**k - 1))
 
 
 def zeta_even(k: int) -> Constant:
@@ -670,7 +693,4 @@ def log_normalize(m: int) -> Constant:
     """log(m) expressed over prime logarithms, for m >= 1."""
     if m < 1:
         raise ValueError("log_normalize requires m >= 1")
-    out = Constant.zero()
-    for p, e in factorize(m):
-        out = out + Constant.monomial(sym_ln_prime(p), coeff=e)
-    return out
+    return Constant._trusted({SymbolMonomial({sym_ln_prime(p): 1}): Fraction(e) for p, e in factorize(m)})

@@ -236,21 +236,17 @@ def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
     The closed form is exp(-2 pi |n| y) * sum_{k=0}^{r} a_k (4 pi |n| y)^{-k}
     with a_k = (r+k)!/(k!(r-k)!); all series coefficients are rational pi
     monomials (no logs).  Term k starts at y^{-k}, so only k > -order reach
-    below the truncation order.
+    below the truncation order.  Term k times the term j of exp(-2 pi |n| y)
+    carries (pi y)^(j - k), so the series is one rational per power p of
+    pi y, summed before any Constant is built.
     """
     N = abs(n)
-    terms = {}
+    coeffs = {}
     for k in range(max(0, 1 - order), r + 1):
-        a_k = Fraction(math.factorial(r + k), math.factorial(k) * math.factorial(r - k))
-        pref = Constant.pi_power(-k, a_k / Fraction(4 * N) ** k)
-        # multiply by exp(-2 pi N y) expansion
-        j = 0
-        while -k + j < order:
-            c = pref * Constant.pi_power(j, Fraction((-2 * N) ** j, math.factorial(j)))
-            key = (-k + j, 0)
-            terms[key] = terms.get(key, Constant.zero()) + c
-            j += 1
-    return YLaurent(terms).truncate(order)
+        a_k = Fraction(math.factorial(r + k), math.factorial(k) * math.factorial(r - k) * (4 * N) ** k)
+        for j in range(order + k):
+            coeffs[j - k] = coeffs.get(j - k, 0) + a_k * Fraction((-2 * N) ** j, math.factorial(j))
+    return YLaurent({(p, 0): Constant.pi_power(p, q) for p, q in coeffs.items()})
 
 
 def small_y_series(expr, order: int) -> AsymptoticSeries:

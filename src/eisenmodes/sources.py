@@ -191,7 +191,7 @@ def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, Mapping, int]:
         terms = {(cell, k, e, rest): q for (cell, k, _, e, rest), q in terms.items()}
         return Constant.one(), MappingProxyType(terms), den
     N = abs(n)
-    num, den = 2 * gamma_ratio * sigma(2 * m, N).numerator, math.factorial(2 * m) * N**m
+    num, den = 2 * gamma_ratio * sigma(2 * m, N), math.factorial(2 * m) * N**m
     table = k_index_table(m)
     top = len(table[0]) - 1
     terms = {(i, -k, m - k, SymbolMonomial()): num * a * (2 * N) ** (top - k)

@@ -34,6 +34,7 @@ from eisenmodes.cli import (
 from eisenmodes.bessel import DoubleBessel, SingleBessel, apply_euler, apply_L, apply_P
 from eisenmodes.divisors import convolution_partial_sums, sigma_float_table
 from eisenmodes.homogeneous import mode_solution_from_json_obj, zero_mode_alpha_sum
+from eisenmodes.scalars import READ_DIGITS_MAX
 from eisenmodes.solver import _source_window
 from eisenmodes.sources import Normalization, Params, classify_params, source_term
 
@@ -241,6 +242,17 @@ def test_sums_with_a_term_past_double_range(capsys):
     code, out, err = run_cli_streams(capsys, "sums", "--a", "-302", "--b", "-302", "--s", "-299")
     assert code == EXIT_USAGE and out == ""
     assert json.loads(err)["error"]
+
+
+def test_sums_whose_closed_form_passes_4300_digits(capsys):
+    # the closed form's denominator has 4573 digits, past Python's default
+    # int/str limit: main lifts the limit while the command runs, and gives
+    # the caller its own limit back
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "sums", "--a", "2", "--b", "2", "--s", "600")
+    assert code == EXIT_OK
+    assert _strict_json(out)["numeric"] == "1.9999999999999067"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_a_frequency_at_the_prime_bound_is_a_usage_error(tmp_path, capsys):
@@ -625,6 +637,27 @@ def test_verify_reads_only_cells_and_symbols_the_package_writes(tmp_path, capsys
     code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
     assert (code, out) == (EXIT_USAGE, "")
     assert set(json.loads(err)) == {"error"}
+
+
+PAST_DIGIT_BOUND = "9" * (READ_DIGITS_MAX + 1)
+
+
+@pytest.mark.parametrize("edit", [
+    _alpha_first_term(PAST_DIGIT_BOUND + "/1"),
+    _alpha_first_term("1/" + PAST_DIGIT_BOUND),
+    _alpha_with_symbol(f"zeta({PAST_DIGIT_BOUND})"),
+    lambda doc: {**doc, "n1": "@int@"},
+], ids=["numerator", "denominator", "symbol_argument", "json_integer"])
+def test_verify_refuses_a_number_past_the_digit_bound(tmp_path, capsys, edit):
+    # a decimal integer longer than scalars.READ_DIGITS_MAX, wherever the
+    # document holds it, is refused before int() reads it: exit 64, and the
+    # error names the bound
+    bad = tmp_path / "bad.json"
+    text = json.dumps(edit(_solution_doc(tmp_path, capsys)))
+    bad.write_text(text.replace('"@int@"', PAST_DIGIT_BOUND))
+    code, out, err = run_cli_streams(capsys, "verify", "--input", str(bad))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert str(READ_DIGITS_MAX) in json.loads(err)["error"]
 
 
 def test_verify_refuses_a_zero_obstruction_term(tmp_path, capsys):

@@ -34,6 +34,13 @@ def test_sigma_examples():
     assert sigma(5, 1) == 1
     with pytest.raises(ValueError):
         sigma(2, 0)
+    # an int for z >= 0, a Fraction below; each the sum over the divisors
+    for n in range(1, 301):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for z in range(-4, 7):
+            value = sigma(z, n)
+            assert type(value) is (int if z >= 0 else Fraction)
+            assert value == sum(Fraction(d) ** z for d in divisors), (z, n)
 
 
 def test_sigma_multiplicativity():
@@ -45,6 +52,7 @@ def test_sigma_multiplicativity():
             continue
         for z in (-3, 0, 2, 4):
             assert sigma(z, m * n) == sigma(z, m) * sigma(z, n)
+            assert type(sigma(z, m * n)) is (int if z >= 0 else Fraction)
 
 
 def _list_sieve(z, limit):

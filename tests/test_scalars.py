@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -176,10 +177,25 @@ def test_latex_output():
     assert Constant.zero().latex() == "0"
 
 
+@lru_cache(maxsize=None)
+def bernoulli_by_recurrence(n: int) -> Fraction:
+    """B_n from sum_{k=0}^{n} C(n+1, k) B_k = 0 in Fractions: the oracle of
+    the tangent-number route."""
+    if n == 0:
+        return Fraction(1)
+    total = sum(math.comb(n + 1, k) * bernoulli_by_recurrence(k) for k in range(n))
+    return -total / (n + 1)
+
+
 def test_bernoulli_and_factorize():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)
     assert bernoulli(12) == Fraction(-691, 2730)
+    for n in range(401):
+        assert bernoulli(n) == bernoulli_by_recurrence(n), n
+        assert type(bernoulli(n)) is Fraction
+    with pytest.raises(ValueError):
+        bernoulli(-1)
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
 
