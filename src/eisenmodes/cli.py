@@ -48,12 +48,15 @@ classification, latex: outside the verified claim) to equal the input's,
 derived fields such as source_full and case included.  It then applies the
 mode operator of the particular part's kind (bessel.mode_operator) and
 compares the image exactly with the source rebuilt from the document's
-params and (n1, n2); it checks the document's alpha and its obstruction
-(message and terms), by JSON text, against homogeneous.boundary_reference on the
-document's own particular part: the Constant small-y series, a route that
-shares only the K_0/K_1 table of series.k_flat_series (checked in the tests
-against an independent oracle) with the choose_alpha that solve runs.  `table` and `combine` compare the
-computed expressions exactly with the printed ones (fixtures.compare_expressions).
+params and (n1, n2).  Only if that image is the source does it check the
+document's alpha and its obstruction (message and terms), by JSON text,
+against homogeneous.boundary_reference on the document's own particular
+part; otherwise the boundary status is skipped.  That reference is the
+Constant small-y series, a route that shares only the K_0/K_1 table of
+series.k_flat_series (checked in the tests against an independent oracle)
+with the choose_alpha that solve runs.  `table` and `combine` compare the
+computed expressions exactly with the printed ones
+(fixtures.compare_expressions).
 """
 
 from __future__ import annotations
@@ -215,8 +218,6 @@ def cmd_solve(args):
             return _no_solution(exc, cls)
         doc = asm.to_json_obj()
         doc["classification"] = cls.kind
-        if cls.kind == "lambda_not_triangular":
-            return doc, EXIT_NOT_TRIANGULAR
         return doc, EXIT_OBSTRUCTED if asm.obstructed else EXIT_OK
 
     try:
@@ -306,7 +307,9 @@ def _boundary(mode) -> dict:
 
     status: ok (alpha is the recomputed one), obstructed (the reported
     obstruction, message and terms, is exactly the recomputed one), mismatch,
-    free (the zero mode) or no_basis (lambda is not triangular).  The
+    free (the zero mode) or no_basis (lambda is not triangular); ``cmd_verify``
+    writes skipped instead, without calling this, when the operator check
+    finds differences.  The
     document's alpha, obstruction terms (``leading``) and ``message`` are
     compared with the recomputed ones as JSON text, and a mismatch names each
     part that differs with its recomputed value: null where the recomputed
@@ -353,7 +356,9 @@ def cmd_verify(args):
     operator = {"status": "mismatch" if diffs else "exact-zero"}
     if diffs:
         operator["differences"] = diffs[:6]
-    boundary = _boundary(mode)
+    # the boundary series is expanded down to the particular's lowest y power,
+    # which only a solution bounds: min(the source's lowest power, -r)
+    boundary = {"status": "skipped"} if diffs else _boundary(mode)
     ok = not diffs and boundary["status"] != "mismatch"
     doc = {
         "schema": "eisenmodes/verification/3",

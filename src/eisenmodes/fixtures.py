@@ -11,23 +11,22 @@ names (ASCII words)
     n1 n2 n y ly pi z2..z8 sg sg1 sg2
 
 (ly is log(y); z-even are exact pi powers, z-odd symbolic) and the calls
-abs(.), sgn(.), sigma(k, .), logn(.) = log|.| over prime logarithms, with
-positional arguments only; the arguments of sigma and logn must be integers.
-An exponent is an integer literal, optionally signed.
+abs(.) and sigma(k, .), with positional arguments only; the arguments of
+sigma must be integers.  An exponent is a nonnegative integer literal, so
+a reciprocal is written with / (as 1/y).
 
 Evaluation rule: every value combines with every other through its own
 operators (``Constant`` and ``YLaurent`` take each other and the numbers),
-except that an int over an int, or an int to a negative power, is a
-Fraction.  So a number over a number is a Fraction, a scalar meeting a
-polynomial (y, ly or anything built from them) is lifted or scales it, and
-a polynomial enters / and ** only as a one-term monomial c y^k log^j,
-log-free for / and for negative powers (``YLaurent.__pow__``).
+except that an int over an int is a Fraction.  So a number over a number
+is a Fraction, a scalar meeting a polynomial (y, ly or anything built from
+them) is lifted or scales it, and a polynomial enters / and ** only as a
+one-term monomial c y^k log^j, log-free for / (``YLaurent.__pow__``).
 
 Each text is compiled once per set of bound words: which of its names the
 caller binds (``_program``).  Its own syntax tree is checked against the
-grammar and compiled to native Python arithmetic (``_rewrite``) with three
-rewrites: names become the parameters of the compiled function, / calls
-``_div`` and a negative power calls ``_pow``, which make the int a Fraction.
+grammar and compiled to native Python arithmetic (``_rewrite``) with two
+rewrites: names become the parameters of the compiled function, and /
+calls ``_div``, which makes an int over an int a Fraction.
 The text then runs in the order of its left-to-right reading, and of two
 faults in its values the one that reading meets first is named.  Grammar
 faults and unbound names are named when the text compiles.
@@ -46,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 from .bessel import DoubleBessel, Pure, SingleBessel
 from .divisors import sigma
 from .laurent import NotAMonomial, YLaurent
-from .scalars import Constant, log_normalize, zeta_value
+from .scalars import Constant, zeta_value
 from .sources import case_tag
 
 __all__ = [
@@ -68,7 +67,7 @@ class FixtureError(ValueError):
 
 
 def _integer(value) -> int:
-    """A sigma or logn argument: an int, or a Fraction equal to one."""
+    """A sigma argument: an int, or a Fraction equal to one."""
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     if isinstance(value, int):
@@ -83,31 +82,17 @@ def _div(a, b):
     return Fraction(a, b) if type(a) is type(b) is int else a / b
 
 
-def _pow(a, b: int):
-    """a ** b for a negative b, a Fraction for an int a."""
-    return (Fraction(a) if type(a) is int else a) ** b
-
-
-def _sgn(v) -> int:
-    return 1 if v > 0 else (-1 if v < 0 else 0)
-
-
 def _sigma(k, n) -> int | Fraction:
     return sigma(_integer(k), abs(_integer(n)))
 
 
-def _logn(m) -> Constant:
-    return log_normalize(abs(_integer(m)))
-
-
 # The whole namespace of a compiled text: no builtins, only these helpers.
-_HELPERS = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_abs": abs,
-            "_sgn": _sgn, "_sigma": _sigma, "_logn": _logn}
+_HELPERS = {"__builtins__": {}, "_div": _div, "_abs": abs, "_sigma": _sigma}
 
 # -- compiling a text ---------------------------------------------------------
 
 # call name -> its number of arguments; a call runs the helper "_" + name
-_CALLS = {"abs": 1, "sgn": 1, "sigma": 2, "logn": 1}
+_CALLS = {"abs": 1, "sigma": 2}
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LOAD = ast.Load()
 
@@ -122,8 +107,7 @@ def _call(helper: str, *args) -> ast.Call:
 
 
 def _rewrite(node, params: Dict[str, str]) -> ast.expr:
-    """node rewritten in place to native arithmetic, / through ``_div`` and
-    a negative power through ``_pow``.
+    """node rewritten in place to native arithmetic, / through ``_div``.
 
     params maps each bound name to its parameter.  A node outside the
     grammar, or a name that is not bound, raises the FixtureError that names
@@ -143,14 +127,10 @@ def _rewrite(node, params: Dict[str, str]) -> ast.expr:
         node.left, node.right = _rewrite(node.left, params), _rewrite(node.right, params)
         return _call("_div", node.left, node.right) if type(node.op) is ast.Div else node
     if cls is ast.BinOp and type(node.op) is ast.Pow:
-        try:  # an int only from an integer literal, optionally signed
-            b = ast.literal_eval(node.right)
-        except (TypeError, ValueError):
-            b = None
-        if type(b) is not int:
-            raise FixtureError("exponent must be an integer literal")
+        if type(node.right) is not ast.Constant or type(node.right.value) is not int:
+            raise FixtureError("exponent must be a nonnegative integer literal")
         node.left = _rewrite(node.left, params)
-        return _call("_pow", node.left, node.right) if b < 0 else node
+        return node
     if cls is ast.BinOp:
         raise FixtureError("operator not allowed")
     if cls is ast.UnaryOp:
@@ -205,8 +185,8 @@ def eval_table_expr(text: str, names: Dict) -> object:
     (``_program``).  Every rejection is a ``FixtureError``: text that does
     not parse, a name missing from names, a division by zero and an argument
     outside a call's domain included.  A ``NotAMonomial`` keeps its text.  A
-    zero divisor of any kind (a number, a Constant or a polynomial), or a
-    zero to a negative power, is named as "division by zero".
+    zero divisor of any kind (a number, a Constant or a polynomial) is named
+    as "division by zero".
     """
     try:
         words = _words(text)

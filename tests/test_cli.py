@@ -862,6 +862,19 @@ def test_verify_rejects_a_coefficient_moved_by_a_millionth(tmp_path, capsys):
     assert 0 < len(verdict["operator"]["differences"]) <= 6
 
 
+def test_verify_skips_the_boundary_of_a_particular_that_fails_the_operator(tmp_path, capsys):
+    # the boundary series reaches down to the particular's lowest y power; a
+    # solution's stops at min(the source's lowest power, -r), so only a failed
+    # one could hold verify there (y^-300 took 1.6 s, y^-100000 hours)
+    doc = _solution_doc(tmp_path, capsys)
+    table = doc["particular"]["table"]
+    table[min(table)].insert(0, {"y": -300, "log": 0, "coeff": _integer(1)})
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_MISMATCH and verdict["pass"] is False
+    assert verdict["operator"]["status"] == "mismatch"
+    assert verdict["boundary"] == {"status": "skipped"}
+
+
 def test_verify_rejects_a_particular_of_other_frequencies(tmp_path, capsys):
     # the source is rebuilt from (n1, n2) = (1, 2); the particular solves (1, 3)
     doc = _solution_doc(tmp_path, capsys)

@@ -25,7 +25,18 @@ from eisenmodes.homogeneous import (
 )
 from eisenmodes.laurent import LogCapExceeded, YLaurent
 from eisenmodes.numerics import NumericEnv, eval_expr, eval_hom_normalized
-from eisenmodes.scalars import GAMMA, LN_PI, PI, Constant, ln_prime, log_normalize, zeta_odd
+from eisenmodes.scalars import (
+    GAMMA,
+    LN_PI,
+    PI,
+    SYM_GAMMA,
+    SYM_LN_PI,
+    Constant,
+    SymbolMonomial,
+    ln_prime,
+    log_normalize,
+    zeta_odd,
+)
 from eisenmodes.solver import NoSolutionInWindow
 from eisenmodes.series import hom_norm_series, small_y_series
 from eisenmodes.sources import Normalization, Params, classify_params
@@ -44,6 +55,58 @@ def test_anti_diagonal_alpha_closed_form():
         assert m.alpha == expected
         assert m.hom_basis.kind == "power_neg"
         assert m.obstruction is None
+
+
+# UNIT families inside the conjectured set: alpha <= beta in {3/2..11/2},
+# r <= 20, alpha + beta + r even and |alpha - beta| < r
+SHAPE_WEIGHTS = [F(k, 2) for k in (3, 5, 7, 9, 11)]
+SHAPE_FAMILIES = [(a, b, r) for a in SHAPE_WEIGHTS for b in SHAPE_WEIGHTS if a <= b
+                  for r in range(1, 21) if (a + b + r) % 2 == 0 and abs(a - b) < r]
+LOG_KINDS = ("gamma", "ln_pi", "ln_prime", "zeta_prime")
+
+
+def _factor_of(c: Constant, symbol) -> Constant:
+    """The Constant multiplying the first power of symbol in c."""
+    return Constant({SymbolMonomial([(s, e) for s, e in mono if s != symbol]): q
+                     for mono, q in c.terms().items() if (symbol, 1) in mono})
+
+
+def _valuation(p: int, m: int) -> int:
+    k = 0
+    while m % p == 0:
+        m, k = m // p, k + 1
+    return k
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(hst.sampled_from(SHAPE_FAMILIES), hst.integers(1, 60), hst.integers(1, 60),
+       hst.sampled_from((1, -1)), hst.sampled_from((1, -1)))
+def test_the_log_part_of_alpha_is_one_log_of_n1_over_n2(family, m1, m2, s1, s2):
+    """alpha = A + B log(|n1|/|n2|), A and B log-free, at both sign kinds.
+
+    No gamma, log pi, zeta' or product of logs appears, and each ln_prime(p)
+    has B (v_p(n1) - v_p(n2)).  An obstructed mode has no alpha: the
+    secondary alpha, which still cancels its log-free y^-r piece, is
+    A + c1 l(n1) + c2 l(n2) with l(n) = log(pi e^gamma |n|) and c1 + c2 != 0.
+    So it carries gamma + log pi, and is not of the first shape.
+    """
+    assume(m1 != m2)  # no anti-diagonal, merged or |n1| = |n2| mode
+    (a, b, r), n1, n2 = family, s1 * m1, s2 * m2
+    mode = solve_mode(Params(a, b, r * (r + 1), UNIT), n1, n2)
+    alpha = mode.alpha if mode.obstruction is None else mode.obstruction.secondary_alpha
+    logs = [[s for s, _ in mono if s[0] in LOG_KINDS] for mono in alpha.terms()]
+    assert all(len(s) <= 1 for s in logs) and not any(s and s[0][0] == "zeta_prime" for s in logs)
+    assert all((s, 1) in mono for mono in alpha.terms() for s in mono if s[0] in LOG_KINDS)
+    free = Constant({mono: q for mono, q in alpha.terms().items()
+                     if not any(s[0] in LOG_KINDS for s, _ in mono)})
+    g = _factor_of(alpha, SYM_GAMMA)
+    assert g == _factor_of(alpha, SYM_LN_PI) and (mode.obstruction is None) == g.is_zero()
+    # c1 from a prime of unequal valuations, and c2 = g - c1
+    p, v1, v2 = next((p, e1, e2) for p in range(2, 60)
+                     if (e1 := _valuation(p, m1)) != (e2 := _valuation(p, m2)))
+    c1 = (_factor_of(alpha, ("ln_prime", p)) - g * v2) / (v1 - v2)
+    ell = [log_normalize(m) + GAMMA + LN_PI for m in (m1, m2)]
+    assert alpha == free + c1 * ell[0] + (g - c1) * ell[1]
 
 
 def test_alpha_zero_when_already_decaying():
