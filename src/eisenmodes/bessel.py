@@ -252,8 +252,8 @@ def k_index_table(m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _times_pi(mono: SymbolMonomial, e: int) -> SymbolMonomial:
-    """mono * pi^e; the operators, ``_rebuild`` (``series.k_log_series``
-    included) and the checks meet a handful of monomials per process."""
+    """mono * pi^e; the operators, ``_rebuild``, ``series.small_y_series``
+    and the checks meet a handful of monomials per process."""
     return mono * SymbolMonomial({SYM_PI: e})
 
 

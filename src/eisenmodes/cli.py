@@ -53,7 +53,7 @@ document's alpha and its obstruction (message and terms), by JSON text,
 against homogeneous.boundary_reference on the document's own particular
 part; otherwise the boundary status is skipped.  That reference is the
 Constant small-y series, a route that shares only the K_0/K_1 table of
-series.k_flat_series (checked in the tests against an independent oracle)
+series.k_atom_series (checked in the tests against an independent oracle)
 with the choose_alpha that solve runs.  `table` and `combine` compare the
 computed expressions exactly with the printed ones
 (fixtures.compare_expressions).

@@ -239,8 +239,10 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     secondary_alpha; ``ModeSolution.hom_basis`` gives the decaying element.
 
     The particular part's series is formed in ints (``flat_small_y_series``)
-    from its flat terms that reach below y^{-r+1}; ``solve_mode`` passes the
-    flat solution the solver's recheck checked.  The element's series there is
+    from its flat terms that reach below y^{-r+1}, the K factors multiplied
+    per log atom u = log y + l_N of ``series.k_atom_series`` and each l_N
+    expanded once per kept sum; ``solve_mode`` passes the flat solution the
+    solver's recheck checked.  The element's series there is
     its y^{-r} term alone, (2r)!/(r! (4|n1 + n2|)^r) pi^{-r} in closed form
     (1 for y^{-r} when n1 + n2 = 0): alpha's ints are scaled by its inverse
     and its pi exponent raised by r, and every Constant is built once.
@@ -264,9 +266,10 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
 
 def boundary_reference(particular, r: int, n1: int, n2: int):
     """``choose_alpha`` from the Constant series, sharing only its K_0/K_1
-    table (``series.k_flat_series``, which the tests check against an
+    table (``series.k_atom_series``, which the tests check against an
     independent oracle) and none of its product, truncation or division
-    arithmetic.
+    arithmetic: ``small_y_series`` multiplies per log atom in code of its
+    own and ends in Constants.
 
     alpha is minus the y^{-r} coefficient of ``small_y_series`` of the
     particular part over that of the decaying element's series; the terms of

@@ -10,31 +10,42 @@ with z = 2 pi |n| y, so log(z/2) = log(y) + log(pi) + log|n| lands in the
 scalar ring (log|n| normalized to prime logarithms).  Half-integer-index
 homogeneous elements use the finite exponential-polynomial closed form.
 
-The K_0/K_1 series are written once, by ``k_flat_series``: each coefficient
-straight from the closed form of these expansions, with no power of z^2/4
-and no Constant arithmetic, in the split form its products read: a tuple of
-(y_exp, log_exp, pi exponent, pi-free rest, int) in increasing y_exp, and
-one denominator.  ``k_log_series`` is the polynomial view of that table,
-each coefficient rebuilt by ``bessel._rebuild`` as the operators rebuild
-theirs.
+The K_0/K_1 series are written once, by ``k_atom_series``, in the log atom
+u = log(z/2) + gamma = log y + l_N, with l_N = gamma + log pi + log N
+(``_u_terms``, log N over the prime logs of ``factorize``): K_j(2 pi N y) is
+the sum over k of pi^k y^k (a_k u + h_k) / den, the pi exponent equal to
+the y power, each a_k and h_k an int straight from the closed form of these
+expansions, with no power of z^2/4 and no Constant arithmetic, kept as the
+nonzero terms (k, 1, a_k) and (k, 0, h_k).  Both routes multiply the K
+factors of a cell per atom and expand l into its symbols only at the end,
+once per kept sum: a two-factor cell is sum y^k pi^k [h h' + a h' u_1 +
+h a' u_2 + a a' u_1 u_2], one atom when |n1| = |n2| (u_1 = u_2), and
+u_1 u_2 = log^2 y + (l_1 + l_2) log y + l_1 l_2.  Each factor runs through
+y^(reach + the number of other factors) and only the product is cut at
+reach: K_1 starts at 1/y, so a factor cut first would lose the terms
+another factor's 1/y shifts below reach.  The cap on the log(y) power is
+checked per pair as the terms are summed, before any sum cancels.
 
-``k_flat_series``, ``k_log_series`` and ``hom_norm_series`` are memoized for
-the life of the process: the sub-modes of one assembly share their
-frequencies, so the same (index, |n|, order) series is asked for again and
-again.  That is safe because all three are pure functions of ints and their
-results are never written to (``YLaurent`` operations return new objects, and
-``k_flat_series`` returns tuples).  Each cache grows by one entry per distinct
-argument triple a process touches.
+``k_atom_series``, ``_u_terms``, ``_u_poly`` and ``hom_norm_series`` are
+memoized for the life of the process: the sub-modes of one assembly share
+their frequencies, so the same (index, |n|, order) series and the same atoms
+are asked for again and again.  That is safe because all four are pure
+functions of ints and their results are never written to (``YLaurent``
+operations return new objects, and the other two return tuples).  Each
+cache grows by one entry per distinct argument a process touches.
 
-``flat_small_y_series`` is ``small_y_series`` in ints on the flat value of a
-Bessel product (``bessel.FlatExpr``, key (cell, y power, log power, pi
-exponent, rest)), the route ``homogeneous.choose_alpha`` takes with the flat
-solution the solver checked; it reads no Constant.  It keeps only the terms
-that can reach below the order: K_0 starts at y^0 and K_1 at y^-1, so a term
-y^k of a cell with `ones` K_1 factors is kept when k - ones < order.
-``small_y_series`` multiplies the Constant series of ``k_log_series`` over
-every term of an expression.  The two routes share the K table and no
-product, truncation or division arithmetic, so each checks the other's.
+``flat_small_y_series`` is ``small_y_series`` in ints over one denominator
+on the flat value of a Bessel product (``bessel.FlatExpr``, key (cell,
+y power, log power, pi exponent, rest)), the route
+``homogeneous.choose_alpha`` takes with the flat solution the solver
+checked; it reads no Constant.  It keeps only the terms that can reach
+below the order: K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell
+with `ones` K_1 factors is kept when k - ones < order.  ``small_y_series``
+multiplies each cell's K factors in ints over the product of their
+denominators and takes one Fraction per product term; over every term of
+an expression it then works in Fractions and Constants, each atom a
+polynomial in log y.  The two routes share the K table and no product,
+truncation or division arithmetic, so each checks the other's.
 """
 
 from __future__ import annotations
@@ -42,24 +53,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import itemgetter
 
-from .bessel import BesselProduct, FlatExpr, HomBasis, Pure, _rebuild
+from .bessel import BesselProduct, FlatExpr, HomBasis, _times_pi
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import (
     SYM_GAMMA,
     SYM_LN_PI,
     Constant,
     SymbolMonomial,
+    _add_product,
     factorize,
     sym_ln_prime,
 )
 
 __all__ = [
     "AsymptoticSeries",
-    "k_log_series",
-    "k_flat_series",
+    "k_atom_series",
     "flat_small_y_series",
     "hom_norm_series",
     "hom_norm_scale_description",
@@ -97,31 +108,26 @@ _y_exp = itemgetter(0)
 
 
 @lru_cache(maxsize=None)
-def k_flat_series(j: int, n: int, order: int):
-    """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1}), as
-    ((y_exp, log_exp, pi exponent, rest, int), ...), den.
+def k_atom_series(j: int, n: int, order: int):
+    """Series of K_j(2 pi |n| y) through y-exponents < order (j in {0, 1}) in
+    its log atom u = log y + l_N, K_j = sum over k of pi^k y^k (a u + h) / den:
+    the nonzero terms (k, 1, a) and (k, 0, h), in increasing k, and den.
 
-    Each coefficient is written straight from the closed form: with N = |n|
-    and l = log(pi) + gamma + sum e_p log(p) over N = prod p^e_p,
+    Each pair a, h is written straight from the closed form: with N = |n|,
 
-        K_0: y^{2m} pi^{2m} N^{2m} / (m!)^2 * (-log y - l + H_m),
-        K_1: y^{-1} / (2 pi N)
-             + y^{2m+1} pi^{2m+1} N^{2m+1} / (m! (m+1)!)
-               * (log y + l - (H_m + H_{m+1}) / 2),
+        K_0 at k = 2m:      a = -N^k / (m!)^2,          h = H_m N^k / (m!)^2,
+        K_1 at k = 2m + 1:  a = N^k / (m! (m+1)!),      h = -a (H_m + H_{m+1}) / 2,
+        K_1 at k = -1:      a = 0,                      h = 1 / (2N),
 
-    for y exponents k below order, in increasing k, with no Constant
-    arithmetic.  Each term's monomial is split as ``_mul_flat`` reads it, a
-    pi exponent and the pi-free rest; each int is its coefficient times den,
-    the lcm of the coefficients' denominators, as ``bessel._flatten`` writes
-    them.
+    each times den, the least common denominator, with no Constant
+    arithmetic.  ``_u_terms(N)`` spells u out, with l_N = gamma + log pi +
+    sum e_p log p over N = prod p^e_p.
     """
     if j not in (0, 1):
         raise ValueError("index must be 0 or 1")
     if n == 0:
         raise ValueError("n must be nonzero")
     N = abs(n)
-    logs = [(_GAMMA, 1), (_LN_PI, 1)] + [(SymbolMonomial({sym_ln_prime(p): 1}), e)
-                                         for p, e in factorize(N)]
     count = max(0, (order - j + 1) // 2)  # the m with 2m + j < order
     top = max(count - 1, 0)
     # den = (top!)^2 L for K_0 and 2N top! (top+1)! L for K_1, with L the lcm
@@ -131,7 +137,7 @@ def k_flat_series(j: int, n: int, order: int):
     den = f0 * f1 * lcm * (2 * N if j else 1)
     terms = []
     if j == 1 and order > -1:
-        terms.append((-1, 0, -1, _ONE, f0 * f1 * lcm))
+        terms.append((-1, 0, f0 * f1 * lcm))  # a = 0
     harmonic = 0  # L H_m
     for m in range(count):
         k = 2 * m + j
@@ -142,37 +148,74 @@ def k_flat_series(j: int, n: int, order: int):
         else:
             a, h = 2 * N * base * lcm, -N * base * (2 * harmonic + lcm // (m + 1))
             harmonic += lcm // (m + 1)
-        terms.append((k, 1, k, _ONE, a))
-        terms.extend((k, 0, k, log, e * a) for log, e in logs)
-        if h:
-            terms.append((k, 0, k, _ONE, h))
+        terms += [(k, 1, a), (k, 0, h)] if h else [(k, 1, a)]  # h = 0 at m = 0 of K_0
     g = math.gcd(den, *(c for *_, c in terms))
-    return tuple((*key, c // g) for *key, c in terms), den // g
+    return tuple((k, lg, c // g) for k, lg, c in terms), den // g
 
 
 @lru_cache(maxsize=None)
-def k_log_series(j: int, n: int, order: int) -> YLaurent:
-    """``k_flat_series(j, n, order)`` as a polynomial, each coefficient divided
-    by den once (``bessel._rebuild``)."""
-    terms, den = k_flat_series(j, n, order)
-    return _rebuild(Pure(YLaurent.zero()), {((), *key): c for *key, c in terms}, den).poly
+def _u_terms(N: int):
+    """The log atom u = log y + l_N as ((log power, pi-free monomial, int), ...):
+    log y, then l_N = gamma + log pi + log N, log N over prime logs."""
+    return ((1, _ONE, 1), (0, _GAMMA, 1), (0, _LN_PI, 1),
+            *((0, SymbolMonomial({sym_ln_prime(p): 1}), e) for p, e in factorize(N)))
 
 
-def _mul_flat(a, b, order: int):
-    """The product of two flat term lists [(k, j, pi exponent, rest, int)], b
-    in increasing k, without the terms at y^order and above."""
+def _log_atoms(freqs):
+    """The distinct |n| of `freqs`, and per factor its log atom u_i = log y +
+    l_{N_i} over those N_i as an int.  A product u_1^d_1 u_2^d_2 is the int
+    d_1 + 3 d_2, so the atom of a product of at most two factors is the sum of
+    theirs.  The first factor's atom is u_1 = 1; a second factor's is u_1
+    too when it has the same |n|, else u_2 = 3."""
+    ns = tuple(dict.fromkeys(map(abs, freqs)))
+    return ns, (1, 3 if len(ns) == 2 else 1)[:len(freqs)]
+
+
+def _log_power(atom: int) -> int:
+    """The highest log(y) power of an atom u_1^d_1 u_2^d_2 = d_1 + 3 d_2."""
+    return atom % 3 + atom // 3
+
+
+def _int_cell_product(factors, units, reach: int):
+    """The K factors of a cell multiplied in ints, per log atom:
+    ([(k, atom, int), ...] in increasing k, pi^k understood, den).
+
+    Each factor runs through y^(reach + the number of other factors) and only
+    the product is cut at reach.  The first factor's terms are its table, its
+    atom being u_1 = 1.  A sum that cancels is kept as a 0, so the atoms
+    present at y^k are those of the pairs that land there."""
+    if not factors:
+        return [(0, 0, 1)], 1
+    top = reach + len(factors) - 1
+    (index, abs_n), *others = factors
+    prod, den = k_atom_series(index, abs_n, top)
+    for (index, abs_n), unit in zip(others, units[1:]):
+        series, den_f = k_atom_series(index, abs_n, top)
+        out = {}
+        for ka, ta, ca in prod:
+            for kb, lb, cb in series:
+                k = ka + kb
+                if k >= reach:
+                    break
+                key = (k, ta + unit * lb)
+                out[key] = out.get(key, 0) + ca * cb
+        prod, den = sorted(((k, t, c) for (k, t), c in out.items()), key=_y_exp), den * den_f
+    return prod, den
+
+
+def _int_expansion(atom: int, ns):
+    """The atom u_1^d_1 u_2^d_2 = d_1 + 3 d_2, u_i = log y + l_{N_i} with N_i
+    in `ns`, as ((log power, pi-free monomial, int), ...): 1 or one u_i as it
+    is, a product of two multiplied out."""
+    d1, d2 = atom % 3, atom // 3
+    if d1 + d2 < 2:
+        return _u_terms(ns[d2]) if atom else ((0, _ONE, 1),)
     out = {}
-    for ka, ja, ea, ra, ca in a:
-        for kb, jb, eb, rb, cb in b:
-            k = ka + kb
-            if k >= order:
-                break
-            j = ja + jb
-            if j > LOG_CAP:
-                raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
-            key = (k, j, ea + eb, ra * rb)
-            out[key] = out.get(key, 0) + ca * cb
-    return out
+    for lg, mono, c in _u_terms(ns[0]):
+        for lv, mv, cv in _u_terms(ns[-1]):  # u_1 again when d_1 = 2
+            key = (lg + lv, mono * mv)
+            out[key] = out.get(key, 0) + c * cv
+    return tuple((lg, mono, c) for (lg, mono), c in out.items())
 
 
 def flat_small_y_series(flat: FlatExpr, order: int):
@@ -181,17 +224,19 @@ def flat_small_y_series(flat: FlatExpr, order: int):
 
     K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell with `ones`
     K_1 factors reaches no lower than y^(k - ones): only the terms with
-    k - ones < order are read, and reach is taken from those.  Per cell
-    the K factors come from ``k_flat_series`` and are multiplied as in
-    ``small_y_series``, each through y^(reach + the number of other factors)
-    and only the products truncated at reach: every other factor reaches
-    down by at most 1/y, which shifts those terms below reach.  The cells are
-    summed over one denominator.  Monomials stay split as a pi
-    exponent and the pi-free rest (``bessel._times_pi(rest, e)`` joins them),
-    so only the rests (gamma, log pi, the prime logs, zeta values) meet
-    SymbolMonomial products.  A sum that cancels is kept as a 0.
+    k - ones < order are read, and reach is taken from those.  Per cell the
+    K factors of ``k_atom_series`` are multiplied per log atom
+    (``_int_cell_product``).  Each kept term times each product term below
+    the order is summed per (y power, log power, pi exponent, rest, atom)
+    over one denominator, the cap on the log(y) power checked per pair as it
+    is summed; each nonzero sum is then expanded once, u_i = log y + l_{N_i}
+    (``_int_expansion``).  Monomials stay split as a pi exponent and the
+    pi-free rest (``bessel._times_pi(rest, e)`` joins them), so only the
+    rests (gamma, log pi, the prime logs, zeta values) meet SymbolMonomial
+    products.  A sum that cancels in the expansion is kept as a 0.
     """
     shape = flat.shape
+    ns, units = _log_atoms(shape.freqs)
     cells = {}  # cell -> (its K factors, how many are K_1, its terms kept), in table order
     for (cell, k, j, e, rest), q in flat.terms.items():
         entry = cells.get(cell)
@@ -200,24 +245,33 @@ def flat_small_y_series(flat: FlatExpr, order: int):
             entry = cells[cell] = (factors, sum(index for index, _ in factors), [])
         if q and k - entry[1] < order:
             entry[2].append((k, j, e, rest, q))
-    products = []
-    for factors, _, qs in cells.values():
-        if not qs:
-            continue
-        reach = order - min(k for k, *_ in qs)
-        prod, den = [(0, 0, 0, _ONE, 1)], 1
-        for pos, (index, abs_n) in enumerate(factors):
-            series, den_f = k_flat_series(index, abs_n, reach + len(factors) - 1)
-            prod = series if pos == 0 else sorted(
-                ((*key, c) for key, c in _mul_flat(prod, series, reach).items()), key=_y_exp)
-            den *= den_f
-        products.append((_mul_flat(qs, prod, order), den))
-    den_k = math.lcm(*(den for _, den in products))
-    total = {}
-    for prod, den in products:
+    products = [(qs, *_int_cell_product(factors, units, order - min(k for k, *_ in qs)))
+                for factors, _, qs in cells.values() if qs]
+    den_k = math.lcm(*(den for *_, den in products))
+    sums = {}
+    for qs, prod, den in products:
         scale = den_k // den
-        for key, c in prod.items():
-            total[key] = total.get(key, 0) + c * scale
+        for k, j, e, rest, q in qs:
+            q *= scale
+            for kb, atom, c in prod:
+                y = k + kb
+                if y >= order:
+                    break
+                if j + _log_power(atom) > LOG_CAP:
+                    raise LogCapExceeded(f"log(y)^{j + _log_power(atom)} exceeds cap {LOG_CAP}")
+                key = (y, j, e + kb, rest, atom)
+                sums[key] = sums.get(key, 0) + q * c
+    expansions = {}
+    total = {}
+    for (k, j, e, rest, atom), c in sums.items():
+        if not c:
+            continue
+        terms = expansions.get(atom)
+        if terms is None:
+            terms = expansions[atom] = _int_expansion(atom, ns)
+        for lg, mono, m in terms:
+            key = (k, j + lg, e, rest * mono)
+            total[key] = total.get(key, 0) + c * m
     return total, flat.den * den_k
 
 
@@ -249,6 +303,57 @@ def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
     return YLaurent({(p, 0): Constant.pi_power(p, q) for p, q in coeffs.items()})
 
 
+def _cell_product(factors, units, reach: int):
+    """The K factors of a cell multiplied per log atom, in ints over the
+    product of their denominators, then one Fraction per term:
+    [(k, ((atom, Fraction), ...)), ...] in increasing k, pi^k understood.
+
+    The K_1 series start at 1/y, so each factor is expanded below
+    y^(reach + the number of other factors) and only the product is
+    truncated: a factor truncated first would lose the terms another
+    factor's 1/y shifts below reach.  A sum that cancels is kept as a 0, so
+    the atoms present at y^k are those of the pairs that land there."""
+    prod, den = {(0, 0): 1}, 1
+    for pos, ((index, abs_n), unit) in enumerate(zip(factors, units)):
+        series, den_f = k_atom_series(index, abs_n, reach + len(factors) - 1)
+        if pos:
+            out = {}
+            for (ka, ta), ca in prod.items():
+                for kb, lb, cb in series:  # in increasing kb
+                    if ka + kb >= reach:
+                        break
+                    key = (ka + kb, ta + unit * lb)
+                    out[key] = out.get(key, 0) + ca * cb
+            prod = out
+        else:
+            prod = {(k, unit * lg): c for k, lg, c in series}
+        den *= den_f
+    grouped = {}
+    for (k, atom), c in sorted(prod.items()):
+        grouped.setdefault(k, []).append((atom, Fraction(c, den)))
+    return list(grouped.items())
+
+
+@lru_cache(maxsize=None)
+def _u_poly(N: int) -> YLaurent:
+    """The log atom u = log y + l_N (``_u_terms``) as a polynomial in log y
+    with Constant coefficients."""
+    terms = {}
+    for lg, mono, c in _u_terms(N):
+        terms.setdefault((0, lg), {})[mono] = Fraction(c)
+    return YLaurent._trusted({key: Constant._trusted(t) for key, t in terms.items()})
+
+
+def _atom_poly(atom: int, ns) -> YLaurent:
+    """The atom u_1^d_1 u_2^d_2 = d_1 + 3 d_2 as a polynomial in log y,
+    u_i = log y + l_{N_i} with N_i in `ns`: 1 or one u_i as it is, a product
+    of two multiplied out."""
+    d1, d2 = atom % 3, atom // 3
+    if d1 + d2 < 2:
+        return _u_poly(ns[d2]) if atom else YLaurent.monomial(0)
+    return _u_poly(ns[0]) * _u_poly(ns[-1])  # u_1 again when d_1 = 2
+
+
 def small_y_series(expr, order: int) -> AsymptoticSeries:
     """Exact expansion of an expression (or hom basis element) as y -> 0."""
     if isinstance(expr, HomBasis):
@@ -257,20 +362,34 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
 
     if isinstance(expr, BesselProduct):
-        # The K_1 series start at 1/y, so each factor is expanded below
-        # y^(reach + the number of other factors) and only the product is
-        # truncated: a factor truncated first would lose the terms another
-        # factor's 1/y shifts below reach.
-        # Seeding reduce with one would truncate the first factor that way, so
-        # only the product of no factors (Pure) is one.
-        total = YLaurent.zero()
+        ns, units = _log_atoms(expr.freqs)
+        sums = {}  # (y power, log power, atom) -> {monomial: Fraction}
         for cell, q in expr.table.items():
-            reach = order - q.min_degree()
-            factors = [k_log_series(i, n, reach + len(expr.freqs) - 1)
-                       for i, n in expr.factors(cell)]
-            prod = (reduce(lambda a, b: a.mul_truncated(b, reach), factors) if factors
-                    else YLaurent.one())
-            total = total + q.mul_truncated(prod, order)
-        return AsymptoticSeries(total, order)
+            prod = _cell_product(expr.factors(cell), units, order - q.min_degree())
+            for (kq, jq), c in q.terms().items():
+                monos = c.terms().items()
+                for kb, atoms in prod:
+                    if kq + kb >= order:
+                        break
+                    shifted = [(_times_pi(mono, kb), cm) for mono, cm in monos]
+                    for atom, f in atoms:
+                        if jq + _log_power(atom) > LOG_CAP:
+                            raise LogCapExceeded(f"log(y)^{jq + _log_power(atom)} exceeds cap {LOG_CAP}")
+                        s = sums.setdefault((kq + kb, jq, atom), {})
+                        for mono, cm in shifted:
+                            s[mono] = s.get(mono, 0) + cm * f
+        polys = {}
+        out = {}
+        for (k, j, atom), s in sums.items():
+            c = Constant._of_sums(s)
+            if not c:
+                continue
+            poly = polys.get(atom)
+            if poly is None:
+                poly = polys[atom] = _atom_poly(atom, ns)
+            for (_, lg), e in poly.terms().items():
+                _add_product(out.setdefault((k, j + lg), {}), c, e)
+        return AsymptoticSeries(
+            YLaurent._of_sums({kj: Constant._of_sums(s) for kj, s in out.items()}), order)
 
     raise TypeError(f"no small-y series for {type(expr).__name__}")
