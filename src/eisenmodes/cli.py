@@ -10,8 +10,8 @@ Exit codes (part of the public contract):
     0   solved / all comparisons equal
     1   verification or comparison mismatch: P(particular) - source is not
         exactly zero, the boundary data differ from the ones recomputed
-        from the Constant series, or a computed table differs exactly from
-        the printed one
+        by homogeneous.boundary_reference, or a computed table differs
+        exactly from the printed one
     2   lambda is not of the form r(r+1) (no solution in the ansatz class)
     3   alpha or beta is not a half-integer
     4   no solution on the derived degree windows; the document names the
@@ -51,10 +51,12 @@ compares the image exactly with the source rebuilt from the document's
 params and (n1, n2).  Only if that image is the source does it check the
 document's alpha and its obstruction (message and terms), by JSON text,
 against homogeneous.boundary_reference on the document's own particular
-part; otherwise the boundary status is skipped.  That reference is the
-Constant small-y series, a route that shares only the K_0/K_1 table of
-series.k_atom_series (checked in the tests against an independent oracle)
-with the choose_alpha that solve runs.  `table` and `combine` compare the
+part; otherwise the boundary status is skipped.  That reference shares
+with the choose_alpha that solve runs the particular part's small-y
+expansion (series.small_y_series, checked in the tests against a long-form
+Constant oracle and mpmath's besselk), and not the decaying element's
+series, the alpha division or the test for terms left over, which it does
+in Constants of its own.  `table` and `combine` compare the
 computed expressions exactly with the printed ones
 (fixtures.compare_expressions).
 """
@@ -303,7 +305,7 @@ def _boundary_parts(alpha, obstruction) -> dict:
 
 
 def _boundary(mode) -> dict:
-    """The document's boundary data against the Constant series of its own particular.
+    """The document's boundary data against ``boundary_reference`` on its own particular.
 
     status: ok (alpha is the recomputed one), obstructed (the reported
     obstruction, message and terms, is exactly the recomputed one), mismatch,

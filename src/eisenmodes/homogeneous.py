@@ -246,9 +246,9 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
     its y^{-r} term alone, (2r)!/(r! (4|n1 + n2|)^r) pi^{-r} in closed form
     (1 for y^{-r} when n1 + n2 = 0): alpha's ints are scaled by its inverse
     and its pi exponent raised by r, and every Constant is built once.
-    ``boundary_reference``, which adds the Constant series of both and shares
-    only the K_0/K_1 table with this route, is the one that ``verify`` and the
-    tests compare with.
+    ``boundary_reference``, which ``verify`` and the tests compare with,
+    shares the particular part's expansion with this route and none of the
+    element's series, the alpha division or the test for what is left.
     """
     terms, den = flat_small_y_series(FlatExpr.of(particular), -r + 1)
     num, div, e_el = _element_leading(r, n1 + n2)
@@ -265,11 +265,12 @@ def choose_alpha(particular, r: int, n1: int, n2: int):
 
 
 def boundary_reference(particular, r: int, n1: int, n2: int):
-    """``choose_alpha`` from the Constant series, sharing only its K_0/K_1
-    table (``series.k_atom_series``, which the tests check against an
-    independent oracle) and none of its product, truncation or division
-    arithmetic: ``small_y_series`` multiplies per log atom in code of its
-    own and ends in Constants.
+    """``choose_alpha`` in Constants.  It shares the particular part's
+    expansion (``small_y_series``, the integer series read back in Constants;
+    the tests check it against a long-form oracle, and the alpha it gives
+    against mpmath's besselk) and nothing after it: the element's series here is ``hom_norm_series``
+    in full, not its closed-form leading term, alpha is a Constant division,
+    and what is left is found by summing both series and truncating.
 
     alpha is minus the y^{-r} coefficient of ``small_y_series`` of the
     particular part over that of the decaying element's series; the terms of

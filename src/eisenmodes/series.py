@@ -16,36 +16,37 @@ u = log(z/2) + gamma = log y + l_N, with l_N = gamma + log pi + log N
 the sum over k of pi^k y^k (a_k u + h_k) / den, the pi exponent equal to
 the y power, each a_k and h_k an int straight from the closed form of these
 expansions, with no power of z^2/4 and no Constant arithmetic, kept as the
-nonzero terms (k, 1, a_k) and (k, 0, h_k).  Both routes multiply the K
-factors of a cell per atom and expand l into its symbols only at the end,
-once per kept sum: a two-factor cell is sum y^k pi^k [h h' + a h' u_1 +
-h a' u_2 + a a' u_1 u_2], one atom when |n1| = |n2| (u_1 = u_2), and
-u_1 u_2 = log^2 y + (l_1 + l_2) log y + l_1 l_2.  Each factor runs through
-y^(reach + the number of other factors) and only the product is cut at
-reach: K_1 starts at 1/y, so a factor cut first would lose the terms
-another factor's 1/y shifts below reach.  The cap on the log(y) power is
+nonzero terms (k, 1, a_k) and (k, 0, h_k).  ``flat_small_y_series``
+multiplies the K factors of a cell per atom and expands l into its symbols
+only at the end, once per kept sum: a two-factor cell is sum y^k pi^k
+[h h' + a h' u_1 + h a' u_2 + a a' u_1 u_2], one atom when |n1| = |n2|
+(u_1 = u_2), and u_1 u_2 = log^2 y + (l_1 + l_2) log y + l_1 l_2.  Each
+factor runs through y^(reach + the number of other factors) and only the
+product is cut at reach: K_1 starts at 1/y, so a factor cut first would
+lose the terms another factor's 1/y shifts below reach.  The cap on the log(y) power is
 checked per pair as the terms are summed, before any sum cancels.
 
-``k_atom_series``, ``_u_terms``, ``_u_poly`` and ``hom_norm_series`` are
-memoized for the life of the process: the sub-modes of one assembly share
-their frequencies, so the same (index, |n|, order) series and the same atoms
-are asked for again and again.  That is safe because all four are pure
+``k_atom_series``, ``_u_terms`` and ``hom_norm_series`` are memoized for
+the life of the process: the sub-modes of one assembly share their
+frequencies, so the same (index, |n|, order) series and the same atoms are
+asked for again and again.  That is safe because all three are pure
 functions of ints and their results are never written to (``YLaurent``
 operations return new objects, and the other two return tuples).  Each
 cache grows by one entry per distinct argument a process touches.
 
-``flat_small_y_series`` is ``small_y_series`` in ints over one denominator
-on the flat value of a Bessel product (``bessel.FlatExpr``, key (cell,
-y power, log power, pi exponent, rest)), the route
-``homogeneous.choose_alpha`` takes with the flat solution the solver
-checked; it reads no Constant.  It keeps only the terms that can reach
-below the order: K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell
-with `ones` K_1 factors is kept when k - ones < order.  ``small_y_series``
-multiplies each cell's K factors in ints over the product of their
-denominators and takes one Fraction per product term; over every term of
-an expression it then works in Fractions and Constants, each atom a
-polynomial in log y.  The two routes share the K table and no product,
-truncation or division arithmetic, so each checks the other's.
+``flat_small_y_series`` works in ints over one denominator on the flat
+value of a Bessel product (``bessel.FlatExpr``, key (cell, y power, log
+power, pi exponent, rest)) and reads no Constant; ``homogeneous.choose_alpha``
+runs it on the flat solution the solver checked.  It keeps only the terms
+that can reach below the order: K_0 starts at y^0 and K_1 at y^-1, so a term
+y^k of a cell with `ones` K_1 factors is kept when k - ones < order.
+``small_y_series`` of an expression is the same series read back in
+Constants: it cuts each cell to y^k with k < order + its number of K
+factors, flattens what is left once and takes one Fraction per kept term.
+The expansion has this one implementation.  The tests check it against a
+long-form Constant oracle (tests/test_series.py), and the alpha it gives
+against the small-y limit of the printed tables under mpmath's besselk
+(tests/test_acceptance.py).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .scalars import (
     SYM_LN_PI,
     Constant,
     SymbolMonomial,
-    _add_product,
     factorize,
     sym_ln_prime,
 )
@@ -303,57 +303,6 @@ def hom_norm_series(r: int, n: int, order: int) -> YLaurent:
     return YLaurent({(p, 0): Constant.pi_power(p, q) for p, q in coeffs.items()})
 
 
-def _cell_product(factors, units, reach: int):
-    """The K factors of a cell multiplied per log atom, in ints over the
-    product of their denominators, then one Fraction per term:
-    [(k, ((atom, Fraction), ...)), ...] in increasing k, pi^k understood.
-
-    The K_1 series start at 1/y, so each factor is expanded below
-    y^(reach + the number of other factors) and only the product is
-    truncated: a factor truncated first would lose the terms another
-    factor's 1/y shifts below reach.  A sum that cancels is kept as a 0, so
-    the atoms present at y^k are those of the pairs that land there."""
-    prod, den = {(0, 0): 1}, 1
-    for pos, ((index, abs_n), unit) in enumerate(zip(factors, units)):
-        series, den_f = k_atom_series(index, abs_n, reach + len(factors) - 1)
-        if pos:
-            out = {}
-            for (ka, ta), ca in prod.items():
-                for kb, lb, cb in series:  # in increasing kb
-                    if ka + kb >= reach:
-                        break
-                    key = (ka + kb, ta + unit * lb)
-                    out[key] = out.get(key, 0) + ca * cb
-            prod = out
-        else:
-            prod = {(k, unit * lg): c for k, lg, c in series}
-        den *= den_f
-    grouped = {}
-    for (k, atom), c in sorted(prod.items()):
-        grouped.setdefault(k, []).append((atom, Fraction(c, den)))
-    return list(grouped.items())
-
-
-@lru_cache(maxsize=None)
-def _u_poly(N: int) -> YLaurent:
-    """The log atom u = log y + l_N (``_u_terms``) as a polynomial in log y
-    with Constant coefficients."""
-    terms = {}
-    for lg, mono, c in _u_terms(N):
-        terms.setdefault((0, lg), {})[mono] = Fraction(c)
-    return YLaurent._trusted({key: Constant._trusted(t) for key, t in terms.items()})
-
-
-def _atom_poly(atom: int, ns) -> YLaurent:
-    """The atom u_1^d_1 u_2^d_2 = d_1 + 3 d_2 as a polynomial in log y,
-    u_i = log y + l_{N_i} with N_i in `ns`: 1 or one u_i as it is, a product
-    of two multiplied out."""
-    d1, d2 = atom % 3, atom // 3
-    if d1 + d2 < 2:
-        return _u_poly(ns[d2]) if atom else YLaurent.monomial(0)
-    return _u_poly(ns[0]) * _u_poly(ns[-1])  # u_1 again when d_1 = 2
-
-
 def small_y_series(expr, order: int) -> AsymptoticSeries:
     """Exact expansion of an expression (or hom basis element) as y -> 0."""
     if isinstance(expr, HomBasis):
@@ -362,34 +311,16 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
 
     if isinstance(expr, BesselProduct):
-        ns, units = _log_atoms(expr.freqs)
-        sums = {}  # (y power, log power, atom) -> {monomial: Fraction}
-        for cell, q in expr.table.items():
-            prod = _cell_product(expr.factors(cell), units, order - q.min_degree())
-            for (kq, jq), c in q.terms().items():
-                monos = c.terms().items()
-                for kb, atoms in prod:
-                    if kq + kb >= order:
-                        break
-                    shifted = [(_times_pi(mono, kb), cm) for mono, cm in monos]
-                    for atom, f in atoms:
-                        if jq + _log_power(atom) > LOG_CAP:
-                            raise LogCapExceeded(f"log(y)^{jq + _log_power(atom)} exceeds cap {LOG_CAP}")
-                        s = sums.setdefault((kq + kb, jq, atom), {})
-                        for mono, cm in shifted:
-                            s[mono] = s.get(mono, 0) + cm * f
+        # K_1 starts at 1/y, so y^k of a cell reaches below the order only
+        # when k < order + the number of its K factors; the rest is not flattened
+        cut = expr.with_table({cell: q.truncate(order + len(expr.factors(cell)))
+                               for cell, q in expr.table.items()})
+        terms, den = flat_small_y_series(FlatExpr.of(cut), order)
         polys = {}
-        out = {}
-        for (k, j, atom), s in sums.items():
-            c = Constant._of_sums(s)
-            if not c:
-                continue
-            poly = polys.get(atom)
-            if poly is None:
-                poly = polys[atom] = _atom_poly(atom, ns)
-            for (_, lg), e in poly.terms().items():
-                _add_product(out.setdefault((k, j + lg), {}), c, e)
+        for (k, j, e, rest), q in terms.items():
+            if q:
+                polys.setdefault((k, j), {})[_times_pi(rest, e)] = Fraction(q, den)
         return AsymptoticSeries(
-            YLaurent._of_sums({kj: Constant._of_sums(s) for kj, s in out.items()}), order)
+            YLaurent._trusted({kj: Constant._trusted(c) for kj, c in polys.items()}), order)
 
     raise TypeError(f"no small-y series for {type(expr).__name__}")

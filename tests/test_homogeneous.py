@@ -168,8 +168,9 @@ _extra_terms = hst.one_of(hst.just({}), hst.dictionaries(
 @example(case=(Params(F(3, 2), F(3, 2), 30), -40, 41), extra={(3, 3, 1): (GAMMA, 5, 1)})
 @example(case=(Params(F(9, 2), F(9, 2), 2, UNIT), -142, 58), extra={})
 def test_choose_alpha_matches_the_constant_series_reference(case, extra):
-    # the integer route gives the alpha, leading terms, secondary alpha and
-    # message of the Constant series (boundary_reference), on solved
+    # choose_alpha gives the alpha, leading terms, secondary alpha and
+    # message of boundary_reference (Constant division by the element's full
+    # series, the leftover found by sum and truncation), on solved
     # particular parts of every mode kind and on the same parts plus drawn
     # terms around y^{-r} (cell, y^{-r+k} log^j, coefficient); both raise
     # past the log cap.  (-40, 41) of (3/2, 3/2, 30) is wrong when the first

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 
@@ -173,8 +174,8 @@ def _mode_id(case):
 
 @pytest.mark.parametrize("params, n1, n2", ORACLE_MODES + HEAVY_MODES, ids=map(_mode_id, ORACLE_MODES + HEAVY_MODES))
 def test_both_routes_equal_the_long_form_oracle(params, n1, n2):
-    # the Constant route at every order from -r + 1 to 3, and the integer
-    # route's alpha and obstruction, equal the long form's
+    # small_y_series at every order from -r + 1 to 3, and choose_alpha's
+    # alpha and obstruction, equal the long form's
     r = params.r
     particular = solve_mode(params, n1, n2).particular
     orders = range(-r + 1, 4) if (params, n1, n2) in ORACLE_MODES else (-r + 1,)
@@ -200,14 +201,21 @@ def _terms(*pairs):
     DoubleBessel(210, 11, {(0, 0): _terms((-4, Constant.pi_power(-2, 3), 0)), (1, 0): _terms((-5, 1, 0))}),
     SingleBessel(6, {0: _terms((-4, 1, 0), (-3, 2, 1)), 1: _terms((-5, 3, 1))}),
 ], ids=["distinct", "merged", "multi-prime", "single"])
-def test_atom_products_equal_the_long_form_oracle(expr):
+def test_atom_products_equal_the_long_form_oracle(expr, monkeypatch):
     # cells whose terms below the order meet K_0 K_0, K_0 K_1 and K_1 K_1 at
     # y^0 and above, so that sums on u_1 u_2 (u^2 when |n1| = |n2|) are
-    # left nonzero, which solved modes cancel
+    # left nonzero, which solved modes cancel; small_y_series flattens only
+    # the terms y^k with k < order + the number of the cell's K factors
+    flattened = []
+    monkeypatch.setattr("eisenmodes.series.FlatExpr",
+                        SimpleNamespace(of=lambda value: flattened.append(value) or FlatExpr.of(value)))
     r = 3
     n1, n2 = expr.freqs if len(expr.freqs) == 2 else (0, expr.n)
     for order in range(-r, 3):
         assert small_y_series(expr, order).terms == _long_form_small_y_series(expr, order), order
+        cut = flattened.pop()
+        assert all(k < order + len(cut.factors(cell))
+                   for cell, q in cut.table.items() for k, _ in q.terms()), order
     expected = _long_form_boundary(expr, r, n1, n2)
     assert choose_alpha(expr, r, n1, n2) == choose_alpha(FlatExpr.of(expr), r, n1, n2) == expected
     assert _long_form_small_y_series(expr, -r + 1).max_log() == 2
@@ -216,7 +224,7 @@ def test_atom_products_equal_the_long_form_oracle(expr):
 @pytest.mark.parametrize("n1, n2", [(2, 3), (2, -2)])
 def test_a_log_squared_cell_past_the_cap_raises_from_both_routes(n1, n2):
     # y^k log^2 y times a log atom is log^3 y below the order: the long form,
-    # the Constant route and the integer route all raise; at k = order - 1 a
+    # small_y_series and choose_alpha all raise; at k = order - 1 a
     # K_0 K_0 cell still meets a log atom at y^0, at k = order not
     r = 3
     for k, raises in ((-r - 2, True), (-r, True), (-r + 1, False)):

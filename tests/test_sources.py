@@ -15,7 +15,7 @@ from eisenmodes.homogeneous import solve_mode
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr
 from eisenmodes.laurent import YLaurent
 from eisenmodes.scalars import Constant, zeta_odd, zeta_value
-from eisenmodes.series import _u_poly, _u_terms, hom_norm_series, k_atom_series
+from eisenmodes.series import _u_terms, hom_norm_series, k_atom_series
 from eisenmodes.sources import (
     PUBLISHED_C_TABLE,
     Classification,
@@ -102,8 +102,7 @@ def test_cold_and_warm_solves_agree():
     # document, and no solve writes into a cached table
     p = Params(F(3, 2), F(7, 2), 30)
     modes = ((5, -4), (-4, 5), (0, 4), (5, 0), (4, 4), (0, 0))
-    for kernel in (k_atom_series, _u_terms, _u_poly, hom_norm_series, _fourier_factor,
-                   k_index_table):
+    for kernel in (k_atom_series, _u_terms, hom_norm_series, _fourier_factor, k_index_table):
         kernel.cache_clear()
     cold, warm = ([json.dumps(solve_mode(p, n1, n2).to_json_obj(), sort_keys=True)
                    for n1, n2 in modes] for _ in range(2))
