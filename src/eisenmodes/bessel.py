@@ -21,18 +21,23 @@ conventions follow mechanically (and are cross-checked against finite
 differences in the test suite).  ``differentiate`` and the mode operators run
 as one integer kernel on the flat value of an expression (``FlatExpr``): the
 map (cell, y power, log power, pi exponent, pi-free rest) -> int over one
-denominator, the lcm of the coefficients' denominators.  The rules act on
-that map with ints only: the pi of c = 2 pi |n| adds 1 to the pi exponent and
--2|n| goes into the int, and merged cells fold as they are written.  The
-result is rebuilt as one expression of the input's kind (``_rebuild``, the
-one place where pi exponent and rest become a monomial again), each
-coefficient divided by that denominator once.  The same kernel
-(``_operator_terms``) is the solver's exact recheck on its flat solution.  It
-keeps pi, zeta, log and log(y) symbolic.  The solver's pi = 1 stencil is a
-separate piece of code: ``cell_stencil`` gives, once per cell, the closed
-form of the operator on y^k times the cell for every k (index sum sigma, and
-per target cell and degree offset an entry c1 * d + c0 in d = k - sigma, the
-diagonal being d(d - 1) - lam), which the solver evaluates at each unknown.
+denominator, the lcm of the coefficients' denominators.  An expression
+flattens its own table the first time its flat value is read and keeps it
+(``BesselProduct.flat``), and the flat value keeps its second derivative
+the same way (``FlatExpr.second``), so the operator check, the boundary
+series and the residual of one expression flatten and differentiate it
+once between them.  The rules act on that map with ints only: the pi of
+c = 2 pi |n| adds 1 to the pi exponent and -2|n| goes into the int, and
+merged cells fold as they are written.  The result is rebuilt as one
+expression of the input's kind (``_rebuild``, the one place where pi
+exponent and rest become a monomial again), each coefficient divided by that
+denominator once.  The same kernel (``_operator_terms``) is the solver's
+exact recheck on its flat solution.  It keeps pi, zeta, log and log(y)
+symbolic.  The solver's pi = 1 stencil is a separate piece of code:
+``cell_stencil`` gives, once per cell, the closed form of the operator on
+y^k times the cell for every k (index sum sigma, and per target cell and
+degree offset an entry c1 * d + c0 in d = k - sigma, the diagonal being
+d(d - 1) - lam), which the solver evaluates at each unknown.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -79,9 +84,20 @@ class BesselProduct:
     one factor, ``fold`` maps a cell to the one it is stored under, and
     ``with_table`` builds an expression of the same kind and frequencies.  The
     mode operator's mass term is 4 pi^2 (sum of freqs)^2.
+
+    ``table`` is read-only (``Pure`` builds a new one from its polynomial on
+    each read), so ``flat``, flattened from it the first time it is read and
+    then kept, stays its value for the expression's life.
     """
 
-    table: Dict
+    table: Mapping
+
+    @cached_property
+    def flat(self) -> "FlatExpr":
+        """The flat value of the expression's own table (``_flatten``); its
+        shape is an empty expression of the same kind and frequencies."""
+        terms, den = _flatten(self)
+        return FlatExpr(self.with_table({}), MappingProxyType(terms), den)
 
     def fold(self, cell):
         return cell
@@ -98,7 +114,7 @@ class BesselProduct:
     def __add__(self, other):
         if self.freqs != other.freqs:
             raise ValueError("frequency mismatch")
-        table = dict(self.table)
+        table = self.table.copy()
         for c, p in other.table.items():
             table[c] = table[c] + p if c in table else p
         return self.with_table(table)
@@ -129,7 +145,7 @@ class DoubleBessel(BesselProduct):
         for cell, poly in self.table.items():
             key = self.fold(cell)
             table[key] = table[key] + poly if key in table else poly
-        object.__setattr__(self, "table", _clean_table(table))
+        object.__setattr__(self, "table", MappingProxyType(_clean_table(table)))
 
     @property
     def merged(self) -> bool:
@@ -162,7 +178,7 @@ class SingleBessel(BesselProduct):
     def __post_init__(self):
         if self.n == 0:
             raise ValueError("SingleBessel requires n != 0")
-        object.__setattr__(self, "table", _clean_table(self.table))
+        object.__setattr__(self, "table", MappingProxyType(_clean_table(self.table)))
 
     @property
     def freqs(self) -> Tuple[int]:
@@ -274,7 +290,11 @@ class FlatExpr:
     an expression of the same kind and frequencies; only its kind, ``fold``,
     ``factors`` and ``freqs`` are read.  ``source_term``, the solver and
     ``homogeneous.choose_alpha`` hand this value on; ``expr`` builds the
-    expression from it.
+    expression from it.  An expression's own flat value is its ``flat``;
+    the expression ``expr`` builds has none until it is read, and then it is
+    flattened from that expression's table, never taken from this value.
+    ``second`` is d^2/dy^2 of the terms over the same den, in ints
+    (``_derivative`` twice), computed the first time it is read and kept.
     """
 
     shape: BesselProduct
@@ -283,11 +303,14 @@ class FlatExpr:
 
     @classmethod
     def of(cls, value) -> "FlatExpr":
-        """`value` itself when it is flat, else the expression flattened."""
-        if isinstance(value, FlatExpr):
-            return value
-        terms, den = _flatten(value)
-        return cls(value, MappingProxyType(terms), den)
+        """`value` itself when it is flat, else the expression's ``flat``."""
+        return value if isinstance(value, FlatExpr) else value.flat
+
+    @cached_property
+    def second(self) -> Mapping:
+        moves: Dict = {}  # the two passes share their factor moves
+        first = _derivative(self.shape, self.terms, moves)
+        return MappingProxyType(_derivative(self.shape, first, moves))
 
     def expr(self) -> BesselProduct:
         """The expression, each coefficient divided by den once."""
@@ -365,8 +388,8 @@ def differentiate(expr):
     """Exact d/dy on any expression kind."""
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot differentiate {type(expr).__name__}")
-    terms, den = _flatten(expr)
-    return _rebuild(expr, _derivative(expr, terms, {}), den)
+    flat = expr.flat
+    return _rebuild(expr, _derivative(expr, flat.terms, {}), flat.den)
 
 
 def _check_log_cap(expr):
@@ -377,20 +400,20 @@ def _check_log_cap(expr):
             )
 
 
-def _operator_terms(lam: int, expr, terms) -> Dict:
-    """-4 pi^2 (sum of freqs)^2 y^2 + y^2 d^2/dy^2 - lam on a flat term map,
-    in ints, the image's y^p term collected under key y power p - 2.
+def _operator_terms(lam: int, flat: "FlatExpr") -> Dict:
+    """-4 pi^2 (sum of freqs)^2 y^2 + y^2 d^2/dy^2 - lam on a flat value, in
+    ints over its den, the image's y^p term collected under key y power p - 2.
 
     For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2; on
     ``Pure`` the sum of no frequencies is 0, which leaves the Euler operator.
-    `expr` supplies kind and frequencies only.  This is the kernel of
-    ``mode_operator`` (``apply_P``, ``apply_L``, ``apply_euler``) and of the
-    solver's recheck.
+    The second derivative is the value's kept ``second``.  This is the kernel
+    of ``mode_operator`` (``apply_P``, ``apply_L``, ``apply_euler``), which
+    hands it an expression's ``flat``, and of the solver's recheck, which
+    hands it the solver's own flat solution.
     """
-    moves: Dict = {}
-    out = _derivative(expr, _derivative(expr, terms, moves), moves)
-    mass = 4 * sum(expr.freqs) ** 2
-    for (cell, k, j, e, rest), q in terms.items():
+    out = flat.second.copy()
+    mass = 4 * sum(flat.shape.freqs) ** 2
+    for (cell, k, j, e, rest), q in flat.terms.items():
         if mass:
             key = (cell, k, j, e + 2, rest)
             out[key] = out.get(key, 0) - mass * q
@@ -400,12 +423,13 @@ def _operator_terms(lam: int, expr, terms) -> Dict:
 
 
 def mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
-    """The mode operator of `expr`'s kind (``_operator_terms``): ``apply_P``
-    on a DoubleBessel, ``apply_L`` on a SingleBessel, ``apply_euler`` on a
-    Pure; the terms are raised by y^2 once, on rebuilding."""
+    """The mode operator of `expr`'s kind (``_operator_terms``) on its
+    ``flat``: ``apply_P`` on a DoubleBessel, ``apply_L`` on a SingleBessel,
+    ``apply_euler`` on a Pure; the terms are raised by y^2 once, on
+    rebuilding."""
     _check_log_cap(expr)
-    terms, den = _flatten(expr)
-    return _rebuild(expr, _operator_terms(lam, expr, terms), den, shift=2)
+    flat = expr.flat
+    return _rebuild(expr, _operator_terms(lam, flat), flat.den, shift=2)
 
 
 def cell_stencil(expr: BesselProduct, cell) -> Tuple[int, Tuple]:

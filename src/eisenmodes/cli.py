@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="compare solver output against the embedded tables")
     params_args(p)
-    p.add_argument("--cases", nargs="*", help="restrict to these cases",
+    p.add_argument("--cases", nargs="+", help="restrict to these cases (at least one)",
                    choices=["zero_mode", "left", "right", "generic", "anti_diagonal"])
     p.set_defaults(fn=cmd_table)
 

@@ -368,8 +368,9 @@ def assemble_mode(params: Params, n: int, cutoff: int, decay: bool = True) -> Mo
 
     Each distinct mode is solved once: first the sub-modes in n1 order, then
     the decay scan's modes (|n1| in DECAY_SCAN_RANGE) not among them, in scan
-    order.  The decay exponent is fitted over the scan's modes, and at n = 0
-    the exact alpha sum reads alpha_{-k,k} from the sub-modes.
+    order.  The decay exponent is fitted over the scan's modes, and at n = 0,
+    with or without the scan, the exact alpha sum reads alpha_{-k,k} from the
+    sub-modes.
     """
     if cutoff < abs(n) + 1:
         raise ValueError("cutoff must be at least |n| + 1")
@@ -394,9 +395,9 @@ def assemble_mode(params: Params, n: int, cutoff: int, decay: bool = True) -> Mo
             if n1 not in solved:
                 solved[n1] = solve_mode(params, n1, n - n1)
         decay_report = _fit_decay([solved[n1] for n1 in scan], DECAY_SCAN_RANGE)
-        if n == 0 and params.r is not None:
-            alphas = [solved[-k].boundary_alpha for k in range(1, min(8, cutoff) + 1)]
-            exact_sum = _alpha_sum(params, "RamanujanExact", alphas)
+    if n == 0 and params.r is not None:
+        alphas = [solved[-k].boundary_alpha for k in range(1, min(8, cutoff) + 1)]
+        exact_sum = _alpha_sum(params, "RamanujanExact", alphas)
     return ModeAssembly(params, n, modes, partials, obstructed, decay_report, exact_sum)
 
 

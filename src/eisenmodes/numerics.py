@@ -12,6 +12,7 @@ trapezoid on 53 fixed nodes after a change of variable that makes the
 integrand analytic in a strip of half-width at least 1.  Against 40-digit
 mpmath both are within 8.0e-16 relative on 451 evenly spaced points of
 [0.5, 700] and within 2.2e-16 on 400 log-uniform points of (1e-300, 0.5).
+``_k01`` keeps the values of its last ``K01_CACHE_SIZE`` arguments.
 ``eval_hom_normalized`` evaluates the decaying element a mode carries,
 ``HomBasis`` kind "K" or "power_neg".  Expressions have one evaluator,
 ``_evaluate``.  Its inputs are doubles (each coefficient as
@@ -28,7 +29,8 @@ What the residual sees is narrower than its name.  Its terms take the second
 derivative through the same factor-derivative rules as the symbolic operator,
 and within each (cell, y-power) group they share one product of Bessel
 values, which factors out.  The evaluator takes the Bessel values from
-``_k01``, each distinct argument 2 pi |n| y once per point.  So the residual
+``_k01``, each distinct argument 2 pi |n| y once per point, and ``_k01``
+does not compute again an argument it still keeps.  So the residual
 sees errors in the coefficients, blurred by rounding, and nothing of the
 Bessel values or of the derivative rules: with ``_k01`` returning
 0.7(1+x) K_0 and 1.5(1+x) K_1 in place of K_0 and K_1, the (3/2,3/2,30)
@@ -46,9 +48,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Tuple
 
-from .bessel import BesselProduct, HomBasis, _derivative, _flatten, _times_pi
+from .bessel import BesselProduct, HomBasis, _times_pi
 from .scalars import _KINDS, SYM_GAMMA, Symbol
 
 __all__ = [
@@ -116,6 +119,13 @@ DEFAULT_ENV = NumericEnv()
 # weight halved at u = 0; the first node left out, u_53, would weigh e^{-43.9}
 _NODES = tuple(((k / 8) ** 2, math.exp(-(k / 8) ** 2) / (16 if k == 0 else 8)) for k in range(53))
 
+# how many arguments ``_k01`` keeps, the least recently used dropped first.
+# The arguments met again are those of the scale point y = 1 of every
+# residual, 2 pi |n| for the few |n| of a run.  At 256, perfbench's tables,
+# sweep and decay at seed 1 hit 469, 107 and 25 times, as with no bound; at
+# 128 the sweep hits 93 times
+K01_CACHE_SIZE = 256
+
 
 def _k01_series(x: float):
     """K_0, K_1 by their power series, used below x = 0.5.
@@ -162,7 +172,11 @@ def _k01_quadrature(x: float):
     return scale * k0, scale * k1
 
 
+@lru_cache(maxsize=K01_CACHE_SIZE, typed=True)
 def _k01(x: float):
+    """(K_0(x), K_1(x)): ``_k01_series`` below 0.5, ``_k01_quadrature`` from
+    there.  Memoized per argument and its type (an int and its float are
+    two arguments), so a value read back has the bits of one computed."""
     if not x > 0:
         raise ValueError("argument must be positive")
     return _k01_series(x) if x < 0.5 else _k01_quadrature(x)
@@ -212,7 +226,8 @@ def eval_expr(expr, y: float, env: NumericEnv = DEFAULT_ENV) -> float:
     ``OverflowError`` and a nan ``ValueError``, as in the residual."""
     if not isinstance(expr, BesselProduct):
         raise TypeError(f"cannot evaluate {type(expr).__name__}")
-    return _quotient(*_evaluate([(expr, _coefficients(*_flatten(expr), env), (1, 0), 0)], y, {}))
+    flat = expr.flat
+    return _quotient(*_evaluate([(expr, _coefficients(flat.terms, flat.den, env), (1, 0), 0)], y, {}))
 
 
 def eval_hom_normalized(basis: HomBasis, y: float) -> float:
@@ -276,9 +291,9 @@ def _evaluate(parts, y: float, k01: Dict[int, tuple]):
     Every input is a double: each coefficient, y, log y and the K values, so
     every term is a dyadic.  ``k01`` maps |n| to the dyadic (K_0, K_1) at
     2 pi |n| y; the parts share it and the caller holds it for one point, so
-    each distinct argument goes through ``_k01`` once.  The terms are summed
-    per (y power, log power), the K values factored out of each cell, and
-    those sums are multiplied through by y^K.
+    each distinct argument goes through ``_k01`` (memoized) once.  The terms
+    are summed per (y power, log power), the K values factored out of each
+    cell, and those sums are multiplied through by y^K.
     """
     y_m, y_e = _dyadic(y)
     log_m, log_e = _dyadic(math.log(y))
@@ -317,7 +332,9 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     rounded once, and |source(1)|, which guards zeros of the source, is the
     evaluator's at 1, the value ``eval_expr`` gives.  The second derivative is
     taken on the flat particular by the exact factor-derivative rules
-    (``bessel._derivative``).  The source's coefficient doubles are read from
+    (``bessel._derivative``); the flat particular and its second derivative
+    are the particular's own ``flat`` and ``flat.second``, which the exact
+    operator check reads too.  The source's coefficient doubles are read from
     its flat value (``SourceTerm.flat``, its int terms over one denominator,
     which the full source was built from), so the source is not flattened
     again; each q / den rounds as the reduced Fraction does.  The homogeneous
@@ -335,10 +352,9 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     if not math.isfinite(y * y):
         raise OverflowError(f"y * y = {y * y!r} is not a finite double")
     part, flat = mode.particular, mode.source.flat
-    terms, den = _flatten(part)
-    moves: Dict = {}
-    second = _coefficients(_derivative(part, _derivative(part, terms, moves), moves), den, env)
-    values = _coefficients(terms, den, env)
+    view = part.flat
+    second = _coefficients(view.second, view.den, env)
+    values = _coefficients(view.terms, view.den, env)
     source = [(flat.shape, _coefficients(flat.terms, flat.den, env), (1, 0), 0)]
     pi_m, pi_e = _dyadic(math.pi)
     nsum = mode.n1 + mode.n2

@@ -41,8 +41,10 @@ runs it on the flat solution the solver checked.  It keeps only the terms
 that can reach below the order: K_0 starts at y^0 and K_1 at y^-1, so a term
 y^k of a cell with `ones` K_1 factors is kept when k - ones < order.
 ``small_y_series`` of an expression is the same series read back in
-Constants: it cuts each cell to y^k with k < order + its number of K
-factors, flattens what is left once and takes one Fraction per kept term.
+Constants: it runs ``flat_small_y_series`` on the expression's own flat
+value (``BesselProduct.flat``, flattened once per expression and shared with
+the operator check and the residual), which reads only the terms that can
+reach below the order, and takes one Fraction per nonzero sum.
 The expansion has this one implementation.  The tests check it against a
 long-form Constant oracle (tests/test_series.py), and the alpha it gives
 against the small-y limit of the printed tables under mpmath's besselk
@@ -218,26 +220,12 @@ def _int_expansion(atom: int, ns):
     return tuple((lg, mono, c) for (lg, mono), c in out.items())
 
 
-def flat_small_y_series(flat: FlatExpr, order: int):
-    """``small_y_series`` of a flat value in ints, as
-    ({(y_exp, log_exp, pi exponent, rest): int}, den).
-
-    K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell with `ones`
-    K_1 factors reaches no lower than y^(k - ones): only the terms with
-    k - ones < order are read, and reach is taken from those.  Per cell the
-    K factors of ``k_atom_series`` are multiplied per log atom
-    (``_int_cell_product``).  Each kept term times each product term below
-    the order is summed per (y power, log power, pi exponent, rest, atom)
-    over one denominator, the cap on the log(y) power checked per pair as it
-    is summed; each nonzero sum is then expanded once, u_i = log y + l_{N_i}
-    (``_int_expansion``).  Monomials stay split as a pi exponent and the
-    pi-free rest (``bessel._times_pi(rest, e)`` joins them), so only the
-    rests (gamma, log pi, the prime logs, zeta values) meet SymbolMonomial
-    products.  A sum that cancels in the expansion is kept as a 0.
-    """
+def _terms_below(flat: FlatExpr, order: int):
+    """[(K factors, kept terms (k, j, e, rest, q)), ...] per cell in table
+    order, cells with no kept term left out: the nonzero terms y^k of a
+    cell with `ones` K_1 factors with k - ones < order."""
     shape = flat.shape
-    ns, units = _log_atoms(shape.freqs)
-    cells = {}  # cell -> (its K factors, how many are K_1, its terms kept), in table order
+    cells = {}  # cell -> (its K factors, how many are K_1, its terms kept)
     for (cell, k, j, e, rest), q in flat.terms.items():
         entry = cells.get(cell)
         if entry is None:
@@ -245,8 +233,29 @@ def flat_small_y_series(flat: FlatExpr, order: int):
             entry = cells[cell] = (factors, sum(index for index, _ in factors), [])
         if q and k - entry[1] < order:
             entry[2].append((k, j, e, rest, q))
+    return [(factors, qs) for factors, _, qs in cells.values() if qs]
+
+
+def flat_small_y_series(flat: FlatExpr, order: int):
+    """``small_y_series`` of a flat value in ints, as
+    ({(y_exp, log_exp, pi exponent, rest): int}, den).
+
+    K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell with `ones`
+    K_1 factors reaches no lower than y^(k - ones): only the terms with
+    k - ones < order are read (``_terms_below``), and reach is taken from
+    those.  Per cell the K factors of ``k_atom_series`` are multiplied per
+    log atom (``_int_cell_product``).  Each kept term times each product
+    term below the order is summed per (y power, log power, pi exponent,
+    rest, atom) over one denominator, the cap on the log(y) power checked per
+    pair as it is summed; each nonzero sum is then expanded once, u_i = log y + l_{N_i}
+    (``_int_expansion``).  Monomials stay split as a pi exponent and the
+    pi-free rest (``bessel._times_pi(rest, e)`` joins them), so only the
+    rests (gamma, log pi, the prime logs, zeta values) meet SymbolMonomial
+    products.  A sum that cancels in the expansion is kept as a 0.
+    """
+    ns, units = _log_atoms(flat.shape.freqs)
     products = [(qs, *_int_cell_product(factors, units, order - min(k for k, *_ in qs)))
-                for factors, _, qs in cells.values() if qs]
+                for factors, qs in _terms_below(flat, order)]
     den_k = math.lcm(*(den for *_, den in products))
     sums = {}
     for qs, prod, den in products:
@@ -311,11 +320,7 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
 
     if isinstance(expr, BesselProduct):
-        # K_1 starts at 1/y, so y^k of a cell reaches below the order only
-        # when k < order + the number of its K factors; the rest is not flattened
-        cut = expr.with_table({cell: q.truncate(order + len(expr.factors(cell)))
-                               for cell, q in expr.table.items()})
-        terms, den = flat_small_y_series(FlatExpr.of(cut), order)
+        terms, den = flat_small_y_series(expr.flat, order)
         polys = {}
         for (k, j, e, rest), q in terms.items():
             if q:

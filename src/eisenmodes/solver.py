@@ -401,7 +401,7 @@ def _recheck(lam: int, sol: FlatExpr, rhs: FlatExpr) -> None:
     """
     src = rhs.terms
     matched = 0
-    for (cell, k, j, e, rest), q in _operator_terms(lam, sol.shape, sol.terms).items():
+    for (cell, k, j, e, rest), q in _operator_terms(lam, sol).items():
         if q:
             if q * rhs.den != src.get((cell, k + 2, j, e, rest), 0) * sol.den:
                 raise AssertionError("solver produced a non-exact solution (residual != 0)")

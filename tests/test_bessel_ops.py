@@ -32,6 +32,7 @@ from eisenmodes.numerics import (
 from eisenmodes.scalars import (
     GAMMA, LN_PI, PI, SYM_PI, Constant, SymbolMonomial, _symbol_key, ln_prime, zeta_odd, zeta_prime,
 )
+from eisenmodes.sources import Normalization, Params, classify_params
 
 ENV = NumericEnv()
 
@@ -536,3 +537,102 @@ def test_solver_column_closed_form_is_the_symbolic_operator(r, n1, n2, shape):
     assert sorted(columns) == sorted((cell, k) for cell in cells for k in range(-12, 13))
     for (cell, k), column in columns.items():
         assert pi_restored(column, k) == operator_column(lam, expr, cell, k), (cell, k)
+
+
+# ---------------------------------------------------------------------------
+# The views an expression keeps: its flat value and that value's second
+# derivative, each derived from the expression's own table when first read
+# ---------------------------------------------------------------------------
+
+
+def _read_every_view(mode):
+    """Run the three readers of a solved mode's particular part: the exact
+    operator check, the boundary series and the numeric residual."""
+    from eisenmodes.bessel import mode_operator
+    from eisenmodes.numerics import residual
+    from eisenmodes.series import small_y_series
+
+    part, r = mode.particular, mode.params.r
+    image = mode_operator(mode.params.lam, part)
+    series = small_y_series(part, -r + 1)
+    return image, series, residual(mode, 0.5 / (2 * math.pi * max(abs(mode.n1), abs(mode.n2), 1)))
+
+
+# the families of test_cli's solvable-family property test
+SOLVABLE_FAMILIES = [
+    (Fraction(a, 2), Fraction(b, 2), r)
+    for a in (3, 5, 7, 9) for b in (3, 5, 7, 9) for r in range(1, 9)
+    if classify_params(Fraction(a, 2), Fraction(b, 2), r * (r + 1)).kind == "solvable"
+]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(hst.sampled_from(SOLVABLE_FAMILIES), hst.integers(-300, 300), hst.integers(-300, 300))
+def test_stored_views_are_a_fresh_flatten_and_a_fresh_second_derivative(family, n1, n2):
+    # the modes of the solvable-family property test: once every reader has
+    # run, the kept views equal a flatten and a double derivative of a copy
+    # of the particular made from its table, which has no views yet
+    from eisenmodes.bessel import FlatExpr, _derivative, _flatten
+    from eisenmodes.homogeneous import solve_mode
+
+    alpha, beta, r = family
+    mode = solve_mode(Params(alpha, beta, r * (r + 1), Normalization.UNIT), n1, n2)
+    # the expression the solver rebuilt from its checked flat value has no
+    # view of that value (the zero mode's has read its own, in its check)
+    assert mode.report is None or "flat" not in mode.particular.__dict__
+    _read_every_view(mode)
+    part = mode.particular
+    view = part.__dict__["flat"]
+    assert FlatExpr.of(part) is view and "second" in view.__dict__
+    assert view.shape.is_zero() and view.shape.freqs == part.freqs
+    copy = part.with_table(dict(part.table))
+    assert "flat" not in copy.__dict__
+    terms, den = _flatten(copy)
+    moves = {}
+    assert (dict(view.terms), view.den) == (terms, den)
+    assert dict(view.second) == _derivative(copy, _derivative(copy, terms, moves), moves)
+
+
+def test_views_cannot_hide_a_wrong_answer():
+    # after the views of a solved mode have been read, a particular made from
+    # its table with one coefficient times 1 + 1e-6 is read fresh by the
+    # operator check, the boundary recheck and the residual, and fails the
+    # first two; tables are read-only, so no view can outlive its table
+    import dataclasses
+
+    from eisenmodes.bessel import mode_operator
+    from eisenmodes.homogeneous import boundary_reference, solve_mode
+    from eisenmodes.numerics import residual
+    from eisenmodes.series import small_y_series
+
+    for n1, n2 in ((1, 2), (0, 3), (-2, 2)):
+        mode = solve_mode(Params(Fraction(3, 2), Fraction(3, 2), 30), n1, n2)
+        part, r, source = mode.particular, mode.params.r, mode.source.full()
+        image, series, good = _read_every_view(mode)
+        assert (image - source).is_zero() and good < 1e-9
+        assert boundary_reference(part, r, n1, n2) == (mode.alpha, None)
+        # the term reaching lowest as y -> 0 (K_1 starts at 1/y), so that it
+        # moves a coefficient at or below y^-r
+        k, j, cell = min(((k, j, cell) for cell, q in part.table.items() for k, j in q.terms()),
+                         key=lambda t: t[0] - sum(index for index, _ in part.factors(t[2])))
+        poly = part.table[cell]
+        with pytest.raises(TypeError):
+            part.table[cell] = poly.scale(2)
+        wrong = part.with_table({**part.table, cell: poly + YLaurent.monomial(
+            k, poly.coeff(k, j) * Fraction(1, 10**6), log_exp=j)})
+        bad = dataclasses.replace(mode, particular=wrong)
+        assert "flat" not in wrong.__dict__
+
+        assert not (mode_operator(mode.params.lam, wrong) - source).is_zero()
+        view = wrong.__dict__["flat"]
+        assert view is not part.flat and dict(view.terms) != dict(part.flat.terms)
+        assert dict(view.second) != dict(part.flat.second)
+
+        total = small_y_series(wrong, -r + 1) + small_y_series(mode.hom_basis, -r + 1).scale(mode.alpha)
+        assert [k for k, _ in total.terms.terms() if k <= -r]
+        assert total.terms != (series + small_y_series(mode.hom_basis, -r + 1).scale(mode.alpha)).terms
+        assert boundary_reference(wrong, r, n1, n2) != (mode.alpha, None)
+
+        y = 0.5 / (2 * math.pi * max(abs(n1), abs(n2)))
+        assert residual(bad, y) > 1e-9 and residual(mode, y) == good
+        assert wrong.flat is view and part.__dict__["flat"] is not view

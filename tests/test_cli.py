@@ -299,6 +299,8 @@ def test_a_frequency_at_the_prime_bound_is_a_usage_error(tmp_path, capsys):
       for y in ("inf", "1e-300", "0", "-1", "nan")],
     # a limit past the sieve bound overflowed with a traceback, exit 1
     (["sums", "--a", "3", "--b", "5", "--s", "12", "--limit", "10000000000000000000"], "--limit"),
+    # no case at all used to compare every case
+    (["table", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--cases"], "--cases"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli_streams(capsys, *argv)
@@ -389,6 +391,19 @@ def test_assembly_without_solution_reports_exit_code(capsys):
                         "--n", "1", "--cutoff", "2", "--no-decay")
     assert code == EXIT_NO_SOLUTION
     assert json.loads(out)["classification"] == "outside_conjectured_set"
+
+
+def test_zero_mode_assembly_keeps_its_exact_alpha_sum_without_the_decay_scan(capsys):
+    # the scan is empty at n = 0, and --no-decay used to drop the sum with it
+    argv = ["solve", "--alpha", "3/2", "--beta", "3/2", "--lambda", "30", "--n", "0", "--cutoff", "8"]
+    docs = []
+    for extra in ([], ["--no-decay"]):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == EXIT_OK
+        docs.append(json.loads(out))
+    assert docs[0]["exact_alpha_sum"]["status"] == "exact"
+    assert docs[0]["exact_alpha_sum"] == docs[1]["exact_alpha_sum"]
+    assert docs[1]["decay"] is None
 
 
 def run_cli_streams(capsys, *argv):

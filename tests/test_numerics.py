@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import pytest
 
+from eisenmodes import numerics
 from eisenmodes.bessel import DoubleBessel, SingleBessel, differentiate
 from eisenmodes.fixtures import fixture_modes, list_families
 from eisenmodes.homogeneous import solve_mode
@@ -253,3 +254,74 @@ def test_k01_matches_mpmath_in_both_regimes():
             for nu, got in enumerate(_k01(x)):
                 ref = mp.besselk(nu, x)
                 assert abs((got - ref) / ref) < 4e-15, (x, nu)
+
+
+def _k01_grid():
+    """The points of test_k01_matches_mpmath_in_both_regimes, then the module
+    docstring's: 451 evenly spaced on [0.5, 700] and 400 log-evenly spaced
+    on [1e-300, 0.5)."""
+    rng = random.Random(16)
+    xs = [1e-300, 0.5 - 2**-54, 0.5, 177.8, 421.7, 692.5, 700.0]
+    xs += [math.exp(rng.uniform(math.log(1e-300), math.log(0.5))) for _ in range(100)]
+    xs += [math.exp(rng.uniform(math.log(0.5), math.log(700.0))) for _ in range(150)]
+    xs += [0.5 + i * (700.0 - 0.5) / 450 for i in range(451)]
+    low = math.log(1e-300)
+    return xs + [math.exp(low + i * (math.log(0.5) - low) / 400) for i in range(400)]
+
+
+def _bits(values):
+    return [float.hex(v) for v in values]
+
+
+def test_k01_memo_returns_the_bits_of_its_routines():
+    # computed, then read back from the memo: both are the bits of the series
+    # or the trapezoid run without it
+    numerics._k01.cache_clear()
+    for x in _k01_grid():
+        plain = _bits((numerics._k01_series if x < 0.5 else numerics._k01_quadrature)(x))
+        assert _bits(_k01(x)) == _bits(_k01(x)) == _bits(_k01.__wrapped__(x)) == plain, x
+    # an int and its float are two arguments, each with the bits of its own run
+    for x in (1, 2, 700):
+        assert _bits(_k01(x)) == _bits(numerics._k01_quadrature(x))
+        assert _bits(_k01(float(x))) == _bits(numerics._k01_quadrature(float(x)))
+    info = _k01.cache_info()
+    assert info.hits >= len(_k01_grid())
+    assert info.maxsize == numerics.K01_CACHE_SIZE and info.currsize == info.maxsize
+
+
+def test_k01_memo_is_bounded():
+    numerics._k01.cache_clear()
+    for i in range(3 * numerics.K01_CACHE_SIZE):
+        _k01(0.5 + i / 64)
+    assert 0 < numerics.K01_CACHE_SIZE == _k01.cache_info().currsize
+    for x in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            _k01(x)
+    assert _k01.cache_info().currsize == numerics.K01_CACHE_SIZE
+
+
+def test_bessel_k_is_the_recurrence_on_the_unmemoized_k01():
+    for x in _k01_grid()[::7]:
+        k0, k1 = _k01.__wrapped__(x)
+        want, prev, cur = [k0, k1], k0, k1
+        for j in range(1, 6):
+            prev, cur = cur, prev + (2 * j / x) * cur
+            want.append(cur)
+        for _ in range(2):  # cold, then from the memo
+            assert _bits(bessel_k(nu, x) for nu in range(7)) == _bits(want), x
+
+
+def test_a_patched_k01_is_what_every_reader_sees(monkeypatch):
+    # the module docstring's measurement: with K_0 and K_1 scaled by
+    # 0.7(1+x) and 1.5(1+x) the residual of the (3/2,3/2,30) mode (1, 2)
+    # still reads small, and bessel_k and eval_expr read the patch too
+    mode = solve_mode(Params(F(3, 2), F(3, 2), 30), 1, 2)
+    ys = (0.05, 0.5, 1.0)
+    expr = SingleBessel(2, {0: YLaurent.monomial(1, 3), 1: YLaurent.monomial(-1, 5)})
+    true = [residual(mode, y) for y in ys], bessel_k(0, 1.0), eval_expr(expr, 0.5)
+    assert [f"{v:.1e}" for v in true[0]] == ["1.2e-14", "1.8e-16", "2.1e-15"]
+    real = numerics._k01
+    monkeypatch.setattr(numerics, "_k01", lambda x: (0.7 * (1 + x) * real(x)[0], 1.5 * (1 + x) * real(x)[1]))
+    assert [f"{residual(mode, y):.1e}" for y in ys] == ["8.8e-15", "2.3e-17", "1.2e-15"]
+    assert bessel_k(0, 1.0) == 1.4 * true[1]
+    assert eval_expr(expr, 0.5) != true[2]

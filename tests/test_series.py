@@ -1,10 +1,10 @@
 import math
 from fractions import Fraction
 from functools import reduce
-from types import SimpleNamespace
 
 import pytest
 
+from eisenmodes import series
 from eisenmodes.bessel import DoubleBessel, FlatExpr, HomBasis, Pure, SingleBessel
 from eisenmodes.homogeneous import _boundary_result, _decaying_basis, choose_alpha, solve_mode
 from eisenmodes.laurent import LogCapExceeded, YLaurent
@@ -12,6 +12,7 @@ from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, eval_hom_normal
 from eisenmodes.scalars import GAMMA, LN_PI, Constant, log_normalize
 from eisenmodes.series import (
     AsymptoticSeries,
+    _terms_below,
     hom_norm_series,
     k_atom_series,
     small_y_series,
@@ -204,18 +205,26 @@ def _terms(*pairs):
 def test_atom_products_equal_the_long_form_oracle(expr, monkeypatch):
     # cells whose terms below the order meet K_0 K_0, K_0 K_1 and K_1 K_1 at
     # y^0 and above, so that sums on u_1 u_2 (u^2 when |n1| = |n2|) are
-    # left nonzero, which solved modes cancel; small_y_series flattens only
-    # the terms y^k with k < order + the number of the cell's K factors
-    flattened = []
-    monkeypatch.setattr("eisenmodes.series.FlatExpr",
-                        SimpleNamespace(of=lambda value: flattened.append(value) or FlatExpr.of(value)))
+    # left nonzero, which solved modes cancel.  small_y_series reads the
+    # expression's own kept flat value, neither flattened again nor copied,
+    # and multiplies out only the terms y^k with k - (its K_1 factors) <
+    # order: without that cut the values are the same, so only this record
+    # of the kept terms sees it dropped
+    kept = []
+    monkeypatch.setattr(series, "_terms_below",
+                        lambda flat, order: kept.append((flat, _terms_below(flat, order))) or kept[-1][1])
     r = 3
     n1, n2 = expr.freqs if len(expr.freqs) == 2 else (0, expr.n)
     for order in range(-r, 3):
         assert small_y_series(expr, order).terms == _long_form_small_y_series(expr, order), order
-        cut = flattened.pop()
-        assert all(k < order + len(cut.factors(cell))
-                   for cell, q in cut.table.items() for k, _ in q.terms()), order
+        flat, cells = kept.pop()
+        assert flat is expr.flat, order
+        below = {}
+        for (cell, k, j, e, rest), q in flat.terms.items():
+            ones = sum(index for index, _ in expr.factors(cell))
+            if k - ones < order:
+                below.setdefault(expr.factors(cell), []).append((k, j, e, rest, q))
+        assert cells == list(below.items()), order
     expected = _long_form_boundary(expr, r, n1, n2)
     assert choose_alpha(expr, r, n1, n2) == choose_alpha(FlatExpr.of(expr), r, n1, n2) == expected
     assert _long_form_small_y_series(expr, -r + 1).max_log() == 2

@@ -271,13 +271,13 @@ def test_band_profile_assertion_is_active(monkeypatch):
 
     real_kernel = solver_mod._operator_terms
 
-    def perturbed_kernel(lam, expr, terms):
-        image = real_kernel(lam, expr, terms)
+    def perturbed_kernel(lam, flat):
+        image = real_kernel(lam, flat)
         key = ((0, 0), -2, 0, 0, SymbolMonomial())  # y^0 K_0 K_0, collected at y^(0 - 2)
         image[key] = image.get(key, 0) + 1
         return image
 
-    def empty_kernel(lam, expr, terms):
+    def empty_kernel(lam, flat):
         return {}  # an image with no term: only the count of matched source terms sees it
 
     for attr, patch in [("cell_stencil", scaled_stencil), ("_operator_terms", perturbed_kernel),
