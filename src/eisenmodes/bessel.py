@@ -29,10 +29,15 @@ series and the residual of one expression flatten and differentiate it
 once between them.  The rules act on that map with ints only: the pi of
 c = 2 pi |n| adds 1 to the pi exponent and -2|n| goes into the int, and
 merged cells fold as they are written.  The result is rebuilt as one
-expression of the input's kind (``_rebuild``, the one place where pi
-exponent and rest become a monomial again), each coefficient divided by that
-denominator once.  The same kernel (``_operator_terms``) is the solver's
-exact recheck on its flat solution.  It keeps pi, zeta, log and log(y)
+expression of the input's kind (``_rebuild``, which ``FlatExpr.expr``
+runs), each coefficient divided by that denominator once.  ``_rebuild`` is
+the one place where a flat value's pi exponent and rest become the
+monomial of a ring coefficient again, with one measured exception:
+``homogeneous.choose_alpha`` builds alpha and the terms it leaves from the
+flat series itself.  ``numerics._coefficients`` joins them too, but only to
+read symbol powers into doubles, and builds no coefficient.  The same
+kernel (``_operator_terms``) is the solver's exact recheck on every flat
+solution, the zero mode's included.  It keeps pi, zeta, log and log(y)
 symbolic.  The solver's pi = 1 stencil is a separate piece of code:
 ``cell_stencil`` gives, once per cell, the closed form of the operator on
 y^k times the cell for every k (index sum sigma, and per target cell and
@@ -268,8 +273,8 @@ def k_index_table(m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _times_pi(mono: SymbolMonomial, e: int) -> SymbolMonomial:
-    """mono * pi^e; the operators, ``_rebuild``, ``series.small_y_series``
-    and the checks meet a handful of monomials per process."""
+    """mono * pi^e; ``_rebuild``, ``homogeneous.choose_alpha`` and
+    ``numerics._coefficients`` meet a handful of monomials per process."""
     return mono * SymbolMonomial({SYM_PI: e})
 
 
@@ -288,9 +293,10 @@ class FlatExpr:
     Each int q is the rational coefficient of pi^e rest y^k log^j y at
     `cell`, times den; rest is the pi-free part of the monomial.  `shape` is
     an expression of the same kind and frequencies; only its kind, ``fold``,
-    ``factors`` and ``freqs`` are read.  ``source_term``, the solver and
-    ``homogeneous.choose_alpha`` hand this value on; ``expr`` builds the
-    expression from it.  An expression's own flat value is its ``flat``;
+    ``factors`` and ``freqs`` are read.  Every exact stage takes and returns
+    this value: ``sources._fourier_factor`` and ``source_flat``, the three
+    solvers, ``series.flat_small_y_series`` and ``homogeneous.choose_alpha``;
+    ``expr`` builds the expression from it, where something reads one.  An expression's own flat value is its ``flat``;
     the expression ``expr`` builds has none until it is read, and then it is
     flattened from that expression's table, never taken from this value.
     ``second`` is d^2/dy^2 of the terms over the same den, in ints
@@ -300,11 +306,6 @@ class FlatExpr:
     shape: BesselProduct
     terms: Mapping
     den: int
-
-    @classmethod
-    def of(cls, value) -> "FlatExpr":
-        """`value` itself when it is flat, else the expression's ``flat``."""
-        return value if isinstance(value, FlatExpr) else value.flat
 
     @cached_property
     def second(self) -> Mapping:
@@ -409,7 +410,7 @@ def _operator_terms(lam: int, flat: "FlatExpr") -> Dict:
     The second derivative is the value's kept ``second``.  This is the kernel
     of ``mode_operator`` (``apply_P``, ``apply_L``, ``apply_euler``), which
     hands it an expression's ``flat``, and of the solver's recheck, which
-    hands it the solver's own flat solution.
+    hands it each solver's own flat solution.
     """
     out = flat.second.copy()
     mass = 4 * sum(flat.shape.freqs) ** 2

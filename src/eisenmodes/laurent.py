@@ -190,16 +190,16 @@ class YLaurent(_SparseSum):
             c.evaluate(value_of) * y**k * ln_y**j for (k, j), c in self._terms.items()
         )
 
-    def latex(self, var: str = "y") -> str:
+    def latex(self) -> str:
         if not self._terms:
             return "0"
         bits = []
         for (k, j), c in sorted(self._terms.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
             body = ""
             if k:
-                body = var if k == 1 else f"{var}^{{{k}}}"
+                body = "y" if k == 1 else f"y^{{{k}}}"
             if j:
-                body += rf"\log({var})" if j == 1 else rf"\log^{{{j}}}({var})"
+                body += r"\log(y)" if j == 1 else rf"\log^{{{j}}}(y)"
             coeff = c.latex()
             piece = rf"\left({coeff}\right) {body}" if body else coeff
             bits.append(piece)

@@ -336,8 +336,8 @@ def residual(mode, y: float, env: NumericEnv = DEFAULT_ENV, scale: float | None 
     are the particular's own ``flat`` and ``flat.second``, which the exact
     operator check reads too.  The source's coefficient doubles are read from
     its flat value (``SourceTerm.flat``, its int terms over one denominator,
-    which the full source was built from), so the source is not flattened
-    again; each q / den rounds as the reduced Fraction does.  The homogeneous
+    from which the full source is built), so the source is neither built
+    nor flattened here; each q / den rounds as the reduced Fraction does.  The homogeneous
     part alpha * h is not evaluated: P(h) = 0 is an exact identity for every
     alpha, and alpha is fixed exactly by ``homogeneous.choose_alpha`` and
     checked by ``homogeneous.boundary_reference``.  A point where y * y is not

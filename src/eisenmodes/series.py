@@ -36,15 +36,15 @@ cache grows by one entry per distinct argument a process touches.
 
 ``flat_small_y_series`` works in ints over one denominator on the flat
 value of a Bessel product (``bessel.FlatExpr``, key (cell, y power, log
-power, pi exponent, rest)) and reads no Constant; ``homogeneous.choose_alpha``
-runs it on the flat solution the solver checked.  It keeps only the terms
-that can reach below the order: K_0 starts at y^0 and K_1 at y^-1, so a term
-y^k of a cell with `ones` K_1 factors is kept when k - ones < order.
-``small_y_series`` of an expression is the same series read back in
-Constants: it runs ``flat_small_y_series`` on the expression's own flat
-value (``BesselProduct.flat``, flattened once per expression and shared with
-the operator check and the residual), which reads only the terms that can
-reach below the order, and takes one Fraction per nonzero sum.
+power, pi exponent, rest)), reads no Constant and returns a flat value too,
+of a ``Pure`` (one module-level empty ``Pure`` is its shape);
+``homogeneous.choose_alpha`` runs it on the flat solution the solver
+checked.  It keeps only the terms that can reach below the order: K_0
+starts at y^0 and K_1 at y^-1, so a term y^k of a cell with `ones` K_1
+factors is kept when k - ones < order.  ``small_y_series`` of an expression
+is that series built by ``FlatExpr.expr``, from the expression's own flat
+value (``BesselProduct.flat``, flattened once per expression and shared
+with the operator check and the residual), one Fraction per nonzero sum.
 The expansion has this one implementation.  The tests check it against a
 long-form Constant oracle (tests/test_series.py), and the alpha it gives
 against the small-y limit of the printed tables under mpmath's besselk
@@ -58,8 +58,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
+from types import MappingProxyType
 
-from .bessel import BesselProduct, FlatExpr, HomBasis, _times_pi
+from .bessel import BesselProduct, FlatExpr, HomBasis, Pure
 from .laurent import LOG_CAP, LogCapExceeded, YLaurent
 from .scalars import (
     SYM_GAMMA,
@@ -104,6 +105,7 @@ class AsymptoticSeries:
 
 
 _ONE = SymbolMonomial()
+_PURE = Pure(YLaurent.zero())  # the shape of every series' flat value
 _GAMMA = SymbolMonomial({SYM_GAMMA: 1})
 _LN_PI = SymbolMonomial({SYM_LN_PI: 1})
 _y_exp = itemgetter(0)
@@ -236,9 +238,9 @@ def _terms_below(flat: FlatExpr, order: int):
     return [(factors, qs) for factors, _, qs in cells.values() if qs]
 
 
-def flat_small_y_series(flat: FlatExpr, order: int):
-    """``small_y_series`` of a flat value in ints, as
-    ({(y_exp, log_exp, pi exponent, rest): int}, den).
+def flat_small_y_series(flat: FlatExpr, order: int) -> FlatExpr:
+    """``small_y_series`` of a flat value in ints, as the flat value of a
+    ``Pure``: {((), y_exp, log_exp, pi exponent, rest): int} over one den.
 
     K_0 starts at y^0 and K_1 at y^-1, so a term y^k of a cell with `ones`
     K_1 factors reaches no lower than y^(k - ones): only the terms with
@@ -249,7 +251,7 @@ def flat_small_y_series(flat: FlatExpr, order: int):
     rest, atom) over one denominator, the cap on the log(y) power checked per
     pair as it is summed; each nonzero sum is then expanded once, u_i = log y + l_{N_i}
     (``_int_expansion``).  Monomials stay split as a pi exponent and the
-    pi-free rest (``bessel._times_pi(rest, e)`` joins them), so only the
+    pi-free rest (``FlatExpr.expr`` joins them), so only the
     rests (gamma, log pi, the prime logs, zeta values) meet SymbolMonomial
     products.  A sum that cancels in the expansion is kept as a 0.
     """
@@ -279,9 +281,9 @@ def flat_small_y_series(flat: FlatExpr, order: int):
         if terms is None:
             terms = expansions[atom] = _int_expansion(atom, ns)
         for lg, mono, m in terms:
-            key = (k, j + lg, e, rest * mono)
+            key = ((), k, j + lg, e, rest * mono)
             total[key] = total.get(key, 0) + c * m
-    return total, flat.den * den_k
+    return FlatExpr(_PURE, MappingProxyType(total), flat.den * den_k)
 
 
 def hom_norm_scale_description(r: int, n: int) -> str:
@@ -320,12 +322,6 @@ def small_y_series(expr, order: int) -> AsymptoticSeries:
         return AsymptoticSeries(YLaurent.monomial(-expr.r), order)
 
     if isinstance(expr, BesselProduct):
-        terms, den = flat_small_y_series(expr.flat, order)
-        polys = {}
-        for (k, j, e, rest), q in terms.items():
-            if q:
-                polys.setdefault((k, j), {})[_times_pi(rest, e)] = Fraction(q, den)
-        return AsymptoticSeries(
-            YLaurent._trusted({kj: Constant._trusted(c) for kj, c in polys.items()}), order)
+        return AsymptoticSeries(flat_small_y_series(expr.flat, order).expr().poly, order)
 
     raise TypeError(f"no small-y series for {type(expr).__name__}")

@@ -19,8 +19,10 @@ term splits into a direction (rest, pi exponent minus y power), each
 direction an int column over one scale.  Systems are solved exactly over Q
 in Python ints from the stencil to the solved values, which stay
 (numerators, denominator) per direction; the solution is one flat value over
-the lcm of those denominators, and no Fraction is made until the particular
-expression is built from it once, after the recheck.
+the lcm of those denominators, which the solver returns, once rechecked,
+with no Fraction made (``homogeneous.solve_mode`` builds the particular
+expression from it).  The zero mode's Euler equation is solved in closed
+form on its flat source, in ints, and returned the same way.
 
 The stencil is banded: row (cell, k) meets only the unknowns of degrees k,
 k - 1 and k - 2, and at degree k only its own unknown, with the diagonal
@@ -47,9 +49,10 @@ one such class, so only the unknowns of the source's class are solved for;
 the others could only be zero.  The window is derived, never configured or
 widened: a mode that fails on it reports it with the inconsistent rows.
 
-Every returned solution is re-verified (``_recheck``) by applying the
-integer kernel of the symbolic operator of its kind (``bessel._operator_terms``,
-the one ``bessel.mode_operator`` runs) to the flat solution: the image must
+Every returned solution, the zero mode's included, is re-verified
+(``_recheck``) by applying the integer kernel of the symbolic operator of
+its kind (``bessel._operator_terms``, the one ``bessel.mode_operator``
+runs) to the flat solution: the image must
 equal the flat source, compared exactly by cross-multiplying the two
 denominators.  The kernel shares no code with the stencil: it keeps pi and
 every other symbol in its keys and takes no pi grading or rescaling from the
@@ -60,19 +63,15 @@ image unequal to the right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .bessel import (
-    DoubleBessel, FlatExpr, Pure, SingleBessel, _operator_terms, cell_stencil, mode_operator,
-)
+from .bessel import FlatExpr, SingleBessel, _operator_terms, cell_stencil
 # bound here only because perfbench wraps solver.apply_P and solver.apply_L by
 # name to time them; no solver code calls them
 from .bessel import apply_L, apply_P  # noqa: F401
-from .laurent import YLaurent
 from .sources import Params
 
 __all__ = [
@@ -111,9 +110,6 @@ class SolveReport:
     windows: Dict
     num_unknowns: int
     num_equations: int
-    # the flat solution the recheck checked; ``homogeneous.solve_mode`` hands
-    # it to ``choose_alpha`` and clears it, so that a held mode keeps no flat solution
-    checked: Optional[FlatExpr] = field(default=None, repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
         """What the solve decided; ``ModeSolution.to_json_obj`` adds the
@@ -383,9 +379,7 @@ def _assemble_and_solve(params: Params, rhs: FlatExpr):
                 terms[cell, k, 0, k + g, rest] = nums[u] * lift
     checked = FlatExpr(shape, MappingProxyType(terms), den)
     _recheck(lam, checked, rhs)
-
-    report = SolveReport(windows, len(col_order), len(row_order), checked)
-    return checked.expr(), report
+    return checked, SolveReport(windows, len(col_order), len(row_order))
 
 
 def _recheck(lam: int, sol: FlatExpr, rhs: FlatExpr) -> None:
@@ -411,7 +405,7 @@ def _recheck(lam: int, sol: FlatExpr, rhs: FlatExpr) -> None:
 
 
 def widen_and_retry(builder):
-    """Run builder(0) once and return its (particular, report).
+    """Run builder(0) once and return its (checked flat solution, report).
 
     A solve tries its derived windows only, so nothing is retried; the
     runner stays bound because perfbench wraps it by name to count
@@ -419,17 +413,16 @@ def widen_and_retry(builder):
     return builder(0)
 
 
-def solve_particular_double(params: Params, rhs) -> Tuple[DoubleBessel, SolveReport]:
-    """Solve P_lam(g) = rhs exactly for the bilinear ansatz g; rhs is a
-    ``DoubleBessel`` or its ``FlatExpr``."""
-    rhs = FlatExpr.of(rhs)
+def solve_particular_double(params: Params, rhs: FlatExpr) -> Tuple[FlatExpr, SolveReport]:
+    """Solve P_lam(g) = rhs exactly for the bilinear ansatz g, rhs the flat
+    value of a ``DoubleBessel``; g is returned flat, as ``_recheck`` checked it."""
     return widen_and_retry(lambda _: _assemble_and_solve(params, rhs))
 
 
-def solve_particular_single(params: Params, rhs) -> Tuple[SingleBessel, SolveReport]:
-    """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g; rhs is a
-    ``SingleBessel`` or its ``FlatExpr``."""
-    rhs = FlatExpr.of(rhs)
+def solve_particular_single(params: Params, rhs: FlatExpr) -> Tuple[FlatExpr, SolveReport]:
+    """Solve L_lam(g) = rhs exactly for the single-Bessel ansatz g, rhs the
+    flat value of a ``SingleBessel``; g is returned flat, as ``_recheck``
+    checked it."""
     return widen_and_retry(lambda _: _assemble_and_solve(params, rhs))
 
 
@@ -438,8 +431,9 @@ def solve_particular_single(params: Params, rhs) -> Tuple[SingleBessel, SolveRep
 # ---------------------------------------------------------------------------
 
 
-def solve_zero_mode(params: Params, source: Pure) -> Pure:
-    """Particular solution of (y^2 d^2 - lam) g = source for a power-log source.
+def solve_zero_mode(params: Params, rhs: FlatExpr) -> FlatExpr:
+    """Particular solution of (y^2 d^2 - lam) g = rhs for the flat value of
+    a power-log ``Pure`` source, returned flat as ``_recheck`` checked it.
 
     Non-resonant powers y^k map to y^k / (k(k-1) - lam).  At resonance
     (k(k-1) = lam, i.e. k = -r or r+1) the regularized particular
@@ -450,21 +444,23 @@ def solve_zero_mode(params: Params, source: Pure) -> Pure:
     minus its homogeneous pole, and matches the worked solutions verbatim.
     The resonant powers are thus exactly the y^k log y terms of the result.
     The homogeneous degrees themselves are never added to the particular part;
-    the free element y^{-r} is attached by ``homogeneous.solve_mode``.
+    the free element y^{-r} is attached by ``homogeneous.solve_mode``.  The
+    solution is in ints over rhs.den times the lcm of the divisors
+    |k(k-1) - lam| and (2k-1)^2, and passes the recheck every particular does.
     """
     lam = params.lam
-    out = YLaurent.zero()
-    for (k, j), coeff in source.poly.terms().items():
-        if j != 0:
-            raise ValueError("zero-mode sources are log-free")
-        denom = k * (k - 1) - lam
-        if denom != 0:
-            out = out + YLaurent.monomial(k, coeff * Fraction(1, denom))
+    if any(key[2] for key, q in rhs.terms.items() if q):
+        raise ValueError("zero-mode sources are log-free")
+    scale = math.lcm(*{abs(k * (k - 1) - lam) or (2 * k - 1) ** 2 for _, k, *_ in rhs.terms})
+    terms: Dict = {}
+    for (cell, k, _, e, rest), q in rhs.terms.items():
+        d = k * (k - 1) - lam
+        if d:
+            terms[cell, k, 0, e, rest] = q * (scale // d)
         else:
             w = 2 * k - 1
-            out = out + YLaurent.monomial(k, coeff * Fraction(1, w), log_exp=1)
-            out = out + YLaurent.monomial(k, coeff * Fraction(-1, w * w))
-    particular = Pure(out)
-    if mode_operator(lam, particular) != source:
-        raise AssertionError("zero-mode particular failed its defining equation")
-    return particular
+            terms[cell, k, 1, e, rest] = q * (scale // w)
+            terms[cell, k, 0, e, rest] = -q * (scale // (w * w))
+    checked = FlatExpr(rhs.shape, MappingProxyType(terms), rhs.den * scale)
+    _recheck(lam, checked, rhs)
+    return checked

@@ -22,16 +22,18 @@ coefficients of Eisenstein series,
 
 with every Gamma(half-integer) expanded so only integer powers of pi
 survive.  ``_fourier_factor`` is the one encoding of zeta(2s) a_{n,s}: a
-read-only flat map (K index, y power, pi exponent, rest) -> int over one
-denominator, the K_{s-1/2} reduced to K_0/K_1 by the integer table
-``bessel.k_index_table``.  ``source_flat`` multiplies two of them in ints into
-the source's flat value (``bessel.FlatExpr``, key (cell, y power, log power,
-pi exponent, rest), merged cells folded), which the solver reads as it is;
-``source_term`` keeps it as ``SourceTerm.flat`` and builds the full source
-expression from it once, and
-``SourceTerm.prefactor`` and ``core`` split that.  ``_fourier_factor`` is
-memoized for the life of the process, since the modes of one assembly reuse
-each (s, n); its maps are ``MappingProxyType`` views.
+prefactor and a flat value (``bessel.FlatExpr``, key (cell, y power, log
+power, pi exponent, rest) -> int over one denominator), a ``SingleBessel``
+whose K_{s-1/2} is reduced to K_0/K_1 by the integer table
+``bessel.k_index_table``, or for n = 0 the flat value of a ``Pure``.
+``source_flat`` multiplies two of them in ints into the source's flat
+value, merged cells folded, which the solver reads as it is.
+``source_term`` keeps it as ``SourceTerm.flat``; the full source
+expression is built from it the first time it is read (``SourceTerm.expr``,
+by ``FlatExpr.expr``), and ``SourceTerm.prefactor`` and ``core`` split
+that.  ``_fourier_factor`` is memoized for the life of the process, since
+the modes of one assembly reuse each (s, n); its maps are
+``MappingProxyType`` views.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .bessel import (
-    BesselProduct, DoubleBessel, FlatExpr, Pure, SingleBessel, _flatten, k_index_table,
-)
+from .bessel import BesselProduct, DoubleBessel, FlatExpr, Pure, SingleBessel, k_index_table
 from .divisors import sigma
 from .laurent import YLaurent
 from .scalars import Constant, SymbolMonomial, zeta_value
@@ -169,17 +169,16 @@ class Params:
 
 
 @lru_cache(maxsize=None)
-def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, Mapping, int]:
-    """zeta(2s) a_{n,s}(y) / sqrt(y), s = m + 1/2, as (prefactor, terms, den).
+def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, FlatExpr]:
+    """zeta(2s) a_{n,s}(y) / sqrt(y), s = m + 1/2, as (prefactor, flat value).
 
-    terms is a read-only map {(K index, y power, pi exponent, rest): int},
-    rest the pi-free part of the monomial and each int its coefficient times
-    den.  With Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!) and N = |n|:
-    n = 0: prefactor 1 and zeta(2m+1) y^m + (m-1)! 4^m m! / (2m)! zeta(2m)
-    y^{-m}, K index () (no K factor);
+    With Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!) and N = |n|:
+    n = 0: prefactor 1 and the ``Pure`` zeta(2m+1) y^m + (m-1)! 4^m m! /
+    (2m)! zeta(2m) y^{-m}, flattened;
     n != 0: prefactor P pi^m = 2 4^m m! sigma_{2m}(N) / ((2m)! N^m) pi^m
     times K_m(2 pi N y) = sum_k (2 pi N y)^{-k} (a[0][k] K_0 + a[1][k] K_1)
-    (``k_index_table``): P a[i][k] / (2N)^k at (i, -k, m - k, 1).
+    (``k_index_table``), a ``SingleBessel`` with P a[i][k] / (2N)^k at
+    (i, -k, 0, m - k, 1).
     """
     if s.denominator != 2 or s <= 1:
         raise ValueError("requires a half-integer s > 1 (absolute convergence)")
@@ -187,16 +186,15 @@ def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, Mapping, int]:
     gamma_ratio = 4**m * math.factorial(m)  # sqrt(pi) (2m)! / Gamma(s)
     if n == 0:
         a_s = zeta_value(2 * m) * Fraction(math.factorial(m - 1) * gamma_ratio, math.factorial(2 * m))
-        terms, den = _flatten(Pure(YLaurent({(m, 0): zeta_value(2 * m + 1), (-m, 0): a_s})))
-        terms = {(cell, k, e, rest): q for (cell, k, _, e, rest), q in terms.items()}
-        return Constant.one(), MappingProxyType(terms), den
+        return Constant.one(), Pure(YLaurent({(m, 0): zeta_value(2 * m + 1), (-m, 0): a_s})).flat
     N = abs(n)
     num, den = 2 * gamma_ratio * sigma(2 * m, N), math.factorial(2 * m) * N**m
     table = k_index_table(m)
     top = len(table[0]) - 1
-    terms = {(i, -k, m - k, SymbolMonomial()): num * a * (2 * N) ** (top - k)
+    terms = {(i, -k, 0, m - k, SymbolMonomial()): num * a * (2 * N) ** (top - k)
              for i, row in enumerate(table) for k, a in enumerate(row) if a}
-    return Constant.pi_power(m, Fraction(num, den)), MappingProxyType(terms), den * (2 * N) ** top
+    return (Constant.pi_power(m, Fraction(num, den)),
+            FlatExpr(SingleBessel(n), MappingProxyType(terms), den * (2 * N) ** top))
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +204,22 @@ def _fourier_factor(s: Fraction, n: int) -> Tuple[Constant, Mapping, int]:
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """One s_{n1,n2}: the full source expression, built once by ``source_term``."""
+    """One s_{n1,n2}: its flat value (``source_flat``), from which the full
+    source expression is built the first time it is read."""
 
     params: Params
     n1: int
     n2: int
-    expr: BesselProduct  # DoubleBessel | SingleBessel | Pure, prefactor folded in
-    case_tag: str  # both_zero | left_zero | right_zero | generic | anti_diagonal
-    flat: FlatExpr = field(repr=False, compare=False)  # the value expr was built from
+    flat: FlatExpr = field(repr=False, compare=False)
+
+    @property
+    def case_tag(self) -> str:  # both_zero | left_zero | right_zero | generic | anti_diagonal
+        return case_tag(self.n1, self.n2)
+
+    @cached_property
+    def expr(self) -> BesselProduct:
+        """DoubleBessel | SingleBessel | Pure, prefactor folded in."""
+        return self.flat.expr()
 
     def full(self):
         """The complete source expression with the prefactor folded in."""
@@ -248,24 +254,21 @@ def source_flat(p: Params, n1: int, n2: int) -> FlatExpr:
     lands on the folded cell of its K indices, so a merged ``DoubleBessel``
     has (0, 1) and never (1, 0).
     """
-    _, left, den_a = _fourier_factor(p.alpha, n1)
-    _, right, den_b = _fourier_factor(p.beta, n2)
+    _, left = _fourier_factor(p.alpha, n1)
+    _, right = _fourier_factor(p.beta, n2)
     shape = (DoubleBessel(n1, n2) if n1 and n2 else SingleBessel(n1 or n2) if n1 or n2
              else Pure(YLaurent.zero()))
     fold = shape.fold
     c = p.c_eff()
     flat: Dict = {}
-    for (i, ka, ea, ra), ca in left.items():
-        for (j, kb, eb, rb), cb in right.items():
+    for (i, ka, ja, ea, ra), ca in left.terms.items():
+        for (j, kb, jb, eb, rb), cb in right.terms.items():
             cell = j if i == () else i if j == () else fold((i, j))
-            key = (cell, ka + kb + 1, 0, ea + eb, ra * rb)
+            key = (cell, ka + kb + 1, ja + jb, ea + eb, ra * rb)
             flat[key] = flat.get(key, 0) + c.numerator * ca * cb
-    return FlatExpr(shape, MappingProxyType(flat), c.denominator * den_a * den_b)
+    return FlatExpr(shape, MappingProxyType(flat), c.denominator * left.den * right.den)
 
 
 def source_term(p: Params, n1: int, n2: int) -> SourceTerm:
-    """The source of mode (n1, n2): its flat value (``source_flat``), kept as
-    ``flat``, rebuilt once as an expression, each coefficient divided by the
-    denominator once."""
-    flat = source_flat(p, n1, n2)
-    return SourceTerm(p, n1, n2, flat.expr(), case_tag(n1, n2), flat)
+    """The source of mode (n1, n2), kept as its flat value (``source_flat``)."""
+    return SourceTerm(p, n1, n2, source_flat(p, n1, n2))

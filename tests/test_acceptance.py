@@ -269,7 +269,7 @@ def test_criterion_6_nonexistence_and_obstruction():
         p = Params(F(3, 2), F(3, 2), lam)
         assert classify_params(p.alpha, p.beta, lam).kind == "lambda_not_triangular"
         with pytest.raises(NoSolutionInWindow) as info:
-            solve_particular_double(p, source_term(p, 1, 2).core)
+            solve_particular_double(p, source_term(p, 1, 2).core.flat)
         assert info.value.retries == 0
         assert info.value.inconsistent_rows
         details.append(f"lambda={lam} inconsistent on the derived window")
@@ -377,7 +377,8 @@ def test_criterion_9_property_suites():
     ):
         for r in rs:
             p = Params(a, b, r * (r + 1))
-            sol, rep = solve_particular_double(p, source_term(p, 1, 2).core)
+            flat, rep = solve_particular_double(p, source_term(p, 1, 2).core.flat)
+            sol = flat.expr()
             assert rep.kernel_dim == 0 and rep.retries == 0
             for cell, poly in sol.table.items():
                 m, M = rep.windows[cell]

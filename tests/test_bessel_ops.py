@@ -398,7 +398,6 @@ def test_operator_images_are_pi_graded():
     # Bessel cell) at y^p is always rational * pi^(p-k).  Check that over every
     # unit-monomial column of the windows derived from the sources, both parity
     # classes included, independently of the solver.
-    from eisenmodes.bessel import FlatExpr
     from eisenmodes.scalars import SYM_PI, SymbolMonomial
     from eisenmodes.solver import _source_window
     from eisenmodes.sources import Normalization, Params, source_term
@@ -428,7 +427,7 @@ def test_operator_images_are_pi_graded():
                     cells = (0, 1) if isinstance(core, SingleBessel) else {
                         core.fold((i, j)) for i in (0, 1) for j in (0, 1)}
                     for cell in cells:
-                        m, M = _source_window(r, FlatExpr.of(core))
+                        m, M = _source_window(r, core.flat)
                         for k in range(m, M + 1):
                             if (lam, core.freqs, cell, k) not in checked:
                                 checked.add((lam, core.freqs, cell, k))
@@ -468,7 +467,7 @@ def solver_columns(lam, expr, ks):
             mock.patch.object(solver, "_source_window", lambda r, rhs: window):
         for parity in (0, 1):
             with pytest.raises(_Captured):
-                solve(params, expr.with_table({cell: YLaurent.monomial(parity)}))
+                solve(params, expr.with_table({cell: YLaurent.monomial(parity)}).flat)
     return columns
 
 
@@ -572,18 +571,18 @@ def test_stored_views_are_a_fresh_flatten_and_a_fresh_second_derivative(family, 
     # the modes of the solvable-family property test: once every reader has
     # run, the kept views equal a flatten and a double derivative of a copy
     # of the particular made from its table, which has no views yet
-    from eisenmodes.bessel import FlatExpr, _derivative, _flatten
+    from eisenmodes.bessel import _derivative, _flatten
     from eisenmodes.homogeneous import solve_mode
 
     alpha, beta, r = family
     mode = solve_mode(Params(alpha, beta, r * (r + 1), Normalization.UNIT), n1, n2)
     # the expression the solver rebuilt from its checked flat value has no
-    # view of that value (the zero mode's has read its own, in its check)
-    assert mode.report is None or "flat" not in mode.particular.__dict__
+    # view of that value
+    assert "flat" not in mode.particular.__dict__
     _read_every_view(mode)
     part = mode.particular
     view = part.__dict__["flat"]
-    assert FlatExpr.of(part) is view and "second" in view.__dict__
+    assert part.flat is view and "second" in view.__dict__
     assert view.shape.is_zero() and view.shape.freqs == part.freqs
     copy = part.with_table(dict(part.table))
     assert "flat" not in copy.__dict__

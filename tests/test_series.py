@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from eisenmodes import series
-from eisenmodes.bessel import DoubleBessel, FlatExpr, HomBasis, Pure, SingleBessel
+from eisenmodes.bessel import DoubleBessel, HomBasis, Pure, SingleBessel
 from eisenmodes.homogeneous import _boundary_result, _decaying_basis, choose_alpha, solve_mode
 from eisenmodes.laurent import LogCapExceeded, YLaurent
 from eisenmodes.numerics import NumericEnv, bessel_k, eval_expr, eval_hom_normalized
@@ -183,8 +183,7 @@ def test_both_routes_equal_the_long_form_oracle(params, n1, n2):
     for order in orders:
         assert small_y_series(particular, order).terms == _long_form_small_y_series(particular, order)
     expected = _long_form_boundary(particular, r, n1, n2)
-    assert choose_alpha(particular, r, n1, n2) == expected
-    assert choose_alpha(FlatExpr.of(particular), r, n1, n2) == expected
+    assert choose_alpha(particular.flat, r, n1, n2) == expected
     if (params, n1, n2) in HEAVY_MODES:
         assert expected[0] is None
 
@@ -226,7 +225,7 @@ def test_atom_products_equal_the_long_form_oracle(expr, monkeypatch):
                 below.setdefault(expr.factors(cell), []).append((k, j, e, rest, q))
         assert cells == list(below.items()), order
     expected = _long_form_boundary(expr, r, n1, n2)
-    assert choose_alpha(expr, r, n1, n2) == choose_alpha(FlatExpr.of(expr), r, n1, n2) == expected
+    assert choose_alpha(expr.flat, r, n1, n2) == expected
     assert _long_form_small_y_series(expr, -r + 1).max_log() == 2
 
 
@@ -241,8 +240,7 @@ def test_a_log_squared_cell_past_the_cap_raises_from_both_routes(n1, n2):
                                      (1, 0): YLaurent.monomial(-r, 5)})
         routes = (lambda: _long_form_small_y_series(expr, -r + 1),
                   lambda: small_y_series(expr, -r + 1),
-                  lambda: choose_alpha(expr, r, n1, n2),
-                  lambda: choose_alpha(FlatExpr.of(expr), r, n1, n2))
+                  lambda: choose_alpha(expr.flat, r, n1, n2))
         for route in routes:
             if raises:
                 with pytest.raises(LogCapExceeded):

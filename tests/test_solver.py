@@ -68,12 +68,12 @@ def test_derived_windows_continue_the_published_table():
             p = Params(a, b, r * (r + 1))
             for n1, n2 in ((1, 2), (2, -3), (1, 1), (-2, 2)):
                 core = source_term(p, n1, n2).core
-                _, rep = solve_particular_double(p, core)
+                _, rep = solve_particular_double(p, core.flat)
                 # every cell of the report holds the one derived pair
                 (window,) = {tuple(w) for w in rep.to_json_obj()["window_used"].values()}
                 assert rep.windows == dict.fromkeys(rep.windows, window)
                 sigma = {cell: sum(cell) for cell in rep.windows}
-                derived = set(_ansatz_unknowns(FlatExpr.of(core), window, sigma))
+                derived = set(_ansatz_unknowns(core.flat, window, sigma))
                 old = _published_unknowns(a, b, r, core)
                 assert old <= derived, (a, b, r, n1, n2)
                 if derived != old:
@@ -96,7 +96,7 @@ def test_derived_windows_solve_every_solvable_family_without_retries():
         for n1, n2 in ((0, 3), (4, 0), (2, -5), (-3, 3)):
             core = source_term(p, n1, n2).core
             solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
-            _, rep = solve(p, core)
+            _, rep = solve(p, core.flat)
             assert rep.retries == 0 and rep.kernel_dim == 0, (a, b, r, n1, n2)
 
 
@@ -123,7 +123,7 @@ def test_row_major_system_is_the_closed_form_columns_transposed(monkeypatch):
         core = source_term(p, n1, n2).core
         solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
         systems.clear()
-        solve(p, core)
+        solve(p, core.flat)
         (system, _, _, col_order, _), = systems
         for (cell, k), column in columns_of(system, col_order).items():
             assert pi_restored(column, k) == operator_column(p.lam, core, cell, k), \
@@ -157,12 +157,13 @@ def test_source_spanning_both_parity_classes_breaks_an_invariant():
     p = Params(F(3, 2), F(3, 2), 30)
     rhs = DoubleBessel(1, 2, {(0, 0): YLaurent.monomial(0) + YLaurent.monomial(1)})
     with pytest.raises(AssertionError, match="parity classes"):
-        solve_particular_double(p, rhs)
+        solve_particular_double(p, rhs.flat)
 
 
 def test_generic_solve_matches_published_eta_coefficients():
     p = Params(F(3, 2), F(3, 2), 30)
-    sol, rep = solve_particular_double(p, source_term(p, 1, 2).core)
+    flat, rep = solve_particular_double(p, source_term(p, 1, 2).core.flat)
+    sol = flat.expr()
     assert rep.kernel_dim == 0 and rep.retries == 0
     # eta^{0,0} at (1,2): 126/pi^4 * n1 n2 (n1^4 - 6n1^3n2 + ...)/(n1+n2)^10 at y^-3
     assert sol.table[(0, 0)].coeff(-3) == Constant.pi_power(
@@ -175,10 +176,10 @@ def test_generic_solve_matches_published_eta_coefficients():
 def test_exact_residual_property():
     p = Params(F(3, 2), F(3, 2), 30)
     st = source_term(p, 2, 3)
-    sol, _ = solve_particular_double(p, st.core)
+    sol = solve_particular_double(p, st.core.flat)[0].expr()
     assert (apply_P(30, sol) - st.core).is_zero()
     st = source_term(p, 0, 2)
-    single, _ = solve_particular_single(p, st.core)
+    single = solve_particular_single(p, st.core.flat)[0].expr()
     assert (apply_L(30, single) - st.core).is_zero()
 
 
@@ -186,9 +187,9 @@ def test_gmv_case_solves_exactly():
     # lambda = 12 has no published table; the defining equation still pins it
     p = Params(F(3, 2), F(3, 2), 12)
     st = source_term(p, 1, 2)
-    sol, rep = solve_particular_double(p, st.core)
+    flat, rep = solve_particular_double(p, st.core.flat)
     assert rep.kernel_dim == 0
-    assert (apply_P(12, sol) - st.core).is_zero()
+    assert (apply_P(12, flat.expr()) - st.core).is_zero()
 
 
 def test_non_triangular_lambda_has_no_solution():
@@ -197,16 +198,17 @@ def test_non_triangular_lambda_has_no_solution():
     p = Params(F(3, 2), F(3, 2), 10)
     core = source_term(p, 1, 2).core
     with pytest.raises(NoSolutionInWindow) as info:
-        solve_particular_double(p, core)
+        solve_particular_double(p, core.flat)
     assert info.value.retries == 0
-    derived = _source_window(p.r_hint, FlatExpr.of(core))
+    derived = _source_window(p.r_hint, core.flat)
     assert info.value.windows == {c: derived for c in ((0, 0), (0, 1), (1, 0), (1, 1))}
     assert info.value.inconsistent_rows  # diagnosis is recorded
 
 
 def test_single_solve_matches_published_nu():
     p = Params(F(3, 2), F(3, 2), 30)
-    sol, rep = solve_particular_single(p, source_term(p, 0, 2).core)
+    flat, rep = solve_particular_single(p, source_term(p, 0, 2).core.flat)
+    sol = flat.expr()
     assert rep.kernel_dim == 0
     z3 = zeta_odd(3)
     # nu_1 y^0 coefficient at n=2: -15 z3/(2 n^2 pi^2)
@@ -216,7 +218,7 @@ def test_single_solve_matches_published_nu():
 
 def test_merged_mode_solves_with_three_cells():
     p = Params(F(3, 2), F(3, 2), 30)
-    sol, rep = solve_particular_double(p, source_term(p, 1, 1).core)
+    sol = solve_particular_double(p, source_term(p, 1, 1).core.flat)[0].expr()
     assert sorted(sol.table) == [(0, 0), (0, 1), (1, 1)]
     assert sol.table[(0, 0)].coeff(-1) == Constant.pi_power(-2, F(3, 10))
 
@@ -224,7 +226,7 @@ def test_merged_mode_solves_with_three_cells():
 def test_anti_diagonal_direct_solve():
     p = Params(F(3, 2), F(3, 2), 30)
     st = source_term(p, -1, 1)
-    sol, _ = solve_particular_double(p, st.core)
+    sol = solve_particular_double(p, st.core.flat)[0].expr()
     # mu_{0,0} top power y^7: 16384 pi^6 n^6 / 51975 at n = 1
     assert sol.table[(0, 0)].coeff(7) == Constant.pi_power(6, F(16384, 51975))
     assert (apply_P(30, sol) - st.core).is_zero()
@@ -232,7 +234,7 @@ def test_anti_diagonal_direct_solve():
 
 def test_zero_mode_verbatim_and_resonance():
     p = Params(F(3, 2), F(3, 2), 30)
-    zm = solve_zero_mode(p, source_term(p, 0, 0).full())
+    zm = solve_zero_mode(p, source_term(p, 0, 0).flat).expr()
     z3 = zeta_odd(3)
     assert zm.poly.coeff(3) == z3 * z3 * F(105, 630)
     assert zm.poly.coeff(-1) == Constant.pi_power(4, F(10, 630))
@@ -241,9 +243,10 @@ def test_zero_mode_verbatim_and_resonance():
 
     # resonant case: source y^{r+1} produces y^{r+1} log(y)/(2r+1)
     r = 5
-    res = solve_zero_mode(p, Pure(YLaurent.monomial(r + 1)))
+    res = solve_zero_mode(p, Pure(YLaurent.monomial(r + 1)).flat).expr()
     assert [k for k, j in res.poly.terms() if j == 1] == [r + 1]
     assert res.poly.coeff(r + 1, 1) == Constant.from_rational(F(1, 2 * r + 1))
+    assert res.poly.coeff(r + 1) == Constant.from_rational(F(-1, (2 * r + 1) ** 2))
     assert (apply_euler(30, res) - Pure(YLaurent.monomial(r + 1))).is_zero()
 
 
@@ -255,7 +258,7 @@ def test_band_profile_assertion_is_active(monkeypatch):
     import eisenmodes.solver as solver_mod
 
     p = Params(F(5, 2), F(5, 2), 30)
-    rhs = source_term(p, 1, 2).core
+    rhs = source_term(p, 1, 2).core.flat
     solve_particular_double(p, rhs)
 
     real_stencil = solver_mod.cell_stencil
@@ -301,7 +304,7 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
     real_recurrence = solver_mod._recurrence
     p = Params(F(3, 2), F(3, 2), 30)
     for n1, n2 in ((1, 2), (0, 3)):
-        rhs = source_term(p, n1, n2).core
+        rhs = source_term(p, n1, n2).core.flat
         solve = solve_particular_double if n1 else solve_particular_single
         unknowns = []
 
@@ -340,15 +343,25 @@ def test_recheck_catches_a_coefficient_moved_by_2_to_the_minus_200(monkeypatch):
             assert any(key[:2] == col and Fraction(q, den).denominator % tiny == 0
                        for key, q in terms.items()), col
 
-    source = source_term(p, 0, 0).full()
-    particular = solve_zero_mode(p, source)
-    for (k, j), const in particular.poly.terms().items():
-        for mono in const.terms():
-            shift = YLaurent.monomial(k, Constant({mono: F(1, tiny)}), log_exp=j)
+    # the zero mode, without and with a resonance (lambda = 2 gives y^-1 log y):
+    # each term of its flat solution moved by 2^-200 as the solver builds it,
+    # but the log-free y^k at a resonance, k(k - 1) = lambda, which the
+    # operator maps to zero (test_zero_mode_verbatim_and_resonance pins it)
+    for params in (p, Params(F(3, 2), F(3, 2), 2)):
+        source = source_term(params, 0, 0).flat
+        for key in solve_zero_mode(params, source).terms:
+            if key[2] == 0 and key[1] * (key[1] - 1) == params.lam:
+                continue
+
+            def moved(shape, terms, den, key=key):
+                terms = {k: q * tiny for k, q in terms.items()}
+                terms[key] += den
+                return FlatExpr(shape, terms, den * tiny)
+
             with monkeypatch.context() as m:
-                m.setattr(solver_mod, "Pure", lambda poly, shift=shift: Pure(poly + shift))
-                with pytest.raises(AssertionError, match="failed its defining equation"):
-                    solve_zero_mode(p, source)
+                m.setattr(solver_mod, "FlatExpr", moved)
+                with pytest.raises(AssertionError, match="non-exact solution"):
+                    solve_zero_mode(params, source)
 
 
 def _lowest(terms, den):
@@ -358,14 +371,17 @@ def _lowest(terms, den):
 
 
 @pytest.mark.parametrize("params", [Params(F(3, 2), F(3, 2), 30),
-                                    Params(F(5, 2), F(7, 2), 6, Normalization.UNIT)])
+                                    Params(F(5, 2), F(7, 2), 6, Normalization.UNIT),
+                                    Params(F(3, 2), F(3, 2), 2)])
 @pytest.mark.parametrize("n1, n2, tag", [(0, 0, "both_zero"), (0, 3, "left_zero"),
                                          (4, 0, "right_zero"), (2, -5, "generic"),
                                          (4, 4, "generic"), (-3, 3, "anti_diagonal")])
 def test_flat_values_round_trip_through_their_one_rebuild(monkeypatch, params, n1, n2, tag):
     # the source's flat value is its expression flattened, merged cells
     # folded; the flat solution the recheck checked is the returned
-    # particular flattened, so the one rebuild after the check loses nothing
+    # particular flattened, so the one rebuild after the check loses
+    # nothing, for the zero mode too, whose particular at lambda = 2 has the
+    # resonant term y^-1 log y
     import eisenmodes.solver as solver_mod
 
     src = source_term(params, n1, n2)
@@ -374,8 +390,6 @@ def test_flat_values_round_trip_through_their_one_rebuild(monkeypatch, params, n
     assert _lowest(*_flatten(src.full())) == _lowest(flat.terms, flat.den)
     if n1 == n2 != 0:  # merged
         assert {key[0] for key in flat.terms} <= {(0, 0), (0, 1), (1, 1)}
-    if tag == "both_zero":
-        return  # solved in closed form, rechecked by apply_euler
     checked = []
     real_recheck = solver_mod._recheck
 
@@ -387,15 +401,17 @@ def test_flat_values_round_trip_through_their_one_rebuild(monkeypatch, params, n
     mode = solve_mode(params, n1, n2)
     (terms, den), = checked
     assert _lowest(*_flatten(mode.particular)) == _lowest(terms, den)
-    assert mode.report.checked is None  # handed to choose_alpha, not kept
+    if tag == "both_zero":
+        resonant = {key[1] for key, q in terms.items() if q and key[2] == 1}
+        assert resonant == ({-1} if params.lam == 2 else set())
 
 
 def test_determinism_bit_identical():
     p = Params(F(3, 2), F(7, 2), 30)
-    a, _ = solve_particular_double(p, source_term(p, 1, 2).core)
-    b, _ = solve_particular_double(p, source_term(p, 1, 2).core)
-    assert json.dumps(expr_to_json_obj(a), sort_keys=True) == json.dumps(
-        expr_to_json_obj(b), sort_keys=True
+    a, _ = solve_particular_double(p, source_term(p, 1, 2).core.flat)
+    b, _ = solve_particular_double(p, source_term(p, 1, 2).core.flat)
+    assert json.dumps(expr_to_json_obj(a.expr()), sort_keys=True) == json.dumps(
+        expr_to_json_obj(b.expr()), sort_keys=True
     )
 
 
@@ -407,7 +423,7 @@ def test_parity_violating_params_have_no_ansatz_solution():
     p = Params(F(3, 2), F(3, 2), 20)
     assert classify_params(p.alpha, p.beta, 20).kind == "outside_conjectured_set"
     with pytest.raises(NoSolutionInWindow):
-        solve_particular_double(p, source_term(p, 1, 2).core)
+        solve_particular_double(p, source_term(p, 1, 2).core.flat)
 
 
 def _int_rows(rhs_rows):
@@ -672,8 +688,8 @@ def _eliminated_at(monkeypatch, solve, p, core, t):
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "_source_window", widened)
         m.setattr(solver_mod, "_recurrence", eliminating)
-        particular, _ = solve(p, core)
-    return particular, kernels[0]
+        particular, _ = solve(p, core.flat)
+    return particular.expr(), kernels[0]
 
 
 def _widening_oracle(monkeypatch, solve, p, core):
@@ -720,13 +736,14 @@ def test_recurrence_on_the_derived_window_agrees_with_the_widening_oracle(monkey
             solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
             oracle = _widening_oracle(monkeypatch, solve, p, core)
             try:
-                particular, rep = solve(p, core)
+                flat, rep = solve(p, core.flat)
             except NoSolutionInWindow as exc:
                 assert oracle is None, (a, b, lam, n1, n2)
                 assert exc.retries == 0 and exc.inconsistent_rows, (a, b, lam, n1, n2)
-                assert set(exc.windows.values()) == {_source_window(p.r_hint, FlatExpr.of(core))}
+                assert set(exc.windows.values()) == {_source_window(p.r_hint, core.flat)}
                 verdicts["failed"] += 1
                 continue
+            particular = flat.expr()
             assert oracle is not None, (a, b, lam, n1, n2)
             assert rep.retries == 0 and rep.kernel_dim == 0 and oracle[1] == []
             assert _json(oracle[0]) == _json(particular), (a, b, lam, n1, n2)
@@ -762,7 +779,7 @@ def test_elimination_matches_fraction_reference_on_real_systems(monkeypatch):
     p = Params(F(3, 2), F(3, 2), 30)
     for n1, n2 in ((1, 2), (-37, 38), (0, 3), (4, 4), (-5, 5)):
         solve = solve_particular_single if 0 in (n1, n2) else solve_particular_double
-        solve(p, source_term(p, n1, n2).core)
+        solve(p, source_term(p, n1, n2).core.flat)
     assert len(systems) == 5
     for args in systems:
         want = _reference(*args)
@@ -790,7 +807,7 @@ def test_elimination_matches_fraction_reference_on_the_largest_coefficients(monk
     for alpha, beta, n1, n2 in ((F(7, 2), F(9, 2), 257, 283), (F(3, 2), F(9, 2), 283, 257),
                                 (F(9, 2), F(3, 2), -251, -299)):
         p = Params(alpha, beta, 72, Normalization.UNIT)
-        solve_particular_double(p, source_term(p, n1, n2).core)
+        solve_particular_double(p, source_term(p, n1, n2).core.flat)
     assert len(systems) == 3
     for args in systems:
         got = _as_fractions(real_recurrence(*args), args[3])

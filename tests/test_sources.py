@@ -77,8 +77,9 @@ def test_generic_source_prefactor_and_core():
 
 
 def _fourier_factor_json(factor, s, n):
-    pref, terms, den = factor(s, n)
-    return json.dumps([pref.to_json_obj(), repr(sorted(terms.items(), key=repr)), den])
+    pref, flat = factor(s, n)
+    return json.dumps([pref.to_json_obj(), repr(flat.shape),
+                       repr(sorted(flat.terms.items(), key=repr)), flat.den])
 
 
 def test_cached_fourier_factor_equals_uncached():
@@ -88,7 +89,7 @@ def test_cached_fourier_factor_equals_uncached():
 
 
 def test_cached_fourier_factor_is_read_only():
-    _, terms, _ = _fourier_factor(F(7, 2), 3)
+    terms = _fourier_factor(F(7, 2), 3)[1].terms
     key = next(iter(terms))
     with pytest.raises(TypeError):
         terms[key] = 0
