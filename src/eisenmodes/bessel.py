@@ -10,6 +10,9 @@ The three expression kinds mirror the shapes appearing in the mode equations:
 All three are ``BesselProduct``s with one K factor per frequency, so the
 derivative, the mode operator and every evaluator are written once for all of
 them; on ``Pure`` the mode operator is the Euler operator y^2 d^2/dy^2 - lam.
+The paper's three operators P_lam, L_lam and the Euler operator are one
+function, ``mode_operator``, which ``apply_P``, ``apply_L`` and
+``apply_euler`` name.
 
 Operators are built from the factor-wise derivative rules
 
@@ -408,9 +411,8 @@ def _operator_terms(lam: int, flat: "FlatExpr") -> Dict:
     For double-Bessel modes (n1 + n2)^2 = (|n1| + sgn(n1 n2) |n2|)^2; on
     ``Pure`` the sum of no frequencies is 0, which leaves the Euler operator.
     The second derivative is the value's kept ``second``.  This is the kernel
-    of ``mode_operator`` (``apply_P``, ``apply_L``, ``apply_euler``), which
-    hands it an expression's ``flat``, and of the solver's recheck, which
-    hands it each solver's own flat solution.
+    of ``mode_operator``, which hands it an expression's ``flat``, and of the
+    solver's recheck, which hands it each solver's own flat solution.
     """
     out = flat.second.copy()
     mass = 4 * sum(flat.shape.freqs) ** 2
@@ -425,12 +427,21 @@ def _operator_terms(lam: int, flat: "FlatExpr") -> Dict:
 
 def mode_operator(lam: int, expr: BesselProduct) -> BesselProduct:
     """The mode operator of `expr`'s kind (``_operator_terms``) on its
-    ``flat``: ``apply_P`` on a DoubleBessel, ``apply_L`` on a SingleBessel,
-    ``apply_euler`` on a Pure; the terms are raised by y^2 once, on
-    rebuilding."""
+    ``flat``, the terms raised by y^2 once, on rebuilding.  It is P_lam,
+    L_lam or the Euler operator by the kind of `expr`, and is bound under
+    each of those names:
+
+        apply_P     P_lam = -4 pi^2 y^2 (|n1| + sgn(n1 n2) |n2|)^2 + y^2 d^2/dy^2 - lam
+                    on a DoubleBessel,
+        apply_L     L_lam = -4 pi^2 n^2 y^2 + y^2 d^2/dy^2 - lam on a SingleBessel,
+        apply_euler y^2 d^2/dy^2 - lam on a Pure, logs included.
+    """
     _check_log_cap(expr)
     flat = expr.flat
     return _rebuild(expr, _operator_terms(lam, flat), flat.den, shift=2)
+
+
+apply_P = apply_L = apply_euler = mode_operator
 
 
 def cell_stencil(expr: BesselProduct, cell) -> Tuple[int, Tuple]:
@@ -472,21 +483,6 @@ def cell_stencil(expr: BesselProduct, cell) -> Tuple[int, Tuple]:
         linear[key] = (c1, c0 + 8 * abs_n1 * abs_n2)
     return sigma, tuple((target, offset, c1, c0)
                         for (target, offset), (c1, c0) in linear.items() if c1 or c0)
-
-
-def apply_P(lam: int, expr: DoubleBessel) -> DoubleBessel:
-    """P_lam = -4 pi^2 y^2 (|n1| + sgn(n1 n2) |n2|)^2 + y^2 d^2/dy^2 - lam."""
-    return mode_operator(lam, expr)
-
-
-def apply_L(lam: int, expr: SingleBessel) -> SingleBessel:
-    """L_lam = -4 pi^2 n^2 y^2 + y^2 d^2/dy^2 - lam on single-Bessel expressions."""
-    return mode_operator(lam, expr)
-
-
-def apply_euler(lam: int, expr: Pure) -> Pure:
-    """y^2 d^2/dy^2 - lam on Bessel-free expressions, logs included."""
-    return mode_operator(lam, expr)
 
 
 # ---------------------------------------------------------------------------

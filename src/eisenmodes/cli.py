@@ -10,8 +10,9 @@ Exit codes (part of the public contract):
     0   solved / all comparisons equal
     1   verification or comparison mismatch: P(particular) - source is not
         exactly zero, the boundary data differ from the ones recomputed
-        by homogeneous.boundary_reference, or a computed table differs
-        exactly from the printed one
+        (by homogeneous.boundary_reference, or for the zero mode from
+        solver.solve_zero_mode), or a computed table differs exactly from
+        the printed one
     2   lambda is not of the form r(r+1) (no solution in the ansatz class)
     3   alpha or beta is not a half-integer
     4   no solution on the derived degree windows; the document names the
@@ -30,6 +31,9 @@ Exit codes (part of the public contract):
         names it), a `verify` input with a number past the reader's digit
         bound (scalars.READ_DIGITS_MAX, named in the error), a `sums`
         partial sum, and a `sums` value, that leaves double range
+    70  internal fault: any other exception, such as a failed invariant of
+        the solver (its AssertionError); the error names the exception's
+        type.  sysexits' EX_SOFTWARE
     141 stdout was closed by its reader (for example `| head -c 10`) before
         the document was written; nothing more is written.  128 + SIGPIPE,
         as a shell reports a process the signal ended
@@ -38,11 +42,13 @@ Every document goes to stdout, or to the --output file, and holds no NaN or
 Infinity: an alpha sum's partial_sums keep only the limits whose sum is a
 finite double.  A command lifts Python's int/str digit limit while it runs,
 so an answer of any size is written; ``main`` restores the limit on return,
-and `verify` bounds each number it reads itself.  Codes 7 and 64 write only
-a {"error": ...} object to stderr.  `solve` takes --n1 and --n2 (one mode) or --n (a whole mode); a
-flag that only the other form reads is a usage error.  The degree windows are derived from the source (see solver); no flag
-sets or widens them.  `verify` checks a mode document by one form rule: it
-reads the mode, writes it back with ModeSolution.to_json_obj and requires
+and `verify` bounds each number it reads itself.  Codes 7, 64 and 70 write
+only one {"error": ...} object to stderr, and no traceback.  `solve` takes
+--n1 and --n2 (one mode) or --n (a whole mode); a flag that only the other
+form reads is a usage error.  The degree windows are derived from the source
+(see solver); no flag sets or widens them.  `verify` checks a mode document
+by one form rule: it reads the mode, writes it back with
+ModeSolution.to_json_obj and requires
 the sorted JSON text of every key but UNVERIFIED_KEYS (report,
 classification, latex: outside the verified claim) to equal the input's,
 derived fields such as source_full and case included.  It then applies the
@@ -56,9 +62,12 @@ with the choose_alpha that solve runs the particular part's small-y
 expansion (series.small_y_series, checked in the tests against a long-form
 Constant oracle and mpmath's besselk), and not the decaying element's
 series, the alpha division or the test for terms left over, which it does
-in Constants of its own.  `table` and `combine` compare the
-computed expressions exactly with the printed ones
-(fixtures.compare_expressions).
+in Constants of its own.  The zero mode, and a mode whose lambda is not
+triangular, must state no alpha and no obstruction, and the zero mode's
+particular must hold the log-free y^-r and y^(r+1) terms of the
+regularized closed form (solver.solve_zero_mode), since the operator maps
+those two powers to zero.  `table` and `combine` compare the computed
+expressions exactly with the printed ones (fixtures.compare_expressions).
 """
 
 from __future__ import annotations
@@ -93,9 +102,9 @@ from .homogeneous import (
     solve_mode,
     zero_mode_alpha_sum,
 )
-from .laurent import LogCapExceeded
+from .laurent import LogCapExceeded, YLaurent
 from .scalars import _read_int
-from .solver import NoSolutionInWindow
+from .solver import NoSolutionInWindow, solve_zero_mode
 from .sources import Normalization, Params, classify_params
 
 EXIT_OK = 0
@@ -107,15 +116,17 @@ EXIT_OBSTRUCTED = 5
 EXIT_NO_FIXTURE = 6
 EXIT_LOG_CAP = 7
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
 
 # exception -> exit code for failures a command raises; the first matching row
 # wins (LogCapExceeded, FixtureError and json's decode error are ValueErrors).
-# Anything else, such as the solver's AssertionError invariants, is a bug and
-# keeps its traceback.
+# The last row takes anything else, such as a failed invariant of the solver
+# (its AssertionError): a fault of the program, not of its input.
 ERROR_EXITS = (
     (LogCapExceeded, EXIT_LOG_CAP),
     ((ValueError, OSError, KeyError, OverflowError), EXIT_USAGE),
+    (Exception, EXIT_INTERNAL),
 )
 
 
@@ -193,7 +204,7 @@ def _no_solution(exc: NoSolutionInWindow, cls):
         "classification": cls.kind,
         "error": "no_solution_in_window",
         "retries": exc.retries,
-        "windows": None if exc.windows is None else {str(c): list(w) for c, w in exc.windows.items()},
+        "windows": {str(c): list(w) for c, w in exc.windows.items()},
         "inconsistent_rows": [str(r) for r in exc.inconsistent_rows[:8]],
     }
     return doc, EXIT_NOT_TRIANGULAR if cls.kind == "lambda_not_triangular" else EXIT_NO_SOLUTION
@@ -304,30 +315,47 @@ def _boundary_parts(alpha, obstruction) -> dict:
             "leading": obs.get("leading"), "message": obs.get("message")}
 
 
-def _boundary(mode) -> dict:
-    """The document's boundary data against ``boundary_reference`` on its own particular.
+def _homogeneous_terms(poly: YLaurent, r: int) -> list:
+    """The JSON of the log-free y^-r and y^(r+1) terms of a zero mode's
+    particular: the powers that the Euler operator maps to zero."""
+    return YLaurent({(k, 0): poly.coeff(k) for k in (-r, r + 1)}).to_json_obj()
 
-    status: ok (alpha is the recomputed one), obstructed (the reported
-    obstruction, message and terms, is exactly the recomputed one), mismatch,
-    free (the zero mode) or no_basis (lambda is not triangular); ``cmd_verify``
-    writes skipped instead, without calling this, when the operator check
-    finds differences.  The
-    document's alpha, obstruction terms (``leading``) and ``message`` are
-    compared with the recomputed ones as JSON text, and a mismatch names each
-    part that differs with its recomputed value: null where the recomputed
-    mode has none, and ``leading`` cut to its first 6 terms.
+
+def _boundary(mode) -> dict:
+    """The document's boundary data against the recomputed ones.
+
+    A mode with a decaying element (lambda triangular, not the zero mode) is
+    compared with ``boundary_reference`` on its own particular: status ok
+    (alpha is the recomputed one) or obstructed (the reported obstruction,
+    message and terms, is exactly the recomputed one).  The zero mode (status
+    free) and a mode whose lambda is not triangular (no_basis) have no alpha
+    and no obstruction, and the zero mode's particular must also hold the
+    log-free y^-r and y^(r+1) terms (``homogeneous``) of the regularized
+    closed form (``solver.solve_zero_mode``): the operator check cannot see
+    them, those powers being its kernel.  Any difference is status mismatch;
+    ``cmd_verify`` writes skipped instead, without calling this, when the
+    operator check finds differences.  The parts are compared as JSON text,
+    and a mismatch names each part that differs with its recomputed value:
+    null where the recomputed mode has none, and ``leading`` cut to its
+    first 6 terms.
     """
     r = mode.params.r
-    if mode.alpha_free:
-        return {"status": "free"}
-    if r is None:
-        return {"status": "no_basis"}
-    alpha, obstruction = boundary_reference(mode.particular, r, mode.n1, mode.n2)
     stated = _boundary_parts(mode.alpha, mode.obstruction)
-    differ = {key: value for key, value in _boundary_parts(alpha, obstruction).items()
+    if mode.alpha_free or r is None:
+        alpha = obstruction = None
+        status = "free" if mode.alpha_free else "no_basis"
+    else:
+        alpha, obstruction = boundary_reference(mode.particular, r, mode.n1, mode.n2)
+        status = "ok" if obstruction is None else "obstructed"
+    recomputed = _boundary_parts(alpha, obstruction)
+    if mode.alpha_free and r is not None:
+        closed = solve_zero_mode(mode.params, mode.source.flat).expr()
+        recomputed["homogeneous"] = _homogeneous_terms(closed.poly, r)
+        stated["homogeneous"] = _homogeneous_terms(mode.particular.poly, r)
+    differ = {key: value for key, value in recomputed.items()
               if json.dumps(value, sort_keys=True) != json.dumps(stated[key], sort_keys=True)}
     if not differ:
-        return {"status": "ok" if obstruction is None else "obstructed"}
+        return {"status": status}
     if differ.get("leading"):
         differ["leading"] = differ["leading"][:6]
     return {"status": "mismatch", **differ}
@@ -463,10 +491,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except Exception as exc:
-        code = next((c for kinds, c in ERROR_EXITS if isinstance(exc, kinds)), None)
-        if code is None:
-            raise
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        code = next(c for kinds, c in ERROR_EXITS if isinstance(exc, kinds))
+        message = f"{type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else str(exc)
+        print(json.dumps({"error": message}), file=sys.stderr)
     finally:
         sys.set_int_max_str_digits(digits)
     return code

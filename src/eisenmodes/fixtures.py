@@ -288,11 +288,11 @@ def _cell_key(text: str):
     return int(text) if len(text) == 1 else (int(text[0]), int(text[1]))
 
 
-def _section_table(section: dict, names: Dict, text=lambda key, printed: printed) -> Dict:
+def _section_table(section: dict, names: Dict, text) -> Dict:
     """A printed table's cells, each times its prefactor, keyed by cell.
 
-    text(key, printed) may replace the printed text of a cell or of the
-    "prefactor" (errata).
+    text(key, printed) gives the text read for a cell or for the
+    "prefactor": the printed one, or an erratum's (``_corrected_text``).
     """
     pref = eval_table_expr(text("prefactor", section["prefactor"]), names)
     if isinstance(pref, YLaurent):

@@ -6,7 +6,9 @@ the ones ``Constant`` has, so a zero polynomial is falsy.  It combines with a
 scalar (an int, a Fraction or a Constant) by its own operators, on either
 side: a sum or difference lifts the scalar to a constant polynomial
 (``YLaurent.lift``), a product scales by it, and a quotient by it scales by
-its inverse.  A polynomial is raised to an integer power only as a one-term
+its inverse.  The product of two polynomials is the whole product, one
+Constant built per (y power, log power); ``truncate`` cuts a polynomial
+at a y power.  A polynomial is raised to an integer power only as a one-term
 monomial c y^k log^j, log-free for a negative power: (c y^k log^j)^b is
 c^b y^(kb) log^(jb).  A quotient by a polynomial is the product with its
 power -1.  Any other base is a ``NotAMonomial``.
@@ -78,12 +80,6 @@ class YLaurent(_SparseSum):
     def items_sorted(self):
         return sorted(self._terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
-    def min_degree(self) -> int:
-        return min(self._terms)[0] if self._terms else 0
-
-    def max_degree(self) -> int:
-        return max(self._terms)[0] if self._terms else 0
-
     def max_log(self) -> int:
         return max((j for _, j in self._terms), default=0)
 
@@ -101,14 +97,24 @@ class YLaurent(_SparseSum):
     def __rsub__(self, other) -> "YLaurent":
         return -self + other
 
-    def shift(self, y_exp: int) -> "YLaurent":
-        """Multiply by y**y_exp."""
-        return YLaurent._trusted({(k + y_exp, j): c for (k, j), c in self._terms.items()})
-
     def __mul__(self, other) -> "YLaurent":
-        if isinstance(other, YLaurent):
-            return self.mul_truncated(other, order=None)
-        return self.scale(other)
+        """The product with a polynomial, or with a scalar (``scale``).
+
+        The monomial products of all the pairs that land on one (k, j) are
+        summed into one dict, and one Constant is built per key."""
+        if not isinstance(other, YLaurent):
+            return self.scale(other)
+        out: Dict[TermKey, dict] = {}
+        for (k1, j1), c1 in self._terms.items():
+            for (k2, j2), c2 in other._terms.items():
+                j = j1 + j2
+                if j > LOG_CAP:
+                    raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
+                sums = out.get((k1 + k2, j))
+                if sums is None:
+                    sums = out[k1 + k2, j] = {}
+                _add_product(sums, c1, c2)
+        return YLaurent._of_sums({key: Constant._of_sums(sums) for key, sums in out.items()})
 
     __rmul__ = __mul__
 
@@ -134,26 +140,6 @@ class YLaurent(_SparseSum):
         if j and b < 0:
             raise NotAMonomial("division by log terms")
         return YLaurent.monomial(k * b, c ** b, log_exp=j * b)
-
-    def mul_truncated(self, other: "YLaurent", order: int | None) -> "YLaurent":
-        """Product, optionally dropping terms with y exponent >= order.
-
-        The monomial products of all the pairs that land on one (k, j) are
-        summed into one dict, and one Constant is built per key."""
-        out: Dict[TermKey, dict] = {}
-        for (k1, j1), c1 in self._terms.items():
-            for (k2, j2), c2 in other._terms.items():
-                k = k1 + k2
-                if order is not None and k >= order:
-                    continue
-                j = j1 + j2
-                if j > LOG_CAP:
-                    raise LogCapExceeded(f"log(y)^{j} exceeds cap {LOG_CAP}")
-                sums = out.get((k, j))
-                if sums is None:
-                    sums = out[k, j] = {}
-                _add_product(sums, c1, c2)
-        return YLaurent._of_sums({key: Constant._of_sums(sums) for key, sums in out.items()})
 
     def diff(self) -> "YLaurent":
         """d/dy, with d/dy[y^k log^j y] = k y^(k-1) log^j + j y^(k-1) log^(j-1)."""

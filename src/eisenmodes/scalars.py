@@ -28,9 +28,9 @@ number (an int or a Fraction) must become a Constant, as in a sum or a
 it once (``_operand``).  A product or quotient by a number scales the
 coefficients without a lift, and equality with a number lifts nothing: it
 compares the terms with {1: q}, or {} for zero.
-A sum of many products, such as a truncated series product, adds the
-monomial products of all its pairs into one dict and builds one Constant
-from it (``_add_product``, ``Constant._of_sums``).
+A sum of many products, such as a coefficient of a ``YLaurent`` product,
+adds the monomial products of all its pairs into one dict and builds one
+Constant from it (``_add_product``, ``Constant._of_sums``).
 
 The symbol kinds are one table, ``_KINDS``: in canonical order, each kind's
 rule for the arguments the package writes it with, its LaTeX and its mpmath

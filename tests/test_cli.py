@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import eisenmodes
-from eisenmodes import cli
+from eisenmodes import cli, homogeneous, solver
 from eisenmodes.cli import (
     EXIT_BROKEN_PIPE,
+    EXIT_INTERNAL,
     EXIT_LOG_CAP,
     EXIT_MISMATCH,
     EXIT_NO_FIXTURE,
@@ -975,6 +976,128 @@ def test_verify_refuses_every_mutation_of_what_it_checks(data):
         assert code == EXIT_OK
     else:
         assert code in (EXIT_MISMATCH, EXIT_LOG_CAP, EXIT_USAGE), (op, head, key)
+
+
+ONE = [{"monomial": {}, "coeff": "1/1"}]
+
+
+def _with_term(k):
+    """A log-free y^k term added to a zero mode's particular, in term order."""
+    def edit(doc):
+        poly = doc["particular"]["poly"]
+        poly.append({"y": k, "log": 0, "coeff": ONE})
+        poly.sort(key=lambda term: (term["y"], term["log"]))
+    return edit
+
+
+def _y_minus_1_set_to_one_seventh(doc):
+    term = next(t for t in doc["particular"]["poly"] if (t["y"], t["log"]) == (-1, 0))
+    term["coeff"] = [{"monomial": {}, "coeff": "1/7"}]
+
+
+@pytest.mark.parametrize("lam, edit, named", [
+    # r = 5: y^6 is the growing element y^(r+1), y^-5 the free element y^-r
+    ("30", _with_term(6), {"homogeneous": []}),
+    ("30", _with_term(-5), {"homogeneous": []}),
+    ("30", lambda doc: doc.update(alpha=ONE), {"alpha": None}),
+    ("30", lambda doc: doc.update(obstruction={"message": "made up", "leading": [
+        {"y": -5, "log": 0, "coeff": ONE}]}), {"leading": None, "message": None}),
+    # r = 1: the regularized closed form's log-free y^-1 term is 4/81 pi^4
+    ("2", _y_minus_1_set_to_one_seventh, {"homogeneous": [
+        {"y": -1, "log": 0, "coeff": [{"monomial": {"pi": 4}, "coeff": "4/81"}]}]}),
+], ids=["y^(r+1)", "y^-r", "alpha", "obstruction", "lambda-2-y^-1"])
+def test_verify_refuses_zero_mode_documents_that_solve_never_writes(tmp_path, capsys, lam,
+                                                                    edit, named):
+    # the Euler operator maps y^-r and y^(r+1) to zero and never sees alpha or
+    # the obstruction, so each edit passes the operator check and the
+    # boundary check names what differs, with its recomputed value
+    doc = _solution_doc(tmp_path, capsys, ("3/2", "3/2", lam), 0, 0)
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_OK and verdict["boundary"] == {"status": "free"}
+    edit(doc)
+    code, verdict = _verdict(tmp_path, capsys, doc)
+    assert code == EXIT_MISMATCH and verdict["pass"] is False
+    assert verdict["operator"] == {"status": "exact-zero"}
+    assert verdict["boundary"] == {"status": "mismatch", **named}
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("module, attr, exc, argv", [
+    (solver, "_recheck", AssertionError("solver produced a non-exact solution (residual != 0)"),
+     ["--n1", "1", "--n2", "2"]),
+    # an assembly calls homogeneous.solve_mode for each of its modes
+    (homogeneous, "solve_mode", RuntimeError("lost a mode"), ["--n", "1", "--cutoff", "2"]),
+])
+def test_an_internal_fault_exits_70_with_one_error_line(capsys, monkeypatch, module, attr,
+                                                        exc, argv):
+    monkeypatch.setattr(module, attr, _raise(exc))
+    code, out, err = run_cli_streams(capsys, "solve", "--alpha", "3/2", "--beta", "3/2",
+                                     "--lambda", "30", *argv)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _solved(tmp_path, argv, edit):
+    """The path of the document `solve` writes for argv, edited in place."""
+    path = tmp_path / "mode.json"
+    assert _main_doc(["solve", *argv, "--output", str(path)])[0] in (EXIT_OK, EXIT_OBSTRUCTED)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _closed_stdout(stack, monkeypatch):
+    """stdout replaced by the write end of a pipe whose read end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    monkeypatch.setattr(sys, "stdout", stack.enter_context(open(write_end, "w")))
+
+
+# exit code -> a path to it through cli.main: (argv, given the scratch
+# directory, the patches and a stack of things to close)
+EXIT_PATHS = {
+    0: lambda tmp_path, monkeypatch, stack: ["sums", "--a", "3", "--b", "5", "--s", "10"],
+    1: lambda tmp_path, monkeypatch, stack: ["verify", "--input", _solved(
+        tmp_path, [*THIRTY, "--n1", "0", "--n2", "0"], _with_term(6))],
+    2: lambda tmp_path, monkeypatch, stack: ["solve", "--alpha", "3/2", "--beta", "3/2",
+                                             "--lambda", "31", "--n1", "1", "--n2", "2"],
+    3: lambda tmp_path, monkeypatch, stack: ["solve", "--alpha", "4/3", "--beta", "3/2",
+                                             "--lambda", "30", "--n1", "1", "--n2", "2"],
+    4: lambda tmp_path, monkeypatch, stack: ["solve", "--alpha", "3/2", "--beta", "3/2",
+                                             "--lambda", "20", "--n1", "1", "--n2", "2"],
+    5: lambda tmp_path, monkeypatch, stack: ["solve", "--alpha", "3/2", "--beta", "3/2",
+                                             "--lambda", "2", "--n1", "1", "--n2", "-1"],
+    6: lambda tmp_path, monkeypatch, stack: ["table", "--alpha", "9/2", "--beta", "9/2",
+                                             "--lambda", "30"],
+    7: lambda tmp_path, monkeypatch, stack: ["verify", "--input", _solved(
+        tmp_path, [*THIRTY, "--n1", "1", "--n2", "2"], _edit_log_over_cap)],
+    64: lambda tmp_path, monkeypatch, stack: ["solve", "--alpha", "3/2"],
+    70: lambda tmp_path, monkeypatch, stack: monkeypatch.setattr(
+        solver, "_recheck", _raise(AssertionError("an invariant"))) or [
+        "solve", *THIRTY, "--n1", "1", "--n2", "2"],
+    141: lambda tmp_path, monkeypatch, stack: _closed_stdout(stack, monkeypatch) or [
+        "sums", "--a", "3", "--b", "5", "--s", "10"],
+}
+# the codes of the cli module docstring's exit table
+DOCUMENTED_EXITS = sorted(int(code) for code in re.findall(r"^    (\d+) +\S", cli.__doc__, re.M))
+
+
+@pytest.mark.parametrize("code", DOCUMENTED_EXITS)
+def test_every_documented_exit_code_has_a_path(tmp_path, capsys, monkeypatch, code):
+    # a code without a path, or a path or constant without a documented
+    # code, fails here
+    declared = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert set(EXIT_PATHS) == set(DOCUMENTED_EXITS) == declared
+    with ExitStack() as stack:
+        argv = EXIT_PATHS[code](tmp_path, monkeypatch, stack)
+        assert main(argv) == code
 
 
 def test_unwritable_output_maps_to_usage_on_stderr(tmp_path, capsys):

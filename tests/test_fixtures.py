@@ -389,7 +389,8 @@ T2_PAIRS = [(1, 2), (2, 1), (2, 3), (2, -3), (-2, 3), (3, -1), (1, -4)]
 def _printed_t_minus_2(n1, n2):
     """The T-2 table exactly as printed, no errata."""
     section = load_tables()["combination_T-2"]
-    return DoubleBessel(n1, n2, _section_table(section, _section_names("generic", n1, n2)))
+    names = _section_names("generic", n1, n2)
+    return DoubleBessel(n1, n2, _section_table(section, names, lambda key, printed: printed))
 
 
 @pytest.mark.parametrize("n1, n2", T2_PAIRS)

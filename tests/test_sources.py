@@ -309,12 +309,12 @@ def _reference_source_term(p: Params, n1: int, n2: int):
     pref_a, left = _reference_fourier_factor(p.alpha, n1)
     pref_b, right = _reference_fourier_factor(p.beta, n2)
     if isinstance(left, Pure):
-        core = right.map_cells(lambda q: (left.poly * q).shift(1))
+        core = right.map_cells(lambda q: left.poly * q * YLaurent.monomial(1))
     elif isinstance(right, Pure):
-        core = left.map_cells(lambda q: (q * right.poly).shift(1))
+        core = left.map_cells(lambda q: q * right.poly * YLaurent.monomial(1))
     else:
         core = DoubleBessel(n1, n2, {
-            (i, j): (q_i * q_j).shift(1)
+            (i, j): q_i * q_j * YLaurent.monomial(1)
             for i, q_i in left.table.items() for j, q_j in right.table.items()
         })
     prefactor = pref_a * pref_b * p.c_eff()

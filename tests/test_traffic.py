@@ -45,10 +45,6 @@ ALLOWLIST = {
     "homogeneous.alpha_decay_scan": ("api",),
     "scalars.ln_prime": ("api",),
     "laurent.YLaurent.one": ("test oracle",),
-    # the long-form small-y oracle reads each cell's reach from it
-    "laurent.YLaurent.min_degree": ("test oracle",),
-    "laurent.YLaurent.max_degree": ("test oracle",),
-    "laurent.YLaurent.shift": ("test oracle",),
     "laurent.YLaurent.diff": ("test oracle",),
     "laurent.YLaurent.evaluate": ("test oracle",),
     "laurent.YLaurent.__repr__": ("protocol",),
